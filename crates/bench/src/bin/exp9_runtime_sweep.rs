@@ -16,11 +16,12 @@
 //! The `reply` column does the same for the reply direction: `mail`
 //! (the lock-free slab of reusable client mailboxes, PR 4) against
 //! `mpsc` (per-incarnation channels behind a global locked map). The
-//! `dyn-cache` rows run the STL selector with the epoch-cached
-//! decision grid over striped commit-path-free metrics; the `dyn-fresh`
-//! rows re-evaluate the full STL′ dynamic program per transaction against
-//! freshly merged metrics (the pre-cache behaviour); `sel us` and `hit%`
-//! report the mean per-selection overhead and the decision-grid hit rate.
+//! `dyn-cache` rows run the STL selector with the per-epoch STL′ table
+//! over striped commit-path-free metrics; the `dyn-fresh` rows re-run the
+//! STL′ dynamic programs per transaction against freshly merged metrics
+//! (the pre-cache behaviour); `sel us` and `hit%` report the mean
+//! per-selection overhead and the share of selections served wholly from
+//! the table.
 //!
 //! Run with: `cargo run --release -p bench --bin exp9_runtime_sweep`
 //!

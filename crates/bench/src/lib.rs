@@ -13,4 +13,4 @@ pub mod workload;
 
 pub use harness::{base_config, run_protocols, ProtocolRow, PROTOCOL_LABELS};
 pub use traj::{validate_bench_doc, Trajectory};
-pub use workload::{SkewedItems, TxnShape};
+pub use workload::{committed_metrics, SkewedItems, TxnShape};

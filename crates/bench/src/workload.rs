@@ -7,10 +7,12 @@
 //! perfectly balanced load. This module is the shared vocabulary: a
 //! seeded skewed item picker and the shape-to-[`TxnSpec`] builders.
 
-use dbmodel::LogicalItemId;
+use dbmodel::{AccessMode, Catalog, CcMethod, LogicalItemId, SiteId, Transaction, TxnId};
+use metrics::SimMetrics;
 use runtime::TxnSpec;
 use simkit::dist::Zipfian;
 use simkit::rng::SimRng;
+use simkit::time::{Duration, SimTime};
 
 /// Transaction shapes the mixed sweep crosses with access skew.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -24,6 +26,10 @@ pub enum TxnShape {
 }
 
 impl TxnShape {
+    /// Every shape: the mix the `dynamic_skewed` benchmark workload draws
+    /// from.
+    pub const ALL: [TxnShape; 3] = [TxnShape::ReadHeavy, TxnShape::Rmw, TxnShape::Wide];
+
     pub fn label(self) -> &'static str {
         match self {
             TxnShape::ReadHeavy => "read-heavy",
@@ -113,6 +119,42 @@ impl SkewedItems {
             .writes(writes.iter().copied());
         (spec, writes.to_vec())
     }
+
+    /// The same draw as a [`Transaction`] — what the STL selector sees —
+    /// with the shape itself drawn uniformly from [`TxnShape::ALL`].
+    pub fn mixed_transaction(&self, rng: &mut SimRng, id: u64) -> Transaction {
+        let shape = TxnShape::ALL[rng.next_index(TxnShape::ALL.len())];
+        let picked = self.pick_distinct(rng, shape.reads() + shape.writes());
+        let (reads, writes) = picked.split_at(shape.reads());
+        Transaction::builder(TxnId(id), SiteId(0))
+            .reads(reads.iter().copied())
+            .writes(writes.iter().copied())
+            .build()
+    }
+}
+
+/// The metrics a runtime holds after committing `txns` round-robin over the
+/// three methods in 100 ms with no denial, restart or backoff: one grant
+/// and one ~80 µs lock hold per accessed copy. Selector benches and tests
+/// fit their epoch snapshots from this.
+pub fn committed_metrics(catalog: &Catalog, txns: &[Transaction]) -> SimMetrics {
+    let mut metrics = SimMetrics::new();
+    for (i, txn) in txns.iter().enumerate() {
+        let method = CcMethod::ALL[i % 3];
+        for (set, mode) in [
+            (txn.read_set(), AccessMode::Read),
+            (txn.write_set(), AccessMode::Write),
+        ] {
+            for &item in set {
+                let copy = catalog.physical_copies(item).expect("catalogued item")[0];
+                metrics.record_grant(copy, mode);
+                metrics.record_lock_hold(method, Duration::from_micros(60 + i as u64 % 40), false);
+            }
+        }
+        metrics.record_commit(method, Duration::from_micros(150));
+    }
+    metrics.set_time_span(SimTime::ZERO, SimTime::from_millis(100));
+    metrics
 }
 
 #[cfg(test)]

@@ -741,7 +741,11 @@ impl ItemState {
                 seq,
                 access: mode,
             });
-            self.queue.mark_granted(txn);
+            // By position, not by transaction id: should a duplicate
+            // `Access` ever double-queue a transaction (dedup switched off),
+            // marking "the entry of `txn`" would re-mark its first, granted
+            // entry and leave this head ungranted — an endless grant loop.
+            self.queue.grant_head();
             match mode {
                 AccessMode::Read => self.r_ts = self.r_ts.max(prec_ts),
                 AccessMode::Write => self.w_ts = self.w_ts.max(prec_ts),

@@ -1191,7 +1191,9 @@ mod tests {
         // must produce an observably broken queue manager under the same
         // duplicated delivery. In debug builds the engine's internal
         // "already queued" assertion fires (a panic); in release builds the
-        // duplicate lands as a second queue entry. Either outcome is a
+        // duplicate lands as a second queue entry (and is granted a second
+        // lock — the grant loop marks the head by position, so it
+        // terminates even on this corrupted queue). Either outcome is a
         // demonstrable failure that the dedup guard prevents.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut qm = QueueManager::new(SiteId(0));

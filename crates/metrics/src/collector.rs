@@ -74,24 +74,30 @@ impl MethodStats {
 
     /// Probability that a read request is rejected (T/O) or backed off (PA).
     pub fn read_denial_prob(&self) -> f64 {
-        ratio(
-            self.read_requests.1,
-            self.read_requests.0 + self.read_requests.1,
-        )
+        self.sample().read_denial_prob()
     }
 
     /// Probability that a write request is rejected (T/O) or backed off (PA).
     pub fn write_denial_prob(&self) -> f64 {
-        ratio(
-            self.write_requests.1,
-            self.write_requests.0 + self.write_requests.1,
-        )
+        self.sample().write_denial_prob()
     }
 
     /// Probability that a transaction incarnation aborts due to deadlock.
     pub fn deadlock_abort_prob(&self) -> f64 {
-        let attempts = self.committed.get() + self.restarts();
-        ratio(self.deadlock_aborts.get(), attempts)
+        self.sample().deadlock_abort_prob()
+    }
+
+    /// The scalars the STL protocol parameters derive from.
+    pub fn sample(&self) -> MethodSample {
+        MethodSample {
+            committed: self.committed.get(),
+            rejections: self.rejections.get(),
+            deadlock_aborts: self.deadlock_aborts.get(),
+            lock_time_ok: self.lock_time_ok,
+            lock_time_aborted: self.lock_time_aborted,
+            read_requests: self.read_requests,
+            write_requests: self.write_requests,
+        }
     }
 
     /// Fold another method's statistics into this one (used to combine
@@ -119,6 +125,131 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
+/// The scalars of one method that the STL protocol parameters derive from:
+/// [`MethodStats`] without its latency histogram, so it copies and merges
+/// in O(1).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MethodSample {
+    /// Committed transactions.
+    pub committed: u64,
+    /// Restarts caused by T/O rejections.
+    pub rejections: u64,
+    /// Restarts caused by deadlock victim selection.
+    pub deadlock_aborts: u64,
+    /// See [`MethodStats::lock_time_ok`].
+    pub lock_time_ok: RunningStat,
+    /// See [`MethodStats::lock_time_aborted`].
+    pub lock_time_aborted: RunningStat,
+    /// See [`MethodStats::read_requests`].
+    pub read_requests: (u64, u64),
+    /// See [`MethodStats::read_requests`].
+    pub write_requests: (u64, u64),
+}
+
+impl MethodSample {
+    /// Probability that a read request is rejected (T/O) or backed off (PA).
+    pub fn read_denial_prob(&self) -> f64 {
+        ratio(
+            self.read_requests.1,
+            self.read_requests.0 + self.read_requests.1,
+        )
+    }
+
+    /// Probability that a write request is rejected (T/O) or backed off (PA).
+    pub fn write_denial_prob(&self) -> f64 {
+        ratio(
+            self.write_requests.1,
+            self.write_requests.0 + self.write_requests.1,
+        )
+    }
+
+    /// Probability that a transaction incarnation aborts due to deadlock.
+    pub fn deadlock_abort_prob(&self) -> f64 {
+        let attempts = self.committed + self.rejections + self.deadlock_aborts;
+        ratio(self.deadlock_aborts, attempts)
+    }
+
+    fn merge_from(&mut self, other: &MethodSample) {
+        self.committed += other.committed;
+        self.rejections += other.rejections;
+        self.deadlock_aborts += other.deadlock_aborts;
+        self.lock_time_ok.merge(&other.lock_time_ok);
+        self.lock_time_aborted.merge(&other.lock_time_aborted);
+        self.read_requests.0 += other.read_requests.0;
+        self.read_requests.1 += other.read_requests.1;
+        self.write_requests.0 += other.write_requests.0;
+        self.write_requests.1 += other.write_requests.1;
+    }
+}
+
+/// The system-wide scalars the STL model and protocol parameters derive
+/// from: per-method [`MethodSample`]s and the grant / commit totals, with
+/// no per-item map and no histogram. Taking one off a [`SimMetrics`] and
+/// folding it into another are O(1), so a sharded embedder can probe for
+/// parameter drift without merging its per-item tables; folding the
+/// samples of every shard in shard order yields exactly the sample of the
+/// merged collection.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MetricsSample {
+    /// Per-method scalars, in [`CcMethod::ALL`] order.
+    pub methods: [MethodSample; 3],
+    /// Read locks granted, all items.
+    pub read_grants: u64,
+    /// Write locks granted, all items.
+    pub write_grants: u64,
+    /// Committed transactions, all methods.
+    pub committed: u64,
+    /// Length of the measured span in seconds (the receiver's is kept by
+    /// [`MetricsSample::merge_from`]).
+    pub elapsed_secs: f64,
+}
+
+impl MetricsSample {
+    /// The scalars of one method.
+    pub fn method(&self, m: CcMethod) -> &MethodSample {
+        let index = CcMethod::ALL
+            .iter()
+            .position(|&x| x == m)
+            .expect("CcMethod::ALL lists every method");
+        &self.methods[index]
+    }
+
+    /// Fold another sample into this one.
+    pub fn merge_from(&mut self, other: &MetricsSample) {
+        for (mine, theirs) in self.methods.iter_mut().zip(&other.methods) {
+            mine.merge_from(theirs);
+        }
+        self.read_grants += other.read_grants;
+        self.write_grants += other.write_grants;
+        self.committed += other.committed;
+    }
+
+    /// Total system throughput λA in grants per second.
+    pub fn system_throughput(&self) -> f64 {
+        rate(self.read_grants + self.write_grants, self.elapsed_secs)
+    }
+
+    /// Average read-lock throughput λ̄r over `items` read-granting items.
+    pub fn avg_read_throughput(&self, items: usize) -> f64 {
+        avg_rate(self.read_grants, items, self.elapsed_secs)
+    }
+
+    /// Average write-lock throughput λ̄w over `items` write-granting items.
+    pub fn avg_write_throughput(&self, items: usize) -> f64 {
+        avg_rate(self.write_grants, items, self.elapsed_secs)
+    }
+
+    /// Fraction of granted locks that were read locks (Q_r).
+    pub fn read_fraction(&self) -> f64 {
+        ratio(self.read_grants, self.read_grants + self.write_grants)
+    }
+
+    /// Committed transactions per second.
+    pub fn commit_throughput(&self) -> f64 {
+        rate(self.committed, self.elapsed_secs)
+    }
+}
+
 /// All metrics of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimMetrics {
@@ -127,6 +258,10 @@ pub struct SimMetrics {
     read_grants: BTreeMap<PhysicalItemId, u64>,
     /// Write locks granted per physical item.
     write_grants: BTreeMap<PhysicalItemId, u64>,
+    /// Running sums of the two maps above, so the system-wide rates (and
+    /// [`SimMetrics::sample`]) never walk them.
+    read_grant_total: u64,
+    write_grant_total: u64,
     /// Committed transactions across all methods.
     pub total_committed: Counter,
     /// Transactions observed blocked (waiting for at least one grant) when a
@@ -155,6 +290,8 @@ impl SimMetrics {
                 .collect(),
             read_grants: BTreeMap::new(),
             write_grants: BTreeMap::new(),
+            read_grant_total: 0,
+            write_grant_total: 0,
             total_committed: Counter::new(),
             blocked_observations: Counter::new(),
             overall_system_time: RunningStat::new(),
@@ -212,11 +349,12 @@ impl SimMetrics {
     /// Record that a lock was granted on an item (feeds the per-queue
     /// throughputs λr(j), λw(j) of the STL model).
     pub fn record_grant(&mut self, item: PhysicalItemId, mode: AccessMode) {
-        let map = match mode {
-            AccessMode::Read => &mut self.read_grants,
-            AccessMode::Write => &mut self.write_grants,
+        let (map, total) = match mode {
+            AccessMode::Read => (&mut self.read_grants, &mut self.read_grant_total),
+            AccessMode::Write => (&mut self.write_grants, &mut self.write_grant_total),
         };
         *map.entry(item).or_insert(0) += 1;
+        *total += 1;
     }
 
     /// Record the hold time of one lock (grant to release/demote), noting
@@ -268,6 +406,8 @@ impl SimMetrics {
         for (&item, &count) in &other.write_grants {
             *self.write_grants.entry(item).or_insert(0) += count;
         }
+        self.read_grant_total += other.read_grant_total;
+        self.write_grant_total += other.write_grant_total;
         self.total_committed.add(other.total_committed.get());
         self.blocked_observations
             .add(other.blocked_observations.get());
@@ -309,31 +449,58 @@ impl SimMetrics {
         rates
     }
 
+    /// How many items granted at least one read lock, and how many at least
+    /// one write lock: the denominators of λ̄r and λ̄w.
+    pub fn granted_item_counts(&self) -> (usize, usize) {
+        (self.read_grants.len(), self.write_grants.len())
+    }
+
+    /// The system-wide scalars of this collection (O(1): no per-item map is
+    /// walked).
+    pub fn sample(&self) -> MetricsSample {
+        MetricsSample {
+            methods: CcMethod::ALL.map(|m| self.method(m).sample()),
+            read_grants: self.read_grant_total,
+            write_grants: self.write_grant_total,
+            committed: self.total_committed.get(),
+            elapsed_secs: self.elapsed_secs(),
+        }
+    }
+
     /// Average read-lock throughput over all items that granted at least one
     /// lock (the paper's λ̄r).
     pub fn avg_read_throughput(&self) -> f64 {
-        avg_rate(&self.read_grants, self.elapsed_secs())
+        avg_rate(
+            self.read_grant_total,
+            self.read_grants.len(),
+            self.elapsed_secs(),
+        )
     }
 
     /// Average write-lock throughput over all items (λ̄w).
     pub fn avg_write_throughput(&self) -> f64 {
-        avg_rate(&self.write_grants, self.elapsed_secs())
+        avg_rate(
+            self.write_grant_total,
+            self.write_grants.len(),
+            self.elapsed_secs(),
+        )
     }
 
     /// Total system throughput λA: the sum of all per-item read and write
     /// throughputs.
     pub fn system_throughput(&self) -> f64 {
-        let elapsed = self.elapsed_secs();
-        let total: u64 =
-            self.read_grants.values().sum::<u64>() + self.write_grants.values().sum::<u64>();
-        rate(total, elapsed)
+        rate(
+            self.read_grant_total + self.write_grant_total,
+            self.elapsed_secs(),
+        )
     }
 
     /// Fraction of granted locks that were read locks (the paper's Q_r).
     pub fn read_fraction(&self) -> f64 {
-        let r: u64 = self.read_grants.values().sum();
-        let w: u64 = self.write_grants.values().sum();
-        ratio(r, r + w)
+        ratio(
+            self.read_grant_total,
+            self.read_grant_total + self.write_grant_total,
+        )
     }
 
     /// Committed transactions per simulated second.
@@ -356,12 +523,12 @@ fn rate(count: u64, elapsed_secs: f64) -> f64 {
     }
 }
 
-fn avg_rate(map: &BTreeMap<PhysicalItemId, u64>, elapsed_secs: f64) -> f64 {
-    if map.is_empty() {
+/// The mean per-item rate of `total` grants spread over `items` items.
+fn avg_rate(total: u64, items: usize, elapsed_secs: f64) -> f64 {
+    if items == 0 {
         return 0.0;
     }
-    let total: u64 = map.values().sum();
-    rate(total, elapsed_secs) / map.len() as f64
+    rate(total, elapsed_secs) / items as f64
 }
 
 #[cfg(test)]
@@ -531,6 +698,78 @@ mod tests {
             assert!((x.mean_system_time() - y.mean_system_time()).abs() < 1e-12);
             assert!((x.lock_time_ok.mean() - y.lock_time_ok.mean()).abs() < 1e-12);
             assert!((x.deadlock_abort_prob() - y.deadlock_abort_prob()).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn folded_stripe_samples_equal_the_sample_of_the_merge() {
+        // Two stripes with overlapping items and all three methods.
+        let mut stripes = [SimMetrics::new(), SimMetrics::new()];
+        for i in 0..90u64 {
+            let stripe = &mut stripes[(i % 2) as usize];
+            let method = CcMethod::ALL[(i % 3) as usize];
+            stripe.record_commit(method, Duration::from_millis(10 + i));
+            stripe.record_grant(pi(i % 7, 0), AccessMode::Read);
+            stripe.record_lock_hold(method, Duration::from_millis(5 + i % 11), i % 9 == 0);
+            if i % 4 == 0 {
+                stripe.record_grant(pi(i % 5, 1), AccessMode::Write);
+                stripe.record_request_outcome(method, AccessMode::Read, i % 8 == 0);
+                stripe.record_restart(method, TxnOutcome::DeadlockRestart);
+            }
+        }
+        let mut merged = SimMetrics::new();
+        let mut folded = MetricsSample {
+            elapsed_secs: 10.0,
+            ..MetricsSample::default()
+        };
+        for stripe in &stripes {
+            merged.merge_from(stripe);
+            folded.merge_from(&stripe.sample());
+        }
+        merged.set_time_span(SimTime::ZERO, SimTime::from_secs(10));
+        let whole = merged.sample();
+        assert_eq!(
+            (folded.read_grants, folded.write_grants, folded.committed),
+            (whole.read_grants, whole.write_grants, whole.committed)
+        );
+        // The running totals are the sums of the per-item maps.
+        let (reads, writes) = merged.granted_item_counts();
+        assert_eq!((reads, writes), (7, 5));
+        let by_item: f64 = (0..7)
+            .map(|i| merged.read_throughput(pi(i, 0)))
+            .sum::<f64>()
+            + (0..5)
+                .map(|i| merged.write_throughput(pi(i, 1)))
+                .sum::<f64>();
+        assert!((by_item - folded.system_throughput()).abs() < 1e-9);
+        for (probe, full) in [
+            (folded.system_throughput(), merged.system_throughput()),
+            (folded.read_fraction(), merged.read_fraction()),
+            (folded.commit_throughput(), merged.commit_throughput()),
+            (
+                folded.avg_read_throughput(reads),
+                merged.avg_read_throughput(),
+            ),
+            (
+                folded.avg_write_throughput(writes),
+                merged.avg_write_throughput(),
+            ),
+        ] {
+            assert_eq!(probe.to_bits(), full.to_bits());
+        }
+        for &method in &CcMethod::ALL {
+            let (probe, full) = (folded.method(method), merged.method(method));
+            assert_eq!(probe.committed, full.committed.get());
+            assert_eq!(
+                probe.lock_time_ok.mean().to_bits(),
+                full.lock_time_ok.mean().to_bits()
+            );
+            assert_eq!(
+                probe.lock_time_aborted.mean().to_bits(),
+                full.lock_time_aborted.mean().to_bits()
+            );
+            assert_eq!(probe.read_denial_prob(), full.read_denial_prob());
+            assert_eq!(probe.deadlock_abort_prob(), full.deadlock_abort_prob());
         }
     }
 

@@ -9,7 +9,7 @@
 
 pub mod collector;
 
-pub use collector::{MethodStats, SimMetrics, TxnOutcome};
+pub use collector::{MethodSample, MethodStats, MetricsSample, SimMetrics, TxnOutcome};
 
 // The histogram machinery all latency distributions in this workspace use
 // (fixed-width buckets with exact running moments, shape-checked `merge`).

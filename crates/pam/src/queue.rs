@@ -141,6 +141,20 @@ impl DataQueue {
         }
     }
 
+    /// Mark `HD(j)` — the first ungranted entry — granted. Returns `false`
+    /// when every entry already is. Unlike [`DataQueue::mark_granted`] this
+    /// names the entry by position, so it makes progress even on a queue
+    /// corrupted by a double-queued transaction.
+    pub fn grant_head(&mut self) -> bool {
+        match self.entries.iter_mut().find(|e| !e.granted) {
+            Some(head) => {
+                head.granted = true;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// `HD(j)`: the first ungranted entry in precedence order. All entries
     /// before it are granted by construction.
     pub fn head(&self) -> Option<&QueueEntry> {
@@ -222,6 +236,18 @@ mod tests {
         assert_eq!(q.head().unwrap().txn, TxnId(2));
         q.mark_granted(TxnId(2));
         assert!(q.head().is_none());
+    }
+
+    #[test]
+    fn grant_head_walks_the_queue_in_precedence_order() {
+        let mut q = DataQueue::new();
+        q.insert(entry(1, 20, AccessMode::Read));
+        q.insert(entry(2, 10, AccessMode::Write));
+        assert!(q.grant_head());
+        assert!(q.get(TxnId(2)).unwrap().granted);
+        assert_eq!(q.head().unwrap().txn, TxnId(1));
+        assert!(q.grant_head());
+        assert!(!q.grant_head(), "nothing left to grant");
     }
 
     #[test]

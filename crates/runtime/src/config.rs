@@ -195,11 +195,11 @@ pub struct RuntimeConfig {
     /// Seed for the method-mix sampler.
     pub seed: u64,
     /// Amortization of the [`CcPolicy::DynamicStl`] selector: `Some`
-    /// memoizes STL′ decisions per quantized transaction shape and re-fits
-    /// the model on epoch boundaries (every `epoch_commits` commits or on
-    /// observed drift, fed by the per-shard conflict counters); `None`
-    /// re-evaluates the full dynamic-programming grid on every selection
-    /// (the pre-cache behaviour, kept for overhead comparisons).
+    /// memoizes `STL'(λ, U)` per quantized loss and frozen hold time and
+    /// re-fits the model on epoch boundaries (every `epoch_commits`
+    /// commits or on observed drift, fed by the per-shard conflict
+    /// counters); `None` re-runs the STL′ dynamic programs on every
+    /// selection (the pre-cache behaviour, kept for overhead comparisons).
     pub selection_cache: Option<CacheSettings>,
     /// Route invariant-confluent transactions (commutative adds, blind
     /// puts, read-only shapes — see [`selection::classify`]) around the

@@ -20,7 +20,7 @@ use dbmodel::{
     AccessMode, Catalog, CatalogError, CcMethod, LogSet, LogicalItemId, SiteId, Timestamp,
     Transaction, TsTuple, TxnId, Value,
 };
-use metrics::{SimMetrics, TxnOutcome};
+use metrics::{MetricsSample, SimMetrics, TxnOutcome};
 use pam::{ReplyMsg, RequestMsg};
 use selection::{
     classify, is_read_only, CachedStlSelector, Confluence, OpProfile, SelectionDecision,
@@ -232,19 +232,23 @@ enum SelectorEngine {
 
 impl SelectorEngine {
     /// Decide a method. The cached engine reads the (striped) metrics
-    /// lazily — only on warm-up, drift probes and epoch re-fits; the
-    /// fresh engine merges them on every call, which is exactly the
-    /// pre-cache overhead the `dyn-fresh` benchmark rows measure.
-    fn select<F: FnOnce() -> SimMetrics>(
+    /// lazily — `merge` only on warm-up and epoch re-fits, the scalar-only
+    /// `probe` on drift probes; the fresh engine merges them on every
+    /// call, which is exactly the pre-cache overhead the `dyn-fresh`
+    /// benchmark rows measure.
+    fn select<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
         &mut self,
         txn: &Transaction,
         catalog: &Catalog,
         signal: WorkloadSignal,
         commits: u64,
         merge: F,
+        probe: P,
     ) -> SelectionDecision {
         match self {
-            SelectorEngine::Cached(c) => c.select_sharded(txn, catalog, signal, commits, merge),
+            SelectorEngine::Cached(c) => {
+                c.select_sharded(txn, catalog, signal, commits, merge, probe)
+            }
             SelectorEngine::Fresh(s) => s.select(txn, catalog, &merge()),
         }
     }
@@ -1245,12 +1249,18 @@ impl Database {
                 let mut selector = inner.selector.lock().expect("selector poisoned");
                 // Timed with the selector mutex already held, so the
                 // metric reports selector work (including any lazy stripe
-                // merge at a refit boundary), not lock queueing.
+                // merge at a refit boundary or scalar fold at a drift
+                // probe), not lock queueing.
                 let begun = Instant::now();
                 let method = selector
-                    .select(&probe, &inner.catalog, signal, commits, || {
-                        inner.metrics.merged(now)
-                    })
+                    .select(
+                        &probe,
+                        &inner.catalog,
+                        signal,
+                        commits,
+                        || inner.metrics.merged(now),
+                        || inner.metrics.sample(now),
+                    )
                     .method;
                 let spent = begun.elapsed();
                 let cache_stats = match &*selector {

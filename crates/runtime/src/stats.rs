@@ -5,7 +5,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use metrics::SimMetrics;
+use metrics::{MetricsSample, SimMetrics};
 use selection::CacheStats;
 use simkit::time::SimTime;
 use transport::CachePadded;
@@ -69,6 +69,22 @@ impl MetricsShards {
         }
         merged.set_time_span(SimTime::ZERO, end);
         merged
+    }
+
+    /// Fold the system-wide scalars of every stripe over `[0, end]` — what
+    /// [`MetricsShards::merged`]`(end).sample()` would return, without
+    /// touching a per-item table or a histogram. This is all the selector's
+    /// drift probe reads.
+    pub(crate) fn sample(&self, end: SimTime) -> MetricsSample {
+        let mut folded = MetricsSample {
+            elapsed_secs: (end - SimTime::ZERO).as_secs_f64(),
+            ..MetricsSample::default()
+        };
+        for stripe in self.stripes.iter() {
+            let sample = stripe.lock().expect("metrics stripe poisoned").sample();
+            folded.merge_from(&sample);
+        }
+        folded
     }
 }
 
@@ -148,6 +164,7 @@ pub(crate) struct RuntimeStats {
     /// mutex (stats polling must not contend with admission).
     pub(crate) cache_hits: AtomicU64,
     pub(crate) cache_misses: AtomicU64,
+    pub(crate) cache_evals: AtomicU64,
     pub(crate) cache_refits: AtomicU64,
     pub(crate) cache_flushes: AtomicU64,
     pub(crate) cache_entries: AtomicU64,
@@ -298,6 +315,7 @@ impl RuntimeStats {
             cache: CacheStats {
                 hits: self.cache_hits.load(Ordering::Relaxed),
                 misses: self.cache_misses.load(Ordering::Relaxed),
+                evals: self.cache_evals.load(Ordering::Relaxed),
                 refits: self.cache_refits.load(Ordering::Relaxed),
                 flushes: self.cache_flushes.load(Ordering::Relaxed),
                 entries: self.cache_entries.load(Ordering::Relaxed),
@@ -314,6 +332,7 @@ impl RuntimeStats {
     pub(crate) fn publish_cache_stats(&self, cs: CacheStats) {
         self.cache_hits.fetch_max(cs.hits, Ordering::Relaxed);
         self.cache_misses.fetch_max(cs.misses, Ordering::Relaxed);
+        self.cache_evals.fetch_max(cs.evals, Ordering::Relaxed);
         self.cache_refits.fetch_max(cs.refits, Ordering::Relaxed);
         self.cache_flushes.fetch_max(cs.flushes, Ordering::Relaxed);
         self.cache_entries.store(cs.entries, Ordering::Relaxed);
@@ -347,5 +366,43 @@ impl StatsSnapshot {
         } else {
             self.selection_nanos as f64 / self.selections as f64 / 1_000.0
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dbmodel::{AccessMode, CcMethod, LogicalItemId, PhysicalItemId, SiteId};
+    use simkit::time::Duration;
+
+    #[test]
+    fn striped_sample_equals_the_sample_of_the_merge() {
+        let shards = MetricsShards::new();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let shards = &shards;
+                scope.spawn(move || {
+                    for i in 0..50u64 {
+                        shards.with_local(|m| {
+                            let method = CcMethod::ALL[((t + i) % 3) as usize];
+                            let item = PhysicalItemId::new(LogicalItemId(i % 9), SiteId(0));
+                            m.record_grant(item, AccessMode::Read);
+                            m.record_grant(item, AccessMode::Write);
+                            m.record_lock_hold(
+                                method,
+                                Duration::from_micros(40 + t + i),
+                                i % 7 == 0,
+                            );
+                            m.record_request_outcome(method, AccessMode::Write, i % 5 == 0);
+                            m.record_commit(method, Duration::from_micros(200 + i));
+                        });
+                    }
+                });
+            }
+        });
+        let end = SimTime::from_millis(250);
+        let (probe, full) = (shards.sample(end), shards.merged(end).sample());
+        assert_eq!(probe.committed, 200);
+        assert_eq!(format!("{probe:?}"), format!("{full:?}"));
     }
 }

@@ -1,10 +1,10 @@
-//! Cached adaptive selection: amortizing the STL′ dynamic-programming grid.
+//! Cached adaptive selection: memoizing STL′, the expensive primitive.
 //!
-//! A fresh [`StlSelector`] re-evaluates the full STL′ grid for every
-//! selection — roughly milliseconds per transaction, a ~500× overhead
-//! against static policies. This module makes adaptive concurrency control
-//! pay for itself by splitting the selector into two very different
-//! cadences:
+//! A fresh [`StlSelector`] runs the STL′ dynamic program three to six times
+//! per selection — tens of microseconds each, several times what a static
+//! policy spends on the whole transaction. This module makes adaptive
+//! concurrency control pay for itself by splitting the selector into two
+//! very different cadences:
 //!
 //! * **Epoch re-fit** (slow path, every `epoch_commits` commits or on
 //!   drift): snapshot the [`StlModel`], the per-protocol
@@ -12,27 +12,35 @@
 //!   metrics into an [`EpochSnapshot`]. Within an epoch every decision is
 //!   a pure function of the transaction's access sets.
 //! * **Memoized decide** (fast path, every selection): collapse the
-//!   transaction to its [`ShapeSummary`], quantize it into a [`ShapeKey`],
-//!   and look the decision up in the [`SelectionCache`] grid. A miss runs
-//!   [`evaluate_decision`] once and memoizes it; a hit is a hash lookup.
+//!   transaction to its [`ShapeSummary`] and run the closed form of
+//!   [`evaluate_decision_with`] — powers, conditional loss, argmin — over
+//!   an [`StlTable`] instead of over the dynamic program.
 //!
-//! Because [`evaluate_decision`] depends on the shape only through its
-//! summary, memoization is *exact*: with quantization disabled the cached
-//! selector returns bit-identical [`SelectionDecision`]s to a fresh
-//! [`StlSelector`] evaluated against the same metrics, and with
-//! quantization enabled it returns exactly the fresh decision of the
-//! bucket's canonical representative — properties the test-suite checks
-//! byte-for-byte.
+//! The seam sits at `STL'(λ, U)` rather than at the decision because that
+//! is where the key space is small: an epoch freezes at most six hold
+//! times `U` (`u_ok`, `u_denied` of three protocols), and for each of them
+//! STL′ is a function of the one loss λ. A table keyed `(U, bucket(λ))` is
+//! therefore shared by every shape — any `m`, `n`, op profile or split of
+//! λ into read and write loss — where a decision memo needs one entry per
+//! combination of them.
+//!
+//! Memoization is *exact*: with quantization disabled the cached selector
+//! returns bit-identical [`SelectionDecision`]s to a fresh [`StlSelector`]
+//! evaluated against the same metrics, and with quantization enabled every
+//! table entry is exactly `stl_prime(representative(bucket(λ)), U)` —
+//! properties the test-suite checks byte-for-byte. Routing verdicts
+//! (confluent bypass, snapshot reads) never touch the table: they are pure
+//! in the op profile and the access-set sizes.
 
 use std::collections::{BTreeMap, HashMap};
 
 use dbmodel::{Catalog, PhysicalItemId, Transaction};
-use metrics::SimMetrics;
+use metrics::{MetricsSample, SimMetrics};
 
 use crate::confluence::{classify, is_read_only, Confluence, OpProfile};
 use crate::estimators::{ProtocolParams, ShapeSummary};
 use crate::selector::{
-    evaluate_decision, exploratory_decision, is_exploration_round, MethodParamSet,
+    evaluate_decision_with, exploratory_decision, is_exploration_round, MethodParamSet,
     SelectionDecision, StlSelector,
 };
 use crate::stl::StlModel;
@@ -49,17 +57,19 @@ pub struct CacheSettings {
     /// re-fit. 0 disables drift-triggered refreshes.
     pub drift_threshold: f64,
     /// Selections between drift probes against the live metrics (the probe
-    /// re-measures the cheap aggregates, not the STL′ grid). 0 disables
-    /// probing; the workload-signal check still runs every selection.
+    /// folds the system-wide scalars only — no per-item table, no STL′
+    /// evaluation). 0 disables probing; the workload-signal check still
+    /// runs every selection.
     pub drift_check_every: u64,
-    /// Width of the shape-quantization buckets, on a `ln(1+x)` scale:
-    /// losses above ~1 lock/s share a bucket when within a relative
-    /// factor of `1 + quant_rel` (e.g. 0.05 ⇒ ~5%), while losses below
-    /// ~1 — where every protocol's estimated cost is negligible anyway —
-    /// fall into absolute buckets about `quant_rel` wide. 0 keys the grid
-    /// on exact bit patterns instead (no collapsing at all).
+    /// Width of the loss-quantization buckets of the STL′ table, on a
+    /// `ln(1+x)` scale: losses above ~1 lock/s share a bucket when within
+    /// a relative factor of `1 + quant_rel` (e.g. 0.05 ⇒ ~5%), while
+    /// losses below ~1 — where every protocol's estimated cost is
+    /// negligible anyway — fall into absolute buckets about `quant_rel`
+    /// wide. 0 keys the table on exact bit patterns instead (no
+    /// collapsing at all).
     pub quant_rel: f64,
-    /// Decisions kept in the grid before it is flushed wholesale.
+    /// STL′ values kept in the table before it is flushed wholesale.
     pub max_entries: usize,
     /// Commits per method required before estimates are trusted
     /// (mirrors [`StlSelector::warmup_commits`]).
@@ -72,11 +82,11 @@ pub struct CacheSettings {
 impl Default for CacheSettings {
     fn default() -> Self {
         CacheSettings {
-            // Every refit flushes the decision grid, and each flushed
-            // bucket costs one full STL′ evaluation (~ms) to repopulate;
-            // at live-runtime commit rates 1024 commits is still a
-            // sub-second epoch, and the drift checks below catch genuine
-            // workload shifts between scheduled boundaries.
+            // Every refit flushes the STL′ table, and each flushed entry
+            // costs one dynamic program (tens of µs) to repopulate; at
+            // live-runtime commit rates 1024 commits is still a sub-second
+            // epoch, and the drift checks below catch genuine workload
+            // shifts between scheduled boundaries.
             epoch_commits: 1024,
             drift_threshold: 0.5,
             drift_check_every: 64,
@@ -136,34 +146,6 @@ impl WorkloadSignal {
     }
 }
 
-/// The quantized memoization key of one transaction shape: request counts
-/// and the op-kind profile exactly, aggregate losses as bucket indices (or
-/// raw bit patterns when quantization is disabled). Keeping the profile
-/// and counts exact is what makes the routed confluence verdict pure
-/// across every representative of a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ShapeKey {
-    m: u32,
-    n: u32,
-    profile: u8,
-    /// Read fraction `m/(m+n)` quantized to sixteenths (0 for an empty
-    /// shape). Derived from the exact counts above, so it splits no bucket
-    /// they would share — it names the axis the snapshot-routing verdict
-    /// lives on (`rf == 16` ⇔ pure reads) and keeps that verdict visibly a
-    /// function of the key.
-    rf: u8,
-    read_loss: u64,
-    write_loss: u64,
-}
-
-/// The read-fraction coordinate of a shape, in sixteenths.
-fn read_fraction(m: usize, n: usize) -> u8 {
-    match (m * 16).checked_div(m + n) {
-        Some(rf) => rf as u8,
-        None => 0,
-    }
-}
-
 /// Bucket index of a non-negative loss on a `ln(1+x)` grid of pitch
 /// `ln(1+g)`: relative `1+g` buckets for losses above ~1, absolute
 /// ~`g`-wide buckets below (see [`CacheSettings::quant_rel`]).
@@ -187,10 +169,12 @@ fn representative(b: u64, g: f64) -> f64 {
     ((b as f64 - 0.5) * g.ln_1p()).exp_m1()
 }
 
-/// One memoized grid entry: the four-way verdict for a quantized shape —
-/// which protocol to use if the transaction is coordinated, whether it may
-/// skip coordination via the confluent fast path, and whether it is a pure
-/// read-only shape eligible for the versioned snapshot plane.
+/// The four-way verdict for one transaction — which protocol to use if it
+/// is coordinated, whether it may skip coordination via the confluent fast
+/// path, and whether it is a pure read-only shape eligible for the
+/// versioned snapshot plane. Only the protocol half consults the fitted
+/// model; the two routing halves are [`classify`] and [`is_read_only`] of
+/// the op profile and the access-set sizes.
 #[derive(Debug, Clone, Copy)]
 pub struct RoutedDecision {
     /// The STL-optimal protocol of the coordinated path (2PL / T/O / PA).
@@ -205,165 +189,126 @@ pub struct RoutedDecision {
     pub snapshot: bool,
 }
 
-/// The memoized decision grid: maps [`ShapeKey`]s to the
-/// [`RoutedDecision`] of the key's canonical shape. Model and protocol
-/// parameters are *not* part of the key — the owner must clear the grid
-/// whenever they change (the epoch re-fit does exactly that). The
-/// confluence half of an entry depends only on the key's exact fields
-/// (profile and request counts), so a flush can never change it.
+/// The memo of `STL'(λ_loss, U)` values: maps `(U, bucket(λ_loss))` — the
+/// exact bit patterns of both when quantization is off — to the dynamic
+/// program's value at the bucket's canonical representative. The
+/// [`StlModel`] is *not* part of the key: the owner must clear the table
+/// whenever the model changes (the epoch re-fit does exactly that).
 #[derive(Debug, Clone)]
-pub struct SelectionCache {
+pub struct StlTable {
     quant_rel: f64,
     max_entries: usize,
-    grid: HashMap<ShapeKey, RoutedDecision>,
+    values: HashMap<(u64, u64), f64>,
     hits: u64,
     misses: u64,
+    evals: u64,
     flushes: u64,
 }
 
-impl SelectionCache {
-    /// A cache with the given relative quantization (0 = exact keys).
-    pub fn new(quant_rel: f64, max_entries: usize) -> SelectionCache {
-        SelectionCache {
+impl StlTable {
+    /// A table with the given relative loss quantization (0 = exact keys).
+    pub fn new(quant_rel: f64, max_entries: usize) -> StlTable {
+        StlTable {
             quant_rel,
             max_entries: max_entries.max(1),
-            grid: HashMap::new(),
+            values: HashMap::new(),
             hits: 0,
             misses: 0,
+            evals: 0,
             flushes: 0,
         }
     }
 
-    /// A cache keyed on exact bit patterns: memoization without any
-    /// collapsing of nearby shapes.
-    pub fn exact() -> SelectionCache {
-        SelectionCache::new(0.0, CacheSettings::default().max_entries)
+    /// A table keyed on exact bit patterns: memoization without any
+    /// collapsing of nearby losses.
+    pub fn exact() -> StlTable {
+        StlTable::new(0.0, CacheSettings::default().max_entries)
     }
 
-    /// The memoization key of a summary (op profile unknown — keys built
-    /// here never collide with profiled keys carrying a nonzero profile).
-    pub fn key_for(&self, summary: &ShapeSummary) -> ShapeKey {
-        self.key_with_profile(summary, OpProfile::empty())
-    }
-
-    /// The memoization key of a summary together with the transaction's
-    /// op-kind profile (carried exactly, never quantized).
-    pub fn key_with_profile(&self, summary: &ShapeSummary, profile: OpProfile) -> ShapeKey {
-        let (read_loss, write_loss) = if self.quant_rel > 0.0 {
-            (
-                bucket(summary.read_loss, self.quant_rel),
-                bucket(summary.write_loss, self.quant_rel),
-            )
+    /// The loss the table evaluates in place of `lambda_loss`: its bucket's
+    /// representative, or the (clamped) loss itself when quantization is
+    /// off. Idempotent — a representative never escapes its bucket.
+    pub fn quantized(&self, lambda_loss: f64) -> f64 {
+        if self.quant_rel > 0.0 {
+            representative(bucket(lambda_loss, self.quant_rel), self.quant_rel)
         } else {
-            (
-                summary.read_loss.max(0.0).to_bits(),
-                summary.write_loss.max(0.0).to_bits(),
-            )
-        };
-        ShapeKey {
-            m: summary.m.min(u32::MAX as usize) as u32,
-            n: summary.n.min(u32::MAX as usize) as u32,
-            profile: profile.bits(),
-            rf: read_fraction(summary.m, summary.n),
-            read_loss,
-            write_loss,
+            lambda_loss.max(0.0)
         }
     }
 
-    /// The canonical summary a key stands for: the exact summary when
-    /// quantization is off, the bucket midpoints otherwise. Decisions for a
-    /// key are always computed on this representative.
-    pub fn representative(&self, key: ShapeKey) -> ShapeSummary {
-        let (read_loss, write_loss) = if self.quant_rel > 0.0 {
-            (
-                representative(key.read_loss, self.quant_rel),
-                representative(key.write_loss, self.quant_rel),
-            )
+    /// `model.stl_prime(self.quantized(lambda_loss), u)`, computed at most
+    /// once per `(u, bucket)` until the table is cleared.
+    pub fn stl_prime(&mut self, model: &StlModel, lambda_loss: f64, u: f64) -> f64 {
+        let loss_key = if self.quant_rel > 0.0 {
+            bucket(lambda_loss, self.quant_rel)
         } else {
-            (
-                f64::from_bits(key.read_loss),
-                f64::from_bits(key.write_loss),
-            )
+            lambda_loss.max(0.0).to_bits()
         };
-        ShapeSummary {
-            m: key.m as usize,
-            n: key.n as usize,
-            read_loss,
-            write_loss,
+        let key = (u.to_bits(), loss_key);
+        if let Some(&value) = self.values.get(&key) {
+            return value;
         }
+        self.evals += 1;
+        let value = model.stl_prime(self.quantized(lambda_loss), u);
+        if self.values.len() >= self.max_entries {
+            self.values.clear();
+            self.flushes += 1;
+        }
+        self.values.insert(key, value);
+        value
     }
 
-    /// Look the decision up, computing and memoizing it on a miss.
+    /// [`crate::evaluate_decision`] with every `STL'` read through the
+    /// table. Counts a hit when all of them were memoized, a miss when at
+    /// least one ran the dynamic program.
     pub fn decide(
         &mut self,
         model: &StlModel,
         params: &MethodParamSet,
         summary: &ShapeSummary,
     ) -> SelectionDecision {
-        self.decide_routed(model, params, summary, OpProfile::empty())
-            .decision
-    }
-
-    /// The four-way lookup: protocol *and* confluence routing in one hash
-    /// probe. The confluence half is classified from the key's own exact
-    /// fields, so hit and miss paths cannot disagree about it.
-    pub fn decide_routed(
-        &mut self,
-        model: &StlModel,
-        params: &MethodParamSet,
-        summary: &ShapeSummary,
-        profile: OpProfile,
-    ) -> RoutedDecision {
-        let key = self.key_with_profile(summary, profile);
-        if let Some(routed) = self.grid.get(&key) {
+        let evals_before = self.evals;
+        let decision = evaluate_decision_with(
+            &mut |loss, u| self.stl_prime(model, loss, u),
+            summary,
+            params,
+        );
+        if self.evals == evals_before {
             self.hits += 1;
-            return *routed;
+        } else {
+            self.misses += 1;
         }
-        self.misses += 1;
-        let routed = RoutedDecision {
-            decision: evaluate_decision(model, &self.representative(key), params),
-            confluence: classify(
-                OpProfile::from_bits(key.profile),
-                key.m as usize,
-                key.n as usize,
-            ),
-            snapshot: is_read_only(
-                OpProfile::from_bits(key.profile),
-                key.m as usize,
-                key.n as usize,
-            ),
-        };
-        if self.grid.len() >= self.max_entries {
-            self.grid.clear();
-            self.flushes += 1;
-        }
-        self.grid.insert(key, routed);
-        routed
+        decision
     }
 
-    /// Drop every memoized decision (the epoch re-fit path).
+    /// Drop every memoized value (the epoch re-fit path).
     pub fn clear(&mut self) {
-        self.grid.clear();
+        self.values.clear();
     }
 
-    /// Number of memoized decisions.
+    /// Number of memoized values.
     pub fn len(&self) -> usize {
-        self.grid.len()
+        self.values.len()
     }
 
     /// True when nothing is memoized.
     pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
+        self.values.is_empty()
     }
 
-    /// Grid hits since creation.
+    /// Decisions served wholly from the table since creation.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Grid misses (full STL′ evaluations) since creation.
+    /// Decisions that ran at least one dynamic program since creation.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Dynamic programs run since creation.
+    pub fn evals(&self) -> u64 {
+        self.evals
     }
 }
 
@@ -390,6 +335,10 @@ pub struct EpochSnapshot {
     /// The measured parameters of every protocol.
     pub params: MethodParamSet,
     rates: BTreeMap<PhysicalItemId, (f64, f64)>,
+    /// How many items had granted a read / a write lock at fit time: the
+    /// denominators of λ̄r and λ̄w, which the drift probe reuses so it
+    /// needs no per-item table.
+    granted_items: (usize, usize),
 }
 
 /// Grants that must accumulate since the fit before a conflict-ratio
@@ -419,6 +368,7 @@ impl EpochSnapshot {
             model: StlSelector::model_from_metrics(metrics),
             params: MethodParamSet::measure(metrics),
             rates: metrics.item_rates(),
+            granted_items: metrics.granted_item_counts(),
         }
     }
 
@@ -465,17 +415,19 @@ impl EpochSnapshot {
 
     /// True when the freshly measured model / protocol parameters have
     /// moved beyond `threshold` from the fitted ones: rates and hold times
-    /// relatively, probabilities absolutely. Note the comparison is
-    /// against lifetime metric aggregates, which respond ever more slowly
-    /// as a run ages — the delta-based [`EpochSnapshot::signal_drifted`]
-    /// check is the responsive trigger in long-lived runs, and windowed
-    /// metrics are an open ROADMAP item.
-    pub fn drifted_from(&self, metrics: &SimMetrics, threshold: f64) -> bool {
+    /// relatively, probabilities absolutely. The probe reads system-wide
+    /// scalars only; the per-item averages λ̄r, λ̄w divide by the item
+    /// counts frozen at fit time. Note the comparison is against lifetime
+    /// metric aggregates, which respond ever more slowly as a run ages —
+    /// the delta-based [`EpochSnapshot::signal_drifted`] check is the
+    /// responsive trigger in long-lived runs, and windowed metrics are an
+    /// open ROADMAP item.
+    pub fn drifted_from(&self, sample: &MetricsSample, threshold: f64) -> bool {
         if threshold <= 0.0 {
             return false;
         }
-        let model = StlSelector::model_from_metrics(metrics);
-        let params = MethodParamSet::measure(metrics);
+        let model = StlSelector::model_from_sample(sample, self.granted_items);
+        let params = MethodParamSet::from_sample(sample);
         model_drift(&self.model, &model) > threshold
             || params_drift(&self.params.p2pl, &params.p2pl) > threshold
             || params_drift(&self.params.to, &params.to) > threshold
@@ -525,22 +477,24 @@ fn params_drift(a: &ProtocolParams, b: &ProtocolParams) -> f64 {
 /// A point-in-time copy of the cached selector's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Selections answered from the memoized grid.
+    /// Selections served wholly from the STL′ table.
     pub hits: u64,
-    /// Selections that ran the full STL′ evaluation.
+    /// Selections that ran at least one STL′ dynamic program.
     pub misses: u64,
+    /// STL′ dynamic programs run (a miss runs between one and six).
+    pub evals: u64,
     /// Epoch re-fits performed.
     pub refits: u64,
-    /// Wholesale grid flushes forced by `max_entries`.
+    /// Wholesale table flushes forced by `max_entries`.
     pub flushes: u64,
-    /// Decisions currently memoized.
+    /// STL′ values currently memoized.
     pub entries: u64,
     /// Current epoch number (0 before the first fit).
     pub epoch: u64,
 }
 
 impl CacheStats {
-    /// Fraction of cost-based selections served from the grid.
+    /// Fraction of cost-based selections served wholly from the table.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -552,23 +506,26 @@ impl CacheStats {
 }
 
 /// Where a selection reads its metrics from: a borrowed live collection
-/// (the simulator path), or a merge thunk evaluated at most once and only
-/// when the selection actually needs metrics — warm-up, a drift probe, or
-/// an epoch re-fit (the sharded runtime path, where "merge" folds the
-/// per-thread metric stripes and is deliberately kept off the fast path).
-enum MetricsSource<'a, F: FnOnce() -> SimMetrics> {
+/// (the simulator path), or a pair of thunks over sharded metrics (the
+/// runtime path). `merge` folds the per-thread stripes — per-item tables
+/// included — into one collection; it is evaluated at most once and only
+/// for warm-up and epoch re-fits. `probe` folds the system-wide scalars
+/// only, which is all a drift probe compares. Neither runs on the
+/// steady-state fast path.
+enum MetricsSource<'a, F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample> {
     Borrowed(&'a SimMetrics),
     Lazy {
         merge: Option<F>,
         merged: Option<SimMetrics>,
+        probe: P,
     },
 }
 
-impl<F: FnOnce() -> SimMetrics> MetricsSource<'_, F> {
+impl<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample> MetricsSource<'_, F, P> {
     fn get(&mut self) -> &SimMetrics {
         match self {
             MetricsSource::Borrowed(m) => m,
-            MetricsSource::Lazy { merge, merged } => {
+            MetricsSource::Lazy { merge, merged, .. } => {
                 if merged.is_none() {
                     *merged = Some((merge.take().expect("merge thunk consumed twice"))());
                 }
@@ -576,15 +533,26 @@ impl<F: FnOnce() -> SimMetrics> MetricsSource<'_, F> {
             }
         }
     }
+
+    fn sample(&self) -> MetricsSample {
+        match self {
+            MetricsSource::Borrowed(m) => m.sample(),
+            MetricsSource::Lazy {
+                merged: Some(m), ..
+            } => m.sample(),
+            MetricsSource::Lazy { probe, .. } => probe(),
+        }
+    }
 }
 
-/// The `F` type for [`MetricsSource::Borrowed`], which never merges.
+/// The thunk types of [`MetricsSource::Borrowed`], which calls neither.
 type NoMerge = fn() -> SimMetrics;
+type NoProbe = fn() -> MetricsSample;
 
 /// The drop-in cached variant of [`StlSelector`]: same warm-up and
-/// exploration behaviour, same decisions, but the STL′ grid is evaluated
-/// once per distinct (quantized) shape per epoch instead of once per
-/// transaction.
+/// exploration behaviour, same decisions, but each STL′ dynamic program
+/// runs once per distinct (quantized) loss and hold time per epoch instead
+/// of three to six times per transaction.
 #[derive(Debug, Clone)]
 pub struct CachedStlSelector {
     /// The tuning this selector was built with.
@@ -596,7 +564,7 @@ pub struct CachedStlSelector {
     /// the metrics read entirely.
     warmed: bool,
     snapshot: Option<EpochSnapshot>,
-    cache: SelectionCache,
+    table: StlTable,
 }
 
 impl Default for CachedStlSelector {
@@ -619,7 +587,7 @@ impl CachedStlSelector {
             refits: 0,
             warmed: false,
             snapshot: None,
-            cache: SelectionCache::new(settings.quant_rel, settings.max_entries),
+            table: StlTable::new(settings.quant_rel, settings.max_entries),
         }
     }
 
@@ -644,7 +612,7 @@ impl CachedStlSelector {
         signal: WorkloadSignal,
     ) -> SelectionDecision {
         let commits = metrics.total_committed.get();
-        self.select_core::<NoMerge>(
+        self.select_core::<NoMerge, NoProbe>(
             txn,
             catalog,
             signal,
@@ -656,29 +624,30 @@ impl CachedStlSelector {
     }
 
     /// Choose the concurrency-control method for `txn` against *sharded*
-    /// metrics: `commits` is the embedder's commit counter and `merge`
-    /// folds its metric stripes into one collection. The thunk is invoked
-    /// at most once, and only when the selection needs metrics — before
-    /// warm-up completes, on a scheduled drift probe, or to fit a new
-    /// epoch snapshot. The steady-state fast path (a grid hit within an
-    /// epoch) never merges and never takes a metrics lock.
-    pub fn select_sharded<F: FnOnce() -> SimMetrics>(
+    /// metrics: `commits` is the embedder's commit counter, `merge` folds
+    /// its metric stripes into one collection and `probe` folds their
+    /// system-wide scalars only ([`SimMetrics::sample`] of each stripe,
+    /// [`MetricsSample::merge_from`] in stripe order). `merge` is invoked
+    /// at most once, and only before warm-up completes or to fit a new
+    /// epoch snapshot; `probe` only on a scheduled drift probe. The
+    /// steady-state fast path (every STL′ memoized within an epoch) calls
+    /// neither and takes no metrics lock.
+    pub fn select_sharded<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
         &mut self,
         txn: &Transaction,
         catalog: &Catalog,
         signal: WorkloadSignal,
         commits: u64,
         merge: F,
+        probe: P,
     ) -> SelectionDecision {
-        self.select_core(
+        self.select_routed_sharded(
             txn,
             catalog,
             signal,
             commits,
-            MetricsSource::Lazy {
-                merge: Some(merge),
-                merged: None,
-            },
+            merge,
+            probe,
             OpProfile::empty(),
         )
         .decision
@@ -687,16 +656,17 @@ impl CachedStlSelector {
     /// The four-way variant of [`CachedStlSelector::select_sharded`]:
     /// alongside the 2PL / T/O / PA protocol choice, the returned
     /// [`RoutedDecision`] says whether the shape (described by `profile`)
-    /// is invariant-confluent and may bypass coordination entirely. Both
-    /// halves are memoized in the same [`ShapeKey`] grid — one hash
-    /// lookup in steady state.
-    pub fn select_routed_sharded<F: FnOnce() -> SimMetrics>(
+    /// is invariant-confluent and may bypass coordination entirely, and
+    /// whether it is read-only and may be served from the snapshot plane.
+    #[allow(clippy::too_many_arguments)]
+    pub fn select_routed_sharded<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
         &mut self,
         txn: &Transaction,
         catalog: &Catalog,
         signal: WorkloadSignal,
         commits: u64,
         merge: F,
+        probe: P,
         profile: OpProfile,
     ) -> RoutedDecision {
         self.select_core(
@@ -707,26 +677,31 @@ impl CachedStlSelector {
             MetricsSource::Lazy {
                 merge: Some(merge),
                 merged: None,
+                probe,
             },
             profile,
         )
     }
 
-    fn select_core<F: FnOnce() -> SimMetrics>(
+    fn select_core<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
         &mut self,
         txn: &Transaction,
         catalog: &Catalog,
         signal: WorkloadSignal,
         commits: u64,
-        mut source: MetricsSource<'_, F>,
+        mut source: MetricsSource<'_, F, P>,
         profile: OpProfile,
     ) -> RoutedDecision {
         // Confluence and snapshot eligibility are pure functions of the
         // profile and access-set sizes — independent of the fitted model,
         // so warm-up and exploration rounds route exactly like steady
         // state.
-        let confluence = classify(profile, txn.read_set().len(), txn.write_set().len());
-        let snapshot = is_read_only(profile, txn.read_set().len(), txn.write_set().len());
+        let (reads, writes) = (txn.read_set().len(), txn.write_set().len());
+        let routed = |decision| RoutedDecision {
+            decision,
+            confluence: classify(profile, reads, writes),
+            snapshot: is_read_only(profile, reads, writes),
+        };
         self.counter += 1;
         if !self.warmed {
             // Exact, metrics-free pre-filter: fewer than `3 × warmup`
@@ -736,23 +711,15 @@ impl CachedStlSelector {
             if commits < self.settings.warmup_commits.saturating_mul(3)
                 || !StlSelector::warmed_up(source.get(), self.settings.warmup_commits)
             {
-                return RoutedDecision {
-                    decision: exploratory_decision(self.counter),
-                    confluence,
-                    snapshot,
-                };
+                return routed(exploratory_decision(self.counter));
             }
             self.warmed = true;
         }
         if is_exploration_round(self.counter, self.settings.explore_every) {
-            return RoutedDecision {
-                decision: exploratory_decision(self.counter),
-                confluence,
-                snapshot,
-            };
+            return routed(exploratory_decision(self.counter));
         }
 
-        if self.needs_refit(signal, commits, &mut source) {
+        if self.needs_refit(signal, commits, &source) {
             self.refit_now(source.get(), signal);
         }
         let snapshot = self
@@ -760,15 +727,17 @@ impl CachedStlSelector {
             .as_ref()
             .expect("needs_refit guarantees a snapshot");
         let summary = snapshot.summary_for(txn, catalog);
-        self.cache
-            .decide_routed(&snapshot.model, &snapshot.params, &summary, profile)
+        routed(
+            self.table
+                .decide(&snapshot.model, &snapshot.params, &summary),
+        )
     }
 
-    fn needs_refit<F: FnOnce() -> SimMetrics>(
+    fn needs_refit<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
         &self,
         signal: WorkloadSignal,
         commits: u64,
-        source: &mut MetricsSource<'_, F>,
+        source: &MetricsSource<'_, F, P>,
     ) -> bool {
         let Some(snapshot) = &self.snapshot else {
             return true;
@@ -782,16 +751,16 @@ impl CachedStlSelector {
         }
         self.settings.drift_check_every > 0
             && self.counter.is_multiple_of(self.settings.drift_check_every)
-            && snapshot.drifted_from(source.get(), self.settings.drift_threshold)
+            && snapshot.drifted_from(&source.sample(), self.settings.drift_threshold)
     }
 
-    /// Force an epoch re-fit from the live metrics, flushing the grid.
+    /// Force an epoch re-fit from the live metrics, flushing the table.
     pub fn refit_now(&mut self, metrics: &SimMetrics, signal: WorkloadSignal) {
         let prev = self.snapshot.as_ref();
         let epoch = prev.map_or(0, |s| s.epoch) + 1;
         let prev_signal = prev.map(|s| s.signal_at_fit);
         self.snapshot = Some(EpochSnapshot::fit(metrics, epoch, signal, prev_signal));
-        self.cache.clear();
+        self.table.clear();
         self.refits += 1;
     }
 
@@ -803,11 +772,12 @@ impl CachedStlSelector {
     /// A copy of the cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.cache.hits(),
-            misses: self.cache.misses(),
+            hits: self.table.hits,
+            misses: self.table.misses,
+            evals: self.table.evals,
             refits: self.refits,
-            flushes: self.cache.flushes,
-            entries: self.cache.len() as u64,
+            flushes: self.table.flushes,
+            entries: self.table.len() as u64,
             epoch: self.snapshot.as_ref().map_or(0, |s| s.epoch),
         }
     }
@@ -859,6 +829,27 @@ mod tests {
         m
     }
 
+    /// A fitted model plus parameters with every denial probability
+    /// non-zero and six distinct hold times, so a decision reads six
+    /// `STL'` values.
+    fn six_call_inputs() -> (StlModel, MethodParamSet) {
+        let params = |i: f64| ProtocolParams {
+            u_ok: 0.02 + 0.01 * i,
+            u_denied: 0.05 + 0.01 * i,
+            p_abort: 0.05,
+            p_read_denial: 0.1,
+            p_write_denial: 0.15,
+        };
+        (
+            StlSelector::model_from_metrics(&warmed_metrics()),
+            MethodParamSet {
+                p2pl: params(0.0),
+                to: params(1.0),
+                pa: params(2.0),
+            },
+        )
+    }
+
     fn bits(d: &SelectionDecision) -> (CcMethod, u64, u64, u64, bool) {
         (
             d.method,
@@ -900,11 +891,13 @@ mod tests {
             quant_rel: 0.0,
             explore_every: 7,
             warmup_commits: 10,
+            drift_check_every: 8,
             ..CacheSettings::default()
         };
         let mut borrowed = CachedStlSelector::with_settings(settings);
         let mut sharded = CachedStlSelector::with_settings(settings);
         let merges = std::cell::Cell::new(0u64);
+        let probes = std::cell::Cell::new(0u64);
         for i in 0..60 {
             let t = txn(i, &[i % 12, (i + 3) % 12], &[(i + 1) % 12]);
             let a = borrowed.select_with_signal(&t, &cat, &metrics, WorkloadSignal::default());
@@ -917,48 +910,58 @@ mod tests {
                     merges.set(merges.get() + 1);
                     metrics.clone()
                 },
+                || {
+                    probes.set(probes.get() + 1);
+                    metrics.sample()
+                },
             );
             assert_eq!(bits(&a), bits(&b), "selection {i} diverged across sources");
         }
-        // The merge thunk runs only when metrics are genuinely needed:
-        // once for the warm-up check + first fit, then only on scheduled
-        // drift probes — never on the grid-hit fast path.
-        let probes = 60 / settings.drift_check_every;
+        // The full merge runs only when per-item tables are genuinely
+        // needed — once, for the warm-up check and the first fit. Scheduled
+        // drift probes fold scalars only, and the table-hit fast path reads
+        // no metrics at all.
+        assert_eq!(merges.get(), 1, "one fit, one merge");
+        let scheduled = 60 / settings.drift_check_every;
         assert!(
-            merges.get() <= 1 + probes,
-            "{} merges for 60 selections (expected ≤ {})",
-            merges.get(),
-            1 + probes
+            (1..=scheduled).contains(&probes.get()),
+            "{} probes for 60 selections (expected 1..={scheduled})",
+            probes.get()
         );
     }
 
     #[test]
     fn quantized_cache_hit_and_miss_paths_agree() {
-        let metrics = warmed_metrics();
-        let model = StlSelector::model_from_metrics(&metrics);
-        let params = MethodParamSet::measure(&metrics);
-        let mut cache = SelectionCache::new(0.05, 1024);
+        let (model, params) = six_call_inputs();
+        let mut table = StlTable::new(0.05, 1024);
         let summary = ShapeSummary {
             m: 2,
             n: 1,
             read_loss: 13.37,
             write_loss: 4.2,
         };
-        let miss = cache.decide(&model, &params, &summary);
-        let hit = cache.decide(&model, &params, &summary);
+        let miss = table.decide(&model, &params, &summary);
+        let hit = table.decide(&model, &params, &summary);
         assert_eq!(bits(&miss), bits(&hit));
-        // The decision is exactly the fresh evaluation of the bucket's
-        // canonical representative.
-        let rep = cache.representative(cache.key_for(&summary));
-        let fresh = evaluate_decision(&model, &rep, &params);
+        // The decision is exactly the closed form over fresh STL′ values of
+        // the bucket representatives.
+        let fresh = evaluate_decision_with(
+            &mut |loss, u| model.stl_prime(table.quantized(loss), u),
+            &summary,
+            &params,
+        );
         assert_eq!(bits(&miss), bits(&fresh));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!((table.hits(), table.misses()), (1, 1));
+        assert_eq!(table.evals(), 6, "six distinct (U, λ) pairs, six DP runs");
     }
 
     #[test]
     fn quantization_collapses_nearby_shapes_only() {
-        let cache = SelectionCache::new(0.05, 1024);
+        let metrics = warmed_metrics();
+        let model = StlSelector::model_from_metrics(&metrics);
+        // No denials on record: a decision reads STL′ at λ_t only.
+        let params = MethodParamSet::measure(&metrics);
+        let mut table = StlTable::new(0.05, 1024);
         let base = ShapeSummary {
             m: 2,
             n: 1,
@@ -973,50 +976,59 @@ mod tests {
             read_loss: 160.0,
             ..base
         };
-        let other_m = ShapeSummary { m: 3, ..base };
-        assert_eq!(cache.key_for(&base), cache.key_for(&nearby));
-        assert_ne!(cache.key_for(&base), cache.key_for(&far));
-        assert_ne!(cache.key_for(&base), cache.key_for(&other_m));
+        // Same total loss, different counts and read/write split: a
+        // different shape, the same table entries.
+        let other_shape = ShapeSummary {
+            m: 3,
+            n: 2,
+            read_loss: 30.0,
+            write_loss: 120.0,
+        };
+        table.decide(&model, &params, &base);
+        let seeded = table.evals();
+        table.decide(&model, &params, &nearby);
+        table.decide(&model, &params, &other_shape);
+        assert_eq!(table.evals(), seeded, "nearby losses share a bucket");
+        table.decide(&model, &params, &far);
+        assert!(table.evals() > seeded, "a far loss is its own bucket");
         // The representative sits inside its own bucket.
-        let key = cache.key_for(&base);
-        let rep = cache.representative(key);
-        assert_eq!(cache.key_for(&rep), key);
+        let rep = table.quantized(base.lambda_t());
+        assert_eq!(table.quantized(rep).to_bits(), rep.to_bits());
     }
 
     #[test]
-    fn routed_hit_and_miss_agree_and_key_on_profile() {
+    fn routed_hit_and_miss_agree_across_profiles() {
         let metrics = warmed_metrics();
-        let model = StlSelector::model_from_metrics(&metrics);
-        let params = MethodParamSet::measure(&metrics);
-        let mut cache = SelectionCache::new(0.05, 1024);
-        let summary = ShapeSummary {
-            m: 1,
-            n: 2,
-            read_loss: 7.0,
-            write_loss: 3.0,
+        let cat = catalog();
+        let mut cached = CachedStlSelector::with_settings(CacheSettings {
+            warmup_commits: 10,
+            explore_every: 0,
+            ..CacheSettings::default()
+        });
+        let t = txn(1, &[1], &[2, 3]);
+        let mut route = |profile| {
+            cached.select_routed_sharded(
+                &t,
+                &cat,
+                WorkloadSignal::default(),
+                metrics.total_committed.get(),
+                || metrics.clone(),
+                || metrics.sample(),
+                profile,
+            )
         };
-        let adds = OpProfile::ADDS;
-        let rmw = OpProfile::RMW_WRITES;
-        let miss = cache.decide_routed(&model, &params, &summary, adds);
-        let hit = cache.decide_routed(&model, &params, &summary, adds);
+        let miss = route(OpProfile::ADDS);
+        let hit = route(OpProfile::ADDS);
         assert_eq!(miss.confluence, Confluence::ConfluentFastPath);
         assert_eq!(hit.confluence, miss.confluence);
         assert_eq!(bits(&hit.decision), bits(&miss.decision));
-        // Same summary under an rmw profile is a different key with a
-        // different routing verdict; the protocol decision is identical
-        // (same representative summary).
-        let coord = cache.decide_routed(&model, &params, &summary, rmw);
+        // The same access sets under an rmw profile route differently; the
+        // protocol decision reads the same table entries.
+        let coord = route(OpProfile::RMW_WRITES);
         assert_eq!(coord.confluence, Confluence::Coordinated);
         assert_eq!(bits(&coord.decision), bits(&miss.decision));
-        assert_ne!(
-            cache.key_with_profile(&summary, adds),
-            cache.key_with_profile(&summary, rmw)
-        );
-        // The profile-free key is the empty profile's key.
-        assert_eq!(
-            cache.key_for(&summary),
-            cache.key_with_profile(&summary, OpProfile::empty())
-        );
+        let stats = cached.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
     }
 
     #[test]
@@ -1039,6 +1051,7 @@ mod tests {
                 WorkloadSignal::default(),
                 metrics.total_committed.get(),
                 || metrics.clone(),
+                || metrics.sample(),
                 OpProfile::ADDS,
             );
             assert_eq!(
@@ -1053,51 +1066,11 @@ mod tests {
             WorkloadSignal::default(),
             metrics.total_committed.get(),
             || metrics.clone(),
+            || metrics.sample(),
             OpProfile::RMW_WRITES,
         );
         assert_eq!(rmw.confluence, Confluence::Coordinated);
         assert!(cached.cache_stats().hits > 0, "routed lookups must hit");
-    }
-
-    #[test]
-    fn snapshot_verdict_is_pure_and_memoized_with_the_key() {
-        let metrics = warmed_metrics();
-        let model = StlSelector::model_from_metrics(&metrics);
-        let params = MethodParamSet::measure(&metrics);
-        let mut cache = SelectionCache::new(0.05, 1024);
-        let read_only = ShapeSummary {
-            m: 3,
-            n: 0,
-            read_loss: 2.0,
-            write_loss: 0.0,
-        };
-        let miss = cache.decide_routed(&model, &params, &read_only, OpProfile::READS);
-        let hit = cache.decide_routed(&model, &params, &read_only, OpProfile::READS);
-        assert!(miss.snapshot, "pure reads route to the snapshot plane");
-        assert_eq!(hit.snapshot, miss.snapshot, "hit and miss agree");
-        // One write in the set — or a non-read op kind — kills eligibility.
-        let mixed = ShapeSummary { n: 1, ..read_only };
-        assert!(
-            !cache
-                .decide_routed(&model, &params, &mixed, OpProfile::READS)
-                .snapshot
-        );
-        assert!(
-            !cache
-                .decide_routed(
-                    &model,
-                    &params,
-                    &read_only,
-                    OpProfile::READS.with(OpProfile::ADDS)
-                )
-                .snapshot
-        );
-        // The read-fraction coordinate separates pure-read keys from
-        // mixed keys even before the loss buckets do.
-        assert_ne!(
-            cache.key_with_profile(&read_only, OpProfile::READS),
-            cache.key_with_profile(&mixed, OpProfile::READS)
-        );
     }
 
     #[test]
@@ -1118,6 +1091,7 @@ mod tests {
                 WorkloadSignal::default(),
                 metrics.total_committed.get(),
                 || metrics.clone(),
+                || metrics.sample(),
                 OpProfile::READS,
             );
             assert!(routed.snapshot, "round {i} must stay snapshot-eligible");
@@ -1129,31 +1103,42 @@ mod tests {
             WorkloadSignal::default(),
             metrics.total_committed.get(),
             || metrics.clone(),
+            || metrics.sample(),
             OpProfile::READS.with(OpProfile::PUTS),
         );
         assert!(
             !routed.snapshot,
             "a writer never routes to the snapshot plane"
         );
+        // Nor does a read-only access set whose ops are not all reads.
+        let routed = cached.select_routed_sharded(
+            &t,
+            &cat,
+            WorkloadSignal::default(),
+            metrics.total_committed.get(),
+            || metrics.clone(),
+            || metrics.sample(),
+            OpProfile::READS.with(OpProfile::ADDS),
+        );
+        assert!(!routed.snapshot);
     }
 
     #[test]
     fn exact_keys_separate_any_loss_difference() {
-        let cache = SelectionCache::exact();
-        let a = ShapeSummary {
-            m: 1,
-            n: 1,
-            read_loss: 10.0,
-            write_loss: 5.0,
-        };
-        let b = ShapeSummary {
-            read_loss: 10.0 + 1e-12,
-            ..a
-        };
-        assert_ne!(cache.key_for(&a), cache.key_for(&b));
-        let rep = cache.representative(cache.key_for(&a));
-        assert_eq!(rep.read_loss.to_bits(), a.read_loss.to_bits());
-        assert_eq!(rep.write_loss.to_bits(), a.write_loss.to_bits());
+        let model = StlSelector::model_from_metrics(&warmed_metrics());
+        let mut table = StlTable::exact();
+        let (a, b) = (10.0, 10.0 + 1e-12);
+        assert_eq!(table.quantized(a).to_bits(), a.to_bits());
+        assert_eq!(
+            table.stl_prime(&model, a, 0.03).to_bits(),
+            model.stl_prime(a, 0.03).to_bits()
+        );
+        table.stl_prime(&model, b, 0.03);
+        assert_eq!((table.evals(), table.len()), (2, 2));
+        // Same loss, another hold time: another entry.
+        table.stl_prime(&model, a, 0.04);
+        table.stl_prime(&model, a, 0.03);
+        assert_eq!((table.evals(), table.len()), (3, 3));
     }
 
     #[test]
@@ -1176,7 +1161,7 @@ mod tests {
         }
         cached.select(&t, &cat, &metrics);
         assert_eq!(cached.cache_stats().epoch, 1);
-        // Crossing the boundary re-fits and flushes the grid.
+        // Crossing the boundary re-fits and flushes the table.
         metrics.record_commit(CcMethod::TwoPhaseLocking, Duration::from_millis(10));
         cached.select(&t, &cat, &metrics);
         let stats = cached.cache_stats();
@@ -1291,21 +1276,13 @@ mod tests {
 
     #[test]
     fn full_grid_is_flushed_not_grown() {
-        let metrics = warmed_metrics();
-        let model = StlSelector::model_from_metrics(&metrics);
-        let params = MethodParamSet::measure(&metrics);
-        let mut cache = SelectionCache::new(0.0, 4);
+        let model = StlSelector::model_from_metrics(&warmed_metrics());
+        let mut table = StlTable::new(0.0, 4);
         for i in 0..10 {
-            let summary = ShapeSummary {
-                m: 1,
-                n: 1,
-                read_loss: i as f64,
-                write_loss: 1.0,
-            };
-            cache.decide(&model, &params, &summary);
+            table.stl_prime(&model, i as f64, 0.03);
         }
-        assert!(cache.len() <= 4);
-        assert!(cache.flushes > 0);
+        assert!(table.len() <= 4);
+        assert!(table.flushes > 0);
     }
 
     #[test]

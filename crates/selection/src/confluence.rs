@@ -15,19 +15,19 @@
 //! * **read-only transactions** over items with no in-flight writers.
 //!
 //! Classification is deliberately a *pure* function of the transaction's
-//! [`OpProfile`] and its read/write-set sizes — never of the quantized
-//! loss estimates that share the [`crate::ShapeKey`] grid. Every summary
-//! that quantizes to the same key therefore classifies identically, so a
-//! memoized routing decision can never flip a transaction onto a bypass
-//! its fresh evaluation would refuse (the property-tested contract).
+//! [`OpProfile`] and its read/write-set sizes — never of the fitted model,
+//! the loss estimates or the memoized [`crate::StlTable`] the protocol
+//! half of a [`crate::RoutedDecision`] reads. A table hit, a quantized
+//! loss or a stale epoch can therefore never flip a transaction onto a
+//! bypass its fresh evaluation would refuse (the property-tested
+//! contract).
 //!
 //! The classifier only decides *eligibility*. The dynamic safety half —
 //! "no in-flight writers", "nobody is coordinating over this key" — is
 //! checked by the owning queue manager at apply time, which refuses the
 //! bypass whenever a touched slot has queued or granted coordinated work.
 
-/// Bit-set of the operation kinds one transaction performs. The raw `u8`
-/// is embedded verbatim in the [`crate::ShapeKey`] memoization grid.
+/// Bit-set of the operation kinds one transaction performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OpProfile(u8);
 
@@ -63,7 +63,7 @@ impl OpProfile {
         self.0 == 0
     }
 
-    /// The raw bit pattern (what the [`crate::ShapeKey`] stores).
+    /// The raw bit pattern.
     pub const fn bits(self) -> u8 {
         self.0
     }
@@ -92,9 +92,9 @@ pub const FAST_PATH_MAX_OPS: usize = 16;
 /// Classify a transaction shape: `profile` says which op kinds it
 /// performs, `reads`/`writes` are its read- and write-set sizes.
 ///
-/// Pure in `(profile, reads, writes)` by construction — the quantized
-/// loss buckets a [`crate::ShapeKey`] carries play no part, so all
-/// representatives of one key agree.
+/// Pure in `(profile, reads, writes)` by construction — the shape's
+/// losses, and whichever [`crate::StlTable`] buckets they quantize to,
+/// play no part.
 pub fn classify(profile: OpProfile, reads: usize, writes: usize) -> Confluence {
     if profile.is_empty() || profile.contains(OpProfile::RMW_WRITES) {
         return Confluence::Coordinated;
@@ -112,8 +112,7 @@ pub fn classify(profile: OpProfile, reads: usize, writes: usize) -> Confluence {
 /// watermark read observes only fully committed state.
 ///
 /// Pure in `(profile, reads, writes)` like [`classify`], and for the same
-/// reason: every summary quantizing to one [`crate::ShapeKey`] must agree,
-/// so a memoized snapshot routing can never disagree with a fresh one.
+/// reason: routing must never depend on what the selector has memoized.
 /// Unlike the fast path there is no footprint bound — a snapshot read
 /// holds no locks and blocks nobody, so its size only costs itself.
 pub fn is_read_only(profile: OpProfile, reads: usize, writes: usize) -> bool {

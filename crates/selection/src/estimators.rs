@@ -145,6 +145,10 @@ fn clamp_prob(p: f64) -> f64 {
     }
 }
 
+/// An `STL'(λ_loss, U)` evaluator: [`StlModel::stl_prime`] itself, or a memo
+/// table in front of it. The estimators call it at most twice each.
+pub type StlFn<'a> = dyn FnMut(f64, f64) -> f64 + 'a;
+
 /// Estimated STL if the transaction runs under 2PL.
 pub fn stl_2pl(model: &StlModel, shape: &TxnShape, params: &ProtocolParams) -> f64 {
     stl_2pl_summary(model, &shape.summary(), params)
@@ -152,16 +156,37 @@ pub fn stl_2pl(model: &StlModel, shape: &TxnShape, params: &ProtocolParams) -> f
 
 /// [`stl_2pl`] on a pre-computed summary.
 pub fn stl_2pl_summary(model: &StlModel, summary: &ShapeSummary, params: &ProtocolParams) -> f64 {
+    stl_2pl_with(&mut |loss, u| model.stl_prime(loss, u), summary, params)
+}
+
+/// [`stl_2pl_summary`] over any `STL'` evaluator.
+pub(crate) fn stl_2pl_with(
+    stl: &mut StlFn<'_>,
+    summary: &ShapeSummary,
+    params: &ProtocolParams,
+) -> f64 {
     let lambda_t = summary.lambda_t();
     let p_a = clamp_prob(params.p_abort);
-    let base = model.stl_prime(lambda_t, params.u_ok);
+    let base = stl(lambda_t, params.u_ok);
     if p_a >= 1.0 - 1e-9 {
         // The transaction essentially never gets through: the loss is
         // unbounded in the model; report a very large value so 2PL is never
         // selected in this regime.
         return f64::MAX / 4.0;
     }
-    base + p_a / (1.0 - p_a) * model.stl_prime(lambda_t, params.u_denied)
+    plus_weighted(base, p_a / (1.0 - p_a), || stl(lambda_t, params.u_denied))
+}
+
+/// `base + weight · denied()`, skipping the second `STL'` evaluation when its
+/// weight is exactly zero — every selection on a workload with no denials.
+/// `STL'` returns a finite value ≥ +0, for which `base + 0.0·x` is `base`
+/// to the bit.
+fn plus_weighted(base: f64, weight: f64, denied: impl FnOnce() -> f64) -> f64 {
+    if weight == 0.0 {
+        base
+    } else {
+        base + weight * denied()
+    }
 }
 
 /// Estimated STL if the transaction runs under Basic T/O.
@@ -171,16 +196,27 @@ pub fn stl_to(model: &StlModel, shape: &TxnShape, params: &ProtocolParams) -> f6
 
 /// [`stl_to`] on a pre-computed summary.
 pub fn stl_to_summary(model: &StlModel, summary: &ShapeSummary, params: &ProtocolParams) -> f64 {
+    stl_to_with(&mut |loss, u| model.stl_prime(loss, u), summary, params)
+}
+
+/// [`stl_to_summary`] over any `STL'` evaluator.
+pub(crate) fn stl_to_with(
+    stl: &mut StlFn<'_>,
+    summary: &ShapeSummary,
+    params: &ProtocolParams,
+) -> f64 {
     let p_read_ok = 1.0 - clamp_prob(params.p_read_denial);
     let p_write_ok = 1.0 - clamp_prob(params.p_write_denial);
     let p_ok = p_read_ok.powi(summary.m as i32) * p_write_ok.powi(summary.n as i32);
     let lambda_t = summary.lambda_t();
-    let base = model.stl_prime(lambda_t, params.u_ok);
+    let base = stl(lambda_t, params.u_ok);
     if p_ok <= 1e-9 {
         return f64::MAX / 4.0;
     }
-    let lambda_star = summary.conditional_loss(p_read_ok, p_write_ok);
-    base + (1.0 - p_ok) / p_ok * model.stl_prime(lambda_star, params.u_denied)
+    plus_weighted(base, (1.0 - p_ok) / p_ok, || {
+        let lambda_star = summary.conditional_loss(p_read_ok, p_write_ok);
+        stl(lambda_star, params.u_denied)
+    })
 }
 
 /// Estimated STL if the transaction runs under PA.
@@ -190,15 +226,25 @@ pub fn stl_pa(model: &StlModel, shape: &TxnShape, params: &ProtocolParams) -> f6
 
 /// [`stl_pa`] on a pre-computed summary.
 pub fn stl_pa_summary(model: &StlModel, summary: &ShapeSummary, params: &ProtocolParams) -> f64 {
+    stl_pa_with(&mut |loss, u| model.stl_prime(loss, u), summary, params)
+}
+
+/// [`stl_pa_summary`] over any `STL'` evaluator.
+pub(crate) fn stl_pa_with(
+    stl: &mut StlFn<'_>,
+    summary: &ShapeSummary,
+    params: &ProtocolParams,
+) -> f64 {
     let p_read_ok = 1.0 - clamp_prob(params.p_read_denial);
     let p_write_ok = 1.0 - clamp_prob(params.p_write_denial);
     let p_ok = p_read_ok.powi(summary.m as i32) * p_write_ok.powi(summary.n as i32);
-    let lambda_t = summary.lambda_t();
-    let lambda_plus = summary.conditional_loss(p_read_ok, p_write_ok);
     // PA never restarts: the base term is always paid, and with probability
     // (1 − p_ok) one extra backoff-negotiation period of loss is added.
-    model.stl_prime(lambda_t, params.u_ok)
-        + (1.0 - p_ok) * model.stl_prime(lambda_plus, params.u_denied)
+    let base = stl(summary.lambda_t(), params.u_ok);
+    plus_weighted(base, 1.0 - p_ok, || {
+        let lambda_plus = summary.conditional_loss(p_read_ok, p_write_ok);
+        stl(lambda_plus, params.u_denied)
+    })
 }
 
 #[cfg(test)]

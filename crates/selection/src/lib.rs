@@ -20,9 +20,10 @@
 //!   unreliable.
 //! * [`cache`] — [`cache::CachedStlSelector`], the amortized variant: the
 //!   model and parameters are frozen into an [`cache::EpochSnapshot`]
-//!   refreshed every N commits (or on workload drift), and decisions are
-//!   memoized per quantized transaction shape — provably identical to
-//!   fresh STL′ evaluation within an epoch.
+//!   refreshed every N commits (or on workload drift), and `STL'(λ, U)` is
+//!   memoized per quantized loss and hold time in a [`cache::StlTable`]
+//!   every shape shares — provably identical to fresh STL′ evaluation
+//!   within an epoch.
 
 pub mod cache;
 pub mod confluence;
@@ -31,16 +32,16 @@ pub mod selector;
 pub mod stl;
 
 pub use cache::{
-    CacheSettings, CacheStats, CachedStlSelector, EpochSnapshot, RoutedDecision, SelectionCache,
-    ShapeKey, WorkloadSignal,
+    CacheSettings, CacheStats, CachedStlSelector, EpochSnapshot, RoutedDecision, StlTable,
+    WorkloadSignal,
 };
 pub use confluence::{classify, is_read_only, Confluence, OpProfile, FAST_PATH_MAX_OPS};
 pub use estimators::{
     stl_2pl, stl_2pl_summary, stl_pa, stl_pa_summary, stl_to, stl_to_summary, ProtocolParams,
-    ShapeSummary, TxnShape,
+    ShapeSummary, StlFn, TxnShape,
 };
 pub use selector::{
-    evaluate_decision, exploratory_decision, is_exploration_round, MethodParamSet,
-    SelectionDecision, StlSelector,
+    evaluate_decision, evaluate_decision_with, exploratory_decision, is_exploration_round,
+    MethodParamSet, SelectionDecision, StlSelector,
 };
 pub use stl::StlModel;

@@ -17,10 +17,10 @@
 //!   currently-unselected protocols do not go stale.
 
 use dbmodel::{Catalog, CcMethod, Transaction};
-use metrics::SimMetrics;
+use metrics::{MethodSample, MetricsSample, SimMetrics};
 
 use crate::estimators::{
-    stl_2pl_summary, stl_pa_summary, stl_to_summary, ProtocolParams, ShapeSummary, TxnShape,
+    stl_2pl_with, stl_pa_with, stl_to_with, ProtocolParams, ShapeSummary, StlFn, TxnShape,
 };
 use crate::stl::StlModel;
 
@@ -57,10 +57,16 @@ pub struct MethodParamSet {
 impl MethodParamSet {
     /// Measure the current parameters of every protocol.
     pub fn measure(metrics: &SimMetrics) -> MethodParamSet {
+        MethodParamSet::from_sample(&metrics.sample())
+    }
+
+    /// [`MethodParamSet::measure`] from the system-wide scalars alone.
+    pub fn from_sample(sample: &MetricsSample) -> MethodParamSet {
+        let params = |m| StlSelector::params_from_sample(sample.method(m));
         MethodParamSet {
-            p2pl: StlSelector::params_for(metrics, CcMethod::TwoPhaseLocking),
-            to: StlSelector::params_for(metrics, CcMethod::TimestampOrdering),
-            pa: StlSelector::params_for(metrics, CcMethod::PrecedenceAgreement),
+            p2pl: params(CcMethod::TwoPhaseLocking),
+            to: params(CcMethod::TimestampOrdering),
+            pa: params(CcMethod::PrecedenceAgreement),
         }
     }
 }
@@ -84,17 +90,29 @@ pub fn exploratory_decision(counter: u64) -> SelectionDecision {
 }
 
 /// Cost-evaluate the three protocols for one transaction summary and pick
-/// the cheapest — the pure core shared by the fresh [`StlSelector`] and the
-/// cached selector, so both produce bit-identical decisions from identical
-/// inputs.
+/// the cheapest, evaluating `STL'` against `model` afresh.
 pub fn evaluate_decision(
     model: &StlModel,
     summary: &ShapeSummary,
     params: &MethodParamSet,
 ) -> SelectionDecision {
-    let cost_2pl = stl_2pl_summary(model, summary, &params.p2pl);
-    let cost_to = stl_to_summary(model, summary, &params.to);
-    let cost_pa = stl_pa_summary(model, summary, &params.pa);
+    evaluate_decision_with(&mut |loss, u| model.stl_prime(loss, u), summary, params)
+}
+
+/// [`evaluate_decision`] over any `STL'(λ_loss, U)` evaluator — the pure
+/// core shared by the fresh [`StlSelector`] (which feeds it
+/// [`StlModel::stl_prime`]) and the cached selector (which feeds it the
+/// epoch's memo table), so both produce bit-identical decisions from
+/// identical `STL'` values. At most six evaluations, three when no
+/// protocol has a denial on record.
+pub fn evaluate_decision_with(
+    stl: &mut StlFn<'_>,
+    summary: &ShapeSummary,
+    params: &MethodParamSet,
+) -> SelectionDecision {
+    let cost_2pl = stl_2pl_with(stl, summary, &params.p2pl);
+    let cost_to = stl_to_with(stl, summary, &params.to);
+    let cost_pa = stl_pa_with(stl, summary, &params.pa);
 
     let method = if cost_2pl <= cost_to && cost_2pl <= cost_pa {
         CcMethod::TwoPhaseLocking
@@ -178,17 +196,24 @@ impl StlSelector {
 
     /// Build the system-wide STL model from measured rates.
     pub fn model_from_metrics(metrics: &SimMetrics) -> StlModel {
-        let commit_rate = metrics.commit_throughput();
+        Self::model_from_sample(&metrics.sample(), metrics.granted_item_counts())
+    }
+
+    /// [`StlSelector::model_from_metrics`] from the system-wide scalars and
+    /// the `(read, write)` counts of items that granted at least one lock
+    /// (the denominators of λ̄r and λ̄w).
+    pub fn model_from_sample(sample: &MetricsSample, granted_items: (usize, usize)) -> StlModel {
+        let commit_rate = sample.commit_throughput();
         let k = if commit_rate > 0.0 {
-            (metrics.system_throughput() / commit_rate).max(1.0)
+            (sample.system_throughput() / commit_rate).max(1.0)
         } else {
             1.0
         };
         StlModel {
-            lambda_a: metrics.system_throughput(),
-            lambda_r: metrics.avg_read_throughput(),
-            lambda_w: metrics.avg_write_throughput(),
-            q_r: metrics.read_fraction(),
+            lambda_a: sample.system_throughput(),
+            lambda_r: sample.avg_read_throughput(granted_items.0),
+            lambda_w: sample.avg_write_throughput(granted_items.1),
+            q_r: sample.read_fraction(),
             k,
         }
     }
@@ -220,7 +245,11 @@ impl StlSelector {
 
     /// Extract the measured parameters of one protocol.
     pub fn params_for(metrics: &SimMetrics, method: CcMethod) -> ProtocolParams {
-        let stats = metrics.method(method);
+        Self::params_from_sample(&metrics.method(method).sample())
+    }
+
+    /// [`StlSelector::params_for`] from one method's scalars.
+    pub fn params_from_sample(stats: &MethodSample) -> ProtocolParams {
         let u_ok = stats.lock_time_ok.mean();
         let u_denied = if stats.lock_time_aborted.count() > 0 {
             stats.lock_time_aborted.mean()
@@ -284,6 +313,97 @@ mod tests {
             }
         }
         m
+    }
+
+    /// The parent's `evaluate_decision`: six `STL'` calls, every weight
+    /// multiplied through even when it is zero.
+    fn six_call_decision(
+        model: &StlModel,
+        summary: &ShapeSummary,
+        params: &MethodParamSet,
+    ) -> [u64; 3] {
+        let ok = |p: f64| 1.0 - p.clamp(0.0, 1.0);
+        let lambda_t = summary.lambda_t();
+        let denied = |p: &ProtocolParams| {
+            let (read_ok, write_ok) = (ok(p.p_read_denial), ok(p.p_write_denial));
+            let p_ok = read_ok.powi(summary.m as i32) * write_ok.powi(summary.n as i32);
+            let conditional = if p_ok >= 1.0 - 1e-12 {
+                lambda_t
+            } else {
+                let weighted = read_ok * summary.read_loss + write_ok * summary.write_loss;
+                ((weighted - p_ok * lambda_t) / (1.0 - p_ok)).max(0.0)
+            };
+            (p_ok, model.stl_prime(conditional, p.u_denied))
+        };
+        let p_a = params.p2pl.p_abort.clamp(0.0, 1.0);
+        let cost_2pl = model.stl_prime(lambda_t, params.p2pl.u_ok)
+            + p_a / (1.0 - p_a) * model.stl_prime(lambda_t, params.p2pl.u_denied);
+        let (p_ok, star) = denied(&params.to);
+        let cost_to = model.stl_prime(lambda_t, params.to.u_ok) + (1.0 - p_ok) / p_ok * star;
+        let (p_ok, plus) = denied(&params.pa);
+        let cost_pa = model.stl_prime(lambda_t, params.pa.u_ok) + (1.0 - p_ok) * plus;
+        [cost_2pl.to_bits(), cost_to.to_bits(), cost_pa.to_bits()]
+    }
+
+    #[test]
+    fn zero_weight_skip_is_bit_identical_to_the_six_call_formula() {
+        let mut rng = simkit::rng::SimRng::new(0xDEC1DE);
+        let mut skipped = 0usize;
+        for case in 0..600u32 {
+            let lambda_a = 20.0 + 400.0 * rng.next_f64();
+            let model = StlModel {
+                lambda_a,
+                lambda_r: lambda_a * 0.1 * rng.next_f64(),
+                lambda_w: lambda_a * (0.02 + 0.1 * rng.next_f64()),
+                q_r: rng.next_f64(),
+                k: 1.0 + 7.0 * rng.next_f64(),
+            };
+            // Each probability is exactly zero in a third of the cases and
+            // kept away from certain denial, where both formulas return the
+            // same sentinel without evaluating anything.
+            let prob = |rng: &mut simkit::rng::SimRng| {
+                if rng.next_below(3) == 0 {
+                    0.0
+                } else {
+                    0.9 * rng.next_f64()
+                }
+            };
+            let one = |rng: &mut simkit::rng::SimRng| ProtocolParams {
+                u_ok: 0.2 * rng.next_f64(),
+                u_denied: 0.3 * rng.next_f64(),
+                p_abort: prob(rng),
+                p_read_denial: prob(rng),
+                p_write_denial: prob(rng),
+            };
+            let params = MethodParamSet {
+                p2pl: one(&mut rng),
+                to: one(&mut rng),
+                pa: one(&mut rng),
+            };
+            let summary = ShapeSummary {
+                m: rng.next_index(6),
+                n: rng.next_index(6),
+                read_loss: 0.5 * lambda_a * rng.next_f64(),
+                write_loss: 0.8 * lambda_a * rng.next_f64(),
+            };
+            let mut calls = 0usize;
+            let d = evaluate_decision_with(
+                &mut |loss, u| {
+                    calls += 1;
+                    model.stl_prime(loss, u)
+                },
+                &summary,
+                &params,
+            );
+            assert_eq!(
+                [d.stl_2pl.to_bits(), d.stl_to.to_bits(), d.stl_pa.to_bits()],
+                six_call_decision(&model, &summary, &params),
+                "case {case}: {model:?} {summary:?} {params:?}"
+            );
+            assert_eq!(d, evaluate_decision(&model, &summary, &params));
+            skipped += 6 - calls;
+        }
+        assert!(skipped > 300, "the skip must be exercised: {skipped}");
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! evaluation the paper refers to — with linear interpolation in the time
 //! dimension.
 
+/// Time cells per DP level.
+const TIME_STEPS: usize = 48;
+/// Cap on the escalation levels evaluated before saturation is assumed.
+const MAX_LEVELS: usize = 64;
+
 /// System-wide parameters of the STL model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StlModel {
@@ -64,9 +69,6 @@ impl StlModel {
     /// `u` and `lambda_loss` outside their meaningful ranges are clamped; the
     /// result is always in `[0, λ_A·U]`.
     pub fn stl_prime(&self, lambda_loss: f64, u: f64) -> f64 {
-        const TIME_STEPS: usize = 48;
-        const MAX_LEVELS: usize = 64;
-
         if !u.is_finite() || u <= 0.0 || self.lambda_a <= 0.0 {
             return 0.0;
         }
@@ -79,21 +81,22 @@ impl StlModel {
         let levels = (((self.lambda_a - lambda_loss) / delta).ceil() as usize + 1).min(MAX_LEVELS);
         let dt = u / TIME_STEPS as f64;
 
-        // f[level][i] = STL'(λ_loss + level·Δ, i·dt).
+        // f[level][i] = STL'(λ_loss + level·Δ, i·dt), two rows at a time:
+        // `upper` is the level above the one being filled into `current`.
         // Top level (saturated): λ_A · t.
-        let mut upper: Vec<f64> = (0..=TIME_STEPS)
-            .map(|i| self.lambda_a * (i as f64 * dt))
-            .collect();
+        let mut saturated = [0.0f64; TIME_STEPS + 1];
+        for (i, cell) in saturated.iter_mut().enumerate() {
+            *cell = self.lambda_a * (i as f64 * dt);
+        }
+        let mut upper = saturated;
+        let mut current = [0.0f64; TIME_STEPS + 1];
         for level in (0..levels).rev() {
             let lambda = (lambda_loss + level as f64 * delta).min(self.lambda_a);
             if lambda >= self.lambda_a {
-                upper = (0..=TIME_STEPS)
-                    .map(|i| self.lambda_a * (i as f64 * dt))
-                    .collect();
+                upper = saturated;
                 continue;
             }
             let beta = self.lambda_block(lambda);
-            let mut current = vec![0.0f64; TIME_STEPS + 1];
             // Escalation integral, trapezoid over the grid cells:
             // ∫₀ᵗ β e^{-βx} (λ x + f_upper(t − x)) dx. Evaluated naively this
             // is O(steps) per time point (O(steps²) per level); both pieces
@@ -108,12 +111,69 @@ impl StlModel {
             //     which reproduces the summed trapezoid exactly (shift the
             //     summation index to see the identity).
             let decay = (-beta * dt).exp();
+            // g1(x) = β e^{-βx} λ x, the λx integrand. Each cell needs it at
+            // both trapezoid ends; the left end is the previous cell's right
+            // end, so it is carried, and the one `exp` a cell pays is shared
+            // with its no-escalation term.
+            let mut g1_prev = beta * (-beta * 0.0).exp() * lambda * 0.0;
+            current[0] = 0.0;
+            let mut own = 0.0f64;
+            let mut conv = 0.0f64;
+            for i in 1..=TIME_STEPS {
+                let t = i as f64 * dt;
+                let survive = (-beta * t).exp();
+                // No-escalation term.
+                let mut value = survive * lambda * t;
+                if beta > 0.0 {
+                    let g1 = beta * survive * lambda * t;
+                    own += 0.5 * (g1_prev + g1) * dt;
+                    g1_prev = g1;
+                    conv = decay * conv + 0.5 * dt * beta * (upper[i] + decay * upper[i - 1]);
+                    value += own + conv;
+                }
+                current[i] = value.min(self.lambda_a * t);
+            }
+            std::mem::swap(&mut upper, &mut current);
+        }
+        upper[TIME_STEPS]
+    }
+}
+
+/// The parent kernel, kept verbatim as the bit-for-bit reference of
+/// [`StlModel::stl_prime`]: three `exp` calls per grid cell and one `Vec`
+/// per level.
+#[cfg(test)]
+impl StlModel {
+    fn stl_prime_reference(&self, lambda_loss: f64, u: f64) -> f64 {
+        if !u.is_finite() || u <= 0.0 || self.lambda_a <= 0.0 {
+            return 0.0;
+        }
+        let lambda_loss = lambda_loss.max(0.0);
+        if lambda_loss >= self.lambda_a {
+            return self.lambda_a * u;
+        }
+        let delta = self.lambda_new().max(1e-12);
+        let levels = (((self.lambda_a - lambda_loss) / delta).ceil() as usize + 1).min(MAX_LEVELS);
+        let dt = u / TIME_STEPS as f64;
+        let mut upper: Vec<f64> = (0..=TIME_STEPS)
+            .map(|i| self.lambda_a * (i as f64 * dt))
+            .collect();
+        for level in (0..levels).rev() {
+            let lambda = (lambda_loss + level as f64 * delta).min(self.lambda_a);
+            if lambda >= self.lambda_a {
+                upper = (0..=TIME_STEPS)
+                    .map(|i| self.lambda_a * (i as f64 * dt))
+                    .collect();
+                continue;
+            }
+            let beta = self.lambda_block(lambda);
+            let mut current = vec![0.0f64; TIME_STEPS + 1];
+            let decay = (-beta * dt).exp();
             let g1 = |x: f64| beta * (-beta * x).exp() * lambda * x;
             let mut own = 0.0f64;
             let mut conv = 0.0f64;
             for i in 1..=TIME_STEPS {
                 let t = i as f64 * dt;
-                // No-escalation term.
                 let mut value = (-beta * t).exp() * lambda * t;
                 if beta > 0.0 {
                     own += 0.5 * (g1((i - 1) as f64 * dt) + g1(t)) * dt;
@@ -243,6 +303,49 @@ mod tests {
             long > 2.0 * short,
             "escalation should compound: {short} vs {long}"
         );
+    }
+
+    #[test]
+    fn one_exp_kernel_is_bit_identical_to_the_reference() {
+        let mut rng = simkit::rng::SimRng::new(0x5711);
+        let mut escalated = 0usize;
+        for case in 0..4000u32 {
+            let lambda_a = 1.0 + 999.0 * rng.next_f64();
+            let m = StlModel {
+                lambda_a,
+                lambda_r: lambda_a * 0.2 * rng.next_f64(),
+                lambda_w: lambda_a * 0.2 * rng.next_f64(),
+                q_r: rng.next_f64(),
+                // Every eighth model has K = 1: nobody else is ever blocked.
+                k: if case % 8 == 0 {
+                    1.0
+                } else {
+                    1.0 + 9.0 * rng.next_f64()
+                },
+            };
+            // Every fifth loss is saturated (λ ≥ λ_A), every seventh hold
+            // time is vanishing (U → 0).
+            let loss = if case % 5 == 0 {
+                lambda_a * (1.0 + rng.next_f64())
+            } else {
+                lambda_a * rng.next_f64()
+            };
+            let u = if case % 7 == 0 {
+                1e-12 * rng.next_f64()
+            } else {
+                2.0 * rng.next_f64()
+            };
+            let (fast, reference) = (m.stl_prime(loss, u), m.stl_prime_reference(loss, u));
+            assert_eq!(
+                fast.to_bits(),
+                reference.to_bits(),
+                "case {case}: {m:?} λ={loss} U={u}: {fast} vs {reference}"
+            );
+            if loss < lambda_a && m.lambda_block(loss) > 0.0 {
+                escalated += 1;
+            }
+        }
+        assert!(escalated > 2000, "only {escalated} cases ran the DP proper");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! mix the selector converged to, alongside the STL estimates for a sample
 //! transaction in each regime — evaluated both fresh and through the
 //! epoch-cached selector, whose decision must match byte for byte while
-//! costing a hash lookup instead of a dynamic-programming grid.
+//! costing a few table lookups instead of up to six dynamic programs.
 //!
 //! Run with: `cargo run --release -p examples --bin dynamic_tuning`
 
@@ -50,7 +50,7 @@ fn main() {
         let fresh_cost = fresh_began.elapsed();
 
         // The cached selector agrees bit for bit (exact keys, same epoch
-        // snapshot) and answers repeat shapes from the decision grid.
+        // snapshot) and answers repeat losses from the epoch's STL′ table.
         let mut cached = CachedStlSelector::with_settings(CacheSettings {
             quant_rel: 0.0,
             warmup_commits: 0,

@@ -1,23 +1,29 @@
-//! Property tests for the selection cache: memoizing the STL′ grid must
-//! never change a decision.
+//! Property tests for the selection cache: memoizing STL′ must never
+//! change a decision.
 //!
 //! The contract under test is the one the runtime relies on: within an
 //! epoch, the cached selector returns **byte-identical**
 //! [`SelectionDecision`]s to a fresh STL′ evaluation at the same epoch
 //! snapshot — memoization is transparency, not approximation. With
 //! quantization disabled the comparison is against the fresh evaluation of
-//! the transaction's own shape; with quantization enabled it is against
-//! the fresh evaluation of the bucket's canonical representative, and the
-//! hit and miss paths must agree with each other bit for bit.
+//! the transaction's own shape; with quantization enabled every `STL'`
+//! the table returns is the fresh dynamic program at its bucket's
+//! canonical representative, a decision may leave the fresh one only
+//! where the fresh costs are within that quantization error of each
+//! other, and the hit and miss paths must agree with each other bit for
+//! bit. Routing verdicts never depend on the table at all.
 
+use bench::{committed_metrics, SkewedItems};
 use dbmodel::{AccessMode, Catalog, Transaction};
 use dbmodel::{CcMethod, LogicalItemId, PhysicalItemId, ReplicationPolicy, SiteId, TxnId};
 use metrics::SimMetrics;
 use proptest::prelude::*;
 use selection::{
-    classify, evaluate_decision, CacheSettings, CachedStlSelector, MethodParamSet, OpProfile,
-    ProtocolParams, SelectionCache, SelectionDecision, ShapeSummary, StlModel, StlSelector,
+    classify, evaluate_decision, evaluate_decision_with, is_read_only, CacheSettings,
+    CachedStlSelector, MethodParamSet, OpProfile, ProtocolParams, SelectionDecision, ShapeSummary,
+    StlModel, StlSelector, StlTable, WorkloadSignal,
 };
+use simkit::rng::SimRng;
 use simkit::time::{Duration, SimTime};
 
 /// Byte-level view of a decision (NaN-safe, unlike `PartialEq`).
@@ -105,7 +111,7 @@ proptest! {
     ) {
         let (model, summary, params) = case;
         let fresh = evaluate_decision(&model, &summary, &params);
-        let mut cache = SelectionCache::exact();
+        let mut cache = StlTable::exact();
         let miss = cache.decide(&model, &params, &summary);
         let hit = cache.decide(&model, &params, &summary);
         prop_assert_eq!(bits(&fresh), bits(&miss), "miss path diverged");
@@ -121,64 +127,77 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// With quantization enabled, every decision equals the fresh
-    /// evaluation of the bucket's canonical representative, hit and miss
-    /// paths agree, and the representative lands in its own bucket.
+    /// With quantization enabled, every value the table hands out is the
+    /// fresh dynamic program at the bucket's canonical representative, the
+    /// representative never escapes its bucket, the decision is the closed
+    /// form over exactly those values, and hit and miss paths agree.
     #[test]
     fn quantized_cache_is_internally_consistent(
         case in (arb_model(), arb_summary(), arb_param_set(), 0.01f64..0.4)
     ) {
         let (model, summary, params, quant) = case;
-        let mut cache = SelectionCache::new(quant, 8192);
-        let key = cache.key_for(&summary);
-        let rep = cache.representative(key);
-        prop_assert_eq!(cache.key_for(&rep), key, "representative escaped its bucket");
-        let fresh_rep = evaluate_decision(&model, &rep, &params);
-        let miss = cache.decide(&model, &params, &summary);
-        let hit = cache.decide(&model, &params, &summary);
-        prop_assert_eq!(bits(&fresh_rep), bits(&miss));
+        let mut table = StlTable::new(quant, 8192);
+        let mut reads = Vec::new();
+        let over_reps = evaluate_decision_with(
+            &mut |loss, u| {
+                reads.push((loss, u));
+                model.stl_prime(table.quantized(loss), u)
+            },
+            &summary,
+            &params,
+        );
+        let miss = table.decide(&model, &params, &summary);
+        let hit = table.decide(&model, &params, &summary);
+        prop_assert_eq!(bits(&over_reps), bits(&miss));
         prop_assert_eq!(bits(&miss), bits(&hit));
+        prop_assert_eq!((table.hits(), table.misses()), (1, 1));
+        let evals = table.evals();
+        for (loss, u) in reads {
+            let rep = table.quantized(loss);
+            prop_assert_eq!(
+                table.quantized(rep).to_bits(),
+                rep.to_bits(),
+                "representative escaped its bucket"
+            );
+            prop_assert_eq!(
+                table.stl_prime(&model, loss, u).to_bits(),
+                model.stl_prime(rep, u).to_bits()
+            );
+            // Any other loss of the bucket reads the same entry.
+            prop_assert_eq!(
+                table.stl_prime(&model, rep, u).to_bits(),
+                model.stl_prime(rep, u).to_bits()
+            );
+        }
+        prop_assert_eq!(table.evals(), evals, "every entry was already memoized");
     }
 
-    /// The fast-path safety contract of the `ShapeKey` grid (PR 8): the
-    /// confluence classification memoized alongside the protocol decision
-    /// is stable across *every* representative of a quantized key. Two
-    /// summaries landing in the same bucket — however far apart their
-    /// loss estimates sit inside it — must classify identically, both by
-    /// the pure classifier and through the cache's hit path, so a cache
-    /// hit can never flip a transaction onto a bypass its own fresh
-    /// evaluation would refuse.
+    /// Quantization may change a decision only where it cannot matter: if
+    /// the quantized selector picks another method than the fresh one, the
+    /// fresh costs of the two methods differ by no more than the error
+    /// quantization put on them.
     #[test]
-    fn classification_is_stable_across_bucket_representatives(
-        case in (
-            arb_model(),
-            arb_summary(),
-            arb_summary(),
-            arb_param_set(),
-            0.01f64..0.4,
-            0u8..16,
-        )
+    fn quantized_decision_departs_only_within_quantization_error(
+        case in (arb_model(), arb_summary(), arb_param_set(), 0.01f64..0.2)
     ) {
-        let (model, a, b, params, quant, raw_profile) = case;
-        let profile = OpProfile::from_bits(raw_profile);
-        let mut cache = SelectionCache::new(quant, 8192);
-        let key_a = cache.key_with_profile(&a, profile);
-        // Only pairs that quantize to the same key are constrained; steer
-        // `b` into `a`'s bucket by reusing `a`'s sizes (sizes are exact
-        // key fields, losses are the quantized ones).
-        let b = ShapeSummary { m: a.m, n: a.n, ..b };
-        if cache.key_with_profile(&b, profile) == key_a {
-            let fresh_a = classify(profile, a.m, a.n);
-            let fresh_b = classify(profile, b.m, b.n);
-            prop_assert_eq!(fresh_a, fresh_b, "same key, different fresh classification");
-            // The memoized verdict (seeded by whichever summary misses
-            // first) matches the other summary's fresh classification on
-            // its hit.
-            let routed_miss = cache.decide_routed(&model, &params, &a, profile);
-            let routed_hit = cache.decide_routed(&model, &params, &b, profile);
-            prop_assert_eq!(routed_miss.confluence, fresh_b);
-            prop_assert_eq!(routed_hit.confluence, fresh_b);
-            prop_assert_eq!(cache.hits(), 1);
+        let (model, summary, params, quant) = case;
+        let fresh = evaluate_decision(&model, &summary, &params);
+        let quantized = StlTable::new(quant, 8192).decide(&model, &params, &summary);
+        if quantized.method != fresh.method {
+            let cost = |d: &SelectionDecision, m: CcMethod| match m {
+                CcMethod::TwoPhaseLocking => d.stl_2pl,
+                CcMethod::TimestampOrdering => d.stl_to,
+                CcMethod::PrecedenceAgreement => d.stl_pa,
+            };
+            // How far quantization moved each of the two costs involved.
+            let moved = |m| (cost(&quantized, m) - cost(&fresh, m)).abs();
+            let error = moved(fresh.method) + moved(quantized.method);
+            let gap = cost(&fresh, quantized.method) - cost(&fresh, fresh.method);
+            prop_assert!(
+                gap <= error * (1.0 + 1e-9) + 1e-12,
+                "fresh picks {:?}, quantized {:?}: fresh gap {} exceeds quantization error {}",
+                fresh.method, quantized.method, gap, error
+            );
         }
     }
 }
@@ -214,6 +233,20 @@ fn seeded_metrics(seed: u64, items: u64) -> SimMetrics {
     m
 }
 
+/// The `i`-th transaction of the stream derived from `seed`: up to three
+/// reads and `min_writes..min_writes + 3` writes over `items` items.
+fn seeded_txn(seed: u64, i: u64, items: u64, min_writes: u64) -> Transaction {
+    let x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
+    let mut b = Transaction::builder(TxnId(i), SiteId(0));
+    for r in 0..(x % 4) {
+        b = b.read(LogicalItemId((x >> (r * 3)) % items));
+    }
+    for w in 0..(min_writes + (x >> 8) % 3) {
+        b = b.write(LogicalItemId((x >> (w * 5 + 16)) % items));
+    }
+    b.build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 60,
@@ -237,18 +270,119 @@ proptest! {
         });
         let mut fresh = StlSelector::with_settings(20, 5);
         for i in 0..12u64 {
-            let x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
-            let mut b = Transaction::builder(TxnId(i), SiteId(0));
-            for r in 0..(x % 4) {
-                b = b.read(LogicalItemId((x >> (r * 3)) % ITEMS));
-            }
-            for w in 0..(1 + (x >> 8) % 3) {
-                b = b.write(LogicalItemId((x >> (w * 5 + 16)) % ITEMS));
-            }
-            let txn = b.build();
+            let txn = seeded_txn(seed, i, ITEMS, 1);
             let a = cached.select(&txn, &catalog, &metrics);
             let e = fresh.select(&txn, &catalog, &metrics);
             prop_assert_eq!(bits(&a), bits(&e), "selection {} diverged", i);
         }
     }
+
+    /// The fast-path safety contract of routed selection (PR 8): the
+    /// confluence and snapshot verdicts returned beside the protocol
+    /// decision are exactly the pure classifiers of the op profile and
+    /// the access-set sizes — in warm-up, on exploration rounds and in
+    /// steady state, table hit or miss, whatever bucket the shape's
+    /// losses quantize to. A memoized STL′ can therefore never flip a
+    /// transaction onto a bypass its own fresh evaluation would refuse.
+    #[test]
+    fn classification_is_stable_across_bucket_representatives(
+        case in (0u64..u64::MAX, 0.0f64..0.4, 0u8..16)
+    ) {
+        const ITEMS: u64 = 16;
+        let (seed, quant, raw_profile) = case;
+        let profile = OpProfile::from_bits(raw_profile);
+        let catalog = Catalog::generate(2, ITEMS, ReplicationPolicy::SingleCopy);
+        let cold = SimMetrics::new();
+        let warm = seeded_metrics(seed, ITEMS);
+        let mut cached = CachedStlSelector::with_settings(CacheSettings {
+            quant_rel: quant,
+            warmup_commits: 20,
+            explore_every: 3,
+            ..CacheSettings::default()
+        });
+        // (warm-up, exploration, steady-state) rounds seen.
+        let mut phases = (0u32, 0u32, 0u32);
+        for i in 0..12u64 {
+            let txn = seeded_txn(seed, i, ITEMS, 0);
+            let metrics = if i < 3 { &cold } else { &warm };
+            let routed = cached.select_routed_sharded(
+                &txn,
+                &catalog,
+                WorkloadSignal::default(),
+                metrics.total_committed.get(),
+                || metrics.clone(),
+                || metrics.sample(),
+                profile,
+            );
+            let (m, n) = (txn.read_set().len(), txn.write_set().len());
+            prop_assert_eq!(routed.confluence, classify(profile, m, n), "round {}", i);
+            prop_assert_eq!(routed.snapshot, is_read_only(profile, m, n), "round {}", i);
+            match (i < 3, routed.decision.exploratory) {
+                (true, exploratory) => {
+                    prop_assert!(exploratory, "cold metrics cannot be warmed up");
+                    phases.0 += 1;
+                }
+                (false, true) => phases.1 += 1,
+                (false, false) => phases.2 += 1,
+            }
+        }
+        prop_assert_eq!(phases, (3, 3, 6));
+    }
+}
+
+/// Deterministic count guard for the table's economics on the shape of
+/// the `dynamic_skewed` benchmark workload: three transaction shapes
+/// (4r+1w, 2w, 4r+4w) over Zipf-0.6 items, one epoch, default settings.
+/// A decision memo keyed on the shape would miss on most of this stream;
+/// the STL′ table must serve at least 85 % of the cost-based selections
+/// without running a dynamic program, and may run at most one per frozen
+/// hold time (six) per distinct loss bucket the epoch touched.
+#[test]
+fn one_epoch_of_the_skewed_stream_is_served_from_the_table() {
+    const ITEMS: u64 = 1024;
+    let catalog = Catalog::generate(2, ITEMS, ReplicationPolicy::SingleCopy);
+    let skew = SkewedItems::new(ITEMS, 0.6);
+    let mut rng = SimRng::new(7);
+    let mut draw = |id: u64| skew.mixed_transaction(&mut rng, id);
+
+    // The metrics a runtime would hold after 2,000 warm-up transactions of
+    // this stream spread round-robin over the three methods, no denials.
+    let history: Vec<Transaction> = (0..2_000).map(&mut draw).collect();
+    let metrics = committed_metrics(&catalog, &history);
+
+    let mut cached = CachedStlSelector::new();
+    let stream: Vec<Transaction> = (0..1_000u64).map(|i| draw(2_000 + i)).collect();
+    for txn in &stream {
+        cached.select(txn, &catalog, &metrics);
+    }
+    let stats = cached.cache_stats();
+    assert_eq!(stats.refits, 1, "frozen metrics: one epoch");
+
+    // Every loss bucket the epoch's decisions read, recovered by replaying
+    // the closed form over the snapshot with a recording evaluator.
+    let snapshot = cached.snapshot().expect("fitted");
+    let quantizer = StlTable::new(cached.settings.quant_rel, 1);
+    let mut buckets = std::collections::BTreeSet::new();
+    for txn in &stream {
+        evaluate_decision_with(
+            &mut |loss, _| {
+                buckets.insert(quantizer.quantized(loss).to_bits());
+                0.0
+            },
+            &snapshot.summary_for(txn, &catalog),
+            &snapshot.params,
+        );
+    }
+    assert!(
+        stats.hit_rate() >= 0.85,
+        "{stats:?} over {} loss buckets",
+        buckets.len()
+    );
+    assert!(
+        stats.evals <= 6 * buckets.len() as u64,
+        "{} DP runs for {} loss buckets",
+        stats.evals,
+        buckets.len()
+    );
+    assert!(stats.evals >= buckets.len() as u64, "each bucket needs one");
 }
