@@ -101,7 +101,7 @@ fn main() {
     run_wave(&coord_db, &skew, &mut coord_rng);
 
     // Alternating measurement blocks, medians compared (same rationale
-    // as the m7/m8/m9 gates).
+    // as the m8/m9 gates).
     let mut snap_runs = Vec::new();
     let mut coord_runs = Vec::new();
     for rep in 0..REPS {

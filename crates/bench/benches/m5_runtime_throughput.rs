@@ -16,19 +16,18 @@
 use bench::Trajectory;
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbmodel::{CcMethod, LogicalItemId};
-use runtime::{CcPolicy, Database, RuntimeConfig, TransportKind, TxnSpec};
+use runtime::{CcPolicy, Database, RuntimeConfig, TxnSpec};
 use trace::json::Json;
 
 const ITEMS: u64 = 64;
 const BATCH: u64 = 64;
 
-fn db(policy: CcPolicy, transport: TransportKind) -> Database {
+fn db(policy: CcPolicy) -> Database {
     Database::open(RuntimeConfig {
         num_shards: 4,
         num_items: ITEMS,
         initial_value: 100,
         policy,
-        transport,
         ..RuntimeConfig::default()
     })
     .expect("valid config")
@@ -71,32 +70,16 @@ fn throughput(c: &mut Criterion) {
     let mut traj = Trajectory::new("m5");
     traj.meta("batch", Json::Num(BATCH as f64));
     traj.meta("items", Json::Num(ITEMS as f64));
-    for (label, policy, transport) in [
-        (
-            "static-2pl",
-            CcPolicy::Static(CcMethod::TwoPhaseLocking),
-            TransportKind::BatchedRing,
-        ),
-        (
-            // The pre-batching baseline plane, for the transport
-            // before/after comparison on the same workload.
-            "static-2pl-mpsc",
-            CcPolicy::Static(CcMethod::TwoPhaseLocking),
-            TransportKind::Mpsc,
-        ),
+    for (label, policy) in [
+        ("static-2pl", CcPolicy::Static(CcMethod::TwoPhaseLocking)),
         (
             "unified-mixed",
             CcPolicy::Mix {
                 p_2pl: 0.34,
                 p_to: 0.33,
             },
-            TransportKind::BatchedRing,
         ),
-        (
-            "dynamic-stl",
-            CcPolicy::DynamicStl,
-            TransportKind::BatchedRing,
-        ),
+        ("dynamic-stl", CcPolicy::DynamicStl),
     ] {
         if policy_filter.as_deref().is_some_and(|p| p != label) {
             continue;
@@ -105,7 +88,7 @@ fn throughput(c: &mut Criterion) {
             if thread_filter.is_some_and(|t| t != threads) {
                 continue;
             }
-            let database = db(policy, transport);
+            let database = db(policy);
             let mut round = 0u64;
             group.bench_function(format!("{label}/{threads}threads"), |b| {
                 b.iter(|| {

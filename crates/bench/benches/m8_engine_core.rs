@@ -1,9 +1,9 @@
 //! M8 — micro-benchmark: the engine core in isolation.
 //!
-//! m6 isolated the client→shard plane and m7 the way back; this one
-//! isolates what sits between them — the queue-manager engine itself, on
-//! the exp9 wide-transaction gate shape (one 8-item write transaction =
-//! 8 `Access` + 8 `Release` messages against one site). Two engines
+//! Isolates what sits between the client→shard ring and the reply
+//! mailboxes — the queue-manager engine itself, on the exp9
+//! wide-transaction shape (one 8-item write transaction = 8 `Access` +
+//! 8 `Release` messages against one site). Two engines
 //! consume identical message streams:
 //!
 //! * `dense-batched` — the engine as the runtime drives it since the
@@ -21,7 +21,8 @@
 //! closing summary prints both engines' txn/s and the ratio;
 //! `M8_GATE=<ratio>` (the CI floor) fails the process if `dense-batched`
 //! falls below `<ratio>` × `btree-per-message` (medians of alternating
-//! measurement blocks, same rationale as the m7/exp9 gates).
+//! measurement blocks: single-shot pairs on a shared runner swing too
+//! much for a 1.0x floor).
 //!
 //! A third variant, `dense-traced`, reruns the dense-batched engine with a
 //! [`trace::TracePlane`] at `TraceLevel::Full` recording the shard-side
@@ -224,7 +225,7 @@ fn throughput(c: &mut Criterion) {
 
     // The gated comparison alternates measurement blocks between the two
     // engines and compares medians (single-shot pairs on a shared runner
-    // swing too much for a 1.0x floor — same rationale as m7/exp9).
+    // swing too much for a 1.0x floor).
     const REPS: usize = 5;
     const BLOCK_WAVES: u64 = 10;
     let measure = |f: &mut dyn FnMut()| {

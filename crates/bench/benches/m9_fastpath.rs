@@ -20,7 +20,7 @@
 //! workload must be a *fixed, bounded* history — both to keep memory
 //! flat and so the closing `serializable()` certification stays
 //! tractable. The measurement is the same alternating-blocks-of-waves
-//! median scheme the m7/m8 gates use, just with a fixed block count.
+//! median scheme the m8 gate uses, just with a fixed block count.
 //!
 //! The closing summary prints both modes' txn/s and the ratio;
 //! `M9_GATE=<ratio>` (the CI floor, set to 2.0 per the PR 8 acceptance
@@ -91,7 +91,7 @@ fn main() {
     run_wave(&coord_db, &skew, &mut coord_rng);
 
     // Alternating measurement blocks, medians compared (same rationale
-    // as the m7/m8 gates).
+    // as the m8 gate).
     let mut fast_runs = Vec::new();
     let mut coord_runs = Vec::new();
     for rep in 0..REPS {

@@ -1,5 +1,5 @@
 //! E9 — live-runtime sweep: commit throughput and restart behaviour as a
-//! function of client count × shard count × method mix × message plane.
+//! function of client count × shard count × method mix.
 //!
 //! Unlike experiments E1–E8, which run on the discrete-event simulator,
 //! this experiment exercises the `runtime` crate: real client threads
@@ -8,20 +8,13 @@
 //! through the serializability oracle. The questions it answers are the
 //! ones the simulator cannot: how does *real* parallel throughput scale
 //! with cores (shards), how much does the method mix matter under genuine
-//! contention, what does adaptive selection cost — and what the message
-//! plane is worth. The `plane` column compares `ring` (the batched
-//! lock-free transport: per-shard send batching into an MPSC ring, whole
-//! ring drained per shard wakeup) against `mpsc` (the pre-batching
-//! `std::sync::mpsc` baseline, one message per send and one per recv).
-//! The `reply` column does the same for the reply direction: `mail`
-//! (the lock-free slab of reusable client mailboxes, PR 4) against
-//! `mpsc` (per-incarnation channels behind a global locked map). The
+//! contention, and what does adaptive selection cost. The `2PL-w8` rows
+//! run the wide 4-read + 4-write shape, the message-heavy one the send
+//! batcher and the reply mailboxes have batches to build for. The
 //! `dyn-cache` rows run the STL selector with the per-epoch STL′ table
-//! over striped commit-path-free metrics; the `dyn-fresh` rows re-run the
-//! STL′ dynamic programs per transaction against freshly merged metrics
-//! (the pre-cache behaviour); `sel us` and `hit%` report the mean
-//! per-selection overhead and the share of selections served wholly from
-//! the table.
+//! over striped commit-path-free metrics; `sel us` and `hit%` report the
+//! mean per-selection overhead and the share of selections served wholly
+//! from the table.
 //!
 //! Run with: `cargo run --release -p bench --bin exp9_runtime_sweep`
 //!
@@ -29,26 +22,19 @@
 //!
 //! * `EXP9_SMOKE=1` — restrict the sweep to the 8-clients × 4-shards
 //!   cells only.
-//! * `EXP9_GATE=<ratio>` — after the sweep, fail (exit 1) unless the
-//!   batched ring plane achieved at least `<ratio>` × the mpsc baseline's
-//!   txn/s on the 8 × 4 static-2PL cell.
-//! * `EXP9_REPLY_GATE=<ratio>` — same for the reply plane: fail unless
-//!   the mailbox registry achieved at least `<ratio>` × the
-//!   mpsc-registry baseline on the same wide cell (both on the ring
-//!   transport).
+//! * `EXP9_TXNS=<n>` — transfers per client thread (default 150).
 //!
-//! Besides the table, the sweep emits a machine-readable trajectory,
+//! The process exits 1 if any cell's history fails the oracle. Besides
+//! the table, the sweep emits a machine-readable trajectory,
 //! `BENCH_exp9.json` (into `$BENCH_JSON_DIR`, default `.`): one row per
-//! cell with the cell parameters and measured counters, plus the gate
-//! medians in `meta`. See [`bench::traj`] for the document shape.
+//! cell with the cell parameters and measured counters. See
+//! [`bench::traj`] for the document shape.
 
 use std::time::Instant;
 
 use bench::{table, Trajectory};
 use dbmodel::{CcMethod, LogicalItemId};
-use runtime::{
-    CcPolicy, Database, ReplyPlaneKind, RuntimeConfig, StatsSnapshot, TransportKind, TxnSpec,
-};
+use runtime::{CcPolicy, Database, RuntimeConfig, StatsSnapshot, TxnSpec};
 use trace::json::Json;
 
 const ITEMS: u64 = 96;
@@ -62,39 +48,22 @@ fn txns_per_client() -> u64 {
         .unwrap_or(150)
 }
 
-/// One sweep configuration: an assignment policy, the message plane,
-/// whether the dynamic policy runs cached, and the transaction shape.
+/// One sweep configuration: an assignment policy and the transaction
+/// shape.
 #[derive(Clone, Copy)]
 struct Cell {
     label: &'static str,
     policy: CcPolicy,
-    cached: bool,
-    transport: TransportKind,
-    reply: ReplyPlaneKind,
     /// `false`: the classic 2-item transfer (one message per shard per
-    /// phase — the plane's batcher has nothing to group). `true`: a wide
+    /// phase — the send batcher has nothing to group). `true`: a wide
     /// 4-read + 4-write read-modify-write transaction, the message-heavy
-    /// shape the plane comparison is gated on.
+    /// shape.
     wide: bool,
 }
 
-fn plane_name(transport: TransportKind) -> &'static str {
-    match transport {
-        TransportKind::BatchedRing => "ring",
-        TransportKind::Mpsc => "mpsc",
-    }
-}
-
-fn reply_name(reply: ReplyPlaneKind) -> &'static str {
-    match reply {
-        ReplyPlaneKind::Mailbox => "mail",
-        ReplyPlaneKind::Mpsc => "mpsc",
-    }
-}
-
 /// Everything one measured cell leaves behind: the formatted table row,
-/// the throughput the gates compare, and the raw counters the JSON
-/// trajectory and the reply-plane footer are built from.
+/// the measured throughput, and the raw counters the JSON trajectory and
+/// the reply-plane footer are built from.
 struct CellOutcome {
     row: Vec<String>,
     txn_per_sec: f64,
@@ -104,20 +73,12 @@ struct CellOutcome {
 
 /// Run one cell; returns the table row and the measured counters.
 fn run_cell(clients: u64, shards: u32, cell: Cell) -> CellOutcome {
-    let defaults = RuntimeConfig::default();
     let db = Database::open(RuntimeConfig {
         num_shards: shards,
         num_items: ITEMS,
         initial_value: 1_000,
         policy: cell.policy,
-        transport: cell.transport,
-        reply_plane: cell.reply,
-        selection_cache: if cell.cached {
-            defaults.selection_cache
-        } else {
-            None
-        },
-        ..defaults
+        ..RuntimeConfig::default()
     })
     .expect("valid config");
 
@@ -131,7 +92,7 @@ fn run_cell(clients: u64, shards: u32, cell: Cell) -> CellOutcome {
                     let i = t * 131 + k * 17;
                     if cell.wide {
                         // 4 reads + 4 writes on disjoint items: eight
-                        // messages per phase for the plane to batch.
+                        // messages per phase for the send batcher.
                         let base = i % ITEMS;
                         let reads: Vec<_> = (0..4)
                             .map(|j| LogicalItemId((base + 2 * j) % ITEMS))
@@ -175,8 +136,6 @@ fn run_cell(clients: u64, shards: u32, cell: Cell) -> CellOutcome {
         clients.to_string(),
         shards.to_string(),
         cell.label.to_string(),
-        plane_name(cell.transport).to_string(),
-        reply_name(cell.reply).to_string(),
         stats.committed.to_string(),
         format!("{txn_per_sec:.0}"),
         stats.restarts().to_string(),
@@ -212,8 +171,6 @@ fn traj_row(clients: u64, shards: u32, cell: Cell, outcome: &CellOutcome) -> Vec
         ("clients".into(), Json::Num(clients as f64)),
         ("shards".into(), Json::num(shards)),
         ("policy".into(), Json::str(cell.label)),
-        ("plane".into(), Json::str(plane_name(cell.transport))),
-        ("reply".into(), Json::str(reply_name(cell.reply))),
         ("wide".into(), Json::Bool(cell.wide)),
         ("committed".into(), Json::Num(stats.committed as f64)),
         ("txn_per_sec".into(), Json::Num(outcome.txn_per_sec)),
@@ -251,26 +208,25 @@ fn traj_row(clients: u64, shards: u32, cell: Cell, outcome: &CellOutcome) -> Vec
     ]
 }
 
+/// The cells `EXP9_SMOKE` keeps: enough clients to contend, every shard
+/// busy.
+const SMOKE_CLIENTS: u64 = 8;
+const SMOKE_SHARDS: u32 = 4;
+
 fn main() {
     let smoke = std::env::var("EXP9_SMOKE").is_ok_and(|v| v == "1");
-    let gate: Option<f64> = std::env::var("EXP9_GATE").ok().and_then(|s| s.parse().ok());
-    let reply_gate: Option<f64> = std::env::var("EXP9_REPLY_GATE")
-        .ok()
-        .and_then(|s| s.parse().ok());
 
-    println!("E9: live runtime sweep — clients x shards x method mix x planes");
+    println!("E9: live runtime sweep — clients x shards x method mix");
     println!(
         "    ({} transfers per client over {ITEMS} items, read-modify-write)\n",
         txns_per_client()
     );
-    let widths = [7, 6, 9, 5, 5, 10, 10, 9, 9, 8, 5, 6];
+    let widths = [7, 6, 9, 10, 10, 9, 9, 8, 5, 6];
     table::header(
         &[
             "clients",
             "shards",
             "policy",
-            "plane",
-            "reply",
             "committed",
             "txn/s",
             "restarts",
@@ -285,44 +241,11 @@ fn main() {
         Cell {
             label: "2PL",
             policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-            cached: true,
-            transport: TransportKind::BatchedRing,
-            reply: ReplyPlaneKind::Mailbox,
-            wide: false,
-        },
-        Cell {
-            label: "2PL",
-            policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-            cached: true,
-            transport: TransportKind::Mpsc,
-            reply: ReplyPlaneKind::Mailbox,
             wide: false,
         },
         Cell {
             label: "2PL-w8",
             policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-            cached: true,
-            transport: TransportKind::BatchedRing,
-            reply: ReplyPlaneKind::Mailbox,
-            wide: true,
-        },
-        Cell {
-            label: "2PL-w8",
-            policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-            cached: true,
-            transport: TransportKind::Mpsc,
-            reply: ReplyPlaneKind::Mailbox,
-            wide: true,
-        },
-        // The reply-plane A/B cell: same wide shape and ring transport
-        // as the gate cell above, but replies through the per-incarnation
-        // mpsc registry.
-        Cell {
-            label: "2PL-w8",
-            policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-            cached: true,
-            transport: TransportKind::BatchedRing,
-            reply: ReplyPlaneKind::Mpsc,
             wide: true,
         },
         Cell {
@@ -331,37 +254,23 @@ fn main() {
                 p_2pl: 0.34,
                 p_to: 0.33,
             },
-            cached: true,
-            transport: TransportKind::BatchedRing,
-            reply: ReplyPlaneKind::Mailbox,
             wide: false,
         },
         Cell {
             label: "dyn-cache",
             policy: CcPolicy::DynamicStl,
-            cached: true,
-            transport: TransportKind::BatchedRing,
-            reply: ReplyPlaneKind::Mailbox,
-            wide: false,
-        },
-        Cell {
-            label: "dyn-fresh",
-            policy: CcPolicy::DynamicStl,
-            cached: false,
-            transport: TransportKind::BatchedRing,
-            reply: ReplyPlaneKind::Mailbox,
             wide: false,
         },
     ];
-    let shard_axis: &[u32] = if smoke { &[GATE_SHARDS] } else { &[1, 2, 4] };
-    let client_axis: &[u64] = if smoke { &[GATE_CLIENTS] } else { &[1, 4, 8] };
+    let shard_axis: &[u32] = if smoke { &[SMOKE_SHARDS] } else { &[1, 2, 4] };
+    let client_axis: &[u64] = if smoke { &[SMOKE_CLIENTS] } else { &[1, 4, 8] };
     let mut traj = Trajectory::new("exp9");
     traj.meta("smoke", Json::Bool(smoke));
     traj.meta("txns_per_client", Json::Num(txns_per_client() as f64));
     traj.meta("items", Json::Num(ITEMS as f64));
-    traj.meta("gate_reps", Json::Num(gate_reps() as f64));
     let mut stale_replies = 0u64;
     let mut overflow_entries = 0u64;
+    let mut all_serializable = true;
     for &shards in shard_axis {
         for &clients in client_axis {
             for &cell in &cells {
@@ -369,6 +278,7 @@ fn main() {
                 table::row(&outcome.row, &widths);
                 stale_replies += outcome.stats.stale_reply_events;
                 overflow_entries += outcome.stats.mailbox_overflow_entries;
+                all_serializable &= outcome.serializable;
                 traj.row(traj_row(clients, shards, cell, &outcome));
             }
         }
@@ -382,98 +292,14 @@ fn main() {
         "reply plane across all cells: {stale_replies} stale reply events, \
          {overflow_entries} mailbox overflow entries"
     );
-
-    let medians = gate_medians(&cells);
     traj.meta("stale_reply_events_total", Json::Num(stale_replies as f64));
     traj.meta(
         "mailbox_overflow_entries_total",
         Json::Num(overflow_entries as f64),
     );
-    traj.meta("gate_ring_mail_txn_s", Json::Num(medians.ring_mail));
-    traj.meta("gate_mpsc_mail_txn_s", Json::Num(medians.mpsc_mail));
-    traj.meta(
-        "gate_ring_mpsc_reply_txn_s",
-        Json::Num(medians.ring_mpsc_reply),
-    );
     traj.emit();
-    let check = |label: &str, required: Option<f64>, fast: f64, base: f64| {
-        let ratio = fast / base;
-        println!(
-            "gate cell ({GATE_CLIENTS} clients x {GATE_SHARDS} shards, 2PL-w8, median of \
-             {}) {label}: {fast:.0} txn/s vs {base:.0} txn/s — {ratio:.2}x",
-            gate_reps()
-        );
-        if let Some(required) = required {
-            if ratio < required {
-                eprintln!("FAIL: {label} is below the required {required:.2}x of its baseline");
-                std::process::exit(1);
-            }
-            println!("gate passed (required {required:.2}x)");
-        }
-    };
-    check(
-        "message plane, ring vs mpsc transport (reply=mail)",
-        gate,
-        medians.ring_mail,
-        medians.mpsc_mail,
-    );
-    check(
-        "reply plane, mailbox slab vs mpsc registry (plane=ring)",
-        reply_gate,
-        medians.ring_mail,
-        medians.ring_mpsc_reply,
-    );
-}
-
-/// The cell the CI gates compare across planes: the message-heavy wide
-/// transaction, where the plane actually has batches to build.
-const GATE_CLIENTS: u64 = 8;
-const GATE_SHARDS: u32 = 4;
-
-fn gate_reps() -> usize {
-    std::env::var("EXP9_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-}
-
-/// Median txn/s of each wide gate cell. Both gates share the same
-/// contender (ring transport + mailbox registry), so all three distinct
-/// cells are measured once, round-robin across `EXP9_REPS` repetitions
-/// — single runs on a loaded machine swing by tens of percent;
-/// alternating medians cancel the drift.
-struct GateMedians {
-    ring_mail: f64,
-    mpsc_mail: f64,
-    ring_mpsc_reply: f64,
-}
-
-fn gate_medians(cells: &[Cell]) -> GateMedians {
-    let gate_cell = |transport: TransportKind, reply: ReplyPlaneKind| {
-        *cells
-            .iter()
-            .find(|c| c.wide && c.transport == transport && c.reply == reply)
-            .expect("gate cells present")
-    };
-    let contenders = [
-        gate_cell(TransportKind::BatchedRing, ReplyPlaneKind::Mailbox),
-        gate_cell(TransportKind::Mpsc, ReplyPlaneKind::Mailbox),
-        gate_cell(TransportKind::BatchedRing, ReplyPlaneKind::Mpsc),
-    ];
-    let mut runs: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for _ in 0..gate_reps() {
-        for (cell, runs) in contenders.iter().zip(runs.iter_mut()) {
-            runs.push(run_cell(GATE_CLIENTS, GATE_SHARDS, *cell).txn_per_sec);
-        }
-    }
-    let median = |runs: &mut Vec<f64>| {
-        runs.sort_by(f64::total_cmp);
-        runs[runs.len() / 2]
-    };
-    let [ref mut a, ref mut b, ref mut c] = runs;
-    GateMedians {
-        ring_mail: median(a),
-        mpsc_mail: median(b),
-        ring_mpsc_reply: median(c),
+    if !all_serializable {
+        eprintln!("FAIL: a cell's history is not serializable (see the `ser.` column)");
+        std::process::exit(1);
     }
 }

@@ -21,7 +21,7 @@ pub enum TxnShape {
     ReadHeavy,
     /// The classic 2-item read-modify-write transfer.
     Rmw,
-    /// 4 reads + 4 writes: the message-heavy shape the plane gates use.
+    /// 4 reads + 4 writes: the message-heavy shape.
     Wide,
 }
 

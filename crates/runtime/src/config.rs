@@ -25,40 +25,6 @@ pub enum CcPolicy {
     DynamicStl,
 }
 
-/// Which message plane carries protocol messages from client threads to
-/// the shard threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// The batched lock-free plane (default): per-transaction sends are
-    /// grouped per destination shard and enqueued on a bounded MPSC ring
-    /// (`transport::ring`); each shard wakeup drains the whole ring.
-    #[default]
-    BatchedRing,
-    /// The pre-batching baseline: one `std::sync::mpsc` sync-channel send
-    /// per protocol message, one recv per shard wakeup. Kept for
-    /// overhead comparisons (the `exp9` `*-mpsc` rows).
-    Mpsc,
-}
-
-/// Which reply plane routes shard replies and deadlock-victim signals
-/// back to the waiting client threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplyPlaneKind {
-    /// The lock-free slab plane (default): each client thread drives its
-    /// transaction through a reusable bounded mailbox acquired from a
-    /// shared slab; delivery resolves `TxnId → mailbox` through a packed
-    /// atomic index and the transaction id doubles as the incarnation
-    /// tag that drops stale replies. No lock and no allocation on the
-    /// reply path.
-    #[default]
-    Mailbox,
-    /// The pre-slab baseline: a global `Mutex<HashMap>` of
-    /// per-incarnation `std::sync::mpsc` channels, one allocated per
-    /// incarnation. Kept for overhead comparisons (the `exp9`
-    /// `reply=mpsc` rows).
-    Mpsc,
-}
-
 /// Errors reported by [`RuntimeConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -126,26 +92,20 @@ pub struct RuntimeConfig {
     pub policy: CcPolicy,
     /// PA's backoff interval `INT` (in timestamp units).
     pub pa_backoff_interval: u64,
-    /// Bound of each shard's command inbox; clients block (backpressure)
-    /// when a shard falls behind. For [`TransportKind::BatchedRing`] the
-    /// bound is rounded up to the next power of two.
+    /// Bound of each shard's command inbox — a bounded MPSC ring
+    /// (`transport::ring`), rounded up to the next power of two; clients
+    /// block (backpressure) when a shard falls behind.
     pub shard_inbox_capacity: usize,
-    /// The message plane between clients and shards.
-    pub transport: TransportKind,
-    /// The reply plane between shards/detector and waiting clients.
-    pub reply_plane: ReplyPlaneKind,
-    /// Bound of each reusable reply mailbox ([`ReplyPlaneKind::Mailbox`]
-    /// only; rounded up to the next power of two). Must exceed the
-    /// replies one incarnation can have outstanding while its client is
-    /// between drains — in this runtime, a couple of replies per
-    /// accessed item — or delivering shards briefly yield for the
-    /// consumer.
+    /// Bound of each reusable reply mailbox (rounded up to the next power
+    /// of two). Must exceed the replies one incarnation can have
+    /// outstanding while its client is between drains — in this runtime,
+    /// a couple of replies per accessed item — or delivering shards
+    /// briefly yield for the consumer.
     pub reply_mailbox_capacity: usize,
-    /// Maximum concurrently open transactions ([`ReplyPlaneKind::Mailbox`]
-    /// only): the reply-mailbox slab holds one reusable mailbox per open
-    /// transaction and `begin` fails with
-    /// [`crate::TxnError::ReplyPlaneExhausted`] — after a bounded wait —
-    /// once this many stay open.
+    /// Maximum concurrently open transactions: the reply-mailbox slab
+    /// holds one reusable mailbox per open transaction and `begin` fails
+    /// with [`crate::TxnError::ReplyPlaneExhausted`] — after a bounded
+    /// wait — once this many stay open.
     pub reply_max_clients: usize,
     /// Initial bucket count of the reply plane's resizable lock-free
     /// index (rounded up to a power of two). The index doubles itself as
@@ -194,13 +154,11 @@ pub struct RuntimeConfig {
     pub restart_backoff: Duration,
     /// Seed for the method-mix sampler.
     pub seed: u64,
-    /// Amortization of the [`CcPolicy::DynamicStl`] selector: `Some`
-    /// memoizes `STL'(λ, U)` per quantized loss and frozen hold time and
-    /// re-fits the model on epoch boundaries (every `epoch_commits`
-    /// commits or on observed drift, fed by the per-shard conflict
-    /// counters); `None` re-runs the STL′ dynamic programs on every
-    /// selection (the pre-cache behaviour, kept for overhead comparisons).
-    pub selection_cache: Option<CacheSettings>,
+    /// Amortization of the [`CcPolicy::DynamicStl`] selector: `STL'(λ, U)`
+    /// is memoized per quantized loss and frozen hold time, and the model
+    /// is re-fitted on epoch boundaries (every `epoch_commits` commits or
+    /// on observed drift, fed by the per-shard conflict counters).
+    pub selection_cache: CacheSettings,
     /// Route invariant-confluent transactions (commutative adds, blind
     /// puts, read-only shapes — see [`selection::classify`]) around the
     /// queue managers through the shard's direct-apply bypass. Off forces
@@ -266,8 +224,6 @@ impl Default for RuntimeConfig {
             policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
             pa_backoff_interval: 1_000,
             shard_inbox_capacity: 256,
-            transport: TransportKind::BatchedRing,
-            reply_plane: ReplyPlaneKind::Mailbox,
             reply_mailbox_capacity: 256,
             reply_max_clients: 65536,
             reply_index_capacity: 1024,
@@ -280,7 +236,7 @@ impl Default for RuntimeConfig {
             diagnostic_timeout: Duration::from_secs(1),
             restart_backoff: Duration::from_micros(200),
             seed: 0,
-            selection_cache: Some(CacheSettings::default()),
+            selection_cache: CacheSettings::default(),
             confluence_fastpath: true,
             confluence_check: true,
             snapshot_reads: true,
@@ -310,11 +266,9 @@ impl RuntimeConfig {
                 return Err(ConfigError::BadMix);
             }
         }
-        if let Some(settings) = &self.selection_cache {
-            settings
-                .validate()
-                .map_err(ConfigError::BadSelectionCache)?;
-        }
+        self.selection_cache
+            .validate()
+            .map_err(ConfigError::BadSelectionCache)?;
         self.trace.validate().map_err(ConfigError::BadTrace)?;
         if self.reply_max_clients == 0 {
             return Err(ConfigError::BadReplyPlane(
@@ -402,21 +356,16 @@ mod tests {
     #[test]
     fn bad_selection_cache_is_rejected() {
         let c = RuntimeConfig {
-            selection_cache: Some(CacheSettings {
+            selection_cache: CacheSettings {
                 quant_rel: -1.0,
                 ..CacheSettings::default()
-            }),
+            },
             ..RuntimeConfig::default()
         };
         assert!(matches!(
             c.validate(),
             Err(ConfigError::BadSelectionCache(_))
         ));
-        let c = RuntimeConfig {
-            selection_cache: None,
-            ..RuntimeConfig::default()
-        };
-        assert_eq!(c.validate(), Ok(()), "uncached selection is valid");
     }
 
     #[test]

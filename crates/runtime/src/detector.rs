@@ -159,9 +159,8 @@ pub(crate) fn sweep_stranded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ReplyPlaneKind, TransportKind};
     use crate::registry::{ClientEvent, ClientMailbox};
-    use crate::shard::{inbox_pair, ShardCmd, ShardHandle};
+    use crate::shard::{ShardCmd, ShardHandle};
     use dbmodel::{AccessMode, LogicalItemId, PhysicalItemId, SiteId, Timestamp, TsTuple, TxnId};
     use pam::RequestMsg;
     use std::time::Duration;
@@ -180,7 +179,7 @@ mod tests {
     ) -> ShardHandle {
         let mut qm = QueueManager::new(SiteId(site));
         qm.add_item(it, 0, EnforcementMode::SemiLock);
-        let (tx, rx) = inbox_pair(TransportKind::BatchedRing, 16);
+        let (tx, rx) = transport::ring::channel(16);
         crate::shard::spawn(
             qm,
             idx,
@@ -197,22 +196,25 @@ mod tests {
         TracePlane::new(&trace::TraceConfig::default(), 2)
     }
 
-    fn access(txn: u64, it: PhysicalItemId, method: CcMethod, ts: u64) -> ShardCmd {
-        ShardCmd::Handle {
+    /// Enqueue one write `Access` for `txn` on `it` at `shard`.
+    fn access(shard: &ShardSender, txn: u64, it: PhysicalItemId, method: CcMethod, ts: u64) {
+        let msg = RequestMsg::Access {
+            txn: TxnId(txn),
+            item: it,
+            mode: AccessMode::Write,
+            method,
+            ts: TsTuple::new(Timestamp(ts), 10),
+        };
+        let sent = shard.send(ShardCmd::HandleBatch {
             origin: SiteId(0),
-            msg: RequestMsg::Access {
-                txn: TxnId(txn),
-                item: it,
-                mode: AccessMode::Write,
-                method,
-                ts: TsTuple::new(Timestamp(ts), 10),
-            },
-        }
+            msgs: [msg].into_iter().collect(),
+        });
+        assert!(sent.is_ok(), "shard alive");
     }
 
     fn expect_grant(mb: &mut ClientMailbox, txn: TxnId) {
-        match mb.recv_timeout(txn, Duration::from_secs(2)) {
-            Ok(ClientEvent::Replies(batch))
+        match mb.recv_timeout(txn.0, Duration::from_secs(2)) {
+            Some(ClientEvent::Replies(batch))
                 if matches!(batch.iter().next(), Some(pam::ReplyMsg::Grant { .. })) => {}
             other => panic!("expected a grant, got {other:?}"),
         }
@@ -222,10 +224,7 @@ mod tests {
     fn wait_until_waiting(shard: &ShardSender, txn: TxnId) {
         for _ in 0..200 {
             let (tx, rx) = transport::oneshot::channel();
-            shard
-                .send(ShardCmd::Waiting(tx))
-                .map_err(|_| ())
-                .expect("shard alive");
+            assert!(shard.send(ShardCmd::Waiting(tx)).is_ok(), "shard alive");
             if rx
                 .recv_timeout(Duration::from_secs(2))
                 .expect("shard replies")
@@ -244,79 +243,63 @@ mod tests {
     /// member (Corollary 2's victim rule as the detector implements it).
     #[test]
     fn injected_cycle_victimises_the_youngest_2pl_member() {
-        // Both reply planes must carry the victim signal identically.
-        for plane in [ReplyPlaneKind::Mailbox, ReplyPlaneKind::Mpsc] {
-            let registry = Arc::new(Registry::new(plane, 64));
-            let stats = Arc::new(RuntimeStats::with_shards(2));
-            let a = item(0, 0);
-            let b = item(1, 1);
-            let shard0 = spawn_shard(0, 0, a, &registry, &stats);
-            let shard1 = spawn_shard(1, 1, b, &registry, &stats);
-            let shards = vec![shard0.tx.clone(), shard1.tx.clone()];
+        let registry = Arc::new(Registry::new(64));
+        let stats = Arc::new(RuntimeStats::with_shards(2));
+        let a = item(0, 0);
+        let b = item(1, 1);
+        let shard0 = spawn_shard(0, 0, a, &registry, &stats);
+        let shard1 = spawn_shard(1, 1, b, &registry, &stats);
+        let shards = vec![shard0.tx.clone(), shard1.tx.clone()];
 
-            let mut mb1 = registry.client_mailbox().expect("mailbox");
-            let mut mb2 = registry.client_mailbox().expect("mailbox");
-            registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb1);
-            registry.register(TxnId(2), CcMethod::TwoPhaseLocking, &mut mb2);
+        let mut mb1 = registry.client_mailbox().expect("mailbox");
+        let mut mb2 = registry.client_mailbox().expect("mailbox");
+        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb1);
+        registry.register(TxnId(2), CcMethod::TwoPhaseLocking, &mut mb2);
 
-            // T1 locks a, T2 locks b.
-            shard0
-                .tx
-                .send(access(1, a, CcMethod::TwoPhaseLocking, 1))
-                .unwrap();
-            shard1
-                .tx
-                .send(access(2, b, CcMethod::TwoPhaseLocking, 2))
-                .unwrap();
-            expect_grant(&mut mb1, TxnId(1));
-            expect_grant(&mut mb2, TxnId(2));
-            // Cross requests: T1 waits for b (held by T2), T2 waits for a
-            // (held by T1) — a genuine deadlock.
-            shard1
-                .tx
-                .send(access(1, b, CcMethod::TwoPhaseLocking, 1))
-                .unwrap();
-            shard0
-                .tx
-                .send(access(2, a, CcMethod::TwoPhaseLocking, 2))
-                .unwrap();
-            wait_until_waiting(&shard1.tx, TxnId(1));
-            wait_until_waiting(&shard0.tx, TxnId(2));
+        // T1 locks a, T2 locks b.
+        access(&shard0.tx, 1, a, CcMethod::TwoPhaseLocking, 1);
+        access(&shard1.tx, 2, b, CcMethod::TwoPhaseLocking, 2);
+        expect_grant(&mut mb1, TxnId(1));
+        expect_grant(&mut mb2, TxnId(2));
+        // Cross requests: T1 waits for b (held by T2), T2 waits for a
+        // (held by T1) — a genuine deadlock.
+        access(&shard1.tx, 1, b, CcMethod::TwoPhaseLocking, 1);
+        access(&shard0.tx, 2, a, CcMethod::TwoPhaseLocking, 2);
+        wait_until_waiting(&shard1.tx, TxnId(1));
+        wait_until_waiting(&shard0.tx, TxnId(2));
 
-            let tracer = test_plane();
-            scan_once(&shards, &registry, &stats, &tracer, &mut Vec::new());
-            assert_eq!(
-                tracer.phase_counts()[Phase::Victim as usize],
-                1,
-                "{plane:?}: the victim signal must be traced"
-            );
+        let tracer = test_plane();
+        scan_once(&shards, &registry, &stats, &tracer, &mut Vec::new());
+        assert_eq!(
+            tracer.phase_counts()[Phase::Victim as usize],
+            1,
+            "the victim signal must be traced"
+        );
 
-            // The youngest 2PL member (the larger TxnId) is the victim …
-            match mb2.recv_timeout(TxnId(2), Duration::from_secs(2)) {
-                Ok(ClientEvent::DeadlockVictim) => {}
-                other => panic!("{plane:?}: expected T2 to be the victim, got {other:?}"),
-            }
-            // … and the older one is left alone.
-            assert!(
-                mb1.recv_timeout(TxnId(1), Duration::from_millis(50))
-                    .is_err(),
-                "{plane:?}: the older transaction must not be signalled"
-            );
-            assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 1);
-
-            drop(shards);
-            let _ = shard0.tx.send(ShardCmd::Shutdown);
-            let _ = shard1.tx.send(ShardCmd::Shutdown);
-            let _ = shard0.join.join();
-            let _ = shard1.join.join();
+        // The youngest 2PL member (the larger TxnId) is the victim …
+        match mb2.recv_timeout(2, Duration::from_secs(2)) {
+            Some(ClientEvent::DeadlockVictim) => {}
+            other => panic!("expected T2 to be the victim, got {other:?}"),
         }
+        // … and the older one is left alone.
+        assert!(
+            mb1.recv_timeout(1, Duration::from_millis(50)).is_none(),
+            "the older transaction must not be signalled"
+        );
+        assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 1);
+
+        drop(shards);
+        let _ = shard0.tx.send(ShardCmd::Shutdown);
+        let _ = shard1.tx.send(ShardCmd::Shutdown);
+        let _ = shard0.join.join();
+        let _ = shard1.join.join();
     }
 
     /// With a T/O transaction in the cycle, the victim is still the 2PL
     /// member — even when the T/O transaction is younger.
     #[test]
     fn to_member_of_a_cycle_is_never_the_victim() {
-        let registry = Arc::new(Registry::new(ReplyPlaneKind::Mailbox, 64));
+        let registry = Arc::new(Registry::new(64));
         let stats = Arc::new(RuntimeStats::with_shards(2));
         let a = item(0, 0);
         let b = item(1, 1);
@@ -330,36 +313,23 @@ mod tests {
         registry.register(TxnId(3), CcMethod::TimestampOrdering, &mut mb3);
 
         // 2PL T1 locks a; T/O T3 locks b (fresh thresholds accept ts 3).
-        shard0
-            .tx
-            .send(access(1, a, CcMethod::TwoPhaseLocking, 1))
-            .unwrap();
-        shard1
-            .tx
-            .send(access(3, b, CcMethod::TimestampOrdering, 3))
-            .unwrap();
+        access(&shard0.tx, 1, a, CcMethod::TwoPhaseLocking, 1);
+        access(&shard1.tx, 3, b, CcMethod::TimestampOrdering, 3);
         expect_grant(&mut mb1, TxnId(1));
         expect_grant(&mut mb3, TxnId(3));
-        shard1
-            .tx
-            .send(access(1, b, CcMethod::TwoPhaseLocking, 1))
-            .unwrap();
-        shard0
-            .tx
-            .send(access(3, a, CcMethod::TimestampOrdering, 3))
-            .unwrap();
+        access(&shard1.tx, 1, b, CcMethod::TwoPhaseLocking, 1);
+        access(&shard0.tx, 3, a, CcMethod::TimestampOrdering, 3);
         wait_until_waiting(&shard1.tx, TxnId(1));
         wait_until_waiting(&shard0.tx, TxnId(3));
 
         scan_once(&shards, &registry, &stats, &test_plane(), &mut Vec::new());
 
-        match mb1.recv_timeout(TxnId(1), Duration::from_secs(2)) {
-            Ok(ClientEvent::DeadlockVictim) => {}
+        match mb1.recv_timeout(1, Duration::from_secs(2)) {
+            Some(ClientEvent::DeadlockVictim) => {}
             other => panic!("expected the 2PL member to be the victim, got {other:?}"),
         }
         assert!(
-            mb3.recv_timeout(TxnId(3), Duration::from_millis(50))
-                .is_err(),
+            mb3.recv_timeout(3, Duration::from_millis(50)).is_none(),
             "T/O transactions are never deadlock victims (Corollary 2)"
         );
 
@@ -376,7 +346,7 @@ mod tests {
     /// behind it.
     #[test]
     fn stranded_lock_is_cleaned_after_two_sweeps() {
-        let registry = Arc::new(Registry::new(ReplyPlaneKind::Mailbox, 64));
+        let registry = Arc::new(Registry::new(64));
         let stats = Arc::new(RuntimeStats::with_shards(1));
         let a = item(0, 0);
         let shard = spawn_shard(0, 0, a, &registry, &stats);
@@ -387,14 +357,8 @@ mod tests {
         // registered transaction stuck behind it.
         let mut mb1 = registry.client_mailbox().expect("mailbox");
         registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb1);
-        shard
-            .tx
-            .send(access(9, a, CcMethod::TwoPhaseLocking, 9))
-            .unwrap();
-        shard
-            .tx
-            .send(access(1, a, CcMethod::TwoPhaseLocking, 1))
-            .unwrap();
+        access(&shard.tx, 9, a, CcMethod::TwoPhaseLocking, 9);
+        access(&shard.tx, 1, a, CcMethod::TwoPhaseLocking, 1);
         wait_until_waiting(&shard.tx, TxnId(1));
 
         let mut suspects = HashSet::new();
@@ -404,8 +368,7 @@ mod tests {
             "first sweep only suspects the ghost"
         );
         assert!(
-            mb1.recv_timeout(TxnId(1), Duration::from_millis(20))
-                .is_err(),
+            mb1.recv_timeout(1, Duration::from_millis(20)).is_none(),
             "grace: nothing cleaned on the first sweep"
         );
         sweep_stranded(&shards, &registry, &mut suspects);

@@ -56,10 +56,13 @@ pub mod report;
 mod clock;
 mod detector;
 mod registry;
+mod route;
 mod shard;
+mod spec;
 mod stats;
+mod txn;
 
-pub use config::{CcPolicy, ConfigError, ReplyPlaneKind, RuntimeConfig, TransportKind};
+pub use config::{CcPolicy, ConfigError, RuntimeConfig};
 pub use db::{ActiveTxn, Database, TxnError, TxnReceipt, TxnSpec};
 // The fault-plane vocabulary callers need to arm [`RuntimeConfig::faults`]
 // and consume [`Database::fault_counters`].

@@ -8,43 +8,30 @@
 //! exactly the "stale reply for an aborted incarnation" rule the
 //! simulator implements.
 //!
-//! Two reply planes exist (see [`crate::config::ReplyPlaneKind`]):
+//! The reply plane is lock-free. Every client holds a reusable
+//! [`transport::mailbox::Mailbox`] acquired once per transaction from the
+//! shared slab and re-registered across restart incarnations; delivery
+//! resolves `TxnId → (mailbox slot, tag)` through the slab's packed atomic
+//! index — no registry mutex, no channel allocation, no reply-path lock at
+//! all. The incarnation tag is the transaction id itself (ids are a
+//! monotone counter, never reused), carried inside every event and checked
+//! by the consumer, so a delivery racing a restart can never leak a stale
+//! grant into the next incarnation.
 //!
-//! * **Mailbox** (default) — the lock-free plane. Every client holds a
-//!   reusable [`transport::mailbox::Mailbox`] acquired once per
-//!   transaction from the shared slab and re-registered across restart
-//!   incarnations; delivery resolves `TxnId → (mailbox slot, tag)`
-//!   through the slab's packed atomic index — no registry mutex, no
-//!   channel allocation, no reply-path lock at all. The incarnation tag
-//!   is the transaction id itself (ids are a monotone counter, never
-//!   reused), carried inside every event and checked by the consumer, so
-//!   a delivery racing a restart can never leak a stale grant into the
-//!   next incarnation.
-//! * **Mpsc** — the PR-3 baseline kept for A/B comparison: a global
-//!   `Mutex<HashMap>` of per-incarnation `std::sync::mpsc` senders, one
-//!   freshly allocated channel per incarnation.
-//!
-//! On both planes [`Registry::deliver_all`] groups **all** of a
-//! transaction's replies in one flush into a single [`ClientEvent`] —
-//! not merely consecutive runs. A shard's drained batch can interleave
-//! several transactions' replies (two clients' `HandleBatch` commands
-//! alternating in one drain), and the earlier consecutive-run coalescing
-//! woke the same client once per run; the registry now guarantees *one
-//! wakeup per transaction per flush*, with the transaction's replies in
-//! processing order.
+//! [`Registry::deliver_all_with`] groups **all** of a transaction's
+//! replies in one flush into a single [`ClientEvent`] — not merely
+//! consecutive runs. A shard's drained batch can interleave several
+//! transactions' replies (two clients' `HandleBatch` commands alternating
+//! in one drain); grouping by transaction guarantees *one wakeup per
+//! transaction per flush*, with the transaction's replies in processing
+//! order.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
-use std::time::Duration;
 
 use dbmodel::{CcMethod, TxnId};
 use pam::ReplyMsg;
 use transport::batch::SmallBatch;
 use transport::mailbox::{Mailbox, MailboxOptions, MailboxRegistry, SlabExhausted};
-
-use crate::config::ReplyPlaneKind;
 
 /// An event delivered to the client thread driving one incarnation.
 // The variant size gap is deliberate: reply batches travel inline so no
@@ -64,71 +51,16 @@ pub(crate) enum ClientEvent {
     DeadlockVictim,
 }
 
-/// The per-client reply endpoint, plane-matched to the registry that
-/// issued it. Acquired once per transaction and reused across its
-/// restart incarnations; [`Registry::register`] re-arms it for each
-/// incarnation.
-pub(crate) enum ClientMailbox {
-    /// A reusable slab mailbox (no allocation per incarnation).
-    Mailbox(Mailbox<ClientEvent>),
-    /// The baseline: `register` installs a fresh per-incarnation
-    /// receiver here.
-    Mpsc(Option<Receiver<ClientEvent>>),
-}
-
-/// Why [`ClientMailbox::recv_timeout`] returned no event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ClientRecvError {
-    /// Nothing arrived within the timeout.
-    Timeout,
-    /// The sending side is gone (mpsc plane only — the mailbox plane's
-    /// slab always holds a sender and reports shutdown via timeouts).
-    Disconnected,
-}
-
-impl ClientMailbox {
-    /// Block up to `timeout` for the next event addressed to `txn`.
-    /// On the mailbox plane, events tagged for earlier incarnations of
-    /// this slot are discarded here — the consumer half of the
-    /// stale-reply rule.
-    pub(crate) fn recv_timeout(
-        &mut self,
-        txn: TxnId,
-        timeout: Duration,
-    ) -> Result<ClientEvent, ClientRecvError> {
-        match self {
-            ClientMailbox::Mailbox(mb) => mb
-                .recv_timeout(txn.0, timeout)
-                .ok_or(ClientRecvError::Timeout),
-            ClientMailbox::Mpsc(rx) => rx
-                .as_ref()
-                .expect("mpsc mailbox used before registration")
-                .recv_timeout(timeout)
-                .map_err(|e| match e {
-                    RecvTimeoutError::Timeout => ClientRecvError::Timeout,
-                    RecvTimeoutError::Disconnected => ClientRecvError::Disconnected,
-                }),
-        }
-    }
-}
-
-struct MpscEntry {
-    sender: Sender<ClientEvent>,
-    method: CcMethod,
-}
-
-struct MpscPlane {
-    inner: Mutex<HashMap<TxnId, MpscEntry>>,
-}
-
-enum Plane {
-    Mailbox(MailboxRegistry<ClientEvent>),
-    Mpsc(MpscPlane),
-}
+/// The per-client reply endpoint: a reusable slab mailbox, acquired once
+/// per transaction and reused across its restart incarnations
+/// ([`Registry::register`] re-arms it for each). Its `recv_timeout(txn,
+/// ..)` discards events tagged for earlier incarnations of the slot — the
+/// consumer half of the stale-reply rule.
+pub(crate) type ClientMailbox = Mailbox<ClientEvent>;
 
 /// Shared router of live incarnations (see the module docs).
 pub(crate) struct Registry {
-    plane: Plane,
+    slab: MailboxRegistry<ClientEvent>,
     /// Events dropped at delivery time because no live incarnation
     /// matched — the producer half of the stale-reply rule.
     dropped: AtomicU64,
@@ -154,50 +86,34 @@ fn meta_method(meta: u64) -> Option<CcMethod> {
 }
 
 impl Registry {
-    /// A registry on the given plane with default sizing except
-    /// `mailbox_capacity` — the shape the tests use. The runtime builds
-    /// its registry through [`Registry::with_options`] from
-    /// [`crate::RuntimeConfig`].
+    /// A registry with default sizing except `mailbox_capacity` — the
+    /// shape the tests use. The runtime builds its registry through
+    /// [`Registry::with_options`] from [`crate::RuntimeConfig`].
     #[cfg(test)]
-    pub(crate) fn new(kind: ReplyPlaneKind, mailbox_capacity: usize) -> Self {
-        Registry::with_options(
-            kind,
-            MailboxOptions {
-                mailbox_capacity,
-                ..MailboxOptions::default()
-            },
-        )
+    pub(crate) fn new(mailbox_capacity: usize) -> Self {
+        Registry::with_options(MailboxOptions {
+            mailbox_capacity,
+            ..MailboxOptions::default()
+        })
     }
 
-    /// A registry on the given plane. `opts` sizes the mailbox slab and
-    /// its resizable index (mailbox plane only — the mpsc baseline has
-    /// no tuning): `mailbox_capacity` must exceed the replies one
-    /// incarnation can have outstanding while its client is between
-    /// drains, or delivering shards briefly yield.
-    pub(crate) fn with_options(kind: ReplyPlaneKind, opts: MailboxOptions) -> Self {
-        let plane = match kind {
-            ReplyPlaneKind::Mailbox => Plane::Mailbox(MailboxRegistry::with_options(opts)),
-            ReplyPlaneKind::Mpsc => Plane::Mpsc(MpscPlane {
-                inner: Mutex::new(HashMap::new()),
-            }),
-        };
+    /// A registry whose mailbox slab and resizable index are sized by
+    /// `opts`: `mailbox_capacity` must exceed the replies one incarnation
+    /// can have outstanding while its client is between drains, or
+    /// delivering shards briefly yield.
+    pub(crate) fn with_options(opts: MailboxOptions) -> Self {
         Registry {
-            plane,
+            slab: MailboxRegistry::with_options(opts),
             dropped: AtomicU64::new(0),
         }
     }
 
     /// Hand out the reply endpoint a client thread drives one
-    /// transaction (all its incarnations) through. On the mailbox plane
-    /// this pops a reusable slab slot — and fails with [`SlabExhausted`]
-    /// when all `max_clients` mailboxes stay held past the acquire
-    /// timeout; on the mpsc plane it is an empty shell filled per
-    /// incarnation by [`Registry::register`].
+    /// transaction (all its incarnations) through: pops a reusable slab
+    /// slot, and fails with [`SlabExhausted`] when all `max_clients`
+    /// mailboxes stay held past the acquire timeout.
     pub(crate) fn client_mailbox(&self) -> Result<ClientMailbox, SlabExhausted> {
-        match &self.plane {
-            Plane::Mailbox(reg) => reg.acquire().map(ClientMailbox::Mailbox),
-            Plane::Mpsc(_) => Ok(ClientMailbox::Mpsc(None)),
-        }
+        self.slab.acquire()
     }
 
     /// Register a new incarnation on `mailbox`. Must complete before the
@@ -207,48 +123,31 @@ impl Registry {
     /// Returns `true` when the registration fell off the lock-free path
     /// onto the mailbox slab's overflow map (index at its growth ceiling
     /// with a live bucket collision) — the transition the caller reports
-    /// via the trace plane. Always `false` on the mpsc plane.
+    /// via the trace plane.
     pub(crate) fn register(
         &self,
         txn: TxnId,
         method: CcMethod,
         mailbox: &mut ClientMailbox,
     ) -> bool {
-        match (&self.plane, mailbox) {
-            (Plane::Mailbox(reg), ClientMailbox::Mailbox(mb)) => {
-                reg.register(txn.0, method_meta(method), mb)
-            }
-            (Plane::Mpsc(plane), ClientMailbox::Mpsc(slot)) => {
-                let (tx, rx) = mpsc::channel();
-                let prev = plane
-                    .inner
-                    .lock()
-                    .expect("registry poisoned")
-                    .insert(txn, MpscEntry { sender: tx, method });
-                debug_assert!(prev.is_none(), "transaction id {txn} reused while live");
-                *slot = Some(rx);
-                false
-            }
-            _ => unreachable!("client mailbox from a different reply plane"),
-        }
+        self.slab.register(txn.0, method_meta(method), mailbox)
     }
 
     /// Remove an incarnation (commit, abort or restart).
     pub(crate) fn deregister(&self, txn: TxnId) {
-        match &self.plane {
-            Plane::Mailbox(reg) => reg.deregister(txn.0),
-            Plane::Mpsc(plane) => {
-                plane.inner.lock().expect("registry poisoned").remove(&txn);
-            }
-        }
+        self.slab.deregister(txn.0)
     }
 
     /// Number of live incarnations.
     pub(crate) fn len(&self) -> usize {
-        match &self.plane {
-            Plane::Mailbox(reg) => reg.len(),
-            Plane::Mpsc(plane) => plane.inner.lock().expect("registry poisoned").len(),
-        }
+        self.slab.len()
+    }
+
+    /// [`Registry::deliver_all_with`] with a freshly allocated scratch
+    /// buffer.
+    #[cfg(test)]
+    pub(crate) fn deliver_all<I: IntoIterator<Item = ReplyMsg>>(&self, replies: I) {
+        self.deliver_all_with(replies, &mut Vec::new());
     }
 
     /// Deliver a batch of replies — the shard loop flushes all replies
@@ -256,23 +155,12 @@ impl Registry {
     /// transaction earned in the flush is grouped into one
     /// [`ClientEvent::Replies`] (one wakeup per transaction per flush,
     /// even when different transactions' replies interleave), with the
-    /// transaction's replies kept in processing order. The mpsc plane
-    /// takes its map lock once per flush; the mailbox plane takes no
-    /// lock at all.
+    /// transaction's replies kept in processing order. No lock is taken.
     ///
-    /// Allocation-conscious callers (the shard loop) use
-    /// [`Registry::deliver_all_with`] with a retained scratch buffer;
-    /// this convenience form allocates a fresh one.
-    #[cfg(test)]
-    pub(crate) fn deliver_all<I: IntoIterator<Item = ReplyMsg>>(&self, replies: I) {
-        self.deliver_all_with(replies, &mut Vec::new());
-    }
-
-    /// [`Registry::deliver_all`] with a caller-retained scratch buffer
-    /// for the per-transaction groups, so a hot flush path pays no heap
-    /// allocation for the grouping (the inline `SmallBatch` runs already
-    /// cross for free). `scratch` is left empty with its capacity
-    /// intact.
+    /// `scratch` is the caller-retained buffer for the per-transaction
+    /// groups, so a hot flush path pays no heap allocation for the
+    /// grouping (the inline `SmallBatch` runs already cross for free); it
+    /// is left empty with its capacity intact.
     pub(crate) fn deliver_all_with<I: IntoIterator<Item = ReplyMsg>>(
         &self,
         replies: I,
@@ -293,109 +181,56 @@ impl Registry {
                 }
             }
         }
-        match &self.plane {
-            Plane::Mailbox(reg) => {
-                for (txn, run) in scratch.drain(..) {
-                    if !reg.deliver(txn.0, ClientEvent::Replies(run)) {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Plane::Mpsc(plane) => {
-                let map = plane.inner.lock().expect("registry poisoned");
-                for (txn, run) in scratch.drain(..) {
-                    match map.get(&txn) {
-                        // A send error means the client hung up between
-                        // deregistering and dropping the receiver;
-                        // equivalent to a stale reply.
-                        Some(entry) => {
-                            let _ = entry.sender.send(ClientEvent::Replies(run));
-                        }
-                        None => {
-                            self.dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
+        for (txn, run) in scratch.drain(..) {
+            if !self.slab.deliver(txn.0, ClientEvent::Replies(run)) {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
     /// The method a live incarnation runs under.
     pub(crate) fn method_of(&self, txn: TxnId) -> Option<CcMethod> {
-        match &self.plane {
-            Plane::Mailbox(reg) => reg.resolve_meta(txn.0).and_then(meta_method),
-            Plane::Mpsc(plane) => plane
-                .inner
-                .lock()
-                .expect("registry poisoned")
-                .get(&txn)
-                .map(|e| e.method),
-        }
+        self.slab.resolve_meta(txn.0).and_then(meta_method)
     }
 
     /// Signal a deadlock victim. Returns true if the incarnation was
     /// live and the signal was queued.
     pub(crate) fn signal_deadlock(&self, txn: TxnId) -> bool {
-        match &self.plane {
-            Plane::Mailbox(reg) => reg.deliver(txn.0, ClientEvent::DeadlockVictim),
-            Plane::Mpsc(plane) => {
-                let map = plane.inner.lock().expect("registry poisoned");
-                match map.get(&txn) {
-                    Some(entry) => entry.sender.send(ClientEvent::DeadlockVictim).is_ok(),
-                    None => false,
-                }
-            }
-        }
+        self.slab.deliver(txn.0, ClientEvent::DeadlockVictim)
     }
 
     /// Registrations currently parked on the mailbox slab's overflow map
     /// (live bucket collisions with the resizable index at its growth
-    /// ceiling). Always zero on the mpsc plane. Nonzero values are
-    /// correct but mean `reply_index_max_capacity` is undersized for the
-    /// live-transaction spread.
+    /// ceiling). Nonzero values are correct but mean
+    /// `reply_index_max_capacity` is undersized for the live-transaction
+    /// spread.
     pub(crate) fn overflow_entries(&self) -> usize {
-        match &self.plane {
-            Plane::Mailbox(reg) => reg.overflow_entries(),
-            Plane::Mpsc(_) => 0,
-        }
+        self.slab.overflow_entries()
     }
 
     /// Buckets in the newest generation of the mailbox slab's resizable
-    /// index (zero on the mpsc plane, which has no index).
+    /// index.
     pub(crate) fn index_capacity(&self) -> usize {
-        match &self.plane {
-            Plane::Mailbox(reg) => reg.index_capacity(),
-            Plane::Mpsc(_) => 0,
-        }
+        self.slab.index_capacity()
     }
 
     /// Completed growths of the mailbox slab's index.
     pub(crate) fn index_resizes(&self) -> u64 {
-        match &self.plane {
-            Plane::Mailbox(reg) => reg.index_resizes(),
-            Plane::Mpsc(_) => 0,
-        }
+        self.slab.index_resizes()
     }
 
     /// Reply deliveries dropped because a live mailbox stayed full past
     /// the deliver timeout (a stalled client; its incarnation recovers
     /// through the normal restart machinery).
     pub(crate) fn full_drops(&self) -> u64 {
-        match &self.plane {
-            Plane::Mailbox(reg) => reg.full_dropped(),
-            Plane::Mpsc(_) => 0,
-        }
+        self.slab.full_dropped()
     }
 
     /// Stale reply events suppressed so far: deliveries dropped because
-    /// no live incarnation matched, plus (mailbox plane) events
-    /// discarded consumer-side by the incarnation tag.
+    /// no live incarnation matched, plus events discarded consumer-side
+    /// by the incarnation tag.
     pub(crate) fn stale_reply_events(&self) -> u64 {
-        let consumer_side = match &self.plane {
-            Plane::Mailbox(reg) => reg.stale_dropped(),
-            Plane::Mpsc(_) => 0,
-        };
-        self.dropped.load(Ordering::Relaxed) + consumer_side
+        self.dropped.load(Ordering::Relaxed) + self.slab.stale_dropped()
     }
 }
 
@@ -403,8 +238,7 @@ impl Registry {
 mod tests {
     use super::*;
     use dbmodel::{LogicalItemId, PhysicalItemId, SiteId};
-
-    const PLANES: [ReplyPlaneKind; 2] = [ReplyPlaneKind::Mailbox, ReplyPlaneKind::Mpsc];
+    use std::time::Duration;
 
     fn reply(txn: u64) -> ReplyMsg {
         reply_on(txn, 1)
@@ -417,14 +251,14 @@ mod tests {
         }
     }
 
-    fn recv_now(mb: &mut ClientMailbox, txn: u64) -> Result<ClientEvent, ClientRecvError> {
-        mb.recv_timeout(TxnId(txn), Duration::from_millis(200))
+    fn recv_now(mb: &mut ClientMailbox, txn: u64) -> Option<ClientEvent> {
+        mb.recv_timeout(txn, Duration::from_millis(200))
     }
 
     /// Drain every event currently queued for `txn` (bounded wait).
     fn drain_events(mb: &mut ClientMailbox, txn: u64) -> Vec<ClientEvent> {
         let mut events = Vec::new();
-        while let Ok(ev) = mb.recv_timeout(TxnId(txn), Duration::from_millis(50)) {
+        while let Some(ev) = mb.recv_timeout(txn, Duration::from_millis(50)) {
             events.push(ev);
         }
         events
@@ -432,125 +266,118 @@ mod tests {
 
     #[test]
     fn delivers_to_registered_and_drops_unknown() {
-        for plane in PLANES {
-            let registry = Registry::new(plane, 64);
-            let mut mb = registry.client_mailbox().expect("mailbox");
-            registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
-            assert_eq!(registry.len(), 1);
-            // One flush delivers the known reply and drops the unknown.
-            registry.deliver_all([reply(1), reply(2)]);
-            assert!(matches!(recv_now(&mut mb, 1), Ok(ClientEvent::Replies(_))));
-            assert!(recv_now(&mut mb, 1).is_err());
-            registry.deregister(TxnId(1));
-            assert_eq!(registry.len(), 0);
-            registry.deliver_all([reply(1)]); // now stale: dropped
-            assert!(recv_now(&mut mb, 1).is_err());
-            assert!(
-                registry.stale_reply_events() >= 2,
-                "{plane:?}: both stale replies counted"
-            );
-        }
+        let registry = Registry::new(64);
+        let mut mb = registry.client_mailbox().expect("mailbox");
+        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
+        assert_eq!(registry.len(), 1);
+        // One flush delivers the known reply and drops the unknown.
+        registry.deliver_all([reply(1), reply(2)]);
+        assert!(matches!(
+            recv_now(&mut mb, 1),
+            Some(ClientEvent::Replies(_))
+        ));
+        assert!(recv_now(&mut mb, 1).is_none());
+        registry.deregister(TxnId(1));
+        assert_eq!(registry.len(), 0);
+        registry.deliver_all([reply(1)]); // now stale: dropped
+        assert!(recv_now(&mut mb, 1).is_none());
+        assert!(
+            registry.stale_reply_events() >= 2,
+            "both stale replies counted"
+        );
     }
 
     #[test]
     fn deadlock_signal_reaches_live_victims_only() {
-        for plane in PLANES {
-            let registry = Registry::new(plane, 64);
-            let mut mb = registry.client_mailbox().expect("mailbox");
-            registry.register(TxnId(7), CcMethod::TwoPhaseLocking, &mut mb);
-            assert_eq!(
-                registry.method_of(TxnId(7)),
-                Some(CcMethod::TwoPhaseLocking)
-            );
-            assert_eq!(registry.method_of(TxnId(8)), None);
-            assert!(registry.signal_deadlock(TxnId(7)));
-            assert!(!registry.signal_deadlock(TxnId(8)));
-            assert!(matches!(
-                recv_now(&mut mb, 7),
-                Ok(ClientEvent::DeadlockVictim)
-            ));
-            registry.deregister(TxnId(7));
-        }
+        let registry = Registry::new(64);
+        let mut mb = registry.client_mailbox().expect("mailbox");
+        registry.register(TxnId(7), CcMethod::TwoPhaseLocking, &mut mb);
+        assert_eq!(
+            registry.method_of(TxnId(7)),
+            Some(CcMethod::TwoPhaseLocking)
+        );
+        assert_eq!(registry.method_of(TxnId(8)), None);
+        assert!(registry.signal_deadlock(TxnId(7)));
+        assert!(!registry.signal_deadlock(TxnId(8)));
+        assert!(matches!(
+            recv_now(&mut mb, 7),
+            Some(ClientEvent::DeadlockVictim)
+        ));
+        registry.deregister(TxnId(7));
     }
 
-    /// The coalescing guarantee (and the fix for the consecutive-run
-    /// footgun): one flush interleaving two transactions' replies —
-    /// A,B,A,B,A,B — wakes each client exactly once, with its three
-    /// replies grouped in order. The old consecutive-run coalescing
-    /// produced three events (three wakeups) per client for the same
+    /// The coalescing guarantee: one flush interleaving two transactions'
+    /// replies — A,B,A,B,A,B — wakes each client exactly once, with its
+    /// three replies grouped in order. Coalescing only consecutive runs
+    /// would produce three events (three wakeups) per client for the same
     /// flush.
     #[test]
     fn interleaved_flush_coalesces_to_one_event_per_txn() {
-        for plane in PLANES {
-            let registry = Registry::new(plane, 64);
-            let mut mb_a = registry.client_mailbox().expect("mailbox");
-            let mut mb_b = registry.client_mailbox().expect("mailbox");
-            registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb_a);
-            registry.register(TxnId(2), CcMethod::TwoPhaseLocking, &mut mb_b);
-            registry.deliver_all([
-                reply_on(1, 10),
-                reply_on(2, 20),
-                reply_on(1, 11),
-                reply_on(2, 21),
-                reply_on(1, 12),
-                reply_on(2, 22),
-            ]);
-            for (mb, txn, items) in [
-                (&mut mb_a, 1u64, [10u64, 11, 12]),
-                (&mut mb_b, 2, [20, 21, 22]),
-            ] {
-                let events = drain_events(mb, txn);
-                assert_eq!(
-                    events.len(),
-                    1,
-                    "{plane:?}: exactly one wakeup event per transaction per flush"
-                );
-                let ClientEvent::Replies(batch) = &events[0] else {
-                    panic!("{plane:?}: expected replies");
-                };
-                let seen: Vec<u64> = batch.iter().map(|r| r.item().logical.0).collect();
-                assert_eq!(seen, items, "{plane:?}: replies grouped in order");
-            }
-            registry.deregister(TxnId(1));
-            registry.deregister(TxnId(2));
+        let registry = Registry::new(64);
+        let mut mb_a = registry.client_mailbox().expect("mailbox");
+        let mut mb_b = registry.client_mailbox().expect("mailbox");
+        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb_a);
+        registry.register(TxnId(2), CcMethod::TwoPhaseLocking, &mut mb_b);
+        registry.deliver_all([
+            reply_on(1, 10),
+            reply_on(2, 20),
+            reply_on(1, 11),
+            reply_on(2, 21),
+            reply_on(1, 12),
+            reply_on(2, 22),
+        ]);
+        for (mb, txn, items) in [
+            (&mut mb_a, 1u64, [10u64, 11, 12]),
+            (&mut mb_b, 2, [20, 21, 22]),
+        ] {
+            let events = drain_events(mb, txn);
+            assert_eq!(
+                events.len(),
+                1,
+                "exactly one wakeup event per transaction per flush"
+            );
+            let ClientEvent::Replies(batch) = &events[0] else {
+                panic!("expected replies");
+            };
+            let seen: Vec<u64> = batch.iter().map(|r| r.item().logical.0).collect();
+            assert_eq!(seen, items, "replies grouped in order");
         }
+        registry.deregister(TxnId(1));
+        registry.deregister(TxnId(2));
     }
 
-    /// Satellite 2, deterministic half: a `DeadlockVictim` signal
-    /// arriving between two reply flushes is neither lost nor reordered
-    /// around them — the client observes replies, then the victim, then
-    /// the later replies, on both planes.
+    /// A `DeadlockVictim` signal arriving between two reply flushes is
+    /// neither lost nor reordered around them — the client observes
+    /// replies, then the victim, then the later replies.
     #[test]
     fn victim_signal_keeps_its_place_between_reply_flushes() {
-        for plane in PLANES {
-            let registry = Registry::new(plane, 64);
-            let mut mb = registry.client_mailbox().expect("mailbox");
-            registry.register(TxnId(5), CcMethod::TwoPhaseLocking, &mut mb);
-            registry.deliver_all([reply_on(5, 1), reply_on(5, 2)]);
-            assert!(registry.signal_deadlock(TxnId(5)));
-            registry.deliver_all([reply_on(5, 3)]);
-            let events = drain_events(&mut mb, 5);
-            let shape: Vec<&'static str> = events
-                .iter()
-                .map(|e| match e {
-                    ClientEvent::Replies(_) => "replies",
-                    ClientEvent::DeadlockVictim => "victim",
-                })
-                .collect();
-            assert_eq!(
-                shape,
-                ["replies", "victim", "replies"],
-                "{plane:?}: the victim signal must keep its place"
-            );
-            registry.deregister(TxnId(5));
-        }
+        let registry = Registry::new(64);
+        let mut mb = registry.client_mailbox().expect("mailbox");
+        registry.register(TxnId(5), CcMethod::TwoPhaseLocking, &mut mb);
+        registry.deliver_all([reply_on(5, 1), reply_on(5, 2)]);
+        assert!(registry.signal_deadlock(TxnId(5)));
+        registry.deliver_all([reply_on(5, 3)]);
+        let events = drain_events(&mut mb, 5);
+        let shape: Vec<&'static str> = events
+            .iter()
+            .map(|e| match e {
+                ClientEvent::Replies(_) => "replies",
+                ClientEvent::DeadlockVictim => "victim",
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            ["replies", "victim", "replies"],
+            "the victim signal must keep its place"
+        );
+        registry.deregister(TxnId(5));
     }
 
     /// A victim signal for an incarnation that restarted before the
     /// client consumed it must not leak into the next incarnation.
     #[test]
     fn stale_victim_signal_never_reaches_the_next_incarnation() {
-        let registry = Registry::new(ReplyPlaneKind::Mailbox, 64);
+        let registry = Registry::new(64);
         let mut mb = registry.client_mailbox().expect("mailbox");
         registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
         assert!(registry.signal_deadlock(TxnId(1)));

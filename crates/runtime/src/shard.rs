@@ -13,11 +13,9 @@
 //! order the owning shard processed the operations in, with no further
 //! synchronisation.
 //!
-//! Two message planes exist (see [`crate::config::TransportKind`]): the
-//! batched lock-free ring, where one consumer wakeup drains *everything*
-//! enqueued since the last one and replies are flushed through the
-//! registry once per drained batch, and the legacy `std::sync::mpsc`
-//! plane (one command per recv) kept as the measured baseline.
+//! The inbox is a bounded lock-free MPSC ring (`transport::ring`): one
+//! consumer wakeup drains *everything* enqueued since the last one, and
+//! replies are flushed through the registry once per drained batch.
 //!
 //! Shutdown drains first: a [`ShardCmd::Shutdown`] marks the loop for
 //! exit, but every command already enqueued — including commands ahead of
@@ -27,7 +25,6 @@
 //! silently lost from the final log.
 
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -44,14 +41,15 @@ use crate::registry::Registry;
 use crate::stats::RuntimeStats;
 
 /// Commands a shard thread processes.
+// The variant size gap is deliberate: request batches travel inline so no
+// heap allocation crosses the client→shard boundary, and they are nearly
+// all of the traffic.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum ShardCmd {
-    /// Apply one protocol message; `origin` is the issuing site (used for
-    /// precedence tie-breaking). The mpsc plane's unit of transfer.
-    Handle { origin: SiteId, msg: RequestMsg },
-    /// Apply a transaction's messages for this shard in order: the ring
-    /// plane's unit of transfer, built by the client-side send batcher.
-    /// Small batches live inline in the command itself — no heap
-    /// allocation crosses the thread boundary.
+    /// Apply a transaction's messages for this shard in order; `origin`
+    /// is the issuing site (used for precedence tie-breaking). Built by
+    /// the client-side send batcher. Small batches live inline in the
+    /// command itself — no heap allocation crosses the thread boundary.
     HandleBatch {
         origin: SiteId,
         msgs: SmallBatch<RequestMsg>,
@@ -109,77 +107,13 @@ pub(crate) enum ShardCmd {
     Shutdown,
 }
 
-/// A clone-able handle for enqueueing commands at a shard, independent of
-/// the plane the database was opened with.
-pub(crate) enum ShardSender {
-    Ring(RingSender<ShardCmd>),
-    Mpsc(SyncSender<ShardCmd>),
-}
-
-impl Clone for ShardSender {
-    fn clone(&self) -> Self {
-        match self {
-            ShardSender::Ring(tx) => ShardSender::Ring(tx.clone()),
-            ShardSender::Mpsc(tx) => ShardSender::Mpsc(tx.clone()),
-        }
-    }
-}
-
-/// The shard is gone (already shut down).
-#[derive(Debug)]
-pub(crate) struct ShardClosed;
-
-impl ShardSender {
-    /// Enqueue a command, blocking while the shard's inbox is full.
-    pub(crate) fn send(&self, cmd: ShardCmd) -> Result<(), ShardClosed> {
-        match self {
-            ShardSender::Ring(tx) => tx.send(cmd).map_err(|_| ShardClosed),
-            ShardSender::Mpsc(tx) => tx.send(cmd).map_err(|_| ShardClosed),
-        }
-    }
-}
+/// The clone-able handle for enqueueing commands at a shard; `send`
+/// blocks while the shard's inbox is full and fails once the shard is
+/// gone.
+pub(crate) type ShardSender = RingSender<ShardCmd>;
 
 /// The consuming end of a shard's inbox.
-pub(crate) enum ShardInbox {
-    Ring(RingReceiver<ShardCmd>),
-    Mpsc(Receiver<ShardCmd>),
-}
-
-impl ShardInbox {
-    /// Block until at least one command is available and move every
-    /// available command into `buf`. The ring plane drains the whole ring
-    /// (amortising one wakeup over all of it); the mpsc plane moves
-    /// exactly one command per call, faithful to the pre-batching
-    /// baseline. `Err` means every sender is gone and the inbox is empty.
-    fn next_batch(&mut self, buf: &mut Vec<ShardCmd>) -> Result<(), ShardClosed> {
-        match self {
-            ShardInbox::Ring(rx) => rx.drain_blocking(buf).map(|_| ()).map_err(|_| ShardClosed),
-            ShardInbox::Mpsc(rx) => match rx.recv() {
-                Ok(cmd) => {
-                    buf.push(cmd);
-                    Ok(())
-                }
-                Err(_) => Err(ShardClosed),
-            },
-        }
-    }
-
-    /// Non-blocking sweep of everything currently enqueued (the shutdown
-    /// drain). Returns how many commands were moved.
-    fn drain_now(&mut self, buf: &mut Vec<ShardCmd>) -> usize {
-        match self {
-            ShardInbox::Ring(rx) => rx.drain_into(buf),
-            ShardInbox::Mpsc(rx) => {
-                let mut n = 0;
-                while let Ok(cmd) = rx.try_recv() {
-                    buf.push(cmd);
-                    n += 1;
-                }
-                n
-            }
-        }
-    }
-}
+pub(crate) type ShardInbox = RingReceiver<ShardCmd>;
 
 /// A running shard thread.
 pub(crate) struct ShardHandle {
@@ -287,11 +221,6 @@ impl ShardState<'_> {
 
     fn apply_cmd(&mut self, cmd: ShardCmd) {
         match cmd {
-            ShardCmd::Handle { origin, msg } => {
-                self.count_msg(&msg);
-                self.qm.handle_into(origin, &msg, &mut self.sink);
-                self.fold_events();
-            }
             ShardCmd::HandleBatch { origin, msgs } => {
                 for msg in msgs.iter() {
                     self.count_msg(msg);
@@ -411,7 +340,6 @@ fn trace_batch(plane: &TracePlane, lane: usize, buf: &[ShardCmd]) {
     let mut protocol_cmds = 0u32;
     for cmd in buf {
         let first = match cmd {
-            ShardCmd::Handle { msg, .. } => Some(msg.txn().0),
             ShardCmd::HandleBatch { msgs, .. } => msgs.iter().next().map(|m| m.txn().0),
             ShardCmd::ApplyConfluent { txn, .. } => Some(txn.0),
             ShardCmd::SnapshotRead { txn, .. } => Some(txn.0),
@@ -459,7 +387,7 @@ fn shard_loop(
     // a `Database` dropped without an explicit shutdown.
     loop {
         buf.clear();
-        if inbox.next_batch(&mut buf).is_err() {
+        if inbox.drain_blocking(&mut buf).is_err() {
             break;
         }
         trace_batch(&plane, idx, &buf);
@@ -483,7 +411,7 @@ fn shard_loop(
             // enqueued (commands racing with the shutdown included) so no
             // committed write is dropped from the log.
             buf.clear();
-            while inbox.drain_now(&mut buf) > 0 {
+            while inbox.drain_into(&mut buf) > 0 {
                 trace_batch(&plane, idx, &buf);
                 for cmd in buf.drain(..) {
                     state.apply_cmd(cmd);
@@ -499,39 +427,9 @@ fn shard_loop(
     (site, state.logs)
 }
 
-/// Build a connected sender/inbox pair for one shard on the given plane.
-pub(crate) fn inbox_pair(
-    transport: crate::config::TransportKind,
-    capacity: usize,
-) -> (ShardSender, ShardInbox) {
-    match transport {
-        crate::config::TransportKind::BatchedRing => {
-            let (tx, rx) = transport::ring::channel(capacity.max(1));
-            (ShardSender::Ring(tx), ShardInbox::Ring(rx))
-        }
-        crate::config::TransportKind::Mpsc => {
-            let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(1));
-            (ShardSender::Mpsc(tx), ShardInbox::Mpsc(rx))
-        }
-    }
-}
-
-impl ShardSender {
-    /// Non-blocking enqueue (used nowhere on the hot path; handy in
-    /// tests). The command is dropped on failure.
-    #[cfg(test)]
-    pub(crate) fn try_send(&self, cmd: ShardCmd) -> Result<(), ()> {
-        match self {
-            ShardSender::Ring(tx) => tx.try_send(cmd).map(|_| ()).map_err(|_| ()),
-            ShardSender::Mpsc(tx) => tx.try_send(cmd).map(|_| ()).map_err(|_| ()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ReplyPlaneKind, TransportKind};
     use crate::registry::ClientMailbox;
     use dbmodel::{
         AccessMode, CcMethod, LogicalItemId, PhysicalItemId, Timestamp, TsTuple, TxnId, Value,
@@ -543,13 +441,13 @@ mod tests {
         PhysicalItemId::new(LogicalItemId(1), SiteId(0))
     }
 
-    fn spawn_one(transport: TransportKind) -> (ShardHandle, Arc<Registry>, Arc<RuntimeStats>) {
+    fn spawn_one() -> (ShardHandle, Arc<Registry>, Arc<RuntimeStats>) {
         let mut qm = QueueManager::new(SiteId(0));
         qm.add_item(item(), 42, EnforcementMode::SemiLock);
-        let registry = Arc::new(Registry::new(ReplyPlaneKind::Mailbox, 64));
+        let registry = Arc::new(Registry::new(64));
         let stats = Arc::new(RuntimeStats::with_shards(1));
         let plane = Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1));
-        let (tx, rx) = inbox_pair(transport, 16);
+        let (tx, rx) = transport::ring::channel(16);
         let handle = spawn(
             qm,
             0,
@@ -564,8 +462,8 @@ mod tests {
     }
 
     fn expect_replies(mb: &mut ClientMailbox, txn: u64) {
-        match mb.recv_timeout(TxnId(txn), Duration::from_secs(2)) {
-            Ok(crate::registry::ClientEvent::Replies(_)) => {}
+        match mb.recv_timeout(txn, Duration::from_secs(2)) {
+            Some(crate::registry::ClientEvent::Replies(_)) => {}
             other => panic!("expected replies, got {other:?}"),
         }
     }
@@ -589,77 +487,59 @@ mod tests {
         }
     }
 
+    fn batch<const N: usize>(msgs: [RequestMsg; N]) -> ShardCmd {
+        ShardCmd::HandleBatch {
+            origin: SiteId(0),
+            msgs: msgs.into_iter().collect(),
+        }
+    }
+
     #[test]
     fn shard_grants_logs_and_shuts_down() {
-        for transport in [TransportKind::BatchedRing, TransportKind::Mpsc] {
-            let (handle, registry, stats) = spawn_one(transport);
-            let mut mb = registry.client_mailbox().expect("mailbox");
-            registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
-            handle
-                .tx
-                .send(ShardCmd::Handle {
-                    origin: SiteId(0),
-                    msg: access(1, AccessMode::Write, 1),
-                })
-                .map_err(|_| ())
-                .unwrap();
-            // The grant is routed through the registry.
-            expect_replies(&mut mb, 1);
-            handle
-                .tx
-                .send(ShardCmd::Handle {
-                    origin: SiteId(0),
-                    msg: release(1, 7),
-                })
-                .map_err(|_| ())
-                .unwrap();
-            let (log_tx, log_rx) = transport::oneshot::channel();
-            handle
-                .tx
-                .send(ShardCmd::LogSnapshot(log_tx))
-                .map_err(|_| ())
-                .unwrap();
-            let logs = log_rx.recv().unwrap();
-            assert_eq!(logs.total_ops(), 1);
-            let _ = handle.tx.send(ShardCmd::Shutdown);
-            let (site, logs) = handle.join.join().unwrap();
-            assert_eq!(site, SiteId(0));
-            assert_eq!(logs.total_ops(), 1);
-            assert_eq!(stats.grants.load(Ordering::Relaxed), 1);
-            assert_eq!(stats.implemented_ops.load(Ordering::Relaxed), 1);
-            let shard0 = &stats.snapshot().per_shard[0];
-            assert_eq!(shard0.grants, 1);
-            assert_eq!(shard0.implemented, 1);
-            assert_eq!(shard0.prescheduled, 0, "uncontended grant is normal");
-            assert_eq!(shard0.aborts, 0);
-        }
+        let (handle, registry, stats) = spawn_one();
+        let mut mb = registry.client_mailbox().expect("mailbox");
+        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
+        assert!(handle
+            .tx
+            .send(batch([access(1, AccessMode::Write, 1)]))
+            .is_ok());
+        // The grant is routed through the registry.
+        expect_replies(&mut mb, 1);
+        assert!(handle.tx.send(batch([release(1, 7)])).is_ok());
+        let (log_tx, log_rx) = transport::oneshot::channel();
+        assert!(handle.tx.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
+        let logs = log_rx.recv().unwrap();
+        assert_eq!(logs.total_ops(), 1);
+        let _ = handle.tx.send(ShardCmd::Shutdown);
+        let (site, logs) = handle.join.join().unwrap();
+        assert_eq!(site, SiteId(0));
+        assert_eq!(logs.total_ops(), 1);
+        assert_eq!(stats.grants.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.implemented_ops.load(Ordering::Relaxed), 1);
+        let shard0 = &stats.snapshot().per_shard[0];
+        assert_eq!(shard0.grants, 1);
+        assert_eq!(shard0.implemented, 1);
+        assert_eq!(shard0.prescheduled, 0, "uncontended grant is normal");
+        assert_eq!(shard0.aborts, 0);
     }
 
     #[test]
     fn shard_exits_when_all_senders_drop() {
-        for transport in [TransportKind::BatchedRing, TransportKind::Mpsc] {
-            let (handle, _registry, _stats) = spawn_one(transport);
-            drop(handle.tx);
-            let (_, logs) = handle.join.join().unwrap();
-            assert_eq!(logs.total_ops(), 0);
-        }
+        let (handle, _registry, _stats) = spawn_one();
+        drop(handle.tx);
+        let (_, logs) = handle.join.join().unwrap();
+        assert_eq!(logs.total_ops(), 0);
     }
 
     #[test]
     fn handle_batch_applies_messages_in_order() {
-        let (handle, registry, stats) = spawn_one(TransportKind::BatchedRing);
+        let (handle, registry, stats) = spawn_one();
         let mut mb = registry.client_mailbox().expect("mailbox");
         registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
-        handle
+        assert!(handle
             .tx
-            .send(ShardCmd::HandleBatch {
-                origin: SiteId(0),
-                msgs: [access(1, AccessMode::Write, 1), release(1, 9)]
-                    .into_iter()
-                    .collect(),
-            })
-            .map_err(|_| ())
-            .unwrap();
+            .send(batch([access(1, AccessMode::Write, 1), release(1, 9)]))
+            .is_ok());
         expect_replies(&mut mb, 1);
         let _ = handle.tx.send(ShardCmd::Shutdown);
         let (_, logs) = handle.join.join().unwrap();
@@ -667,54 +547,49 @@ mod tests {
         assert_eq!(stats.implemented_ops.load(Ordering::Relaxed), 1);
     }
 
-    /// Regression (satellite 2): a `Shutdown` ordered *ahead of* enqueued
-    /// `Handle`/`HandleBatch` commands from other senders must not abandon
-    /// them — the shard drains the inbox before exiting. The inbox is
-    /// pre-filled before the shard thread even starts, so on the ring
-    /// plane the first wakeup drains one buffer shaped
+    /// A `Shutdown` ordered *ahead of* enqueued `HandleBatch` commands
+    /// from other senders must not abandon them — the shard drains the
+    /// inbox before exiting. The inbox is pre-filled before the shard
+    /// thread even starts, so the first wakeup drains one buffer shaped
     /// `[25 txns, Shutdown, 25 txns]`; a naive `break` on seeing
     /// `Shutdown` would drop every release behind it and lose committed
     /// writes from the final log.
     #[test]
     fn shutdown_drains_commands_enqueued_around_it() {
-        for transport in [TransportKind::BatchedRing, TransportKind::Mpsc] {
-            const TXNS: u64 = 50;
-            let mut qm = QueueManager::new(SiteId(0));
-            qm.add_item(item(), 42, EnforcementMode::SemiLock);
-            let registry = Arc::new(Registry::new(ReplyPlaneKind::Mailbox, 64));
-            let stats = Arc::new(RuntimeStats::with_shards(1));
-            let (tx, inbox) = inbox_pair(transport, 128);
-            for t in 1..=TXNS {
-                tx.try_send(ShardCmd::HandleBatch {
-                    origin: SiteId(0),
-                    msgs: [access(t, AccessMode::Write, t), release(t, t as Value)]
-                        .into_iter()
-                        .collect(),
-                })
-                .map_err(|_| ())
-                .unwrap();
-                if t == TXNS / 2 {
-                    // Another sender's shutdown lands mid-stream.
-                    tx.try_send(ShardCmd::Shutdown).map_err(|_| ()).unwrap();
-                }
+        const TXNS: u64 = 50;
+        let mut qm = QueueManager::new(SiteId(0));
+        qm.add_item(item(), 42, EnforcementMode::SemiLock);
+        let registry = Arc::new(Registry::new(64));
+        let stats = Arc::new(RuntimeStats::with_shards(1));
+        let (tx, inbox) = transport::ring::channel(128);
+        for t in 1..=TXNS {
+            assert!(tx
+                .try_send(batch([
+                    access(t, AccessMode::Write, t),
+                    release(t, t as Value)
+                ]))
+                .is_ok());
+            if t == TXNS / 2 {
+                // Another sender's shutdown lands mid-stream.
+                assert!(tx.try_send(ShardCmd::Shutdown).is_ok());
             }
-            let handle = spawn(
-                qm,
-                0,
-                inbox,
-                tx.clone(),
-                Arc::clone(&registry),
-                Arc::clone(&stats),
-                Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1)),
-                Arc::new(CommitClock::new()),
-            );
-            let (_, logs) = handle.join.join().unwrap();
-            assert_eq!(
-                logs.total_ops(),
-                TXNS as usize,
-                "{transport:?}: every enqueued release must be implemented"
-            );
-            assert_eq!(stats.implemented_ops.load(Ordering::Relaxed), TXNS);
         }
+        let handle = spawn(
+            qm,
+            0,
+            inbox,
+            tx.clone(),
+            Arc::clone(&registry),
+            Arc::clone(&stats),
+            Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1)),
+            Arc::new(CommitClock::new()),
+        );
+        let (_, logs) = handle.join.join().unwrap();
+        assert_eq!(
+            logs.total_ops(),
+            TXNS as usize,
+            "every enqueued release must be implemented"
+        );
+        assert_eq!(stats.implemented_ops.load(Ordering::Relaxed), TXNS);
     }
 }

@@ -226,21 +226,19 @@ pub struct StatsSnapshot {
     /// already held (dynamic policy).
     pub selection_nanos: u64,
     /// Stale reply events suppressed by the reply plane: deliveries
-    /// dropped because no live incarnation matched, plus (mailbox plane)
-    /// events discarded by the consumer's incarnation tag. Filled in by
+    /// dropped because no live incarnation matched, plus events
+    /// discarded by the consumer's incarnation tag. Filled in by
     /// [`crate::Database::stats`] from the registry, not by
     /// `RuntimeStats` itself.
     pub stale_reply_events: u64,
     /// Live registrations currently parked on the reply-mailbox slab's
     /// overflow map (bucket collisions with the resizable index at its
-    /// growth ceiling; always zero on the mpsc reply plane). Nonzero is
-    /// correct but means `reply_index_max_capacity` is undersized for
+    /// growth ceiling). Nonzero is correct but means `reply_index_max_capacity` is undersized for
     /// the number of concurrently live transactions. Filled in by
     /// [`crate::Database::stats`] from the registry.
     pub mailbox_overflow_entries: u64,
     /// Buckets in the newest generation of the reply plane's resizable
-    /// index (zero on the mpsc reply plane). Filled in by
-    /// [`crate::Database::stats`] from the registry.
+    /// index. Filled in by [`crate::Database::stats`] from the registry.
     pub mailbox_index_capacity: u64,
     /// Completed growths of the reply plane's resizable index since the
     /// database was opened. Filled in by [`crate::Database::stats`] from

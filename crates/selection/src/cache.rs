@@ -28,16 +28,15 @@
 //! returns bit-identical [`SelectionDecision`]s to a fresh [`StlSelector`]
 //! evaluated against the same metrics, and with quantization enabled every
 //! table entry is exactly `stl_prime(representative(bucket(λ)), U)` —
-//! properties the test-suite checks byte-for-byte. Routing verdicts
-//! (confluent bypass, snapshot reads) never touch the table: they are pure
-//! in the op profile and the access-set sizes.
+//! properties the test-suite checks byte-for-byte. Routing
+//! ([`crate::route`]) never touches the table: it is pure in the op
+//! profile and the access-set sizes.
 
 use std::collections::{BTreeMap, HashMap};
 
 use dbmodel::{Catalog, PhysicalItemId, Transaction};
 use metrics::{MetricsSample, SimMetrics};
 
-use crate::confluence::{classify, is_read_only, Confluence, OpProfile};
 use crate::estimators::{ProtocolParams, ShapeSummary};
 use crate::selector::{
     evaluate_decision_with, exploratory_decision, is_exploration_round, MethodParamSet,
@@ -167,26 +166,6 @@ fn representative(b: u64, g: f64) -> f64 {
         return 0.0;
     }
     ((b as f64 - 0.5) * g.ln_1p()).exp_m1()
-}
-
-/// The four-way verdict for one transaction — which protocol to use if it
-/// is coordinated, whether it may skip coordination via the confluent fast
-/// path, and whether it is a pure read-only shape eligible for the
-/// versioned snapshot plane. Only the protocol half consults the fitted
-/// model; the two routing halves are [`classify`] and [`is_read_only`] of
-/// the op profile and the access-set sizes.
-#[derive(Debug, Clone, Copy)]
-pub struct RoutedDecision {
-    /// The STL-optimal protocol of the coordinated path (2PL / T/O / PA).
-    pub decision: SelectionDecision,
-    /// Whether the shape is provably invariant-confluent and may be
-    /// routed around the queue managers (subject to the at-apply check).
-    pub confluence: Confluence,
-    /// Whether the shape is pure read-only and may be served from the
-    /// item version chains at the global read watermark — the fourth
-    /// method, with no coordination at all (subject to the shard's
-    /// version-availability refusal, which falls back to `decision`).
-    pub snapshot: bool,
 }
 
 /// The memo of `STL'(λ_loss, U)` values: maps `(U, bucket(λ_loss))` — the
@@ -618,9 +597,7 @@ impl CachedStlSelector {
             signal,
             commits,
             MetricsSource::Borrowed(metrics),
-            OpProfile::empty(),
         )
-        .decision
     }
 
     /// Choose the concurrency-control method for `txn` against *sharded*
@@ -641,34 +618,6 @@ impl CachedStlSelector {
         merge: F,
         probe: P,
     ) -> SelectionDecision {
-        self.select_routed_sharded(
-            txn,
-            catalog,
-            signal,
-            commits,
-            merge,
-            probe,
-            OpProfile::empty(),
-        )
-        .decision
-    }
-
-    /// The four-way variant of [`CachedStlSelector::select_sharded`]:
-    /// alongside the 2PL / T/O / PA protocol choice, the returned
-    /// [`RoutedDecision`] says whether the shape (described by `profile`)
-    /// is invariant-confluent and may bypass coordination entirely, and
-    /// whether it is read-only and may be served from the snapshot plane.
-    #[allow(clippy::too_many_arguments)]
-    pub fn select_routed_sharded<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
-        &mut self,
-        txn: &Transaction,
-        catalog: &Catalog,
-        signal: WorkloadSignal,
-        commits: u64,
-        merge: F,
-        probe: P,
-        profile: OpProfile,
-    ) -> RoutedDecision {
         self.select_core(
             txn,
             catalog,
@@ -679,7 +628,6 @@ impl CachedStlSelector {
                 merged: None,
                 probe,
             },
-            profile,
         )
     }
 
@@ -690,18 +638,7 @@ impl CachedStlSelector {
         signal: WorkloadSignal,
         commits: u64,
         mut source: MetricsSource<'_, F, P>,
-        profile: OpProfile,
-    ) -> RoutedDecision {
-        // Confluence and snapshot eligibility are pure functions of the
-        // profile and access-set sizes — independent of the fitted model,
-        // so warm-up and exploration rounds route exactly like steady
-        // state.
-        let (reads, writes) = (txn.read_set().len(), txn.write_set().len());
-        let routed = |decision| RoutedDecision {
-            decision,
-            confluence: classify(profile, reads, writes),
-            snapshot: is_read_only(profile, reads, writes),
-        };
+    ) -> SelectionDecision {
         self.counter += 1;
         if !self.warmed {
             // Exact, metrics-free pre-filter: fewer than `3 × warmup`
@@ -711,12 +648,12 @@ impl CachedStlSelector {
             if commits < self.settings.warmup_commits.saturating_mul(3)
                 || !StlSelector::warmed_up(source.get(), self.settings.warmup_commits)
             {
-                return routed(exploratory_decision(self.counter));
+                return exploratory_decision(self.counter);
             }
             self.warmed = true;
         }
         if is_exploration_round(self.counter, self.settings.explore_every) {
-            return routed(exploratory_decision(self.counter));
+            return exploratory_decision(self.counter);
         }
 
         if self.needs_refit(signal, commits, &source) {
@@ -727,10 +664,8 @@ impl CachedStlSelector {
             .as_ref()
             .expect("needs_refit guarantees a snapshot");
         let summary = snapshot.summary_for(txn, catalog);
-        routed(
-            self.table
-                .decide(&snapshot.model, &snapshot.params, &summary),
-        )
+        self.table
+            .decide(&snapshot.model, &snapshot.params, &summary)
     }
 
     fn needs_refit<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
@@ -998,6 +933,7 @@ mod tests {
 
     #[test]
     fn routed_hit_and_miss_agree_across_profiles() {
+        use crate::confluence::{route, OpProfile, Route};
         let metrics = warmed_metrics();
         let cat = catalog();
         let mut cached = CachedStlSelector::with_settings(CacheSettings {
@@ -1006,121 +942,28 @@ mod tests {
             ..CacheSettings::default()
         });
         let t = txn(1, &[1], &[2, 3]);
-        let mut route = |profile| {
-            cached.select_routed_sharded(
+        let mut select = || {
+            cached.select_sharded(
                 &t,
                 &cat,
                 WorkloadSignal::default(),
                 metrics.total_committed.get(),
                 || metrics.clone(),
                 || metrics.sample(),
-                profile,
             )
         };
-        let miss = route(OpProfile::ADDS);
-        let hit = route(OpProfile::ADDS);
-        assert_eq!(miss.confluence, Confluence::ConfluentFastPath);
-        assert_eq!(hit.confluence, miss.confluence);
-        assert_eq!(bits(&hit.decision), bits(&miss.decision));
-        // The same access sets under an rmw profile route differently; the
-        // protocol decision reads the same table entries.
-        let coord = route(OpProfile::RMW_WRITES);
-        assert_eq!(coord.confluence, Confluence::Coordinated);
-        assert_eq!(bits(&coord.decision), bits(&miss.decision));
+        let miss = select();
+        let hit = select();
+        assert_eq!(bits(&hit), bits(&miss));
+        // The same access sets route differently under an adds and an rmw
+        // profile; the protocol decision behind both reads the same table
+        // entries.
+        let routes = |profile| route(profile, 1, 2).collect::<Vec<_>>();
+        assert_eq!(routes(OpProfile::ADDS), [Route::Bypass, Route::Coordinated]);
+        assert_eq!(routes(OpProfile::RMW_WRITES), [Route::Coordinated]);
+        assert_eq!(bits(&select()), bits(&miss));
         let stats = cached.cache_stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
-    }
-
-    #[test]
-    fn routed_selection_classifies_through_warmup_and_steady_state() {
-        let metrics = warmed_metrics();
-        let cat = catalog();
-        let mut cached = CachedStlSelector::with_settings(CacheSettings {
-            warmup_commits: 10,
-            explore_every: 3,
-            quant_rel: 0.05,
-            ..CacheSettings::default()
-        });
-        // 2 adds, no reads: confluent on every round — exploration and
-        // cache hits alike (routing never depends on the fitted model).
-        let t = txn(1, &[], &[2, 3]);
-        for i in 0..30 {
-            let routed = cached.select_routed_sharded(
-                &t,
-                &cat,
-                WorkloadSignal::default(),
-                metrics.total_committed.get(),
-                || metrics.clone(),
-                || metrics.sample(),
-                OpProfile::ADDS,
-            );
-            assert_eq!(
-                routed.confluence,
-                Confluence::ConfluentFastPath,
-                "round {i} must route fast"
-            );
-        }
-        let rmw = cached.select_routed_sharded(
-            &t,
-            &cat,
-            WorkloadSignal::default(),
-            metrics.total_committed.get(),
-            || metrics.clone(),
-            || metrics.sample(),
-            OpProfile::RMW_WRITES,
-        );
-        assert_eq!(rmw.confluence, Confluence::Coordinated);
-        assert!(cached.cache_stats().hits > 0, "routed lookups must hit");
-    }
-
-    #[test]
-    fn snapshot_routing_holds_through_warmup_and_steady_state() {
-        let metrics = warmed_metrics();
-        let cat = catalog();
-        let mut cached = CachedStlSelector::with_settings(CacheSettings {
-            warmup_commits: 10,
-            explore_every: 3,
-            quant_rel: 0.05,
-            ..CacheSettings::default()
-        });
-        let t = txn(1, &[2, 3, 4], &[]);
-        for i in 0..30 {
-            let routed = cached.select_routed_sharded(
-                &t,
-                &cat,
-                WorkloadSignal::default(),
-                metrics.total_committed.get(),
-                || metrics.clone(),
-                || metrics.sample(),
-                OpProfile::READS,
-            );
-            assert!(routed.snapshot, "round {i} must stay snapshot-eligible");
-        }
-        let writer = txn(2, &[2], &[3]);
-        let routed = cached.select_routed_sharded(
-            &writer,
-            &cat,
-            WorkloadSignal::default(),
-            metrics.total_committed.get(),
-            || metrics.clone(),
-            || metrics.sample(),
-            OpProfile::READS.with(OpProfile::PUTS),
-        );
-        assert!(
-            !routed.snapshot,
-            "a writer never routes to the snapshot plane"
-        );
-        // Nor does a read-only access set whose ops are not all reads.
-        let routed = cached.select_routed_sharded(
-            &t,
-            &cat,
-            WorkloadSignal::default(),
-            metrics.total_committed.get(),
-            || metrics.clone(),
-            || metrics.sample(),
-            OpProfile::READS.with(OpProfile::ADDS),
-        );
-        assert!(!routed.snapshot);
     }
 
     #[test]

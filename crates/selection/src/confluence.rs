@@ -17,10 +17,12 @@
 //! Classification is deliberately a *pure* function of the transaction's
 //! [`OpProfile`] and its read/write-set sizes — never of the fitted model,
 //! the loss estimates or the memoized [`crate::StlTable`] the protocol
-//! half of a [`crate::RoutedDecision`] reads. A table hit, a quantized
-//! loss or a stale epoch can therefore never flip a transaction onto a
-//! bypass its fresh evaluation would refuse (the property-tested
-//! contract).
+//! choice reads. A table hit, a quantized loss or a stale epoch can
+//! therefore never flip a transaction onto a bypass its fresh evaluation
+//! would refuse (the property-tested contract).
+//!
+//! [`route`] folds the two verdicts into the one decision the runtime
+//! acts on: the [`Route`]s a shape is eligible for, in fallback order.
 //!
 //! The classifier only decides *eligibility*. The dynamic safety half —
 //! "no in-flight writers", "nobody is coordinating over this key" — is
@@ -119,6 +121,38 @@ pub fn is_read_only(profile: OpProfile, reads: usize, writes: usize) -> bool {
     profile == OpProfile::READS && writes == 0 && reads > 0
 }
 
+/// One way a transaction can run, least coordination first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// Served from the item version chains at the global read watermark:
+    /// no coordination at all ([`is_read_only`] shapes).
+    Snapshot,
+    /// One direct apply at the owning shard, around the queue managers
+    /// ([`Confluence::ConfluentFastPath`] shapes).
+    Bypass,
+    /// Through the queue managers under 2PL, T/O or PA.
+    Coordinated,
+}
+
+/// The routes a shape is eligible for, in the order to try them:
+/// `Snapshot → Bypass → Coordinated`. A refusal on one route (a version
+/// chain pruned past the watermark, coordinated work in flight on a
+/// touched slot) falls back to the next; the chain always ends in
+/// [`Route::Coordinated`], which never refuses.
+///
+/// Pure in `(profile, reads, writes)` — it is [`is_read_only`] and
+/// [`classify`] asked once, together — so a transaction is routed the
+/// same in warm-up, on exploration rounds and in steady state.
+pub fn route(profile: OpProfile, reads: usize, writes: usize) -> impl Iterator<Item = Route> {
+    let snapshot = is_read_only(profile, reads, writes).then_some(Route::Snapshot);
+    let bypass = (classify(profile, reads, writes) == Confluence::ConfluentFastPath)
+        .then_some(Route::Bypass);
+    snapshot
+        .into_iter()
+        .chain(bypass)
+        .chain([Route::Coordinated])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +229,52 @@ mod tests {
             "zero reads is not a read-only txn"
         );
         assert!(!is_read_only(OpProfile::PUTS, 0, 2));
+    }
+
+    fn routes(profile: OpProfile, reads: usize, writes: usize) -> Vec<Route> {
+        route(profile, reads, writes).collect()
+    }
+
+    #[test]
+    fn confluent_shapes_route_to_the_bypass_and_rmw_shapes_coordinate() {
+        use Route::{Bypass, Coordinated};
+        // 2 adds, no reads: confluent; the same access sets as rmw writes
+        // coordinate, and so does a shape that says nothing about its ops.
+        assert_eq!(routes(OpProfile::ADDS, 0, 2), [Bypass, Coordinated]);
+        assert_eq!(routes(OpProfile::ADDS, 1, 2), [Bypass, Coordinated]);
+        assert_eq!(routes(OpProfile::RMW_WRITES, 0, 2), [Coordinated]);
+        assert_eq!(routes(OpProfile::RMW_WRITES, 1, 2), [Coordinated]);
+        assert_eq!(routes(OpProfile::empty(), 0, 0), [Coordinated]);
+    }
+
+    #[test]
+    fn only_pure_reads_route_to_the_snapshot_plane() {
+        use Route::{Bypass, Coordinated, Snapshot};
+        // Every read-only shape falls back to the bypass before it
+        // coordinates...
+        for reads in 1..=FAST_PATH_MAX_OPS {
+            assert_eq!(
+                routes(OpProfile::READS, reads, 0),
+                [Snapshot, Bypass, Coordinated],
+                "{reads} reads"
+            );
+        }
+        // ...up to the bypass footprint bound; a snapshot read has no
+        // bound of its own, and past it a refusal coordinates directly.
+        assert_eq!(
+            routes(OpProfile::READS, FAST_PATH_MAX_OPS + 1, 0),
+            [Snapshot, Coordinated]
+        );
+        // A writer never routes to the snapshot plane...
+        assert_eq!(
+            routes(OpProfile::READS.with(OpProfile::PUTS), 1, 1),
+            [Bypass, Coordinated]
+        );
+        // ...nor does a read-only access set whose ops are not all reads.
+        assert_eq!(
+            routes(OpProfile::READS.with(OpProfile::ADDS), 3, 0),
+            [Bypass, Coordinated]
+        );
     }
 
     #[test]

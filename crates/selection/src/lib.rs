@@ -32,10 +32,11 @@ pub mod selector;
 pub mod stl;
 
 pub use cache::{
-    CacheSettings, CacheStats, CachedStlSelector, EpochSnapshot, RoutedDecision, StlTable,
-    WorkloadSignal,
+    CacheSettings, CacheStats, CachedStlSelector, EpochSnapshot, StlTable, WorkloadSignal,
 };
-pub use confluence::{classify, is_read_only, Confluence, OpProfile, FAST_PATH_MAX_OPS};
+pub use confluence::{
+    classify, is_read_only, route, Confluence, OpProfile, Route, FAST_PATH_MAX_OPS,
+};
 pub use estimators::{
     stl_2pl, stl_2pl_summary, stl_pa, stl_pa_summary, stl_to, stl_to_summary, ProtocolParams,
     ShapeSummary, StlFn, TxnShape,

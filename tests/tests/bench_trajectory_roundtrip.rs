@@ -44,8 +44,6 @@ fn exp9_trajectory_emits_parses_and_validates() {
         ("clients", Json::num(1u32)),
         ("shards", Json::num(2u32)),
         ("policy", Json::str("2PL")),
-        ("plane", Json::str("ring")),
-        ("reply", Json::str("mail")),
         ("committed", Json::Num(stats.committed as f64)),
         ("txn_per_sec", Json::Num(stats.committed as f64 / elapsed)),
         ("restarts", Json::Num(stats.restarts() as f64)),

@@ -19,9 +19,9 @@ use dbmodel::{CcMethod, LogicalItemId, PhysicalItemId, ReplicationPolicy, SiteId
 use metrics::SimMetrics;
 use proptest::prelude::*;
 use selection::{
-    classify, evaluate_decision, evaluate_decision_with, is_read_only, CacheSettings,
-    CachedStlSelector, MethodParamSet, OpProfile, ProtocolParams, SelectionDecision, ShapeSummary,
-    StlModel, StlSelector, StlTable, WorkloadSignal,
+    classify, evaluate_decision, evaluate_decision_with, is_read_only, route, CacheSettings,
+    CachedStlSelector, Confluence, MethodParamSet, OpProfile, ProtocolParams, Route,
+    SelectionDecision, ShapeSummary, StlModel, StlSelector, StlTable, WorkloadSignal,
 };
 use simkit::rng::SimRng;
 use simkit::time::{Duration, SimTime};
@@ -277,13 +277,14 @@ proptest! {
         }
     }
 
-    /// The fast-path safety contract of routed selection (PR 8): the
-    /// confluence and snapshot verdicts returned beside the protocol
-    /// decision are exactly the pure classifiers of the op profile and
-    /// the access-set sizes — in warm-up, on exploration rounds and in
-    /// steady state, table hit or miss, whatever bucket the shape's
-    /// losses quantize to. A memoized STL′ can therefore never flip a
-    /// transaction onto a bypass its own fresh evaluation would refuse.
+    /// The fast-path safety contract of routing (PR 8): the routes a
+    /// transaction is offered are exactly the pure classifiers of its op
+    /// profile and access-set sizes, in the fixed fallback order —
+    /// whichever round the selector deciding its protocol is in (warm-up,
+    /// exploration, steady state; table hit or miss; whatever bucket the
+    /// shape's losses quantize to). A memoized STL′ can therefore never
+    /// flip a transaction onto a bypass its own fresh evaluation would
+    /// refuse.
     #[test]
     fn classification_is_stable_across_bucket_representatives(
         case in (0u64..u64::MAX, 0.0f64..0.4, 0u8..16)
@@ -305,19 +306,25 @@ proptest! {
         for i in 0..12u64 {
             let txn = seeded_txn(seed, i, ITEMS, 0);
             let metrics = if i < 3 { &cold } else { &warm };
-            let routed = cached.select_routed_sharded(
+            let decision = cached.select_sharded(
                 &txn,
                 &catalog,
                 WorkloadSignal::default(),
                 metrics.total_committed.get(),
                 || metrics.clone(),
                 || metrics.sample(),
-                profile,
             );
             let (m, n) = (txn.read_set().len(), txn.write_set().len());
-            prop_assert_eq!(routed.confluence, classify(profile, m, n), "round {}", i);
-            prop_assert_eq!(routed.snapshot, is_read_only(profile, m, n), "round {}", i);
-            match (i < 3, routed.decision.exploratory) {
+            let mut expected = Vec::new();
+            if is_read_only(profile, m, n) {
+                expected.push(Route::Snapshot);
+            }
+            if classify(profile, m, n) == Confluence::ConfluentFastPath {
+                expected.push(Route::Bypass);
+            }
+            expected.push(Route::Coordinated);
+            prop_assert_eq!(route(profile, m, n).collect::<Vec<_>>(), expected, "round {}", i);
+            match (i < 3, decision.exploratory) {
                 (true, exploratory) => {
                     prop_assert!(exploratory, "cold metrics cannot be warmed up");
                     phases.0 += 1;

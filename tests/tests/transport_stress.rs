@@ -1,4 +1,6 @@
-//! Stress and equivalence coverage for the batched message plane.
+//! Stress and equivalence coverage for the runtime's two message planes:
+//! the batched ring that carries requests to the shards and the mailbox
+//! slab that carries replies back.
 //!
 //! Three layers, matching the guarantees the runtime leans on:
 //!
@@ -6,19 +8,20 @@
 //!    stress against a deliberately tiny ring, exercising full-ring
 //!    backpressure (producer park/unpark), empty-ring consumer parking,
 //!    and FIFO-per-producer ordering.
-//! 2. **Plane equivalence, deterministic** — the same single-client
-//!    workload produces identical reads, commits and final state on the
-//!    batched ring and on the mpsc baseline.
-//! 3. **Plane equivalence, concurrent** — a mixed-method multi-threaded
-//!    workload on each plane is certified by the `sercheck`
-//!    serializability oracle.
+//! 2. **Sequential equivalence, deterministic** — a single-client
+//!    workload through the live runtime produces exactly the reads,
+//!    commits and final state of a sequential in-memory model of the
+//!    same transfers.
+//! 3. **Concurrent** — a mixed-method multi-threaded workload is
+//!    certified by the `sercheck` serializability oracle, with the
+//!    balance invariant on top.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use dbmodel::{CcMethod, LogicalItemId, Value};
-use runtime::{CcPolicy, Database, RuntimeConfig, TransportKind, TxnSpec};
+use runtime::{CcPolicy, Database, RuntimeConfig, TxnSpec};
 use simkit::rng::SimRng;
 use transport::ring;
 
@@ -125,36 +128,50 @@ fn ring_consumer_parks_and_wakes_on_trickle() {
     assert_eq!(got, (0..50).collect::<Vec<_>>());
 }
 
-fn plane_config(transport: TransportKind, shards: u32, items: u64) -> RuntimeConfig {
+const INITIAL: Value = 100;
+
+fn config(shards: u32, items: u64) -> RuntimeConfig {
     RuntimeConfig {
         num_shards: shards,
         num_items: items,
-        initial_value: 100,
-        transport,
+        initial_value: INITIAL,
         deadlock_scan_interval: Duration::from_millis(2),
         ..RuntimeConfig::default()
     }
 }
 
-/// Drive one deterministic single-client workload and capture everything
-/// observable: per-transaction read values and the final state of every
-/// item.
-fn deterministic_run(transport: TransportKind) -> (Vec<Vec<Value>>, Vec<Value>, u64) {
+/// A deterministic single-client workload — 80 two-item transfers
+/// rotating through 2PL, T/O and PA — observes exactly what a sequential
+/// `Vec<Value>` model of the same transfers does: per-transaction reads,
+/// the final state of every item and the commit count. Batching and
+/// mailbox routing only group and wake; they never reorder or lose a
+/// transaction's effects.
+#[test]
+fn single_client_run_matches_the_sequential_model() {
     const ITEMS: u64 = 12;
-    let db = Database::open(plane_config(transport, 3, ITEMS)).unwrap();
-    let mut observed = Vec::new();
+    let db = Database::open(config(3, ITEMS)).unwrap();
+    let mut model = vec![INITIAL; ITEMS as usize];
+    let mut transfers = 0u64;
     for i in 0..80u64 {
-        let a = li(i % ITEMS);
-        let b = li((i * 5 + 1) % ITEMS);
+        let (a, b) = (i % ITEMS, (i * 5 + 1) % ITEMS);
         if a == b {
             continue;
         }
         let method = CcMethod::ALL[(i % 3) as usize];
-        let spec = TxnSpec::new().write(a).write(b).method(method);
+        let spec = TxnSpec::new().write(li(a)).write(li(b)).method(method);
         let receipt = db
-            .run_transaction(&spec, |reads| vec![(a, reads[&a] - 1), (b, reads[&b] + 1)])
+            .run_transaction(&spec, |reads| {
+                vec![(li(a), reads[&li(a)] - 1), (li(b), reads[&li(b)] + 1)]
+            })
             .unwrap();
-        observed.push(receipt.reads.values().copied().collect::<Vec<_>>());
+        assert_eq!(
+            (receipt.reads[&li(a)], receipt.reads[&li(b)]),
+            (model[a as usize], model[b as usize]),
+            "transfer {i} read something the sequential model did not"
+        );
+        model[a as usize] -= 1;
+        model[b as usize] += 1;
+        transfers += 1;
     }
     let finals: Vec<Value> = (0..ITEMS)
         .map(|i| {
@@ -163,77 +180,62 @@ fn deterministic_run(transport: TransportKind) -> (Vec<Vec<Value>>, Vec<Value>, 
                 .reads[&li(i)]
         })
         .collect();
+    assert_eq!(finals, model, "final states diverged from the model");
+    let report = db.shutdown().unwrap();
+    assert_eq!(report.stats.committed, transfers + ITEMS);
+    assert!(report.serializable().is_ok());
+}
+
+/// Concurrent mixed-method traffic across both planes (requests over the
+/// ring, replies through the mailboxes), certified by the sercheck
+/// oracle, with the balance invariant checked on top.
+#[test]
+fn both_planes_serializable_under_concurrent_mixed_load() {
+    const ITEMS: u64 = 24;
+    const CLIENTS: u64 = 6;
+    const PER_CLIENT: u64 = 40;
+    let db = Database::open(RuntimeConfig {
+        policy: CcPolicy::Mix {
+            p_2pl: 0.34,
+            p_to: 0.33,
+        },
+        ..config(3, ITEMS)
+    })
+    .unwrap();
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                for k in 0..PER_CLIENT {
+                    let i = c * 131 + k * 17;
+                    let from = li(i % ITEMS);
+                    let to = li((i * 3 + 1) % ITEMS);
+                    if from == to {
+                        continue;
+                    }
+                    let spec = TxnSpec::new().write(from).write(to);
+                    db.run_transaction(&spec, |reads| {
+                        vec![(from, reads[&from] - 1), (to, reads[&to] + 1)]
+                    })
+                    .unwrap();
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    let total: Value = (0..ITEMS)
+        .map(|i| {
+            db.run_transaction(&TxnSpec::new().read(li(i)), |_| vec![])
+                .unwrap()
+                .reads[&li(i)]
+        })
+        .sum();
+    assert_eq!(total, INITIAL * ITEMS as Value, "balance leaked");
     let report = db.shutdown().unwrap();
     assert!(
         report.serializable().is_ok(),
-        "{transport:?} run must be serializable"
+        "oracle rejected the execution"
     );
-    (observed, finals, report.stats.committed)
-}
-
-/// Batched-vs-unbatched equivalence (satellite 3): a deterministic
-/// workload is bit-identical across the two planes — batching only groups
-/// messages, it never reorders a transaction's effects.
-#[test]
-fn batched_and_mpsc_planes_are_observationally_equivalent() {
-    let (ring_reads, ring_finals, ring_committed) = deterministic_run(TransportKind::BatchedRing);
-    let (mpsc_reads, mpsc_finals, mpsc_committed) = deterministic_run(TransportKind::Mpsc);
-    assert_eq!(ring_committed, mpsc_committed);
-    assert_eq!(ring_reads, mpsc_reads, "per-transaction reads diverged");
-    assert_eq!(ring_finals, mpsc_finals, "final states diverged");
-}
-
-/// Concurrent mixed-method traffic on both planes, each run certified by
-/// the sercheck oracle, with the balance invariant checked on top.
-#[test]
-fn both_planes_serializable_under_concurrent_mixed_load() {
-    for transport in [TransportKind::BatchedRing, TransportKind::Mpsc] {
-        const ITEMS: u64 = 24;
-        const CLIENTS: u64 = 6;
-        const PER_CLIENT: u64 = 40;
-        let db = Database::open(RuntimeConfig {
-            policy: CcPolicy::Mix {
-                p_2pl: 0.34,
-                p_to: 0.33,
-            },
-            ..plane_config(transport, 3, ITEMS)
-        })
-        .unwrap();
-        let workers: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let db = db.clone();
-                std::thread::spawn(move || {
-                    for k in 0..PER_CLIENT {
-                        let i = c * 131 + k * 17;
-                        let from = li(i % ITEMS);
-                        let to = li((i * 3 + 1) % ITEMS);
-                        if from == to {
-                            continue;
-                        }
-                        let spec = TxnSpec::new().write(from).write(to);
-                        db.run_transaction(&spec, |reads| {
-                            vec![(from, reads[&from] - 1), (to, reads[&to] + 1)]
-                        })
-                        .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let total: Value = (0..ITEMS)
-            .map(|i| {
-                db.run_transaction(&TxnSpec::new().read(li(i)), |_| vec![])
-                    .unwrap()
-                    .reads[&li(i)]
-            })
-            .sum();
-        assert_eq!(total, 100 * ITEMS as Value, "{transport:?}: balance leaked");
-        let report = db.shutdown().unwrap();
-        assert!(
-            report.serializable().is_ok(),
-            "{transport:?}: oracle rejected the execution"
-        );
-    }
 }
