@@ -441,6 +441,16 @@ impl ItemState {
         self.try_grants(sink);
     }
 
+    /// Make the allocations a first request would — the queue's retained
+    /// entry buffer and the lock list's first growth — up front (see
+    /// [`crate::QueueManager::prewarm`]).
+    pub fn prewarm(&mut self) {
+        self.queue.prewarm();
+        if self.locks.capacity() == 0 {
+            self.locks.reserve(4);
+        }
+    }
+
     /// Handle a `Release` message: drop the transaction's lock and queue
     /// entry. For a write access of a 2PL/PA transaction (or of a T/O
     /// transaction that never demoted), the value is installed and the

@@ -325,6 +325,18 @@ impl QueueManager {
         }
     }
 
+    /// Reserve every item's lazily allocated state (queue entry buffer,
+    /// lock list) now. An engine driven by one thread never needs this —
+    /// the allocations happen once per item either way; the live runtime
+    /// calls it at open because its commands run on whichever thread
+    /// holds the shard, and per-item buffers first touched there would be
+    /// long-lived allocations scattered over every client's malloc arena.
+    pub fn prewarm(&mut self) {
+        for item in &mut self.items {
+            item.prewarm();
+        }
+    }
+
     /// Toggle the snapshot watermark check. On by default; turning it off
     /// exists only as the mutation switch demonstrating the check is
     /// load-bearing: unvalidated snapshot reads serve each item's raw

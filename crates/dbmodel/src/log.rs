@@ -10,7 +10,7 @@
 //! logs of all items and is the input to the serializability oracle in the
 //! `sercheck` crate.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::ids::{PhysicalItemId, Timestamp, TxnId};
 use crate::op::AccessMode;
@@ -153,6 +153,31 @@ impl LogSet {
             .append_full(txn, mode, commit_ts, snapshot)
     }
 
+    /// Move every log of `other` into this set. A log for an item this
+    /// set has none for — every log, when the two sets cover different
+    /// sites, as the slices of a sharded runtime do — moves as it is,
+    /// buffer and all: nothing is copied and nothing grows. Entries for
+    /// an item both sets know are appended after this set's own.
+    pub fn absorb(&mut self, other: LogSet) {
+        if self.logs.is_empty() {
+            self.logs = other.logs;
+            return;
+        }
+        for (item, log) in other.logs {
+            match self.logs.entry(item) {
+                Entry::Vacant(slot) => {
+                    slot.insert(log);
+                }
+                Entry::Occupied(mut slot) => {
+                    for e in log.entries {
+                        slot.get_mut()
+                            .append_full(e.txn, e.mode, e.commit_ts, e.snapshot);
+                    }
+                }
+            }
+        }
+    }
+
     /// The log of one item, if any operation has been implemented on it.
     pub fn log(&self, item: PhysicalItemId) -> Option<&ItemLog> {
         self.logs.get(&item)
@@ -195,6 +220,34 @@ mod tests {
 
     fn pi(i: u64, s: u32) -> PhysicalItemId {
         PhysicalItemId::new(LogicalItemId(i), SiteId(s))
+    }
+
+    #[test]
+    fn absorb_moves_disjoint_logs_and_appends_shared_ones() {
+        let mut a = LogSet::new();
+        a.record(pi(1, 0), TxnId(1), AccessMode::Write);
+        let mut b = LogSet::new();
+        b.record(pi(1, 1), TxnId(2), AccessMode::Write);
+        b.record(pi(1, 0), TxnId(3), AccessMode::Read);
+        let moved = b.log(pi(1, 1)).unwrap().entries().as_ptr();
+        a.absorb(b);
+        assert_eq!(a.total_ops(), 3);
+        assert_eq!(
+            a.log(pi(1, 1)).unwrap().entries().as_ptr(),
+            moved,
+            "a log for a new item moves with its buffer"
+        );
+        let shared: Vec<(u64, u64)> = a
+            .log(pi(1, 0))
+            .unwrap()
+            .entries()
+            .iter()
+            .map(|e| (e.txn.0, e.seq))
+            .collect();
+        assert_eq!(shared, [(1, 0), (3, 1)], "shared items append in order");
+        let mut empty = LogSet::new();
+        empty.absorb(a);
+        assert_eq!(empty.total_ops(), 3);
     }
 
     #[test]

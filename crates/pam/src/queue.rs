@@ -80,6 +80,15 @@ impl DataQueue {
         self.entries.capacity()
     }
 
+    /// Reserve the retained minimum now instead of on the first insert, so
+    /// the first request a queue sees allocates nothing — for embedders
+    /// that care *which thread* a queue's one allocation happens on.
+    pub fn prewarm(&mut self) {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve(MIN_ENTRY_CAPACITY);
+        }
+    }
+
     /// Insert an entry at its precedence-sorted position.
     ///
     /// Panics in debug builds if the transaction already has an entry in this
@@ -90,9 +99,7 @@ impl DataQueue {
             "transaction {:?} already queued",
             entry.txn
         );
-        if self.entries.capacity() == 0 {
-            self.entries.reserve(MIN_ENTRY_CAPACITY);
-        }
+        self.prewarm();
         let pos = self
             .entries
             .partition_point(|e| e.precedence <= entry.precedence);
@@ -327,6 +334,17 @@ mod tests {
         q.mark_granted(TxnId(1));
         let granted: Vec<u64> = q.granted().map(|e| e.txn.0).collect();
         assert_eq!(granted, vec![1, 3]);
+    }
+
+    #[test]
+    fn prewarm_makes_the_first_insert_allocation_free() {
+        let mut q = DataQueue::new();
+        q.prewarm();
+        let cap = q.capacity();
+        assert!(cap >= 8, "prewarm reserves the retained minimum");
+        q.insert(entry(0, 1, AccessMode::Write));
+        q.prewarm();
+        assert_eq!(q.capacity(), cap, "nothing left for the insert to reserve");
     }
 
     #[test]

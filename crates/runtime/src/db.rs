@@ -1,11 +1,12 @@
 //! The [`Database`] facade: thread-safe entry point for live transactions.
 //!
-//! A `Database` owns one shard thread per site plus the background deadlock
-//! detector. Any number of client threads may concurrently open
+//! A `Database` owns one shard per site (see `shard`) plus the background
+//! deadlock detector. Any number of client threads may concurrently open
 //! transactions; each client thread *is* the request issuer of its own
 //! transaction — it drives the sans-IO [`RequestIssuer`] state machine,
-//! blocking on an event channel for queue-manager replies, exactly the way
-//! the simulator drives it from the event loop. Restarts (T/O rejections,
+//! blocking on its reply mailbox for queue-manager replies, exactly the
+//! way the simulator drives it from the event loop — and, when the owning
+//! shard is idle, the queue manager's side of the conversation too. Restarts (T/O rejections,
 //! deadlock victims) are retried transparently under a fresh transaction id
 //! and a larger timestamp, up to [`RuntimeConfig::max_restarts`] attempts.
 //!
@@ -136,24 +137,28 @@ impl Database {
             qm.set_dedup_access(config.dedup_access);
             qm.set_version_retain(config.version_retain);
             qm.set_snapshot_validation(config.snapshot_validation);
+            // Commands may run on client threads (caller-runs shards):
+            // nothing long-lived is left to allocate there.
+            qm.prewarm();
             let (tx, rx) = transport::ring::channel(config.shard_inbox_capacity);
             if plane.level() == TraceLevel::Full {
                 // Queue-dwell stamping on the inbox ring: each slot
                 // carries its enqueue time, the consumer accumulates the
-                // dwell — the `qu/blk` segment's transport-side witness.
+                // dwell — the `qu/blk` segment's transport-side witness
+                // for the commands that did not run on their caller.
                 tx.set_stamping(true);
             }
             let handle = shard::spawn(
                 qm,
                 idx,
                 rx,
-                tx.clone(),
+                tx,
                 Arc::clone(&registry),
                 Arc::clone(&stats),
                 Arc::clone(&plane),
                 Arc::clone(&clock),
             );
-            shard_txs.push(tx);
+            shard_txs.push(handle.tx.clone());
             site_index.insert(site, idx);
             shard_handles.push(handle);
         }
@@ -310,7 +315,7 @@ impl Database {
             let (tx, rx) = transport::oneshot::channel();
             if shard.send(ShardCmd::LogSnapshot(tx)).is_ok() {
                 if let Ok(slice) = rx.recv_timeout(deadline) {
-                    merge_logs(&mut merged, &slice);
+                    merged.absorb(slice);
                 }
             }
         }
@@ -616,8 +621,10 @@ impl Database {
             let _ = handle.tx.send(ShardCmd::Shutdown);
         }
         for handle in shards {
+            // Shards own disjoint items: each slice moves into the
+            // report as it is, no entry copied.
             if let Ok((_site, slice)) = handle.join.join() {
-                merge_logs(&mut logs, &slice);
+                logs.absorb(slice);
             }
         }
         let metrics = self.inner.metrics.merged(self.now());
@@ -841,9 +848,10 @@ impl Database {
     /// This is the client-side **send batcher**: the transaction's
     /// messages are grouped per destination shard (stable — relative
     /// order per shard is preserved, which is all the protocol requires)
-    /// and each group is enqueued as one [`ShardCmd::HandleBatch`], so a
-    /// transaction costs each shard one enqueue and at most one wakeup
-    /// per phase instead of one per message.
+    /// and each group is submitted as one [`ShardCmd::HandleBatch`], so a
+    /// transaction costs each shard one core tenure per phase instead of
+    /// one per message — on this thread when the shard is idle
+    /// ([`ShardSender::submit`]), else one enqueue and at most one wakeup.
     pub(crate) fn route_all(&self, origin: SiteId, sends: Vec<RequestMsg>) -> Result<(), TxnError> {
         if sends.is_empty() {
             return Ok(());
@@ -864,7 +872,7 @@ impl Database {
         };
         let send_batch = |idx: usize, msgs| {
             self.inner.shard_txs[idx]
-                .send(ShardCmd::HandleBatch { origin, msgs })
+                .submit(ShardCmd::HandleBatch { origin, msgs })
                 .map_err(|_| TxnError::ShuttingDown)
         };
         // Group by destination without allocating: messages are `Copy`
@@ -975,14 +983,6 @@ fn method_code(method: CcMethod) -> u32 {
         CcMethod::TwoPhaseLocking => 0,
         CcMethod::TimestampOrdering => 1,
         CcMethod::PrecedenceAgreement => 2,
-    }
-}
-
-fn merge_logs(into: &mut LogSet, from: &LogSet) {
-    for (item, log) in from.iter() {
-        for entry in log.entries() {
-            into.record_full(item, entry.txn, entry.mode, entry.commit_ts, entry.snapshot);
-        }
     }
 }
 

@@ -7,11 +7,14 @@
 //! on the transaction side — are embedded into real threads and real
 //! channels:
 //!
-//! * **Shards** (internal) — one thread per site, owning that site's queue
-//!   manager. Protocol messages arrive over a bounded command inbox
-//!   (backpressure), replies are routed back through the transaction
-//!   registry, and every implemented operation is appended to the shard's
-//!   slice of the execution log.
+//! * **Shards** (internal) — one per site: that site's queue manager
+//!   behind a lock, run by whoever holds it. A client that finds a shard
+//!   idle runs its own protocol command there, on its own thread, and
+//!   pays no wake-up; otherwise the command crosses a bounded inbox
+//!   (backpressure) to the shard's thread. Either way replies are routed
+//!   back through the transaction registry, and every implemented
+//!   operation reaches the shard's slice of the execution log, which the
+//!   shard thread keeps.
 //! * **[`Database`]** — the thread-safe facade. Client threads open
 //!   transactions with predeclared read/write sets ([`TxnSpec`]); each
 //!   transaction runs under its own concurrency-control method — pinned per

@@ -147,11 +147,11 @@ impl Registry {
     /// buffer.
     #[cfg(test)]
     pub(crate) fn deliver_all<I: IntoIterator<Item = ReplyMsg>>(&self, replies: I) {
-        self.deliver_all_with(replies, &mut Vec::new());
+        self.deliver_all_with(replies, &mut Vec::new(), None);
     }
 
-    /// Deliver a batch of replies — the shard loop flushes all replies
-    /// produced by one drained command batch this way. Every reply a
+    /// Deliver a batch of replies — a shard core flushes all replies
+    /// produced by one lock tenure this way. Every reply a
     /// transaction earned in the flush is grouped into one
     /// [`ClientEvent::Replies`] (one wakeup per transaction per flush,
     /// even when different transactions' replies interleave), with the
@@ -161,10 +161,17 @@ impl Registry {
     /// groups, so a hot flush path pays no heap allocation for the
     /// grouping (the inline `SmallBatch` runs already cross for free); it
     /// is left empty with its capacity intact.
+    ///
+    /// `own` names the transaction whose client is the delivering thread
+    /// (a caller running its command inline): that thread is the only one
+    /// that can drain the mailbox, so waiting on it full would deadlock
+    /// until the deliver timeout — its event is dropped and counted as a
+    /// full drop at once instead.
     pub(crate) fn deliver_all_with<I: IntoIterator<Item = ReplyMsg>>(
         &self,
         replies: I,
         scratch: &mut Vec<(TxnId, SmallBatch<ReplyMsg>)>,
+        own: Option<TxnId>,
     ) {
         // Group by transaction, preserving first-appearance order across
         // transactions and processing order within one. Flushes touch a
@@ -182,7 +189,13 @@ impl Registry {
             }
         }
         for (txn, run) in scratch.drain(..) {
-            if !self.slab.deliver(txn.0, ClientEvent::Replies(run)) {
+            let event = ClientEvent::Replies(run);
+            let delivered = if own == Some(txn) {
+                self.slab.try_deliver(txn.0, event)
+            } else {
+                self.slab.deliver(txn.0, event)
+            };
+            if !delivered {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }

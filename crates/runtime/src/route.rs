@@ -269,9 +269,10 @@ impl Database {
         Ok(Some((txn_id, reads)))
     }
 
-    /// The scatter/gather both one-shot routes share: send each site its
-    /// slice of the work as one command — `cmd` builds it around the
-    /// reply sender — then gather every answer under
+    /// The scatter/gather both one-shot routes share: submit each site
+    /// its slice of the work as one command — `cmd` builds it around the
+    /// reply sender; an idle shard runs it on this thread and the answer
+    /// is already there — then gather every answer under
     /// `diagnostic_timeout`. `Ok(Some(reads))` when every shard served,
     /// `Ok(None)` when any refused.
     fn scatter_gather<T>(
@@ -287,7 +288,7 @@ impl Database {
                 .get(&site)
                 .expect("catalog routed an op to an unknown site");
             let (tx, rx) = transport::oneshot::channel();
-            if inner.shard_txs[idx].send(cmd(work, tx)).is_err() {
+            if inner.shard_txs[idx].submit(cmd(work, tx)).is_err() {
                 return Err(TxnError::ShuttingDown);
             }
             pending.push(rx);

@@ -1,35 +1,77 @@
-//! Shard threads: one per site, each owning that site's [`QueueManager`].
+//! Shards: one per site, each a [`ShardCore`] run by whoever holds its lock.
 //!
 //! A shard is the runtime analogue of the simulator's per-site queue
-//! manager. It drains a bounded command inbox (backpressure towards the
-//! clients), pushes each drained [`ShardCmd::HandleBatch`] through one
-//! `QueueManager::handle_batch` call into a reusable [`QmSink`] (no
-//! per-message `QmOutput` allocation anywhere on the path), flushes the
-//! accumulated replies through the [`Registry`] once per drained batch,
-//! and appends every implemented operation to its private slice of the
-//! execution log. Because every
-//! physical item lives on exactly one shard, the per-item implementation
-//! order — the thing the serializability oracle consumes — is exactly the
-//! order the owning shard processed the operations in, with no further
-//! synchronisation.
+//! manager. Its state — the site's [`QueueManager`], the reusable
+//! [`QmSink`] (no per-message `QmOutput` allocation anywhere on the
+//! path), the reply-flush scratch and a fixed buffer of execution-log
+//! records — is a [`ShardCore`] behind one mutex, and a command reaches
+//! it one of two ways:
 //!
-//! The inbox is a bounded lock-free MPSC ring (`transport::ring`): one
-//! consumer wakeup drains *everything* enqueued since the last one, and
-//! replies are flushed through the registry once per drained batch.
+//! * **Caller-runs.** [`ShardSender::submit`] try-locks the core. If it
+//!   is free, the inbox ring is idle and the log buffer has room, the
+//!   *calling* thread runs its own `HandleBatch` / `ApplyConfluent` /
+//!   `SnapshotRead` right there — through the same
+//!   [`ShardCore::apply_cmd`] and the same reply flush the shard thread
+//!   uses — and finds its grants already in its mailbox (or its oneshot
+//!   already filled). Nobody parks and nobody is woken: the uncontended
+//!   command pays no thread hop at all.
+//! * **The inbox.** Anything else goes through the bounded lock-free MPSC
+//!   ring (`transport::ring`, backpressure towards the clients): `submit`
+//!   when the core is busy, the ring has a backlog or the log buffer is
+//!   full; every [`ShardSender::send`] — `Crash`, `Shutdown`, the
+//!   detector's and the diagnostics' commands. The shard thread parks on
+//!   the ring *without consuming* ([`RingReceiver::wait_ready`]), takes
+//!   the core lock, drains everything enqueued since its last tenure,
+//!   applies it and flushes the accumulated replies through the
+//!   [`Registry`] once per drained batch.
+//!
+//! **FIFO per shard** is load-bearing (a transaction's `Release` must not
+//! overtake its `Access`; a snapshot read must queue behind the installs
+//! its watermark covers) and two rules keep it. The consuming end of the
+//! ring is touched *only under the core lock* — lock, then drain, never
+//! pop-then-lock — so every command taken off the ring is applied before
+//! the lock is next free. And a caller runs inline only if, under the
+//! lock, the ring is idle (`tail == head`): its own earlier commands, and
+//! any install another client enqueued before retiring the commit stamp
+//! this caller's watermark covers, are then already applied.
+//!
+//! **The shard thread is the log keeper.** Every implemented operation is
+//! appended — in processing order, by whoever runs the command — to a
+//! fixed-capacity record buffer inside the core. The shard thread, on any
+//! wake-up, swaps that buffer with its spare under the lock and folds the
+//! records into its thread-owned [`LogSet`] outside it; a caller that
+//! fills the buffer half way sends one [`ShardCmd::FoldLog`] nudge
+//! through the ring, and inline admission requires room. The one
+//! allocation that grows per commit therefore stays in one thread's
+//! malloc arena (spread over every client's arena it ratchets RSS up by
+//! a quarter). Because every physical item lives on exactly one shard,
+//! the per-item implementation order — the thing the serializability
+//! oracle consumes — is exactly the order the core processed the
+//! operations in, with no further synchronisation.
+//!
+//! **Faults.** `Crash { outage }` sleeps holding the core, so callers
+//! fall back to the ring and the inbox backs up exactly as the fault
+//! model says. An engine panic during an inline run is caught on the
+//! calling thread, the core is marked closed and the shard thread
+//! re-raises the panic as its own: the shard dies, not the caller, and
+//! both entries fail from then on like a send to a dropped receiver.
 //!
 //! Shutdown drains first: a [`ShardCmd::Shutdown`] marks the loop for
 //! exit, but every command already enqueued — including commands ahead of
-//! or behind it in the same drained batch — is still processed before the
-//! thread returns its log slice. Without this, a release enqueued by a
-//! committing client just before shutdown could be dropped and its write
-//! silently lost from the final log.
+//! or behind it in the same drained batch — is still processed, and the
+//! core is closed in the same lock tenure, before the thread returns its
+//! log slice. Without this, a release enqueued by a committing client
+//! just before shutdown could be dropped and its write silently lost from
+//! the final log.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use dbmodel::{AccessMode, LogSet, PhysicalItemId, SiteId, Timestamp, TxnId, Value};
-use pam::{GrantClass, RequestMsg};
+use pam::{GrantClass, ReplyMsg, RequestMsg};
 use trace::{Phase, TraceLevel, TracePlane};
 use transport::batch::SmallBatch;
 use transport::oneshot::OneshotSender;
@@ -40,7 +82,7 @@ use crate::clock::CommitClock;
 use crate::registry::Registry;
 use crate::stats::RuntimeStats;
 
-/// Commands a shard thread processes.
+/// Commands a shard processes.
 // The variant size gap is deliberate: request batches travel inline so no
 // heap allocation crosses the client→shard boundary, and they are nearly
 // all of the traffic.
@@ -100,74 +142,116 @@ pub(crate) enum ShardCmd {
     /// Report the transactions currently queued and not granted
     /// (diagnostics).
     Waiting(OneshotSender<Vec<TxnId>>),
-    /// Report a copy of the shard's execution-log slice (live log tap).
+    /// Report a copy of the shard's execution-log slice (live log tap),
+    /// every record still in the core's buffer folded in first.
     LogSnapshot(OneshotSender<LogSet>),
+    /// Wake the shard thread so it folds the core's log buffer into its
+    /// log — sent by a caller whose inline run filled the buffer half
+    /// way. Carries nothing: every wake-up folds.
+    FoldLog,
     /// Drain everything already enqueued, then exit, returning the final
     /// log slice through the join handle.
     Shutdown,
 }
 
-/// The clone-able handle for enqueueing commands at a shard; `send`
-/// blocks while the shard's inbox is full and fails once the shard is
-/// gone.
-pub(crate) type ShardSender = RingSender<ShardCmd>;
+/// Records the core's log buffer holds, allocated once at spawn (twice:
+/// the shard thread keeps a spare to swap in). A caller nudges the keeper
+/// at half full and stops running inline when its command might not fit.
+const LOG_BUF_RECORDS: usize = 2048;
 
-/// The consuming end of a shard's inbox.
-pub(crate) type ShardInbox = RingReceiver<ShardCmd>;
-
-/// A running shard thread.
-pub(crate) struct ShardHandle {
-    pub(crate) tx: ShardSender,
-    pub(crate) join: JoinHandle<(SiteId, LogSet)>,
+/// One implemented operation on its way to the keeper's [`LogSet`].
+struct LogRecord {
+    item: PhysicalItemId,
+    txn: TxnId,
+    access: AccessMode,
+    commit_ts: Option<Timestamp>,
+    snapshot: bool,
 }
 
-/// Spawn the shard thread for `site`, taking ownership of its queue
-/// manager. `idx` is the shard's slot in the runtime's per-shard counter
-/// table.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn(
+fn fold_log(logs: &mut LogSet, records: &mut Vec<LogRecord>) {
+    for r in records.drain(..) {
+        logs.record_full(r.item, r.txn, r.access, r.commit_ts, r.snapshot);
+    }
+}
+
+impl ShardCmd {
+    /// The protocol commands a caller may run on its own thread; the rest
+    /// belong to the shard thread (they sleep, exit, or read its log).
+    fn runs_inline(&self) -> bool {
+        matches!(
+            self,
+            ShardCmd::HandleBatch { .. }
+                | ShardCmd::ApplyConfluent { .. }
+                | ShardCmd::SnapshotRead { .. }
+        )
+    }
+
+    /// The transaction a protocol command speaks for (a batch carries
+    /// one transaction's messages); `None` for everything else.
+    fn txn(&self) -> Option<TxnId> {
+        match self {
+            ShardCmd::HandleBatch { msgs, .. } => msgs.iter().next().map(RequestMsg::txn),
+            ShardCmd::ApplyConfluent { txn, .. } | ShardCmd::SnapshotRead { txn, .. } => Some(*txn),
+            _ => None,
+        }
+    }
+
+    /// Upper bound on the log records applying this command appends: a
+    /// `Release` / `Demote` implements at most its own operation, a
+    /// one-shot command at most one per op.
+    fn log_demand(&self) -> usize {
+        match self {
+            ShardCmd::HandleBatch { msgs, .. } => msgs.len(),
+            ShardCmd::ApplyConfluent { ops, .. } => ops.len(),
+            ShardCmd::SnapshotRead { items, .. } => items.len(),
+            // Crash recovery and cleanup only ever drop queue entries.
+            _ => 0,
+        }
+    }
+}
+
+/// A shard's whole mutable state, owned by whoever holds its lock: the
+/// shard thread while it drains the ring, or a client running its own
+/// command inline (see the module docs).
+pub(crate) struct ShardCore {
     qm: QueueManager,
-    idx: usize,
-    inbox: ShardInbox,
-    tx: ShardSender,
+    /// The reusable engine sink: replies accumulate here across a whole
+    /// lock tenure and are flushed straight to the registry (no
+    /// intermediate per-message `QmOutput`); events are folded into the
+    /// stats and the log buffer after each protocol command.
+    sink: QmSink,
+    /// Retained grouping scratch for the reply flushes: the flush path
+    /// pays no allocation per tenure.
+    reply_groups: Vec<(TxnId, SmallBatch<ReplyMsg>)>,
+    /// Implemented operations not yet folded into the keeper's `LogSet`,
+    /// in processing order.
+    log_buf: Vec<LogRecord>,
+    /// A `FoldLog` nudge is on its way; cleared when the keeper swaps.
+    nudged: bool,
+    /// Set once, under the lock: by the shard thread in its last tenure,
+    /// or by a caller whose inline run panicked. `submit` fails from then
+    /// on.
+    closed: bool,
+    /// The payload of an engine panic caught on a caller's thread, for
+    /// the shard thread to die of.
+    panic: Option<Box<dyn Any + Send>>,
     registry: Arc<Registry>,
     stats: Arc<RuntimeStats>,
+    /// The flight recorder; commands record into lane `idx` whichever
+    /// thread runs them. Events are aggregated per engine call (one
+    /// `Granted` per fold) and per tenure (one `ShardRecv`), all sharing
+    /// one clock read, so the traced path stays allocation-free and
+    /// branch-cheap.
     plane: Arc<TracePlane>,
-    clock: Arc<CommitClock>,
-) -> ShardHandle {
-    let site = qm.site();
-    let join = std::thread::Builder::new()
-        .name(format!("cc-shard-{}", site.0))
-        .spawn(move || shard_loop(qm, idx, inbox, registry, stats, plane, clock))
-        .expect("failed to spawn shard thread");
-    ShardHandle { tx, join }
-}
-
-/// Per-iteration state the command dispatcher threads through.
-struct ShardState<'a> {
-    qm: QueueManager,
-    logs: LogSet,
-    /// The reusable engine sink: replies accumulate here across a whole
-    /// drained batch and are flushed straight to the registry (no
-    /// intermediate per-message `QmOutput`); events are folded into the
-    /// stats and logs after each protocol command.
-    sink: QmSink,
-    stats: &'a RuntimeStats,
-    /// The flight recorder; the shard records into lane `idx`. Events
-    /// are aggregated per engine call (one `Granted` per fold) and per
-    /// drained batch (one `ShardRecv`), all sharing one clock read, so
-    /// the traced shard loop stays allocation-free and branch-cheap.
-    plane: &'a TracePlane,
     /// The global commit clock: fast-path writes draw/retire their stamp
     /// here (shard-side — the apply is the whole commit), and each
-    /// drained batch republishes the read watermark into the queue
-    /// manager so version-chain pruning tracks it.
-    clock: &'a CommitClock,
+    /// tenure republishes the read watermark into the queue manager so
+    /// version-chain pruning tracks it.
+    clock: Arc<CommitClock>,
     idx: usize,
-    shutdown: bool,
 }
 
-impl ShardState<'_> {
+impl ShardCore {
     fn count_msg(&self, msg: &RequestMsg) {
         if matches!(msg, RequestMsg::Abort { .. }) {
             self.stats.per_shard[self.idx]
@@ -176,14 +260,26 @@ impl ShardState<'_> {
         }
     }
 
+    fn log_room(&self, cmd: &ShardCmd) -> bool {
+        self.log_buf.len() + cmd.log_demand() <= self.log_buf.capacity()
+    }
+
+    fn count_implemented(&self, ops: u64) {
+        self.stats.implemented_ops.fetch_add(ops, Ordering::Relaxed);
+        self.stats.per_shard[self.idx]
+            .implemented
+            .fetch_add(ops, Ordering::Relaxed);
+    }
+
     /// Drain the events the last engine call pushed into the sink. Runs
     /// after *every* protocol command — a `LogSnapshot` later in the same
     /// drained batch must observe the operations implemented before it.
-    /// Replies stay in the sink until the owning loop flushes them.
+    /// Replies stay in the sink until the tenure's flush.
     fn fold_events(&mut self) {
         let counters = &self.stats.per_shard[self.idx];
         let mut granted = 0u32;
         let mut last_granted = 0u64;
+        let mut implemented = 0u64;
         for event in self.sink.events.drain(..) {
             match event {
                 QmEvent::GrantIssued { txn, class, .. } => {
@@ -201,11 +297,19 @@ impl ShardState<'_> {
                     access,
                     commit_ts,
                 } => {
-                    self.logs.record_full(item, txn, access, commit_ts, false);
-                    self.stats.implemented_ops.fetch_add(1, Ordering::Relaxed);
-                    counters.implemented.fetch_add(1, Ordering::Relaxed);
+                    self.log_buf.push(LogRecord {
+                        item,
+                        txn,
+                        access,
+                        commit_ts,
+                        snapshot: false,
+                    });
+                    implemented += 1;
                 }
             }
+        }
+        if implemented > 0 {
+            self.count_implemented(implemented);
         }
         let dups = self.qm.take_dup_suppressed();
         if dups > 0 {
@@ -219,6 +323,8 @@ impl ShardState<'_> {
         }
     }
 
+    /// The only place a protocol command is executed, whichever thread
+    /// holds the core.
     fn apply_cmd(&mut self, cmd: ShardCmd) {
         match cmd {
             ShardCmd::HandleBatch { origin, msgs } => {
@@ -241,7 +347,7 @@ impl ShardState<'_> {
                 // watermark load either precedes it — and cannot serve
                 // the new versions — or sees it in flight and stays
                 // below), and the retire happens only after every install
-                // has entered the log slice.
+                // has entered the log buffer.
                 let writes = ops.iter().any(|op| !matches!(op, ConfluentOp::Read(_)));
                 let cts = if writes {
                     self.clock.draw()
@@ -251,8 +357,8 @@ impl ShardState<'_> {
                 let result = self
                     .qm
                     .apply_confluent(origin, txn, &ops, check, cts, &mut self.sink);
-                // Implemented events must land in the log slice in the
-                // shard's processing order, like every protocol command.
+                // Implemented events must land in the log in the core's
+                // processing order, like every protocol command.
                 self.fold_events();
                 if writes {
                     self.clock.retire(cts);
@@ -267,16 +373,18 @@ impl ShardState<'_> {
             } => {
                 let mut out = Vec::with_capacity(items.len());
                 if self.qm.snapshot_read_into(ts, &items, &mut out) {
-                    let counters = &self.stats.per_shard[self.idx];
-                    for &(item, _, served) in &out {
-                        // Logged at the stamp of the version actually
-                        // served — the oracle orders the read against
-                        // writers by it, not by log position.
-                        self.logs
-                            .record_full(item, txn, AccessMode::Read, Some(served), true);
-                        self.stats.implemented_ops.fetch_add(1, Ordering::Relaxed);
-                        counters.implemented.fetch_add(1, Ordering::Relaxed);
-                    }
+                    // Logged at the stamp of the version actually served
+                    // — the oracle orders the read against writers by it,
+                    // not by log position.
+                    self.log_buf
+                        .extend(out.iter().map(|&(item, _, served)| LogRecord {
+                            item,
+                            txn,
+                            access: AccessMode::Read,
+                            commit_ts: Some(served),
+                            snapshot: true,
+                        }));
+                    self.count_implemented(out.len() as u64);
                     reply.send(Some(
                         out.into_iter()
                             .map(|(item, value, _)| (item, value))
@@ -287,10 +395,11 @@ impl ShardState<'_> {
                 }
             }
             ShardCmd::Crash { outage } => {
-                // Unresponsive for the outage, then partial amnesia: the
-                // ungranted tail of every queue is wiped. Lock removal may
-                // re-grant survivors; those grants flow out like any
-                // other replies/events.
+                // Unresponsive for the outage — asleep *holding the
+                // core*, so callers fall back to the inbox and it backs
+                // up — then partial amnesia: the ungranted tail of every
+                // queue is wiped. Lock removal may re-grant survivors;
+                // those grants flow out like any other replies/events.
                 std::thread::sleep(outage);
                 self.qm.crash_recover(&mut self.sink);
                 self.fold_events();
@@ -323,108 +432,260 @@ impl ShardState<'_> {
                 self.qm.waiting_txns_into(&mut waiting);
                 reply_to.send(waiting)
             }
-            ShardCmd::LogSnapshot(reply_to) => reply_to.send(self.logs.clone()),
-            ShardCmd::Shutdown => self.shutdown = true,
+            ShardCmd::LogSnapshot(_) | ShardCmd::FoldLog | ShardCmd::Shutdown => {
+                unreachable!("the shard thread keeps the log and consumes these itself")
+            }
         }
+    }
+
+    /// Open a tenure over `cmds`: one `ShardRecv` on the shard's lane —
+    /// the trace plane sees when the core was entered and how many
+    /// protocol commands the entry amortised, at the cost of one clock
+    /// read — and a fresh read watermark for version-chain pruning
+    /// (pruning against a stale, lower watermark only retains more
+    /// versions, never fewer, so tenure granularity is always safe).
+    fn enter(&mut self, cmds: &[ShardCmd]) {
+        trace_batch(&self.plane, self.idx, cmds);
+        self.qm.set_watermark(self.clock.watermark());
+    }
+
+    /// Flush the tenure's replies, in processing order, straight from the
+    /// engine sink: one registry pass covers every reply the tenure
+    /// produced, and — measured on a loaded single-CPU box — waking
+    /// waiters mid-batch lets them preempt the holder and roughly halves
+    /// throughput. `own` is the transaction of a caller running inline:
+    /// it is the only thread that can drain its mailbox, so its delivery
+    /// never waits on a full one.
+    fn flush_replies(&mut self, own: Option<TxnId>) {
+        if !self.sink.replies.is_empty() {
+            self.registry.deliver_all_with(
+                self.sink.replies.drain(..),
+                &mut self.reply_groups,
+                own,
+            );
+        }
+    }
+
+    /// One caller-runs tenure: exactly what the shard thread does for a
+    /// drained batch of one.
+    fn run_inline(&mut self, cmd: ShardCmd) {
+        let own = cmd.txn();
+        self.enter(std::slice::from_ref(&cmd));
+        self.apply_cmd(cmd);
+        self.flush_replies(own);
     }
 }
 
-/// Record one `ShardRecv` per drained batch: the trace plane sees when
-/// the shard woke and how many protocol commands the wakeup amortised,
-/// at the cost of one clock read for the whole batch.
+/// The error of both entries of a [`ShardSender`]: the shard is gone (shut down, or
+/// dead of an engine panic) and the command with it.
+#[derive(Debug)]
+pub(crate) struct ShardGone;
+
+/// The clone-able handle for handing commands to a shard.
+#[derive(Clone)]
+pub(crate) struct ShardSender {
+    ring: RingSender<ShardCmd>,
+    core: Arc<Mutex<ShardCore>>,
+    stats: Arc<RuntimeStats>,
+    idx: usize,
+}
+
+/// The consuming end of a shard's inbox.
+pub(crate) type ShardInbox = RingReceiver<ShardCmd>;
+
+impl ShardSender {
+    /// Enqueue at the shard's inbox for the shard thread; blocks while
+    /// the inbox is full and fails once the shard is gone.
+    pub(crate) fn send(&self, cmd: ShardCmd) -> Result<(), ShardGone> {
+        self.ring.send(cmd).map_err(|_| ShardGone)
+    }
+
+    /// Hand over a protocol command the cheapest way that keeps per-shard
+    /// FIFO: run it on this thread if the core is free, the inbox idle
+    /// and the log buffer roomy (see the module docs), else enqueue it.
+    /// Every decision is counted per shard.
+    pub(crate) fn submit(&self, cmd: ShardCmd) -> Result<(), ShardGone> {
+        if !cmd.runs_inline() {
+            return self.send(cmd);
+        }
+        let counters = &self.stats.per_shard[self.idx];
+        let fallback = match self.core.try_lock() {
+            Ok(mut core) => {
+                if core.closed {
+                    return Err(ShardGone);
+                }
+                if !self.ring.is_idle() {
+                    &counters.enqueued_backlog
+                } else if !core.log_room(&cmd) {
+                    &counters.enqueued_log_full
+                } else {
+                    counters.inline.fetch_add(1, Ordering::Relaxed);
+                    // The engine's invariants are asserts: contain a
+                    // failing one so it takes the shard down, not the
+                    // client that happened to be running it.
+                    let ran = catch_unwind(AssertUnwindSafe(|| core.run_inline(cmd)));
+                    if let Err(panic) = ran {
+                        core.closed = true;
+                        core.panic = Some(panic);
+                    }
+                    let died = core.closed;
+                    let nudge = !core.nudged && core.log_buf.len() >= LOG_BUF_RECORDS / 2;
+                    core.nudged |= nudge;
+                    drop(core);
+                    if nudge {
+                        counters.log_fold_nudges.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if nudge || died {
+                        // Wake the shard thread, to fold or to die of the
+                        // panic; a full ring wakes it by itself.
+                        let _ = self.ring.try_send(ShardCmd::FoldLog);
+                    }
+                    return if died { Err(ShardGone) } else { Ok(()) };
+                }
+            }
+            // Held — or poisoned: the shard thread died mid-command, its
+            // inbox goes with it and the send below fails.
+            Err(_) => &counters.enqueued_busy,
+        };
+        fallback.fetch_add(1, Ordering::Relaxed);
+        self.send(cmd)
+    }
+
+    /// The inbox ring's queue-dwell meter (see
+    /// [`RingSender::queue_dwell`]); inline runs never enter the ring and
+    /// are not in it.
+    pub(crate) fn queue_dwell(&self) -> (u64, u64) {
+        self.ring.queue_dwell()
+    }
+}
+
+/// A running shard.
+pub(crate) struct ShardHandle {
+    pub(crate) tx: ShardSender,
+    pub(crate) join: JoinHandle<(SiteId, LogSet)>,
+}
+
+/// Build the core for `site` around its queue manager and spawn the shard
+/// thread on `inbox`, the consuming end of the ring `tx` feeds. `idx` is
+/// the shard's slot in the runtime's per-shard counter table.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn spawn(
+    qm: QueueManager,
+    idx: usize,
+    inbox: ShardInbox,
+    tx: RingSender<ShardCmd>,
+    registry: Arc<Registry>,
+    stats: Arc<RuntimeStats>,
+    plane: Arc<TracePlane>,
+    clock: Arc<CommitClock>,
+) -> ShardHandle {
+    let site = qm.site();
+    let core = Arc::new(Mutex::new(ShardCore {
+        qm,
+        // Pre-size to the drain buffer's depth so the first batches skip
+        // the sink's warm-up growth.
+        sink: QmSink::with_capacity(64, 64),
+        reply_groups: Vec::with_capacity(16),
+        log_buf: Vec::with_capacity(LOG_BUF_RECORDS),
+        nudged: false,
+        closed: false,
+        panic: None,
+        registry,
+        stats: Arc::clone(&stats),
+        plane,
+        clock,
+        idx,
+    }));
+    let join = std::thread::Builder::new()
+        .name(format!("cc-shard-{}", site.0))
+        .spawn({
+            let core = Arc::clone(&core);
+            move || (site, shard_loop(&core, inbox))
+        })
+        .expect("failed to spawn shard thread");
+    ShardHandle {
+        tx: ShardSender {
+            ring: tx,
+            core,
+            stats,
+            idx,
+        },
+        join,
+    }
+}
+
+/// Record one `ShardRecv` per tenure (see [`ShardCore::enter`]).
 fn trace_batch(plane: &TracePlane, lane: usize, buf: &[ShardCmd]) {
     if plane.level() == TraceLevel::Off {
         return;
     }
     let mut txn = 0u64;
     let mut protocol_cmds = 0u32;
-    for cmd in buf {
-        let first = match cmd {
-            ShardCmd::HandleBatch { msgs, .. } => msgs.iter().next().map(|m| m.txn().0),
-            ShardCmd::ApplyConfluent { txn, .. } => Some(txn.0),
-            ShardCmd::SnapshotRead { txn, .. } => Some(txn.0),
-            _ => None,
-        };
-        if let Some(first) = first {
-            if protocol_cmds == 0 {
-                txn = first;
-            }
-            protocol_cmds += 1;
+    for first in buf.iter().filter_map(ShardCmd::txn) {
+        if protocol_cmds == 0 {
+            txn = first.0;
         }
+        protocol_cmds += 1;
     }
     if protocol_cmds > 0 {
         plane.record(lane, txn, Phase::ShardRecv, protocol_cmds);
     }
 }
 
-fn shard_loop(
-    qm: QueueManager,
-    idx: usize,
-    mut inbox: ShardInbox,
-    registry: Arc<Registry>,
-    stats: Arc<RuntimeStats>,
-    plane: Arc<TracePlane>,
-    clock: Arc<CommitClock>,
-) -> (SiteId, LogSet) {
-    let site = qm.site();
-    let mut state = ShardState {
-        qm,
-        logs: LogSet::new(),
-        // Pre-size to the drain buffer's depth so the first batches skip
-        // the sink's warm-up growth.
-        sink: QmSink::with_capacity(64, 64),
-        stats: &stats,
-        plane: &plane,
-        clock: &clock,
-        idx,
-        shutdown: false,
-    };
+/// The shard thread: consumer of the inbox and keeper of the log.
+fn shard_loop(core: &Mutex<ShardCore>, mut inbox: ShardInbox) -> LogSet {
+    let mut logs = LogSet::new();
+    let mut spare: Vec<LogRecord> = Vec::with_capacity(LOG_BUF_RECORDS);
     let mut buf: Vec<ShardCmd> = Vec::with_capacity(64);
-    // Retained grouping scratch for the reply flushes: the flush path
-    // pays no allocation per drained batch.
-    let mut reply_groups = Vec::with_capacity(16);
-    // Exiting on a closed inbox (all senders dropped) covers the case of
-    // a `Database` dropped without an explicit shutdown.
-    loop {
-        buf.clear();
-        if inbox.drain_blocking(&mut buf).is_err() {
-            break;
+    let mut exiting = false;
+    while !exiting {
+        // Parked outside the lock, and nothing is taken until it is held.
+        // A closed inbox (all senders dropped) covers a `Database`
+        // dropped without an explicit shutdown.
+        exiting = inbox.wait_ready().is_err();
+        let mut core = core.lock().expect("only this thread panics in the core");
+        if core.closed {
+            // An inline run hit an engine panic: it is this shard's.
+            let panic = core.panic.take().expect("a caller closes with its panic");
+            drop(core);
+            resume_unwind(panic);
         }
-        trace_batch(&plane, idx, &buf);
-        // Republish the read watermark once per drained batch: pruning a
-        // stale (lower) watermark only retains more versions, never
-        // fewer, so a batch-granularity refresh is always safe.
-        state.qm.set_watermark(clock.watermark());
-        for cmd in buf.drain(..) {
-            state.apply_cmd(cmd);
-        }
-        // Replies are flushed once per drained batch, straight from the
-        // engine sink: one registry pass covers every reply the batch
-        // produced, and — measured on a loaded single-CPU box — waking
-        // waiters mid-batch lets them preempt the shard and roughly
-        // halves throughput.
-        if !state.sink.replies.is_empty() {
-            registry.deliver_all_with(state.sink.replies.drain(..), &mut reply_groups);
-        }
-        if state.shutdown {
-            // Drain-first shutdown: sweep and process everything already
-            // enqueued (commands racing with the shutdown included) so no
-            // committed write is dropped from the log.
-            buf.clear();
-            while inbox.drain_into(&mut buf) > 0 {
-                trace_batch(&plane, idx, &buf);
-                for cmd in buf.drain(..) {
-                    state.apply_cmd(cmd);
-                }
-                buf.clear();
-                if !state.sink.replies.is_empty() {
-                    registry.deliver_all_with(state.sink.replies.drain(..), &mut reply_groups);
+        // One sweep per tenure — or, once `Shutdown` was seen, as many as
+        // it takes to empty the ring (commands racing with the shutdown
+        // included), so no committed write is dropped from the log.
+        while inbox.drain_into(&mut buf) > 0 {
+            core.enter(&buf);
+            for cmd in buf.drain(..) {
+                match cmd {
+                    ShardCmd::LogSnapshot(reply_to) => {
+                        fold_log(&mut logs, &mut core.log_buf);
+                        reply_to.send(logs.clone())
+                    }
+                    // The wake-up was the point: the swap below folds.
+                    ShardCmd::FoldLog => {}
+                    ShardCmd::Shutdown => exiting = true,
+                    cmd => {
+                        if !core.log_room(&cmd) {
+                            fold_log(&mut logs, &mut core.log_buf);
+                        }
+                        core.apply_cmd(cmd)
+                    }
                 }
             }
-            break;
+            core.flush_replies(None);
+            if !exiting {
+                break;
+            }
         }
+        // Closing in the tenure of the last sweep: nothing runs inline
+        // after it, so the records swapped out below are the last.
+        core.closed = exiting;
+        std::mem::swap(&mut core.log_buf, &mut spare);
+        core.nudged = false;
+        drop(core);
+        fold_log(&mut logs, &mut spare);
     }
-    (site, state.logs)
+    logs
 }
 
 #[cfg(test)]
@@ -591,5 +852,220 @@ mod tests {
             "every enqueued release must be implemented"
         );
         assert_eq!(stats.implemented_ops.load(Ordering::Relaxed), TXNS);
+    }
+
+    /// The item's log as the sequence of transactions implemented on it.
+    fn log_order(logs: &LogSet) -> Vec<u64> {
+        logs.log(item())
+            .map(|log| log.entries().iter().map(|e| e.txn.0).collect())
+            .unwrap_or_default()
+    }
+
+    /// One whole write transaction as a single command.
+    fn write_txn(t: u64) -> ShardCmd {
+        batch([access(t, AccessMode::Write, t), release(t, t as Value)])
+    }
+
+    fn shutdown(handle: ShardHandle) -> LogSet {
+        let _ = handle.tx.send(ShardCmd::Shutdown);
+        handle.join.join().unwrap().1
+    }
+
+    /// FIFO, ring pre-filled: the inbox already holds forty transactions
+    /// when the shard starts, and a `submit` racing the shard thread's
+    /// first tenure — busy core, backlog, or idle by then — still lands
+    /// behind every one of them.
+    #[test]
+    fn submit_never_overtakes_a_prefilled_inbox() {
+        const QUEUED: u64 = 40;
+        let mut qm = QueueManager::new(SiteId(0));
+        qm.add_item(item(), 42, EnforcementMode::SemiLock);
+        let stats = Arc::new(RuntimeStats::with_shards(1));
+        let (tx, inbox) = transport::ring::channel(64);
+        for t in 1..=QUEUED {
+            assert!(tx.try_send(write_txn(t)).is_ok());
+        }
+        let handle = spawn(
+            qm,
+            0,
+            inbox,
+            tx,
+            Arc::new(Registry::new(64)),
+            Arc::clone(&stats),
+            Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1)),
+            Arc::new(CommitClock::new()),
+        );
+        handle.tx.submit(write_txn(QUEUED + 1)).unwrap();
+        let logs = shutdown(handle);
+        assert_eq!(log_order(&logs), (1..=QUEUED + 1).collect::<Vec<_>>());
+        let shard0 = &stats.snapshot().per_shard[0];
+        assert_eq!(
+            shard0.inline + shard0.enqueued_busy + shard0.enqueued_backlog,
+            1,
+            "the one submit is counted exactly once: {shard0:?}"
+        );
+    }
+
+    /// FIFO, core held: while the test holds the core a `submit` cannot
+    /// run inline, so it queues behind the command `send` put there; once
+    /// the core is free and the inbox drained, the next one runs inline
+    /// and lands last.
+    #[test]
+    fn submit_behind_a_held_core_keeps_inbox_order() {
+        let (handle, _registry, stats) = spawn_one();
+        let tx = handle.tx.clone();
+        let held = tx.core.lock().unwrap();
+        assert!(tx.send(write_txn(1)).is_ok());
+        tx.submit(write_txn(2)).unwrap();
+        assert!(!tx.ring.is_idle(), "nothing is taken without the core");
+        drop(held);
+        // Wait for the shard thread's tenure (it was already woken) so the
+        // third transaction finds the idle shard it needs to run inline.
+        while !tx.ring.is_idle() {
+            std::thread::yield_now();
+        }
+        drop(tx.core.lock().unwrap());
+        tx.submit(write_txn(3)).unwrap();
+        let shard0 = stats.snapshot().per_shard[0];
+        assert_eq!((shard0.enqueued_busy, shard0.inline), (1, 1), "{shard0:?}");
+        assert_eq!(log_order(&shutdown(handle)), [1, 2, 3]);
+    }
+
+    /// A `Crash` sleeps holding the core: a `submit` during the outage
+    /// returns at once — enqueued, not run — and is applied only when the
+    /// outage is over.
+    #[test]
+    fn submit_during_a_crash_outage_enqueues_and_the_outage_lasts() {
+        const OUTAGE: Duration = Duration::from_millis(150);
+        let (handle, _registry, stats) = spawn_one();
+        let tx = &handle.tx;
+        let crashed = std::time::Instant::now();
+        assert!(tx.send(ShardCmd::Crash { outage: OUTAGE }).is_ok());
+        // Taken off the ring means taken under the lock, in the tenure
+        // that sleeps.
+        while !tx.ring.is_idle() {
+            std::thread::yield_now();
+        }
+        tx.submit(write_txn(1)).unwrap();
+        assert!(
+            crashed.elapsed() < OUTAGE,
+            "submit must not wait out the outage"
+        );
+        let shard0 = stats.snapshot().per_shard[0];
+        assert_eq!((shard0.enqueued_busy, shard0.inline), (1, 0), "{shard0:?}");
+        assert_eq!(shard0.implemented, 0, "nothing runs during the outage");
+        let (log_tx, log_rx) = transport::oneshot::channel();
+        assert!(tx.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
+        assert_eq!(log_order(&log_rx.recv().unwrap()), [1]);
+        assert!(crashed.elapsed() >= OUTAGE, "the outage still lasted");
+        assert_eq!(stats.shard_crashes.load(Ordering::Relaxed), 1);
+        shutdown(handle);
+    }
+
+    /// After the shard's last tenure both entries fail and carry nothing
+    /// anywhere; what was enqueued before `Shutdown` is all in the log.
+    #[test]
+    fn submit_after_shutdown_fails_and_reaches_no_log() {
+        let (handle, _registry, stats) = spawn_one();
+        let tx = handle.tx.clone();
+        for t in 1..=5 {
+            assert!(tx.send(write_txn(t)).is_ok());
+        }
+        let logs = shutdown(handle);
+        assert_eq!(log_order(&logs), [1, 2, 3, 4, 5]);
+        assert!(tx.submit(write_txn(6)).is_err(), "closed core");
+        assert!(tx.send(write_txn(7)).is_err(), "dropped inbox");
+        let shard0 = stats.snapshot().per_shard[0];
+        assert_eq!(shard0.implemented, 5, "the late commands never ran");
+        assert_eq!(shard0.inline, 0);
+    }
+
+    /// The log tap folds first: records of inline runs sit in the core's
+    /// buffer until the keeper wakes, and a `LogSnapshot` is a wake-up
+    /// that must show them all.
+    #[test]
+    fn log_snapshot_sees_inline_commits_before_any_fold() {
+        const COMMITS: u64 = 10;
+        let (handle, _registry, stats) = spawn_one();
+        for t in 1..=COMMITS {
+            handle.tx.submit(write_txn(t)).unwrap();
+        }
+        let shard0 = stats.snapshot().per_shard[0];
+        // The shard thread parks until something is sent, so nothing
+        // contends for the core and nothing has folded.
+        assert_eq!(shard0.inline, COMMITS, "{shard0:?}");
+        assert_eq!(shard0.log_fold_nudges, 0);
+        assert_eq!(handle.tx.core.lock().unwrap().log_buf.len(), 10);
+        let (log_tx, log_rx) = transport::oneshot::channel();
+        assert!(handle.tx.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
+        let expected: Vec<u64> = (1..=COMMITS).collect();
+        assert_eq!(log_order(&log_rx.recv().unwrap()), expected);
+        assert_eq!(log_order(&shutdown(handle)), expected);
+    }
+
+    /// A caller that fills the log buffer half way nudges the keeper
+    /// once; inline admission stops at a full buffer and resumes after
+    /// the fold. Nothing is lost or reordered on the way.
+    #[test]
+    fn a_filling_log_buffer_nudges_once_and_refuses_when_full() {
+        let (handle, _registry, stats) = spawn_one();
+        let tx = &handle.tx;
+        let fill = |records: usize| {
+            let mut core = tx.core.lock().unwrap();
+            core.log_buf.extend(
+                std::iter::repeat_with(|| LogRecord {
+                    item: item(),
+                    txn: TxnId(0),
+                    access: AccessMode::Read,
+                    commit_ts: None,
+                    snapshot: false,
+                })
+                .take(records),
+            );
+        };
+        fill(LOG_BUF_RECORDS / 2 - 1);
+        tx.submit(write_txn(1)).unwrap();
+        let shard0 = stats.snapshot().per_shard[0];
+        assert_eq!(
+            (shard0.inline, shard0.log_fold_nudges),
+            (1, 1),
+            "{shard0:?}"
+        );
+        // The nudge wakes the keeper; once it has swapped, the buffer is
+        // empty again and the fillers are in its log.
+        while !tx.core.lock().unwrap().log_buf.is_empty() {
+            std::thread::yield_now();
+        }
+        fill(LOG_BUF_RECORDS);
+        tx.submit(write_txn(2)).unwrap();
+        let shard0 = stats.snapshot().per_shard[0];
+        assert_eq!(shard0.enqueued_log_full, 1, "{shard0:?}");
+        let logs = shutdown(handle);
+        let order = log_order(&logs);
+        let written: Vec<u64> = order.iter().copied().filter(|&t| t != 0).collect();
+        assert_eq!(written, [1, 2]);
+        assert_eq!(order.len(), LOG_BUF_RECORDS / 2 - 1 + LOG_BUF_RECORDS + 2);
+    }
+
+    /// An engine panic during an inline run takes the *shard* down: the
+    /// caller gets a typed error back, the shard thread dies of the panic
+    /// and both entries fail from then on.
+    #[test]
+    fn an_inline_engine_panic_kills_the_shard_not_the_caller() {
+        let (handle, _registry, _stats) = spawn_one();
+        let tx = handle.tx.clone();
+        // The dedup mutation: with suppression off, a duplicated `Access`
+        // trips the queue's "already queued" debug assertion.
+        tx.core.lock().unwrap().qm.set_dedup_access(false);
+        let twice = access(1, AccessMode::Write, 1);
+        if tx.submit(batch([twice, twice])).is_ok() {
+            // Release builds compile the assertion out (the duplicate
+            // double-queues instead): nothing to contain.
+            shutdown(handle);
+            return;
+        }
+        assert!(handle.join.join().is_err(), "the shard thread re-raises");
+        assert!(tx.submit(write_txn(2)).is_err());
+        assert!(tx.send(write_txn(3)).is_err());
     }
 }

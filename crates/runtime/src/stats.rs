@@ -88,10 +88,11 @@ impl MetricsShards {
     }
 }
 
-/// Counters one shard thread maintains about its own queue manager: the
-/// per-shard half of the feedback loop that drives the selection cache's
-/// epoch logic (grant and conflict rates) and the per-shard balance
-/// reported by the experiment binaries.
+/// Counters about one shard, maintained by whoever runs its core or
+/// submits to it: the per-shard half of the feedback loop that drives the
+/// selection cache's epoch logic (grant and conflict rates), the
+/// per-shard balance reported by the experiment binaries, and one counter
+/// per outcome of `ShardSender::submit`.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
     /// Lock grants issued by this shard.
@@ -104,6 +105,18 @@ pub(crate) struct ShardCounters {
     /// Abort messages processed (T/O restarts, deadlock victims, user
     /// aborts reaching this shard).
     pub(crate) aborts: AtomicU64,
+    /// Submitted commands the calling thread ran itself (core free, inbox
+    /// idle, log buffer roomy).
+    pub(crate) inline: AtomicU64,
+    /// Submitted commands enqueued because another thread held the core.
+    pub(crate) enqueued_busy: AtomicU64,
+    /// … because the inbox held commands not yet taken (running ahead of
+    /// them would break per-shard FIFO).
+    pub(crate) enqueued_backlog: AtomicU64,
+    /// … because the core's log buffer had no room for their records.
+    pub(crate) enqueued_log_full: AtomicU64,
+    /// `FoldLog` nudges sent to the shard thread at a half-full buffer.
+    pub(crate) log_fold_nudges: AtomicU64,
 }
 
 impl ShardCounters {
@@ -113,6 +126,11 @@ impl ShardCounters {
             prescheduled: self.prescheduled.load(Ordering::Relaxed),
             implemented: self.implemented.load(Ordering::Relaxed),
             aborts: self.aborts.load(Ordering::Relaxed),
+            inline: self.inline.load(Ordering::Relaxed),
+            enqueued_busy: self.enqueued_busy.load(Ordering::Relaxed),
+            enqueued_backlog: self.enqueued_backlog.load(Ordering::Relaxed),
+            enqueued_log_full: self.enqueued_log_full.load(Ordering::Relaxed),
+            log_fold_nudges: self.log_fold_nudges.load(Ordering::Relaxed),
         }
     }
 }
@@ -128,6 +146,16 @@ pub struct ShardCounterSnapshot {
     pub implemented: u64,
     /// Abort messages this shard processed.
     pub aborts: u64,
+    /// Submitted commands run on the calling thread (no wake-up).
+    pub inline: u64,
+    /// Submitted commands enqueued because the core was held.
+    pub enqueued_busy: u64,
+    /// Submitted commands enqueued behind an inbox backlog.
+    pub enqueued_backlog: u64,
+    /// Submitted commands enqueued because the log buffer was full.
+    pub enqueued_log_full: u64,
+    /// Log-fold nudges sent to the shard thread.
+    pub log_fold_nudges: u64,
 }
 
 /// Counters updated concurrently by client threads, shard threads and the
@@ -266,6 +294,22 @@ pub struct StatsSnapshot {
     pub dup_suppressed: u64,
     /// Shard crash faults injected by the fault plane.
     pub shard_crashes: u64,
+    /// Protocol commands (`HandleBatch`, bypass applies, snapshot reads)
+    /// a client ran on its own thread because it found the owning shard's
+    /// core free and its inbox idle — no wake-up paid. This and the three
+    /// `shard_enqueued_*` counters partition the submitted commands; each
+    /// is the sum of its per-shard namesake.
+    pub shard_inline: u64,
+    /// Submitted commands enqueued because another thread held the core.
+    pub shard_enqueued_busy: u64,
+    /// Submitted commands enqueued because the inbox held commands not
+    /// yet taken (per-shard FIFO).
+    pub shard_enqueued_backlog: u64,
+    /// Submitted commands enqueued because the core's log buffer had no
+    /// room for their records.
+    pub shard_enqueued_log_full: u64,
+    /// Nudges sent to a shard thread to fold a half-full log buffer.
+    pub log_fold_nudges: u64,
     /// Selection-cache counters (all zero when the cache is disabled or
     /// the policy is not dynamic).
     pub cache: CacheStats,
@@ -283,6 +327,8 @@ impl RuntimeStats {
     }
 
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
+        let per_shard: Vec<_> = self.per_shard.iter().map(ShardCounters::snapshot).collect();
+        let sum = |field: fn(&ShardCounterSnapshot) -> u64| per_shard.iter().map(field).sum();
         StatsSnapshot {
             committed: self.committed.load(Ordering::Relaxed),
             rejected_restarts: self.rejected_restarts.load(Ordering::Relaxed),
@@ -310,6 +356,11 @@ impl RuntimeStats {
             cleanup_aborts: self.cleanup_aborts.load(Ordering::Relaxed),
             dup_suppressed: self.dup_suppressed.load(Ordering::Relaxed),
             shard_crashes: self.shard_crashes.load(Ordering::Relaxed),
+            shard_inline: sum(|s| s.inline),
+            shard_enqueued_busy: sum(|s| s.enqueued_busy),
+            shard_enqueued_backlog: sum(|s| s.enqueued_backlog),
+            shard_enqueued_log_full: sum(|s| s.enqueued_log_full),
+            log_fold_nudges: sum(|s| s.log_fold_nudges),
             cache: CacheStats {
                 hits: self.cache_hits.load(Ordering::Relaxed),
                 misses: self.cache_misses.load(Ordering::Relaxed),
@@ -319,7 +370,7 @@ impl RuntimeStats {
                 entries: self.cache_entries.load(Ordering::Relaxed),
                 epoch: self.cache_epoch.load(Ordering::Relaxed),
             },
-            per_shard: self.per_shard.iter().map(ShardCounters::snapshot).collect(),
+            per_shard,
         }
     }
 

@@ -761,16 +761,28 @@ impl<E: Send> MailboxRegistry<E> {
     }
 
     /// Like [`MailboxRegistry::deliver`] but never waits on a full
-    /// mailbox: the event is dropped (returning `false`) instead.
-    /// Required whenever the delivering thread might *be* the mailbox's
-    /// consumer — waiting on a ring only oneself can drain would
-    /// deadlock — and useful for best-effort signals.
+    /// mailbox: the event is dropped (returning `false`) instead, and —
+    /// while `key` is still bound — counted like a timed-out wait
+    /// ([`MailboxRegistry::full_dropped`]). Required whenever the
+    /// delivering thread might *be* the mailbox's consumer — waiting on
+    /// a ring only oneself can drain would deadlock — and useful for
+    /// best-effort signals.
     pub fn try_deliver(&self, key: u64, event: E) -> bool {
         let shared = &self.shared;
         let Some(slot_idx) = shared.lookup(key) else {
             return false;
         };
-        shared.slot(slot_idx).tx.try_send((key, event)).is_ok()
+        let slot = shared.slot(slot_idx);
+        match slot.tx.try_send((key, event)) {
+            Ok(()) => true,
+            Err(TrySendError::Full(_)) => {
+                if slot.bound.load(Ordering::SeqCst) == key {
+                    shared.full_dropped.fetch_add(1, Ordering::Relaxed);
+                }
+                false
+            }
+            Err(TrySendError::Disconnected(_)) => false,
+        }
     }
 
     /// The metadata `key` was registered with, if it is live.
@@ -1169,6 +1181,7 @@ mod tests {
             assert!(reg.try_deliver(1, i));
         }
         assert!(!reg.try_deliver(1, 99), "full mailbox: dropped, no wait");
+        assert_eq!(reg.full_dropped(), 1, "and counted");
         assert_eq!(mb.recv_timeout(1, Duration::from_secs(1)), Some(0));
         assert!(reg.try_deliver(1, 8), "freed slot accepts again");
         reg.deregister(1);

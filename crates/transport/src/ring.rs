@@ -12,7 +12,10 @@
 //! * An **empty** ring parks the consumer. Before parking it raises the
 //!   `sleeping` flag and re-checks the ring (SeqCst on both sides), so a
 //!   producer that published a slot either sees the flag and unparks it,
-//!   or the consumer saw the slot and never parked.
+//!   or the consumer saw the slot and never parked. Parking and taking
+//!   are separate steps: [`RingReceiver::wait_ready`] parks until a value
+//!   is published *without consuming it*, so a consumer that may only
+//!   take values under a lock can sleep outside it.
 //! * A **full** ring parks producers. A producer registers itself in the
 //!   waiter list (a mutex guarded vec — the only lock, taken only when the
 //!   ring is already full), re-checks for space, then parks; the consumer
@@ -23,7 +26,7 @@
 //! never a deadlock.
 //!
 //! Disconnect semantics mirror `std::sync::mpsc`: when every
-//! [`RingSender`] is dropped, [`RingReceiver::drain_blocking`] returns
+//! [`RingSender`] is dropped, [`RingReceiver::wait_ready`] returns
 //! `Err(RecvError)` once the ring is empty; when the receiver is dropped,
 //! sends fail with [`SendError`] returning the rejected value.
 
@@ -300,6 +303,22 @@ impl<T> RingSender<T> {
         }
     }
 
+    /// True when every claimed slot has been taken: `tail == head`. False
+    /// from the moment a producer claims a slot (before it is even
+    /// published) until the consumer takes it.
+    ///
+    /// A `true` answer is only as stable as the consumer is quiet, so it
+    /// means something to a caller that holds whatever lock the consumer
+    /// takes values under: the `head` it reads is then final, and "idle"
+    /// says everything enqueued so far has been taken under that lock. A
+    /// claim made by another thread is visible here once that thread has
+    /// synchronised with the caller after its `send` returned (the `tail`
+    /// CAS is sequenced before anything the sender does next).
+    pub fn is_idle(&self) -> bool {
+        let shared = &*self.shared;
+        shared.tail.load(Ordering::Acquire) == shared.head.load(Ordering::Acquire)
+    }
+
     /// True when the receiver still exists.
     pub fn is_connected(&self) -> bool {
         self.shared.rx_alive.load(Ordering::SeqCst)
@@ -359,45 +378,64 @@ impl<T> RingReceiver<T> {
             n += 1;
         }
         if n > 0 {
-            fence(Ordering::SeqCst);
-            if self.shared.has_waiters.load(Ordering::Relaxed) {
-                self.shared.wake_producers();
-            }
+            self.wake_waiting_producers();
         }
         n
     }
 
-    /// Drain at least one value, parking while the ring is empty. Returns
-    /// `Err(RecvError)` once every sender is gone and the ring is drained.
-    pub fn drain_blocking(&mut self, out: &mut Vec<T>) -> Result<usize, RecvError> {
-        loop {
-            let n = self.drain_deadline(out, None)?;
-            if n > 0 {
-                return Ok(n);
-            }
+    /// After freeing slots: unpark producers parked on a full ring (pairs
+    /// with their register + fence + fullness re-check).
+    fn wake_waiting_producers(&self) {
+        fence(Ordering::SeqCst);
+        if self.shared.has_waiters.load(Ordering::Relaxed) {
+            self.shared.wake_producers();
         }
     }
 
-    /// Like [`RingReceiver::drain_blocking`], but gives up after `timeout`
-    /// and returns `Ok(0)` instead of parking further. The ring is always
-    /// swept at least once, so a zero timeout is a non-blocking poll that
-    /// still honours the park/unpark handshake.
-    pub fn drain_for(&mut self, out: &mut Vec<T>, timeout: Duration) -> Result<usize, RecvError> {
-        self.drain_deadline(out, Some(Instant::now() + timeout))
+    /// Park until a value is published, *without taking it*: the next
+    /// [`RingReceiver::try_recv`] / [`RingReceiver::drain_into`] is
+    /// guaranteed to find one. Returns `Err(RecvError)` once every sender
+    /// is gone and the ring is empty.
+    pub fn wait_ready(&mut self) -> Result<(), RecvError> {
+        self.park_until_ready(None).map(|_| ())
     }
 
-    /// The one copy of the consumer's park protocol, shared by the
-    /// blocking and deadline-bounded drains (`deadline: None` parks
-    /// indefinitely; `Some` returns `Ok(0)` once it passes).
-    fn drain_deadline(
-        &mut self,
-        out: &mut Vec<T>,
-        deadline: Option<Instant>,
-    ) -> Result<usize, RecvError> {
+    /// Drain what is published, parking up to `timeout` while the ring
+    /// is empty; `Ok(0)` once it passes. The ring is always checked at
+    /// least once, so a zero timeout is a non-blocking poll that still
+    /// honours the park/unpark handshake.
+    pub fn drain_for(&mut self, out: &mut Vec<T>, timeout: Duration) -> Result<usize, RecvError> {
+        if self.park_until_ready(Some(Instant::now() + timeout))? {
+            Ok(self.drain_into(out))
+        } else {
+            Ok(0)
+        }
+    }
+
+    /// Receive a single value, parking while the ring is empty.
+    pub fn recv(&mut self) -> Result<T, RecvError> {
+        self.wait_ready()?;
+        let value = self
+            .try_recv()
+            .expect("a ready ring yields to its only consumer");
+        self.wake_waiting_producers();
+        Ok(value)
+    }
+
+    /// True when the slot at `head` holds a published value.
+    fn head_published(&self) -> bool {
+        let shared = &*self.shared;
+        let head = shared.head.load(Ordering::Relaxed);
+        shared.buf[head & shared.mask].seq.load(Ordering::Acquire) == head.wrapping_add(1)
+    }
+
+    /// The one copy of the consumer's park protocol (`deadline: None`
+    /// parks indefinitely): `Ok(true)` once a value is published,
+    /// `Ok(false)` once the deadline passes, `Err` on disconnect.
+    fn park_until_ready(&self, deadline: Option<Instant>) -> Result<bool, RecvError> {
         loop {
-            let n = self.drain_into(out);
-            if n > 0 {
-                return Ok(n);
+            if self.head_published() {
+                return Ok(true);
             }
             // Measured on a loaded single-CPU box: parking immediately
             // beats yielding first — spare scheduler slots go to the
@@ -405,18 +443,22 @@ impl<T> RingReceiver<T> {
             self.register_consumer();
             self.shared.sleeping.store(true, Ordering::SeqCst);
             // Re-check after raising the flag (pairs with the producer's
-            // publish + fence + flag-read).
-            let n = self.drain_into(out);
-            if n > 0 {
+            // publish + fence + flag-read); the fence keeps the re-check's
+            // acquire load from moving ahead of the flag store.
+            fence(Ordering::SeqCst);
+            if self.head_published() {
                 self.shared.sleeping.store(false, Ordering::SeqCst);
-                return Ok(n);
+                return Ok(true);
             }
             if self.shared.senders.load(Ordering::SeqCst) == 0 {
                 self.shared.sleeping.store(false, Ordering::SeqCst);
-                // Final sweep: a sender may have published between the
-                // drain above and its drop.
-                let n = self.drain_into(out);
-                return if n > 0 { Ok(n) } else { Err(RecvError) };
+                // Final look: a sender may have published between the
+                // check above and its drop.
+                return if self.head_published() {
+                    Ok(true)
+                } else {
+                    Err(RecvError)
+                };
             }
             let park = match deadline {
                 None => CONSUMER_PARK,
@@ -424,44 +466,12 @@ impl<T> RingReceiver<T> {
                     let left = deadline.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         self.shared.sleeping.store(false, Ordering::SeqCst);
-                        return Ok(0);
+                        return Ok(false);
                     }
                     left.min(CONSUMER_PARK)
                 }
             };
             thread::park_timeout(park);
-            self.shared.sleeping.store(false, Ordering::SeqCst);
-        }
-    }
-
-    /// Receive a single value, parking while the ring is empty.
-    pub fn recv(&mut self) -> Result<T, RecvError> {
-        loop {
-            if let Some(value) = self.try_recv() {
-                fence(Ordering::SeqCst);
-                if self.shared.has_waiters.load(Ordering::Relaxed) {
-                    self.shared.wake_producers();
-                }
-                return Ok(value);
-            }
-            self.register_consumer();
-            self.shared.sleeping.store(true, Ordering::SeqCst);
-            if let Some(value) = self.try_recv() {
-                self.shared.sleeping.store(false, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                if self.shared.has_waiters.load(Ordering::Relaxed) {
-                    self.shared.wake_producers();
-                }
-                return Ok(value);
-            }
-            if self.shared.senders.load(Ordering::SeqCst) == 0 {
-                self.shared.sleeping.store(false, Ordering::SeqCst);
-                return match self.try_recv() {
-                    Some(value) => Ok(value),
-                    None => Err(RecvError),
-                };
-            }
-            thread::park_timeout(CONSUMER_PARK);
             self.shared.sleeping.store(false, Ordering::SeqCst);
         }
     }
@@ -563,9 +573,10 @@ mod tests {
         tx2.try_send(2).unwrap();
         drop(tx2);
         let mut out = Vec::new();
-        assert_eq!(rx.drain_blocking(&mut out), Ok(2));
+        assert_eq!(rx.wait_ready(), Ok(()), "published values outlive senders");
+        assert_eq!(rx.drain_into(&mut out), 2);
         assert_eq!(out, vec![1, 2]);
-        assert_eq!(rx.drain_blocking(&mut out), Err(RecvError));
+        assert_eq!(rx.wait_ready(), Err(RecvError));
     }
 
     #[test]
@@ -596,7 +607,9 @@ mod tests {
         });
         let mut out = Vec::new();
         while out.len() < 50 {
-            let _ = rx.drain_blocking(&mut out);
+            rx.wait_ready()
+                .expect("the producer is alive until 50 arrived");
+            rx.drain_into(&mut out);
         }
         producer.join().unwrap();
         assert_eq!(out, (0..50).collect::<Vec<_>>());
@@ -611,6 +624,88 @@ mod tests {
         });
         assert_eq!(rx.recv(), Ok(42));
         producer.join().unwrap();
+    }
+
+    #[test]
+    fn wait_ready_parks_without_consuming() {
+        let (tx, mut rx) = channel::<u32>(8);
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(7).unwrap();
+            tx
+        });
+        assert_eq!(rx.wait_ready(), Ok(()));
+        // Ready is a promise about the next take, and is idempotent.
+        assert_eq!(rx.wait_ready(), Ok(()));
+        assert_eq!(rx.try_recv(), Some(7));
+        let tx = producer.join().unwrap();
+        assert!(tx.is_idle());
+    }
+
+    /// Two producers against a consumer that alternates `wait_ready` and
+    /// `drain_into` on a small ring: every value arrives, in order per
+    /// producer, and the run ends in a disconnect — a lost wake-up would
+    /// cost 5 ms a time (the safety-net park) and show as a timeout.
+    #[test]
+    fn wait_ready_then_drain_never_loses_a_wakeup() {
+        const PER_PRODUCER: u64 = 20_000;
+        let (tx, mut rx) = channel::<(u64, u64)>(8);
+        let producers: Vec<_> = (0..2u64)
+            .map(|p| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for seq in 0..PER_PRODUCER {
+                        tx.send((p, seq)).unwrap();
+                        if seq % 64 == 0 {
+                            // Let the consumer run dry and park.
+                            std::thread::sleep(Duration::from_micros(50));
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let started = Instant::now();
+        let mut next = [0u64; 2];
+        let mut buf = Vec::new();
+        while rx.wait_ready().is_ok() {
+            assert!(rx.drain_into(&mut buf) > 0, "ready means a value is there");
+            for (p, seq) in buf.drain(..) {
+                assert_eq!(seq, next[p as usize], "producer {p} out of order");
+                next[p as usize] += 1;
+            }
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+        assert_eq!(next, [PER_PRODUCER; 2]);
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "wake-ups were lost to the safety-net park"
+        );
+    }
+
+    #[test]
+    fn is_idle_tracks_claimed_until_taken() {
+        let (tx, mut rx) = channel::<u32>(4);
+        assert!(tx.is_idle());
+        for lap in 0..10 {
+            tx.try_send(lap).unwrap();
+            assert!(!tx.is_idle(), "claimed and published, not taken");
+            tx.try_send(lap).unwrap();
+            assert_eq!(rx.try_recv(), Some(lap));
+            assert!(!tx.is_idle(), "one of two still queued");
+            assert_eq!(rx.try_recv(), Some(lap));
+            assert!(tx.is_idle());
+        }
+        // A full ring rejects without claiming.
+        for i in 0..4 {
+            tx.try_send(i).unwrap();
+        }
+        assert_eq!(tx.try_send(9), Err(TrySendError::Full(9)));
+        let mut out = Vec::new();
+        assert_eq!(rx.drain_into(&mut out), 4);
+        assert!(tx.is_idle());
     }
 
     #[test]

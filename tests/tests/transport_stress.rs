@@ -75,12 +75,10 @@ fn ring_multi_producer_fifo_under_backpressure() {
     let mut received: Vec<(u64, u64)> = Vec::new();
     let mut buf = Vec::new();
     let mut rng = SimRng::new(0xC0FFEE);
-    loop {
-        buf.clear();
-        match rx.drain_blocking(&mut buf) {
-            Ok(_) => received.append(&mut buf),
-            Err(_) => break, // all producers done, ring drained
-        }
+    // Ends on the disconnect: all producers done, ring drained.
+    while rx.wait_ready().is_ok() {
+        rx.drain_into(&mut buf);
+        received.append(&mut buf);
         // A deliberately sluggish consumer keeps the ring full so the
         // producer park/unpark path fires continuously.
         if rng.next_f64() < 0.05 {
@@ -121,7 +119,8 @@ fn ring_consumer_parks_and_wakes_on_trickle() {
     });
     let mut got = Vec::new();
     let mut buf = Vec::new();
-    while rx.drain_blocking(&mut buf).is_ok() {
+    while rx.wait_ready().is_ok() {
+        rx.drain_into(&mut buf);
         got.append(&mut buf);
     }
     producer.join().unwrap();
