@@ -12,9 +12,14 @@
 //!   the steady-state cost within an epoch;
 //! * `cold_epoch_rebuild` — one whole epoch of the `dynamic_skewed` shape
 //!   (three transaction shapes, Zipf 0.6 over 1,024 items, 1,024
-//!   selections) starting from an emptied table: the re-fit, every miss
-//!   the epoch takes, and its hits. Its per-selection mean is the
-//!   selector's amortized budget.
+//!   selections) on a selector that has no previous epoch to pre-warm
+//!   from: the fit, every miss the epoch takes, and its hits. Its
+//!   per-selection mean is the selector's amortized budget when nothing
+//!   is carried over;
+//! * `warm_epoch_rebuild` — what the runtime's refitter pays per epoch
+//!   instead: one re-fit of a selector whose table holds the few hundred keys
+//!   four epochs of the stream asked for — the model fit plus one dynamic
+//!   program per carried key, none of it on a selecting thread.
 //!
 //! Every row is the median over alternating blocks, in nanoseconds per
 //! call, and lands in `BENCH_m3.json` (see [`bench::traj`]).
@@ -113,7 +118,7 @@ fn main() {
     });
     row("fresh_decision", fresh, vec![]);
 
-    let mut table = StlTable::new(CacheSettings::default().quant_rel, 8192);
+    let table = StlTable::new(CacheSettings::default().quant_rel, 8192);
     for s in &shapes {
         table.decide(&m, &params, s);
     }
@@ -135,26 +140,24 @@ fn main() {
     let epoch: Vec<Transaction> = (0..EPOCH as u64)
         .map(|id| skew.mixed_transaction(&mut rng, 2_000 + id))
         .collect();
-    let mut selector = CachedStlSelector::new();
-    let rebuild = median_ns(3, || {
-        selector.refit_now(&metrics, WorkloadSignal::default());
+    let cold_epoch = || {
+        let mut selector = CachedStlSelector::new();
         for txn in &epoch {
             black_box(selector.select(txn, &catalog, &metrics));
         }
+        selector
+    };
+    let rebuild = median_ns(3, || {
+        cold_epoch();
     });
     // One more epoch, counted: what a rebuild consists of.
-    let before = selector.cache_stats();
-    selector.refit_now(&metrics, WorkloadSignal::default());
-    for txn in &epoch {
-        selector.select(txn, &catalog, &metrics);
-    }
-    let after = selector.cache_stats();
-    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
-    let evals = after.evals - before.evals;
-    let hit_rate = hits as f64 / (hits + misses) as f64;
+    let mut selector = cold_epoch();
+    let cold = selector.cache_stats();
     println!(
-        "    per epoch: {evals} DP runs, {misses} misses, hit rate {hit_rate:.3}, \
-         {:.1} ns/selection",
+        "    per epoch: {} DP runs, {} misses, hit rate {:.3}, {:.1} ns/selection",
+        cold.evals,
+        cold.misses,
+        cold.hit_rate(),
         rebuild / EPOCH as f64
     );
     row(
@@ -163,8 +166,42 @@ fn main() {
         vec![
             ("selections", Json::num(EPOCH as u32)),
             ("ns_per_selection", Json::Num(rebuild / EPOCH as f64)),
-            ("dp_runs", Json::Num(evals as f64)),
-            ("hit_rate", Json::Num(hit_rate)),
+            ("dp_runs", Json::Num(cold.evals as f64)),
+            ("hit_rate", Json::Num(cold.hit_rate())),
+        ],
+    );
+
+    // Four epochs' worth of the stream, so the table holds a key set the
+    // size a live refitter carries, then the re-fit alone, timed.
+    // The stream is replayed (untimed) before every re-fit: a pre-warm
+    // carries the keys selections asked for.
+    let stream: Vec<Transaction> = (0..4 * EPOCH as u64)
+        .map(|id| skew.mixed_transaction(&mut rng, 4_000 + id))
+        .collect();
+    let mut refits: Vec<f64> = (0..=REPS)
+        .map(|_| {
+            for txn in &stream {
+                selector.select(txn, &catalog, &metrics);
+            }
+            let begun = Instant::now();
+            selector.refit_now(&metrics, WorkloadSignal::default());
+            begun.elapsed().as_secs_f64() * 1e9
+        })
+        .skip(1)
+        .collect();
+    refits.sort_by(f64::total_cmp);
+    let warm = selector.cache_stats();
+    let carried = warm.entries;
+    println!(
+        "    per re-fit: {carried} keys carried, {:.1} us each",
+        refits[REPS / 2] / carried as f64 / 1e3
+    );
+    row(
+        "warm_epoch_rebuild",
+        refits[REPS / 2],
+        vec![
+            ("keys", Json::Num(carried as f64)),
+            ("ns_per_key", Json::Num(refits[REPS / 2] / carried as f64)),
         ],
     );
     traj.emit();

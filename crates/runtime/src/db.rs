@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use dbmodel::{
@@ -28,7 +28,7 @@ use dbmodel::{
 };
 use metrics::TxnOutcome;
 use pam::{ReplyMsg, RequestMsg};
-use selection::{CachedStlSelector, Route, WorkloadSignal};
+use selection::{CachedStlSelector, Route};
 use simkit::rng::SimRng;
 use simkit::time::SimTime;
 use trace::{Phase, SpanTimings, TraceLevel, TracePlane, SELECTION_CACHE_HIT};
@@ -37,6 +37,7 @@ use unified_cc::{QueueManager, RequestIssuer, RiAction, RiOutput};
 
 use crate::config::{CcPolicy, ConfigError, RuntimeConfig};
 use crate::detector;
+use crate::refitter;
 use crate::registry::{ClientEvent, ClientMailbox, Registry};
 use crate::report::RuntimeReport;
 use crate::shard::{self, ShardCmd, ShardHandle, ShardSender};
@@ -56,10 +57,15 @@ pub(crate) struct Inner {
     pub(crate) site_index: HashMap<SiteId, usize>,
     pub(crate) stats: Arc<RuntimeStats>,
     /// Thread-striped metric shards: the commit path records into its own
-    /// stripe; stripes are merged only at epoch-refit boundaries and at
-    /// shutdown. There is no global metrics mutex.
-    pub(crate) metrics: MetricsShards,
-    selector: Mutex<CachedStlSelector>,
+    /// stripe; stripes are merged only at epoch-refit boundaries (by the
+    /// refitter) and at shutdown. There is no global metrics mutex.
+    pub(crate) metrics: Arc<MetricsShards>,
+    /// The dynamic selector: `begin` reads its published epoch, the
+    /// refitter replaces it. Shared with the refitter thread.
+    selector: Arc<CachedStlSelector>,
+    /// The refitter thread, to unpark when a selection asks for a re-fit
+    /// (spawned under [`CcPolicy::DynamicStl`] only).
+    refitter: Option<Thread>,
     mix_rng: Mutex<SimRng>,
     /// Per-method selection tally, indexed by [`method_code`] — a fixed
     /// atomic array, the last lock the stats read path used to take.
@@ -84,8 +90,41 @@ pub(crate) struct Inner {
     /// postmortem dump.
     _sercheck_guard: Option<sercheck::ObserverGuard>,
     // Taken exactly once, by whoever performs the shutdown.
-    #[allow(clippy::type_complexity)]
-    teardown: Mutex<Option<(Vec<ShardHandle>, Sender<()>, JoinHandle<()>)>>,
+    teardown: Mutex<Option<Teardown>>,
+}
+
+/// The threads a shutdown stops and joins.
+struct Teardown {
+    shards: Vec<ShardHandle>,
+    detector_stop: Sender<()>,
+    detector: JoinHandle<()>,
+    refitter: Option<JoinHandle<()>>,
+}
+
+impl Inner {
+    /// Tell the refitter no further epoch is wanted and wake it so it
+    /// notices; a re-fit in flight gives up at its next dynamic program.
+    fn close_selector(&self) {
+        self.selector.close();
+        self.wake_refitter();
+    }
+
+    /// Unpark the refitter (if the policy has one) to look at the
+    /// selector's request and close flags.
+    fn wake_refitter(&self) {
+        if let Some(refitter) = &self.refitter {
+            refitter.unpark();
+        }
+    }
+}
+
+impl Drop for Inner {
+    /// A database dropped without [`Database::shutdown`] must still let
+    /// the refitter exit (it holds no handle on this `Inner`, so it
+    /// cannot delay the drop either).
+    fn drop(&mut self) {
+        self.close_selector();
+    }
 }
 
 /// A live, sharded, multi-threaded database running the unified
@@ -189,7 +228,18 @@ impl Database {
                 None
             };
 
-        let selector = CachedStlSelector::with_settings(config.selection_cache);
+        let selector = Arc::new(CachedStlSelector::with_settings(config.selection_cache));
+        let metrics = Arc::new(MetricsShards::new());
+        let started = Instant::now();
+        // Static and mixed policies never select: no thread for them.
+        let refitter = matches!(config.policy, CcPolicy::DynamicStl).then(|| {
+            refitter::spawn(
+                Arc::clone(&selector),
+                Arc::clone(&metrics),
+                Arc::clone(&stats),
+                started,
+            )
+        });
         let faults = config
             .faults
             .clone()
@@ -202,18 +252,24 @@ impl Database {
                 shard_txs,
                 site_index,
                 stats,
-                metrics: MetricsShards::new(),
-                selector: Mutex::new(selector),
+                metrics,
+                selector,
+                refitter: refitter.as_ref().map(|join| join.thread().clone()),
                 selection_counts: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
                 next_txn_id: AtomicU64::new(0),
                 ts_counter: AtomicU64::new(0),
-                started: Instant::now(),
+                started,
                 stopped,
                 faults,
                 trace: plane,
                 clock,
                 _sercheck_guard: sercheck_guard,
-                teardown: Mutex::new(Some((shard_handles, stop_tx, detector_join))),
+                teardown: Mutex::new(Some(Teardown {
+                    shards: shard_handles,
+                    detector_stop: stop_tx,
+                    detector: detector_join,
+                    refitter,
+                })),
                 config,
             }),
         })
@@ -230,13 +286,13 @@ impl Database {
     }
 
     /// A snapshot of the runtime counters, including the selection-cache
-    /// counters. Reads only atomics —
-    /// stats polling never takes the selector mutex, so it cannot contend
+    /// counters. Reads only atomics — so stats polling cannot contend
     /// with admission — and is side-effect-free (the mailbox-overflow
     /// postmortem fires on the registration that overflows, in `begin`,
     /// not here).
     pub fn stats(&self) -> StatsSnapshot {
         let mut snapshot = self.inner.stats.snapshot();
+        snapshot.cache = self.inner.selector.cache_stats();
         snapshot.stale_reply_events = self.inner.registry.stale_reply_events();
         snapshot.mailbox_overflow_entries = self.inner.registry.overflow_entries() as u64;
         snapshot.mailbox_index_capacity = self.inner.registry.index_capacity() as u64;
@@ -347,23 +403,21 @@ impl Database {
         self.inner.faults.as_ref().map(|plane| plane.counters())
     }
 
-    /// Force an epoch re-fit of the dynamic selector right now, merging
-    /// the metric stripes outside any commit-path lock. Useful for
-    /// diagnostics and for tests that pin epoch boundaries.
+    /// Force an epoch re-fit of the dynamic selector right now, on the
+    /// calling thread: merge the metric stripes, fit, pre-warm, publish.
+    /// Admission keeps reading the previous epoch until the publish.
+    /// Useful for diagnostics and for tests that pin epoch boundaries.
     pub fn force_refit(&self) {
-        let now = self.now();
-        let signal = WorkloadSignal {
-            grants: self.inner.stats.grants.load(Ordering::Relaxed),
-            conflicts: self.inner.stats.prescheduled_grants(),
-        };
-        // Merge *before* taking the selector mutex: admission stays free
-        // to run while the stripes are folded.
-        let merged = self.inner.metrics.merged(now);
-        let mut selector = self.inner.selector.lock().expect("selector poisoned");
-        selector.refit_now(&merged, signal);
-        let cache_stats = selector.cache_stats();
-        drop(selector);
-        self.inner.stats.publish_cache_stats(cache_stats);
+        let inner = &self.inner;
+        let begun = Instant::now();
+        let merged = inner.metrics.merged(self.now());
+        let _ = inner
+            .selector
+            .refit_now(&merged, inner.stats.workload_signal());
+        inner
+            .stats
+            .selection_refit_nanos
+            .fetch_add(begun.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Open a transaction and drive it to its execution phase: all requests
@@ -435,13 +489,11 @@ impl Database {
                 return Err(TxnError::ShuttingDown);
             }
             let t_begin = plane.now();
-            let hits_before = inner.stats.cache_hits.load(Ordering::Relaxed);
-            let method = spec.method.unwrap_or_else(|| self.pick_method(spec));
+            let (method, cache_hit) = match spec.method {
+                Some(pinned) => (pinned, false),
+                None => self.pick_method(spec),
+            };
             let t_sel = plane.now();
-            // Approximate under concurrency (the mirror is global), but
-            // exact on single-threaded runs — good enough for the
-            // hit-rate the selection-done arg carries.
-            let cache_hit = inner.stats.cache_hits.load(Ordering::Relaxed) > hits_before;
             let txn_id = TxnId(inner.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1);
             plane.record_at(lane, t_begin, txn_id.0, Phase::Begin, attempt);
             let sel_arg = method_code(method) | if cache_hit { SELECTION_CACHE_HIT } else { 0 };
@@ -603,19 +655,32 @@ impl Database {
     /// Stop accepting work, drain the shards and collapse the runtime into
     /// its final report. Returns `None` on every call but the first.
     pub fn shutdown(&self) -> Option<RuntimeReport> {
-        let (shards, stop_tx, detector_join) = self
+        let Teardown {
+            shards,
+            detector_stop,
+            detector,
+            refitter,
+        } = self
             .inner
             .teardown
             .lock()
             .expect("teardown poisoned")
             .take()?;
         self.inner.stopped.store(true, Ordering::Relaxed);
+        // The refitter goes first: joined here, it cannot be mid-merge
+        // when the final metrics are taken below, and nothing it
+        // allocated outlives this database. It catches its own panics, so
+        // the join only fails if the thread was killed from outside.
+        self.inner.close_selector();
+        if let Some(refitter) = refitter {
+            let _ = refitter.join();
+        }
         // Flush anything still parked in the fault plane so the final
         // drain sees every surviving message.
         self.quiesce_faults();
         // Stop the detector first so it cannot block on a draining shard.
-        let _ = stop_tx.send(());
-        let _ = detector_join.join();
+        let _ = detector_stop.send(());
+        let _ = detector.join();
         let mut logs = LogSet::new();
         for handle in &shards {
             let _ = handle.tx.send(ShardCmd::Shutdown);
@@ -659,65 +724,52 @@ impl Database {
         SimTime::from_micros(self.inner.started.elapsed().as_micros() as u64)
     }
 
-    fn pick_method(&self, spec: &TxnSpec) -> CcMethod {
+    /// The method the policy assigns `spec`, and whether a dynamic
+    /// selection was served wholly from the epoch's STL′ table.
+    fn pick_method(&self, spec: &TxnSpec) -> (CcMethod, bool) {
         let inner = &self.inner;
-        let choice = match inner.config.policy {
-            CcPolicy::Static(m) => m,
+        let (choice, cache_hit) = match inner.config.policy {
+            CcPolicy::Static(m) => (m, false),
             CcPolicy::Mix { p_2pl, p_to } => {
                 let x = inner.mix_rng.lock().expect("rng poisoned").next_f64();
-                if x < p_2pl {
+                let method = if x < p_2pl {
                     CcMethod::TwoPhaseLocking
                 } else if x < p_2pl + p_to {
                     CcMethod::TimestampOrdering
                 } else {
                     CcMethod::PrecedenceAgreement
-                }
+                };
+                (method, false)
             }
             CcPolicy::DynamicStl => {
-                let probe = Transaction::builder(TxnId(u64::MAX), SiteId(0))
-                    .reads(spec.reads.iter().copied())
-                    .writes(spec.write_items())
-                    .build();
-                // The per-shard feedback loop: grant / conflict counters
-                // maintained by the shard threads drive the cached
-                // selector's epoch logic (a conflict-ratio shift beyond the
-                // drift threshold re-fits the model early).
-                let signal = WorkloadSignal {
-                    grants: inner.stats.grants.load(Ordering::Relaxed),
-                    conflicts: inner.stats.prescheduled_grants(),
-                };
-                let commits = inner.stats.committed.load(Ordering::Relaxed);
-                let now = self.now();
-                let mut selector = inner.selector.lock().expect("selector poisoned");
-                // Timed with the selector mutex already held, so the
-                // metric reports selector work (including any lazy stripe
-                // merge at a refit boundary or scalar fold at a drift
-                // probe), not lock queueing.
+                // Atomics only from here to the decision: the published
+                // epoch, the shards' grant / conflict counters, the commit
+                // count. Whatever a re-fit needs beyond that — stripes,
+                // the model, the new table — is the refitter's business.
                 let begun = Instant::now();
-                let method = selector
-                    .select_sharded(
-                        &probe,
+                let picked = spec.with_access_sets(|reads, writes| {
+                    inner.selector.select_published(
+                        reads,
+                        writes,
+                        SiteId(0),
                         &inner.catalog,
-                        signal,
-                        commits,
-                        || inner.metrics.merged(now),
-                        || inner.metrics.sample(now),
+                        inner.stats.workload_signal(),
+                        inner.stats.committed.load(Ordering::Relaxed),
                     )
-                    .method;
-                let spent = begun.elapsed();
-                let cache_stats = selector.cache_stats();
-                drop(selector);
-                inner.stats.publish_cache_stats(cache_stats);
+                });
+                if picked.raised {
+                    inner.wake_refitter();
+                }
                 inner.stats.selections.fetch_add(1, Ordering::Relaxed);
                 inner
                     .stats
                     .selection_nanos
-                    .fetch_add(spent.as_nanos() as u64, Ordering::Relaxed);
-                method
+                    .fetch_add(begun.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                (picked.decision.method, picked.hit)
             }
         };
         self.inner.selection_counts[method_code(choice) as usize].fetch_add(1, Ordering::Relaxed);
-        choice
+        (choice, cache_hit)
     }
 
     /// Block on the reply mailbox until the incarnation starts executing or

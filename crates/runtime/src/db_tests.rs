@@ -217,9 +217,18 @@ fn commits_proceed_concurrently_with_forced_refits() {
     assert!(report.serializable().is_ok());
 }
 
-#[test]
-fn stats_reports_cache_counters_without_selector_lock() {
-    let db = Database::open(RuntimeConfig {
+/// Spin (yielding) until `done`, failing after five seconds: the tests
+/// below wait on the refitter thread's progress, never on a sleep.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::yield_now();
+    }
+}
+
+fn dynamic_config() -> RuntimeConfig {
+    RuntimeConfig {
         policy: CcPolicy::DynamicStl,
         selection_cache: selection::CacheSettings {
             warmup_commits: 3,
@@ -227,21 +236,197 @@ fn stats_reports_cache_counters_without_selector_lock() {
             ..selection::CacheSettings::default()
         },
         ..config(1, 8)
-    })
-    .unwrap();
-    for i in 0..50 {
+    }
+}
+
+/// A single-shard `DynamicStl` database with its first epoch published
+/// and its refitter provably idle: the twelve warm-up transactions pin
+/// their methods, so no selection ever raised a request and the thread
+/// has been parked since it was spawned; the fit is forced from here.
+fn dynamic_db_with_an_epoch() -> Database {
+    let db = Database::open(dynamic_config()).unwrap();
+    for i in 0..12 {
+        let spec = TxnSpec::new()
+            .read(li(i % 8))
+            .write(li((i + 1) % 8))
+            .method(CcMethod::ALL[i as usize % 3]);
+        db.run_transaction(&spec, |_| vec![]).unwrap();
+    }
+    db.force_refit();
+    let stats = db.stats();
+    assert_eq!((stats.selections, stats.cache.epoch), (0, 1));
+    db
+}
+
+/// The asynchronous way to the first epoch: selections explore until
+/// every method is warm, one of them asks, the refitter fits and
+/// publishes, and from then on selections are cost-based.
+#[test]
+fn the_refitter_publishes_the_first_epoch_once_every_method_is_warm() {
+    let db = Database::open(dynamic_config()).unwrap();
+    let spec = TxnSpec::new().read(li(0)).write(li(1));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while db.stats().cache.epoch == 0 {
+        assert!(Instant::now() < deadline, "no epoch was ever published");
+        db.run_transaction(&spec, |_| vec![]).unwrap();
+    }
+    let warm = db.stats();
+    assert!(warm.committed >= 9, "three commits per method come first");
+    db.run_transaction(&spec, |_| vec![]).unwrap();
+    let stats = db.stats();
+    assert_eq!(
+        stats.cache.hits + stats.cache.misses,
+        warm.cache.hits + warm.cache.misses + 1
+    );
+    assert!(stats.selection_refit_nanos > 0);
+    db.shutdown().unwrap();
+}
+
+/// Ask the refitter for a re-fit it will find due (an epoch's worth of
+/// commits on the counter it compares), whatever the drift probe thinks.
+fn request_a_due_refit(db: &Database) {
+    let inner = &db.inner;
+    let epoch_commits = inner.config.selection_cache.epoch_commits;
+    inner
+        .stats
+        .committed
+        .fetch_add(epoch_commits, Ordering::Relaxed);
+    inner.selector.request_refit();
+    inner.wake_refitter();
+}
+
+#[test]
+fn stats_reports_cache_counters_without_selector_lock() {
+    let db = dynamic_db_with_an_epoch();
+    for i in 0..38 {
         let spec = TxnSpec::new().read(li(i % 8)).write(li((i + 1) % 8));
         db.run_transaction(&spec, |_| vec![]).unwrap();
     }
     let stats = db.stats();
-    assert_eq!(stats.selections, 50);
-    assert!(
-        stats.cache.hits + stats.cache.misses > 0,
-        "cost-based selections must flow into the atomic mirror: {:?}",
+    assert_eq!(stats.selections, 38);
+    assert_eq!(
+        stats.cache.hits + stats.cache.misses,
+        38,
+        "every selection against a published epoch is cost-based: {:?}",
         stats.cache
     );
     assert!(stats.cache.epoch >= 1);
+    assert!(stats.selection_nanos > 0 && stats.selection_refit_nanos > 0);
     db.shutdown();
+}
+
+/// The tentpole's contract, with the interleaving forced: the refitter is
+/// held inside a re-fit (blocked merging a metric stripe this test holds)
+/// while a `begin` selects, runs and commits against the old epoch.
+#[test]
+fn selection_proceeds_while_a_refit_is_in_flight() {
+    let db = dynamic_db_with_an_epoch();
+    let inner = &db.inner;
+    let gate = inner.metrics.lock_foreign_stripe();
+    request_a_due_refit(&db);
+    wait_until("the refitter took the request", || {
+        !inner.selector.refit_requested()
+    });
+    // The re-fit is past its due check and into the stripe merge, where
+    // it stays until `gate` drops. Admission does not care.
+    let before = db.stats();
+    let spec = TxnSpec::new().read(li(2)).write(li(3));
+    db.run_transaction(&spec, |_| vec![(li(3), 7)]).unwrap();
+    let during = db.stats();
+    assert_eq!(during.selections, before.selections + 1);
+    assert_eq!(
+        during.cache.hits + during.cache.misses,
+        before.cache.hits + before.cache.misses + 1,
+        "a cost-based decision, not a fallback"
+    );
+    assert_eq!(during.cache.epoch, 1, "read from the old epoch");
+    assert_eq!(during.cache.refits, 1);
+    drop(gate);
+    wait_until("the re-fit is published", || db.stats().cache.epoch >= 2);
+    assert_eq!(db.stats().selection_refits_abandoned, 0);
+    db.shutdown().unwrap();
+}
+
+#[test]
+fn shutdown_joins_the_refitter_and_drops_the_database() {
+    let db = dynamic_db_with_an_epoch();
+    let inner = Arc::downgrade(&db.inner);
+    let selector = Arc::clone(&db.inner.selector);
+    // Leave a request pending so the shutdown has something to abandon
+    // (whether the refitter gets to it first is its business).
+    selector.request_refit();
+    let report = db.shutdown().unwrap();
+    assert!(report.stats.selection_refits_abandoned <= 1);
+    assert_eq!(
+        Arc::strong_count(&selector),
+        2,
+        "joined: only this test and the database still hold the selector"
+    );
+    drop(db);
+    assert!(
+        inner.upgrade().is_none(),
+        "nothing outlives the last handle"
+    );
+    assert_eq!(Arc::strong_count(&selector), 1);
+}
+
+#[test]
+fn a_database_dropped_without_shutdown_lets_the_refitter_exit() {
+    let db = dynamic_db_with_an_epoch();
+    let selector = Arc::clone(&db.inner.selector);
+    drop(db);
+    assert!(selector.is_closed());
+    wait_until("the refitter let go of the selector", || {
+        Arc::strong_count(&selector) == 1
+    });
+}
+
+/// A panic on the refitter thread (here: a poisoned metric stripe under
+/// its merge) is caught and counted; the last good epoch stays published
+/// and admission carries on against it.
+#[test]
+fn a_refitter_panic_is_counted_and_the_last_epoch_stays_published() {
+    let db = dynamic_db_with_an_epoch();
+    let inner = &db.inner;
+    std::thread::scope(|scope| {
+        let poisoner = scope.spawn(|| {
+            let _stripe = inner.metrics.lock_foreign_stripe();
+            panic!("poisoning a metric stripe on purpose");
+        });
+        assert!(poisoner.join().is_err());
+    });
+    request_a_due_refit(&db);
+    wait_until("the panic is counted", || {
+        db.stats().selection_refits_abandoned == 1
+    });
+    let spec = TxnSpec::new().read(li(4)).write(li(5));
+    db.run_transaction(&spec, |_| vec![]).unwrap();
+    let stats = db.stats();
+    assert_eq!((stats.cache.epoch, stats.cache.refits), (1, 1));
+    // No `shutdown`: its final merge would meet the poisoned stripe too.
+}
+
+#[test]
+fn static_and_mixed_policies_spawn_no_refitter() {
+    for policy in [
+        CcPolicy::Static(CcMethod::TimestampOrdering),
+        CcPolicy::Mix {
+            p_2pl: 0.3,
+            p_to: 0.3,
+        },
+    ] {
+        let db = Database::open(RuntimeConfig {
+            policy,
+            ..config(1, 4)
+        })
+        .unwrap();
+        assert!(db.inner.refitter.is_none());
+        assert_eq!(Arc::strong_count(&db.inner.selector), 1);
+        db.run_transaction(&TxnSpec::new().write(li(0)), |_| vec![])
+            .unwrap();
+        let stats = db.shutdown().unwrap().stats;
+        assert_eq!((stats.selections, stats.cache.epoch), (0, 0));
+    }
 }
 
 #[test]

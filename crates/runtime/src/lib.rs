@@ -58,6 +58,7 @@ pub mod report;
 
 mod clock;
 mod detector;
+mod refitter;
 mod registry;
 mod route;
 mod shard;

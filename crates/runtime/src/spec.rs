@@ -97,6 +97,43 @@ impl TxnSpec {
         items
     }
 
+    /// The spec's access sets as a [`dbmodel::Transaction`] would hold
+    /// them — each ascending and free of duplicates, no read that is also
+    /// written — handed to `f` as `(reads, writes)` without building one.
+    /// Shapes of up to [`INLINE_ITEMS`] accesses never touch the heap.
+    pub(crate) fn with_access_sets<R>(
+        &self,
+        f: impl FnOnce(&[LogicalItemId], &[LogicalItemId]) -> R,
+    ) -> R {
+        let written = self
+            .writes
+            .iter()
+            .copied()
+            .chain(self.adds.iter().map(|&(item, _)| item))
+            .chain(self.puts.iter().map(|&(item, _)| item));
+        let n_writes = self.writes.len() + self.adds.len() + self.puts.len();
+        let total = n_writes + self.reads.len();
+        let mut inline = [LogicalItemId(0); INLINE_ITEMS];
+        let mut spilled = Vec::new();
+        let items: &mut [LogicalItemId] = if total <= INLINE_ITEMS {
+            &mut inline[..total]
+        } else {
+            spilled.resize(total, LogicalItemId(0));
+            &mut spilled
+        };
+        for (slot, item) in items
+            .iter_mut()
+            .zip(written.chain(self.reads.iter().copied()))
+        {
+            *slot = item;
+        }
+        let (writes, reads) = items.split_at_mut(n_writes);
+        let n_writes = sort_dedup(writes, |_| true);
+        let writes = &writes[..n_writes];
+        let n_reads = sort_dedup(reads, |item| writes.binary_search(item).is_err());
+        f(&reads[..n_reads], writes)
+    }
+
     /// The shape routing classifies: which op kinds the spec performs,
     /// and its read and write counts.
     pub(crate) fn profile(&self) -> (OpProfile, usize, usize) {
@@ -118,6 +155,23 @@ impl TxnSpec {
         let writes = self.adds.len() + self.puts.len() + self.writes.len();
         (profile, self.reads.len(), writes)
     }
+}
+
+/// Accesses [`TxnSpec::with_access_sets`] canonicalizes on the stack.
+const INLINE_ITEMS: usize = 16;
+
+/// Sort `items`, then compact the distinct ones `keep` accepts to the
+/// front; returns how many.
+fn sort_dedup(items: &mut [LogicalItemId], keep: impl Fn(&LogicalItemId) -> bool) -> usize {
+    items.sort_unstable();
+    let mut kept = 0;
+    for i in 0..items.len() {
+        if (kept == 0 || items[kept - 1] != items[i]) && keep(&items[i]) {
+            items[kept] = items[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 /// Why a transaction could not run to commit.
@@ -200,4 +254,43 @@ pub struct TxnReceipt {
     /// True when the transaction was served from the MVCC snapshot plane
     /// at the global read watermark (read-only; no coordination at all).
     pub snapshot: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dbmodel::{SiteId, Transaction};
+
+    /// The slices the selector summarises are exactly the sets the
+    /// transaction built from the same spec will hold.
+    #[test]
+    fn access_sets_match_the_transaction_built_from_the_spec() {
+        let li = LogicalItemId;
+        let wide = (0..40u64).rev().map(li);
+        let specs = [
+            TxnSpec::new(),
+            TxnSpec::new().reads([li(9), li(3), li(9)]).write(li(5)),
+            // A read the spec also writes is a write only.
+            TxnSpec::new()
+                .reads([li(4), li(1)])
+                .writes([li(4), li(2), li(2)]),
+            TxnSpec::new()
+                .read(li(7))
+                .add(li(7), 1)
+                .put(li(3), 0)
+                .add(li(8), 2),
+            // Past the inline capacity.
+            TxnSpec::new().reads(wide.clone()).writes(wide.step_by(3)),
+        ];
+        for spec in specs {
+            let txn = Transaction::builder(TxnId(1), SiteId(0))
+                .reads(spec.reads.iter().copied())
+                .writes(spec.write_items())
+                .build();
+            spec.with_access_sets(|reads, writes| {
+                assert_eq!(reads, txn.read_set(), "{spec:?}");
+                assert_eq!(writes, txn.write_set(), "{spec:?}");
+            });
+        }
+    }
 }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use metrics::{MetricsSample, SimMetrics};
-use selection::CacheStats;
+use selection::{CacheStats, WorkloadSignal};
 use simkit::time::SimTime;
 use transport::CachePadded;
 
@@ -15,10 +15,10 @@ use transport::CachePadded;
 /// are assigned round-robin on first use), so the stripe mutex it takes
 /// is effectively private — recording never contends with other
 /// recorders, and never with admission. The only reader that touches
-/// other stripes is [`MetricsShards::merged`], which the selector calls
-/// at epoch-refit boundaries (and shutdown calls once); it locks each
-/// stripe briefly in turn, so a refit can run *while* commits keep
-/// recording.
+/// other stripes is [`MetricsShards::merged`], which the selector's
+/// refitter calls at epoch-refit boundaries (and shutdown calls once); it
+/// locks each stripe briefly in turn, so a refit can run *while* commits
+/// keep recording.
 pub(crate) struct MetricsShards {
     stripes: Box<[CachePadded<Mutex<SimMetrics>>]>,
     next_stripe: AtomicUsize,
@@ -85,6 +85,19 @@ impl MetricsShards {
             folded.merge_from(&sample);
         }
         folded
+    }
+}
+
+#[cfg(test)]
+impl MetricsShards {
+    /// Lock a stripe the calling thread does not record into: a merge
+    /// started meanwhile blocks on it, this thread's transactions do not.
+    pub(crate) fn lock_foreign_stripe(&self) -> std::sync::MutexGuard<'_, SimMetrics> {
+        self.with_local(|_| ());
+        let foreign = (STRIPE.with(Cell::get) + 1) % METRIC_STRIPES;
+        self.stripes[foreign]
+            .lock()
+            .expect("metrics stripe poisoned")
     }
 }
 
@@ -185,18 +198,15 @@ pub(crate) struct RuntimeStats {
     pub(crate) snapshot_refused: AtomicU64,
     /// Dynamic-policy selections performed.
     pub(crate) selections: AtomicU64,
-    /// Wall-clock nanoseconds spent inside the selector (dynamic policy).
+    /// Wall-clock nanoseconds client threads spent selecting (dynamic
+    /// policy): load the epoch, summarise, look up, argmin.
     pub(crate) selection_nanos: AtomicU64,
-    /// Mirror of the cached selector's counters, republished after every
-    /// selection so [`crate::Database::stats`] never takes the selector
-    /// mutex (stats polling must not contend with admission).
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) cache_misses: AtomicU64,
-    pub(crate) cache_evals: AtomicU64,
-    pub(crate) cache_refits: AtomicU64,
-    pub(crate) cache_flushes: AtomicU64,
-    pub(crate) cache_entries: AtomicU64,
-    pub(crate) cache_epoch: AtomicU64,
+    /// Wall-clock nanoseconds spent answering re-fit requests — probe,
+    /// stripe merge, fit, pre-warm — on the refitter thread or inside
+    /// [`crate::Database::force_refit`].
+    pub(crate) selection_refit_nanos: AtomicU64,
+    /// Re-fits asked for and never published (shutdown, refitter panic).
+    pub(crate) selection_refits_abandoned: AtomicU64,
     /// Incarnations restarted because `request_timeout` expired before
     /// every access was granted (fault plane / dead shard).
     pub(crate) timeout_restarts: AtomicU64,
@@ -250,9 +260,21 @@ pub struct StatsSnapshot {
     pub snapshot_refused: u64,
     /// Dynamic-policy selections performed.
     pub selections: u64,
-    /// Wall-clock nanoseconds spent inside the selector with its locks
-    /// already held (dynamic policy).
+    /// Wall-clock nanoseconds client threads spent inside the selector
+    /// (dynamic policy): the admission-path half of its cost — loading the
+    /// published epoch, table lookups, and the dynamic programs of the
+    /// selections that missed.
     pub selection_nanos: u64,
+    /// Wall-clock nanoseconds spent answering re-fit requests off the
+    /// admission path — drift probe, stripe merge, model fit, pre-warm of
+    /// the new epoch's table — by the refitter thread and by
+    /// [`crate::Database::force_refit`]. With `selection_nanos`, the
+    /// selector's whole cost.
+    pub selection_refit_nanos: u64,
+    /// Re-fits that were asked for and never published: cut short or
+    /// still pending when the database shut down, or lost to a panic on
+    /// the refitter thread (selection then keeps the last good epoch).
+    pub selection_refits_abandoned: u64,
     /// Stale reply events suppressed by the reply plane: deliveries
     /// dropped because no live incarnation matched, plus events
     /// discarded by the consumer's incarnation tag. Filled in by
@@ -310,8 +332,10 @@ pub struct StatsSnapshot {
     pub shard_enqueued_log_full: u64,
     /// Nudges sent to a shard thread to fold a half-full log buffer.
     pub log_fold_nudges: u64,
-    /// Selection-cache counters (all zero when the cache is disabled or
-    /// the policy is not dynamic).
+    /// Selection-cache counters (all zero unless the policy is dynamic):
+    /// `hits` and `misses` count admission-path decisions, `evals` every
+    /// dynamic program run and `prewarmed` the share of them the refitter
+    /// ran. Filled in by [`crate::Database::stats`] from the selector.
     pub cache: CacheStats,
     /// Per-shard grant / conflict / implementation counters.
     pub per_shard: Vec<ShardCounterSnapshot>,
@@ -345,6 +369,8 @@ impl RuntimeStats {
             snapshot_refused: self.snapshot_refused.load(Ordering::Relaxed),
             selections: self.selections.load(Ordering::Relaxed),
             selection_nanos: self.selection_nanos.load(Ordering::Relaxed),
+            selection_refit_nanos: self.selection_refit_nanos.load(Ordering::Relaxed),
+            selection_refits_abandoned: self.selection_refits_abandoned.load(Ordering::Relaxed),
             stale_reply_events: 0,
             mailbox_overflow_entries: 0,
             mailbox_index_capacity: 0,
@@ -361,31 +387,20 @@ impl RuntimeStats {
             shard_enqueued_backlog: sum(|s| s.enqueued_backlog),
             shard_enqueued_log_full: sum(|s| s.enqueued_log_full),
             log_fold_nudges: sum(|s| s.log_fold_nudges),
-            cache: CacheStats {
-                hits: self.cache_hits.load(Ordering::Relaxed),
-                misses: self.cache_misses.load(Ordering::Relaxed),
-                evals: self.cache_evals.load(Ordering::Relaxed),
-                refits: self.cache_refits.load(Ordering::Relaxed),
-                flushes: self.cache_flushes.load(Ordering::Relaxed),
-                entries: self.cache_entries.load(Ordering::Relaxed),
-                epoch: self.cache_epoch.load(Ordering::Relaxed),
-            },
+            cache: CacheStats::default(),
             per_shard,
         }
     }
 
-    /// Republish the cached selector's counters (called with the selector
-    /// mutex already released). Monotone counters use `fetch_max` so a
-    /// publisher racing with a fresher snapshot can never walk them
-    /// backwards; `entries` is a gauge and takes the last write.
-    pub(crate) fn publish_cache_stats(&self, cs: CacheStats) {
-        self.cache_hits.fetch_max(cs.hits, Ordering::Relaxed);
-        self.cache_misses.fetch_max(cs.misses, Ordering::Relaxed);
-        self.cache_evals.fetch_max(cs.evals, Ordering::Relaxed);
-        self.cache_refits.fetch_max(cs.refits, Ordering::Relaxed);
-        self.cache_flushes.fetch_max(cs.flushes, Ordering::Relaxed);
-        self.cache_entries.store(cs.entries, Ordering::Relaxed);
-        self.cache_epoch.fetch_max(cs.epoch, Ordering::Relaxed);
+    /// The per-shard feedback loop: grant / conflict counters maintained
+    /// by the shards drive the cached selector's epoch logic (a
+    /// conflict-ratio shift beyond the drift threshold re-fits the model
+    /// early).
+    pub(crate) fn workload_signal(&self) -> WorkloadSignal {
+        WorkloadSignal {
+            grants: self.grants.load(Ordering::Relaxed),
+            conflicts: self.prescheduled_grants(),
+        }
     }
 
     /// Total pre-scheduled (conflicted) grants over all shards.

@@ -3,18 +3,36 @@
 //! A fresh [`StlSelector`] runs the STL′ dynamic program three to six times
 //! per selection — tens of microseconds each, several times what a static
 //! policy spends on the whole transaction. This module makes adaptive
-//! concurrency control pay for itself by splitting the selector into two
+//! concurrency control pay for itself by splitting the selector into three
 //! very different cadences:
 //!
-//! * **Epoch re-fit** (slow path, every `epoch_commits` commits or on
-//!   drift): snapshot the [`StlModel`], the per-protocol
+//! * **Memoized decide** (every selection): load the current [`Epoch`],
+//!   collapse the transaction to its [`ShapeSummary`] and run the closed
+//!   form of [`evaluate_decision_with`] — powers, conditional loss, argmin
+//!   — over the epoch's [`StlTable`] instead of over the dynamic program.
+//!   An epoch is immutable apart from its table, and the table is filled
+//!   through `&self`: a miss runs its dynamic program with nothing held
+//!   and publishes the value with one compare-and-swap. Two threads that
+//!   miss the same key both compute it — the program is a pure function
+//!   of the key, so they store the same bits in the same slot.
+//! * **Request** (when a selection notices a re-fit is due: `epoch_commits`
+//!   commits since the fit, a conflict-ratio shift, or every
+//!   `drift_check_every`-th selection for the scalar drift probe): one
+//!   flag is raised, [`CachedStlSelector::select_published`] returns, and
+//!   selections keep reading the epoch they have.
+//! * **Re-fit, pre-warm, publish** (whoever answers the request — the
+//!   runtime's refitter thread through
+//!   [`CachedStlSelector::serve_request`]): re-check that the re-fit is
+//!   still due, snapshot the [`StlModel`], the per-protocol
 //!   [`MethodParamSet`] and the per-item rate table out of the live
-//!   metrics into an [`EpochSnapshot`]. Within an epoch every decision is
-//!   a pure function of the transaction's access sets.
-//! * **Memoized decide** (fast path, every selection): collapse the
-//!   transaction to its [`ShapeSummary`] and run the closed form of
-//!   [`evaluate_decision_with`] — powers, conditional loss, argmin — over
-//!   an [`StlTable`] instead of over the dynamic program.
+//!   metrics into an [`EpochSnapshot`], recompute against it every table
+//!   entry the previous epoch was asked for, and only then swap the
+//!   published `Arc`. The first selections of the new epoch therefore hit.
+//!
+//! The single-threaded drive ([`CachedStlSelector::select`], what the
+//! simulator-style callers and the benches use) is the same epoch, the
+//! same table and the same decide with the re-fit run inline by the
+//! selection that finds it due; it is deterministic.
 //!
 //! The seam sits at `STL'(λ, U)` rather than at the decision because that
 //! is where the key space is small: an epoch freezes at most six hold
@@ -22,22 +40,32 @@
 //! STL′ is a function of the one loss λ. A table keyed `(U, bucket(λ))` is
 //! therefore shared by every shape — any `m`, `n`, op profile or split of
 //! λ into read and write loss — where a decision memo needs one entry per
-//! combination of them.
+//! combination of them. It is also what makes pre-warming possible: a
+//! re-fit measures six new hold times, so no old `(U, bucket)` key recurs,
+//! but "the `u_denied` of T/O at bucket 212" names the same question in
+//! both epochs.
 //!
-//! Memoization is *exact*: with quantization disabled the cached selector
-//! returns bit-identical [`SelectionDecision`]s to a fresh [`StlSelector`]
-//! evaluated against the same metrics, and with quantization enabled every
-//! table entry is exactly `stl_prime(representative(bucket(λ)), U)` —
-//! properties the test-suite checks byte-for-byte. Routing
+//! Memoization is *exact*: every table entry is exactly
+//! `stl_prime(representative(bucket(λ)), U)` under the epoch's model —
+//! whether a selection's miss, a concurrent duplicate or the pre-warm
+//! stored it — so a pre-warmed epoch and a cold one fitted from the same
+//! metrics return bit-identical [`SelectionDecision`]s, and with
+//! quantization disabled both return what a fresh [`StlSelector`] returns
+//! against those metrics; the test-suite checks each byte for byte. What
+//! concurrency adds is only *which* epoch a selection reads: the one
+//! published when it loaded, whole — never a mixture of two. Routing
 //! ([`crate::route`]) never touches the table: it is pure in the op
 //! profile and the access-set sizes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use dbmodel::{Catalog, PhysicalItemId, Transaction};
+use dbmodel::{Catalog, LogicalItemId, PhysicalItemId, SiteId, Transaction};
 use metrics::{MetricsSample, SimMetrics};
 
 use crate::estimators::{ProtocolParams, ShapeSummary};
+use crate::publish::Published;
 use crate::selector::{
     evaluate_decision_with, exploratory_decision, is_exploration_round, MethodParamSet,
     SelectionDecision, StlSelector,
@@ -68,7 +96,8 @@ pub struct CacheSettings {
     /// wide. 0 keys the table on exact bit patterns instead (no
     /// collapsing at all).
     pub quant_rel: f64,
-    /// STL′ values kept in the table before it is flushed wholesale.
+    /// STL′ values an epoch's table memoizes; past that, values are
+    /// computed on every use until the next re-fit starts a new table.
     pub max_entries: usize,
     /// Commits per method required before estimates are trusted
     /// (mirrors [`StlSelector::warmup_commits`]).
@@ -81,11 +110,11 @@ pub struct CacheSettings {
 impl Default for CacheSettings {
     fn default() -> Self {
         CacheSettings {
-            // Every refit flushes the STL′ table, and each flushed entry
-            // costs one dynamic program (tens of µs) to repopulate; at
-            // live-runtime commit rates 1024 commits is still a sub-second
-            // epoch, and the drift checks below catch genuine workload
-            // shifts between scheduled boundaries.
+            // Every refit recomputes the entries the last epoch used, one
+            // dynamic program (tens of µs) each; at live-runtime commit
+            // rates 1024 commits is still a sub-second epoch, and the
+            // drift checks below catch genuine workload shifts between
+            // scheduled boundaries.
             epoch_commits: 1024,
             drift_threshold: 0.5,
             drift_check_every: 64,
@@ -168,40 +197,243 @@ fn representative(b: u64, g: f64) -> f64 {
     ((b as f64 - 0.5) * g.ln_1p()).exp_m1()
 }
 
+/// Decision and dynamic-program tallies. One set is shared by every
+/// epoch's table of a selector, so the counts run on across re-fits and a
+/// selection still reading a replaced epoch is counted like any other.
+/// Statistics only, hence `Relaxed` throughout.
+#[derive(Debug, Default)]
+struct TableCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evals: AtomicU64,
+    prewarmed: AtomicU64,
+    overflows: AtomicU64,
+}
+
+/// Distinct hold times a table keeps a row for; an epoch freezes six.
+const TABLE_ROWS: usize = 8;
+/// Slots in a row's first segment; every further segment doubles.
+const FIRST_SEGMENT: usize = 64;
+/// Slots probed linearly per segment before moving on to the next one.
+const PROBE_WINDOW: usize = 16;
+/// A pre-warm carries a key over while selections asked for it within this
+/// many epochs. An epoch of the default length samples a workload's rarer
+/// buckets only every few epochs, so carrying just the last epoch's reads
+/// misses twice as often; carrying everything forever would let the buckets
+/// a drifting workload has left pile up until every re-fit recomputes
+/// `max_entries` of them.
+const CARRY_IDLE_EPOCHS: u8 = 4;
+/// An unclaimed row or slot. Never a valid key: a hold time with these
+/// bits is a NaN, a bucket index this large is the bucket of an infinite
+/// loss, and an exact-mode loss is never negative. Such keys are computed
+/// without being memoized.
+const NO_KEY: u64 = u64::MAX;
+/// A claimed slot whose value has not been stored yet (a NaN bit pattern
+/// no arithmetic produces; a value with these bits is not memoized).
+const NO_VALUE: u64 = u64::MAX;
+
+#[derive(Debug)]
+struct Slot {
+    key: AtomicU64,
+    value: AtomicU64,
+    /// Epochs since a selection last read or stored this key: 0 once one
+    /// does, the previous epoch's count plus one when a pre-warm carries
+    /// the key over. A hint (see [`CARRY_IDLE_EPOCHS`]), so `Relaxed`.
+    idle: AtomicU8,
+}
+
+/// One open-addressed array of a row's chain.
+#[derive(Debug)]
+struct Segment {
+    slots: Box<[Slot]>,
+    /// `64 - log2(slots.len())`: Fibonacci hashing keeps the top bits.
+    shift: u32,
+    next: OnceLock<Box<Segment>>,
+}
+
+impl Segment {
+    fn new(len: usize) -> Box<Segment> {
+        debug_assert!(len.is_power_of_two() && len >= 2);
+        Box::new(Segment {
+            slots: (0..len)
+                .map(|_| Slot {
+                    key: AtomicU64::new(NO_KEY),
+                    value: AtomicU64::new(NO_VALUE),
+                    idle: AtomicU8::new(0),
+                })
+                .collect(),
+            shift: 64 - len.trailing_zeros(),
+            next: OnceLock::new(),
+        })
+    }
+
+    /// The slots a key may occupy in this segment, in probe order.
+    fn window(&self, key: u64) -> impl Iterator<Item = &Slot> {
+        let start = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        let mask = self.slots.len() - 1;
+        (0..PROBE_WINDOW.min(self.slots.len())).map(move |i| &self.slots[(start + i) & mask])
+    }
+}
+
+/// The entries of one hold time `U`: loss key → `STL'` bits, in a chain of
+/// doubling segments. Keys are claimed with a compare-and-swap and never
+/// removed, so a probe that reaches an unclaimed slot has seen every slot
+/// an earlier insert of its key could have taken.
+#[derive(Debug)]
+struct Row {
+    u_bits: AtomicU64,
+    head: OnceLock<Box<Segment>>,
+}
+
+impl Row {
+    /// The value under `key`; a selection's read (`idle` 0) also marks the
+    /// entry as wanted this epoch.
+    fn get(&self, key: u64, idle: u8) -> Option<f64> {
+        let mut segment = self.head.get();
+        while let Some(seg) = segment {
+            for slot in seg.window(key) {
+                // Acquire pairs with the claiming compare-and-swap below;
+                // the value's Acquire with its Release store.
+                match slot.key.load(Ordering::Acquire) {
+                    k if k == key => {
+                        // Test first: the line stays shared on repeat hits.
+                        if idle == 0 && slot.idle.load(Ordering::Relaxed) != 0 {
+                            slot.idle.store(0, Ordering::Relaxed);
+                        }
+                        let bits = slot.value.load(Ordering::Acquire);
+                        return (bits != NO_VALUE).then(|| f64::from_bits(bits));
+                    }
+                    NO_KEY => return None,
+                    _ => {}
+                }
+            }
+            segment = seg.next.get();
+        }
+        None
+    }
+
+    /// Store `bits` under `key`, claiming a slot if the key has none and
+    /// `table` (whose row this is) has room. A slot claimed here starts at
+    /// `idle`. Returns false when the table had no room.
+    fn put(&self, table: &StlTable, key: u64, bits: u64, idle: u8) -> bool {
+        let full = || table.len.load(Ordering::Relaxed) >= table.max_entries;
+        let mut seg = self.head.get_or_init(|| Segment::new(table.first_segment));
+        loop {
+            for slot in seg.window(key) {
+                let mut k = slot.key.load(Ordering::Acquire);
+                if k == NO_KEY {
+                    if full() {
+                        return false;
+                    }
+                    k = match slot.key.compare_exchange(
+                        NO_KEY,
+                        key,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    ) {
+                        Ok(_) => {
+                            table.len.fetch_add(1, Ordering::Relaxed);
+                            slot.idle.store(idle, Ordering::Relaxed);
+                            key
+                        }
+                        Err(claimed_by) => claimed_by,
+                    };
+                }
+                if k == key {
+                    // Whoever claimed the slot, every writer of this key
+                    // stores the same bits.
+                    slot.value.store(bits, Ordering::Release);
+                    return true;
+                }
+            }
+            seg = match seg.next.get() {
+                Some(next) => next,
+                None if full() => return false,
+                None => seg.next.get_or_init(|| Segment::new(seg.slots.len() * 2)),
+            };
+        }
+    }
+
+    /// The keys selections asked for recently enough to carry over, each
+    /// with the idle count its successor starts at.
+    fn carried_keys(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
+        std::iter::successors(self.head.get(), |seg| seg.next.get())
+            .flat_map(|seg| seg.slots.iter())
+            .map(|slot| {
+                let idle = slot.idle.load(Ordering::Relaxed) + 1;
+                (slot.key.load(Ordering::Acquire), idle)
+            })
+            .filter(|&(key, idle)| key != NO_KEY && idle <= CARRY_IDLE_EPOCHS)
+    }
+}
+
 /// The memo of `STL'(λ_loss, U)` values: maps `(U, bucket(λ_loss))` — the
 /// exact bit patterns of both when quantization is off — to the dynamic
 /// program's value at the bucket's canonical representative. The
-/// [`StlModel`] is *not* part of the key: the owner must clear the table
-/// whenever the model changes (the epoch re-fit does exactly that).
-#[derive(Debug, Clone)]
+/// [`StlModel`] is *not* part of the key: a table belongs to one model
+/// (an [`Epoch`] pairs them; a re-fit starts a new table).
+///
+/// Reads and fills both go through `&self` and take no lock: a row per
+/// hold time, each an insert-only open-addressed chain of atomics. The
+/// table never holds more than `max_entries` values (give or take one per
+/// racing thread); past that a value is computed on every use and counted
+/// in [`StlTable::overflows`].
+#[derive(Debug)]
 pub struct StlTable {
     quant_rel: f64,
     max_entries: usize,
-    values: HashMap<(u64, u64), f64>,
-    hits: u64,
-    misses: u64,
-    evals: u64,
-    flushes: u64,
+    first_segment: usize,
+    rows: [Row; TABLE_ROWS],
+    len: AtomicUsize,
+    counters: Arc<TableCounters>,
 }
 
 impl StlTable {
     /// A table with the given relative loss quantization (0 = exact keys).
     pub fn new(quant_rel: f64, max_entries: usize) -> StlTable {
-        StlTable {
-            quant_rel,
-            max_entries: max_entries.max(1),
-            values: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            evals: 0,
-            flushes: 0,
-        }
+        StlTable::with_counters(quant_rel, max_entries, FIRST_SEGMENT, Arc::default())
     }
 
     /// A table keyed on exact bit patterns: memoization without any
     /// collapsing of nearby losses.
     pub fn exact() -> StlTable {
         StlTable::new(0.0, CacheSettings::default().max_entries)
+    }
+
+    fn with_counters(
+        quant_rel: f64,
+        max_entries: usize,
+        first_segment: usize,
+        counters: Arc<TableCounters>,
+    ) -> StlTable {
+        StlTable {
+            quant_rel,
+            max_entries: max_entries.max(1),
+            first_segment,
+            rows: std::array::from_fn(|_| Row {
+                u_bits: AtomicU64::new(NO_KEY),
+                head: OnceLock::new(),
+            }),
+            len: AtomicUsize::new(0),
+            counters,
+        }
+    }
+
+    /// An empty table with this one's settings and counters, its rows
+    /// sized so that as many keys as this one's fullest row holds fit the
+    /// first segment: the next epoch's table.
+    fn successor(&self) -> StlTable {
+        let fullest = self.rows.iter().map(|row| row.carried_keys().count()).max();
+        let first_segment = (fullest.unwrap_or(0) * 2)
+            .next_power_of_two()
+            .min(self.max_entries.next_power_of_two())
+            .max(FIRST_SEGMENT);
+        StlTable::with_counters(
+            self.quant_rel,
+            self.max_entries,
+            first_segment,
+            Arc::clone(&self.counters),
+        )
     }
 
     /// The loss the table evaluates in place of `lambda_loss`: its bucket's
@@ -215,79 +447,153 @@ impl StlTable {
         }
     }
 
-    /// `model.stl_prime(self.quantized(lambda_loss), u)`, computed at most
-    /// once per `(u, bucket)` until the table is cleared.
-    pub fn stl_prime(&mut self, model: &StlModel, lambda_loss: f64, u: f64) -> f64 {
-        let loss_key = if self.quant_rel > 0.0 {
+    fn loss_key(&self, lambda_loss: f64) -> u64 {
+        if self.quant_rel > 0.0 {
             bucket(lambda_loss, self.quant_rel)
         } else {
             lambda_loss.max(0.0).to_bits()
-        };
-        let key = (u.to_bits(), loss_key);
-        if let Some(&value) = self.values.get(&key) {
-            return value;
         }
-        self.evals += 1;
+    }
+
+    /// A loss whose key is `key` (the inverse of [`StlTable::loss_key`] up
+    /// to [`StlTable::quantized`]).
+    fn loss_of_key(&self, key: u64) -> f64 {
+        if self.quant_rel > 0.0 {
+            representative(key, self.quant_rel)
+        } else {
+            f64::from_bits(key)
+        }
+    }
+
+    /// The row of hold time `u_bits`, claiming a free one for a hold time
+    /// not seen before; `None` when all rows belong to other hold times.
+    fn row(&self, u_bits: u64) -> Option<&Row> {
+        self.rows.iter().find(|row| {
+            let mut owner = row.u_bits.load(Ordering::Acquire);
+            if owner == NO_KEY {
+                owner = match row.u_bits.compare_exchange(
+                    NO_KEY,
+                    u_bits,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => u_bits,
+                    Err(claimed_by) => claimed_by,
+                };
+            }
+            owner == u_bits
+        })
+    }
+
+    /// `STL'` at the table's stand-in for `lambda_loss`, and whether this
+    /// call ran the dynamic program for it. `idle` is 0 for a selection's
+    /// read; a pre-warm passes the count the entry starts at.
+    fn read(&self, model: &StlModel, lambda_loss: f64, u: f64, idle: u8) -> (f64, bool) {
+        let (key, u_bits) = (self.loss_key(lambda_loss), u.to_bits());
+        let row = (key != NO_KEY && u_bits != NO_KEY)
+            .then(|| self.row(u_bits))
+            .flatten();
+        if let Some(value) = row.and_then(|row| row.get(key, idle)) {
+            return (value, false);
+        }
+        // Nothing is held here: other selections read and fill meanwhile.
+        self.counters.evals.fetch_add(1, Ordering::Relaxed);
         let value = model.stl_prime(self.quantized(lambda_loss), u);
-        if self.values.len() >= self.max_entries {
-            self.values.clear();
-            self.flushes += 1;
+        let kept = row.is_some_and(|row| {
+            value.to_bits() != NO_VALUE && row.put(self, key, value.to_bits(), idle)
+        });
+        if !kept {
+            self.counters.overflows.fetch_add(1, Ordering::Relaxed);
         }
-        self.values.insert(key, value);
-        value
+        (value, true)
+    }
+
+    /// `model.stl_prime(self.quantized(lambda_loss), u)`, computed once per
+    /// `(u, bucket)` (bar racing duplicates) while the table has room.
+    pub fn stl_prime(&self, model: &StlModel, lambda_loss: f64, u: f64) -> f64 {
+        self.read(model, lambda_loss, u, 0).0
     }
 
     /// [`crate::evaluate_decision`] with every `STL'` read through the
     /// table. Counts a hit when all of them were memoized, a miss when at
     /// least one ran the dynamic program.
     pub fn decide(
-        &mut self,
+        &self,
         model: &StlModel,
         params: &MethodParamSet,
         summary: &ShapeSummary,
     ) -> SelectionDecision {
-        let evals_before = self.evals;
+        self.decide_flagged(model, params, summary).0
+    }
+
+    /// [`StlTable::decide`], also saying whether the decision was a hit.
+    fn decide_flagged(
+        &self,
+        model: &StlModel,
+        params: &MethodParamSet,
+        summary: &ShapeSummary,
+    ) -> (SelectionDecision, bool) {
+        let mut hit = true;
         let decision = evaluate_decision_with(
-            &mut |loss, u| self.stl_prime(model, loss, u),
+            &mut |loss, u| {
+                let (value, computed) = self.read(model, loss, u, 0);
+                hit &= !computed;
+                value
+            },
             summary,
             params,
         );
-        if self.evals == evals_before {
-            self.hits += 1;
+        let tally = if hit {
+            &self.counters.hits
         } else {
-            self.misses += 1;
-        }
-        decision
+            &self.counters.misses
+        };
+        tally.fetch_add(1, Ordering::Relaxed);
+        (decision, hit)
     }
 
-    /// Drop every memoized value (the epoch re-fit path).
-    pub fn clear(&mut self) {
-        self.values.clear();
+    /// Every `(U bits, loss key, idle count)` worth carrying into the
+    /// next epoch's table.
+    fn carried_keys(&self) -> Vec<(u64, u64, u8)> {
+        self.rows
+            .iter()
+            .flat_map(|row| {
+                let u_bits = row.u_bits.load(Ordering::Acquire);
+                row.carried_keys()
+                    .map(move |(key, idle)| (u_bits, key, idle))
+            })
+            .collect()
     }
 
     /// Number of memoized values.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len.load(Ordering::Relaxed)
     }
 
     /// True when nothing is memoized.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// Decisions served wholly from the table since creation.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.counters.hits.load(Ordering::Relaxed)
     }
 
     /// Decisions that ran at least one dynamic program since creation.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.counters.misses.load(Ordering::Relaxed)
     }
 
     /// Dynamic programs run since creation.
     pub fn evals(&self) -> u64 {
-        self.evals
+        self.counters.evals.load(Ordering::Relaxed)
+    }
+
+    /// Values computed but not memoized: the table was at `max_entries`,
+    /// or out of rows for a ninth hold time.
+    pub fn overflows(&self) -> u64 {
+        self.counters.overflows.load(Ordering::Relaxed)
     }
 }
 
@@ -362,21 +668,35 @@ impl EpochSnapshot {
     /// write-all over the item's copies) aggregation step for step so the
     /// result is bit-identical to summarising the fresh shape at fit time.
     pub fn summary_for(&self, txn: &Transaction, catalog: &Catalog) -> ShapeSummary {
+        self.summary_of(txn.read_set(), txn.write_set(), txn.origin, catalog)
+    }
+
+    /// [`EpochSnapshot::summary_for`] over the access sets themselves, for
+    /// a caller that has no [`Transaction`] yet. To agree with it bit for
+    /// bit the slices must be what [`Transaction`] holds: ascending, free
+    /// of duplicates, no read that is also written.
+    pub fn summary_of(
+        &self,
+        reads: &[LogicalItemId],
+        writes: &[LogicalItemId],
+        origin: SiteId,
+        catalog: &Catalog,
+    ) -> ShapeSummary {
         let mut m = 0usize;
         let mut n = 0usize;
         let mut read_loss = 0.0f64;
         let mut write_loss = 0.0f64;
-        for &item in txn.read_set() {
-            if let Ok(copy) = catalog.read_copy(item, txn.origin) {
+        for &item in reads {
+            if let Ok(copy) = catalog.read_copy(item, origin) {
                 m += 1;
                 read_loss += self.item_rate(copy).1;
             }
         }
-        for &item in txn.write_set() {
-            if let Ok(copies) = catalog.physical_copies(item) {
+        for &item in writes {
+            if let Ok(holders) = catalog.holders(item) {
                 let (mut lr, mut lw) = (0.0, 0.0);
-                for copy in copies {
-                    let (r, w) = self.item_rate(copy);
+                for &site in holders {
+                    let (r, w) = self.item_rate(PhysicalItemId::new(item, site));
                     lr += r;
                     lw += w;
                 }
@@ -453,6 +773,64 @@ fn params_drift(a: &ProtocolParams, b: &ProtocolParams) -> f64 {
         .max((a.p_write_denial - b.p_write_denial).abs())
 }
 
+/// One epoch as selections see it: the frozen [`EpochSnapshot`] and the
+/// [`StlTable`] memoizing `STL'` under its model. Immutable and `Sync`
+/// apart from the table's fills, so any number of threads decide against
+/// one `Arc<Epoch>` while the next one is being built.
+#[derive(Debug)]
+pub struct Epoch {
+    /// Everything the epoch's decisions depend on.
+    pub snapshot: EpochSnapshot,
+    /// `STL'` under [`EpochSnapshot::model`], filled on demand.
+    pub table: StlTable,
+}
+
+impl Epoch {
+    /// The cost-based decision for `summary`, and whether the table served
+    /// it without running a dynamic program.
+    fn decide(&self, summary: &ShapeSummary) -> (SelectionDecision, bool) {
+        self.table
+            .decide_flagged(&self.snapshot.model, &self.snapshot.params, summary)
+    }
+
+    /// Recompute, under this epoch's model and hold times, every entry of
+    /// `prev`'s table that selections asked for within the last
+    /// [`CARRY_IDLE_EPOCHS`] epochs, so they keep hitting across the
+    /// re-fit. An old key's `U` no longer occurs — the re-fit measured six
+    /// new hold times — but the *slot* it was the hold time of (`u_ok` /
+    /// `u_denied` of one protocol) does, and the key's loss bucket is as
+    /// likely as before. Changes counters and which values are memoized,
+    /// never a value. `keep_going` is polled between dynamic programs;
+    /// returns false when it stopped the pre-warm.
+    fn prewarm_from(&self, prev: &Epoch, keep_going: impl Fn() -> bool) -> bool {
+        if self.table.quant_rel <= 0.0 {
+            // Exact keys name losses, not buckets, and a re-fit moves
+            // every loss: nothing the old table holds will be asked again.
+            return true;
+        }
+        let old = prev.snapshot.params.hold_times();
+        let new = self.snapshot.params.hold_times();
+        for (u_bits, key, idle) in prev.table.carried_keys() {
+            let loss = prev.table.loss_of_key(key);
+            // Two slots that shared a hold time shared its row.
+            for slot in (0..old.len()).filter(|&slot| old[slot].to_bits() == u_bits) {
+                if !keep_going() {
+                    return false;
+                }
+                if self
+                    .table
+                    .read(&self.snapshot.model, loss, new[slot], idle)
+                    .1
+                {
+                    let prewarmed = &self.table.counters.prewarmed;
+                    prewarmed.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        true
+    }
+}
+
 /// A point-in-time copy of the cached selector's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -460,12 +838,15 @@ pub struct CacheStats {
     pub hits: u64,
     /// Selections that ran at least one STL′ dynamic program.
     pub misses: u64,
-    /// STL′ dynamic programs run (a miss runs between one and six).
+    /// STL′ dynamic programs run, by selections (a miss runs between one
+    /// and six) and by pre-warms alike.
     pub evals: u64,
+    /// The share of `evals` run by pre-warms, off the selection path.
+    pub prewarmed: u64,
     /// Epoch re-fits performed.
     pub refits: u64,
-    /// Wholesale table flushes forced by `max_entries`.
-    pub flushes: u64,
+    /// STL′ values computed but not memoized (table at `max_entries`).
+    pub overflows: u64,
     /// STL′ values currently memoized.
     pub entries: u64,
     /// Current epoch number (0 before the first fit).
@@ -484,66 +865,64 @@ impl CacheStats {
     }
 }
 
-/// Where a selection reads its metrics from: a borrowed live collection
-/// (the simulator path), or a pair of thunks over sharded metrics (the
-/// runtime path). `merge` folds the per-thread stripes — per-item tables
-/// included — into one collection; it is evaluated at most once and only
-/// for warm-up and epoch re-fits. `probe` folds the system-wide scalars
-/// only, which is all a drift probe compares. Neither runs on the
-/// steady-state fast path.
-enum MetricsSource<'a, F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample> {
-    Borrowed(&'a SimMetrics),
-    Lazy {
-        merge: Option<F>,
-        merged: Option<SimMetrics>,
-        probe: P,
-    },
+/// One selection on the published path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PublishedSelection {
+    /// The decision.
+    pub decision: SelectionDecision,
+    /// Number of the epoch it was read from; 0 for a warm-up or
+    /// exploration round, which reads none.
+    pub epoch: u64,
+    /// True when the table served the decision without running a dynamic
+    /// program (false for exploratory rounds).
+    pub hit: bool,
+    /// True when this selection raised the re-fit request from clear: its
+    /// caller should wake whoever serves requests.
+    pub raised: bool,
 }
 
-impl<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample> MetricsSource<'_, F, P> {
-    fn get(&mut self) -> &SimMetrics {
-        match self {
-            MetricsSource::Borrowed(m) => m,
-            MetricsSource::Lazy { merge, merged, .. } => {
-                if merged.is_none() {
-                    *merged = Some((merge.take().expect("merge thunk consumed twice"))());
-                }
-                merged.as_ref().expect("just filled")
-            }
-        }
-    }
-
-    fn sample(&self) -> MetricsSample {
-        match self {
-            MetricsSource::Borrowed(m) => m.sample(),
-            MetricsSource::Lazy {
-                merged: Some(m), ..
-            } => m.sample(),
-            MetricsSource::Lazy { probe, .. } => probe(),
-        }
-    }
+/// What became of a re-fit request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefitOutcome {
+    /// A new epoch was fitted, pre-warmed and published.
+    Published,
+    /// Nothing to do: some method is still short of its warm-up commits,
+    /// or the current epoch is neither old nor drifted.
+    NotDue,
+    /// The selector was closed before the new epoch could be published.
+    Abandoned,
 }
-
-/// The thunk types of [`MetricsSource::Borrowed`], which calls neither.
-type NoMerge = fn() -> SimMetrics;
-type NoProbe = fn() -> MetricsSample;
 
 /// The drop-in cached variant of [`StlSelector`]: same warm-up and
 /// exploration behaviour, same decisions, but each STL′ dynamic program
 /// runs once per distinct (quantized) loss and hold time per epoch instead
 /// of three to six times per transaction.
-#[derive(Debug, Clone)]
+///
+/// It is the small mutable *driver* around the published [`Epoch`]: a
+/// selection counter, a warm-up latch, a re-fit request flag — atomics
+/// all. Two drives share it. [`CachedStlSelector::select`] and
+/// [`CachedStlSelector::select_with_signal`] take `&mut self` and re-fit
+/// inline. [`CachedStlSelector::select_published`] takes `&self`, from any
+/// number of threads, and only ever *requests* a re-fit;
+/// [`CachedStlSelector::serve_request`] performs it, on whatever thread
+/// the embedder dedicates to that.
+#[derive(Debug)]
 pub struct CachedStlSelector {
     /// The tuning this selector was built with.
     pub settings: CacheSettings,
-    counter: u64,
-    refits: u64,
-    /// Latched once every method has enough commits. Warm-up is monotone
-    /// in the (monotone) metrics, so latching it lets the fast path skip
-    /// the metrics read entirely.
+    counter: AtomicU64,
+    refits: AtomicU64,
+    /// Latched by the inline drive once every method has enough commits.
+    /// Warm-up is monotone in the (monotone) metrics, so latching it lets
+    /// the fast path skip the metrics read entirely. (The published drive
+    /// is warm exactly when an epoch is published.)
     warmed: bool,
-    snapshot: Option<EpochSnapshot>,
-    table: StlTable,
+    current: Published<Epoch>,
+    /// A re-fit was asked for and not yet looked at.
+    requested: AtomicBool,
+    /// No further epoch will be published.
+    closed: AtomicBool,
+    counters: Arc<TableCounters>,
 }
 
 impl Default for CachedStlSelector {
@@ -562,11 +941,13 @@ impl CachedStlSelector {
     pub fn with_settings(settings: CacheSettings) -> CachedStlSelector {
         CachedStlSelector {
             settings,
-            counter: 0,
-            refits: 0,
+            counter: AtomicU64::new(0),
+            refits: AtomicU64::new(0),
             warmed: false,
-            snapshot: None,
-            table: StlTable::new(settings.quant_rel, settings.max_entries),
+            current: Published::new(None),
+            requested: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+            counters: Arc::default(),
         }
     }
 
@@ -582,7 +963,8 @@ impl CachedStlSelector {
     }
 
     /// Choose the concurrency-control method for `txn`, folding the
-    /// embedder's live workload counters into the epoch logic.
+    /// embedder's live workload counters into the epoch logic. A re-fit
+    /// that is due runs here, before the decision.
     pub fn select_with_signal(
         &mut self,
         txn: &Transaction,
@@ -590,130 +972,230 @@ impl CachedStlSelector {
         metrics: &SimMetrics,
         signal: WorkloadSignal,
     ) -> SelectionDecision {
+        let counter = self.next_round();
         let commits = metrics.total_committed.get();
-        self.select_core::<NoMerge, NoProbe>(
-            txn,
-            catalog,
-            signal,
-            commits,
-            MetricsSource::Borrowed(metrics),
-        )
-    }
-
-    /// Choose the concurrency-control method for `txn` against *sharded*
-    /// metrics: `commits` is the embedder's commit counter, `merge` folds
-    /// its metric stripes into one collection and `probe` folds their
-    /// system-wide scalars only ([`SimMetrics::sample`] of each stripe,
-    /// [`MetricsSample::merge_from`] in stripe order). `merge` is invoked
-    /// at most once, and only before warm-up completes or to fit a new
-    /// epoch snapshot; `probe` only on a scheduled drift probe. The
-    /// steady-state fast path (every STL′ memoized within an epoch) calls
-    /// neither and takes no metrics lock.
-    pub fn select_sharded<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
-        &mut self,
-        txn: &Transaction,
-        catalog: &Catalog,
-        signal: WorkloadSignal,
-        commits: u64,
-        merge: F,
-        probe: P,
-    ) -> SelectionDecision {
-        self.select_core(
-            txn,
-            catalog,
-            signal,
-            commits,
-            MetricsSource::Lazy {
-                merge: Some(merge),
-                merged: None,
-                probe,
-            },
-        )
-    }
-
-    fn select_core<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
-        &mut self,
-        txn: &Transaction,
-        catalog: &Catalog,
-        signal: WorkloadSignal,
-        commits: u64,
-        mut source: MetricsSource<'_, F, P>,
-    ) -> SelectionDecision {
-        self.counter += 1;
         if !self.warmed {
             // Exact, metrics-free pre-filter: fewer than `3 × warmup`
             // total commits means *some* method is still below its
-            // warm-up bar, so the (possibly expensive, lazily merged)
-            // per-method check can be skipped outright.
+            // warm-up bar.
             if commits < self.settings.warmup_commits.saturating_mul(3)
-                || !StlSelector::warmed_up(source.get(), self.settings.warmup_commits)
+                || !StlSelector::warmed_up(metrics, self.settings.warmup_commits)
             {
-                return exploratory_decision(self.counter);
+                return exploratory_decision(counter);
             }
             self.warmed = true;
         }
-        if is_exploration_round(self.counter, self.settings.explore_every) {
-            return exploratory_decision(self.counter);
+        if is_exploration_round(counter, self.settings.explore_every) {
+            return exploratory_decision(counter);
         }
-
-        if self.needs_refit(signal, commits, &source) {
-            self.refit_now(source.get(), signal);
+        let current = self.current.load();
+        let stale = current.as_ref().is_none_or(|epoch| {
+            self.refit_due(&epoch.snapshot, signal, commits)
+                || (self.probe_round(counter) && self.drifted(&epoch.snapshot, &metrics.sample()))
+        });
+        let epoch = if stale {
+            self.refit_now(metrics, signal).or(current)
+        } else {
+            current
+        };
+        match epoch {
+            Some(epoch) => epoch.decide(&epoch.snapshot.summary_for(txn, catalog)).0,
+            // Closed before anything was fitted: no estimates to go by.
+            None => exploratory_decision(counter),
         }
-        let snapshot = self
-            .snapshot
-            .as_ref()
-            .expect("needs_refit guarantees a snapshot");
-        let summary = snapshot.summary_for(txn, catalog);
-        self.table
-            .decide(&snapshot.model, &snapshot.params, &summary)
     }
 
-    fn needs_refit<F: FnOnce() -> SimMetrics, P: Fn() -> MetricsSample>(
+    /// Choose the concurrency-control method for a transaction reading
+    /// `reads` and writing `writes` (as [`EpochSnapshot::summary_of`] takes
+    /// them) against the *published* epoch: load it, summarise, look up,
+    /// argmin — atomics only, nothing merged, nothing fitted, whatever
+    /// other threads are doing. `commits` and `signal` are the embedder's
+    /// live counters. Until the first epoch is published every round is an
+    /// exploration round; once `3 × warmup_commits` commits are in, and
+    /// whenever a re-fit looks due, the selection raises the request flag
+    /// for [`CachedStlSelector::serve_request`] and carries on with the
+    /// epoch it has.
+    pub fn select_published(
+        &self,
+        reads: &[LogicalItemId],
+        writes: &[LogicalItemId],
+        origin: SiteId,
+        catalog: &Catalog,
+        signal: WorkloadSignal,
+        commits: u64,
+    ) -> PublishedSelection {
+        let counter = self.next_round();
+        let exploratory = |raised| PublishedSelection {
+            decision: exploratory_decision(counter),
+            epoch: 0,
+            hit: false,
+            raised,
+        };
+        let Some(epoch) = self.current.load() else {
+            let may_be_warm = commits >= self.settings.warmup_commits.saturating_mul(3);
+            return exploratory(may_be_warm && self.request_refit());
+        };
+        if is_exploration_round(counter, self.settings.explore_every) {
+            return exploratory(false);
+        }
+        let raised = (self.refit_due(&epoch.snapshot, signal, commits)
+            || self.probe_round(counter))
+            && self.request_refit();
+        let summary = epoch.snapshot.summary_of(reads, writes, origin, catalog);
+        let (decision, hit) = epoch.decide(&summary);
+        PublishedSelection {
+            decision,
+            epoch: epoch.snapshot.epoch,
+            hit,
+            raised,
+        }
+    }
+
+    fn next_round(&self) -> u64 {
+        self.counter.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// True when `snapshot` is `epoch_commits` old or the conflict ratio
+    /// has left it behind — the two triggers that read counters only.
+    fn refit_due(&self, snapshot: &EpochSnapshot, signal: WorkloadSignal, commits: u64) -> bool {
+        commits.saturating_sub(snapshot.fitted_at_commits) >= self.settings.epoch_commits.max(1)
+            || snapshot.signal_drifted(signal, self.settings.drift_threshold)
+    }
+
+    /// True on the selections that pay for a scalar drift probe.
+    fn probe_round(&self, counter: u64) -> bool {
+        self.settings.drift_check_every > 0
+            && counter.is_multiple_of(self.settings.drift_check_every)
+    }
+
+    fn drifted(&self, snapshot: &EpochSnapshot, sample: &MetricsSample) -> bool {
+        snapshot.drifted_from(sample, self.settings.drift_threshold)
+    }
+
+    /// Raise the re-fit request; true when it was clear before. Requests
+    /// raised while one is pending — or while a re-fit is in flight, which
+    /// re-checks what is due when it is next asked — coalesce into it.
+    pub fn request_refit(&self) -> bool {
+        // The flag publishes nothing: whoever serves it re-reads every
+        // counter it acts on.
+        !self.requested.load(Ordering::Relaxed) && !self.requested.swap(true, Ordering::Relaxed)
+    }
+
+    /// True while a raised request has not been taken.
+    pub fn refit_requested(&self) -> bool {
+        self.requested.load(Ordering::Relaxed)
+    }
+
+    /// Answer a raised request (a no-op returning `None` when none is):
+    /// decide, from the embedder's counters *now*, whether a re-fit is
+    /// still due — the scheduled boundary, the conflict-ratio shift, or
+    /// the scalar drift probe against `probe()` — and if so fit a new
+    /// epoch from `merge()`, pre-warm it and publish it. Before the first
+    /// epoch, `merge()` also answers whether every method is warm.
+    /// `merge` folds the embedder's metric stripes into one collection
+    /// ([`SimMetrics::merge_from`]); `probe` folds their system-wide
+    /// scalars only ([`MetricsSample::merge_from`]). Each runs at most
+    /// once, on this thread.
+    pub fn serve_request(
         &self,
         signal: WorkloadSignal,
         commits: u64,
-        source: &MetricsSource<'_, F, P>,
-    ) -> bool {
-        let Some(snapshot) = &self.snapshot else {
-            return true;
-        };
-        if commits.saturating_sub(snapshot.fitted_at_commits) >= self.settings.epoch_commits.max(1)
-        {
-            return true;
+        merge: impl FnOnce() -> SimMetrics,
+        probe: impl FnOnce() -> MetricsSample,
+    ) -> Option<RefitOutcome> {
+        if !self.requested.swap(false, Ordering::Relaxed) {
+            return None;
         }
-        if snapshot.signal_drifted(signal, self.settings.drift_threshold) {
-            return true;
+        let current = self.current.load();
+        let due = current.as_ref().is_none_or(|epoch| {
+            self.refit_due(&epoch.snapshot, signal, commits)
+                || self.drifted(&epoch.snapshot, &probe())
+        });
+        if !due {
+            return Some(RefitOutcome::NotDue);
         }
-        self.settings.drift_check_every > 0
-            && self.counter.is_multiple_of(self.settings.drift_check_every)
-            && snapshot.drifted_from(&source.sample(), self.settings.drift_threshold)
+        let merged = merge();
+        if current.is_none() && !StlSelector::warmed_up(&merged, self.settings.warmup_commits) {
+            return Some(RefitOutcome::NotDue);
+        }
+        Some(match self.refit_now(&merged, signal) {
+            Some(_) => RefitOutcome::Published,
+            None => RefitOutcome::Abandoned,
+        })
     }
 
-    /// Force an epoch re-fit from the live metrics, flushing the table.
-    pub fn refit_now(&mut self, metrics: &SimMetrics, signal: WorkloadSignal) {
-        let prev = self.snapshot.as_ref();
-        let epoch = prev.map_or(0, |s| s.epoch) + 1;
-        let prev_signal = prev.map(|s| s.signal_at_fit);
-        self.snapshot = Some(EpochSnapshot::fit(metrics, epoch, signal, prev_signal));
-        self.table.clear();
-        self.refits += 1;
+    /// Fit a new epoch from `metrics`, pre-warm its table from the current
+    /// epoch's and publish it — synchronously, whatever is or is not due.
+    /// Re-fits are serialized; selections keep reading the current epoch
+    /// until the swap. Returns the new epoch, or `None` when the selector
+    /// was closed first.
+    pub fn refit_now(&self, metrics: &SimMetrics, signal: WorkloadSignal) -> Option<Arc<Epoch>> {
+        let open = || !self.closed.load(Ordering::Relaxed);
+        let mut published = false;
+        let current = self.current.update(|prev| {
+            if !open() {
+                return None;
+            }
+            let (number, prev_signal, table) = match prev {
+                Some(prev) => (
+                    prev.snapshot.epoch + 1,
+                    Some(prev.snapshot.signal_at_fit),
+                    prev.table.successor(),
+                ),
+                None => (
+                    1,
+                    None,
+                    StlTable::with_counters(
+                        self.settings.quant_rel,
+                        self.settings.max_entries,
+                        FIRST_SEGMENT,
+                        Arc::clone(&self.counters),
+                    ),
+                ),
+            };
+            let epoch = Epoch {
+                snapshot: EpochSnapshot::fit(metrics, number, signal, prev_signal),
+                table,
+            };
+            published = prev.is_none_or(|prev| epoch.prewarm_from(prev, open));
+            published.then(|| Arc::new(epoch))
+        });
+        if published {
+            self.refits.fetch_add(1, Ordering::Relaxed);
+        }
+        current.filter(|_| published)
     }
 
-    /// The current epoch snapshot, if one has been fitted.
-    pub fn snapshot(&self) -> Option<&EpochSnapshot> {
-        self.snapshot.as_ref()
+    /// Stop publishing: a re-fit in flight gives up at its next dynamic
+    /// program, later ones return at once. Selections are unaffected —
+    /// they keep the last published epoch.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::Relaxed);
+    }
+
+    /// True once [`CachedStlSelector::close`] was called.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Relaxed)
+    }
+
+    /// The current epoch, if one has been published.
+    pub fn epoch(&self) -> Option<Arc<Epoch>> {
+        self.current.load()
     }
 
     /// A copy of the cache counters.
     pub fn cache_stats(&self) -> CacheStats {
+        let epoch = self.current.load();
+        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         CacheStats {
-            hits: self.table.hits,
-            misses: self.table.misses,
-            evals: self.table.evals,
-            refits: self.refits,
-            flushes: self.table.flushes,
-            entries: self.table.len() as u64,
-            epoch: self.snapshot.as_ref().map_or(0, |s| s.epoch),
+            hits: count(&self.counters.hits),
+            misses: count(&self.counters.misses),
+            evals: count(&self.counters.evals),
+            prewarmed: count(&self.counters.prewarmed),
+            refits: count(&self.refits),
+            overflows: count(&self.counters.overflows),
+            entries: epoch.as_ref().map_or(0, |e| e.table.len() as u64),
+            epoch: epoch.map_or(0, |e| e.snapshot.epoch),
         }
     }
 }
@@ -818,6 +1300,41 @@ mod tests {
         assert_eq!(stats.refits, 1, "no drift, no extra commits: one epoch");
     }
 
+    /// Drive the published path on one thread: select, then answer the
+    /// request the selection may have raised, counting the thunks.
+    fn select_and_serve(
+        selector: &CachedStlSelector,
+        t: &Transaction,
+        cat: &Catalog,
+        metrics: &SimMetrics,
+        merges: &std::cell::Cell<u64>,
+        probes: &std::cell::Cell<u64>,
+    ) -> PublishedSelection {
+        let commits = metrics.total_committed.get();
+        let picked = selector.select_published(
+            t.read_set(),
+            t.write_set(),
+            t.origin,
+            cat,
+            WorkloadSignal::default(),
+            commits,
+        );
+        assert_eq!(picked.raised, selector.refit_requested());
+        selector.serve_request(
+            WorkloadSignal::default(),
+            commits,
+            || {
+                merges.set(merges.get() + 1);
+                metrics.clone()
+            },
+            || {
+                probes.set(probes.get() + 1);
+                metrics.sample()
+            },
+        );
+        picked
+    }
+
     #[test]
     fn sharded_selection_matches_borrowed_and_merges_lazily() {
         let metrics = warmed_metrics();
@@ -830,32 +1347,31 @@ mod tests {
             ..CacheSettings::default()
         };
         let mut borrowed = CachedStlSelector::with_settings(settings);
-        let mut sharded = CachedStlSelector::with_settings(settings);
+        let sharded = CachedStlSelector::with_settings(settings);
         let merges = std::cell::Cell::new(0u64);
         let probes = std::cell::Cell::new(0u64);
         for i in 0..60 {
             let t = txn(i, &[i % 12, (i + 3) % 12], &[(i + 1) % 12]);
             let a = borrowed.select_with_signal(&t, &cat, &metrics, WorkloadSignal::default());
-            let b = sharded.select_sharded(
-                &t,
-                &cat,
-                WorkloadSignal::default(),
-                metrics.total_committed.get(),
-                || {
-                    merges.set(merges.get() + 1);
-                    metrics.clone()
-                },
-                || {
-                    probes.set(probes.get() + 1);
-                    metrics.sample()
-                },
-            );
-            assert_eq!(bits(&a), bits(&b), "selection {i} diverged across sources");
+            let b = select_and_serve(&sharded, &t, &cat, &metrics, &merges, &probes);
+            if i == 0 {
+                // Nothing is published yet: the round explores and asks
+                // for the first fit, which the serve just performed.
+                assert!(b.decision.exploratory && b.raised && b.epoch == 0);
+                assert_eq!(sharded.cache_stats().epoch, 1);
+            } else {
+                assert_eq!(
+                    bits(&a),
+                    bits(&b.decision),
+                    "selection {i} diverged across drives"
+                );
+                assert_eq!(b.epoch, if b.decision.exploratory { 0 } else { 1 });
+            }
         }
         // The full merge runs only when per-item tables are genuinely
         // needed — once, for the warm-up check and the first fit. Scheduled
-        // drift probes fold scalars only, and the table-hit fast path reads
-        // no metrics at all.
+        // drift probes fold scalars only, and a selection itself reads no
+        // metrics at all.
         assert_eq!(merges.get(), 1, "one fit, one merge");
         let scheduled = 60 / settings.drift_check_every;
         assert!(
@@ -868,7 +1384,7 @@ mod tests {
     #[test]
     fn quantized_cache_hit_and_miss_paths_agree() {
         let (model, params) = six_call_inputs();
-        let mut table = StlTable::new(0.05, 1024);
+        let table = StlTable::new(0.05, 1024);
         let summary = ShapeSummary {
             m: 2,
             n: 1,
@@ -896,7 +1412,7 @@ mod tests {
         let model = StlSelector::model_from_metrics(&metrics);
         // No denials on record: a decision reads STL′ at λ_t only.
         let params = MethodParamSet::measure(&metrics);
-        let mut table = StlTable::new(0.05, 1024);
+        let table = StlTable::new(0.05, 1024);
         let base = ShapeSummary {
             m: 2,
             n: 1,
@@ -936,22 +1452,16 @@ mod tests {
         use crate::confluence::{route, OpProfile, Route};
         let metrics = warmed_metrics();
         let cat = catalog();
-        let mut cached = CachedStlSelector::with_settings(CacheSettings {
+        let cached = CachedStlSelector::with_settings(CacheSettings {
             warmup_commits: 10,
             explore_every: 0,
             ..CacheSettings::default()
         });
         let t = txn(1, &[1], &[2, 3]);
-        let mut select = || {
-            cached.select_sharded(
-                &t,
-                &cat,
-                WorkloadSignal::default(),
-                metrics.total_committed.get(),
-                || metrics.clone(),
-                || metrics.sample(),
-            )
-        };
+        let (merges, probes) = Default::default();
+        // Publish the first epoch, then select against it.
+        select_and_serve(&cached, &t, &cat, &metrics, &merges, &probes);
+        let select = || select_and_serve(&cached, &t, &cat, &metrics, &merges, &probes).decision;
         let miss = select();
         let hit = select();
         assert_eq!(bits(&hit), bits(&miss));
@@ -969,7 +1479,7 @@ mod tests {
     #[test]
     fn exact_keys_separate_any_loss_difference() {
         let model = StlSelector::model_from_metrics(&warmed_metrics());
-        let mut table = StlTable::exact();
+        let table = StlTable::exact();
         let (a, b) = (10.0, 10.0 + 1e-12);
         assert_eq!(table.quantized(a).to_bits(), a.to_bits());
         assert_eq!(
@@ -1120,12 +1630,165 @@ mod tests {
     #[test]
     fn full_grid_is_flushed_not_grown() {
         let model = StlSelector::model_from_metrics(&warmed_metrics());
-        let mut table = StlTable::new(0.0, 4);
+        let table = StlTable::new(0.0, 4);
         for i in 0..10 {
             table.stl_prime(&model, i as f64, 0.03);
         }
         assert!(table.len() <= 4);
-        assert!(table.flushes > 0);
+        assert!(table.overflows() > 0);
+    }
+
+    #[test]
+    fn table_grows_past_its_first_segment_and_never_loses_a_key() {
+        let model = StlSelector::model_from_metrics(&warmed_metrics());
+        let table = StlTable::exact();
+        let losses: Vec<f64> = (0..1_000).map(|i| 1.0 + i as f64 * 0.37).collect();
+        let first: Vec<u64> = losses
+            .iter()
+            .map(|&loss| table.stl_prime(&model, loss, 0.03).to_bits())
+            .collect();
+        assert_eq!((table.evals(), table.len()), (1_000, 1_000));
+        for (&loss, &bits) in losses.iter().zip(&first) {
+            assert_eq!(table.stl_prime(&model, loss, 0.03).to_bits(), bits);
+        }
+        assert_eq!(table.evals(), 1_000, "the second pass only reads");
+        assert_eq!(table.overflows(), 0);
+    }
+
+    #[test]
+    fn a_ninth_hold_time_is_computed_but_not_memoized() {
+        let model = StlSelector::model_from_metrics(&warmed_metrics());
+        let table = StlTable::exact();
+        for round in 0..2 {
+            for i in 0..=TABLE_ROWS {
+                let u = 0.01 * (i + 1) as f64;
+                assert_eq!(
+                    table.stl_prime(&model, 10.0, u).to_bits(),
+                    model.stl_prime(10.0, u).to_bits(),
+                    "round {round}, hold time {i}"
+                );
+            }
+        }
+        assert_eq!(table.len(), TABLE_ROWS);
+        assert_eq!(table.overflows(), 2, "the ninth, once per round");
+        assert_eq!(table.evals() as usize, TABLE_ROWS + 2);
+    }
+
+    #[test]
+    fn concurrent_fills_of_one_key_store_one_value() {
+        const THREADS: usize = 4;
+        let model = StlSelector::model_from_metrics(&warmed_metrics());
+        let table = StlTable::new(0.05, 1024);
+        let start = std::sync::Barrier::new(THREADS);
+        let seen: Vec<u64> = std::thread::scope(|scope| {
+            let fills: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        table.stl_prime(&model, 42.0, 0.03).to_bits()
+                    })
+                })
+                .collect();
+            fills.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(seen.iter().all(|&bits| bits == seen[0]));
+        assert_eq!(table.len(), 1, "one slot, whoever claimed it");
+        assert!((1..=THREADS as u64).contains(&table.evals()));
+        assert_eq!(table.stl_prime(&model, 42.0, 0.03).to_bits(), seen[0]);
+    }
+
+    /// A stream of selections against one epoch, a re-fit from the same
+    /// metrics, the same stream again: the pre-warm ran every dynamic
+    /// program the second pass needs.
+    #[test]
+    fn prewarm_carries_what_selections_asked_for_and_lets_idle_keys_go() {
+        let metrics = warmed_metrics();
+        let cat = catalog();
+        let mut cached = CachedStlSelector::with_settings(CacheSettings {
+            warmup_commits: 10,
+            explore_every: 0,
+            drift_check_every: 0,
+            ..CacheSettings::default()
+        });
+        let stream: Vec<Transaction> = (0..30)
+            .map(|i| txn(i, &[i % 12, (i + 3) % 12], &[(i + 1) % 12, (i + 5) % 12]))
+            .collect();
+        let costs = |cached: &mut CachedStlSelector| -> Vec<_> {
+            stream
+                .iter()
+                .map(|t| bits(&cached.select(t, &cat, &metrics)))
+                .collect()
+        };
+        let cold = costs(&mut cached);
+        let first = cached.cache_stats();
+        assert!(first.misses > 0 && first.prewarmed == 0 && first.epoch == 1);
+
+        cached.refit_now(&metrics, WorkloadSignal::default());
+        let prewarmed = cached.cache_stats();
+        assert_eq!(prewarmed.epoch, 2);
+        assert_eq!(
+            prewarmed.prewarmed, first.entries,
+            "every key was asked for"
+        );
+        assert_eq!(prewarmed.entries, first.entries);
+        assert_eq!(prewarmed.evals, first.evals + prewarmed.prewarmed);
+        assert_eq!(
+            (prewarmed.hits, prewarmed.misses),
+            (first.hits, first.misses)
+        );
+
+        assert_eq!(costs(&mut cached), cold, "same model, same decisions");
+        let second = cached.cache_stats();
+        assert_eq!(second.misses, first.misses, "the second pass only hit");
+        assert_eq!(second.evals, prewarmed.evals);
+
+        // Nobody asks any more: the keys ride along for a few epochs,
+        // then the carried set empties instead of growing for ever.
+        for idle in 1..=CARRY_IDLE_EPOCHS + 1 {
+            cached.refit_now(&metrics, WorkloadSignal::default());
+            let expected = if idle <= CARRY_IDLE_EPOCHS {
+                first.entries
+            } else {
+                0
+            };
+            assert_eq!(cached.cache_stats().entries, expected, "idle epoch {idle}");
+        }
+    }
+
+    #[test]
+    fn a_closed_selector_keeps_its_epoch_and_abandons_refits() {
+        let metrics = warmed_metrics();
+        let cat = catalog();
+        let cached = CachedStlSelector::with_settings(CacheSettings {
+            warmup_commits: 10,
+            explore_every: 0,
+            ..CacheSettings::default()
+        });
+        let t = txn(1, &[1], &[2]);
+        let (merges, probes) = Default::default();
+        select_and_serve(&cached, &t, &cat, &metrics, &merges, &probes);
+        let before = select_and_serve(&cached, &t, &cat, &metrics, &merges, &probes);
+        assert_eq!(before.epoch, 1);
+
+        cached.close();
+        assert!(cached
+            .refit_now(&metrics, WorkloadSignal::default())
+            .is_none());
+        assert!(cached.request_refit());
+        let outcome = cached.serve_request(
+            WorkloadSignal::default(),
+            // An epoch later: due.
+            metrics.total_committed.get() + cached.settings.epoch_commits,
+            || metrics.clone(),
+            || metrics.sample(),
+        );
+        assert_eq!(outcome, Some(RefitOutcome::Abandoned));
+        let after = select_and_serve(&cached, &t, &cat, &metrics, &merges, &probes);
+        assert_eq!(
+            (after.epoch, bits(&after.decision)),
+            (1, bits(&before.decision))
+        );
+        assert_eq!(cached.cache_stats().refits, 1);
     }
 
     #[test]

@@ -28,11 +28,13 @@
 pub mod cache;
 pub mod confluence;
 pub mod estimators;
+pub mod publish;
 pub mod selector;
 pub mod stl;
 
 pub use cache::{
-    CacheSettings, CacheStats, CachedStlSelector, EpochSnapshot, StlTable, WorkloadSignal,
+    CacheSettings, CacheStats, CachedStlSelector, Epoch, EpochSnapshot, PublishedSelection,
+    RefitOutcome, StlTable, WorkloadSignal,
 };
 pub use confluence::{
     classify, is_read_only, route, Confluence, OpProfile, Route, FAST_PATH_MAX_OPS,
@@ -41,6 +43,7 @@ pub use estimators::{
     stl_2pl, stl_2pl_summary, stl_pa, stl_pa_summary, stl_to, stl_to_summary, ProtocolParams,
     ShapeSummary, StlFn, TxnShape,
 };
+pub use publish::Published;
 pub use selector::{
     evaluate_decision, evaluate_decision_with, exploratory_decision, is_exploration_round,
     MethodParamSet, SelectionDecision, StlSelector,

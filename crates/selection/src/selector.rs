@@ -69,6 +69,19 @@ impl MethodParamSet {
             pa: params(CcMethod::PrecedenceAgreement),
         }
     }
+
+    /// The six lock-hold times a decision may read `STL'` at: `u_ok` and
+    /// `u_denied` of 2PL, T/O and PA, in that order.
+    pub fn hold_times(&self) -> [f64; 6] {
+        [
+            self.p2pl.u_ok,
+            self.p2pl.u_denied,
+            self.to.u_ok,
+            self.to.u_denied,
+            self.pa.u_ok,
+            self.pa.u_denied,
+        ]
+    }
 }
 
 /// True when the `counter`-th selection is an exploration round

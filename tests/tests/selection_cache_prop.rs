@@ -111,7 +111,7 @@ proptest! {
     ) {
         let (model, summary, params) = case;
         let fresh = evaluate_decision(&model, &summary, &params);
-        let mut cache = StlTable::exact();
+        let cache = StlTable::exact();
         let miss = cache.decide(&model, &params, &summary);
         let hit = cache.decide(&model, &params, &summary);
         prop_assert_eq!(bits(&fresh), bits(&miss), "miss path diverged");
@@ -136,7 +136,7 @@ proptest! {
         case in (arb_model(), arb_summary(), arb_param_set(), 0.01f64..0.4)
     ) {
         let (model, summary, params, quant) = case;
-        let mut table = StlTable::new(quant, 8192);
+        let table = StlTable::new(quant, 8192);
         let mut reads = Vec::new();
         let over_reps = evaluate_decision_with(
             &mut |loss, u| {
@@ -270,11 +270,66 @@ proptest! {
         });
         let mut fresh = StlSelector::with_settings(20, 5);
         for i in 0..12u64 {
+            if i == 6 {
+                // A re-fit mid-stream (same metrics, so the same model):
+                // the new epoch's table starts from the old one's keys
+                // where that applies and from nothing where it does not,
+                // and neither may show in a decision.
+                cached.refit_now(&metrics, WorkloadSignal::default());
+            }
             let txn = seeded_txn(seed, i, ITEMS, 1);
             let a = cached.select(&txn, &catalog, &metrics);
             let e = fresh.select(&txn, &catalog, &metrics);
             prop_assert_eq!(bits(&a), bits(&e), "selection {} diverged", i);
         }
+        prop_assert_eq!(cached.cache_stats().refits, 2);
+    }
+
+    /// Pre-warming changes counters, never a decision: an epoch whose
+    /// table was recomputed from the previous epoch's keys and an epoch
+    /// fitted cold from the same metrics decide every shape bit for bit
+    /// alike — whether the shape's entries were pre-warmed, filled by an
+    /// earlier selection, or computed for this one.
+    #[test]
+    fn prewarmed_epoch_decides_like_a_cold_epoch_of_the_same_metrics(
+        case in (0u64..u64::MAX, 0.01f64..0.3)
+    ) {
+        const ITEMS: u64 = 16;
+        let (seed, quant) = case;
+        let catalog = Catalog::generate(2, ITEMS, ReplicationPolicy::SingleCopy);
+        let settings = CacheSettings {
+            quant_rel: quant,
+            warmup_commits: 20,
+            explore_every: 0,
+            ..CacheSettings::default()
+        };
+        // The previous epoch: other rates, other hold times, and a table
+        // filled by a stream of selections.
+        let before = seeded_metrics(seed.rotate_left(17) | 1, ITEMS);
+        let metrics = seeded_metrics(seed, ITEMS);
+        let mut warm = CachedStlSelector::with_settings(settings);
+        for i in 0..24u64 {
+            warm.select(&seeded_txn(seed, i, ITEMS, 1), &catalog, &before);
+        }
+        let asked = warm.cache_stats().entries;
+        warm.refit_now(&metrics, WorkloadSignal::default());
+        let prewarmed = warm.cache_stats();
+        prop_assert!(asked > 0 && prewarmed.prewarmed > 0, "{:?}", prewarmed);
+        prop_assert_eq!(prewarmed.entries, prewarmed.prewarmed, "a fresh table, pre-warmed");
+        prop_assert_eq!(prewarmed.epoch, 2);
+
+        let mut cold = CachedStlSelector::with_settings(settings);
+        // Half the stream repeats what the old epoch saw, half is new.
+        for i in 12..36u64 {
+            let txn = seeded_txn(seed, i, ITEMS, 1);
+            let a = warm.select(&txn, &catalog, &metrics);
+            let b = cold.select(&txn, &catalog, &metrics);
+            prop_assert!(!a.exploratory);
+            prop_assert_eq!(bits(&a), bits(&b), "selection {} diverged", i);
+        }
+        let (warm, cold) = (warm.cache_stats(), cold.cache_stats());
+        prop_assert_eq!((warm.epoch, cold.epoch), (2, 1), "no further re-fit on either side");
+        prop_assert_eq!(cold.prewarmed, 0);
     }
 
     /// The fast-path safety contract of routing (PR 8): the routes a
@@ -306,14 +361,7 @@ proptest! {
         for i in 0..12u64 {
             let txn = seeded_txn(seed, i, ITEMS, 0);
             let metrics = if i < 3 { &cold } else { &warm };
-            let decision = cached.select_sharded(
-                &txn,
-                &catalog,
-                WorkloadSignal::default(),
-                metrics.total_committed.get(),
-                || metrics.clone(),
-                || metrics.sample(),
-            );
+            let decision = cached.select(&txn, &catalog, metrics);
             let (m, n) = (txn.read_set().len(), txn.write_set().len());
             let mut expected = Vec::new();
             if is_read_only(profile, m, n) {
@@ -367,7 +415,8 @@ fn one_epoch_of_the_skewed_stream_is_served_from_the_table() {
 
     // Every loss bucket the epoch's decisions read, recovered by replaying
     // the closed form over the snapshot with a recording evaluator.
-    let snapshot = cached.snapshot().expect("fitted");
+    let epoch = cached.epoch().expect("fitted");
+    let snapshot = &epoch.snapshot;
     let quantizer = StlTable::new(cached.settings.quant_rel, 1);
     let mut buckets = std::collections::BTreeSet::new();
     for txn in &stream {
