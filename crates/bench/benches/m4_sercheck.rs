@@ -1,10 +1,17 @@
 //! M4 — micro-benchmark: serializability-oracle cost.
 //!
 //! The oracle is run after every simulation in the experiment suite; this
-//! measures conflict-graph construction plus topological sort on a synthetic
-//! execution of configurable size.
+//! measures conflict-graph construction plus topological sort on synthetic
+//! executions of 100, 500 and 2,000 transactions (four operations each):
+//! the median of `SAMPLES` timed checks, as µs per check and µs per
+//! logged operation — the figure that should stay flat as the history
+//! grows, and does not while the oracle enumerates conflicting pairs.
+//!
+//! Run with: `cargo bench -p bench --bench m4_sercheck`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::Instant;
+
+use bench::table;
 use dbmodel::{AccessMode, LogSet, LogicalItemId, PhysicalItemId, SiteId, TxnId};
 use sercheck::check_serializable;
 use simkit::rng::SimRng;
@@ -32,19 +39,38 @@ fn synthetic_logs(txns: u64, items: u64, seed: u64) -> LogSet {
     logs
 }
 
-fn oracle(c: &mut Criterion) {
-    let mut group = c.benchmark_group("m4_serializability_check");
+/// Timed checks per size; the median is reported.
+const SAMPLES: usize = 15;
+
+fn main() {
+    println!("M4: serializability-oracle cost (median of {SAMPLES} checks)\n");
+    let widths = [6, 6, 12, 8];
+    table::header(&["txns", "ops", "us/check", "us/op"], &widths);
     for &txns in &[100u64, 500, 2_000] {
         let logs = synthetic_logs(txns, txns / 2, 7);
-        group.bench_with_input(BenchmarkId::from_parameter(txns), &logs, |b, logs| {
-            b.iter(|| {
-                let verdict = check_serializable(std::hint::black_box(logs));
-                std::hint::black_box(verdict.is_ok());
-            });
-        });
+        let check = || {
+            let verdict = check_serializable(std::hint::black_box(&logs));
+            assert!(std::hint::black_box(verdict).is_ok(), "acyclic by build");
+        };
+        check(); // warm the allocator and the caches
+        let mut micros: Vec<f64> = (0..SAMPLES)
+            .map(|_| {
+                let begun = Instant::now();
+                check();
+                begun.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        micros.sort_by(f64::total_cmp);
+        let median = micros[SAMPLES / 2];
+        let ops = logs.total_ops();
+        table::row(
+            &[
+                txns.to_string(),
+                ops.to_string(),
+                format!("{median:.1}"),
+                format!("{:.3}", median / ops as f64),
+            ],
+            &widths,
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, oracle);
-criterion_main!(benches);

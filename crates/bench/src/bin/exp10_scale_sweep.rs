@@ -1,12 +1,11 @@
 //! E10 — reply-plane scale sweep: tens of thousands of concurrently open
-//! registrations, Zipfian-skewed delivery, and mixed transaction shapes.
+//! registrations under Zipfian-skewed delivery.
 //!
 //! PR 4's reply plane shipped with a fixed 4096-bucket packed index:
 //! past ~4096 concurrently live transactions every further registration
 //! fell onto a mutexed overflow map, quietly serialising the reply path
 //! exactly when the system was busiest. PR 7 made the index a resizable
-//! chain of tables; this experiment is the proof. It answers three
-//! questions the earlier sweeps could not:
+//! chain of tables; this experiment is the proof, in two sections:
 //!
 //! 1. **Section A (transport)** — how does the raw mailbox registry
 //!    behave as the *live* registration count ramps into the tens of
@@ -21,27 +20,10 @@
 //!    write transactions on disjoint items and keeps every one open
 //!    before aborting them all; with the old index anything past 4096
 //!    degraded, now `mailbox_overflow_entries` must stay 0.
-//! 3. **Section C (runtime mix)** — what does skew do to live commit
-//!    throughput? Shapes from [`bench::workload`] (read-heavy / rmw /
-//!    wide) crossed with uniform (`theta = 0`) and YCSB-hot
-//!    (`theta = 0.99`) access, with the reply-plane health counters and
-//!    the serializability oracle on every cell.
-//! 4. **Section D (fast path, PR 8)** — what does the coordination-
-//!    avoidance bypass buy on an increment-heavy mix? Clients interleave
-//!    commutative two-item adds (4-in-5, classified confluent and routed
-//!    around the queue managers) with coordinated read-modify-write
-//!    transfers (1-in-5) on the same skewed items; each cell runs twice,
-//!    bypass on and off, reporting applied/refused counts, the bypass
-//!    commit rate and the speedup over the all-coordinated twin — every
-//!    history still replayed through the serializability oracle.
-//! 5. **Section E (snapshot reads, PR 10)** — what does the MVCC
-//!    snapshot-read plane buy on a read-mostly contended mix? Clients
-//!    interleave four-item read-only transactions (7-in-8, served from
-//!    the version chains at the read watermark) with read-modify-write
-//!    transfers (1-in-8) on the same skewed items across two shards;
-//!    each cell runs twice, snapshot plane on and off, reporting
-//!    served/refused counts, the snapshot serve rate and the speedup
-//!    over the share-grant twin — histories oracle-certified.
+//!
+//! Live commit throughput under skew, the confluent bypass and the
+//! snapshot plane are measured by the repo benchmark (`benchmark/`:
+//! `wide_hot`, `counter_bypass`, `read_mostly`), not here.
 //!
 //! Run with: `cargo run --release -p bench --bin exp10_scale_sweep`
 //!
@@ -52,43 +34,22 @@
 //!   the Section B cell both held at least `<live>` concurrently open
 //!   registrations with `mailbox_overflow_entries == 0` and no stale
 //!   leak.
-//! * `EXP10_TXNS=<n>` — Section C/D/E transactions per client (default
-//!   150).
-//! * `EXP10_FASTPATH_GATE=<rate>` — fail (exit 1) unless every Section D
-//!   bypass cell committed at least `<rate>` (a fraction) of its
-//!   transactions through the confluent fast path, with its history
-//!   certified serializable.
-//! * `EXP10_SNAPSHOT_GATE=<rate>` — fail (exit 1) unless every Section E
-//!   snapshot cell served at least `<rate>` (a fraction) of its commits
-//!   from the version chains, with its history certified serializable.
-//!
-//! Besides the tables, the sweep emits `BENCH_exp10.json` (into
-//! `$BENCH_JSON_DIR`, default `.`): one row per cell tagged with its
-//! `section`, plus the gate outcome in `meta`. See [`bench::traj`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bench::{table, SkewedItems, Trajectory, TxnShape};
+use bench::table;
 use dbmodel::{CcMethod, LogicalItemId};
 use runtime::{CcPolicy, Database, RuntimeConfig, TxnSpec};
 use simkit::dist::Zipfian;
 use simkit::rng::SimRng;
-use trace::json::Json;
 use transport::mailbox::{Mailbox, MailboxOptions, MailboxRegistry};
 
 /// Skewed deliver/receive operations per Section A cell.
 const DELIVER_OPS: usize = 200_000;
 /// Concurrent churner threads racing each Section A ramp.
 const CHURNERS: u64 = 2;
-
-fn txns_per_client() -> u64 {
-    std::env::var("EXP10_TXNS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(150)
-}
 
 /// What one Section A (raw registry) cell measured.
 struct TransportOutcome {
@@ -246,275 +207,11 @@ fn run_hold_cell(hold: usize) -> HoldOutcome {
     }
 }
 
-/// What one Section C (skewed mix) cell measured.
-struct MixOutcome {
-    shape: TxnShape,
-    theta: f64,
-    committed: u64,
-    failed: u64,
-    txn_per_sec: f64,
-    restarts: u64,
-    stale_replies: u64,
-    overflow_entries: u64,
-    full_drops: u64,
-    serializable: bool,
-}
-
-const MIX_CLIENTS: u64 = 8;
-const MIX_SHARDS: u32 = 4;
-const MIX_ITEMS: u64 = 4096;
-
-/// Section D runs over one shard: every increment is single-site and
-/// therefore routable through the confluent bypass.
-const FAST_SHARDS: u32 = 1;
-const FAST_ITEMS: u64 = 1024;
-
-/// Clients drive skew-shaped read-modify-write transactions; every cell
-/// replays its log through the serializability oracle.
-fn run_mix_cell(shape: TxnShape, theta: f64) -> MixOutcome {
-    let db = Database::open(RuntimeConfig {
-        num_shards: MIX_SHARDS,
-        num_items: MIX_ITEMS,
-        initial_value: 1_000,
-        policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-        ..RuntimeConfig::default()
-    })
-    .expect("valid config");
-
-    let begun = Instant::now();
-    let per_client = txns_per_client();
-    let workers: Vec<_> = (0..MIX_CLIENTS)
-        .map(|t| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                let skew = SkewedItems::new(MIX_ITEMS, theta);
-                let mut rng = SimRng::new(0xE10F00 + t);
-                let mut failed = 0u64;
-                for _ in 0..per_client {
-                    let (spec, writes) = skew.spec(&mut rng, shape);
-                    // Under theta=0.99 the hot head genuinely contends;
-                    // a transaction that exhausts its restart budget is
-                    // counted, not fatal.
-                    if db
-                        .run_transaction(&spec, |seen| {
-                            writes.iter().map(|&w| (w, seen[&w] + 1)).collect()
-                        })
-                        .is_err()
-                    {
-                        failed += 1;
-                    }
-                }
-                failed
-            })
-        })
-        .collect();
-    let failed: u64 = workers
-        .into_iter()
-        .map(|w| w.join().expect("mix worker panicked"))
-        .sum();
-    let elapsed = begun.elapsed().as_secs_f64();
-
-    let stats = db.stats();
-    let report = db.shutdown().expect("shutdown");
-    MixOutcome {
-        shape,
-        theta,
-        committed: stats.committed,
-        failed,
-        txn_per_sec: stats.committed as f64 / elapsed,
-        restarts: stats.restarts(),
-        stale_replies: stats.stale_reply_events,
-        overflow_entries: stats.mailbox_overflow_entries,
-        full_drops: stats.mailbox_full_drops,
-        serializable: report.serializable().is_ok(),
-    }
-}
-
-/// What one Section E (snapshot-read mix, PR 10) cell measured.
-struct SnapOutcome {
-    theta: f64,
-    snapshot: bool,
-    committed: u64,
-    failed: u64,
-    txn_per_sec: f64,
-    served: u64,
-    refused: u64,
-    /// Fraction of all commits served from the version chains.
-    rate: f64,
-    serializable: bool,
-}
-
-/// Section E runs over two shards: snapshot reads cut one consistent
-/// watermark across both, so the cell exercises the cross-shard path.
-const SNAP_SHARDS: u32 = 2;
-const SNAP_ITEMS: u64 = 1024;
-
-/// Clients drive a read-mostly contended mix (7-in-8 four-item read-only
-/// transactions, 1-in-8 read-modify-write transfers on the same Zipfian
-/// head) so snapshot reads race real writer traffic on the hot items.
-/// With `snapshot` off the identical workload acquires share grants —
-/// the baseline for the speedup column. The confluence fast path is off
-/// in both modes so the comparison isolates the read plane.
-fn run_snapshot_cell(theta: f64, snapshot: bool) -> SnapOutcome {
-    let db = Database::open(RuntimeConfig {
-        num_shards: SNAP_SHARDS,
-        num_items: SNAP_ITEMS,
-        initial_value: 1_000,
-        policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-        confluence_fastpath: false,
-        snapshot_reads: snapshot,
-        ..RuntimeConfig::default()
-    })
-    .expect("valid config");
-
-    let begun = Instant::now();
-    let per_client = txns_per_client();
-    let workers: Vec<_> = (0..MIX_CLIENTS)
-        .map(|t| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                let skew = SkewedItems::new(SNAP_ITEMS, theta);
-                let mut rng = SimRng::new(0xE105AA9 + t);
-                let mut failed = 0u64;
-                for i in 0..per_client {
-                    if i % 8 == 7 {
-                        let (spec, writes) = skew.spec(&mut rng, TxnShape::Rmw);
-                        if db
-                            .run_transaction(&spec, |seen| {
-                                writes.iter().map(|&w| (w, seen[&w] + 1)).collect()
-                            })
-                            .is_err()
-                        {
-                            failed += 1;
-                        }
-                    } else {
-                        let mut spec = TxnSpec::new();
-                        for item in skew.pick_distinct(&mut rng, 4) {
-                            spec = spec.read(item);
-                        }
-                        if db.execute(&spec).is_err() {
-                            failed += 1;
-                        }
-                    }
-                }
-                failed
-            })
-        })
-        .collect();
-    let failed: u64 = workers
-        .into_iter()
-        .map(|w| w.join().expect("snapshot worker panicked"))
-        .sum();
-    let elapsed = begun.elapsed().as_secs_f64();
-
-    let stats = db.stats();
-    let report = db.shutdown().expect("shutdown");
-    SnapOutcome {
-        theta,
-        snapshot,
-        committed: stats.committed,
-        failed,
-        txn_per_sec: stats.committed as f64 / elapsed,
-        served: stats.snapshot_reads,
-        refused: stats.snapshot_refused,
-        rate: stats.snapshot_reads as f64 / stats.committed.max(1) as f64,
-        serializable: report.serializable().is_ok(),
-    }
-}
-
-/// What one Section D (confluent fast-path mix) cell measured.
-struct FastOutcome {
-    theta: f64,
-    fastpath: bool,
-    committed: u64,
-    failed: u64,
-    txn_per_sec: f64,
-    applied: u64,
-    refused: u64,
-    /// Fraction of all commits that went through the bypass.
-    rate: f64,
-    serializable: bool,
-}
-
-/// Clients drive an increment-heavy mix (4-in-5 two-item commutative
-/// adds, 1-in-5 coordinated read-modify-write transfers) so the bypass
-/// stream and real lock traffic interleave on the same hot items. With
-/// `fastpath` off the identical workload runs all-coordinated — the
-/// baseline for the speedup column.
-fn run_fastpath_cell(theta: f64, fastpath: bool) -> FastOutcome {
-    let db = Database::open(RuntimeConfig {
-        num_shards: FAST_SHARDS,
-        num_items: FAST_ITEMS,
-        initial_value: 1_000,
-        policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-        confluence_fastpath: fastpath,
-        ..RuntimeConfig::default()
-    })
-    .expect("valid config");
-
-    let begun = Instant::now();
-    let per_client = txns_per_client();
-    let workers: Vec<_> = (0..MIX_CLIENTS)
-        .map(|t| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                let skew = SkewedItems::new(FAST_ITEMS, theta);
-                let mut rng = SimRng::new(0xE10FA57 + t);
-                let mut failed = 0u64;
-                for i in 0..per_client {
-                    if i % 5 == 4 {
-                        let (spec, writes) = skew.spec(&mut rng, TxnShape::Rmw);
-                        if db
-                            .run_transaction(&spec, |seen| {
-                                writes.iter().map(|&w| (w, seen[&w] + 1)).collect()
-                            })
-                            .is_err()
-                        {
-                            failed += 1;
-                        }
-                    } else {
-                        let picked = skew.pick_distinct(&mut rng, 2);
-                        let spec = TxnSpec::new().add(picked[0], 1).add(picked[1], 1);
-                        if db.execute(&spec).is_err() {
-                            failed += 1;
-                        }
-                    }
-                }
-                failed
-            })
-        })
-        .collect();
-    let failed: u64 = workers
-        .into_iter()
-        .map(|w| w.join().expect("fastpath worker panicked"))
-        .sum();
-    let elapsed = begun.elapsed().as_secs_f64();
-
-    let stats = db.stats();
-    let report = db.shutdown().expect("shutdown");
-    FastOutcome {
-        theta,
-        fastpath,
-        committed: stats.committed,
-        failed,
-        txn_per_sec: stats.committed as f64 / elapsed,
-        applied: stats.fastpath_applied,
-        refused: stats.fastpath_refused,
-        rate: stats.fastpath_applied as f64 / stats.committed.max(1) as f64,
-        serializable: report.serializable().is_ok(),
-    }
-}
-
 fn main() {
     let smoke = std::env::var("EXP10_SMOKE").is_ok_and(|v| v == "1");
     let gate: Option<usize> = std::env::var("EXP10_GATE")
         .ok()
         .and_then(|s| s.parse().ok());
-
-    let mut traj = Trajectory::new("exp10");
-    traj.meta("smoke", Json::Bool(smoke));
-    traj.meta("deliver_ops", Json::Num(DELIVER_OPS as f64));
-    traj.meta("txns_per_client", Json::Num(txns_per_client() as f64));
 
     // --- Section A: raw registry scale ---------------------------------
     println!("E10.A: mailbox registry scale — live registrations x delivery skew");
@@ -565,22 +262,6 @@ fn main() {
                     transport_gate_ok = true;
                 }
             }
-            traj.row(vec![
-                ("section", Json::str("transport")),
-                ("live", Json::Num(o.live as f64)),
-                ("theta", Json::Num(o.theta)),
-                ("reg_per_sec", Json::Num(o.reg_per_sec)),
-                ("deliver_per_sec", Json::Num(o.deliver_per_sec)),
-                ("index_capacity", Json::Num(o.index_capacity as f64)),
-                ("index_resizes", Json::Num(o.index_resizes as f64)),
-                (
-                    "mailbox_overflow_entries",
-                    Json::Num(o.overflow_entries as f64),
-                ),
-                ("stale_dropped", Json::Num(o.stale_dropped as f64)),
-                ("full_dropped", Json::Num(o.full_dropped as f64)),
-                ("leaks", Json::Num(o.leaks as f64)),
-            ]);
         }
     }
 
@@ -613,307 +294,6 @@ fn main() {
                 hold_gate_ok = true;
             }
         }
-        traj.row(vec![
-            ("section", Json::str("hold")),
-            ("hold", Json::Num(o.hold as f64)),
-            ("begin_per_sec", Json::Num(o.begin_per_sec)),
-            ("index_capacity", Json::Num(o.index_capacity as f64)),
-            ("index_resizes", Json::Num(o.index_resizes as f64)),
-            (
-                "mailbox_overflow_entries",
-                Json::Num(o.overflow_entries as f64),
-            ),
-            ("abort_secs", Json::Num(o.abort_secs)),
-        ]);
-    }
-
-    // --- Section C: skewed mixed shapes --------------------------------
-    println!(
-        "\nE10.C: live commit throughput — shape x skew \
-         ({MIX_CLIENTS} clients x {MIX_SHARDS} shards, {} txns/client, {MIX_ITEMS} items)\n",
-        txns_per_client()
-    );
-    let widths_c = [11, 6, 10, 7, 10, 9, 7, 9, 6, 5];
-    table::header(
-        &[
-            "shape",
-            "theta",
-            "committed",
-            "failed",
-            "txn/s",
-            "restarts",
-            "stale",
-            "overflow",
-            "drops",
-            "ser.",
-        ],
-        &widths_c,
-    );
-    let shapes = [TxnShape::ReadHeavy, TxnShape::Rmw, TxnShape::Wide];
-    let mix_thetas: &[f64] = if smoke { &[0.99] } else { &[0.0, 0.99] };
-    for &shape in &shapes {
-        for &theta in mix_thetas {
-            let o = run_mix_cell(shape, theta);
-            table::row(
-                &[
-                    o.shape.label().to_string(),
-                    format!("{:.2}", o.theta),
-                    o.committed.to_string(),
-                    o.failed.to_string(),
-                    format!("{:.0}", o.txn_per_sec),
-                    o.restarts.to_string(),
-                    o.stale_replies.to_string(),
-                    o.overflow_entries.to_string(),
-                    o.full_drops.to_string(),
-                    if o.serializable {
-                        "yes".into()
-                    } else {
-                        "NO".into()
-                    },
-                ],
-                &widths_c,
-            );
-            assert!(
-                o.serializable,
-                "{} theta={theta}: execution log failed the oracle",
-                shape.label()
-            );
-            traj.row(vec![
-                ("section", Json::str("mix")),
-                ("shape", Json::str(shape.label())),
-                ("theta", Json::Num(theta)),
-                ("committed", Json::Num(o.committed as f64)),
-                ("failed", Json::Num(o.failed as f64)),
-                ("txn_per_sec", Json::Num(o.txn_per_sec)),
-                ("restarts", Json::Num(o.restarts as f64)),
-                ("stale_reply_events", Json::Num(o.stale_replies as f64)),
-                (
-                    "mailbox_overflow_entries",
-                    Json::Num(o.overflow_entries as f64),
-                ),
-                ("full_drops", Json::Num(o.full_drops as f64)),
-                ("serializable", Json::Bool(o.serializable)),
-            ]);
-        }
-    }
-
-    // --- Section D: coordination-avoidance fast path --------------------
-    println!(
-        "\nE10.D: confluent fast path — increment-heavy mix, bypass vs all-coordinated \
-         ({MIX_CLIENTS} clients x {FAST_SHARDS} shard, {} txns/client, {FAST_ITEMS} items)\n",
-        txns_per_client()
-    );
-    let widths_d = [12, 6, 10, 7, 10, 9, 8, 6, 5];
-    table::header(
-        &[
-            "mode",
-            "theta",
-            "committed",
-            "failed",
-            "txn/s",
-            "applied",
-            "refused",
-            "rate",
-            "ser.",
-        ],
-        &widths_d,
-    );
-    let fastpath_gate: Option<f64> = std::env::var("EXP10_FASTPATH_GATE")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let fast_thetas: &[f64] = if smoke { &[0.99] } else { &[0.0, 0.99] };
-    let mut fastpath_gate_ok = fastpath_gate.is_some();
-    for &theta in fast_thetas {
-        let mut pair = Vec::with_capacity(2);
-        for fastpath in [true, false] {
-            let o = run_fastpath_cell(theta, fastpath);
-            let mode = if o.fastpath {
-                "fastpath"
-            } else {
-                "coordinated"
-            };
-            table::row(
-                &[
-                    mode.to_string(),
-                    format!("{:.2}", o.theta),
-                    o.committed.to_string(),
-                    o.failed.to_string(),
-                    format!("{:.0}", o.txn_per_sec),
-                    o.applied.to_string(),
-                    o.refused.to_string(),
-                    format!("{:.2}", o.rate),
-                    if o.serializable {
-                        "yes".into()
-                    } else {
-                        "NO".into()
-                    },
-                ],
-                &widths_d,
-            );
-            assert!(
-                o.serializable,
-                "{mode} theta={theta}: execution log failed the oracle"
-            );
-            if let Some(required) = fastpath_gate {
-                if o.fastpath && o.rate < required {
-                    fastpath_gate_ok = false;
-                }
-            }
-            traj.row(vec![
-                ("section", Json::str("fastpath")),
-                ("mode", Json::str(mode)),
-                ("theta", Json::Num(o.theta)),
-                ("committed", Json::Num(o.committed as f64)),
-                ("failed", Json::Num(o.failed as f64)),
-                ("txn_per_sec", Json::Num(o.txn_per_sec)),
-                ("fastpath_applied", Json::Num(o.applied as f64)),
-                ("fastpath_refused", Json::Num(o.refused as f64)),
-                ("fastpath_rate", Json::Num(o.rate)),
-                ("serializable", Json::Bool(o.serializable)),
-            ]);
-            pair.push(o);
-        }
-        let speedup = pair[0].txn_per_sec / pair[1].txn_per_sec;
-        println!(
-            "    -> theta {theta:.2}: bypass commit rate {:.2} of all commits, \
-             {speedup:.2}x over all-coordinated",
-            pair[0].rate
-        );
-        traj.meta(
-            format!("fastpath_speedup_theta{theta:.2}"),
-            Json::Num(speedup),
-        );
-    }
-
-    // --- Section E: MVCC snapshot-read plane ----------------------------
-    println!(
-        "\nE10.E: snapshot reads — read-mostly contended mix, version chains vs share \
-         grants ({MIX_CLIENTS} clients x {SNAP_SHARDS} shards, {} txns/client, \
-         {SNAP_ITEMS} items)\n",
-        txns_per_client()
-    );
-    let widths_e = [12, 6, 10, 7, 10, 9, 8, 6, 5];
-    table::header(
-        &[
-            "mode",
-            "theta",
-            "committed",
-            "failed",
-            "txn/s",
-            "served",
-            "refused",
-            "rate",
-            "ser.",
-        ],
-        &widths_e,
-    );
-    let snapshot_gate: Option<f64> = std::env::var("EXP10_SNAPSHOT_GATE")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let snap_thetas: &[f64] = if smoke { &[0.99] } else { &[0.0, 0.99] };
-    let mut snapshot_gate_ok = snapshot_gate.is_some();
-    for &theta in snap_thetas {
-        let mut pair = Vec::with_capacity(2);
-        for snapshot in [true, false] {
-            let o = run_snapshot_cell(theta, snapshot);
-            let mode = if o.snapshot {
-                "snapshot"
-            } else {
-                "coordinated"
-            };
-            table::row(
-                &[
-                    mode.to_string(),
-                    format!("{:.2}", o.theta),
-                    o.committed.to_string(),
-                    o.failed.to_string(),
-                    format!("{:.0}", o.txn_per_sec),
-                    o.served.to_string(),
-                    o.refused.to_string(),
-                    format!("{:.2}", o.rate),
-                    if o.serializable {
-                        "yes".into()
-                    } else {
-                        "NO".into()
-                    },
-                ],
-                &widths_e,
-            );
-            assert!(
-                o.serializable,
-                "{mode} theta={theta}: execution log failed the oracle"
-            );
-            if let Some(required) = snapshot_gate {
-                if o.snapshot && o.rate < required {
-                    snapshot_gate_ok = false;
-                }
-            }
-            traj.row(vec![
-                ("section", Json::str("snapshot")),
-                ("mode", Json::str(mode)),
-                ("theta", Json::Num(o.theta)),
-                ("committed", Json::Num(o.committed as f64)),
-                ("failed", Json::Num(o.failed as f64)),
-                ("txn_per_sec", Json::Num(o.txn_per_sec)),
-                ("snapshot_served", Json::Num(o.served as f64)),
-                ("snapshot_refused", Json::Num(o.refused as f64)),
-                ("snapshot_rate", Json::Num(o.rate)),
-                ("serializable", Json::Bool(o.serializable)),
-            ]);
-            pair.push(o);
-        }
-        let speedup = pair[0].txn_per_sec / pair[1].txn_per_sec;
-        println!(
-            "    -> theta {theta:.2}: snapshot serve rate {:.2} of all commits, \
-             {speedup:.2}x over all-coordinated",
-            pair[0].rate
-        );
-        traj.meta(
-            format!("snapshot_speedup_theta{theta:.2}"),
-            Json::Num(speedup),
-        );
-    }
-
-    if let Some(required) = gate {
-        traj.meta("gate_live", Json::Num(required as f64));
-        traj.meta("gate_passed", Json::Bool(transport_gate_ok && hold_gate_ok));
-    }
-    if let Some(required) = fastpath_gate {
-        traj.meta("fastpath_gate_rate", Json::Num(required));
-        traj.meta("fastpath_gate_passed", Json::Bool(fastpath_gate_ok));
-    }
-    if let Some(required) = snapshot_gate {
-        traj.meta("snapshot_gate_rate", Json::Num(required));
-        traj.meta("snapshot_gate_passed", Json::Bool(snapshot_gate_ok));
-    }
-    traj.emit();
-
-    if let Some(required) = snapshot_gate {
-        if !snapshot_gate_ok {
-            eprintln!(
-                "FAIL: a read-mostly snapshot cell served fewer than {required:.2} of \
-                 its commits from the version chains"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "\nsnapshot gate passed: every snapshot cell served >= {required:.2} of its \
-             commits from the version chains (histories certified)"
-        );
-    }
-
-    if let Some(required) = fastpath_gate {
-        if !fastpath_gate_ok {
-            eprintln!(
-                "FAIL: an increment-heavy fast-path cell committed fewer than \
-                 {required:.2} of its transactions through the bypass"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "\nfast-path gate passed: every bypass cell committed >= {required:.2} of its \
-             transactions through the confluent fast path (histories certified)"
-        );
     }
 
     if let Some(required) = gate {

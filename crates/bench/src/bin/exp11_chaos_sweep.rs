@@ -43,19 +43,14 @@
 //! * `EXP11_GATE=1` — fail (exit 1) unless every cell's armed fault
 //!   classes actually fired (counters nonzero): injected chaos that
 //!   never lands would make the sweep's green meaningless.
-//!
-//! Besides the table, the sweep emits `BENCH_exp11.json` (into
-//! `$BENCH_JSON_DIR`, default `.`): one row per cell with its fault
-//! counters, recovery counters and oracle verdict. See [`bench::traj`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bench::{table, Trajectory};
+use bench::table;
 use dbmodel::{CcMethod, LogicalItemId, ReplicationPolicy};
 use runtime::{CcPolicy, Database, FaultProfile, FaultSchedule, RuntimeConfig, TxnError, TxnSpec};
-use trace::json::Json;
 
 const SHARDS: u32 = 3;
 const ACCOUNTS: u64 = 30;
@@ -129,8 +124,6 @@ struct ChaosOutcome {
     cleanup_aborts: u64,
     dup_suppressed: u64,
     snapshot_served: u64,
-    conserved: bool,
-    drained: bool,
     serializable: bool,
 }
 
@@ -260,8 +253,7 @@ fn run_cell(cell: Cell, seed: u64) -> ChaosOutcome {
 
     // Flush plane-held traffic, then audit the drained system.
     db.quiesce_faults();
-    let drained = db.live_transactions() == 0;
-    if !drained {
+    if db.live_transactions() != 0 {
         postmortem(
             &db,
             &cell,
@@ -270,8 +262,7 @@ fn run_cell(cell: Cell, seed: u64) -> ChaosOutcome {
         );
     }
     let total = audit_total(&db);
-    let conserved = total == Some(ACCOUNTS as i64 * INITIAL);
-    if !conserved {
+    if total != Some(ACCOUNTS as i64 * INITIAL) {
         postmortem(
             &db,
             &cell,
@@ -312,8 +303,6 @@ fn run_cell(cell: Cell, seed: u64) -> ChaosOutcome {
         cleanup_aborts: stats.cleanup_aborts,
         dup_suppressed: stats.dup_suppressed,
         snapshot_served: snapshot_served.load(Ordering::Relaxed),
-        conserved,
-        drained,
         serializable,
     }
 }
@@ -321,11 +310,6 @@ fn run_cell(cell: Cell, seed: u64) -> ChaosOutcome {
 fn main() {
     let smoke = std::env::var("EXP11_SMOKE").is_ok_and(|v| v == "1");
     let gate = std::env::var("EXP11_GATE").is_ok_and(|v| v == "1");
-
-    let mut traj = Trajectory::new("exp11");
-    traj.meta("smoke", Json::Bool(smoke));
-    traj.meta("txns_per_client", Json::Num(txns_per_client() as f64));
-    traj.meta("seed_base", Json::Num(SEED_BASE as f64));
 
     println!(
         "E11: chaos sweep — drop x partition x crash over a mixed-protocol bank \
@@ -454,35 +438,7 @@ fn main() {
             );
             gate_ok = false;
         }
-
-        traj.row(vec![
-            ("cell", Json::str(cell.label())),
-            ("seed", Json::Num(seed as f64)),
-            ("drop_rate", Json::Num(cell.drop_rate)),
-            ("partition", Json::Bool(cell.partition)),
-            ("crash_points", Json::Num(cell.crashes as f64)),
-            ("committed", Json::Num(o.committed as f64)),
-            ("clean_failures", Json::Num(o.clean_failures as f64)),
-            ("txn_per_sec", Json::Num(o.txn_per_sec)),
-            ("dropped", Json::Num(o.dropped as f64)),
-            ("duplicated", Json::Num(o.duplicated as f64)),
-            ("delayed", Json::Num(o.delayed as f64)),
-            ("partitioned", Json::Num(o.partitioned as f64)),
-            ("crashes", Json::Num(o.crashes as f64)),
-            ("timeout_restarts", Json::Num(o.timeout_restarts as f64)),
-            ("shard_unavailable", Json::Num(o.shard_unavailable as f64)),
-            ("cleanup_aborts", Json::Num(o.cleanup_aborts as f64)),
-            ("dup_suppressed", Json::Num(o.dup_suppressed as f64)),
-            ("snapshot_served", Json::Num(o.snapshot_served as f64)),
-            ("conserved", Json::Bool(o.conserved)),
-            ("drained", Json::Bool(o.drained)),
-            ("serializable", Json::Bool(o.serializable)),
-        ]);
     }
-
-    traj.meta("gate_armed", Json::Bool(gate));
-    traj.meta("gate_passed", Json::Bool(gate_ok));
-    traj.emit();
 
     if gate {
         if !gate_ok {

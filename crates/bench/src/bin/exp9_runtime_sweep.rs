@@ -24,18 +24,13 @@
 //!   cells only.
 //! * `EXP9_TXNS=<n>` — transfers per client thread (default 150).
 //!
-//! The process exits 1 if any cell's history fails the oracle. Besides
-//! the table, the sweep emits a machine-readable trajectory,
-//! `BENCH_exp9.json` (into `$BENCH_JSON_DIR`, default `.`): one row per
-//! cell with the cell parameters and measured counters. See
-//! [`bench::traj`] for the document shape.
+//! The process exits 1 if any cell's history fails the oracle.
 
 use std::time::Instant;
 
-use bench::{table, Trajectory};
+use bench::table;
 use dbmodel::{CcMethod, LogicalItemId};
 use runtime::{CcPolicy, Database, RuntimeConfig, StatsSnapshot, TxnSpec};
-use trace::json::Json;
 
 const ITEMS: u64 = 96;
 
@@ -62,11 +57,10 @@ struct Cell {
 }
 
 /// Everything one measured cell leaves behind: the formatted table row,
-/// the measured throughput, and the raw counters the JSON trajectory and
-/// the reply-plane footer are built from.
+/// the raw counters the reply-plane footer is built from, and the oracle
+/// verdict.
 struct CellOutcome {
     row: Vec<String>,
-    txn_per_sec: f64,
     stats: StatsSnapshot,
     serializable: bool,
 }
@@ -158,54 +152,9 @@ fn run_cell(clients: u64, shards: u32, cell: Cell) -> CellOutcome {
     ];
     CellOutcome {
         row,
-        txn_per_sec,
         stats,
         serializable,
     }
-}
-
-/// One JSON trajectory row for a measured sweep cell.
-fn traj_row(clients: u64, shards: u32, cell: Cell, outcome: &CellOutcome) -> Vec<(String, Json)> {
-    let stats = &outcome.stats;
-    vec![
-        ("clients".into(), Json::Num(clients as f64)),
-        ("shards".into(), Json::num(shards)),
-        ("policy".into(), Json::str(cell.label)),
-        ("wide".into(), Json::Bool(cell.wide)),
-        ("committed".into(), Json::Num(stats.committed as f64)),
-        ("txn_per_sec".into(), Json::Num(outcome.txn_per_sec)),
-        ("restarts".into(), Json::Num(stats.restarts() as f64)),
-        (
-            "backoff_rounds".into(),
-            Json::Num(stats.backoff_rounds as f64),
-        ),
-        (
-            "sel_us".into(),
-            if stats.selections > 0 {
-                Json::Num(stats.selection_micros_per_txn())
-            } else {
-                Json::Null
-            },
-        ),
-        (
-            "cache_hit_pct".into(),
-            if stats.cache.hits + stats.cache.misses > 0 {
-                Json::Num(stats.cache.hit_rate() * 100.0)
-            } else {
-                Json::Null
-            },
-        ),
-        ("serializable".into(), Json::Bool(outcome.serializable)),
-        (
-            "stale_reply_events".into(),
-            Json::Num(stats.stale_reply_events as f64),
-        ),
-        (
-            "mailbox_overflow_entries".into(),
-            Json::Num(stats.mailbox_overflow_entries as f64),
-        ),
-        ("trace_events".into(), Json::Num(stats.trace_events as f64)),
-    ]
 }
 
 /// The cells `EXP9_SMOKE` keeps: enough clients to contend, every shard
@@ -264,10 +213,6 @@ fn main() {
     ];
     let shard_axis: &[u32] = if smoke { &[SMOKE_SHARDS] } else { &[1, 2, 4] };
     let client_axis: &[u64] = if smoke { &[SMOKE_CLIENTS] } else { &[1, 4, 8] };
-    let mut traj = Trajectory::new("exp9");
-    traj.meta("smoke", Json::Bool(smoke));
-    traj.meta("txns_per_client", Json::Num(txns_per_client() as f64));
-    traj.meta("items", Json::Num(ITEMS as f64));
     let mut stale_replies = 0u64;
     let mut overflow_entries = 0u64;
     let mut all_serializable = true;
@@ -279,7 +224,6 @@ fn main() {
                 stale_replies += outcome.stats.stale_reply_events;
                 overflow_entries += outcome.stats.mailbox_overflow_entries;
                 all_serializable &= outcome.serializable;
-                traj.row(traj_row(clients, shards, cell, &outcome));
             }
         }
         println!();
@@ -292,12 +236,6 @@ fn main() {
         "reply plane across all cells: {stale_replies} stale reply events, \
          {overflow_entries} mailbox overflow entries"
     );
-    traj.meta("stale_reply_events_total", Json::Num(stale_replies as f64));
-    traj.meta(
-        "mailbox_overflow_entries_total",
-        Json::Num(overflow_entries as f64),
-    );
-    traj.emit();
     if !all_serializable {
         eprintln!("FAIL: a cell's history is not serializable (see the `ser.` column)");
         std::process::exit(1);

@@ -1,16 +1,16 @@
-//! Shared harness code for the experiment binaries (`src/bin/exp*.rs`) and
-//! the Criterion micro-benchmarks (`benches/`).
+//! Shared harness code for the experiment binaries (`src/bin/exp*.rs`),
+//! the one micro-benchmark (`benches/m4_sercheck.rs`) and the selector
+//! tests.
 //!
-//! Every experiment binary reproduces one claim of the paper's evaluation
-//! (see `DESIGN.md` §3 and `EXPERIMENTS.md`); this library provides the
-//! common pieces: configuration presets, protocol sweeps and fixed-width
-//! table printing.
+//! `exp1`–`exp8` each reproduce one claim of the paper's evaluation on the
+//! simulator; `exp9`–`exp11` drive the live runtime (README.md, "Running
+//! things"). This library provides the common pieces: configuration
+//! presets, protocol sweeps, fixed-width table printing and the seeded
+//! selector-test inputs.
 
 pub mod harness;
 pub mod table;
-pub mod traj;
 pub mod workload;
 
 pub use harness::{base_config, run_protocols, ProtocolRow, PROTOCOL_LABELS};
-pub use traj::{validate_bench_doc, Trajectory};
-pub use workload::{committed_metrics, SkewedItems, TxnShape};
+pub use workload::{committed_metrics, SkewedItems};

@@ -1,61 +1,16 @@
-//! Skewed-access workload shapes for the live-runtime scale sweeps.
-//!
-//! E9 drives uniformly spread transfers; the scale sweep (E10) needs the
-//! opposite: Zipfian-skewed item choice (the YCSB-style hot set) crossed
-//! with a small family of transaction shapes, so the reply plane and the
-//! queue managers are measured under realistic contention rather than a
-//! perfectly balanced load. This module is the shared vocabulary: a
-//! seeded skewed item picker and the shape-to-[`TxnSpec`] builders.
+//! Seeded inputs for the selector tests: a Zipfian-skewed item picker
+//! drawing the three transaction shapes of the `dynamic_skewed` benchmark
+//! workload, and the metrics an epoch snapshot is fitted from.
 
 use dbmodel::{AccessMode, Catalog, CcMethod, LogicalItemId, SiteId, Transaction, TxnId};
 use metrics::SimMetrics;
-use runtime::TxnSpec;
 use simkit::dist::Zipfian;
 use simkit::rng::SimRng;
 use simkit::time::{Duration, SimTime};
 
-/// Transaction shapes the mixed sweep crosses with access skew.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TxnShape {
-    /// 4 reads + 1 read-modify-write: the lookup-dominated shape.
-    ReadHeavy,
-    /// The classic 2-item read-modify-write transfer.
-    Rmw,
-    /// 4 reads + 4 writes: the message-heavy shape.
-    Wide,
-}
-
-impl TxnShape {
-    /// Every shape: the mix the `dynamic_skewed` benchmark workload draws
-    /// from.
-    pub const ALL: [TxnShape; 3] = [TxnShape::ReadHeavy, TxnShape::Rmw, TxnShape::Wide];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            TxnShape::ReadHeavy => "read-heavy",
-            TxnShape::Rmw => "rmw",
-            TxnShape::Wide => "wide",
-        }
-    }
-
-    /// Read-only items per transaction.
-    pub fn reads(self) -> usize {
-        match self {
-            TxnShape::ReadHeavy => 4,
-            TxnShape::Rmw => 0,
-            TxnShape::Wide => 4,
-        }
-    }
-
-    /// Written (read-modify-write) items per transaction.
-    pub fn writes(self) -> usize {
-        match self {
-            TxnShape::ReadHeavy => 1,
-            TxnShape::Rmw => 2,
-            TxnShape::Wide => 4,
-        }
-    }
-}
+/// `(reads, read-modify-writes)` per transaction: the lookup-dominated
+/// shape, the classic two-item transfer and the message-heavy wide one.
+const SHAPES: [(usize, usize); 3] = [(4, 1), (0, 2), (4, 4)];
 
 /// A Zipfian-skewed picker over item ids `0..items`; `theta = 0` is the
 /// uniform distribution, `theta = 0.99` the standard YCSB hot set.
@@ -70,11 +25,6 @@ impl SkewedItems {
             items,
             zipf: Zipfian::new(items as usize, theta),
         }
-    }
-
-    /// One skew-weighted item.
-    pub fn pick(&self, rng: &mut SimRng) -> LogicalItemId {
-        LogicalItemId(self.zipf.sample_index(rng) as u64)
     }
 
     /// `k` *distinct* skew-weighted items. A collision re-samples a
@@ -108,24 +58,12 @@ impl SkewedItems {
         picked
     }
 
-    /// Build one transaction of the given shape on distinct skew-picked
-    /// items; returns the spec and its write set (the body increments
-    /// every written item).
-    pub fn spec(&self, rng: &mut SimRng, shape: TxnShape) -> (TxnSpec, Vec<LogicalItemId>) {
-        let picked = self.pick_distinct(rng, shape.reads() + shape.writes());
-        let (reads, writes) = picked.split_at(shape.reads());
-        let spec = TxnSpec::new()
-            .reads(reads.iter().copied())
-            .writes(writes.iter().copied());
-        (spec, writes.to_vec())
-    }
-
-    /// The same draw as a [`Transaction`] — what the STL selector sees —
-    /// with the shape itself drawn uniformly from [`TxnShape::ALL`].
+    /// One transaction — what the STL selector sees — of a shape drawn
+    /// uniformly from `SHAPES`, on distinct skew-picked items.
     pub fn mixed_transaction(&self, rng: &mut SimRng, id: u64) -> Transaction {
-        let shape = TxnShape::ALL[rng.next_index(TxnShape::ALL.len())];
-        let picked = self.pick_distinct(rng, shape.reads() + shape.writes());
-        let (reads, writes) = picked.split_at(shape.reads());
+        let (reads, writes) = SHAPES[rng.next_index(SHAPES.len())];
+        let picked = self.pick_distinct(rng, reads + writes);
+        let (reads, writes) = picked.split_at(reads);
         Transaction::builder(TxnId(id), SiteId(0))
             .reads(reads.iter().copied())
             .writes(writes.iter().copied())
@@ -135,8 +73,8 @@ impl SkewedItems {
 
 /// The metrics a runtime holds after committing `txns` round-robin over the
 /// three methods in 100 ms with no denial, restart or backoff: one grant
-/// and one ~80 µs lock hold per accessed copy. Selector benches and tests
-/// fit their epoch snapshots from this.
+/// and one ~80 µs lock hold per accessed copy. The selector tests fit
+/// their epoch snapshots from this.
 pub fn committed_metrics(catalog: &Catalog, txns: &[Transaction]) -> SimMetrics {
     let mut metrics = SimMetrics::new();
     for (i, txn) in txns.iter().enumerate() {
@@ -165,13 +103,13 @@ mod tests {
     fn shapes_have_distinct_items_and_declared_sizes() {
         let skew = SkewedItems::new(64, 0.99);
         let mut rng = SimRng::new(7);
-        for shape in [TxnShape::ReadHeavy, TxnShape::Rmw, TxnShape::Wide] {
+        for (reads, writes) in SHAPES {
             for _ in 0..200 {
-                let picked = skew.pick_distinct(&mut rng, shape.reads() + shape.writes());
+                let picked = skew.pick_distinct(&mut rng, reads + writes);
                 let mut ids: Vec<u64> = picked.iter().map(|i| i.0).collect();
                 ids.sort_unstable();
                 ids.dedup();
-                assert_eq!(ids.len(), shape.reads() + shape.writes());
+                assert_eq!(ids.len(), reads + writes);
                 assert!(ids.iter().all(|&i| i < 64));
             }
         }
@@ -211,7 +149,9 @@ mod tests {
         let mut rng = SimRng::new(11);
         let mut hot_share = |theta: f64| {
             let skew = SkewedItems::new(1024, theta);
-            let hits = (0..4000).filter(|_| skew.pick(&mut rng).0 < 16).count();
+            let hits = (0..4000)
+                .filter(|_| skew.pick_distinct(&mut rng, 1)[0].0 < 16)
+                .count();
             hits as f64 / 4000.0
         };
         let uniform = hot_share(0.0);

@@ -13,8 +13,9 @@
 //! the logical item id (catalog-generated ids are small and contiguous),
 //! with a sorted spill vector as the correctness net for ids past the
 //! direct-map bound. Resolving a message's item is an array load instead
-//! of the seed's `BTreeMap` pointer chase — measured by the `m8` bench
-//! together with the sink refactor.
+//! of the seed's `BTreeMap` pointer chase (PR 5 measured the two, with
+//! the sink refactor, at ~2.1×; `core.qm_ns_per_msg` in the repo
+//! benchmark is today's figure).
 //!
 //! ## Batched, allocation-free processing
 //!

@@ -118,12 +118,6 @@ pub struct RuntimeConfig {
     /// map — correct, but off the lock-free path; size it at or above
     /// `reply_max_clients` to keep overflow unreachable.
     pub reply_index_max_capacity: usize,
-    /// How long a shard may wait on one transaction's full reply mailbox
-    /// before dropping the reply (counted in
-    /// [`crate::StatsSnapshot::mailbox_full_drops`]; the client recovers
-    /// through the normal timeout/restart machinery). Zero drops as soon
-    /// as the bounded spin is exhausted.
-    pub reply_deliver_timeout: Duration,
     /// Period of the background deadlock detector.
     pub deadlock_scan_interval: Duration,
     /// Restart attempts per transaction before giving up with
@@ -162,7 +156,9 @@ pub struct RuntimeConfig {
     /// Route invariant-confluent transactions (commutative adds, blind
     /// puts, read-only shapes — see [`selection::classify`]) around the
     /// queue managers through the shard's direct-apply bypass. Off forces
-    /// every transaction through full coordination (the `m9` baseline).
+    /// every transaction through full coordination — the route switch
+    /// the benchmark's must-fail test flips to prove that a
+    /// `counter_bypass` run which lost its bypass is refused.
     pub confluence_fastpath: bool,
     /// The at-apply refusal check of the bypass: the queue manager refuses
     /// a fast-path transaction whenever a touched slot has queued or
@@ -174,8 +170,8 @@ pub struct RuntimeConfig {
     /// [`selection::is_read_only`]) from the per-item version chains at
     /// the global read watermark — the fourth method. No grants, no wait
     /// edges, no restart exposure. Off forces read-only transactions
-    /// through whatever coordinated method the selector picks (the `m10`
-    /// baseline).
+    /// through whatever coordinated method the selector picks — the
+    /// route switch the benchmark's must-fail test flips on `read_mostly`.
     pub snapshot_reads: bool,
     /// The watermark check of the snapshot plane: a snapshot read serves
     /// the newest version stamped at or below the global read watermark.
@@ -228,7 +224,6 @@ impl Default for RuntimeConfig {
             reply_max_clients: 65536,
             reply_index_capacity: 1024,
             reply_index_max_capacity: 1 << 20,
-            reply_deliver_timeout: Duration::from_secs(1),
             deadlock_scan_interval: Duration::from_millis(5),
             max_restarts: 256,
             request_timeout: Duration::from_secs(30),

@@ -155,7 +155,6 @@ impl Database {
             index_max_capacity: config.reply_index_max_capacity,
             mailbox_capacity: config.reply_mailbox_capacity,
             max_clients: config.reply_max_clients,
-            deliver_timeout: config.reply_deliver_timeout,
             ..MailboxOptions::default()
         }));
         let stats = Arc::new(RuntimeStats::with_shards(catalog.sites().len()));

@@ -560,32 +560,54 @@ fn stats_polling_is_side_effect_free_on_a_healthy_plane() {
 }
 
 /// Sequential fast-path correctness: every increment applies through
-/// the bypass (no grants anywhere), the final value is exact, and the
-/// flight recorder saw the `FastPathApplied` phase.
+/// the bypass (no grants anywhere), the final value is exact, every add
+/// is in the execution log, and the flight recorder saw the
+/// `FastPathApplied` phase. With `confluence_fastpath` off the same
+/// stream coordinates — a write grant per add, nothing through the
+/// bypass — to the same value and an equally clean history.
 #[test]
 fn fast_adds_apply_through_the_bypass() {
-    let db = Database::open(config(1, 4)).unwrap();
-    const N: u64 = 50;
-    for _ in 0..N {
-        let receipt = db.execute(&TxnSpec::new().add(li(0), 2)).unwrap();
-        assert!(receipt.fastpath);
-        assert_eq!(receipt.restarts, 0);
+    for bypass in [true, false] {
+        let db = Database::open(RuntimeConfig {
+            confluence_fastpath: bypass,
+            ..config(1, 4)
+        })
+        .unwrap();
+        const N: u64 = 50;
+        for _ in 0..N {
+            let receipt = db.execute(&TxnSpec::new().add(li(0), 2)).unwrap();
+            assert_eq!(receipt.fastpath, bypass);
+            assert_eq!(receipt.restarts, 0);
+        }
+        let receipt = db.execute(&TxnSpec::new().read(li(0))).unwrap();
+        assert!(receipt.snapshot, "a pure read takes the snapshot plane");
+        assert_eq!(receipt.reads[&li(0)], 2 * N as Value);
+        let stats = db.stats();
+        assert_eq!(stats.fastpath_applied, if bypass { N } else { 0 });
+        assert_eq!(stats.snapshot_reads, 1);
+        assert_eq!(stats.fastpath_refused, 0);
+        assert_eq!(stats.committed, N + 1);
+        assert_eq!(
+            stats.grants,
+            if bypass { 0 } else { N },
+            "the bypass issues no grants"
+        );
+        assert_eq!(
+            db.trace_snapshot()
+                .iter()
+                .any(|e| e.phase == Phase::FastPathApplied),
+            bypass
+        );
+        let report = db.shutdown().unwrap();
+        let logged_writes = report
+            .logs
+            .iter()
+            .flat_map(|(_, log)| log.entries())
+            .filter(|op| op.mode == AccessMode::Write)
+            .count();
+        assert_eq!(logged_writes as u64, N, "every add is in the log");
+        assert!(report.serializable().is_ok());
     }
-    let receipt = db.execute(&TxnSpec::new().read(li(0))).unwrap();
-    assert!(receipt.snapshot, "a pure read takes the snapshot plane");
-    assert_eq!(receipt.reads[&li(0)], 2 * N as Value);
-    let stats = db.stats();
-    assert_eq!(stats.fastpath_applied, N);
-    assert_eq!(stats.snapshot_reads, 1);
-    assert_eq!(stats.fastpath_refused, 0);
-    assert_eq!(stats.committed, N + 1);
-    assert_eq!(stats.grants, 0, "the bypass issues no grants");
-    assert!(db
-        .trace_snapshot()
-        .iter()
-        .any(|e| e.phase == Phase::FastPathApplied));
-    let report = db.shutdown().unwrap();
-    assert!(report.serializable().is_ok());
 }
 
 /// A non-confluent shape (declared rmw write) never takes the bypass,
@@ -963,54 +985,65 @@ fn snapshot_reads_route_around_coordination() {
 /// Tentpole certification (PR 10): snapshot readers race coordinated
 /// read-modify-writes and fast-path increments on the same hot items,
 /// and the merged history — snapshot reads ordered by served stamp,
-/// not log position — is oracle-certified.
+/// not log position — is oracle-certified. With `snapshot_reads` off the
+/// same readers take the routes that remain, the plane serves nothing,
+/// and the history is as clean.
 #[test]
 fn mixed_snapshot_and_writer_traffic_stays_serializable() {
-    let db = Database::open(config(2, 8)).unwrap();
-    let writers: Vec<_> = (0..2u64)
-        .map(|k| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                for i in 0..40u64 {
-                    let item = li((k + i) % 8);
-                    db.run_transaction(
-                        &TxnSpec::new().write(item).read(li((k + i + 1) % 8)),
-                        |reads| vec![(item, reads[&li((k + i + 1) % 8)].wrapping_add(3))],
-                    )
-                    .unwrap();
-                    db.execute(&TxnSpec::new().add(li((k + i + 3) % 8), 1))
-                        .unwrap();
-                }
-            })
+    for snapshot in [true, false] {
+        let db = Database::open(RuntimeConfig {
+            snapshot_reads: snapshot,
+            ..config(2, 8)
         })
-        .collect();
-    let readers: Vec<_> = (0..2u64)
-        .map(|k| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                for i in 0..40u64 {
-                    let receipt = db
-                        .execute(
-                            &TxnSpec::new()
-                                .read(li((k + i) % 8))
-                                .read(li((k + i + 4) % 8)),
+        .unwrap();
+        let writers: Vec<_> = (0..2u64)
+            .map(|k| {
+                let db = db.clone();
+                std::thread::spawn(move || {
+                    for i in 0..40u64 {
+                        let item = li((k + i) % 8);
+                        db.run_transaction(
+                            &TxnSpec::new().write(item).read(li((k + i + 1) % 8)),
+                            |reads| vec![(item, reads[&li((k + i + 1) % 8)].wrapping_add(3))],
                         )
                         .unwrap();
-                    assert!(receipt.snapshot, "a pure read must never coordinate");
-                }
+                        db.execute(&TxnSpec::new().add(li((k + i + 3) % 8), 1))
+                            .unwrap();
+                    }
+                })
             })
-        })
-        .collect();
-    for t in writers.into_iter().chain(readers) {
-        t.join().unwrap();
+            .collect();
+        let readers: Vec<_> = (0..2u64)
+            .map(|k| {
+                let db = db.clone();
+                std::thread::spawn(move || {
+                    for i in 0..40u64 {
+                        let receipt = db
+                            .execute(
+                                &TxnSpec::new()
+                                    .read(li((k + i) % 8))
+                                    .read(li((k + i + 4) % 8)),
+                            )
+                            .unwrap();
+                        assert_eq!(
+                            receipt.snapshot, snapshot,
+                            "a pure read never coordinates while the plane is on"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for t in writers.into_iter().chain(readers) {
+            t.join().unwrap();
+        }
+        let stats = db.stats();
+        assert_eq!(stats.committed, 240);
+        assert_eq!(stats.snapshot_reads, if snapshot { 80 } else { 0 });
+        assert_eq!(stats.snapshot_refused, 0);
+        let report = db.shutdown().unwrap();
+        assert_eq!(report.stats.committed, 240);
+        assert!(report.serializable().is_ok());
     }
-    let stats = db.stats();
-    assert_eq!(stats.committed, 240);
-    assert_eq!(stats.snapshot_reads, 80);
-    assert_eq!(stats.snapshot_refused, 0);
-    let report = db.shutdown().unwrap();
-    assert_eq!(report.stats.committed, 240);
-    assert!(report.serializable().is_ok());
 }
 
 /// Caller-runs stress: two writers and two snapshot readers hammer eight

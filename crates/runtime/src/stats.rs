@@ -295,7 +295,8 @@ pub struct StatsSnapshot {
     /// the registry.
     pub mailbox_index_resizes: u64,
     /// Reply deliveries dropped because a live mailbox stayed full past
-    /// `reply_deliver_timeout` (a stalled client thread; the transaction
+    /// the transport's `MailboxOptions::deliver_timeout` default of one
+    /// second (a stalled client thread; the transaction
     /// recovers through the timeout/restart machinery). Filled in by
     /// [`crate::Database::stats`] from the registry.
     pub mailbox_full_drops: u64,

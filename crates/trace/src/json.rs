@@ -1,8 +1,8 @@
 //! A minimal JSON value: emit and parse, no external dependencies.
 //!
 //! The workspace builds offline, so `serde` is not available; the trace
-//! plane's postmortem JSONL dumps and the bench suite's `BENCH_*.json`
-//! trajectory files go through this instead. The grammar is standard
+//! plane's postmortem JSONL dumps and the repo benchmark's
+//! `results.json` go through this instead. The grammar is standard
 //! JSON; numbers are `f64` (integral values print without a fraction, so
 //! counters round-trip as `123`, not `123.0`).
 

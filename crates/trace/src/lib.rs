@@ -23,7 +23,7 @@
 //!   violation, mailbox overflow) — the debugging artifact the PR 1/PR 4
 //!   incarnation races were missing.
 //! * [`json::Json`] is the dependency-free JSON emit/parse layer the
-//!   dumps and the bench suite's `BENCH_*.json` trajectories share.
+//!   dumps and the repo benchmark's `results.json` share.
 
 pub mod collect;
 pub mod event;

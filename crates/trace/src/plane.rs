@@ -66,8 +66,9 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             // The flight recorder is always on: the rings are bounded,
-            // the write is a few relaxed stores, and the m8 CI gate
-            // holds the overhead to a measured floor.
+            // the write is a few relaxed stores, and the repo
+            // benchmark measures every end-to-end number with it on
+            // (`trace.record_ns` is its cost per event).
             level: TraceLevel::Full,
             ring_capacity: 4096,
             postmortem_dir: None,
