@@ -24,6 +24,12 @@
 //!   cells only.
 //! * `EXP9_TXNS=<n>` — transfers per client thread (default 150).
 //!
+//! The footer reports the reply plane's and the deadlock detector's health
+//! across the sweep; the detector line gives the wide `2PL-w8` cells — the
+//! ones that deadlock — separately. `backstop` counts victims only the
+//! periodic scan found and should read 0: deadlocks are found by the scan
+//! the closing wait edge asks for.
+//!
 //! The process exits 1 if any cell's history fails the oracle.
 
 use std::time::Instant;
@@ -215,6 +221,9 @@ fn main() {
     let client_axis: &[u64] = if smoke { &[SMOKE_CLIENTS] } else { &[1, 4, 8] };
     let mut stale_replies = 0u64;
     let mut overflow_entries = 0u64;
+    // (victims, backstop victims, pushed scans, announced edges), wide
+    // cells and all cells.
+    let mut detector = [[0u64; 4]; 2];
     let mut all_serializable = true;
     for &shards in shard_axis {
         for &clients in client_axis {
@@ -223,6 +232,18 @@ fn main() {
                 table::row(&outcome.row, &widths);
                 stale_replies += outcome.stats.stale_reply_events;
                 overflow_entries += outcome.stats.mailbox_overflow_entries;
+                let stats = &outcome.stats;
+                let seen = [
+                    stats.deadlock_victims,
+                    stats.deadlock_backstop_victims,
+                    stats.deadlock_push_scans,
+                    stats.deadlock_probes,
+                ];
+                for tally in &mut detector[usize::from(!cell.wide)..] {
+                    for (sum, n) in tally.iter_mut().zip(seen) {
+                        *sum += n;
+                    }
+                }
                 all_serializable &= outcome.serializable;
             }
         }
@@ -236,6 +257,15 @@ fn main() {
         "reply plane across all cells: {stale_replies} stale reply events, \
          {overflow_entries} mailbox overflow entries"
     );
+    for (cells, [victims, backstop, scans, probes]) in ["wide (2PL-w8) cells", "all cells"]
+        .into_iter()
+        .zip(detector)
+    {
+        println!(
+            "deadlock detector, {cells}: {victims} victims ({backstop} backstop), \
+             {scans} pushed scans, {probes} wait edges announced"
+        );
+    }
     if !all_serializable {
         eprintln!("FAIL: a cell's history is not serializable (see the `ser.` column)");
         std::process::exit(1);

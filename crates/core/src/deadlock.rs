@@ -172,6 +172,35 @@ impl WaitForGraph {
             .filter_map(|cycle| cycle.into_iter().filter(|&t| is_eligible(t)).max())
             .collect()
     }
+
+    /// Victims that break *every* deadlock in the graph:
+    /// [`WaitForGraph::choose_victims`], then again on what is left once
+    /// those victims are taken out, until no component with an eligible
+    /// member remains. One victim per component leaves a cycle standing
+    /// whenever the component holds several that do not all pass through
+    /// the victim. A detector that scans periodically picks those up on its
+    /// next round; one that scans only when a new edge asks for it must
+    /// clear the graph in one go — the leftover cycle gains no new edge.
+    pub fn choose_victims_exhaustively<F>(mut self, is_eligible: F) -> Vec<TxnId>
+    where
+        F: Fn(TxnId) -> bool,
+    {
+        let mut all = Vec::new();
+        loop {
+            let victims = self.choose_victims(&is_eligible);
+            if victims.is_empty() {
+                return all;
+            }
+            for victim in &victims {
+                self.nodes.remove(victim);
+                self.edges.remove(victim);
+            }
+            for holders in self.edges.values_mut() {
+                holders.retain(|holder| !victims.contains(holder));
+            }
+            all.extend(victims);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +282,29 @@ mod tests {
         // No eligible member: no victim (transient non-2PL cycle).
         let victims = g.choose_victims(|txn| txn.0 >= 100);
         assert!(victims.is_empty());
+    }
+
+    #[test]
+    fn exhaustive_victims_break_every_cycle_of_a_component() {
+        // A figure of eight: 1 <-> 2 and 2 <-> 3 share node 2, one
+        // component. Its youngest member, 3, leaves 1 <-> 2 standing.
+        let g = WaitForGraph::from_edges([
+            (t(1), t(2)),
+            (t(2), t(1)),
+            (t(2), t(3)),
+            (t(3), t(2)),
+            (t(9), t(3)),
+        ]);
+        assert_eq!(g.choose_victims(|_| true), vec![t(3)]);
+        assert_eq!(
+            g.clone().choose_victims_exhaustively(|_| true),
+            [t(3), t(2)]
+        );
+        // A single ring needs its one victim and no more …
+        let ring = WaitForGraph::from_edges([(t(1), t(2)), (t(2), t(3)), (t(3), t(1))]);
+        assert_eq!(ring.choose_victims_exhaustively(|_| true), [t(3)]);
+        // … and a leftover cycle with no eligible member ends the search.
+        assert_eq!(g.choose_victims_exhaustively(|txn| txn == t(3)), [t(3)]);
     }
 
     #[test]

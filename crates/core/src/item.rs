@@ -114,6 +114,11 @@ pub struct ItemState {
     /// How many versions to keep above the watermark (see
     /// [`ItemState::set_version_retain`]).
     version_retain: usize,
+    /// [`ItemState::has_waiters`] as of the last
+    /// [`ItemState::announce_new_edges`]. Stale only if a handler was
+    /// called outside that bracket, and then only towards announcing an
+    /// old edge again.
+    had_waiters: bool,
 }
 
 impl ItemState {
@@ -137,6 +142,7 @@ impl ItemState {
             enforcement,
             versions,
             version_retain: DEFAULT_VERSION_RETAIN,
+            had_waiters: false,
         }
     }
 
@@ -556,8 +562,61 @@ impl ItemState {
     /// it must wait for (either the holder of a conflicting unreleased lock,
     /// or an earlier ungranted entry that must reach the head first).
     pub fn wait_edges_into(&self, edges: &mut Vec<(TxnId, TxnId)>) {
-        let mut earlier_ungranted: Vec<TxnId> = Vec::new();
-        for entry in self.queue.iter() {
+        self.for_each_wait_edge(|waiter, holder| edges.push((waiter, holder)));
+    }
+
+    /// True when this item contributes any wait-for edge: a request is
+    /// queued without a grant, or a lock is held pre-scheduled (its holder
+    /// waits for the normal grant). Two short scans and no allocation — the
+    /// test a message pays to learn that it has nothing to announce (see
+    /// [`ItemState::announce_new_edges`]).
+    pub fn has_waiters(&self) -> bool {
+        self.queue.head().is_some()
+            || self
+                .locks
+                .iter()
+                .any(|l| l.class == GrantClass::PreScheduled)
+    }
+
+    /// Before a state transition: remember, in the sink's scratch, the
+    /// wait-for edges the item reports now, for
+    /// [`ItemState::announce_new_edges`] to compare against. Free for an
+    /// item that had no waiter after its previous transition.
+    #[inline]
+    pub(crate) fn note_edges(&self, sink: &mut QmSink) {
+        debug_assert!(sink.edge_scratch.is_empty());
+        if self.had_waiters {
+            self.wait_edges_into(&mut sink.edge_scratch);
+        }
+    }
+
+    /// After a state transition: push a [`QmEvent::WaitEdge`] for every
+    /// wait-for edge the item reports now and did not report at
+    /// [`ItemState::note_edges`] — the queue manager brackets every message
+    /// with the pair, so no edge ever appears in
+    /// [`ItemState::wait_edges_into`] unannounced (an event-driven deadlock
+    /// detector rests on exactly that). A transition that leaves no waiter
+    /// costs one [`ItemState::has_waiters`] test and announces nothing.
+    #[inline]
+    pub(crate) fn announce_new_edges(&mut self, sink: &mut QmSink) {
+        self.had_waiters = self.has_waiters();
+        if self.had_waiters {
+            let QmSink {
+                events,
+                edge_scratch: before,
+                ..
+            } = sink;
+            self.for_each_wait_edge(|waiter, holder| {
+                if !before.contains(&(waiter, holder)) {
+                    events.push(QmEvent::WaitEdge { waiter, holder });
+                }
+            });
+        }
+        sink.edge_scratch.clear();
+    }
+
+    fn for_each_wait_edge(&self, mut edge: impl FnMut(TxnId, TxnId)) {
+        for (pos, entry) in self.queue.iter().enumerate() {
             if entry.granted {
                 continue;
             }
@@ -574,16 +633,15 @@ impl ItemState {
                     if lock.txn == holder.txn
                         && self.lock_blocks_request(lock, entry.mode, entry.method)
                     {
-                        edges.push((entry.txn, lock.txn));
+                        edge(entry.txn, lock.txn);
                     }
                 }
             }
             // Head-order edges: every earlier ungranted entry must be granted
             // before this one can reach the head.
-            for &earlier in &earlier_ungranted {
-                edges.push((entry.txn, earlier));
+            for earlier in self.queue.iter().take(pos).filter(|e| !e.granted) {
+                edge(entry.txn, earlier.txn);
             }
-            earlier_ungranted.push(entry.txn);
         }
         // A transaction holding a *pre-scheduled* lock is waiting for the
         // conflicting locks of smaller-precedence entries to be released
@@ -606,7 +664,7 @@ impl ItemState {
                         .get(other.txn)
                         .is_some_and(|e| e.precedence < my_prec)
                 {
-                    edges.push((lock.txn, other.txn));
+                    edge(lock.txn, other.txn);
                 }
             }
         }

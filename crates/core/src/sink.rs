@@ -28,6 +28,9 @@ pub struct QmSink {
     /// Scratch for `ItemState::after_lock_removal`'s pre-scheduled → normal
     /// upgrade pass (replaces the seed's full `locks.clone()` snapshot).
     pub(crate) upgrade_scratch: Vec<TxnId>,
+    /// Scratch for `ItemState::note_edges`: the wait-for edges an item
+    /// reported before the message being processed.
+    pub(crate) edge_scratch: Vec<(TxnId, TxnId)>,
 }
 
 impl QmSink {
@@ -44,6 +47,7 @@ impl QmSink {
             replies: Vec::with_capacity(replies),
             events: Vec::with_capacity(events),
             upgrade_scratch: Vec::new(),
+            edge_scratch: Vec::new(),
         }
     }
 

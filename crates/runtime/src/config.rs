@@ -118,7 +118,15 @@ pub struct RuntimeConfig {
     /// map — correct, but off the lock-free path; size it at or above
     /// `reply_max_clients` to keep overflow unreachable.
     pub reply_index_max_capacity: usize,
-    /// Period of the background deadlock detector.
+    /// Period of the deadlock detector's *backstop* scan and of its
+    /// stranded-transaction sweep. It is not the detection latency: a
+    /// deadlock is found by the scan its closing wait edge asks for, about
+    /// one thread wake-up after the edge is queued. The periodic scan is
+    /// there so that liveness never rests on that path — a victim it has
+    /// to find is counted in
+    /// [`crate::StatsSnapshot::deadlock_backstop_victims`] — and the sweep
+    /// (fault recovery: queue entries of transactions no client will
+    /// finish) runs on this tick only, cleaning a suspect on its second.
     pub deadlock_scan_interval: Duration,
     /// Restart attempts per transaction before giving up with
     /// [`crate::TxnError::TooManyRestarts`].

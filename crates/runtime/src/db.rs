@@ -17,7 +17,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -29,7 +28,7 @@ use dbmodel::{
 use metrics::TxnOutcome;
 use pam::{ReplyMsg, RequestMsg};
 use selection::{CachedStlSelector, Route};
-use simkit::rng::SimRng;
+use simkit::rng::{splitmix64_nth, unit_f64};
 use simkit::time::SimTime;
 use trace::{Phase, SpanTimings, TraceLevel, TracePlane, SELECTION_CACHE_HIT};
 use transport::mailbox::MailboxOptions;
@@ -66,7 +65,10 @@ pub(crate) struct Inner {
     /// The refitter thread, to unpark when a selection asks for a re-fit
     /// (spawned under [`CcPolicy::DynamicStl`] only).
     refitter: Option<Thread>,
-    mix_rng: Mutex<SimRng>,
+    /// Draws [`CcPolicy::Mix`] has made: the `n`-th `begin` takes the `n`-th
+    /// value of the SplitMix64 stream of `config.seed`, so the policy costs
+    /// one `fetch_add` and no lock.
+    mix_draws: AtomicU64,
     /// Per-method selection tally, indexed by [`method_code`] — a fixed
     /// atomic array, the last lock the stats read path used to take.
     /// [`Database::shutdown`] folds it back into the report's `BTreeMap`.
@@ -96,7 +98,6 @@ pub(crate) struct Inner {
 /// The threads a shutdown stops and joins.
 struct Teardown {
     shards: Vec<ShardHandle>,
-    detector_stop: Sender<()>,
     detector: JoinHandle<()>,
     refitter: Option<JoinHandle<()>>,
 }
@@ -116,14 +117,23 @@ impl Inner {
             refitter.unpark();
         }
     }
+
+    /// Raise `stopped` and wake the detector so it notices — the same
+    /// flag-then-unpark idiom as the refitter's.
+    fn stop_detector(&self) {
+        self.stopped.store(true, Ordering::Relaxed);
+        self.registry.wake_detector();
+    }
 }
 
 impl Drop for Inner {
     /// A database dropped without [`Database::shutdown`] must still let
-    /// the refitter exit (it holds no handle on this `Inner`, so it
-    /// cannot delay the drop either).
+    /// its background threads exit: the refitter and the detector hold no
+    /// handle on this `Inner` (so they cannot delay the drop either), and
+    /// the detector's shard senders are what keeps the shard inboxes open.
     fn drop(&mut self) {
         self.close_selector();
+        self.stop_detector();
     }
 }
 
@@ -201,14 +211,12 @@ impl Database {
             shard_handles.push(handle);
         }
 
-        let (stop_tx, stop_rx) = mpsc::channel();
         let detector_join = detector::spawn(
             shard_txs.clone(),
             Arc::clone(&registry),
             Arc::clone(&stats),
             Arc::clone(&plane),
             config.deadlock_scan_interval,
-            stop_rx,
             Arc::clone(&stopped),
         );
 
@@ -245,7 +253,7 @@ impl Database {
             .map(|schedule| Arc::new(faultsim::FaultPlane::new(schedule)));
         Ok(Database {
             inner: Arc::new(Inner {
-                mix_rng: Mutex::new(SimRng::new(config.seed)),
+                mix_draws: AtomicU64::new(0),
                 catalog,
                 registry,
                 shard_txs,
@@ -265,7 +273,6 @@ impl Database {
                 _sercheck_guard: sercheck_guard,
                 teardown: Mutex::new(Some(Teardown {
                     shards: shard_handles,
-                    detector_stop: stop_tx,
                     detector: detector_join,
                     refitter,
                 })),
@@ -656,7 +663,6 @@ impl Database {
     pub fn shutdown(&self) -> Option<RuntimeReport> {
         let Teardown {
             shards,
-            detector_stop,
             detector,
             refitter,
         } = self
@@ -665,7 +671,7 @@ impl Database {
             .lock()
             .expect("teardown poisoned")
             .take()?;
-        self.inner.stopped.store(true, Ordering::Relaxed);
+        self.inner.stop_detector();
         // The refitter goes first: joined here, it cannot be mid-merge
         // when the final metrics are taken below, and nothing it
         // allocated outlives this database. It catches its own panics, so
@@ -677,8 +683,8 @@ impl Database {
         // Flush anything still parked in the fault plane so the final
         // drain sees every surviving message.
         self.quiesce_faults();
-        // Stop the detector first so it cannot block on a draining shard.
-        let _ = detector_stop.send(());
+        // The detector is gone before the shards drain, so it cannot block
+        // on a draining shard.
         let _ = detector.join();
         let mut logs = LogSet::new();
         for handle in &shards {
@@ -730,7 +736,8 @@ impl Database {
         let (choice, cache_hit) = match inner.config.policy {
             CcPolicy::Static(m) => (m, false),
             CcPolicy::Mix { p_2pl, p_to } => {
-                let x = inner.mix_rng.lock().expect("rng poisoned").next_f64();
+                let n = inner.mix_draws.fetch_add(1, Ordering::Relaxed);
+                let x = unit_f64(splitmix64_nth(inner.config.seed, n));
                 let method = if x < p_2pl {
                     CcMethod::TwoPhaseLocking
                 } else if x < p_2pl + p_to {

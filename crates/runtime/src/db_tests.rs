@@ -129,6 +129,12 @@ fn deadlock_between_2pl_writers_is_broken() {
     }
     let report = db.shutdown().unwrap();
     assert_eq!(report.stats.committed, 120);
+    // All 2PL, so every cycle is real and every victim is waiting when its
+    // one signal arrives.
+    assert_eq!(
+        report.stats.deadlock_victims,
+        report.stats.deadlock_restarts
+    );
     assert!(report.serializable().is_ok());
 }
 
@@ -381,6 +387,19 @@ fn a_database_dropped_without_shutdown_lets_the_refitter_exit() {
     });
 }
 
+/// The detector holds the shard senders that keep the inboxes open, and
+/// parks for a whole scan interval: a database dropped without `shutdown`
+/// must wake it to see `stopped`, or detector and shard threads live on.
+#[test]
+fn a_database_dropped_without_shutdown_lets_the_detector_and_shards_exit() {
+    let db = Database::open(push_only_config()).unwrap();
+    let registry = Arc::clone(&db.inner.registry);
+    drop(db);
+    wait_until("detector and shards let go of the registry", || {
+        Arc::strong_count(&registry) == 1
+    });
+}
+
 /// A panic on the refitter thread (here: a poisoned metric stripe under
 /// its merge) is caught and counted; the last good epoch stays published
 /// and admission carries on against it.
@@ -456,6 +475,39 @@ fn mix_policy_spreads_methods_and_log_tap_grows() {
         report.selection_counts
     );
     assert!(report.serializable().is_ok());
+}
+
+/// `CcPolicy::Mix` draws from a lock-free counter-based stream: over 30,000
+/// draws — split across two racing threads, which between them must take
+/// every value of the stream exactly once — each method's share lands
+/// within 1 % of its probability.
+#[test]
+fn mix_policy_draws_hold_each_methods_share() {
+    const DRAWS: usize = 30_000;
+    let (p_2pl, p_to) = (0.5, 0.3);
+    let db = Database::open(RuntimeConfig {
+        policy: CcPolicy::Mix { p_2pl, p_to },
+        seed: 7,
+        ..config(1, 2)
+    })
+    .unwrap();
+    let spec = TxnSpec::new().write(li(0));
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for _ in 0..DRAWS / 2 {
+                    db.pick_method(&spec);
+                }
+            });
+        }
+    });
+    assert_eq!(db.inner.mix_draws.load(Ordering::Relaxed), DRAWS as u64);
+    let shares = [p_2pl, p_to, 1.0 - p_2pl - p_to];
+    for (count, want) in db.inner.selection_counts.iter().zip(shares) {
+        let share = count.load(Ordering::Relaxed) as f64 / DRAWS as f64;
+        assert!((share - want).abs() < 0.01, "share {share} for {want}");
+    }
+    db.shutdown();
 }
 
 /// Files currently in `dir` whose names mention the given reason slug.
@@ -858,11 +910,12 @@ fn victim_storm_is_bounded_and_oracle_certified() {
             db.run_transaction(&spec, |_| vec![(li(0), 7)])
         })
     };
-    // Storm: blanket-victimise every plausible incarnation id until
-    // the worker has been through several deadlock restarts.
+    // Storm: blanket-victimise every plausible incarnation id, over and
+    // over, until the worker has been through several deadlock restarts.
+    let mut signals = 0;
     while db.stats().deadlock_restarts < 3 && !worker.is_finished() {
         for i in 1..=64 {
-            let _ = db.inner.registry.signal_deadlock(TxnId(i));
+            signals += u64::from(db.inner.registry.signal_deadlock(TxnId(i)));
         }
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -883,8 +936,204 @@ fn victim_storm_is_bounded_and_oracle_certified() {
     let stats = db.stats();
     assert!(stats.deadlock_restarts >= 3);
     assert!(stats.deadlock_restarts <= 7);
+    // Quiesced: every signal has been acted on. An incarnation takes one
+    // signal however often the storm names it — each waiting one restarted
+    // on it, the holder (executing all along) ignored its own.
+    assert_eq!(signals, stats.deadlock_restarts + 1);
     let report = db.shutdown().unwrap();
     assert!(report.serializable().is_ok());
+}
+
+/// A detector whose periodic tick is out of the picture: whatever finds a
+/// deadlock within a test's lifetime was pushed.
+fn push_only_config() -> RuntimeConfig {
+    RuntimeConfig {
+        deadlock_scan_interval: Duration::from_secs(10),
+        ..config(2, 2)
+    }
+}
+
+/// How soon a pushed scan must have signalled its victim.
+const PUSH_DEADLINE: Duration = Duration::from_millis(50);
+
+/// Hand-drive a cross-shard 2-cycle through a live database's shards: 2PL
+/// `T1` holds `a` and waits for `b`; `T2` (under `other`) holds `b` and
+/// waits for `a`. `close_on_a` picks which wait is queued second, closing
+/// the cycle. Returns the victim the detector signalled within
+/// [`PUSH_DEADLINE`] of the closing edge, if any.
+fn hand_driven_cycle(db: &Database, other: CcMethod, close_on_a: bool) -> Option<TxnId> {
+    let inner = &db.inner;
+    let phys = |i| db.catalog().physical_copies(li(i)).unwrap()[0];
+    let (a, b) = (phys(0), phys(1));
+    assert_ne!(a.site, b.site, "the cycle must cross shards");
+    let (t1, t2) = (TxnId(1_000_001), TxnId(1_000_002));
+    let access = |txn: TxnId, item: dbmodel::PhysicalItemId, method| {
+        let msg = RequestMsg::Access {
+            txn,
+            item,
+            mode: AccessMode::Write,
+            method,
+            ts: TsTuple::new(Timestamp(txn.0), 10),
+        };
+        db.route_all(item.site, vec![msg]).unwrap();
+    };
+    let mut mb1 = inner.registry.client_mailbox().unwrap();
+    let mut mb2 = inner.registry.client_mailbox().unwrap();
+    inner
+        .registry
+        .register(t1, CcMethod::TwoPhaseLocking, &mut mb1);
+    inner.registry.register(t2, other, &mut mb2);
+    access(t1, a, CcMethod::TwoPhaseLocking);
+    access(t2, b, other);
+    for (mb, txn) in [(&mut mb1, t1), (&mut mb2, t2)] {
+        assert!(
+            matches!(
+                mb.recv_timeout(txn.0, Duration::from_secs(2)),
+                Some(ClientEvent::Replies(_))
+            ),
+            "{txn:?} takes its first lock unopposed"
+        );
+    }
+    let waits = [(t1, b, CcMethod::TwoPhaseLocking), (t2, a, other)];
+    let [first, closing] = if close_on_a {
+        waits
+    } else {
+        [waits[1], waits[0]]
+    };
+    access(first.0, first.1, first.2);
+    wait_until("the first waiter is queued", || {
+        db.waiting_transactions().contains(&first.0)
+    });
+    let closed = Instant::now();
+    access(closing.0, closing.1, closing.2);
+    let mut victim = None;
+    while victim.is_none() && closed.elapsed() < PUSH_DEADLINE {
+        for (mb, txn) in [(&mut mb1, t1), (&mut mb2, t2)] {
+            if let Some(ClientEvent::DeadlockVictim) =
+                mb.recv_timeout(txn.0, Duration::from_millis(1))
+            {
+                victim = Some(txn);
+            }
+        }
+    }
+    // What the victim's (and the survivor's) client would do next.
+    for (txn, origin) in [(t1, a.site), (t2, b.site)] {
+        let aborts = [a, b].map(|item| RequestMsg::Abort { txn, item });
+        db.route_all(origin, aborts.to_vec()).unwrap();
+        inner.registry.deregister(txn);
+    }
+    victim
+}
+
+/// The tentpole's promise: with the periodic scan ten seconds away, a
+/// cross-shard cycle is broken within [`PUSH_DEADLINE`] of its closing
+/// edge, whichever shard queues that edge, and no victim is the backstop's.
+#[test]
+fn push_detection_breaks_a_cross_shard_cycle_in_either_edge_order() {
+    for close_on_a in [true, false] {
+        let db = Database::open(push_only_config()).unwrap();
+        let victim = hand_driven_cycle(&db, CcMethod::TwoPhaseLocking, close_on_a);
+        assert_eq!(victim, Some(TxnId(1_000_002)), "close_on_a = {close_on_a}");
+        let stats = db.shutdown().unwrap().stats;
+        assert_eq!(
+            (stats.deadlock_victims, stats.deadlock_backstop_victims),
+            (1, 0)
+        );
+        assert!(stats.deadlock_push_scans >= 1 && stats.deadlock_probes >= 2);
+    }
+}
+
+/// With a T/O member in the cycle the pushed scan still victimises the
+/// 2PL member, older though it is (Corollary 2).
+#[test]
+fn push_detection_victimises_the_2pl_member_of_a_mixed_cycle() {
+    for close_on_a in [true, false] {
+        let db = Database::open(push_only_config()).unwrap();
+        let victim = hand_driven_cycle(&db, CcMethod::TimestampOrdering, close_on_a);
+        assert_eq!(victim, Some(TxnId(1_000_001)), "close_on_a = {close_on_a}");
+        let stats = db.shutdown().unwrap().stats;
+        assert_eq!(
+            (stats.deadlock_victims, stats.deadlock_backstop_victims),
+            (1, 0)
+        );
+    }
+}
+
+/// The must-fail control: the same cycle with the shards' announcements
+/// muted misses the deadline — nothing but the announce rule makes the
+/// tests above pass.
+#[test]
+fn push_detection_muted_leaves_the_cycle_to_the_periodic_scan() {
+    let db = Database::open(push_only_config()).unwrap();
+    db.inner
+        .registry
+        .mute_announcements
+        .store(true, Ordering::Relaxed);
+    assert_eq!(
+        hand_driven_cycle(&db, CcMethod::TwoPhaseLocking, true),
+        None
+    );
+    let stats = db.shutdown().unwrap().stats;
+    assert_eq!((stats.deadlock_victims, stats.deadlock_push_scans), (0, 0));
+}
+
+/// A `wide_hot`-shaped load — 4 reads + 4 writes, Zipf 0.99 over 64 items,
+/// a third each of 2PL / T/O / PA, 2 clients on 2 shards — at the shipping
+/// 5 ms scan interval: deadlocks happen, every one is found by a pushed
+/// scan, and each victim is signalled once and restarts once.
+#[test]
+fn push_detection_leaves_the_backstop_nothing_under_a_wide_hot_load() {
+    const ITEMS: u64 = 64;
+    const PER_CLIENT: usize = 4_000;
+    let db = Database::open(RuntimeConfig {
+        num_shards: 2,
+        num_items: ITEMS,
+        policy: CcPolicy::Mix {
+            p_2pl: 1.0 / 3.0,
+            p_to: 1.0 / 3.0,
+        },
+        ..RuntimeConfig::default()
+    })
+    .unwrap();
+    let clients: Vec<_> = (0..2u64)
+        .map(|client| {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                let mut rng = simkit::rng::SimRng::new(0xD1CE + client);
+                let zipf = simkit::dist::Zipfian::new(ITEMS as usize, 0.99);
+                for _ in 0..PER_CLIENT {
+                    let mut items: Vec<u64> = Vec::with_capacity(8);
+                    while items.len() < 8 {
+                        let item = zipf.sample_index(&mut rng) as u64;
+                        if !items.contains(&item) {
+                            items.push(item);
+                        }
+                    }
+                    let spec = TxnSpec::new()
+                        .reads(items[..4].iter().copied().map(li))
+                        .writes(items[4..].iter().copied().map(li));
+                    db.run_transaction(&spec, |_| {
+                        items[4..].iter().map(|&item| (li(item), 1)).collect()
+                    })
+                    .unwrap();
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
+    let stats = db.shutdown().unwrap().stats;
+    assert_eq!(stats.committed, 2 * PER_CLIENT as u64);
+    assert!(
+        stats.deadlock_victims > 0,
+        "the load must contend: {stats:?}"
+    );
+    assert_eq!(stats.deadlock_backstop_victims, 0, "{stats:?}");
+    assert!(stats.deadlock_push_scans >= stats.deadlock_victims);
+    // (No oracle replay here: 64,000 operations on 64 hot items is a
+    // minute of its pair enumeration; `deadlock_push_stress` certifies a
+    // contended history.)
 }
 
 /// The mutation gate: with `confluence_check = false` the bypass

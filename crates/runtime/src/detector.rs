@@ -1,7 +1,6 @@
 //! The background deadlock detector.
 //!
-//! The runtime analogue of the simulator's periodic deadlock scan: every
-//! `deadlock_scan_interval` the detector asks each shard for its current
+//! One scan function, two triggers. A scan asks each shard for its current
 //! wait-for edges, merges them into one [`WaitForGraph`], and — per the
 //! paper's Corollary 2, which guarantees every deadlock cycle contains a
 //! 2PL transaction — signals the youngest 2PL member of each cycle as a
@@ -9,19 +8,39 @@
 //! abort (it owns the request issuer), so the detector never touches
 //! protocol state directly.
 //!
+//! * **Pushed.** A shard that queues a wait-for edge whose waiter is itself
+//!   waited on raises the registry's scan request and unparks this thread
+//!   (the announce rule, `shard.rs`; the marks and why the closing edge of
+//!   a cycle always asks, `registry.rs`). The scan runs at once, so a
+//!   deadlock stands for about one thread wake-up, not for half a scan
+//!   interval. Requests coalesce: one scan runs at a time, and a request
+//!   raised while it runs re-arms the next.
+//! * **Periodic.** Every `deadlock_scan_interval` regardless, so that
+//!   liveness never rests on the announcements: an edge queued without one
+//!   would leave its cycle standing until the next tick, exactly as every
+//!   cycle did before — and the victim is counted in
+//!   [`crate::StatsSnapshot::deadlock_backstop_victims`], which is
+//!   therefore zero on a healthy runtime.
+//!
+//! The edge reports go through [`ShardSender::submit`]: an idle shard's
+//! edges are read on this thread and no shard thread is woken for them.
+//!
 //! Because the scan is a racy snapshot assembled from per-shard reports, a
 //! reported "cycle" may have already dissolved by the time the victim reacts;
 //! that is harmless — `RequestIssuer::abort_for_deadlock` refuses to abort an
-//! incarnation that is no longer waiting.
+//! incarnation that is no longer waiting. A victim that has not reacted yet
+//! is seen again by the next scan and not signalled again: the registry
+//! signals an incarnation once.
 
-//! The detector thread also runs the **stranded-transaction sweep**: under
+//! The detector thread also runs the **stranded-transaction sweep**, on the
+//! periodic tick only: under
 //! fault injection (dropped aborts, late-delivered accesses, crash
 //! amnesia) a shard can hold queue entries or locks for a transaction no
-//! client will ever finish. Each scan collects every transaction present
+//! client will ever finish. Each sweep collects every transaction present
 //! at any shard and checks it against the registry; a transaction present
 //! at a shard but registered nowhere is a *suspect*. A suspect seen on
-//! two consecutive scans is cleaned up with [`ShardCmd::Cleanup`] (an
-//! engine-level abort of its residual state). The two-scan grace guards
+//! two consecutive sweeps is cleaned up with [`ShardCmd::Cleanup`] (an
+//! engine-level abort of its residual state). The two-sweep grace guards
 //! the deregister-vs-in-flight-release race: a committing client
 //! deregisters before its releases are processed, but releases travel the
 //! reliable channel and land within microseconds, far inside one scan
@@ -29,10 +48,9 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dbmodel::{CcMethod, TxnId};
 use trace::{Phase, TracePlane};
@@ -46,55 +64,67 @@ use crate::stats::RuntimeStats;
 /// it for this scan.
 const EDGE_REPORT_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Spawn the detector thread. It stops when `stop` receives a message or
-/// all senders of `stop` are dropped.
+/// Spawn the detector thread. It parks until the next periodic tick or
+/// until [`Registry::wake_detector`] unparks it — for a requested scan, or
+/// to see `stopped` and return.
 pub(crate) fn spawn(
     shards: Vec<ShardSender>,
     registry: Arc<Registry>,
     stats: Arc<RuntimeStats>,
     plane: Arc<TracePlane>,
     interval: Duration,
-    stop: Receiver<()>,
     stopped: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("cc-deadlock-detector".into())
         .spawn(move || {
+            registry.attach_detector(std::thread::current());
             // Merged-edge scratch reused across scans (the shards build
             // their reports with `wait_edges_into`, so a scan's only
             // steady-state allocations are the per-shard report vectors
             // that cross the oneshot boundary).
             let mut edges: Vec<(TxnId, TxnId)> = Vec::new();
-            // Suspects carried across scans (the two-scan grace).
+            // Suspects carried across sweeps (the two-sweep grace).
             let mut suspects: HashSet<TxnId> = HashSet::new();
-            loop {
-                match stop.recv_timeout(interval) {
-                    Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                    Err(RecvTimeoutError::Timeout) => {}
+            let mut next_tick = Instant::now() + interval;
+            // Flags first, park second: `unpark` leaves a token, so a
+            // request or a stop that lands in between is not slept through.
+            while !stopped.load(Ordering::Relaxed) {
+                let pushed = registry.take_scan_request();
+                let now = Instant::now();
+                let tick = now >= next_tick;
+                if !pushed && !tick {
+                    std::thread::park_timeout(next_tick - now);
+                    continue;
                 }
-                if stopped.load(Ordering::Relaxed) {
-                    return;
+                if pushed {
+                    stats.deadlock_push_scans.fetch_add(1, Ordering::Relaxed);
                 }
-                scan_once(&shards, &registry, &stats, &plane, &mut edges);
-                sweep_stranded(&shards, &registry, &mut suspects);
+                scan_once(&shards, &registry, &stats, &plane, &mut edges, pushed);
+                if tick {
+                    sweep_stranded(&shards, &registry, &mut suspects);
+                    next_tick = Instant::now() + interval;
+                }
             }
         })
         .expect("failed to spawn deadlock detector")
 }
 
 /// One scan: gather edges into the reusable `edges` scratch, find cycles,
-/// signal victims. The scratch is left cleared with its capacity intact.
+/// signal victims. `pushed` says a shard asked for this scan. The scratch
+/// is left cleared with its capacity intact.
 pub(crate) fn scan_once(
     shards: &[ShardSender],
     registry: &Registry,
     stats: &RuntimeStats,
     plane: &TracePlane,
     edges: &mut Vec<(TxnId, TxnId)>,
+    pushed: bool,
 ) {
     debug_assert!(edges.is_empty());
     for shard in shards {
         let (tx, rx) = transport::oneshot::channel();
-        if shard.send(ShardCmd::WaitEdges(tx)).is_err() {
+        if shard.submit(ShardCmd::WaitEdges(tx)).is_err() {
             continue; // shard already shut down
         }
         match rx.recv_timeout(EDGE_REPORT_TIMEOUT) {
@@ -105,13 +135,31 @@ pub(crate) fn scan_once(
     if edges.is_empty() {
         return;
     }
-    let graph = WaitForGraph::from_edges(edges.drain(..));
-    let victims =
-        graph.choose_victims(|txn| registry.method_of(txn) == Some(CcMethod::TwoPhaseLocking));
+    // A request that came in while the reports were gathered was raised
+    // under its shard's lock, before the edge it speaks for could be read:
+    // whatever this scan finds, an announcement led to it.
+    let pushed = pushed || registry.scan_requested();
+    // Every cycle in the snapshot gets its victim now: a cycle left for
+    // "the next scan" gains no new edge, so nobody would ask for that scan.
+    let victims = WaitForGraph::from_edges(edges.drain(..)).choose_victims_exhaustively(|txn| {
+        registry.method_of(txn) == Some(CcMethod::TwoPhaseLocking)
+    });
     for victim in victims {
+        // Refused for a victim an earlier scan signalled and that has not
+        // reacted yet, so `deadlock_victims` counts victims, not scans.
         if registry.signal_deadlock(victim) {
             stats.deadlock_victims.fetch_add(1, Ordering::Relaxed);
-            plane.record(plane.client_lane(), victim.0, Phase::Victim, 0);
+            if !pushed {
+                stats
+                    .deadlock_backstop_victims
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            plane.record(
+                plane.client_lane(),
+                victim.0,
+                Phase::Victim,
+                u32::from(!pushed),
+            );
             // The first victim latches the flight-recorder postmortem (a
             // no-op unless a dump directory is configured).
             let _ = plane.trigger_postmortem("deadlock-victim");
@@ -243,7 +291,20 @@ mod tests {
     /// member (Corollary 2's victim rule as the detector implements it).
     #[test]
     fn injected_cycle_victimises_the_youngest_2pl_member() {
+        injected_2pl_cycle(false);
+    }
+
+    /// The same cycle with the shards' announcements muted: nobody asks
+    /// for a scan, and the victim the periodic scan finds is counted as the
+    /// backstop's.
+    #[test]
+    fn an_unannounced_cycle_is_a_backstop_victim() {
+        injected_2pl_cycle(true);
+    }
+
+    fn injected_2pl_cycle(muted: bool) {
         let registry = Arc::new(Registry::new(64));
+        registry.mute_announcements.store(muted, Ordering::Relaxed);
         let stats = Arc::new(RuntimeStats::with_shards(2));
         let a = item(0, 0);
         let b = item(1, 1);
@@ -268,12 +329,24 @@ mod tests {
         wait_until_waiting(&shard1.tx, TxnId(1));
         wait_until_waiting(&shard0.tx, TxnId(2));
 
+        // The shards announced both edges; the second found its waiter
+        // already waited on and asked for a scan.
+        assert_eq!(stats.deadlock_probes.load(Ordering::Relaxed), 2);
+        assert_eq!(registry.scan_requested(), !muted);
+
+        // A periodic scan — which still counts as pushed if a request is
+        // pending by the time it has read the edges.
         let tracer = test_plane();
-        scan_once(&shards, &registry, &stats, &tracer, &mut Vec::new());
+        let mut edges = Vec::new();
+        scan_once(&shards, &registry, &stats, &tracer, &mut edges, false);
+        // The victim has not reacted, the cycle still stands: a second and
+        // a third scan see it and must not signal it again.
+        scan_once(&shards, &registry, &stats, &tracer, &mut edges, true);
+        scan_once(&shards, &registry, &stats, &tracer, &mut edges, false);
         assert_eq!(
             tracer.phase_counts()[Phase::Victim as usize],
             1,
-            "the victim signal must be traced"
+            "the victim signal must be traced, once"
         );
 
         // The youngest 2PL member (the larger TxnId) is the victim …
@@ -286,13 +359,86 @@ mod tests {
             mb1.recv_timeout(1, Duration::from_millis(50)).is_none(),
             "the older transaction must not be signalled"
         );
+        assert!(
+            mb2.recv_timeout(2, Duration::from_millis(50)).is_none(),
+            "one signal per victim incarnation, however many scans"
+        );
         assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            stats.deadlock_backstop_victims.load(Ordering::Relaxed),
+            u64::from(muted),
+            "a backstop victim is one no announcement led to"
+        );
 
         drop(shards);
         let _ = shard0.tx.send(ShardCmd::Shutdown);
         let _ = shard1.tx.send(ShardCmd::Shutdown);
         let _ = shard0.join.join();
         let _ = shard1.join.join();
+    }
+
+    /// Two cycles in one component — T1 ⇄ T2 over `a`/`b`, T2 ⇄ T3 over
+    /// `b`/`c` — and one scan: the youngest member's abort would leave
+    /// T1 ⇄ T2 standing with no new edge to ask for another scan, so the
+    /// scan must signal a victim for each cycle.
+    #[test]
+    fn one_scan_breaks_every_cycle_of_a_component() {
+        let registry = Arc::new(Registry::new(64));
+        let stats = Arc::new(RuntimeStats::with_shards(3));
+        let items = [item(0, 0), item(1, 1), item(2, 2)];
+        let handles: Vec<ShardHandle> = items
+            .iter()
+            .enumerate()
+            .map(|(idx, &it)| spawn_shard(idx as u32, idx, it, &registry, &stats))
+            .collect();
+        let shards: Vec<ShardSender> = handles.iter().map(|h| h.tx.clone()).collect();
+        let two_pl = CcMethod::TwoPhaseLocking;
+        let mut mailboxes: Vec<ClientMailbox> = (1..=3)
+            .map(|txn| {
+                let mut mb = registry.client_mailbox().expect("mailbox");
+                registry.register(TxnId(txn), two_pl, &mut mb);
+                mb
+            })
+            .collect();
+        // T1 locks a, T2 locks b, T3 locks c …
+        for (txn, mb) in (1..=3).zip(&mut mailboxes) {
+            access(
+                &shards[txn as usize - 1],
+                txn,
+                items[txn as usize - 1],
+                two_pl,
+                txn,
+            );
+            expect_grant(mb, TxnId(txn));
+        }
+        // … then T1 and T3 queue for b, and T2 for a and for c.
+        for (txn, at) in [(1, 1), (3, 1), (2, 0), (2, 2)] {
+            access(&shards[at], txn, items[at], two_pl, txn);
+            wait_until_waiting(&shards[at], TxnId(txn));
+        }
+
+        scan_once(
+            &shards,
+            &registry,
+            &stats,
+            &test_plane(),
+            &mut Vec::new(),
+            true,
+        );
+        assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 2);
+        for (txn, mb) in (1..=3u64).zip(&mut mailboxes) {
+            let signalled = matches!(
+                mb.recv_timeout(txn, Duration::from_millis(50)),
+                Some(ClientEvent::DeadlockVictim)
+            );
+            assert_eq!(signalled, txn != 1, "T{txn}: the oldest alone survives");
+        }
+
+        drop(shards);
+        for handle in handles {
+            let _ = handle.tx.send(ShardCmd::Shutdown);
+            let _ = handle.join.join();
+        }
     }
 
     /// With a T/O transaction in the cycle, the victim is still the 2PL
@@ -322,7 +468,16 @@ mod tests {
         wait_until_waiting(&shard1.tx, TxnId(1));
         wait_until_waiting(&shard0.tx, TxnId(3));
 
-        scan_once(&shards, &registry, &stats, &test_plane(), &mut Vec::new());
+        let pushed = registry.take_scan_request();
+        assert!(pushed, "the closing edge asks for a scan");
+        scan_once(
+            &shards,
+            &registry,
+            &stats,
+            &test_plane(),
+            &mut Vec::new(),
+            pushed,
+        );
 
         match mb1.recv_timeout(1, Duration::from_secs(2)) {
             Some(ClientEvent::DeadlockVictim) => {}
@@ -332,6 +487,8 @@ mod tests {
             mb3.recv_timeout(3, Duration::from_millis(50)).is_none(),
             "T/O transactions are never deadlock victims (Corollary 2)"
         );
+        assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.deadlock_backstop_victims.load(Ordering::Relaxed), 0);
 
         drop(shards);
         let _ = shard0.tx.send(ShardCmd::Shutdown);

@@ -25,8 +25,36 @@
 //! in one drain); grouping by transaction guarantees *one wakeup per
 //! transaction per flush*, with the transaction's replies in processing
 //! order.
+//!
+//! ## Waited-on marks and the scan request
+//!
+//! A registration also carries two flags, next to the method, in the
+//! mailbox slab's per-slot metadata word — set by compare-and-swap, keyed by
+//! the transaction id packed into the same word, so they are born clear
+//! with every incarnation and can never land on a later one:
+//!
+//! * **waited-on** — some shard announced a wait-for edge *into* this
+//!   incarnation ([`Registry::note_wait`]). A shard that announces an edge
+//!   marks the holder and then looks at the *waiter's* mark: an edge that
+//!   closes a cycle is always queued by a transaction that already has
+//!   someone behind it, so a marked waiter is the cue to scan now. Mark and
+//!   look are both `SeqCst`, each shard does them in that order, and a mark
+//!   is never cleared while its incarnation lives — so of the edges of one
+//!   cycle, announced on whatever threads in whatever interleaving, the one
+//!   whose mark comes last in the total order looks after its
+//!   predecessor's mark is up and raises the request.
+//! * **signalled** — the detector already told this incarnation it is a
+//!   victim ([`Registry::signal_deadlock`] refuses a second time), so
+//!   back-to-back scans of a cycle whose victim has not reacted yet count,
+//!   and deliver, one signal.
+//!
+//! The scan request itself is a flag plus the detector's `Thread` handle:
+//! raised under the announcing shard's core lock (a scan that can see the
+//! edge can see the request), the unpark sent once the lock is dropped.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
+use std::thread::Thread;
 
 use dbmodel::{CcMethod, TxnId};
 use pam::ReplyMsg;
@@ -64,20 +92,40 @@ pub(crate) struct Registry {
     /// Events dropped at delivery time because no live incarnation
     /// matched — the producer half of the stale-reply rule.
     dropped: AtomicU64,
+    /// A shard announced an edge whose waiter is itself waited on: the
+    /// detector should scan now, not at its next tick.
+    scan_requested: AtomicBool,
+    /// The detector thread, to unpark for a requested scan.
+    detector: OnceLock<Thread>,
+    /// Test switch: shards' announcements fall on deaf ears, leaving the
+    /// periodic scan as the only way a deadlock is found.
+    #[cfg(test)]
+    pub(crate) mute_announcements: AtomicBool,
 }
 
-/// `CcMethod` packed into the mailbox slab's registration metadata so
-/// the deadlock detector's `method_of` resolves without any map.
-fn method_meta(method: CcMethod) -> u64 {
-    match method {
+/// Registration metadata: `txn id << META_FLAG_BITS | flags | method`.
+const META_METHOD: u64 = 0b11;
+const META_WAITED_ON: u64 = 1 << 2;
+const META_SIGNALLED: u64 = 1 << 3;
+const META_FLAG_BITS: u32 = 4;
+
+/// The metadata a fresh incarnation registers with: its id and method, no
+/// flag — so the deadlock detector's `method_of` resolves without any map.
+fn fresh_meta(txn: TxnId, method: CcMethod) -> u64 {
+    let code = match method {
         CcMethod::TwoPhaseLocking => 1,
         CcMethod::TimestampOrdering => 2,
         CcMethod::PrecedenceAgreement => 3,
-    }
+    };
+    txn.0 << META_FLAG_BITS | code
+}
+
+fn meta_is_of(meta: u64, txn: TxnId) -> bool {
+    meta >> META_FLAG_BITS == txn.0
 }
 
 fn meta_method(meta: u64) -> Option<CcMethod> {
-    match meta {
+    match meta & META_METHOD {
         1 => Some(CcMethod::TwoPhaseLocking),
         2 => Some(CcMethod::TimestampOrdering),
         3 => Some(CcMethod::PrecedenceAgreement),
@@ -105,6 +153,10 @@ impl Registry {
         Registry {
             slab: MailboxRegistry::with_options(opts),
             dropped: AtomicU64::new(0),
+            scan_requested: AtomicBool::new(false),
+            detector: OnceLock::new(),
+            #[cfg(test)]
+            mute_announcements: AtomicBool::new(false),
         }
     }
 
@@ -130,7 +182,7 @@ impl Registry {
         method: CcMethod,
         mailbox: &mut ClientMailbox,
     ) -> bool {
-        self.slab.register(txn.0, method_meta(method), mailbox)
+        self.slab.register(txn.0, fresh_meta(txn, method), mailbox)
     }
 
     /// Remove an incarnation (commit, abort or restart).
@@ -203,13 +255,80 @@ impl Registry {
 
     /// The method a live incarnation runs under.
     pub(crate) fn method_of(&self, txn: TxnId) -> Option<CcMethod> {
-        self.slab.resolve_meta(txn.0).and_then(meta_method)
+        self.live_meta(txn).and_then(meta_method)
     }
 
-    /// Signal a deadlock victim. Returns true if the incarnation was
-    /// live and the signal was queued.
+    /// The metadata of `txn` if that very incarnation is live.
+    fn live_meta(&self, txn: TxnId) -> Option<u64> {
+        self.slab
+            .resolve_meta(txn.0)
+            .filter(|&meta| meta_is_of(meta, txn))
+    }
+
+    /// Raise `flag` on live incarnation `txn`: `Some(true)` if this call
+    /// raised it, `Some(false)` if it was up already, `None` if `txn` is
+    /// not live.
+    fn raise(&self, txn: TxnId, flag: u64) -> Option<bool> {
+        self.slab
+            .update_meta(txn.0, |meta| {
+                (meta_is_of(meta, txn) && meta & flag == 0).then_some(meta | flag)
+            })
+            .filter(|&found| meta_is_of(found, txn))
+            .map(|found| found & flag == 0)
+    }
+
+    /// A shard queued the wait-for edge `waiter → holder`: mark `holder`
+    /// waited-on, then look at `waiter`'s mark. A marked waiter means the
+    /// edge may have closed a cycle — the scan request is raised (here,
+    /// under the caller's core lock) and `true` tells the caller to
+    /// [`Registry::wake_detector`] once it has dropped the lock. See the
+    /// module docs for why the closing edge of a cycle always gets `true`.
+    pub(crate) fn note_wait(&self, waiter: TxnId, holder: TxnId) -> bool {
+        #[cfg(test)]
+        if self.mute_announcements.load(Ordering::Relaxed) {
+            return false;
+        }
+        self.raise(holder, META_WAITED_ON);
+        let closes = self
+            .live_meta(waiter)
+            .is_some_and(|meta| meta & META_WAITED_ON != 0);
+        if closes {
+            self.scan_requested.store(true, Ordering::SeqCst);
+        }
+        closes
+    }
+
+    /// The detector thread introduces itself (once, as it starts).
+    pub(crate) fn attach_detector(&self, detector: Thread) {
+        let _ = self.detector.set(detector);
+    }
+
+    /// Unpark the detector to look at the scan request and its stop flag.
+    /// A wake-up that precedes [`Registry::attach_detector`] is not lost:
+    /// the detector looks at both before it first parks.
+    pub(crate) fn wake_detector(&self) {
+        if let Some(detector) = self.detector.get() {
+            detector.unpark();
+        }
+    }
+
+    /// Take the pending scan request, if any (the detector, before a scan:
+    /// requests raised while it runs re-arm the next one).
+    pub(crate) fn take_scan_request(&self) -> bool {
+        self.scan_requested.swap(false, Ordering::SeqCst)
+    }
+
+    /// Is a scan request pending?
+    pub(crate) fn scan_requested(&self) -> bool {
+        self.scan_requested.load(Ordering::SeqCst)
+    }
+
+    /// Signal a deadlock victim — once per incarnation: returns true if
+    /// the incarnation was live, had not been signalled before, and the
+    /// signal was queued.
     pub(crate) fn signal_deadlock(&self, txn: TxnId) -> bool {
-        self.slab.deliver(txn.0, ClientEvent::DeadlockVictim)
+        self.raise(txn, META_SIGNALLED) == Some(true)
+            && self.slab.deliver(txn.0, ClientEvent::DeadlockVictim)
     }
 
     /// Registrations currently parked on the mailbox slab's overflow map
@@ -312,11 +431,65 @@ mod tests {
         assert_eq!(registry.method_of(TxnId(8)), None);
         assert!(registry.signal_deadlock(TxnId(7)));
         assert!(!registry.signal_deadlock(TxnId(8)));
+        assert!(
+            !registry.signal_deadlock(TxnId(7)),
+            "an incarnation is signalled once"
+        );
         assert!(matches!(
             recv_now(&mut mb, 7),
             Some(ClientEvent::DeadlockVictim)
         ));
+        assert!(recv_now(&mut mb, 7).is_none());
+        assert_eq!(
+            registry.method_of(TxnId(7)),
+            Some(CcMethod::TwoPhaseLocking),
+            "the flag shares a word with the method and leaves it alone"
+        );
         registry.deregister(TxnId(7));
+    }
+
+    /// The waited-on marks: an announced edge marks its holder and asks
+    /// for a scan exactly when its waiter is already marked; marks and the
+    /// signalled flag are born clear with the next incarnation on the same
+    /// mailbox.
+    #[test]
+    fn a_marked_waiter_raises_the_scan_request() {
+        let registry = Registry::new(64);
+        let mut mb1 = registry.client_mailbox().expect("mailbox");
+        let mut mb2 = registry.client_mailbox().expect("mailbox");
+        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb1);
+        registry.register(TxnId(2), CcMethod::PrecedenceAgreement, &mut mb2);
+        assert!(
+            !registry.note_wait(TxnId(1), TxnId(2)),
+            "T1 has nobody behind"
+        );
+        assert!(!registry.scan_requested());
+        assert!(registry.note_wait(TxnId(2), TxnId(1)), "T2 has: T1");
+        assert!(registry.take_scan_request());
+        assert!(!registry.take_scan_request(), "taken is taken");
+        assert!(
+            registry.note_wait(TxnId(2), TxnId(9)),
+            "whoever T2 waits for"
+        );
+        assert!(
+            !registry.note_wait(TxnId(9), TxnId(8)),
+            "strangers carry no mark"
+        );
+        assert_eq!(
+            registry.method_of(TxnId(2)),
+            Some(CcMethod::PrecedenceAgreement)
+        );
+
+        assert!(registry.signal_deadlock(TxnId(1)));
+        registry.deregister(TxnId(1));
+        registry.register(TxnId(3), CcMethod::TwoPhaseLocking, &mut mb1);
+        assert!(
+            !registry.note_wait(TxnId(3), TxnId(2)),
+            "T3 inherits T1's mailbox, not its mark"
+        );
+        assert!(registry.signal_deadlock(TxnId(3)), "nor its signalled flag");
+        registry.deregister(TxnId(2));
+        registry.deregister(TxnId(3));
     }
 
     /// The coalescing guarantee: one flush interleaving two transactions'

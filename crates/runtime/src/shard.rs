@@ -10,7 +10,7 @@
 //! * **Caller-runs.** [`ShardSender::submit`] try-locks the core. If it
 //!   is free, the inbox ring is idle and the log buffer has room, the
 //!   *calling* thread runs its own `HandleBatch` / `ApplyConfluent` /
-//!   `SnapshotRead` right there — through the same
+//!   `SnapshotRead` (or the detector its `WaitEdges`) right there — through the same
 //!   [`ShardCore::apply_cmd`] and the same reply flush the shard thread
 //!   uses — and finds its grants already in its mailbox (or its oneshot
 //!   already filled). Nobody parks and nobody is woken: the uncontended
@@ -19,7 +19,7 @@
 //!   ring (`transport::ring`, backpressure towards the clients): `submit`
 //!   when the core is busy, the ring has a backlog or the log buffer is
 //!   full; every [`ShardSender::send`] — `Crash`, `Shutdown`, the
-//!   detector's and the diagnostics' commands. The shard thread parks on
+//!   sweep's and the diagnostics' commands. The shard thread parks on
 //!   the ring *without consuming* ([`RingReceiver::wait_ready`]), takes
 //!   the core lock, drains everything enqueued since its last tenure,
 //!   applies it and flushes the accumulated replies through the
@@ -48,6 +48,24 @@
 //! the per-item implementation order — the thing the serializability
 //! oracle consumes — is exactly the order the core processed the
 //! operations in, with no further synchronisation.
+//!
+//! **The announce rule.** A deadlock is found when its closing wait edge is
+//! queued, not at the detector's next tick. The queue manager reports every
+//! wait-for edge a message creates as a [`QmEvent::WaitEdge`] (and reports
+//! nothing for a message that blocks nobody); [`ShardCore::fold_events`]
+//! hands each to [`Registry::note_wait`], which marks the holder
+//! "waited-on" and answers whether the *waiter* already is — the edge that
+//! closes a cycle is always queued by a transaction that already has
+//! someone behind it. If so the registry's scan request is raised there and
+//! then, under the core lock, so that a scan able to read the edge can also
+//! see the request; the thread that holds the core unparks the detector
+//! once it has let go of it (the detector's first act is to ask this shard
+//! for its edges). The marks, and why the last-announced edge of a cycle
+//! always finds its waiter marked whatever the interleaving across shards,
+//! are in `registry.rs`; what the detector does with the request is in
+//! `detector.rs`. A transaction whose accesses are all granted on arrival
+//! produces no such event: the new path costs it the one `match` arm it
+//! never takes.
 //!
 //! **Faults.** `Crash { outage }` sleeps holding the core, so callers
 //! fall back to the ring and the inbox backs up exactly as the fault
@@ -137,7 +155,9 @@ pub(crate) enum ShardCmd {
     /// Abort the listed transactions' residual state on this shard (the
     /// detector's cleanup of transactions no longer registered anywhere).
     Cleanup(Vec<TxnId>),
-    /// Report the shard's current wait-for edges (deadlock detector).
+    /// Report the shard's current wait-for edges (deadlock detector). Runs
+    /// inline like a protocol command: a scan of idle shards reads their
+    /// edges on the detector's thread and wakes nobody.
     WaitEdges(OneshotSender<Vec<(TxnId, TxnId)>>),
     /// Report the transactions currently queued and not granted
     /// (diagnostics).
@@ -175,14 +195,16 @@ fn fold_log(logs: &mut LogSet, records: &mut Vec<LogRecord>) {
 }
 
 impl ShardCmd {
-    /// The protocol commands a caller may run on its own thread; the rest
-    /// belong to the shard thread (they sleep, exit, or read its log).
+    /// The commands a caller may run on its own thread — the protocol
+    /// commands and the detector's edge report; the rest belong to the
+    /// shard thread (they sleep, exit, or read its log).
     fn runs_inline(&self) -> bool {
         matches!(
             self,
             ShardCmd::HandleBatch { .. }
                 | ShardCmd::ApplyConfluent { .. }
                 | ShardCmd::SnapshotRead { .. }
+                | ShardCmd::WaitEdges(_)
         )
     }
 
@@ -235,6 +257,10 @@ pub(crate) struct ShardCore {
     /// The payload of an engine panic caught on a caller's thread, for
     /// the shard thread to die of.
     panic: Option<Box<dyn Any + Send>>,
+    /// This tenure announced an edge that may have closed a wait cycle:
+    /// whoever holds the core unparks the detector once it lets go (see
+    /// `submit` and `shard_loop`).
+    scan_wanted: bool,
     registry: Arc<Registry>,
     stats: Arc<RuntimeStats>,
     /// The flight recorder; commands record into lane `idx` whichever
@@ -305,6 +331,12 @@ impl ShardCore {
                         snapshot: false,
                     });
                     implemented += 1;
+                }
+                // The announce rule (module docs): the one branch a
+                // transaction that blocks nobody never takes.
+                QmEvent::WaitEdge { waiter, holder } => {
+                    self.stats.deadlock_probes.fetch_add(1, Ordering::Relaxed);
+                    self.scan_wanted |= self.registry.note_wait(waiter, holder);
                 }
             }
         }
@@ -486,6 +518,7 @@ pub(crate) struct ShardGone;
 pub(crate) struct ShardSender {
     ring: RingSender<ShardCmd>,
     core: Arc<Mutex<ShardCore>>,
+    registry: Arc<Registry>,
     stats: Arc<RuntimeStats>,
     idx: usize,
 }
@@ -531,7 +564,11 @@ impl ShardSender {
                     let died = core.closed;
                     let nudge = !core.nudged && core.log_buf.len() >= LOG_BUF_RECORDS / 2;
                     core.nudged |= nudge;
+                    let scan = std::mem::take(&mut core.scan_wanted);
                     drop(core);
+                    if scan {
+                        self.registry.wake_detector();
+                    }
                     if nudge {
                         counters.log_fold_nudges.fetch_add(1, Ordering::Relaxed);
                     }
@@ -590,7 +627,8 @@ pub(crate) fn spawn(
         nudged: false,
         closed: false,
         panic: None,
-        registry,
+        scan_wanted: false,
+        registry: Arc::clone(&registry),
         stats: Arc::clone(&stats),
         plane,
         clock,
@@ -600,13 +638,15 @@ pub(crate) fn spawn(
         .name(format!("cc-shard-{}", site.0))
         .spawn({
             let core = Arc::clone(&core);
-            move || (site, shard_loop(&core, inbox))
+            let registry = Arc::clone(&registry);
+            move || (site, shard_loop(&core, &registry, inbox))
         })
         .expect("failed to spawn shard thread");
     ShardHandle {
         tx: ShardSender {
             ring: tx,
             core,
+            registry,
             stats,
             idx,
         },
@@ -633,7 +673,7 @@ fn trace_batch(plane: &TracePlane, lane: usize, buf: &[ShardCmd]) {
 }
 
 /// The shard thread: consumer of the inbox and keeper of the log.
-fn shard_loop(core: &Mutex<ShardCore>, mut inbox: ShardInbox) -> LogSet {
+fn shard_loop(core: &Mutex<ShardCore>, registry: &Registry, mut inbox: ShardInbox) -> LogSet {
     let mut logs = LogSet::new();
     let mut spare: Vec<LogRecord> = Vec::with_capacity(LOG_BUF_RECORDS);
     let mut buf: Vec<ShardCmd> = Vec::with_capacity(64);
@@ -682,7 +722,11 @@ fn shard_loop(core: &Mutex<ShardCore>, mut inbox: ShardInbox) -> LogSet {
         core.closed = exiting;
         std::mem::swap(&mut core.log_buf, &mut spare);
         core.nudged = false;
+        let scan = std::mem::take(&mut core.scan_wanted);
         drop(core);
+        if scan {
+            registry.wake_detector();
+        }
         fold_log(&mut logs, &mut spare);
     }
     logs

@@ -180,6 +180,9 @@ pub(crate) struct RuntimeStats {
     pub(crate) deadlock_restarts: AtomicU64,
     pub(crate) backoff_rounds: AtomicU64,
     pub(crate) deadlock_victims: AtomicU64,
+    pub(crate) deadlock_probes: AtomicU64,
+    pub(crate) deadlock_push_scans: AtomicU64,
+    pub(crate) deadlock_backstop_victims: AtomicU64,
     pub(crate) user_aborts: AtomicU64,
     pub(crate) failed: AtomicU64,
     pub(crate) grants: AtomicU64,
@@ -236,8 +239,22 @@ pub struct StatsSnapshot {
     pub deadlock_restarts: u64,
     /// PA backoff rounds performed.
     pub backoff_rounds: u64,
-    /// Victim signals raised by the deadlock detector.
+    /// Victim signals raised by the deadlock detector — one per victim
+    /// incarnation, however many scans saw its cycle before it reacted.
     pub deadlock_victims: u64,
+    /// Wait-for edges the shards announced to the registry as they were
+    /// queued (one waited-on mark and one look each); zero for a workload
+    /// in which nothing ever waits.
+    pub deadlock_probes: u64,
+    /// Detector scans run because a shard asked for one — it queued an
+    /// edge whose waiter was itself waited on — rather than because
+    /// `deadlock_scan_interval` came round.
+    pub deadlock_push_scans: u64,
+    /// Of `deadlock_victims`, those only a periodic scan found. The health
+    /// signal of event-driven detection: non-zero means a wait-for edge
+    /// was queued without being announced (or its announcement was lost)
+    /// and the cycle stood until the backstop tick.
+    pub deadlock_backstop_victims: u64,
     /// Transactions aborted by the caller.
     pub user_aborts: u64,
     /// Transactions that gave up after `max_restarts` attempts.
@@ -318,8 +335,9 @@ pub struct StatsSnapshot {
     /// Shard crash faults injected by the fault plane.
     pub shard_crashes: u64,
     /// Protocol commands (`HandleBatch`, bypass applies, snapshot reads)
-    /// a client ran on its own thread because it found the owning shard's
-    /// core free and its inbox idle — no wake-up paid. This and the three
+    /// a client ran on its own thread — and edge reports the deadlock
+    /// detector ran on its — because it found the owning shard's core free
+    /// and its inbox idle: no wake-up paid. This and the three
     /// `shard_enqueued_*` counters partition the submitted commands; each
     /// is the sum of its per-shard namesake.
     pub shard_inline: u64,
@@ -360,6 +378,9 @@ impl RuntimeStats {
             deadlock_restarts: self.deadlock_restarts.load(Ordering::Relaxed),
             backoff_rounds: self.backoff_rounds.load(Ordering::Relaxed),
             deadlock_victims: self.deadlock_victims.load(Ordering::Relaxed),
+            deadlock_probes: self.deadlock_probes.load(Ordering::Relaxed),
+            deadlock_push_scans: self.deadlock_push_scans.load(Ordering::Relaxed),
+            deadlock_backstop_victims: self.deadlock_backstop_victims.load(Ordering::Relaxed),
             user_aborts: self.user_aborts.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             grants: self.grants.load(Ordering::Relaxed),

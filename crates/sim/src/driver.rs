@@ -354,6 +354,8 @@ impl Simulation {
                             .record_lock_hold(method, now - granted_at, false);
                     }
                 }
+                // The simulator finds deadlocks by its periodic scan.
+                QmEvent::WaitEdge { .. } => {}
             }
         }
         for reply in output.replies {

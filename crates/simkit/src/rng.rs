@@ -22,6 +22,20 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The `n`-th value (counting from 0) of the SplitMix64 stream seeded with
+/// `seed`, computed directly — a counter-based generator: threads that
+/// share one stream draw `n` from an atomic counter and need no lock.
+pub fn splitmix64_nth(seed: u64, n: u64) -> u64 {
+    let mut state = seed.wrapping_add(n.wrapping_mul(0x9E3779B97F4A7C15));
+    splitmix64(&mut state)
+}
+
+/// Map 64 random bits to a uniform value in `[0, 1)` (the top 53 become the
+/// mantissa).
+pub fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 impl SimRng {
     /// Create a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
@@ -66,8 +80,7 @@ impl SimRng {
 
     /// A uniform value in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
-        // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// A uniform integer in `[0, bound)`. `bound` must be non-zero.

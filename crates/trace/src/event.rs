@@ -50,7 +50,9 @@ pub enum Phase {
     /// Shard: grants issued while folding a batch (`arg` = grant count,
     /// `txn` = the last granted transaction).
     Granted = 11,
-    /// Detector: a deadlock victim was signalled (`txn` = the victim).
+    /// Detector: a deadlock victim was signalled (`txn` = the victim;
+    /// `arg` = 0 when a scan a shard asked for found the cycle, 1 when only
+    /// the periodic backstop scan did).
     Victim = 12,
     /// Client: an invariant-confluent transaction was applied through the
     /// coordination-avoidance bypass — no grants, no queue time

@@ -796,6 +796,38 @@ impl<E: Send> MailboxRegistry<E> {
         (slot.bound.load(Ordering::SeqCst) == key).then_some(meta)
     }
 
+    /// Replace the metadata of live `key` by `update(meta)` in one atomic
+    /// step (`update` returning `None` leaves it alone) and return the
+    /// metadata found — `None` when `key` is not live. Every access is
+    /// `SeqCst`, so an update and a later [`MailboxRegistry::resolve_meta`]
+    /// on one thread are never reordered against the same pair on another.
+    ///
+    /// The slot may be rebound between the lookup and the swap; the swap
+    /// then fails only if the two registrations' metadata differ, so a
+    /// caller that must never touch a later registration keeps something
+    /// unique to the registration (the runtime: the key itself) in the
+    /// metadata and has `update` check it.
+    pub fn update_meta(&self, key: u64, mut update: impl FnMut(u64) -> Option<u64>) -> Option<u64> {
+        let shared = &self.shared;
+        let slot = shared.slot(shared.lookup(key)?);
+        let mut meta = slot.meta.load(Ordering::SeqCst);
+        loop {
+            if slot.bound.load(Ordering::SeqCst) != key {
+                return None;
+            }
+            let Some(next) = update(meta) else {
+                return Some(meta);
+            };
+            match slot
+                .meta
+                .compare_exchange(meta, next, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => return Some(meta),
+                Err(found) => meta = found,
+            }
+        }
+    }
+
     /// Live registrations.
     pub fn len(&self) -> usize {
         self.shared.live.load(Ordering::SeqCst)
@@ -965,6 +997,22 @@ mod tests {
         assert_eq!(reg.len(), 0);
         assert_eq!(reg.resolve_meta(7), None);
         assert!(!reg.deliver(7, 701), "stale delivery is a no-op");
+    }
+
+    #[test]
+    fn update_meta_swaps_live_metadata_only() {
+        let reg = registry(small());
+        let mut mb = reg.acquire().unwrap();
+        reg.register(7, 0b01, &mut mb);
+        assert_eq!(reg.update_meta(7, |meta| Some(meta | 0b10)), Some(0b01));
+        assert_eq!(reg.resolve_meta(7), Some(0b11));
+        // `None` from the closure leaves the word alone and still reports it.
+        assert_eq!(reg.update_meta(7, |_| None), Some(0b11));
+        assert_eq!(reg.update_meta(8, |_| Some(0)), None, "never registered");
+        reg.deregister(7);
+        assert_eq!(reg.update_meta(7, |_| Some(0)), None, "no longer live");
+        reg.register(9, 0b01, &mut mb);
+        assert_eq!(reg.resolve_meta(9), Some(0b01), "the next key starts fresh");
     }
 
     #[test]
