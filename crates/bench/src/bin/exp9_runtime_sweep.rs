@@ -14,7 +14,15 @@
 //! `dyn-cache` rows run the STL selector with the per-epoch STL′ table
 //! over striped commit-path-free metrics; `sel us` and `hit%` report the
 //! mean per-selection overhead and the share of selections served wholly
-//! from the table.
+//! from the table. The `1-shot` rows run three in four transactions on
+//! the coordination-free routes — 4-item snapshot reads and single-item
+//! bypass adds through `Database::execute` — beside transfers.
+//!
+//! The `inl%` / `wait%` / `busy%` / `bklg%` columns say how each cell's
+//! shard submits were handed over: run inline by the caller, of those the
+//! one-shot commands that waited a moment for a held core first, and
+//! enqueued because the core stayed held or the inbox had a backlog (the
+//! rare log-full fallback is the rest of the 100 %).
 //!
 //! Run with: `cargo run --release -p bench --bin exp9_runtime_sweep`
 //!
@@ -49,17 +57,27 @@ fn txns_per_client() -> u64 {
         .unwrap_or(150)
 }
 
+/// The transactions a cell's clients run.
+#[derive(Clone, Copy, PartialEq)]
+enum Shape {
+    /// The classic 2-item transfer (one message per shard per phase — the
+    /// send batcher has nothing to group).
+    Transfer,
+    /// A 4-read + 4-write read-modify-write transaction, the message-heavy
+    /// shape.
+    Wide,
+    /// Per four transactions: two 4-item snapshot reads, one single-item
+    /// bypass add, one transfer.
+    OneShot,
+}
+
 /// One sweep configuration: an assignment policy and the transaction
 /// shape.
 #[derive(Clone, Copy)]
 struct Cell {
     label: &'static str,
     policy: CcPolicy,
-    /// `false`: the classic 2-item transfer (one message per shard per
-    /// phase — the send batcher has nothing to group). `true`: a wide
-    /// 4-read + 4-write read-modify-write transaction, the message-heavy
-    /// shape.
-    wide: bool,
+    shape: Shape,
 }
 
 /// Everything one measured cell leaves behind: the formatted table row,
@@ -90,7 +108,14 @@ fn run_cell(clients: u64, shards: u32, cell: Cell) -> CellOutcome {
             std::thread::spawn(move || {
                 for k in 0..per_client {
                     let i = t * 131 + k * 17;
-                    if cell.wide {
+                    if cell.shape == Shape::OneShot && k % 4 != 0 {
+                        let spec = if k % 4 == 2 {
+                            TxnSpec::new().add(LogicalItemId(i % ITEMS), 1)
+                        } else {
+                            TxnSpec::new().reads((0..4).map(|j| LogicalItemId((i + 3 * j) % ITEMS)))
+                        };
+                        db.execute(&spec).expect("sweep transaction commits");
+                    } else if cell.shape == Shape::Wide {
                         // 4 reads + 4 writes on disjoint items: eight
                         // messages per phase for the send batcher.
                         let base = i % ITEMS;
@@ -132,6 +157,12 @@ fn run_cell(clients: u64, shards: u32, cell: Cell) -> CellOutcome {
     let report = db.shutdown().expect("shutdown");
     let serializable = report.serializable().is_ok();
     let txn_per_sec = stats.committed as f64 / elapsed;
+    let submits = (stats.shard_inline
+        + stats.shard_enqueued_busy
+        + stats.shard_enqueued_backlog
+        + stats.shard_enqueued_log_full)
+        .max(1) as f64;
+    let share = |n: u64| format!("{:.0}", n as f64 / submits * 100.0);
     let row = vec![
         clients.to_string(),
         shards.to_string(),
@@ -150,6 +181,10 @@ fn run_cell(clients: u64, shards: u32, cell: Cell) -> CellOutcome {
         } else {
             "-".into()
         },
+        share(stats.shard_inline),
+        share(stats.shard_inline_waited),
+        share(stats.shard_enqueued_busy),
+        share(stats.shard_enqueued_backlog),
         if serializable {
             "yes".into()
         } else {
@@ -176,7 +211,7 @@ fn main() {
         "    ({} transfers per client over {ITEMS} items, read-modify-write)\n",
         txns_per_client()
     );
-    let widths = [7, 6, 9, 10, 10, 9, 9, 8, 5, 6];
+    let widths = [7, 6, 9, 10, 10, 9, 9, 8, 5, 5, 5, 5, 5, 6];
     table::header(
         &[
             "clients",
@@ -188,6 +223,10 @@ fn main() {
             "backoffs",
             "sel us",
             "hit%",
+            "inl%",
+            "wait%",
+            "busy%",
+            "bklg%",
             "ser.",
         ],
         &widths,
@@ -196,12 +235,12 @@ fn main() {
         Cell {
             label: "2PL",
             policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-            wide: false,
+            shape: Shape::Transfer,
         },
         Cell {
             label: "2PL-w8",
             policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
-            wide: true,
+            shape: Shape::Wide,
         },
         Cell {
             label: "mixed",
@@ -209,12 +248,17 @@ fn main() {
                 p_2pl: 0.34,
                 p_to: 0.33,
             },
-            wide: false,
+            shape: Shape::Transfer,
         },
         Cell {
             label: "dyn-cache",
             policy: CcPolicy::DynamicStl,
-            wide: false,
+            shape: Shape::Transfer,
+        },
+        Cell {
+            label: "1-shot",
+            policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
+            shape: Shape::OneShot,
         },
     ];
     let shard_axis: &[u32] = if smoke { &[SMOKE_SHARDS] } else { &[1, 2, 4] };
@@ -239,7 +283,7 @@ fn main() {
                     stats.deadlock_push_scans,
                     stats.deadlock_probes,
                 ];
-                for tally in &mut detector[usize::from(!cell.wide)..] {
+                for tally in &mut detector[usize::from(cell.shape != Shape::Wide)..] {
                     for (sum, n) in tally.iter_mut().zip(seen) {
                         *sum += n;
                     }

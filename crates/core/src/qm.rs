@@ -371,10 +371,10 @@ impl QueueManager {
     /// been pruned past `ts` — the caller falls back to the coordinated
     /// path. With validation off (the mutation switch) each item serves
     /// its raw head instead, whatever the head's stamp.
-    pub fn snapshot_read_into(
+    pub fn snapshot_read_into<'a>(
         &self,
         ts: Timestamp,
-        items: &[PhysicalItemId],
+        items: impl IntoIterator<Item = &'a PhysicalItemId>,
         out: &mut Vec<(PhysicalItemId, Value, Timestamp)>,
     ) -> bool {
         let mark = out.len();
@@ -562,18 +562,26 @@ impl QueueManager {
     /// later T/O or PA request conflicting with a *committed* bypass write
     /// sees the item's value exactly as it would after an idle-site
     /// restart.
-    pub fn apply_confluent(
+    ///
+    /// `ops` is walked twice (check, then apply), so its iterator must be
+    /// `Clone` — a slice's is, and so is a `SmallBatch`'s.
+    pub fn apply_confluent<'a, I>(
         &mut self,
         _origin: SiteId,
         txn: TxnId,
-        ops: &[ConfluentOp],
+        ops: I,
         check: bool,
         commit_ts: Timestamp,
         sink: &mut QmSink,
-    ) -> Option<Vec<(PhysicalItemId, Value)>> {
+    ) -> Option<Vec<(PhysicalItemId, Value)>>
+    where
+        I: IntoIterator<Item = &'a ConfluentOp>,
+        I::IntoIter: Clone,
+    {
+        let ops = ops.into_iter();
         // Pass 1: resolve every slot and test blockedness before touching
         // anything — refusal must leave the site exactly as it was.
-        for op in ops {
+        for op in ops.clone() {
             let slot = self.slot_of(op.item())?;
             if check {
                 let item = &self.items[slot];

@@ -962,6 +962,19 @@ const PUSH_DEADLINE: Duration = Duration::from_millis(50);
 /// the cycle. Returns the victim the detector signalled within
 /// [`PUSH_DEADLINE`] of the closing edge, if any.
 fn hand_driven_cycle(db: &Database, other: CcMethod, close_on_a: bool) -> Option<TxnId> {
+    hand_driven_cycle_with(db, other, close_on_a, PUSH_DEADLINE, |_| {})
+}
+
+/// [`hand_driven_cycle`] with its own `deadline`, and `before_closing`
+/// called with the site of the first wait's item once that wait is queued
+/// and before the closing one is sent.
+fn hand_driven_cycle_with(
+    db: &Database,
+    other: CcMethod,
+    close_on_a: bool,
+    deadline: Duration,
+    before_closing: impl FnOnce(SiteId),
+) -> Option<TxnId> {
     let inner = &db.inner;
     let phys = |i| db.catalog().physical_copies(li(i)).unwrap()[0];
     let (a, b) = (phys(0), phys(1));
@@ -1004,10 +1017,11 @@ fn hand_driven_cycle(db: &Database, other: CcMethod, close_on_a: bool) -> Option
     wait_until("the first waiter is queued", || {
         db.waiting_transactions().contains(&first.0)
     });
+    before_closing(first.1.site);
     let closed = Instant::now();
     access(closing.0, closing.1, closing.2);
     let mut victim = None;
-    while victim.is_none() && closed.elapsed() < PUSH_DEADLINE {
+    while victim.is_none() && closed.elapsed() < deadline {
         for (mb, txn) in [(&mut mb1, t1), (&mut mb2, t2)] {
             if let Some(ClientEvent::DeadlockVictim) =
                 mb.recv_timeout(txn.0, Duration::from_millis(1))
@@ -1041,6 +1055,48 @@ fn push_detection_breaks_a_cross_shard_cycle_in_either_edge_order() {
         );
         assert!(stats.deadlock_push_scans >= 1 && stats.deadlock_probes >= 2);
     }
+}
+
+/// A pushed scan that had to skip a shard's report asks once more. The
+/// shard holding the first wait edge has its core held from before the
+/// closing edge until the detector's second pushed scan has begun, so the
+/// first scan's report from it misses `EDGE_REPORT_TIMEOUT`; with the
+/// periodic scan ten seconds away, only the rescan can break the cycle.
+#[test]
+fn push_detection_rescans_after_a_skipped_edge_report() {
+    let db = Database::open(push_only_config()).unwrap();
+    let mut holder = None;
+    let victim = hand_driven_cycle_with(
+        &db,
+        CcMethod::TwoPhaseLocking,
+        true,
+        Duration::from_secs(1),
+        |site| {
+            let shard = db.inner.shard_txs[db.inner.site_index[&site]].clone();
+            let stats = Arc::clone(&db.inner.stats);
+            let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+            holder = Some(std::thread::spawn(move || {
+                let scans = stats.deadlock_push_scans.load(Ordering::Relaxed);
+                let _held = shard.hold_core();
+                locked_tx.send(()).unwrap();
+                let give_up = Instant::now() + Duration::from_secs(2);
+                while stats.deadlock_push_scans.load(Ordering::Relaxed) < scans + 2
+                    && Instant::now() < give_up
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }));
+            locked_rx.recv().unwrap();
+        },
+    );
+    holder.expect("the hook ran").join().unwrap();
+    assert_eq!(victim, Some(TxnId(1_000_002)), "broken by the rescan");
+    let stats = db.shutdown().unwrap().stats;
+    assert_eq!(
+        (stats.deadlock_victims, stats.deadlock_backstop_victims),
+        (1, 0)
+    );
+    assert!(stats.deadlock_push_scans >= 2, "{stats:?}");
 }
 
 /// With a T/O member in the cycle the pushed scan still victimises the
@@ -1163,7 +1219,7 @@ fn disabling_the_confluence_check_admits_a_non_serializable_history() {
             .send(ShardCmd::ApplyConfluent {
                 origin: SiteId(0),
                 txn: f,
-                ops,
+                ops: ops.into_iter().collect(),
                 check: false,
                 reply: tx,
             })
@@ -1361,11 +1417,26 @@ fn caller_runs_stress_keeps_every_history_serializable() {
 
 /// Chaos regression (PR 10): a snapshot read against a crashed shard
 /// surfaces a bounded `ShardUnavailable` — never a hang, never a
-/// silent fall-through to a torn answer.
+/// silent fall-through to a torn answer. Its command waits out the
+/// one-shot core wait, finds the core still held by the outage and is
+/// enqueued, busy.
 #[test]
 fn snapshot_read_on_a_dead_shard_is_bounded() {
+    one_shot_on_a_dead_shard_is_bounded(TxnSpec::new().read(li(0)));
+}
+
+/// The bypass twin of `snapshot_read_on_a_dead_shard_is_bounded`: a
+/// single-item add against a crashed shard ends the same way.
+#[test]
+fn bypass_add_on_a_dead_shard_is_bounded() {
+    one_shot_on_a_dead_shard_is_bounded(TxnSpec::new().add(li(0), 1));
+}
+
+fn one_shot_on_a_dead_shard_is_bounded(spec: TxnSpec) {
     let db = Database::open(RuntimeConfig {
         diagnostic_timeout: Duration::from_millis(40),
+        // No periodic edge report joins the one-shot in the counters.
+        deadlock_scan_interval: Duration::from_secs(10),
         ..config(1, 4)
     })
     .unwrap();
@@ -1375,17 +1446,27 @@ fn snapshot_read_on_a_dead_shard_is_bounded() {
         })
         .map_err(|_| ())
         .unwrap();
+    // The shard thread takes the core for the outage; until then the
+    // one-shot would find the ring busy, not the core.
+    while !db.inner.shard_txs[0].ring_is_idle() {
+        std::thread::yield_now();
+    }
     let begun = Instant::now();
-    let err = db.execute(&TxnSpec::new().read(li(0))).unwrap_err();
+    let err = db.execute(&spec).unwrap_err();
     assert_eq!(err, TxnError::ShardUnavailable);
     assert!(
         begun.elapsed() < Duration::from_millis(350),
-        "the snapshot wait must give up before the outage ends, took {:?}",
+        "the one-shot wait must give up before the outage ends, took {:?}",
         begun.elapsed()
     );
     let stats = db.stats();
     assert_eq!(stats.shard_unavailable, 1);
     assert_eq!(stats.committed, 0);
+    assert_eq!(
+        (stats.shard_enqueued_busy, stats.shard_inline_waited),
+        (1, 0),
+        "{stats:?}"
+    );
     db.shutdown();
 }
 
@@ -1472,7 +1553,7 @@ fn disabling_snapshot_validation_admits_a_non_serializable_history() {
             .send(ShardCmd::SnapshotRead {
                 txn: f,
                 ts: Timestamp::ZERO,
-                items,
+                items: items.into_iter().collect(),
                 reply: tx,
             })
             .map_err(|_| ())

@@ -15,6 +15,12 @@
 //!   deadlock stands for about one thread wake-up, not for half a scan
 //!   interval. Requests coalesce: one scan runs at a time, and a request
 //!   raised while it runs re-arms the next.
+//!   A pushed scan that had to skip a shard's report (it missed
+//!   `EDGE_REPORT_TIMEOUT`: a shard mid-outage, or its core held that
+//!   long) may have missed the very cycle it was asked for, so it asks for
+//!   one more scan at once; a second skip in a row leaves the rest to the
+//!   periodic tick, so a crashed shard's inbox does not fill up with edge
+//!   requests.
 //! * **Periodic.** Every `deadlock_scan_interval` regardless, so that
 //!   liveness never rests on the announcements: an edge queued without one
 //!   would leave its cycle standing until the next tick, exactly as every
@@ -87,6 +93,9 @@ pub(crate) fn spawn(
             // Suspects carried across sweeps (the two-sweep grace).
             let mut suspects: HashSet<TxnId> = HashSet::new();
             let mut next_tick = Instant::now() + interval;
+            // The last scan was a pushed one that skipped a report and
+            // asked again (see `scan_once`).
+            let mut retrying = false;
             // Flags first, park second: `unpark` leaves a token, so a
             // request or a stop that lands in between is not slept through.
             while !stopped.load(Ordering::Relaxed) {
@@ -100,7 +109,16 @@ pub(crate) fn spawn(
                 if pushed {
                     stats.deadlock_push_scans.fetch_add(1, Ordering::Relaxed);
                 }
-                scan_once(&shards, &registry, &stats, &plane, &mut edges, pushed);
+                let skipped = scan_once(&shards, &registry, &stats, &plane, &mut edges, pushed);
+                // A pushed scan that missed a report may have missed the
+                // cycle it was asked for, and nothing else would ask before
+                // the tick: ask once more now. A second miss in a row
+                // leaves it to the tick, so a crashed shard's inbox does
+                // not fill with edge requests.
+                retrying = skipped && pushed && !retrying;
+                if retrying {
+                    registry.request_scan();
+                }
                 if tick {
                     sweep_stranded(&shards, &registry, &mut suspects);
                     next_tick = Instant::now() + interval;
@@ -112,7 +130,8 @@ pub(crate) fn spawn(
 
 /// One scan: gather edges into the reusable `edges` scratch, find cycles,
 /// signal victims. `pushed` says a shard asked for this scan. The scratch
-/// is left cleared with its capacity intact.
+/// is left cleared with its capacity intact. Returns whether a live
+/// shard's report missed [`EDGE_REPORT_TIMEOUT`] and was skipped.
 pub(crate) fn scan_once(
     shards: &[ShardSender],
     registry: &Registry,
@@ -120,8 +139,9 @@ pub(crate) fn scan_once(
     plane: &TracePlane,
     edges: &mut Vec<(TxnId, TxnId)>,
     pushed: bool,
-) {
+) -> bool {
     debug_assert!(edges.is_empty());
+    let mut skipped = false;
     for shard in shards {
         let (tx, rx) = transport::oneshot::channel();
         if shard.submit(ShardCmd::WaitEdges(tx)).is_err() {
@@ -129,11 +149,14 @@ pub(crate) fn scan_once(
         }
         match rx.recv_timeout(EDGE_REPORT_TIMEOUT) {
             Ok(shard_edges) => edges.extend(shard_edges),
-            Err(_) => continue, // slow or shut-down shard: skip this scan
+            // Slow (mid-outage, or its core held past the timeout): this
+            // scan goes on without it.
+            Err(transport::oneshot::RecvError::Timeout) => skipped = true,
+            Err(transport::oneshot::RecvError::Disconnected) => {}
         }
     }
     if edges.is_empty() {
-        return;
+        return skipped;
     }
     // A request that came in while the reports were gathered was raised
     // under its shard's lock, before the edge it speaks for could be read:
@@ -165,6 +188,7 @@ pub(crate) fn scan_once(
             let _ = plane.trigger_postmortem("deadlock-victim");
         }
     }
+    skipped
 }
 
 /// One stranded-transaction sweep (see the module docs): collect every

@@ -318,6 +318,12 @@ impl Registry {
         self.scan_requested.swap(false, Ordering::SeqCst)
     }
 
+    /// Raise the scan request from the detector itself: a pushed scan that
+    /// had to skip a shard's report asks for one more (see `detector.rs`).
+    pub(crate) fn request_scan(&self) {
+        self.scan_requested.store(true, Ordering::SeqCst);
+    }
+
     /// Is a scan request pending?
     pub(crate) fn scan_requested(&self) -> bool {
         self.scan_requested.load(Ordering::SeqCst)

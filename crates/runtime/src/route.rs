@@ -14,6 +14,7 @@ use std::sync::atomic::Ordering;
 use dbmodel::{CcMethod, LogicalItemId, PhysicalItemId, SiteId, TxnId, Value};
 use selection::Route;
 use trace::Phase;
+use transport::batch::SmallBatch;
 use transport::oneshot::OneshotSender;
 use unified_cc::ConfluentOp;
 
@@ -29,6 +30,33 @@ pub(crate) type SnapshotAnswer = Option<(TxnId, BTreeMap<LogicalItemId, Value>)>
 /// What a shard answers a one-shot command with: the values it served, or
 /// `None` for a refusal.
 type ShardAnswer = Option<Vec<(PhysicalItemId, Value)>>;
+
+/// A one-shot transaction's work grouped by owning shard: one batch per
+/// shard (a bypass is atomic only inside one shard command), shards in
+/// order of first appearance, each batch in spec order. Up to four shards
+/// of up to four ops each live inline, so the common spec allocates
+/// nothing to be grouped; there is no size limit past which grouping
+/// changes.
+struct PerShard<T>(SmallBatch<(usize, SmallBatch<T>)>);
+
+impl<T> PerShard<T> {
+    fn new() -> Self {
+        PerShard(SmallBatch::new())
+    }
+
+    /// Append `op` to shard `idx`'s batch.
+    fn push(&mut self, idx: usize, op: T) {
+        if let Some((_, batch)) = self.0.iter_mut().find(|(shard, _)| *shard == idx) {
+            return batch.push(op);
+        }
+        self.0.push((idx, std::iter::once(op).collect()));
+    }
+
+    /// Ops across every shard.
+    fn ops(&self) -> usize {
+        self.0.iter().map(|(_, batch)| batch.len()).sum()
+    }
+}
 
 impl Database {
     /// The routes `spec` may take, in the order to try them: the routes
@@ -142,16 +170,13 @@ impl Database {
         // Translate: reads go to the preferred copy, adds/puts to the
         // single physical copy. Replicated written items fall back to the
         // coordinated path, which knows how to fan a write out.
-        let mut per_site: BTreeMap<SiteId, Vec<ConfluentOp>> = BTreeMap::new();
+        let mut per_shard = PerShard::new();
         for &item in &spec.reads {
             let copy = inner
                 .catalog
                 .read_copy(item, origin)
                 .map_err(TxnError::UnknownItem)?;
-            per_site
-                .entry(copy.site)
-                .or_default()
-                .push(ConfluentOp::Read(copy));
+            per_shard.push(self.shard_of(copy.site), ConfluentOp::Read(copy));
         }
         for &(item, delta) in &spec.adds {
             let copies = inner
@@ -161,10 +186,10 @@ impl Database {
             if copies.len() != 1 {
                 return Ok(None);
             }
-            per_site
-                .entry(copies[0].site)
-                .or_default()
-                .push(ConfluentOp::Add(copies[0], delta));
+            per_shard.push(
+                self.shard_of(copies[0].site),
+                ConfluentOp::Add(copies[0], delta),
+            );
         }
         for &(item, value) in &spec.puts {
             let copies = inner
@@ -174,17 +199,17 @@ impl Database {
             if copies.len() != 1 {
                 return Ok(None);
             }
-            per_site
-                .entry(copies[0].site)
-                .or_default()
-                .push(ConfluentOp::Put(copies[0], value));
+            per_shard.push(
+                self.shard_of(copies[0].site),
+                ConfluentOp::Put(copies[0], value),
+            );
         }
         let check = inner.config.confluence_check;
-        if check && per_site.len() != 1 {
+        if check && per_shard.0.len() != 1 {
             return Ok(None);
         }
-        let n_ops = per_site.values().map(Vec::len).sum::<usize>() as u32;
-        let answer = self.scatter_gather(per_site, |ops, reply| ShardCmd::ApplyConfluent {
+        let n_ops = per_shard.ops() as u32;
+        let answer = self.scatter_gather(per_shard, |ops, reply| ShardCmd::ApplyConfluent {
             origin,
             txn: txn_id,
             ops,
@@ -240,16 +265,16 @@ impl Database {
         // The single watermark load that defines the snapshot: every
         // shard serves at this timestamp.
         let ts = inner.clock.watermark();
-        let mut per_site: BTreeMap<SiteId, Vec<PhysicalItemId>> = BTreeMap::new();
+        let mut per_shard = PerShard::new();
         for &item in &spec.reads {
             let copy = inner
                 .catalog
                 .read_copy(item, origin)
                 .map_err(TxnError::UnknownItem)?;
-            per_site.entry(copy.site).or_default().push(copy);
+            per_shard.push(self.shard_of(copy.site), copy);
         }
-        let n_items = per_site.values().map(Vec::len).sum::<usize>() as u32;
-        let answer = self.scatter_gather(per_site, |items, reply| ShardCmd::SnapshotRead {
+        let n_items = per_shard.ops() as u32;
+        let answer = self.scatter_gather(per_shard, |items, reply| ShardCmd::SnapshotRead {
             txn: txn_id,
             ts,
             items,
@@ -269,24 +294,30 @@ impl Database {
         Ok(Some((txn_id, reads)))
     }
 
-    /// The scatter/gather both one-shot routes share: submit each site
+    /// The shard that owns `site`.
+    fn shard_of(&self, site: SiteId) -> usize {
+        *self
+            .inner
+            .site_index
+            .get(&site)
+            .expect("catalog routed an op to an unknown site")
+    }
+
+    /// The scatter/gather both one-shot routes share: submit each shard
     /// its slice of the work as one command — `cmd` builds it around the
-    /// reply sender; an idle shard runs it on this thread and the answer
-    /// is already there — then gather every answer under
-    /// `diagnostic_timeout`. `Ok(Some(reads))` when every shard served,
-    /// `Ok(None)` when any refused.
+    /// reply sender; a shard whose core is free (or frees within the
+    /// one-shot wait) runs it on this thread and the answer is already
+    /// there — then gather every answer under `diagnostic_timeout`.
+    /// `Ok(Some(reads))` when every shard served, `Ok(None)` when any
+    /// refused.
     fn scatter_gather<T>(
         &self,
-        per_site: BTreeMap<SiteId, Vec<T>>,
-        cmd: impl Fn(Vec<T>, OneshotSender<ShardAnswer>) -> ShardCmd,
+        per_shard: PerShard<T>,
+        cmd: impl Fn(SmallBatch<T>, OneshotSender<ShardAnswer>) -> ShardCmd,
     ) -> Result<Option<BTreeMap<LogicalItemId, Value>>, TxnError> {
         let inner = &self.inner;
-        let mut pending = Vec::with_capacity(per_site.len());
-        for (site, work) in per_site {
-            let idx = *inner
-                .site_index
-                .get(&site)
-                .expect("catalog routed an op to an unknown site");
+        let mut pending = SmallBatch::new();
+        for (idx, work) in per_shard.0 {
             let (tx, rx) = transport::oneshot::channel();
             if inner.shard_txs[idx].submit(cmd(work, tx)).is_err() {
                 return Err(TxnError::ShuttingDown);

@@ -15,6 +15,26 @@
 //!   uses — and finds its grants already in its mailbox (or its oneshot
 //!   already filled). Nobody parks and nobody is woken: the uncontended
 //!   command pays no thread hop at all.
+//!
+//!   **The one-shot wait.** A `SnapshotRead` or `ApplyConfluent` that
+//!   finds the core held retries `try_lock` for up to
+//!   [`ONE_SHOT_CORE_WAIT`] before it takes the ring. Only these two:
+//!   each produces its whole answer inside one core tenure and never waits
+//!   on another transaction, so the holder it waits for is another
+//!   caller's ~1 µs inline run (or a shard-thread tenure), never something
+//!   that waits on it. A coordinated `HandleBatch` that waited instead
+//!   would turn overlapping transactions into core-lock conflicts: measured,
+//!   spinning it doubles `wide_hot`'s median commit. The bound is the price
+//!   of what the wait replaces — a ring fallback costs two thread hops, the
+//!   shard thread's wake-up and then the caller's on the reply, ≈ 6.5 µs
+//!   each — so a wait can at worst cost what the fallback would have, and
+//!   a `Crash` outage (which sleeps holding the core) still sends a
+//!   one-shot to the ring within the bound: nothing on a client path ever
+//!   blocks in `lock()`. FIFO is unaffected: the wait only decides *when*
+//!   the caller gets the core, and every admission rule below — `closed`,
+//!   the ring-idle test, log room — is still made under the lock once it
+//!   has it, so a waiter that wins the core behind a backlog enqueues
+//!   behind that backlog.
 //! * **The inbox.** Anything else goes through the bounded lock-free MPSC
 //!   ring (`transport::ring`, backpressure towards the clients): `submit`
 //!   when the core is busy, the ring has a backlog or the log buffer is
@@ -85,8 +105,9 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use dbmodel::{AccessMode, LogSet, PhysicalItemId, SiteId, Timestamp, TxnId, Value};
 use pam::{GrantClass, ReplyMsg, RequestMsg};
@@ -123,7 +144,7 @@ pub(crate) enum ShardCmd {
     ApplyConfluent {
         origin: SiteId,
         txn: TxnId,
-        ops: Vec<ConfluentOp>,
+        ops: SmallBatch<ConfluentOp>,
         check: bool,
         reply: OneshotSender<Option<Vec<(PhysicalItemId, Value)>>>,
     },
@@ -138,7 +159,7 @@ pub(crate) enum ShardCmd {
     SnapshotRead {
         txn: TxnId,
         ts: Timestamp,
-        items: Vec<PhysicalItemId>,
+        items: SmallBatch<PhysicalItemId>,
         reply: OneshotSender<Option<Vec<(PhysicalItemId, Value)>>>,
     },
     /// Injected node fault: go unresponsive for `outage` (the inbox backs
@@ -174,6 +195,14 @@ pub(crate) enum ShardCmd {
     Shutdown,
 }
 
+/// How long a one-shot command waits for a held core before it takes the
+/// ring. Sized to what the ring costs it — two thread hops, waking the
+/// shard thread and then being woken by the reply, ≈ 6.5 µs each on a
+/// 2-core x86-64 VM — against the ~1 µs another caller's inline run holds
+/// the core: a wait that outlasts the hop pair can only lose. A time, not
+/// a spin count, so the bound means the same on any CPU.
+const ONE_SHOT_CORE_WAIT: Duration = Duration::from_micros(8);
+
 /// Records the core's log buffer holds, allocated once at spawn (twice:
 /// the shard thread keeps a spare to swap in). A caller nudges the keeper
 /// at half full and stops running inline when its command might not fit.
@@ -205,6 +234,16 @@ impl ShardCmd {
                 | ShardCmd::ApplyConfluent { .. }
                 | ShardCmd::SnapshotRead { .. }
                 | ShardCmd::WaitEdges(_)
+        )
+    }
+
+    /// The one-shot commands: the whole answer is produced inside one core
+    /// tenure and never waits on another transaction, so `submit` lets
+    /// them wait a moment for a held core (see the module docs).
+    fn is_one_shot(&self) -> bool {
+        matches!(
+            self,
+            ShardCmd::ApplyConfluent { .. } | ShardCmd::SnapshotRead { .. }
         )
     }
 
@@ -245,6 +284,9 @@ pub(crate) struct ShardCore {
     /// Retained grouping scratch for the reply flushes: the flush path
     /// pays no allocation per tenure.
     reply_groups: Vec<(TxnId, SmallBatch<ReplyMsg>)>,
+    /// Retained scratch for a snapshot read's served `(item, value,
+    /// stamp)` triples: the answer is allocated once, as it is sent.
+    snap_served: Vec<(PhysicalItemId, Value, Timestamp)>,
     /// Implemented operations not yet folded into the keeper's `LogSet`,
     /// in processing order.
     log_buf: Vec<LogRecord>,
@@ -386,9 +428,9 @@ impl ShardCore {
                 } else {
                     Timestamp::ZERO
                 };
-                let result = self
-                    .qm
-                    .apply_confluent(origin, txn, &ops, check, cts, &mut self.sink);
+                let result =
+                    self.qm
+                        .apply_confluent(origin, txn, ops.iter(), check, cts, &mut self.sink);
                 // Implemented events must land in the log in the core's
                 // processing order, like every protocol command.
                 self.fold_events();
@@ -403,25 +445,25 @@ impl ShardCore {
                 items,
                 reply,
             } => {
-                let mut out = Vec::with_capacity(items.len());
-                if self.qm.snapshot_read_into(ts, &items, &mut out) {
+                let served = &mut self.snap_served;
+                if self.qm.snapshot_read_into(ts, items.iter(), served) {
                     // Logged at the stamp of the version actually served
                     // — the oracle orders the read against writers by it,
                     // not by log position.
                     self.log_buf
-                        .extend(out.iter().map(|&(item, _, served)| LogRecord {
+                        .extend(served.iter().map(|&(item, _, stamp)| LogRecord {
                             item,
                             txn,
                             access: AccessMode::Read,
-                            commit_ts: Some(served),
+                            commit_ts: Some(stamp),
                             snapshot: true,
                         }));
-                    self.count_implemented(out.len() as u64);
-                    reply.send(Some(
-                        out.into_iter()
-                            .map(|(item, value, _)| (item, value))
-                            .collect(),
-                    ))
+                    let answer: Vec<_> = served
+                        .drain(..)
+                        .map(|(item, value, _)| (item, value))
+                        .collect();
+                    self.count_implemented(answer.len() as u64);
+                    reply.send(Some(answer))
                 } else {
                     reply.send(None)
                 }
@@ -536,14 +578,17 @@ impl ShardSender {
     /// Hand over a protocol command the cheapest way that keeps per-shard
     /// FIFO: run it on this thread if the core is free, the inbox idle
     /// and the log buffer roomy (see the module docs), else enqueue it.
+    /// A one-shot command (`SnapshotRead`, `ApplyConfluent`) that finds the
+    /// core held retries it for up to [`ONE_SHOT_CORE_WAIT`] first; every
+    /// other command tries once. Nothing here ever blocks in `lock()`.
     /// Every decision is counted per shard.
     pub(crate) fn submit(&self, cmd: ShardCmd) -> Result<(), ShardGone> {
         if !cmd.runs_inline() {
             return self.send(cmd);
         }
         let counters = &self.stats.per_shard[self.idx];
-        let fallback = match self.core.try_lock() {
-            Ok(mut core) => {
+        let fallback = match self.try_core(&cmd) {
+            Some((mut core, waited)) => {
                 if core.closed {
                     return Err(ShardGone);
                 }
@@ -553,6 +598,9 @@ impl ShardSender {
                     &counters.enqueued_log_full
                 } else {
                     counters.inline.fetch_add(1, Ordering::Relaxed);
+                    if waited {
+                        counters.inline_waited.fetch_add(1, Ordering::Relaxed);
+                    }
                     // The engine's invariants are asserts: contain a
                     // failing one so it takes the shard down, not the
                     // client that happened to be running it.
@@ -580,12 +628,38 @@ impl ShardSender {
                     return if died { Err(ShardGone) } else { Ok(()) };
                 }
             }
-            // Held — or poisoned: the shard thread died mid-command, its
-            // inbox goes with it and the send below fails.
-            Err(_) => &counters.enqueued_busy,
+            // Held (past the wait, for a one-shot) — or poisoned: the shard
+            // thread died mid-command, its inbox goes with it and the send
+            // below fails.
+            None => &counters.enqueued_busy,
         };
         fallback.fetch_add(1, Ordering::Relaxed);
         self.send(cmd)
+    }
+
+    /// Try-lock the core, and say whether that took a wait: a one-shot
+    /// command retries a held core under `spin_loop` until
+    /// [`ONE_SHOT_CORE_WAIT`] has passed; anything else tries once. `None`
+    /// when the core stayed held or is poisoned.
+    fn try_core(&self, cmd: &ShardCmd) -> Option<(MutexGuard<'_, ShardCore>, bool)> {
+        match self.core.try_lock() {
+            Ok(core) => return Some((core, false)),
+            Err(TryLockError::WouldBlock) if cmd.is_one_shot() => {}
+            Err(_) => return None,
+        }
+        #[cfg(test)]
+        self.stats.per_shard[self.idx]
+            .core_waits
+            .fetch_add(1, Ordering::Relaxed);
+        let deadline = Instant::now() + ONE_SHOT_CORE_WAIT;
+        loop {
+            std::hint::spin_loop();
+            match self.core.try_lock() {
+                Ok(core) => return Some((core, true)),
+                Err(TryLockError::WouldBlock) if Instant::now() < deadline => {}
+                Err(_) => return None,
+            }
+        }
     }
 
     /// The inbox ring's queue-dwell meter (see
@@ -593,6 +667,20 @@ impl ShardSender {
     /// are not in it.
     pub(crate) fn queue_dwell(&self) -> (u64, u64) {
         self.ring.queue_dwell()
+    }
+}
+
+/// Test access to a shard's core and ring from outside this module.
+#[cfg(test)]
+impl ShardSender {
+    /// Take the core the way the shard thread does, blocking.
+    pub(crate) fn hold_core(&self) -> MutexGuard<'_, ShardCore> {
+        self.core.lock().unwrap()
+    }
+
+    /// Has the shard taken everything enqueued so far?
+    pub(crate) fn ring_is_idle(&self) -> bool {
+        self.ring.is_idle()
     }
 }
 
@@ -623,6 +711,7 @@ pub(crate) fn spawn(
         // the sink's warm-up growth.
         sink: QmSink::with_capacity(64, 64),
         reply_groups: Vec::with_capacity(16),
+        snap_served: Vec::with_capacity(16),
         log_buf: Vec::with_capacity(LOG_BUF_RECORDS),
         nudged: false,
         closed: false,
@@ -736,6 +825,7 @@ fn shard_loop(core: &Mutex<ShardCore>, registry: &Registry, mut inbox: ShardInbo
 mod tests {
     use super::*;
     use crate::registry::ClientMailbox;
+    use crate::stats::ShardCounterSnapshot;
     use dbmodel::{
         AccessMode, CcMethod, LogicalItemId, PhysicalItemId, Timestamp, TsTuple, TxnId, Value,
     };
@@ -910,6 +1000,35 @@ mod tests {
         batch([access(t, AccessMode::Write, t), release(t, t as Value)])
     }
 
+    /// A snapshot read of the item for `t` at stamp zero (the initial
+    /// version, never pruned by the unstamped test writes). The answer is
+    /// dropped: the tests read the log.
+    fn snapshot_read(t: u64) -> ShardCmd {
+        let (reply, _) = transport::oneshot::channel();
+        ShardCmd::SnapshotRead {
+            txn: TxnId(t),
+            ts: Timestamp::ZERO,
+            items: std::iter::once(item()).collect(),
+            reply,
+        }
+    }
+
+    /// A checked bypass add of 1 to the item for `t`.
+    fn bypass_add(t: u64) -> ShardCmd {
+        let (reply, _) = transport::oneshot::channel();
+        ShardCmd::ApplyConfluent {
+            origin: SiteId(0),
+            txn: TxnId(t),
+            ops: std::iter::once(ConfluentOp::Add(item(), 1)).collect(),
+            check: true,
+            reply,
+        }
+    }
+
+    /// Every kind of submitted command the FIFO tests push last: a whole
+    /// coordinated write and the two one-shot commands.
+    const EVERY_KIND: [fn(u64) -> ShardCmd; 3] = [write_txn, snapshot_read, bypass_add];
+
     fn shutdown(handle: ShardHandle) -> LogSet {
         let _ = handle.tx.send(ShardCmd::Shutdown);
         handle.join.join().unwrap().1
@@ -917,10 +1036,17 @@ mod tests {
 
     /// FIFO, ring pre-filled: the inbox already holds forty transactions
     /// when the shard starts, and a `submit` racing the shard thread's
-    /// first tenure — busy core, backlog, or idle by then — still lands
-    /// behind every one of them.
+    /// first tenure — busy core, backlog, or idle by then; for a one-shot
+    /// command also a wait that ends in any of those — still lands behind
+    /// every one of them.
     #[test]
     fn submit_never_overtakes_a_prefilled_inbox() {
+        for last in EVERY_KIND {
+            submit_after_a_prefilled_inbox(last);
+        }
+    }
+
+    fn submit_after_a_prefilled_inbox(last: fn(u64) -> ShardCmd) {
         const QUEUED: u64 = 40;
         let mut qm = QueueManager::new(SiteId(0));
         qm.add_item(item(), 42, EnforcementMode::SemiLock);
@@ -939,7 +1065,7 @@ mod tests {
             Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1)),
             Arc::new(CommitClock::new()),
         );
-        handle.tx.submit(write_txn(QUEUED + 1)).unwrap();
+        handle.tx.submit(last(QUEUED + 1)).unwrap();
         let logs = shutdown(handle);
         assert_eq!(log_order(&logs), (1..=QUEUED + 1).collect::<Vec<_>>());
         let shard0 = &stats.snapshot().per_shard[0];
@@ -948,19 +1074,27 @@ mod tests {
             1,
             "the one submit is counted exactly once: {shard0:?}"
         );
+        assert!(shard0.inline_waited <= shard0.inline, "{shard0:?}");
     }
 
     /// FIFO, core held: while the test holds the core a `submit` cannot
-    /// run inline, so it queues behind the command `send` put there; once
-    /// the core is free and the inbox drained, the next one runs inline
-    /// and lands last.
+    /// run inline — a one-shot command waits out its bound and gives up —
+    /// so it queues behind the command `send` put there; once the core is
+    /// free and the inbox drained, the next one runs inline and lands
+    /// last.
     #[test]
     fn submit_behind_a_held_core_keeps_inbox_order() {
+        for kind in EVERY_KIND {
+            submit_behind_a_held_core(kind);
+        }
+    }
+
+    fn submit_behind_a_held_core(kind: fn(u64) -> ShardCmd) {
         let (handle, _registry, stats) = spawn_one();
         let tx = handle.tx.clone();
         let held = tx.core.lock().unwrap();
         assert!(tx.send(write_txn(1)).is_ok());
-        tx.submit(write_txn(2)).unwrap();
+        tx.submit(kind(2)).unwrap();
         assert!(!tx.ring.is_idle(), "nothing is taken without the core");
         drop(held);
         // Wait for the shard thread's tenure (it was already woken) so the
@@ -969,17 +1103,155 @@ mod tests {
             std::thread::yield_now();
         }
         drop(tx.core.lock().unwrap());
-        tx.submit(write_txn(3)).unwrap();
+        tx.submit(kind(3)).unwrap();
         let shard0 = stats.snapshot().per_shard[0];
         assert_eq!((shard0.enqueued_busy, shard0.inline), (1, 1), "{shard0:?}");
+        assert_eq!(shard0.inline_waited, 0, "{shard0:?}");
         assert_eq!(log_order(&shutdown(handle)), [1, 2, 3]);
     }
 
+    /// Hold `tx`'s core on another thread — taken before this returns —
+    /// until a one-shot `submit` has started waiting for it, then `then`
+    /// while still holding it, then ~2 µs more, and let go. The wait is
+    /// what the holder reacts to, so the interleaving is forced, not timed.
+    fn hold_until_a_waiter(
+        tx: &ShardSender,
+        then: impl FnOnce(&ShardSender) + Send + 'static,
+    ) -> std::thread::JoinHandle<()> {
+        let tx = tx.clone();
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+        let holder = std::thread::spawn(move || {
+            let counters = &tx.stats.per_shard[tx.idx];
+            let waits = counters.core_waits.load(Ordering::Relaxed);
+            let held = tx.core.lock().unwrap();
+            locked_tx.send(()).unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while counters.core_waits.load(Ordering::Relaxed) == waits {
+                assert!(std::time::Instant::now() < deadline, "nobody waited");
+                std::hint::spin_loop();
+            }
+            then(&tx);
+            let release = std::time::Instant::now() + Duration::from_micros(2);
+            while std::time::Instant::now() < release {
+                std::hint::spin_loop();
+            }
+            drop(held);
+        });
+        locked_rx.recv().unwrap();
+        holder
+    }
+
+    /// Submit `cmd()` against a core held as [`hold_until_a_waiter`] holds
+    /// it, until one attempt is not preempted past the wait bound: a
+    /// holder descheduled mid-hold makes that attempt enqueue instead,
+    /// which is correct and counted, just not the case under test.
+    fn submit_against_a_briefly_held_core(
+        tx: &ShardSender,
+        cmd: fn(u64) -> ShardCmd,
+        then: fn(&ShardSender),
+        done: impl Fn(&ShardCounterSnapshot) -> bool,
+    ) -> ShardCounterSnapshot {
+        for attempt in 1..=50 {
+            let holder = hold_until_a_waiter(tx, then);
+            tx.submit(cmd(attempt)).unwrap();
+            holder.join().unwrap();
+            let shard = tx.stats.snapshot().per_shard[tx.idx];
+            if done(&shard) {
+                return shard;
+            }
+        }
+        panic!("fifty attempts, every holder preempted past the wait bound");
+    }
+
+    /// The tentpole: another thread holds the core for a couple of
+    /// microseconds. A snapshot read waits for it and runs inline —
+    /// counted as inline and as waited — where a `HandleBatch` in the same
+    /// spot tries once and enqueues, busy.
+    #[test]
+    fn a_one_shot_waits_out_a_briefly_held_core_and_a_batch_does_not() {
+        let (handle, _registry, stats) = spawn_one();
+        let tx = handle.tx.clone();
+        let shard0 =
+            submit_against_a_briefly_held_core(&tx, snapshot_read, |_| {}, |s| s.inline_waited > 0);
+        // Every attempt waited, so an inline run is a waited one.
+        assert_eq!((shard0.inline, shard0.inline_waited), (1, 1), "{shard0:?}");
+        let busy_before = shard0.enqueued_busy;
+        // The batch: held on another thread, released only once `submit`
+        // has returned — it must not have waited for the core.
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+        let holder = {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let held = tx.core.lock().unwrap();
+                locked_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                drop(held);
+            })
+        };
+        locked_rx.recv().unwrap();
+        let waits = stats.per_shard[0].core_waits.load(Ordering::Relaxed);
+        tx.submit(write_txn(100)).unwrap();
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        let shard0 = stats.snapshot().per_shard[0];
+        assert_eq!(shard0.enqueued_busy, busy_before + 1, "{shard0:?}");
+        assert_eq!(shard0.inline_waited, 1, "{shard0:?}");
+        assert_eq!(
+            stats.per_shard[0].core_waits.load(Ordering::Relaxed),
+            waits,
+            "a batch never starts the wait"
+        );
+        let order = log_order(&shutdown(handle));
+        assert_eq!(order.last(), Some(&100), "{order:?}");
+    }
+
+    /// The ring-idle rule still holds after a wait: a holder that enqueues
+    /// a write as it lets go leaves a waiter that wins the core with a
+    /// backlog — and it enqueues behind that write instead of running
+    /// ahead of it. (When the shard thread wins the core first it drains
+    /// the write and the waiter runs inline after it; either way the log
+    /// says write first.)
+    #[test]
+    fn a_waiter_that_wins_the_core_behind_a_backlog_enqueues() {
+        for kind in [snapshot_read, bypass_add] {
+            let (handle, _registry, _stats) = spawn_one();
+            let tx = handle.tx.clone();
+            // Each attempt logs the holder's write (id 1000 + attempt)
+            // and then the waiter's command (id attempt).
+            let shard0 = submit_against_a_briefly_held_core(
+                &tx,
+                kind,
+                |tx| {
+                    let attempt = tx.stats.per_shard[tx.idx]
+                        .core_waits
+                        .load(Ordering::Relaxed);
+                    assert!(tx.send(write_txn(1000 + attempt)).is_ok());
+                },
+                |s| s.enqueued_backlog > 0,
+            );
+            assert!(shard0.enqueued_backlog > 0, "{shard0:?}");
+            // The attempt that met the backlog is the last one logged:
+            // its holder's write, then its own command.
+            let order = log_order(&shutdown(handle));
+            let [.., write, waiter] = order[..] else {
+                panic!("nothing logged: {order:?}");
+            };
+            assert_eq!(write, 1000 + waiter, "write first: {order:?}");
+        }
+    }
+
     /// A `Crash` sleeps holding the core: a `submit` during the outage
-    /// returns at once — enqueued, not run — and is applied only when the
-    /// outage is over.
+    /// returns at once — a one-shot command after its bounded wait —
+    /// enqueued, not run, and is applied only when the outage is over.
     #[test]
     fn submit_during_a_crash_outage_enqueues_and_the_outage_lasts() {
+        for kind in EVERY_KIND {
+            submit_during_a_crash_outage(kind);
+        }
+    }
+
+    fn submit_during_a_crash_outage(kind: fn(u64) -> ShardCmd) {
         const OUTAGE: Duration = Duration::from_millis(150);
         let (handle, _registry, stats) = spawn_one();
         let tx = &handle.tx;
@@ -990,10 +1262,17 @@ mod tests {
         while !tx.ring.is_idle() {
             std::thread::yield_now();
         }
-        tx.submit(write_txn(1)).unwrap();
+        let submitted = std::time::Instant::now();
+        let one_shot = kind(1).is_one_shot();
+        tx.submit(kind(1)).unwrap();
+        let took = submitted.elapsed();
         assert!(
             crashed.elapsed() < OUTAGE,
             "submit must not wait out the outage"
+        );
+        assert!(
+            !one_shot || took >= ONE_SHOT_CORE_WAIT,
+            "it waited: {took:?}"
         );
         let shard0 = stats.snapshot().per_shard[0];
         assert_eq!((shard0.enqueued_busy, shard0.inline), (1, 0), "{shard0:?}");

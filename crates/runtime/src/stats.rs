@@ -121,6 +121,9 @@ pub(crate) struct ShardCounters {
     /// Submitted commands the calling thread ran itself (core free, inbox
     /// idle, log buffer roomy).
     pub(crate) inline: AtomicU64,
+    /// Of `inline`, the one-shot commands that found the core held and
+    /// got it within the bounded wait.
+    pub(crate) inline_waited: AtomicU64,
     /// Submitted commands enqueued because another thread held the core.
     pub(crate) enqueued_busy: AtomicU64,
     /// … because the inbox held commands not yet taken (running ahead of
@@ -130,6 +133,11 @@ pub(crate) struct ShardCounters {
     pub(crate) enqueued_log_full: AtomicU64,
     /// `FoldLog` nudges sent to the shard thread at a half-full buffer.
     pub(crate) log_fold_nudges: AtomicU64,
+    /// One-shot submits that found the core held and started the bounded
+    /// wait (whatever came of it): the hook a test forces its interleaving
+    /// with.
+    #[cfg(test)]
+    pub(crate) core_waits: AtomicU64,
 }
 
 impl ShardCounters {
@@ -140,6 +148,7 @@ impl ShardCounters {
             implemented: self.implemented.load(Ordering::Relaxed),
             aborts: self.aborts.load(Ordering::Relaxed),
             inline: self.inline.load(Ordering::Relaxed),
+            inline_waited: self.inline_waited.load(Ordering::Relaxed),
             enqueued_busy: self.enqueued_busy.load(Ordering::Relaxed),
             enqueued_backlog: self.enqueued_backlog.load(Ordering::Relaxed),
             enqueued_log_full: self.enqueued_log_full.load(Ordering::Relaxed),
@@ -161,6 +170,8 @@ pub struct ShardCounterSnapshot {
     pub aborts: u64,
     /// Submitted commands run on the calling thread (no wake-up).
     pub inline: u64,
+    /// Of `inline`, one-shot commands that waited for a held core first.
+    pub inline_waited: u64,
     /// Submitted commands enqueued because the core was held.
     pub enqueued_busy: u64,
     /// Submitted commands enqueued behind an inbox backlog.
@@ -337,11 +348,19 @@ pub struct StatsSnapshot {
     /// Protocol commands (`HandleBatch`, bypass applies, snapshot reads)
     /// a client ran on its own thread — and edge reports the deadlock
     /// detector ran on its — because it found the owning shard's core free
-    /// and its inbox idle: no wake-up paid. This and the three
+    /// (a one-shot command: free within its bounded wait) and its inbox
+    /// idle: no wake-up paid. This and the three
     /// `shard_enqueued_*` counters partition the submitted commands; each
     /// is the sum of its per-shard namesake.
     pub shard_inline: u64,
-    /// Submitted commands enqueued because another thread held the core.
+    /// Of `shard_inline`, the one-shot commands (snapshot reads, bypass
+    /// applies) that found the core held by another thread and ran inline
+    /// after a bounded wait of a few microseconds instead of taking the
+    /// ring. `shard_inline_waited ⊆ shard_inline`: it is not a fifth
+    /// outcome of a submit.
+    pub shard_inline_waited: u64,
+    /// Submitted commands enqueued because another thread held the core
+    /// (for a one-shot command: still held after the bounded wait).
     pub shard_enqueued_busy: u64,
     /// Submitted commands enqueued because the inbox held commands not
     /// yet taken (per-shard FIFO).
@@ -405,6 +424,7 @@ impl RuntimeStats {
             dup_suppressed: self.dup_suppressed.load(Ordering::Relaxed),
             shard_crashes: self.shard_crashes.load(Ordering::Relaxed),
             shard_inline: sum(|s| s.inline),
+            shard_inline_waited: sum(|s| s.inline_waited),
             shard_enqueued_busy: sum(|s| s.enqueued_busy),
             shard_enqueued_backlog: sum(|s| s.enqueued_backlog),
             shard_enqueued_log_full: sum(|s| s.enqueued_log_full),

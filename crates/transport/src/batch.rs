@@ -55,12 +55,34 @@ impl<T> SmallBatch<T> {
     }
 
     /// Iterate the values in push order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl Iterator<Item = &T> + Clone {
         self.inline
             .iter()
             .take(self.len)
             .filter_map(Option::as_ref)
             .chain(self.spill.iter())
+    }
+
+    /// Iterate the values mutably, in push order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.inline
+            .iter_mut()
+            .take(self.len)
+            .filter_map(Option::as_mut)
+            .chain(self.spill.iter_mut())
+    }
+}
+
+impl<T> IntoIterator for SmallBatch<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<
+        std::iter::Flatten<std::array::IntoIter<Option<T>, INLINE_BATCH>>,
+        std::vec::IntoIter<T>,
+    >;
+
+    /// The values by value, in push order (unused inline slots are `None`).
+    fn into_iter(self) -> Self::IntoIter {
+        self.inline.into_iter().flatten().chain(self.spill)
     }
 }
 
@@ -88,6 +110,11 @@ mod tests {
         assert!(!batch.is_empty());
         let seen: Vec<i32> = batch.iter().copied().collect();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
+        for value in batch.iter_mut() {
+            *value *= 2;
+        }
+        let owned: Vec<i32> = batch.into_iter().collect();
+        assert_eq!(owned, (0..10).map(|i| 2 * i).collect::<Vec<_>>());
     }
 
     #[test]
