@@ -1,25 +1,25 @@
 //! E10 — reply-plane scale sweep: tens of thousands of concurrently open
 //! registrations under Zipfian-skewed delivery.
 //!
-//! PR 4's reply plane shipped with a fixed 4096-bucket packed index:
-//! past ~4096 concurrently live transactions every further registration
-//! fell onto a mutexed overflow map, quietly serialising the reply path
-//! exactly when the system was busiest. PR 7 made the index a resizable
-//! chain of tables; this experiment is the proof, in two sections:
+//! The reply plane is a slab of reusable mailboxes addressed by the keys
+//! themselves: a key (the runtime's transaction id) carries its mailbox's
+//! slot in its low bits, so routing a reply is an index into the slab and
+//! a compare, at any number of open registrations. This experiment is the
+//! slab's scale proof, in two sections:
 //!
 //! 1. **Section A (transport)** — how does the raw mailbox registry
 //!    behave as the *live* registration count ramps into the tens of
 //!    thousands? Each cell holds `live` keys open simultaneously while
 //!    churner threads cycle transient incarnations through the same
-//!    index, then drives Zipfian-skewed deliver/receive traffic across
-//!    the live set. The cell reports registrations/s on the ramp,
-//!    skewed deliveries/s, and — the gate — how many registrations
-//!    fell onto the overflow map (must be 0 below the growth ceiling).
+//!    slab, checks every held key still resolves, then drives
+//!    Zipfian-skewed deliver/receive traffic across the live set. The
+//!    cell reports registrations/s on the ramp, skewed deliveries/s, and
+//!    — the gate — how many held keys were addressable at the peak.
 //! 2. **Section B (runtime hold)** — can the full engine keep tens of
 //!    thousands of transactions *open at once*? A cell begins `hold`
 //!    write transactions on disjoint items and keeps every one open
-//!    before aborting them all; with the old index anything past 4096
-//!    degraded, now `mailbox_overflow_entries` must stay 0.
+//!    before aborting them all; the reply plane must count every one of
+//!    them live.
 //!
 //! Live commit throughput under skew, the confluent bypass and the
 //! snapshot plane are measured by the repo benchmark (`benchmark/`:
@@ -30,10 +30,10 @@
 //! Environment knobs (used by the CI smoke step):
 //!
 //! * `EXP10_SMOKE=1` — restrict each axis to its gate-relevant points.
-//! * `EXP10_GATE=<live>` — fail (exit 1) unless a Section A cell and
-//!   the Section B cell both held at least `<live>` concurrently open
-//!   registrations with `mailbox_overflow_entries == 0` and no stale
-//!   leak.
+//! * `EXP10_GATE=<live>` — fail (exit 1) unless a Section A cell held at
+//!   least `<live>` concurrently open registrations, every one
+//!   addressable, with no stale leak, and the Section B cell held that
+//!   many transactions open at once.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,20 +57,18 @@ struct TransportOutcome {
     theta: f64,
     reg_per_sec: f64,
     deliver_per_sec: f64,
-    index_capacity: usize,
-    index_resizes: u64,
-    overflow_entries: usize,
+    /// Held keys that resolved at peak liveness.
+    addressable: usize,
     stale_dropped: u64,
     full_dropped: u64,
     leaks: u64,
 }
 
 /// Ramp `live` keys to concurrently registered (each with its own slab
-/// mailbox), race churners through the growing index, then drive
+/// mailbox) while churners race the same slab, then drive
 /// Zipfian-skewed deliver/receive traffic over the live set.
 fn run_transport_cell(live: usize, theta: f64) -> TransportOutcome {
     let registry = MailboxRegistry::<u64>::with_options(MailboxOptions {
-        index_capacity: 1024,
         mailbox_capacity: 8,
         max_clients: live + CHURNERS as usize + 8,
         ..MailboxOptions::default()
@@ -88,9 +86,10 @@ fn run_transport_cell(live: usize, theta: f64) -> TransportOutcome {
                 let mut mailbox = registry.acquire().expect("churner mailbox");
                 let mut n = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    // Transient keys live above the ramp's key range.
-                    let key = (1 << 32) + t + n * CHURNERS;
+                    // Transient keys' `seq`s lie above the ramp's.
+                    let seq = (1 << 32) + t + n * CHURNERS;
                     n += 1;
+                    let key = registry.key(seq, mailbox.slot()).expect("seq fits");
                     registry.register(key, 0, &mut mailbox);
                     registry.try_deliver(key, key);
                     if let Some(payload) = mailbox.recv_timeout(key, Duration::from_millis(1)) {
@@ -106,16 +105,21 @@ fn run_transport_cell(live: usize, theta: f64) -> TransportOutcome {
         let ramp_begun = Instant::now();
         let mut held: Vec<(u64, Mailbox<u64>)> = Vec::with_capacity(live);
         for i in 0..live {
-            let key = (i + 1) as u64;
             let mut mailbox = registry.acquire().expect("ramp mailbox");
+            let key = registry
+                .key(i as u64 + 1, mailbox.slot())
+                .expect("seq fits");
             registry.register(key, 0, &mut mailbox);
             held.push((key, mailbox));
         }
         let ramp_secs = ramp_begun.elapsed().as_secs_f64();
+        let addressable = held
+            .iter()
+            .filter(|(key, _)| registry.resolve_meta(*key).is_some())
+            .count();
 
         // Skewed delivery across the live set: rank 0 (the hottest key)
-        // maps to the first-ramped key, so the hot head spans every
-        // generation of the grown index chain.
+        // maps to the first-ramped key.
         let zipf = Zipfian::new(live, theta);
         let mut rng = SimRng::new(0xE10 ^ live as u64);
         let deliver_begun = Instant::now();
@@ -138,9 +142,7 @@ fn run_transport_cell(live: usize, theta: f64) -> TransportOutcome {
             theta,
             reg_per_sec: live as f64 / ramp_secs,
             deliver_per_sec: DELIVER_OPS as f64 / deliver_secs,
-            index_capacity: registry.index_capacity(),
-            index_resizes: registry.index_resizes(),
-            overflow_entries: registry.overflow_entries(),
+            addressable,
             stale_dropped: registry.stale_dropped(),
             full_dropped: registry.full_dropped(),
             leaks: local_leaks,
@@ -162,9 +164,8 @@ fn run_transport_cell(live: usize, theta: f64) -> TransportOutcome {
 struct HoldOutcome {
     hold: usize,
     begin_per_sec: f64,
-    index_capacity: u64,
-    index_resizes: u64,
-    overflow_entries: u64,
+    /// Transactions the reply plane counted live once all were open.
+    live: usize,
     abort_secs: f64,
 }
 
@@ -190,7 +191,7 @@ fn run_hold_cell(hold: usize) -> HoldOutcome {
         );
     }
     let ramp_secs = begun.elapsed().as_secs_f64();
-    let stats = db.stats();
+    let live = db.live_transactions();
     let abort_begun = Instant::now();
     for txn in open {
         txn.abort();
@@ -200,9 +201,7 @@ fn run_hold_cell(hold: usize) -> HoldOutcome {
     HoldOutcome {
         hold,
         begin_per_sec: hold as f64 / ramp_secs,
-        index_capacity: stats.mailbox_index_capacity,
-        index_resizes: stats.mailbox_index_resizes,
-        overflow_entries: stats.mailbox_overflow_entries,
+        live,
         abort_secs,
     }
 }
@@ -215,17 +214,15 @@ fn main() {
 
     // --- Section A: raw registry scale ---------------------------------
     println!("E10.A: mailbox registry scale — live registrations x delivery skew");
-    println!("       (index starts at 1024 buckets; churners race every ramp)\n");
-    let widths_a = [7, 6, 8, 10, 9, 8, 9, 7, 7, 6];
+    println!("       (churners race every ramp)\n");
+    let widths_a = [7, 6, 8, 10, 8, 7, 7, 6];
     table::header(
         &[
             "live",
             "theta",
             "reg/s",
             "deliver/s",
-            "idx cap",
-            "resizes",
-            "overflow",
+            "addr.",
             "stale",
             "drops",
             "leaks",
@@ -248,9 +245,7 @@ fn main() {
                     format!("{:.2}", o.theta),
                     format!("{:.0}", o.reg_per_sec),
                     format!("{:.0}", o.deliver_per_sec),
-                    o.index_capacity.to_string(),
-                    o.index_resizes.to_string(),
-                    o.overflow_entries.to_string(),
+                    o.addressable.to_string(),
                     o.stale_dropped.to_string(),
                     o.full_dropped.to_string(),
                     o.leaks.to_string(),
@@ -258,7 +253,7 @@ fn main() {
                 &widths_a,
             );
             if let Some(required) = gate {
-                if o.live >= required && o.overflow_entries == 0 && o.leaks == 0 {
+                if o.addressable >= required && o.leaks == 0 {
                     transport_gate_ok = true;
                 }
             }
@@ -267,13 +262,8 @@ fn main() {
 
     // --- Section B: engine open-hold -----------------------------------
     println!("\nE10.B: engine open-hold — transactions held open simultaneously\n");
-    let widths_b = [7, 9, 9, 8, 9, 8];
-    table::header(
-        &[
-            "hold", "begin/s", "idx cap", "resizes", "overflow", "abort s",
-        ],
-        &widths_b,
-    );
+    let widths_b = [7, 9, 7, 8];
+    table::header(&["hold", "begin/s", "live", "abort s"], &widths_b);
     let hold_axis: &[usize] = if smoke { &[32_768] } else { &[8192, 32_768] };
     let mut hold_gate_ok = false;
     for &hold in hold_axis {
@@ -282,15 +272,13 @@ fn main() {
             &[
                 o.hold.to_string(),
                 format!("{:.0}", o.begin_per_sec),
-                o.index_capacity.to_string(),
-                o.index_resizes.to_string(),
-                o.overflow_entries.to_string(),
+                o.live.to_string(),
                 format!("{:.2}", o.abort_secs),
             ],
             &widths_b,
         );
         if let Some(required) = gate {
-            if o.hold >= required && o.overflow_entries == 0 {
+            if o.live >= required {
                 hold_gate_ok = true;
             }
         }
@@ -300,21 +288,18 @@ fn main() {
         println!();
         if !transport_gate_ok {
             eprintln!(
-                "FAIL: no Section A cell held >= {required} live registrations \
-                 with a clean (overflow-free, leak-free) reply plane"
+                "FAIL: no Section A cell held >= {required} live, addressable \
+                 registrations with a leak-free reply plane"
             );
             std::process::exit(1);
         }
         if !hold_gate_ok {
-            eprintln!(
-                "FAIL: the engine did not hold >= {required} transactions open \
-                 with mailbox_overflow_entries == 0"
-            );
+            eprintln!("FAIL: the engine did not hold >= {required} transactions open");
             std::process::exit(1);
         }
         println!(
-            "gate passed: >= {required} concurrently open registrations stayed \
-             entirely on the lock-free index (overflow 0, leaks 0)"
+            "gate passed: >= {required} concurrently open registrations, \
+             each addressable (leaks 0)"
         );
     }
 }

@@ -105,19 +105,11 @@ pub struct RuntimeConfig {
     /// Maximum concurrently open transactions: the reply-mailbox slab
     /// holds one reusable mailbox per open transaction and `begin` fails
     /// with [`crate::TxnError::ReplyPlaneExhausted`] — after a bounded
-    /// wait — once this many stay open.
+    /// wait — once this many stay open. It also sizes the slot field in
+    /// the low bits of every transaction id (the id is its reply
+    /// address): 16 bits at the default 65,536, leaving 48 bits of
+    /// begin-order sequence.
     pub reply_max_clients: usize,
-    /// Initial bucket count of the reply plane's resizable lock-free
-    /// index (rounded up to a power of two). The index doubles itself as
-    /// open transactions approach its load-factor threshold, so this
-    /// only sets where growth starts.
-    pub reply_index_capacity: usize,
-    /// Ceiling on reply-index growth (rounded up to a power of two,
-    /// never below `reply_index_capacity`). Registrations colliding once
-    /// the index is at this size fall back to a mutex-guarded overflow
-    /// map — correct, but off the lock-free path; size it at or above
-    /// `reply_max_clients` to keep overflow unreachable.
-    pub reply_index_max_capacity: usize,
     /// Period of the deadlock detector's *backstop* scan and of its
     /// stranded-transaction sweep. It is not the detection latency: a
     /// deadlock is found by the scan its closing wait edge asks for, about
@@ -230,8 +222,6 @@ impl Default for RuntimeConfig {
             shard_inbox_capacity: 256,
             reply_mailbox_capacity: 256,
             reply_max_clients: 65536,
-            reply_index_capacity: 1024,
-            reply_index_max_capacity: 1 << 20,
             deadlock_scan_interval: Duration::from_millis(5),
             max_restarts: 256,
             request_timeout: Duration::from_secs(30),
@@ -277,17 +267,6 @@ impl RuntimeConfig {
             return Err(ConfigError::BadReplyPlane(
                 "reply_max_clients must be at least 1".into(),
             ));
-        }
-        if self.reply_index_capacity == 0 {
-            return Err(ConfigError::BadReplyPlane(
-                "reply_index_capacity must be at least 1".into(),
-            ));
-        }
-        if self.reply_index_max_capacity < self.reply_index_capacity {
-            return Err(ConfigError::BadReplyPlane(format!(
-                "reply_index_max_capacity ({}) is below reply_index_capacity ({})",
-                self.reply_index_max_capacity, self.reply_index_capacity
-            )));
         }
         for (name, value) in [
             ("request_timeout", self.request_timeout),
@@ -379,22 +358,10 @@ mod tests {
         };
         assert!(matches!(c.validate(), Err(ConfigError::BadReplyPlane(_))));
         let c = RuntimeConfig {
-            reply_index_capacity: 0,
+            reply_max_clients: 1,
             ..RuntimeConfig::default()
         };
-        assert!(matches!(c.validate(), Err(ConfigError::BadReplyPlane(_))));
-        let c = RuntimeConfig {
-            reply_index_capacity: 4096,
-            reply_index_max_capacity: 1024,
-            ..RuntimeConfig::default()
-        };
-        assert!(matches!(c.validate(), Err(ConfigError::BadReplyPlane(_))));
-        let c = RuntimeConfig {
-            reply_index_capacity: 1024,
-            reply_index_max_capacity: 1024,
-            ..RuntimeConfig::default()
-        };
-        assert_eq!(c.validate(), Ok(()), "a fixed-size index is valid");
+        assert_eq!(c.validate(), Ok(()), "a one-mailbox plane is valid");
     }
 
     #[test]

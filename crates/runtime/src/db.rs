@@ -73,7 +73,9 @@ pub(crate) struct Inner {
     /// atomic array, the last lock the stats read path used to take.
     /// [`Database::shutdown`] folds it back into the report's `BTreeMap`.
     selection_counts: [AtomicU64; 3],
-    pub(crate) next_txn_id: AtomicU64,
+    /// Begin-order sequence of the last minted incarnation id (see
+    /// [`Inner::mint_txn_id`]).
+    next_seq: AtomicU64,
     ts_counter: AtomicU64,
     started: Instant,
     pub(crate) stopped: Arc<AtomicBool>,
@@ -103,6 +105,21 @@ struct Teardown {
 }
 
 impl Inner {
+    /// Mint the next incarnation id: the next begin-order `seq`,
+    /// addressed to reply mailbox `slot` (0 for the one-shot routes,
+    /// which have no mailbox). See [`Registry::txn_id`].
+    pub(crate) fn mint_txn_id(&self, slot: u32) -> TxnId {
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        self.registry.txn_id(seq, slot)
+    }
+
+    /// The site `txn` originates from: the spec's, or round-robin over
+    /// the sites by begin order (its `seq`, not the packed id).
+    pub(crate) fn origin_of(&self, spec: &TxnSpec, txn: TxnId) -> SiteId {
+        spec.origin
+            .unwrap_or_else(|| self.catalog.origin_for(TxnId(self.registry.seq(txn))))
+    }
+
     /// Tell the refitter no further epoch is wanted and wake it so it
     /// notices; a re-fit in flight gives up at its next dynamic program.
     fn close_selector(&self) {
@@ -161,8 +178,6 @@ impl Database {
     ) -> Result<Database, ConfigError> {
         config.validate()?;
         let registry = Arc::new(Registry::with_options(MailboxOptions {
-            index_capacity: config.reply_index_capacity,
-            index_max_capacity: config.reply_index_max_capacity,
             mailbox_capacity: config.reply_mailbox_capacity,
             max_clients: config.reply_max_clients,
             ..MailboxOptions::default()
@@ -263,7 +278,7 @@ impl Database {
                 selector,
                 refitter: refitter.as_ref().map(|join| join.thread().clone()),
                 selection_counts: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-                next_txn_id: AtomicU64::new(0),
+                next_seq: AtomicU64::new(0),
                 ts_counter: AtomicU64::new(0),
                 started,
                 stopped,
@@ -293,16 +308,11 @@ impl Database {
 
     /// A snapshot of the runtime counters, including the selection-cache
     /// counters. Reads only atomics — so stats polling cannot contend
-    /// with admission — and is side-effect-free (the mailbox-overflow
-    /// postmortem fires on the registration that overflows, in `begin`,
-    /// not here).
+    /// with admission — and is side-effect-free.
     pub fn stats(&self) -> StatsSnapshot {
         let mut snapshot = self.inner.stats.snapshot();
         snapshot.cache = self.inner.selector.cache_stats();
         snapshot.stale_reply_events = self.inner.registry.stale_reply_events();
-        snapshot.mailbox_overflow_entries = self.inner.registry.overflow_entries() as u64;
-        snapshot.mailbox_index_capacity = self.inner.registry.index_capacity() as u64;
-        snapshot.mailbox_index_resizes = self.inner.registry.index_resizes();
         snapshot.mailbox_full_drops = self.inner.registry.full_drops();
         snapshot.trace_events = self.inner.trace.events_recorded();
         snapshot
@@ -444,9 +454,7 @@ impl Database {
         let inner = &self.inner;
         if self.routes(spec).next() == Some(Route::Snapshot) {
             if let Some((txn_id, reads)) = self.snapshot_read_values(spec)? {
-                let origin = spec
-                    .origin
-                    .unwrap_or_else(|| inner.catalog.origin_for(txn_id));
+                let origin = inner.origin_of(spec, txn_id);
                 let txn = Transaction::builder(txn_id, origin)
                     .reads(spec.reads.iter().copied())
                     .build();
@@ -477,7 +485,8 @@ impl Database {
     /// The reply endpoint is acquired **once** here and reused across
     /// every restart incarnation — that is the whole point of the mailbox
     /// slab: registration re-arms the same mailbox under the new
-    /// transaction id instead of allocating a channel.
+    /// transaction id instead of allocating a channel. Holding it first
+    /// is also what lets every incarnation's id carry the mailbox's slot.
     pub(crate) fn begin_coordinated(&self, spec: &TxnSpec) -> Result<ActiveTxn, TxnError> {
         let inner = &self.inner;
         let plane = &inner.trace;
@@ -500,14 +509,12 @@ impl Database {
                 None => self.pick_method(spec),
             };
             let t_sel = plane.now();
-            let txn_id = TxnId(inner.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1);
+            let txn_id = inner.mint_txn_id(mailbox.slot());
             plane.record_at(lane, t_begin, txn_id.0, Phase::Begin, attempt);
             let sel_arg = method_code(method) | if cache_hit { SELECTION_CACHE_HIT } else { 0 };
             plane.record_at(lane, t_sel, txn_id.0, Phase::SelectionDone, sel_arg);
             let ts = Timestamp(inner.ts_counter.fetch_add(1, Ordering::Relaxed) + 1);
-            let origin = spec
-                .origin
-                .unwrap_or_else(|| inner.catalog.origin_for(txn_id));
+            let origin = inner.origin_of(spec, txn_id);
             let txn = Transaction::builder(txn_id, origin)
                 .method(method)
                 .reads(spec.reads.iter().copied())
@@ -521,13 +528,7 @@ impl Database {
                 .map(|op| (op.item, op.mode))
                 .collect();
 
-            if inner.registry.register(txn_id, method, &mut mailbox) {
-                // This registration fell off the lock-free path onto the
-                // overflow map — the transition into a degraded reply
-                // plane is the anomaly worth a flight-recorder dump
-                // (latched; no-op without a dump dir).
-                let _ = plane.trigger_postmortem("mailbox-overflow");
-            }
+            inner.registry.register(txn_id, method, &mut mailbox);
             let mut ri = RequestIssuer::new(
                 txn,
                 TsTuple::new(ts, inner.config.pa_backoff_interval),
@@ -1020,7 +1021,8 @@ impl Database {
     /// are spread out (the losing transaction must reach every queue before
     /// a younger competitor does); doubling the pause up to ~128× the base
     /// creates the quiet windows it needs, and the jitter keeps two
-    /// symmetric victims from re-colliding forever.
+    /// symmetric victims from re-colliding forever. The jitter hashes the
+    /// id's `seq`, not the packed id.
     fn restart_pause(&self, txn: TxnId, attempt: u32) {
         let base = self.inner.config.restart_backoff;
         if base.is_zero() {
@@ -1028,8 +1030,9 @@ impl Database {
             return;
         }
         let scaled = base.saturating_mul(1u32 << attempt.min(7));
+        let seq = self.inner.registry.seq(txn);
         let jitter_us =
-            (txn.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) % scaled.as_micros().max(1) as u64;
+            (seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) % scaled.as_micros().max(1) as u64;
         std::thread::sleep(scaled + Duration::from_micros(jitter_us));
     }
 }

@@ -522,60 +522,8 @@ fn postmortems_in(dir: &std::path::Path, slug: &str) -> usize {
         .unwrap_or(0)
 }
 
-/// Satellite regression (PR 7): the mailbox-overflow postmortem fires
-/// on the *registration* that transitions the reply plane onto the
-/// overflow map — before anyone polls stats — and `stats()` itself
-/// never writes anything.
-#[test]
-fn overflow_postmortem_fires_at_registration_not_in_stats() {
-    let dir = std::env::temp_dir().join(format!(
-        "db_overflow_postmortem_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = Database::open(RuntimeConfig {
-        num_shards: 2,
-        num_items: 128,
-        // Pin the resizable index at a 64-bucket ceiling so holding
-        // 65+ open transactions forces a collision onto the overflow
-        // map (pigeonhole), exercising the degraded path on purpose.
-        reply_index_capacity: 64,
-        reply_index_max_capacity: 64,
-        reply_max_clients: 128,
-        trace: trace::TraceConfig {
-            postmortem_dir: Some(dir.clone()),
-            ..trace::TraceConfig::default()
-        },
-        ..RuntimeConfig::default()
-    })
-    .unwrap();
-    let mut open = Vec::new();
-    for i in 0..80u64 {
-        open.push(db.begin(&TxnSpec::new().write(li(i))).unwrap());
-    }
-    assert!(
-        postmortems_in(&dir, "mailbox-overflow") > 0,
-        "the overflow transition must dump a postmortem with no stats() call"
-    );
-    // stats() reports the degraded state but is side-effect-free:
-    // repeated polling writes nothing new.
-    let before = postmortems_in(&dir, "mailbox-overflow");
-    for _ in 0..5 {
-        let stats = db.stats();
-        assert!(stats.mailbox_overflow_entries > 0);
-        assert_eq!(stats.mailbox_index_capacity, 64);
-    }
-    assert_eq!(postmortems_in(&dir, "mailbox-overflow"), before);
-    for txn in open {
-        txn.abort();
-    }
-    db.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The no-overflow half: a healthy reply plane never dumps, no matter
-/// how often stats is polled, and the new index counters surface.
+/// A healthy reply plane never dumps, no matter how often stats is
+/// polled, and its retired overflow/index counters read 0.
 #[test]
 fn stats_polling_is_side_effect_free_on_a_healthy_plane() {
     let dir = std::env::temp_dir().join(format!(
@@ -599,16 +547,46 @@ fn stats_polling_is_side_effect_free_on_a_healthy_plane() {
         db.run_transaction(&spec, |_| vec![(li(i % 8), 1)]).unwrap();
         let stats = db.stats();
         assert_eq!(stats.mailbox_overflow_entries, 0);
+        assert_eq!(stats.mailbox_index_resizes, 0);
         assert_eq!(stats.mailbox_full_drops, 0);
-        assert!(stats.mailbox_index_capacity >= 1024);
     }
     assert_eq!(
-        postmortems_in(&dir, "mailbox-overflow"),
+        postmortems_in(&dir, "trace_postmortem"),
         0,
         "a healthy plane polled for stats must never dump"
     );
     db.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The id carries its mailbox slot in its low bits, but the origin site
+/// is still round-robin by begin order: the `n`-th `begin` on a 4-shard
+/// database originates at site `n % 4`, exactly as when ids were the bare
+/// counter.
+#[test]
+fn origins_follow_begin_order_not_the_packed_id() {
+    let db = Database::open(config(4, 16)).unwrap();
+    for n in 1..=8u64 {
+        let txn = db.begin(&TxnSpec::new().write(li(n))).unwrap();
+        assert_eq!(db.inner.registry.seq(txn.id()), n);
+        assert_eq!(txn.origin(), SiteId((n % 4) as u32), "begin #{n}");
+        txn.abort();
+    }
+    db.shutdown();
+}
+
+/// Minting an id past the top of the `seq` range fails loudly instead of
+/// wrapping onto ids already handed out.
+#[test]
+#[should_panic(expected = "transaction id space exhausted")]
+fn begin_refuses_to_wrap_the_id_space() {
+    let db = Database::open(config(1, 2)).unwrap();
+    let top = u64::MAX >> 16;
+    db.inner.next_seq.store(top - 1, Ordering::Relaxed);
+    let last = db.begin(&TxnSpec::new().write(li(0))).unwrap();
+    assert_eq!(db.inner.registry.seq(last.id()), top);
+    last.abort();
+    let _ = db.begin(&TxnSpec::new().write(li(0)));
 }
 
 /// Sequential fast-path correctness: every increment applies through
@@ -910,12 +888,16 @@ fn victim_storm_is_bounded_and_oracle_certified() {
             db.run_transaction(&spec, |_| vec![(li(0), 7)])
         })
     };
-    // Storm: blanket-victimise every plausible incarnation id, over and
-    // over, until the worker has been through several deadlock restarts.
+    // Storm: blanket-victimise every plausible incarnation id (the first
+    // 64 begins on the first 4 mailboxes), over and over, until the worker
+    // has been through several deadlock restarts.
     let mut signals = 0;
     while db.stats().deadlock_restarts < 3 && !worker.is_finished() {
-        for i in 1..=64 {
-            signals += u64::from(db.inner.registry.signal_deadlock(TxnId(i)));
+        for seq in 1..=64 {
+            for slot in 0..4 {
+                let txn = db.inner.registry.txn_id(seq, slot);
+                signals += u64::from(db.inner.registry.signal_deadlock(txn));
+            }
         }
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -959,9 +941,10 @@ const PUSH_DEADLINE: Duration = Duration::from_millis(50);
 /// Hand-drive a cross-shard 2-cycle through a live database's shards: 2PL
 /// `T1` holds `a` and waits for `b`; `T2` (under `other`) holds `b` and
 /// waits for `a`. `close_on_a` picks which wait is queued second, closing
-/// the cycle. Returns the victim the detector signalled within
-/// [`PUSH_DEADLINE`] of the closing edge, if any.
-fn hand_driven_cycle(db: &Database, other: CcMethod, close_on_a: bool) -> Option<TxnId> {
+/// the cycle. `T1` and `T2` are the 1,000,001st and 1,000,002nd begins.
+/// Returns the begin-order `seq` of the victim the detector signalled
+/// within [`PUSH_DEADLINE`] of the closing edge, if any.
+fn hand_driven_cycle(db: &Database, other: CcMethod, close_on_a: bool) -> Option<u64> {
     hand_driven_cycle_with(db, other, close_on_a, PUSH_DEADLINE, |_| {})
 }
 
@@ -974,24 +957,25 @@ fn hand_driven_cycle_with(
     close_on_a: bool,
     deadline: Duration,
     before_closing: impl FnOnce(SiteId),
-) -> Option<TxnId> {
+) -> Option<u64> {
     let inner = &db.inner;
     let phys = |i| db.catalog().physical_copies(li(i)).unwrap()[0];
     let (a, b) = (phys(0), phys(1));
     assert_ne!(a.site, b.site, "the cycle must cross shards");
-    let (t1, t2) = (TxnId(1_000_001), TxnId(1_000_002));
+    let mut mb1 = inner.registry.client_mailbox().unwrap();
+    let mut mb2 = inner.registry.client_mailbox().unwrap();
+    let t1 = inner.registry.txn_id(1_000_001, mb1.slot());
+    let t2 = inner.registry.txn_id(1_000_002, mb2.slot());
     let access = |txn: TxnId, item: dbmodel::PhysicalItemId, method| {
         let msg = RequestMsg::Access {
             txn,
             item,
             mode: AccessMode::Write,
             method,
-            ts: TsTuple::new(Timestamp(txn.0), 10),
+            ts: TsTuple::new(Timestamp(inner.registry.seq(txn)), 10),
         };
         db.route_all(item.site, vec![msg]).unwrap();
     };
-    let mut mb1 = inner.registry.client_mailbox().unwrap();
-    let mut mb2 = inner.registry.client_mailbox().unwrap();
     inner
         .registry
         .register(t1, CcMethod::TwoPhaseLocking, &mut mb1);
@@ -1036,7 +1020,7 @@ fn hand_driven_cycle_with(
         db.route_all(origin, aborts.to_vec()).unwrap();
         inner.registry.deregister(txn);
     }
-    victim
+    victim.map(|txn| inner.registry.seq(txn))
 }
 
 /// The tentpole's promise: with the periodic scan ten seconds away, a
@@ -1047,7 +1031,7 @@ fn push_detection_breaks_a_cross_shard_cycle_in_either_edge_order() {
     for close_on_a in [true, false] {
         let db = Database::open(push_only_config()).unwrap();
         let victim = hand_driven_cycle(&db, CcMethod::TwoPhaseLocking, close_on_a);
-        assert_eq!(victim, Some(TxnId(1_000_002)), "close_on_a = {close_on_a}");
+        assert_eq!(victim, Some(1_000_002), "close_on_a = {close_on_a}");
         let stats = db.shutdown().unwrap().stats;
         assert_eq!(
             (stats.deadlock_victims, stats.deadlock_backstop_victims),
@@ -1090,7 +1074,7 @@ fn push_detection_rescans_after_a_skipped_edge_report() {
         },
     );
     holder.expect("the hook ran").join().unwrap();
-    assert_eq!(victim, Some(TxnId(1_000_002)), "broken by the rescan");
+    assert_eq!(victim, Some(1_000_002), "broken by the rescan");
     let stats = db.shutdown().unwrap().stats;
     assert_eq!(
         (stats.deadlock_victims, stats.deadlock_backstop_victims),
@@ -1106,7 +1090,7 @@ fn push_detection_victimises_the_2pl_member_of_a_mixed_cycle() {
     for close_on_a in [true, false] {
         let db = Database::open(push_only_config()).unwrap();
         let victim = hand_driven_cycle(&db, CcMethod::TimestampOrdering, close_on_a);
-        assert_eq!(victim, Some(TxnId(1_000_001)), "close_on_a = {close_on_a}");
+        assert_eq!(victim, Some(1_000_001), "close_on_a = {close_on_a}");
         let stats = db.shutdown().unwrap().stats;
         assert_eq!(
             (stats.deadlock_victims, stats.deadlock_backstop_victims),

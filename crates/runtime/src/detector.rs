@@ -268,10 +268,18 @@ mod tests {
         TracePlane::new(&trace::TraceConfig::default(), 2)
     }
 
+    /// A fresh mailbox with the `seq`-th incarnation registered on it.
+    fn client(registry: &Registry, seq: u64, method: CcMethod) -> (ClientMailbox, TxnId) {
+        let mut mb = registry.client_mailbox().expect("mailbox");
+        let txn = registry.txn_id(seq, mb.slot());
+        registry.register(txn, method, &mut mb);
+        (mb, txn)
+    }
+
     /// Enqueue one write `Access` for `txn` on `it` at `shard`.
-    fn access(shard: &ShardSender, txn: u64, it: PhysicalItemId, method: CcMethod, ts: u64) {
+    fn access(shard: &ShardSender, txn: TxnId, it: PhysicalItemId, method: CcMethod, ts: u64) {
         let msg = RequestMsg::Access {
-            txn: TxnId(txn),
+            txn,
             item: it,
             mode: AccessMode::Write,
             method,
@@ -336,22 +344,20 @@ mod tests {
         let shard1 = spawn_shard(1, 1, b, &registry, &stats);
         let shards = vec![shard0.tx.clone(), shard1.tx.clone()];
 
-        let mut mb1 = registry.client_mailbox().expect("mailbox");
-        let mut mb2 = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb1);
-        registry.register(TxnId(2), CcMethod::TwoPhaseLocking, &mut mb2);
+        let (mut mb1, t1) = client(&registry, 1, CcMethod::TwoPhaseLocking);
+        let (mut mb2, t2) = client(&registry, 2, CcMethod::TwoPhaseLocking);
 
         // T1 locks a, T2 locks b.
-        access(&shard0.tx, 1, a, CcMethod::TwoPhaseLocking, 1);
-        access(&shard1.tx, 2, b, CcMethod::TwoPhaseLocking, 2);
-        expect_grant(&mut mb1, TxnId(1));
-        expect_grant(&mut mb2, TxnId(2));
+        access(&shard0.tx, t1, a, CcMethod::TwoPhaseLocking, 1);
+        access(&shard1.tx, t2, b, CcMethod::TwoPhaseLocking, 2);
+        expect_grant(&mut mb1, t1);
+        expect_grant(&mut mb2, t2);
         // Cross requests: T1 waits for b (held by T2), T2 waits for a
         // (held by T1) — a genuine deadlock.
-        access(&shard1.tx, 1, b, CcMethod::TwoPhaseLocking, 1);
-        access(&shard0.tx, 2, a, CcMethod::TwoPhaseLocking, 2);
-        wait_until_waiting(&shard1.tx, TxnId(1));
-        wait_until_waiting(&shard0.tx, TxnId(2));
+        access(&shard1.tx, t1, b, CcMethod::TwoPhaseLocking, 1);
+        access(&shard0.tx, t2, a, CcMethod::TwoPhaseLocking, 2);
+        wait_until_waiting(&shard1.tx, t1);
+        wait_until_waiting(&shard0.tx, t2);
 
         // The shards announced both edges; the second found its waiter
         // already waited on and asked for a scan.
@@ -374,17 +380,17 @@ mod tests {
         );
 
         // The youngest 2PL member (the larger TxnId) is the victim …
-        match mb2.recv_timeout(2, Duration::from_secs(2)) {
+        match mb2.recv_timeout(t2.0, Duration::from_secs(2)) {
             Some(ClientEvent::DeadlockVictim) => {}
             other => panic!("expected T2 to be the victim, got {other:?}"),
         }
         // … and the older one is left alone.
         assert!(
-            mb1.recv_timeout(1, Duration::from_millis(50)).is_none(),
+            mb1.recv_timeout(t1.0, Duration::from_millis(50)).is_none(),
             "the older transaction must not be signalled"
         );
         assert!(
-            mb2.recv_timeout(2, Duration::from_millis(50)).is_none(),
+            mb2.recv_timeout(t2.0, Duration::from_millis(50)).is_none(),
             "one signal per victim incarnation, however many scans"
         );
         assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 1);
@@ -417,28 +423,18 @@ mod tests {
             .collect();
         let shards: Vec<ShardSender> = handles.iter().map(|h| h.tx.clone()).collect();
         let two_pl = CcMethod::TwoPhaseLocking;
-        let mut mailboxes: Vec<ClientMailbox> = (1..=3)
-            .map(|txn| {
-                let mut mb = registry.client_mailbox().expect("mailbox");
-                registry.register(TxnId(txn), two_pl, &mut mb);
-                mb
-            })
-            .collect();
+        let mut clients: Vec<(ClientMailbox, TxnId)> =
+            (1..=3).map(|seq| client(&registry, seq, two_pl)).collect();
         // T1 locks a, T2 locks b, T3 locks c …
-        for (txn, mb) in (1..=3).zip(&mut mailboxes) {
-            access(
-                &shards[txn as usize - 1],
-                txn,
-                items[txn as usize - 1],
-                two_pl,
-                txn,
-            );
-            expect_grant(mb, TxnId(txn));
+        for (i, (mb, txn)) in clients.iter_mut().enumerate() {
+            access(&shards[i], *txn, items[i], two_pl, i as u64 + 1);
+            expect_grant(mb, *txn);
         }
         // … then T1 and T3 queue for b, and T2 for a and for c.
-        for (txn, at) in [(1, 1), (3, 1), (2, 0), (2, 2)] {
-            access(&shards[at], txn, items[at], two_pl, txn);
-            wait_until_waiting(&shards[at], TxnId(txn));
+        for (i, at) in [(0, 1), (2, 1), (1, 0), (1, 2)] {
+            let txn = clients[i].1;
+            access(&shards[at], txn, items[at], two_pl, i as u64 + 1);
+            wait_until_waiting(&shards[at], txn);
         }
 
         scan_once(
@@ -450,12 +446,12 @@ mod tests {
             true,
         );
         assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 2);
-        for (txn, mb) in (1..=3u64).zip(&mut mailboxes) {
+        for (i, (mb, txn)) in clients.iter_mut().enumerate() {
             let signalled = matches!(
-                mb.recv_timeout(txn, Duration::from_millis(50)),
+                mb.recv_timeout(txn.0, Duration::from_millis(50)),
                 Some(ClientEvent::DeadlockVictim)
             );
-            assert_eq!(signalled, txn != 1, "T{txn}: the oldest alone survives");
+            assert_eq!(signalled, i != 0, "T{}: the oldest alone survives", i + 1);
         }
 
         drop(shards);
@@ -477,20 +473,18 @@ mod tests {
         let shard1 = spawn_shard(1, 1, b, &registry, &stats);
         let shards = vec![shard0.tx.clone(), shard1.tx.clone()];
 
-        let mut mb1 = registry.client_mailbox().expect("mailbox");
-        let mut mb3 = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb1);
-        registry.register(TxnId(3), CcMethod::TimestampOrdering, &mut mb3);
+        let (mut mb1, t1) = client(&registry, 1, CcMethod::TwoPhaseLocking);
+        let (mut mb3, t3) = client(&registry, 3, CcMethod::TimestampOrdering);
 
         // 2PL T1 locks a; T/O T3 locks b (fresh thresholds accept ts 3).
-        access(&shard0.tx, 1, a, CcMethod::TwoPhaseLocking, 1);
-        access(&shard1.tx, 3, b, CcMethod::TimestampOrdering, 3);
-        expect_grant(&mut mb1, TxnId(1));
-        expect_grant(&mut mb3, TxnId(3));
-        access(&shard1.tx, 1, b, CcMethod::TwoPhaseLocking, 1);
-        access(&shard0.tx, 3, a, CcMethod::TimestampOrdering, 3);
-        wait_until_waiting(&shard1.tx, TxnId(1));
-        wait_until_waiting(&shard0.tx, TxnId(3));
+        access(&shard0.tx, t1, a, CcMethod::TwoPhaseLocking, 1);
+        access(&shard1.tx, t3, b, CcMethod::TimestampOrdering, 3);
+        expect_grant(&mut mb1, t1);
+        expect_grant(&mut mb3, t3);
+        access(&shard1.tx, t1, b, CcMethod::TwoPhaseLocking, 1);
+        access(&shard0.tx, t3, a, CcMethod::TimestampOrdering, 3);
+        wait_until_waiting(&shard1.tx, t1);
+        wait_until_waiting(&shard0.tx, t3);
 
         let pushed = registry.take_scan_request();
         assert!(pushed, "the closing edge asks for a scan");
@@ -503,12 +497,12 @@ mod tests {
             pushed,
         );
 
-        match mb1.recv_timeout(1, Duration::from_secs(2)) {
+        match mb1.recv_timeout(t1.0, Duration::from_secs(2)) {
             Some(ClientEvent::DeadlockVictim) => {}
             other => panic!("expected the 2PL member to be the victim, got {other:?}"),
         }
         assert!(
-            mb3.recv_timeout(3, Duration::from_millis(50)).is_none(),
+            mb3.recv_timeout(t3.0, Duration::from_millis(50)).is_none(),
             "T/O transactions are never deadlock victims (Corollary 2)"
         );
         assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 1);
@@ -536,11 +530,10 @@ mod tests {
         // T9 takes the write lock but is never registered — the ghost a
         // dropped Abort or a crashed client leaves behind. T1 is a live,
         // registered transaction stuck behind it.
-        let mut mb1 = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb1);
-        access(&shard.tx, 9, a, CcMethod::TwoPhaseLocking, 9);
-        access(&shard.tx, 1, a, CcMethod::TwoPhaseLocking, 1);
-        wait_until_waiting(&shard.tx, TxnId(1));
+        let (mut mb1, t1) = client(&registry, 1, CcMethod::TwoPhaseLocking);
+        access(&shard.tx, TxnId(9), a, CcMethod::TwoPhaseLocking, 9);
+        access(&shard.tx, t1, a, CcMethod::TwoPhaseLocking, 1);
+        wait_until_waiting(&shard.tx, t1);
 
         let mut suspects = HashSet::new();
         sweep_stranded(&shards, &registry, &mut suspects);
@@ -549,13 +542,13 @@ mod tests {
             "first sweep only suspects the ghost"
         );
         assert!(
-            mb1.recv_timeout(1, Duration::from_millis(20)).is_none(),
+            mb1.recv_timeout(t1.0, Duration::from_millis(20)).is_none(),
             "grace: nothing cleaned on the first sweep"
         );
         sweep_stranded(&shards, &registry, &mut suspects);
         // The cleanup aborts T9's residual state and the freed lock
         // grants T1.
-        expect_grant(&mut mb1, TxnId(1));
+        expect_grant(&mut mb1, t1);
         assert!(!suspects.contains(&TxnId(9)), "cleaned, no longer suspect");
 
         drop(shards);

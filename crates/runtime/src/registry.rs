@@ -10,13 +10,18 @@
 //!
 //! The reply plane is lock-free. Every client holds a reusable
 //! [`transport::mailbox::Mailbox`] acquired once per transaction from the
-//! shared slab and re-registered across restart incarnations; delivery
-//! resolves `TxnId → (mailbox slot, tag)` through the slab's packed atomic
-//! index — no registry mutex, no channel allocation, no reply-path lock at
-//! all. The incarnation tag is the transaction id itself (ids are a
-//! monotone counter, never reused), carried inside every event and checked
-//! by the consumer, so a delivery racing a restart can never leak a stale
-//! grant into the next incarnation.
+//! shared slab and re-registered across restart incarnations. The id of
+//! each incarnation *is* its reply address: [`Registry::txn_id`] mints
+//! `seq << slot_bits | slot` from the begin-order counter and the
+//! mailbox's slab slot, so delivery reads the slot out of the id and
+//! checks the slot is still bound to it — no index, no registry mutex, no
+//! channel allocation, no reply-path lock at all. Because `seq` sits in the
+//! high bits, ids keep begin order ("youngest" is still "largest id"), and
+//! whatever the runtime derives from an id's value (origin site, restart
+//! jitter, the metadata tag below) it derives from [`Registry::seq`]. The
+//! incarnation tag is the transaction id itself (never reused), carried
+//! inside every event and checked by the consumer, so a delivery racing a
+//! restart can never leak a stale grant into the next incarnation.
 //!
 //! [`Registry::deliver_all_with`] groups **all** of a transaction's
 //! replies in one flush into a single [`ClientEvent`] — not merely
@@ -30,7 +35,7 @@
 //!
 //! A registration also carries two flags, next to the method, in the
 //! mailbox slab's per-slot metadata word — set by compare-and-swap, keyed by
-//! the transaction id packed into the same word, so they are born clear
+//! the id's `seq` packed into the same word, so they are born clear
 //! with every incarnation and can never land on a later one:
 //!
 //! * **waited-on** — some shard announced a wait-for edge *into* this
@@ -103,25 +108,26 @@ pub(crate) struct Registry {
     pub(crate) mute_announcements: AtomicBool,
 }
 
-/// Registration metadata: `txn id << META_FLAG_BITS | flags | method`.
+/// Registration metadata: `seq << META_FLAG_BITS | flags | method`.
 const META_METHOD: u64 = 0b11;
 const META_WAITED_ON: u64 = 1 << 2;
 const META_SIGNALLED: u64 = 1 << 3;
 const META_FLAG_BITS: u32 = 4;
 
-/// The metadata a fresh incarnation registers with: its id and method, no
-/// flag — so the deadlock detector's `method_of` resolves without any map.
-fn fresh_meta(txn: TxnId, method: CcMethod) -> u64 {
+/// The metadata a fresh incarnation registers with: its `seq` and method,
+/// no flag — so the deadlock detector's `method_of` resolves without any
+/// map.
+fn fresh_meta(seq: u64, method: CcMethod) -> u64 {
     let code = match method {
         CcMethod::TwoPhaseLocking => 1,
         CcMethod::TimestampOrdering => 2,
         CcMethod::PrecedenceAgreement => 3,
     };
-    txn.0 << META_FLAG_BITS | code
+    seq << META_FLAG_BITS | code
 }
 
-fn meta_is_of(meta: u64, txn: TxnId) -> bool {
-    meta >> META_FLAG_BITS == txn.0
+fn meta_is_of(meta: u64, seq: u64) -> bool {
+    meta >> META_FLAG_BITS == seq
 }
 
 fn meta_method(meta: u64) -> Option<CcMethod> {
@@ -145,10 +151,10 @@ impl Registry {
         })
     }
 
-    /// A registry whose mailbox slab and resizable index are sized by
-    /// `opts`: `mailbox_capacity` must exceed the replies one incarnation
-    /// can have outstanding while its client is between drains, or
-    /// delivering shards briefly yield.
+    /// A registry whose mailbox slab (and so the ids' slot field) is
+    /// sized by `opts`: `mailbox_capacity` must exceed the replies one
+    /// incarnation can have outstanding while its client is between
+    /// drains, or delivering shards briefly yield.
     pub(crate) fn with_options(opts: MailboxOptions) -> Self {
         Registry {
             slab: MailboxRegistry::with_options(opts),
@@ -168,21 +174,41 @@ impl Registry {
         self.slab.acquire()
     }
 
-    /// Register a new incarnation on `mailbox`. Must complete before the
-    /// incarnation's first request message is routed (the callers do:
-    /// register, then `RequestIssuer::start`, then route).
+    /// The id of the `seq`-th incarnation, addressed to mailbox `slot`
+    /// (one-shot routes, which have no mailbox, pass 0).
     ///
-    /// Returns `true` when the registration fell off the lock-free path
-    /// onto the mailbox slab's overflow map (index at its growth ceiling
-    /// with a live bucket collision) — the transition the caller reports
-    /// via the trace plane.
-    pub(crate) fn register(
-        &self,
-        txn: TxnId,
-        method: CcMethod,
-        mailbox: &mut ClientMailbox,
-    ) -> bool {
-        self.slab.register(txn.0, fresh_meta(txn, method), mailbox)
+    /// # Panics
+    ///
+    /// When `seq` no longer fits the id beside the slot field (2^48
+    /// incarnations at the default `reply_max_clients`): ids never wrap.
+    pub(crate) fn txn_id(&self, seq: u64, slot: u32) -> TxnId {
+        // The metadata word keeps `seq` beside its flag bits, too.
+        let max = self.slab.max_seq().min(u64::MAX >> META_FLAG_BITS);
+        assert!(
+            seq <= max,
+            "transaction id space exhausted: seq {seq} exceeds {max}"
+        );
+        TxnId(self.slab.key(seq, slot).expect("seq is within max_seq"))
+    }
+
+    /// The begin-order sequence number `txn` was minted from.
+    pub(crate) fn seq(&self, txn: TxnId) -> u64 {
+        self.slab.seq_of(txn.0)
+    }
+
+    /// Register a new incarnation on `mailbox`, which `txn` must be
+    /// addressed to ([`Registry::txn_id`] with `mailbox.slot()`). Must
+    /// complete before the incarnation's first request message is routed
+    /// (the callers do: register, then `RequestIssuer::start`, then
+    /// route).
+    pub(crate) fn register(&self, txn: TxnId, method: CcMethod, mailbox: &mut ClientMailbox) {
+        debug_assert_eq!(
+            txn,
+            self.txn_id(self.seq(txn), mailbox.slot()),
+            "id not addressed to its mailbox"
+        );
+        let meta = fresh_meta(self.seq(txn), method);
+        self.slab.register(txn.0, meta, mailbox)
     }
 
     /// Remove an incarnation (commit, abort or restart).
@@ -260,20 +286,22 @@ impl Registry {
 
     /// The metadata of `txn` if that very incarnation is live.
     fn live_meta(&self, txn: TxnId) -> Option<u64> {
+        let seq = self.seq(txn);
         self.slab
             .resolve_meta(txn.0)
-            .filter(|&meta| meta_is_of(meta, txn))
+            .filter(|&meta| meta_is_of(meta, seq))
     }
 
     /// Raise `flag` on live incarnation `txn`: `Some(true)` if this call
     /// raised it, `Some(false)` if it was up already, `None` if `txn` is
     /// not live.
     fn raise(&self, txn: TxnId, flag: u64) -> Option<bool> {
+        let seq = self.seq(txn);
         self.slab
             .update_meta(txn.0, |meta| {
-                (meta_is_of(meta, txn) && meta & flag == 0).then_some(meta | flag)
+                (meta_is_of(meta, seq) && meta & flag == 0).then_some(meta | flag)
             })
-            .filter(|&found| meta_is_of(found, txn))
+            .filter(|&found| meta_is_of(found, seq))
             .map(|found| found & flag == 0)
     }
 
@@ -337,26 +365,6 @@ impl Registry {
             && self.slab.deliver(txn.0, ClientEvent::DeadlockVictim)
     }
 
-    /// Registrations currently parked on the mailbox slab's overflow map
-    /// (live bucket collisions with the resizable index at its growth
-    /// ceiling). Nonzero values are correct but mean
-    /// `reply_index_max_capacity` is undersized for the live-transaction
-    /// spread.
-    pub(crate) fn overflow_entries(&self) -> usize {
-        self.slab.overflow_entries()
-    }
-
-    /// Buckets in the newest generation of the mailbox slab's resizable
-    /// index.
-    pub(crate) fn index_capacity(&self) -> usize {
-        self.slab.index_capacity()
-    }
-
-    /// Completed growths of the mailbox slab's index.
-    pub(crate) fn index_resizes(&self) -> u64 {
-        self.slab.index_resizes()
-    }
-
     /// Reply deliveries dropped because a live mailbox stayed full past
     /// the deliver timeout (a stalled client; its incarnation recovers
     /// through the normal restart machinery).
@@ -378,25 +386,32 @@ mod tests {
     use dbmodel::{LogicalItemId, PhysicalItemId, SiteId};
     use std::time::Duration;
 
-    fn reply(txn: u64) -> ReplyMsg {
+    /// A fresh mailbox and the id of its `seq`-th incarnation.
+    fn client(registry: &Registry, seq: u64) -> (ClientMailbox, TxnId) {
+        let mb = registry.client_mailbox().expect("mailbox");
+        let txn = registry.txn_id(seq, mb.slot());
+        (mb, txn)
+    }
+
+    fn reply(txn: TxnId) -> ReplyMsg {
         reply_on(txn, 1)
     }
 
-    fn reply_on(txn: u64, item: u64) -> ReplyMsg {
+    fn reply_on(txn: TxnId, item: u64) -> ReplyMsg {
         ReplyMsg::Ack {
-            txn: TxnId(txn),
+            txn,
             item: PhysicalItemId::new(LogicalItemId(item), SiteId(0)),
         }
     }
 
-    fn recv_now(mb: &mut ClientMailbox, txn: u64) -> Option<ClientEvent> {
-        mb.recv_timeout(txn, Duration::from_millis(200))
+    fn recv_now(mb: &mut ClientMailbox, txn: TxnId) -> Option<ClientEvent> {
+        mb.recv_timeout(txn.0, Duration::from_millis(200))
     }
 
     /// Drain every event currently queued for `txn` (bounded wait).
-    fn drain_events(mb: &mut ClientMailbox, txn: u64) -> Vec<ClientEvent> {
+    fn drain_events(mb: &mut ClientMailbox, txn: TxnId) -> Vec<ClientEvent> {
         let mut events = Vec::new();
-        while let Some(ev) = mb.recv_timeout(txn, Duration::from_millis(50)) {
+        while let Some(ev) = mb.recv_timeout(txn.0, Duration::from_millis(50)) {
             events.push(ev);
         }
         events
@@ -405,53 +420,76 @@ mod tests {
     #[test]
     fn delivers_to_registered_and_drops_unknown() {
         let registry = Registry::new(64);
-        let mut mb = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
+        let (mut mb, t1) = client(&registry, 1);
+        let unknown = registry.txn_id(2, mb.slot());
+        registry.register(t1, CcMethod::TwoPhaseLocking, &mut mb);
         assert_eq!(registry.len(), 1);
         // One flush delivers the known reply and drops the unknown.
-        registry.deliver_all([reply(1), reply(2)]);
+        registry.deliver_all([reply(t1), reply(unknown)]);
         assert!(matches!(
-            recv_now(&mut mb, 1),
+            recv_now(&mut mb, t1),
             Some(ClientEvent::Replies(_))
         ));
-        assert!(recv_now(&mut mb, 1).is_none());
-        registry.deregister(TxnId(1));
+        assert!(recv_now(&mut mb, t1).is_none());
+        registry.deregister(t1);
         assert_eq!(registry.len(), 0);
-        registry.deliver_all([reply(1)]); // now stale: dropped
-        assert!(recv_now(&mut mb, 1).is_none());
+        registry.deliver_all([reply(t1)]); // now stale: dropped
+        assert!(recv_now(&mut mb, t1).is_none());
         assert!(
             registry.stale_reply_events() >= 2,
             "both stale replies counted"
         );
     }
 
+    /// An id whose `seq` is at the top of its range loses no bit anywhere:
+    /// it registers, resolves its method, is marked and signalled once.
+    #[test]
+    fn an_id_at_the_top_of_the_seq_range_keeps_every_bit() {
+        let registry = Registry::new(64);
+        let top = u64::MAX >> 16;
+        let (mut mb, old) = client(&registry, top);
+        let (mut other, waiter) = client(&registry, top - 1);
+        assert_eq!(registry.seq(old), top);
+        registry.register(old, CcMethod::PrecedenceAgreement, &mut mb);
+        registry.register(waiter, CcMethod::TwoPhaseLocking, &mut other);
+        assert_eq!(registry.method_of(old), Some(CcMethod::PrecedenceAgreement));
+        assert!(!registry.note_wait(old, waiter), "nobody behind `old` yet");
+        assert!(registry.note_wait(waiter, old), "`old` marked `waiter`");
+        assert!(registry.signal_deadlock(old));
+        assert!(!registry.signal_deadlock(old), "signalled once");
+        assert!(matches!(
+            recv_now(&mut mb, old),
+            Some(ClientEvent::DeadlockVictim)
+        ));
+        registry.deregister(old);
+        registry.deregister(waiter);
+    }
+
     #[test]
     fn deadlock_signal_reaches_live_victims_only() {
         let registry = Registry::new(64);
-        let mut mb = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(7), CcMethod::TwoPhaseLocking, &mut mb);
-        assert_eq!(
-            registry.method_of(TxnId(7)),
-            Some(CcMethod::TwoPhaseLocking)
-        );
-        assert_eq!(registry.method_of(TxnId(8)), None);
-        assert!(registry.signal_deadlock(TxnId(7)));
-        assert!(!registry.signal_deadlock(TxnId(8)));
+        let (mut mb, t7) = client(&registry, 7);
+        let t8 = registry.txn_id(8, mb.slot());
+        registry.register(t7, CcMethod::TwoPhaseLocking, &mut mb);
+        assert_eq!(registry.method_of(t7), Some(CcMethod::TwoPhaseLocking));
+        assert_eq!(registry.method_of(t8), None);
+        assert!(registry.signal_deadlock(t7));
+        assert!(!registry.signal_deadlock(t8));
         assert!(
-            !registry.signal_deadlock(TxnId(7)),
+            !registry.signal_deadlock(t7),
             "an incarnation is signalled once"
         );
         assert!(matches!(
-            recv_now(&mut mb, 7),
+            recv_now(&mut mb, t7),
             Some(ClientEvent::DeadlockVictim)
         ));
-        assert!(recv_now(&mut mb, 7).is_none());
+        assert!(recv_now(&mut mb, t7).is_none());
         assert_eq!(
-            registry.method_of(TxnId(7)),
+            registry.method_of(t7),
             Some(CcMethod::TwoPhaseLocking),
             "the flag shares a word with the method and leaves it alone"
         );
-        registry.deregister(TxnId(7));
+        registry.deregister(t7);
     }
 
     /// The waited-on marks: an announced edge marks its holder and asks
@@ -461,41 +499,31 @@ mod tests {
     #[test]
     fn a_marked_waiter_raises_the_scan_request() {
         let registry = Registry::new(64);
-        let mut mb1 = registry.client_mailbox().expect("mailbox");
-        let mut mb2 = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb1);
-        registry.register(TxnId(2), CcMethod::PrecedenceAgreement, &mut mb2);
-        assert!(
-            !registry.note_wait(TxnId(1), TxnId(2)),
-            "T1 has nobody behind"
-        );
+        let (mut mb1, t1) = client(&registry, 1);
+        let (mut mb2, t2) = client(&registry, 2);
+        let (t8, t9) = (registry.txn_id(8, 7), registry.txn_id(9, 8));
+        registry.register(t1, CcMethod::TwoPhaseLocking, &mut mb1);
+        registry.register(t2, CcMethod::PrecedenceAgreement, &mut mb2);
+        assert!(!registry.note_wait(t1, t2), "T1 has nobody behind");
         assert!(!registry.scan_requested());
-        assert!(registry.note_wait(TxnId(2), TxnId(1)), "T2 has: T1");
+        assert!(registry.note_wait(t2, t1), "T2 has: T1");
         assert!(registry.take_scan_request());
         assert!(!registry.take_scan_request(), "taken is taken");
-        assert!(
-            registry.note_wait(TxnId(2), TxnId(9)),
-            "whoever T2 waits for"
-        );
-        assert!(
-            !registry.note_wait(TxnId(9), TxnId(8)),
-            "strangers carry no mark"
-        );
-        assert_eq!(
-            registry.method_of(TxnId(2)),
-            Some(CcMethod::PrecedenceAgreement)
-        );
+        assert!(registry.note_wait(t2, t9), "whoever T2 waits for");
+        assert!(!registry.note_wait(t9, t8), "strangers carry no mark");
+        assert_eq!(registry.method_of(t2), Some(CcMethod::PrecedenceAgreement));
 
-        assert!(registry.signal_deadlock(TxnId(1)));
-        registry.deregister(TxnId(1));
-        registry.register(TxnId(3), CcMethod::TwoPhaseLocking, &mut mb1);
+        assert!(registry.signal_deadlock(t1));
+        registry.deregister(t1);
+        let t3 = registry.txn_id(3, mb1.slot());
+        registry.register(t3, CcMethod::TwoPhaseLocking, &mut mb1);
         assert!(
-            !registry.note_wait(TxnId(3), TxnId(2)),
+            !registry.note_wait(t3, t2),
             "T3 inherits T1's mailbox, not its mark"
         );
-        assert!(registry.signal_deadlock(TxnId(3)), "nor its signalled flag");
-        registry.deregister(TxnId(2));
-        registry.deregister(TxnId(3));
+        assert!(registry.signal_deadlock(t3), "nor its signalled flag");
+        registry.deregister(t2);
+        registry.deregister(t3);
     }
 
     /// The coalescing guarantee: one flush interleaving two transactions'
@@ -506,21 +534,21 @@ mod tests {
     #[test]
     fn interleaved_flush_coalesces_to_one_event_per_txn() {
         let registry = Registry::new(64);
-        let mut mb_a = registry.client_mailbox().expect("mailbox");
-        let mut mb_b = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb_a);
-        registry.register(TxnId(2), CcMethod::TwoPhaseLocking, &mut mb_b);
+        let (mut mb_a, a) = client(&registry, 1);
+        let (mut mb_b, b) = client(&registry, 2);
+        registry.register(a, CcMethod::TwoPhaseLocking, &mut mb_a);
+        registry.register(b, CcMethod::TwoPhaseLocking, &mut mb_b);
         registry.deliver_all([
-            reply_on(1, 10),
-            reply_on(2, 20),
-            reply_on(1, 11),
-            reply_on(2, 21),
-            reply_on(1, 12),
-            reply_on(2, 22),
+            reply_on(a, 10),
+            reply_on(b, 20),
+            reply_on(a, 11),
+            reply_on(b, 21),
+            reply_on(a, 12),
+            reply_on(b, 22),
         ]);
         for (mb, txn, items) in [
-            (&mut mb_a, 1u64, [10u64, 11, 12]),
-            (&mut mb_b, 2, [20, 21, 22]),
+            (&mut mb_a, a, [10u64, 11, 12]),
+            (&mut mb_b, b, [20, 21, 22]),
         ] {
             let events = drain_events(mb, txn);
             assert_eq!(
@@ -534,8 +562,8 @@ mod tests {
             let seen: Vec<u64> = batch.iter().map(|r| r.item().logical.0).collect();
             assert_eq!(seen, items, "replies grouped in order");
         }
-        registry.deregister(TxnId(1));
-        registry.deregister(TxnId(2));
+        registry.deregister(a);
+        registry.deregister(b);
     }
 
     /// A `DeadlockVictim` signal arriving between two reply flushes is
@@ -544,12 +572,12 @@ mod tests {
     #[test]
     fn victim_signal_keeps_its_place_between_reply_flushes() {
         let registry = Registry::new(64);
-        let mut mb = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(5), CcMethod::TwoPhaseLocking, &mut mb);
-        registry.deliver_all([reply_on(5, 1), reply_on(5, 2)]);
-        assert!(registry.signal_deadlock(TxnId(5)));
-        registry.deliver_all([reply_on(5, 3)]);
-        let events = drain_events(&mut mb, 5);
+        let (mut mb, t5) = client(&registry, 5);
+        registry.register(t5, CcMethod::TwoPhaseLocking, &mut mb);
+        registry.deliver_all([reply_on(t5, 1), reply_on(t5, 2)]);
+        assert!(registry.signal_deadlock(t5));
+        registry.deliver_all([reply_on(t5, 3)]);
+        let events = drain_events(&mut mb, t5);
         let shape: Vec<&'static str> = events
             .iter()
             .map(|e| match e {
@@ -562,7 +590,7 @@ mod tests {
             ["replies", "victim", "replies"],
             "the victim signal must keep its place"
         );
-        registry.deregister(TxnId(5));
+        registry.deregister(t5);
     }
 
     /// A victim signal for an incarnation that restarted before the
@@ -570,20 +598,21 @@ mod tests {
     #[test]
     fn stale_victim_signal_never_reaches_the_next_incarnation() {
         let registry = Registry::new(64);
-        let mut mb = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
-        assert!(registry.signal_deadlock(TxnId(1)));
+        let (mut mb, t1) = client(&registry, 1);
+        registry.register(t1, CcMethod::TwoPhaseLocking, &mut mb);
+        assert!(registry.signal_deadlock(t1));
         // The incarnation restarts without consuming the signal; the
         // same mailbox serves the next incarnation.
-        registry.deregister(TxnId(1));
-        registry.register(TxnId(2), CcMethod::TwoPhaseLocking, &mut mb);
-        registry.deliver_all([reply(2)]);
-        let events = drain_events(&mut mb, 2);
+        registry.deregister(t1);
+        let t2 = registry.txn_id(2, mb.slot());
+        registry.register(t2, CcMethod::TwoPhaseLocking, &mut mb);
+        registry.deliver_all([reply(t2)]);
+        let events = drain_events(&mut mb, t2);
         assert_eq!(events.len(), 1);
         assert!(
             matches!(events[0], ClientEvent::Replies(_)),
             "the stale victim must have been discarded, not delivered"
         );
-        registry.deregister(TxnId(2));
+        registry.deregister(t2);
     }
 }

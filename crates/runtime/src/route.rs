@@ -163,10 +163,8 @@ impl Database {
         let plane = &inner.trace;
         let lane = plane.client_lane();
         let t_begin = plane.now();
-        let txn_id = TxnId(inner.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1);
-        let origin = spec
-            .origin
-            .unwrap_or_else(|| inner.catalog.origin_for(txn_id));
+        let txn_id = inner.mint_txn_id(0);
+        let origin = inner.origin_of(spec, txn_id);
         // Translate: reads go to the preferred copy, adds/puts to the
         // single physical copy. Replicated written items fall back to the
         // coordinated path, which knows how to fan a write out.
@@ -258,10 +256,8 @@ impl Database {
         let plane = &inner.trace;
         let lane = plane.client_lane();
         let t_begin = plane.now();
-        let txn_id = TxnId(inner.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1);
-        let origin = spec
-            .origin
-            .unwrap_or_else(|| inner.catalog.origin_for(txn_id));
+        let txn_id = inner.mint_txn_id(0);
+        let origin = inner.origin_of(spec, txn_id);
         // The single watermark load that defines the snapshot: every
         // shard serves at this timestamp.
         let ts = inner.clock.watermark();

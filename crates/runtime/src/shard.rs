@@ -893,14 +893,15 @@ mod tests {
     fn shard_grants_logs_and_shuts_down() {
         let (handle, registry, stats) = spawn_one();
         let mut mb = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
+        let t = registry.txn_id(1, mb.slot()).0;
+        registry.register(TxnId(t), CcMethod::TwoPhaseLocking, &mut mb);
         assert!(handle
             .tx
-            .send(batch([access(1, AccessMode::Write, 1)]))
+            .send(batch([access(t, AccessMode::Write, 1)]))
             .is_ok());
         // The grant is routed through the registry.
-        expect_replies(&mut mb, 1);
-        assert!(handle.tx.send(batch([release(1, 7)])).is_ok());
+        expect_replies(&mut mb, t);
+        assert!(handle.tx.send(batch([release(t, 7)])).is_ok());
         let (log_tx, log_rx) = transport::oneshot::channel();
         assert!(handle.tx.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
         let logs = log_rx.recv().unwrap();
@@ -930,12 +931,13 @@ mod tests {
     fn handle_batch_applies_messages_in_order() {
         let (handle, registry, stats) = spawn_one();
         let mut mb = registry.client_mailbox().expect("mailbox");
-        registry.register(TxnId(1), CcMethod::TwoPhaseLocking, &mut mb);
+        let t = registry.txn_id(1, mb.slot()).0;
+        registry.register(TxnId(t), CcMethod::TwoPhaseLocking, &mut mb);
         assert!(handle
             .tx
-            .send(batch([access(1, AccessMode::Write, 1), release(1, 9)]))
+            .send(batch([access(t, AccessMode::Write, 1), release(t, 9)]))
             .is_ok());
-        expect_replies(&mut mb, 1);
+        expect_replies(&mut mb, t);
         let _ = handle.tx.send(ShardCmd::Shutdown);
         let (_, logs) = handle.join.join().unwrap();
         assert_eq!(logs.total_ops(), 1, "access then release implemented");

@@ -309,18 +309,12 @@ pub struct StatsSnapshot {
     /// [`crate::Database::stats`] from the registry, not by
     /// `RuntimeStats` itself.
     pub stale_reply_events: u64,
-    /// Live registrations currently parked on the reply-mailbox slab's
-    /// overflow map (bucket collisions with the resizable index at its
-    /// growth ceiling). Nonzero is correct but means `reply_index_max_capacity` is undersized for
-    /// the number of concurrently live transactions. Filled in by
-    /// [`crate::Database::stats`] from the registry.
+    /// Always 0: the reply plane has no overflow map any more (a
+    /// transaction id carries its mailbox slot). Kept only because
+    /// existing metric readers still name it.
     pub mailbox_overflow_entries: u64,
-    /// Buckets in the newest generation of the reply plane's resizable
-    /// index. Filled in by [`crate::Database::stats`] from the registry.
-    pub mailbox_index_capacity: u64,
-    /// Completed growths of the reply plane's resizable index since the
-    /// database was opened. Filled in by [`crate::Database::stats`] from
-    /// the registry.
+    /// Always 0: the reply plane has no index to resize any more. Kept
+    /// only because existing metric readers still name it.
     pub mailbox_index_resizes: u64,
     /// Reply deliveries dropped because a live mailbox stayed full past
     /// the transport's `MailboxOptions::deliver_timeout` default of one
@@ -414,7 +408,6 @@ impl RuntimeStats {
             selection_refits_abandoned: self.selection_refits_abandoned.load(Ordering::Relaxed),
             stale_reply_events: 0,
             mailbox_overflow_entries: 0,
-            mailbox_index_capacity: 0,
             mailbox_index_resizes: 0,
             mailbox_full_drops: 0,
             trace_events: 0,

@@ -102,6 +102,12 @@ impl ActiveTxn {
         self.ri.txn_id()
     }
 
+    /// The site this incarnation originates from.
+    #[cfg(test)]
+    pub(crate) fn origin(&self) -> dbmodel::SiteId {
+        self.ri.txn().origin
+    }
+
     /// The concurrency-control method this incarnation runs under.
     pub fn method(&self) -> CcMethod {
         self.ri.txn().method

@@ -20,8 +20,8 @@
 //!   oracle the integration tests run against the sercheck log.
 //! * [`TracePlane::trigger_postmortem`] dumps the last N events per lane
 //!   as JSONL on the first anomaly (deadlock victim, serializability
-//!   violation, mailbox overflow) — the debugging artifact the PR 1/PR 4
-//!   incarnation races were missing.
+//!   violation) — the debugging artifact the early incarnation races
+//!   were missing.
 //! * [`json::Json`] is the dependency-free JSON emit/parse layer the
 //!   dumps and the repo benchmark's `results.json` share.
 

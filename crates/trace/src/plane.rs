@@ -330,8 +330,8 @@ impl TracePlane {
     }
 
     /// Dump the last-N events of every lane as JSONL, once per plane:
-    /// the first anomaly (deadlock victim, sercheck failure, mailbox
-    /// overflow) wins, later triggers are no-ops. Returns the path
+    /// the first anomaly (deadlock victim, sercheck failure) wins, later
+    /// triggers are no-ops. Returns the path
     /// written, or `None` when dumping is disabled, already latched, or
     /// the level holds no rings.
     pub fn trigger_postmortem(&self, reason: &str) -> Option<PathBuf> {
@@ -375,7 +375,8 @@ impl TracePlane {
             let line = Json::obj([
                 ("lane", Json::num(e.lane)),
                 ("ts_nanos", Json::Num(e.ts_nanos as f64)),
-                ("txn", Json::Num(e.txn as f64)),
+                // A string: an id past 2^53 has no exact `f64`.
+                ("txn", Json::str(e.txn.to_string())),
                 ("phase", Json::str(e.phase.name())),
                 ("arg", Json::num(e.arg)),
             ]);
@@ -486,8 +487,10 @@ mod tests {
             },
             1,
         );
+        // Ids above 2^53, where an `f64` can no longer hold every integer.
+        let id = |i: u64| (1 << 60) + 2 * i + 1;
         for i in 0..20u64 {
-            plane.record_at(0, i, i, Phase::ShardRecv, 2);
+            plane.record_at(0, i, id(i), Phase::ShardRecv, 2);
         }
         let path = plane
             .trigger_postmortem("deadlock victim!")
@@ -512,6 +515,21 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| e.get("phase").and_then(Json::as_str) == Some("shard-recv")));
+        let txns: Vec<u64> = events
+            .iter()
+            .map(|e| {
+                e.get("txn")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .parse()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(
+            txns,
+            (12..20).map(id).collect::<Vec<_>>(),
+            "ids round-trip exactly"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

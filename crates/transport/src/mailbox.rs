@@ -16,34 +16,28 @@
 //!   free slot off a lock-free freelist (or lazily grows the slab by a
 //!   chunk), dropping it pushes the slot back. No channel is ever
 //!   allocated per registration.
-//! * **The resizable index** — [`MailboxRegistry`] maps a live `u64`
-//!   key (the runtime uses the transaction id) to its mailbox slot
-//!   through a chain of power-of-two tables of packed atomic entries.
-//!   Register is one CAS into the newest table, deliver is one pointer
-//!   load plus one bucket load on the fast path, deregister is one CAS.
-//!   No lock is taken on any of them. When live registrations approach
-//!   the newest table's load-factor threshold — or two live keys
-//!   collide on one of its buckets — a doubled table is installed with
-//!   one pointer CAS and subsequent registers land there; entries in
-//!   older tables stay put and are found by walking the (short,
-//!   `prev`-linked) chain until their keys deregister, draining the old
-//!   generations passively. Growth stops at
-//!   [`MailboxOptions::index_max_capacity`]; only a collision at that
-//!   cap spills into the mutex-guarded overflow map, and overflow
-//!   entries migrate back onto the lock-free tables as soon as growth
-//!   or a deregistration frees their bucket. The map is skipped
-//!   entirely (one atomic load) while it is empty — the overwhelmingly
-//!   common case.
+//! * **Addressing** — a `u64` key *carries* its mailbox's slot:
+//!   [`MailboxRegistry::key`] mints `seq << slot_bits | slot`, where
+//!   `slot_bits` is the width [`MailboxOptions::max_clients`] needs (16
+//!   at the default 65,536) and `seq` is the caller's never-reused
+//!   sequence number (the runtime's begin counter). Resolving a key is a
+//!   bounds check of its slot field, a load of that slot's initialised
+//!   chunk and a compare with the key the slot is bound to; register is
+//!   two stores, deregister one CAS. There is no index and no lock on
+//!   any of them. A key that does not carry its mailbox's slot (a caller
+//!   that brings its own numbering) still registers: it is found by
+//!   scanning the slab's allocated slots, a scan skipped with one atomic
+//!   load while no such registration is live.
 //! * **The generation tag** — slots are reused by later transactions,
-//!   and a delivery can race the slot's rebinding: the producer resolves
-//!   key → slot, the old registration is torn down, a new one binds the
-//!   same slot, and only then does the producer's push land. To keep the
-//!   simulator's "a stale reply for an aborted incarnation is dropped"
-//!   rule under that race, every event travels through the mailbox
-//!   *tagged with the key it was addressed to*, and the consumer
-//!   discards any event whose tag is not the key it is currently
-//!   waiting on. Keys must never be reused (the runtime's transaction
-//!   ids are a monotone counter), which makes the key its own perfect
+//!   and a delivery can race the slot's rebinding: the producer checks
+//!   that the slot is bound to its key, the old registration is torn
+//!   down, a new one binds the same slot, and only then does the
+//!   producer's push land. To keep the simulator's "a stale reply for an
+//!   aborted incarnation is dropped" rule under that race, every event
+//!   travels through the mailbox *tagged with the key it was addressed
+//!   to*, and the consumer discards any event whose tag is not the key
+//!   it is currently waiting on. Keys must never be reused (their `seq`
+//!   is a monotone counter), which makes the key its own perfect
 //!   incarnation tag. Registering a new key also sweeps the mailbox of
 //!   leftovers from the previous incarnation, bounding occupancy to one
 //!   incarnation's traffic plus in-flight races.
@@ -64,9 +58,9 @@
 //! with the tag off, a delayed delivery for an earlier key observably
 //! surfaces in a later incarnation sharing the slot.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -79,22 +73,8 @@ type SlotChunk<E> = OnceLock<Box<[Slot<E>]>>;
 /// Slots per lazily initialised slab chunk.
 const CHUNK: usize = 64;
 
-/// A free index bucket. Packed entries put the key's low 40 bits in the
-/// high bits and the slot in the low 24, so no valid entry is all-ones
-/// (slots are capped below `0xFF_FFFF`).
-const EMPTY: u64 = u64::MAX;
-
-/// Slot bits in a packed index entry.
-const SLOT_BITS: u32 = 24;
-
-/// Key bits kept in an index entry for verification. Two distinct keys
-/// collide only if they differ by a multiple of 2^40 — unreachable for
-/// keys drawn from a counter.
-const KEY_MASK: u64 = (1 << 40) - 1;
-
-/// Hard cap on slab slots (24-bit slot field, all-ones reserved so a
-/// packed entry can never equal [`EMPTY`]).
-const MAX_SLOTS: usize = (1 << SLOT_BITS) - 1;
+/// Hard cap on slab slots: a key keeps at least 40 bits of `seq`.
+const MAX_SLOTS: usize = 1 << 24;
 
 /// Freelist "no head" sentinel.
 const NO_SLOT: u64 = u32::MAX as u64;
@@ -103,31 +83,9 @@ const NO_SLOT: u64 = u32::MAX as u64;
 /// budget and moved to timed waiting.
 const FULL_NAP: Duration = Duration::from_micros(50);
 
-fn pack(key: u64, slot: u32) -> u64 {
-    ((key & KEY_MASK) << SLOT_BITS) | slot as u64
-}
-
-fn entry_matches(entry: u64, key: u64) -> bool {
-    entry != EMPTY && (entry >> SLOT_BITS) == (key & KEY_MASK)
-}
-
-fn entry_slot(entry: u64) -> u32 {
-    (entry & ((1 << SLOT_BITS) - 1)) as u32
-}
-
 /// Tuning knobs for a [`MailboxRegistry`].
 #[derive(Debug, Clone, Copy)]
 pub struct MailboxOptions {
-    /// Buckets in the *initial* lock-free key index table (rounded up to
-    /// a power of two). The index doubles itself towards
-    /// `index_max_capacity` as live registrations approach the current
-    /// table's load-factor threshold or collide on a bucket, so this is
-    /// a starting size, not a ceiling.
-    pub index_capacity: usize,
-    /// Ceiling on index growth (rounded up to a power of two, never
-    /// below `index_capacity`). Only once the table is at this size do
-    /// live bucket collisions spill to the mutex-guarded overflow map.
-    pub index_max_capacity: usize,
     /// Bounded capacity of each mailbox ring. Must exceed the events one
     /// incarnation can have outstanding while its consumer is not
     /// draining (for the runtime: replies to every in-flight request),
@@ -136,7 +94,8 @@ pub struct MailboxOptions {
     pub mailbox_capacity: usize,
     /// Maximum concurrently acquired mailboxes. The slab grows towards
     /// this in chunks of 64; acquiring past it waits (bounded by
-    /// `acquire_timeout`) for a release.
+    /// `acquire_timeout`) for a release. Also sizes the slot field of
+    /// every key ([`MailboxRegistry::key`]).
     pub max_clients: usize,
     /// How long [`MailboxRegistry::acquire`] may wait for a mailbox to
     /// be released once all `max_clients` are held before returning
@@ -162,8 +121,6 @@ pub struct MailboxOptions {
 impl Default for MailboxOptions {
     fn default() -> Self {
         MailboxOptions {
-            index_capacity: 1024,
-            index_max_capacity: 1 << 20,
             mailbox_capacity: 256,
             max_clients: 65536,
             acquire_timeout: Duration::from_secs(5),
@@ -198,73 +155,16 @@ impl fmt::Display for SlabExhausted {
 
 impl std::error::Error for SlabExhausted {}
 
-/// One generation of the key index: a power-of-two table of packed
-/// `(key₄₀, slot₂₄)` entries, linked to the generation it replaced.
-/// `prev` is fixed at construction and tables are only freed when the
-/// whole registry drops, so readers walk the chain without any
-/// reclamation protocol; superseded generations drain passively as
-/// their keys deregister.
-struct IndexTable {
-    buckets: Box<[AtomicU64]>,
-    mask: usize,
-    /// Live-registration count at which a register in this table
-    /// triggers growth (3/4 of capacity).
-    grow_at: usize,
-    prev: AtomicPtr<IndexTable>,
-}
-
-impl IndexTable {
-    fn new(capacity: usize, prev: *mut IndexTable) -> Self {
-        IndexTable {
-            buckets: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
-            mask: capacity - 1,
-            grow_at: capacity - capacity / 4,
-            prev: AtomicPtr::new(prev),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-}
-
-/// Owner of the table chain: `head` points at the newest generation,
-/// older generations hang off `prev`. Dropping it frees the chain.
-struct IndexChain {
-    head: AtomicPtr<IndexTable>,
-}
-
-impl IndexChain {
-    fn new(capacity: usize) -> Self {
-        let table = Box::into_raw(Box::new(IndexTable::new(capacity, std::ptr::null_mut())));
-        IndexChain {
-            head: AtomicPtr::new(table),
-        }
-    }
-}
-
-impl Drop for IndexChain {
-    fn drop(&mut self) {
-        let mut table = *self.head.get_mut();
-        while !table.is_null() {
-            // Tables are only ever published into this chain and never
-            // unlinked while the registry is alive, so each is freed
-            // exactly once here.
-            let boxed = unsafe { Box::from_raw(table) };
-            table = boxed.prev.load(Ordering::Relaxed);
-        }
-    }
-}
-
 /// One slab slot: a ring whose sender side is shared by every producer
 /// and whose receiver side is held by the current [`Mailbox`] owner (and
 /// parked here between owners).
 struct Slot<E> {
     tx: RingSender<(u64, E)>,
     rx: Mutex<Option<RingReceiver<(u64, E)>>>,
-    /// The key currently bound to this slot (0 = unbound). Producers
-    /// re-check it before waiting on a full ring so deliveries to a
-    /// dead registration are dropped, never waited on.
+    /// The key currently bound to this slot (0 = unbound) — what a key
+    /// resolving to this slot is compared with. Producers re-check it
+    /// before waiting on a full ring so deliveries to a dead
+    /// registration are dropped, never waited on.
     bound: AtomicU64,
     /// Caller-defined registration metadata (the runtime stores the
     /// concurrency-control method for the deadlock detector).
@@ -274,17 +174,6 @@ struct Slot<E> {
 }
 
 struct Shared<E> {
-    /// The resizable lock-free key index (see [`IndexTable`]).
-    index: IndexChain,
-    /// Growth ceiling for the index (power of two).
-    index_max_capacity: usize,
-    /// Completed index growths (generation counter).
-    index_resizes: AtomicU64,
-    /// Correctness net for live bucket collisions at `index_max_capacity`.
-    overflow: Mutex<HashMap<u64, u32>>,
-    /// Lets `lookup` skip the overflow mutex with one load while the map
-    /// is empty (the overwhelmingly common case).
-    overflow_len: AtomicUsize,
     /// The slab, grown lazily chunk by chunk (readers index initialised
     /// chunks without any lock).
     chunks: Box<[SlotChunk<E>]>,
@@ -292,11 +181,17 @@ struct Shared<E> {
     /// through the freelist, not this counter).
     allocated: AtomicUsize,
     max_slots: usize,
+    /// Width of a key's slot field.
+    slot_bits: u32,
     /// Treiber stack of free slot indices: `(version₃₂ | index₃₂)`, the
     /// version incremented on every successful swing to defeat ABA.
     free_head: AtomicU64,
     /// Live registrations.
     live: AtomicUsize,
+    /// Live registrations whose key does not carry their slot — while
+    /// nonzero, a key its slot field does not resolve is looked for
+    /// across the slab.
+    unaddressed: AtomicUsize,
     /// Stale events discarded by consumers (tag mismatches plus
     /// sweep-on-register leftovers) — the observable count of the
     /// drop-stale-replies rule firing.
@@ -312,11 +207,65 @@ struct Shared<E> {
 }
 
 impl<E> Shared<E> {
+    /// An acquired slot (its chunk is initialised by construction).
     fn slot(&self, idx: u32) -> &Slot<E> {
-        let chunk = self.chunks[idx as usize / CHUNK]
-            .get()
-            .expect("slot chunk initialised before use");
-        &chunk[idx as usize % CHUNK]
+        self.slot_at(idx as usize)
+            .expect("slot chunk initialised before use")
+    }
+
+    /// The slot at `idx`, if that index is inside the slab and its chunk
+    /// was initialised.
+    fn slot_at(&self, idx: usize) -> Option<&Slot<E>> {
+        let chunk = self.chunks.get(idx / CHUNK)?.get()?;
+        Some(&chunk[idx % CHUNK])
+    }
+
+    /// The slot index a key's low bits name.
+    fn addressed(&self, key: u64) -> usize {
+        (key & ((1 << self.slot_bits) - 1)) as usize
+    }
+
+    /// The slot `key` is bound to, if it is live.
+    fn resolve(&self, key: u64) -> Option<&Slot<E>> {
+        self.resolve_addressed(key)
+            .or_else(|| self.resolve_unaddressed(key))
+    }
+
+    /// The slot `key`'s low bits name, if `key` is bound there.
+    fn resolve_addressed(&self, key: u64) -> Option<&Slot<E>> {
+        self.slot_at(self.addressed(key))
+            .filter(|slot| key != 0 && slot.bound.load(Ordering::SeqCst) == key)
+    }
+
+    /// Whichever allocated slot `key` is bound to — looked for only while
+    /// an unaddressed registration is live.
+    fn resolve_unaddressed(&self, key: u64) -> Option<&Slot<E>> {
+        if key == 0 || self.unaddressed.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        let held = self.allocated.load(Ordering::SeqCst).min(self.max_slots);
+        (0..held)
+            .filter_map(|idx| self.slot_at(idx))
+            .find(|slot| slot.bound.load(Ordering::SeqCst) == key)
+    }
+
+    fn deregister(&self, key: u64) {
+        let addressed = self.resolve_addressed(key);
+        let Some(slot) = addressed.or_else(|| self.resolve_unaddressed(key)) else {
+            return;
+        };
+        // Losing the CAS means a racing deregister of the same key
+        // already unbound it — only the winner decrements the counts.
+        if slot
+            .bound
+            .compare_exchange(key, 0, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            if addressed.is_none() {
+                self.unaddressed.fetch_sub(1, Ordering::SeqCst);
+            }
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 
     fn freelist_push(&self, idx: u32) {
@@ -354,183 +303,11 @@ impl<E> Shared<E> {
             }
         }
     }
-
-    /// The newest index generation. Tables live as long as the registry,
-    /// so the borrow is safe for any caller holding `&self`.
-    fn head_table(&self) -> &IndexTable {
-        unsafe { &*self.index.head.load(Ordering::SeqCst) }
-    }
-
-    /// Resolve a key to its slot: one pointer load plus one bucket load
-    /// on the fast path (key in the newest table), a short `prev`-chain
-    /// walk for keys registered before a growth, the overflow map only
-    /// while it is provably non-empty.
-    fn lookup(&self, key: u64) -> Option<u32> {
-        let mut table = self.index.head.load(Ordering::SeqCst);
-        while !table.is_null() {
-            let t = unsafe { &*table };
-            let entry = t.buckets[(key as usize) & t.mask].load(Ordering::SeqCst);
-            if entry_matches(entry, key) {
-                return Some(entry_slot(entry));
-            }
-            table = t.prev.load(Ordering::SeqCst);
-        }
-        if self.overflow_len.load(Ordering::SeqCst) > 0 {
-            return self
-                .overflow
-                .lock()
-                .expect("overflow map poisoned")
-                .get(&key)
-                .copied();
-        }
-        None
-    }
-
-    /// Install a doubled table on top of `from`. A no-op when `from` is
-    /// no longer the newest generation (someone else already grew) or
-    /// the ceiling is reached. On success, overflow entries are given
-    /// the chance to migrate into the fresh buckets.
-    fn grow(&self, from: *mut IndexTable) {
-        if self.index.head.load(Ordering::SeqCst) != from {
-            return;
-        }
-        let capacity = unsafe { &*from }.capacity();
-        if capacity >= self.index_max_capacity {
-            return;
-        }
-        let raw = Box::into_raw(Box::new(IndexTable::new(capacity * 2, from)));
-        match self
-            .index
-            .head
-            .compare_exchange(from, raw, Ordering::SeqCst, Ordering::SeqCst)
-        {
-            Ok(_) => {
-                self.index_resizes.fetch_add(1, Ordering::SeqCst);
-                self.drain_overflow();
-            }
-            Err(_) => {
-                // Lost the install race; the winner's table serves. Ours
-                // was never published, so freeing it here is safe.
-                drop(unsafe { Box::from_raw(raw) });
-            }
-        }
-    }
-
-    /// Move overflow-map entries whose bucket in the newest table is
-    /// free back onto the lock-free path. The table insert happens
-    /// *before* the map removal and both happen under the overflow
-    /// lock, so a concurrent deregister either finds the key in the
-    /// table, or misses, takes this lock, misses the map too — and its
-    /// bounded chain rescan (ordered after this lock release) finds the
-    /// migrated entry.
-    fn drain_overflow(&self) {
-        if self.overflow_len.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let mut map = self.overflow.lock().expect("overflow map poisoned");
-        map.retain(|&key, &mut slot| {
-            let t = self.head_table();
-            let bucket = &t.buckets[(key as usize) & t.mask];
-            if bucket
-                .compare_exchange(EMPTY, pack(key, slot), Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                self.overflow_len.fetch_sub(1, Ordering::SeqCst);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// CAS `key`'s entry out of whichever generation holds it. `None`
-    /// means the chain has no live entry for it (or a racing deregister
-    /// of the same key won the CAS).
-    fn remove_from_chain(&self, key: u64) -> Option<u32> {
-        let mut table = self.index.head.load(Ordering::SeqCst);
-        while !table.is_null() {
-            let t = unsafe { &*table };
-            let bucket = &t.buckets[(key as usize) & t.mask];
-            let entry = bucket.load(Ordering::SeqCst);
-            if entry_matches(entry, key) {
-                // CAS, not a store: a concurrent register for a colliding
-                // key must not be clobbered. (It cannot swing to another
-                // entry for *our* key — keys are never reused.) Losing
-                // the CAS means a racing deregister of the same key
-                // already removed it — only the winner unbinds and
-                // decrements `live`.
-                return bucket
-                    .compare_exchange(entry, EMPTY, Ordering::SeqCst, Ordering::SeqCst)
-                    .ok()
-                    .map(|_| entry_slot(entry));
-            }
-            table = t.prev.load(Ordering::SeqCst);
-        }
-        None
-    }
-
-    fn deregister(&self, key: u64) {
-        // Two chain passes: a concurrent overflow→table migration can
-        // move the key between our chain scan and our map check. The
-        // migration inserts into the table before removing from the map
-        // (both under the overflow lock we take below), so after a
-        // locked map miss one rescan is guaranteed to see the entry.
-        for pass in 0..2 {
-            if let Some(slot) = self.remove_from_chain(key) {
-                self.finish_deregister(key, slot);
-                // Scrub the transient duplicate a migration may have
-                // left in the map, then let waiting overflow entries
-                // claim the bucket we just freed.
-                self.scrub_overflow(key);
-                self.drain_overflow();
-                return;
-            }
-            if self.overflow_len.load(Ordering::SeqCst) > 0 {
-                let removed = self
-                    .overflow
-                    .lock()
-                    .expect("overflow map poisoned")
-                    .remove(&key);
-                if let Some(slot) = removed {
-                    self.overflow_len.fetch_sub(1, Ordering::SeqCst);
-                    self.finish_deregister(key, slot);
-                    return;
-                }
-            } else if pass == 1 {
-                return;
-            }
-        }
-    }
-
-    fn finish_deregister(&self, key: u64, slot: u32) {
-        let _ = self
-            .slot(slot)
-            .bound
-            .compare_exchange(key, 0, Ordering::SeqCst, Ordering::SeqCst);
-        self.live.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Remove a possibly lingering overflow copy of `key` (the
-    /// insert-before-remove window of [`Shared::drain_overflow`]).
-    fn scrub_overflow(&self, key: u64) {
-        if self.overflow_len.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let removed = self
-            .overflow
-            .lock()
-            .expect("overflow map poisoned")
-            .remove(&key);
-        if removed.is_some() {
-            self.overflow_len.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
 }
 
-/// The shared reply registry: a slab of reusable mailboxes plus the
-/// resizable lock-free key index routing deliveries to them. Cheap to
-/// share via the handles it hands out; see the module docs for the
-/// design.
+/// The shared reply registry: a slab of reusable mailboxes addressed by
+/// the keys themselves. Cheap to share via the handles it hands out; see
+/// the module docs for the design.
 pub struct MailboxRegistry<E> {
     shared: Arc<Shared<E>>,
 }
@@ -549,22 +326,17 @@ impl<E: Send> MailboxRegistry<E> {
 
     /// A registry with explicit tuning.
     pub fn with_options(opts: MailboxOptions) -> Self {
-        let index_cap = opts.index_capacity.next_power_of_two().max(64);
-        let index_max = opts.index_max_capacity.next_power_of_two().max(index_cap);
         let max_slots = opts.max_clients.clamp(1, MAX_SLOTS);
         let shared = Arc::new(Shared {
-            index: IndexChain::new(index_cap),
-            index_max_capacity: index_max,
-            index_resizes: AtomicU64::new(0),
-            overflow: Mutex::new(HashMap::new()),
-            overflow_len: AtomicUsize::new(0),
             chunks: (0..max_slots.div_ceil(CHUNK))
                 .map(|_| OnceLock::new())
                 .collect(),
             allocated: AtomicUsize::new(0),
             max_slots,
+            slot_bits: max_slots.next_power_of_two().trailing_zeros(),
             free_head: AtomicU64::new(NO_SLOT),
             live: AtomicUsize::new(0),
+            unaddressed: AtomicUsize::new(0),
             stale_dropped: AtomicU64::new(0),
             full_dropped: AtomicU64::new(0),
             mailbox_capacity: opts.mailbox_capacity.max(4),
@@ -574,6 +346,30 @@ impl<E: Send> MailboxRegistry<E> {
             tag_check: opts.tag_check,
         });
         MailboxRegistry { shared }
+    }
+
+    /// The key addressing mailbox `slot` for the caller's `seq`-th
+    /// registration: `seq << slot_bits | slot`. Keys keep `seq`'s order,
+    /// and `seq` must never be reused (key 0 is the unbound sentinel, so
+    /// `seq` starts at 1). `None` once `seq` exceeds
+    /// [`MailboxRegistry::max_seq`] — keys never wrap.
+    pub fn key(&self, seq: u64, slot: u32) -> Option<u64> {
+        debug_assert!(
+            (slot as usize) < self.shared.max_slots,
+            "slot {slot} outside the slab"
+        );
+        (seq <= self.max_seq()).then(|| seq << self.shared.slot_bits | slot as u64)
+    }
+
+    /// The `seq` a [`MailboxRegistry::key`] was minted from.
+    pub fn seq_of(&self, key: u64) -> u64 {
+        key >> self.shared.slot_bits
+    }
+
+    /// The largest `seq` a key can carry: `u64::MAX` shifted right by the
+    /// slot field's width.
+    pub fn max_seq(&self) -> u64 {
+        u64::MAX >> self.shared.slot_bits
     }
 
     /// Take a mailbox out of the slab: a freelist pop when one is free, a
@@ -639,18 +435,15 @@ impl<E: Send> MailboxRegistry<E> {
         })
     }
 
-    /// Bind `key` (nonzero, never reused) to `mailbox` with caller
-    /// metadata. Sweeps the mailbox of the previous incarnation's
-    /// leftovers first (unless the tag machinery is mutation-disabled).
-    /// Must complete before any event addressed to `key` can be produced
-    /// — the runtime registers before the incarnation's first request
-    /// message leaves the client thread.
-    ///
-    /// Returns `true` when the registration had to take the overflow-map
-    /// path (a live bucket collision with the index already at
-    /// `index_max_capacity`) — the signal callers use to observe the
-    /// transition off the lock-free path.
-    pub fn register(&self, key: u64, meta: u64, mailbox: &mut Mailbox<E>) -> bool {
+    /// Bind `key` (nonzero, never reused; minted by
+    /// [`MailboxRegistry::key`] for `mailbox.slot()` unless the caller
+    /// accepts the unaddressed scan) to `mailbox`, whose previous key
+    /// must be deregistered, with caller metadata. Sweeps the mailbox of
+    /// the previous incarnation's leftovers first (unless the tag
+    /// machinery is mutation-disabled). Must complete before any event
+    /// addressed to `key` can be produced — the runtime registers before
+    /// the incarnation's first request message leaves the client thread.
+    pub fn register(&self, key: u64, meta: u64, mailbox: &mut Mailbox<E>) {
         debug_assert!(key != 0, "key 0 is the unbound sentinel");
         debug_assert!(
             Arc::ptr_eq(&self.shared, &mailbox.shared),
@@ -660,53 +453,18 @@ impl<E: Send> MailboxRegistry<E> {
         if shared.tag_check {
             mailbox.clear();
         }
-        debug_assert!(
-            shared.lookup(key).is_none(),
-            "key {key} registered while live"
-        );
         let slot = shared.slot(mailbox.slot);
+        debug_assert_eq!(
+            slot.bound.load(Ordering::SeqCst),
+            0,
+            "mailbox re-registered while bound"
+        );
+        if shared.addressed(key) != mailbox.slot as usize {
+            shared.unaddressed.fetch_add(1, Ordering::SeqCst);
+        }
         slot.meta.store(meta, Ordering::SeqCst);
         slot.bound.store(key, Ordering::SeqCst);
-        let packed = pack(key, mailbox.slot);
-        let overflowed = loop {
-            let head = shared.index.head.load(Ordering::SeqCst);
-            let t = unsafe { &*head };
-            if t.capacity() < shared.index_max_capacity
-                && shared.live.load(Ordering::SeqCst) + 1 > t.grow_at
-            {
-                // Load factor reached: install a doubled generation and
-                // retry there (amortised — the fast path stays one CAS).
-                shared.grow(head);
-                continue;
-            }
-            let bucket = &t.buckets[(key as usize) & t.mask];
-            if bucket
-                .compare_exchange(EMPTY, packed, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                break false;
-            }
-            // Bucket held by a live colliding key. Growth rehashes new
-            // registrations across twice the buckets; only at the
-            // ceiling does the overflow map become the slow home.
-            if t.capacity() < shared.index_max_capacity {
-                shared.grow(head);
-                continue;
-            }
-            // The length counter is raised first so a resolver that
-            // misses the chain checks the map from the moment the entry
-            // exists.
-            shared.overflow_len.fetch_add(1, Ordering::SeqCst);
-            let prev = shared
-                .overflow
-                .lock()
-                .expect("overflow map poisoned")
-                .insert(key, mailbox.slot);
-            debug_assert!(prev.is_none(), "key {key} registered while live");
-            break true;
-        };
         shared.live.fetch_add(1, Ordering::SeqCst);
-        overflowed
     }
 
     /// Tear down `key`'s registration. Deliveries for it become no-ops;
@@ -725,10 +483,9 @@ impl<E: Send> MailboxRegistry<E> {
     /// died mid-wait drops the event immediately.
     pub fn deliver(&self, key: u64, event: E) -> bool {
         let shared = &self.shared;
-        let Some(slot_idx) = shared.lookup(key) else {
+        let Some(slot) = shared.resolve(key) else {
             return false;
         };
-        let slot = shared.slot(slot_idx);
         let mut tagged = (key, event);
         let mut spins = 0u32;
         let mut deadline: Option<Instant> = None;
@@ -769,10 +526,9 @@ impl<E: Send> MailboxRegistry<E> {
     /// best-effort signals.
     pub fn try_deliver(&self, key: u64, event: E) -> bool {
         let shared = &self.shared;
-        let Some(slot_idx) = shared.lookup(key) else {
+        let Some(slot) = shared.resolve(key) else {
             return false;
         };
-        let slot = shared.slot(slot_idx);
         match slot.tx.try_send((key, event)) {
             Ok(()) => true,
             Err(TrySendError::Full(_)) => {
@@ -787,12 +543,10 @@ impl<E: Send> MailboxRegistry<E> {
 
     /// The metadata `key` was registered with, if it is live.
     pub fn resolve_meta(&self, key: u64) -> Option<u64> {
-        let shared = &self.shared;
-        let slot_idx = shared.lookup(key)?;
-        let slot = shared.slot(slot_idx);
+        let slot = self.shared.resolve(key)?;
         let meta = slot.meta.load(Ordering::SeqCst);
-        // Re-check the binding so a slot rebound between lookup and the
-        // meta load cannot attribute the new key's metadata to the old.
+        // Re-check the binding so a slot rebound between the resolve and
+        // the meta load cannot attribute the new key's metadata to the old.
         (slot.bound.load(Ordering::SeqCst) == key).then_some(meta)
     }
 
@@ -802,14 +556,13 @@ impl<E: Send> MailboxRegistry<E> {
     /// `SeqCst`, so an update and a later [`MailboxRegistry::resolve_meta`]
     /// on one thread are never reordered against the same pair on another.
     ///
-    /// The slot may be rebound between the lookup and the swap; the swap
+    /// The slot may be rebound between the resolve and the swap; the swap
     /// then fails only if the two registrations' metadata differ, so a
     /// caller that must never touch a later registration keeps something
-    /// unique to the registration (the runtime: the key itself) in the
+    /// unique to the registration (the runtime: the key's `seq`) in the
     /// metadata and has `update` check it.
     pub fn update_meta(&self, key: u64, mut update: impl FnMut(u64) -> Option<u64>) -> Option<u64> {
-        let shared = &self.shared;
-        let slot = shared.slot(shared.lookup(key)?);
+        let slot = self.shared.resolve(key)?;
         let mut meta = slot.meta.load(Ordering::SeqCst);
         loop {
             if slot.bound.load(Ordering::SeqCst) != key {
@@ -850,24 +603,6 @@ impl<E: Send> MailboxRegistry<E> {
     pub fn full_dropped(&self) -> u64 {
         self.shared.full_dropped.load(Ordering::Relaxed)
     }
-
-    /// Buckets in the newest index generation.
-    pub fn index_capacity(&self) -> usize {
-        self.shared.head_table().capacity()
-    }
-
-    /// Completed index growths since construction.
-    pub fn index_resizes(&self) -> u64 {
-        self.shared.index_resizes.load(Ordering::SeqCst)
-    }
-
-    /// Registrations currently parked in the overflow map (live bucket
-    /// collisions with the index at `index_max_capacity`). Diagnostics:
-    /// nonzero is correct but means the ceiling is undersized for the
-    /// live-key spread.
-    pub fn overflow_entries(&self) -> usize {
-        self.shared.overflow_len.load(Ordering::SeqCst)
-    }
 }
 
 /// One reusable reply mailbox, owned by a single consumer thread at a
@@ -884,7 +619,8 @@ pub struct Mailbox<E> {
 
 impl<E> Mailbox<E> {
     /// The slab slot this mailbox occupies (stable across incarnations
-    /// for as long as the mailbox is held).
+    /// for as long as the mailbox is held) — the low bits of every key
+    /// [`MailboxRegistry::key`] mints for it.
     pub fn slot(&self) -> u32 {
         self.slot
     }
@@ -971,67 +707,151 @@ mod tests {
         MailboxRegistry::with_options(opts)
     }
 
-    /// A small fixed-size index (growth disabled by the matching
-    /// ceiling), matching the PR-4 behaviour most tests were written
-    /// against.
     fn small() -> MailboxOptions {
         MailboxOptions {
-            index_capacity: 64,
-            index_max_capacity: 64,
             mailbox_capacity: 8,
             max_clients: 8,
             ..MailboxOptions::default()
         }
     }
 
+    /// The key of `mb`'s `seq`-th registration.
+    fn key(reg: &MailboxRegistry<u64>, seq: u64, mb: &Mailbox<u64>) -> u64 {
+        reg.key(seq, mb.slot()).expect("seq fits")
+    }
+
     #[test]
     fn register_deliver_receive_deregister_roundtrip() {
         let reg = registry(small());
         let mut mb = reg.acquire().unwrap();
-        reg.register(7, 42, &mut mb);
+        let k = key(&reg, 7, &mb);
+        reg.register(k, 42, &mut mb);
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.resolve_meta(7), Some(42));
-        assert!(reg.deliver(7, 700));
-        assert_eq!(mb.recv_timeout(7, Duration::from_secs(1)), Some(700));
-        reg.deregister(7);
+        assert_eq!(reg.resolve_meta(k), Some(42));
+        assert!(reg.deliver(k, 700));
+        assert_eq!(mb.recv_timeout(k, Duration::from_secs(1)), Some(700));
+        reg.deregister(k);
         assert_eq!(reg.len(), 0);
-        assert_eq!(reg.resolve_meta(7), None);
-        assert!(!reg.deliver(7, 701), "stale delivery is a no-op");
+        assert_eq!(reg.resolve_meta(k), None);
+        assert!(!reg.deliver(k, 701), "stale delivery is a no-op");
+    }
+
+    #[test]
+    fn keys_carry_their_slot_and_keep_seq_order() {
+        let reg = registry(MailboxOptions::default());
+        assert_eq!(
+            reg.max_seq(),
+            u64::MAX >> 16,
+            "65,536 clients: 16 slot bits"
+        );
+        let k = reg.key(3, 5).unwrap();
+        assert_eq!(k, 3 << 16 | 5);
+        assert_eq!(reg.seq_of(k), 3);
+        assert!(reg.key(2, 65_535).unwrap() < reg.key(3, 0).unwrap());
+        assert!(reg.key(reg.max_seq(), 0).is_some());
+        assert_eq!(
+            reg.key(reg.max_seq() + 1, 0),
+            None,
+            "seq exhaustion never wraps"
+        );
     }
 
     #[test]
     fn update_meta_swaps_live_metadata_only() {
         let reg = registry(small());
         let mut mb = reg.acquire().unwrap();
-        reg.register(7, 0b01, &mut mb);
-        assert_eq!(reg.update_meta(7, |meta| Some(meta | 0b10)), Some(0b01));
-        assert_eq!(reg.resolve_meta(7), Some(0b11));
+        let (k7, k8, k9) = (key(&reg, 7, &mb), key(&reg, 8, &mb), key(&reg, 9, &mb));
+        reg.register(k7, 0b01, &mut mb);
+        assert_eq!(reg.update_meta(k7, |meta| Some(meta | 0b10)), Some(0b01));
+        assert_eq!(reg.resolve_meta(k7), Some(0b11));
         // `None` from the closure leaves the word alone and still reports it.
-        assert_eq!(reg.update_meta(7, |_| None), Some(0b11));
-        assert_eq!(reg.update_meta(8, |_| Some(0)), None, "never registered");
-        reg.deregister(7);
-        assert_eq!(reg.update_meta(7, |_| Some(0)), None, "no longer live");
-        reg.register(9, 0b01, &mut mb);
-        assert_eq!(reg.resolve_meta(9), Some(0b01), "the next key starts fresh");
+        assert_eq!(reg.update_meta(k7, |_| None), Some(0b11));
+        assert_eq!(reg.update_meta(k8, |_| Some(0)), None, "never registered");
+        reg.deregister(k7);
+        assert_eq!(reg.update_meta(k7, |_| Some(0)), None, "no longer live");
+        reg.register(k9, 0b01, &mut mb);
+        assert_eq!(
+            reg.resolve_meta(k9),
+            Some(0b01),
+            "the next key starts fresh"
+        );
+    }
+
+    /// Keys that do not address a live registration — a slot beyond the
+    /// slab, a slot in a chunk never initialised, a slot rebound to a
+    /// newer key — are refused by every entry point, and none panics.
+    #[test]
+    fn forged_and_stale_keys_are_refused() {
+        // 129 clients: 8 slot bits (256 addresses) over a 3-chunk slab.
+        let reg = registry(MailboxOptions {
+            max_clients: 129,
+            ..small()
+        });
+        let mut mb = reg.acquire().unwrap();
+        let old = key(&reg, 1, &mb);
+        reg.register(old, 5, &mut mb);
+        reg.deregister(old);
+        let new = key(&reg, 2, &mb);
+        reg.register(new, 6, &mut mb);
+        let beyond_slab = 3 << 8 | 200; // chunk 3 of 3
+        let uninitialised_chunk = 3 << 8 | 150; // chunk 2, never acquired
+        for forged in [beyond_slab, uninitialised_chunk, old, 0] {
+            assert!(!reg.deliver(forged, 1), "{forged:#x}: deliver");
+            assert!(!reg.try_deliver(forged, 1), "{forged:#x}: try_deliver");
+            assert_eq!(reg.resolve_meta(forged), None, "{forged:#x}: resolve_meta");
+            assert_eq!(
+                reg.update_meta(forged, |_| Some(0)),
+                None,
+                "{forged:#x}: update_meta"
+            );
+            reg.deregister(forged);
+        }
+        assert_eq!(reg.len(), 1, "no forged deregister touched the live key");
+        assert_eq!(reg.resolve_meta(new), Some(6));
+        assert_eq!(reg.full_dropped(), 0);
+        reg.deregister(new);
+    }
+
+    /// A caller with its own key numbering (keys that do not carry the
+    /// mailbox's slot) still registers, delivers and deregisters — found
+    /// by the slab scan, which is idle again once they are gone.
+    #[test]
+    fn unaddressed_keys_still_route() {
+        let reg = registry(small());
+        let mut a = reg.acquire().unwrap();
+        let mut b = reg.acquire().unwrap();
+        reg.register(1, 10, &mut a); // addresses slot 1, held by `b`
+        reg.register(2, 20, &mut b); // addresses slot 2, never acquired
+        assert!(reg.deliver(1, 100));
+        assert!(reg.deliver(2, 200));
+        assert_eq!(a.recv_timeout(1, Duration::from_secs(1)), Some(100));
+        assert_eq!(b.recv_timeout(2, Duration::from_secs(1)), Some(200));
+        assert_eq!(reg.resolve_meta(1), Some(10));
+        reg.deregister(1);
+        reg.deregister(2);
+        assert_eq!(reg.len(), 0);
+        assert_eq!(reg.shared.unaddressed.load(Ordering::SeqCst), 0);
+        assert!(!reg.deliver(1, 101), "stale delivery is a no-op");
     }
 
     #[test]
     fn slot_reuse_discards_earlier_incarnations_events() {
         let reg = registry(small());
         let mut mb = reg.acquire().unwrap();
-        reg.register(1, 0, &mut mb);
-        assert!(reg.deliver(1, 10));
-        assert!(reg.deliver(1, 11));
+        let (k1, k2) = (key(&reg, 1, &mb), key(&reg, 2, &mb));
+        reg.register(k1, 0, &mut mb);
+        assert!(reg.deliver(k1, 10));
+        assert!(reg.deliver(k1, 11));
         // Consume only one of the two; the other is left in the ring.
-        assert_eq!(mb.recv_timeout(1, Duration::from_secs(1)), Some(10));
-        reg.deregister(1);
+        assert_eq!(mb.recv_timeout(k1, Duration::from_secs(1)), Some(10));
+        reg.deregister(k1);
         // Next incarnation on the *same* mailbox: the leftover for key 1
         // is swept at register time and never surfaces.
-        reg.register(2, 0, &mut mb);
-        assert!(reg.deliver(2, 20));
-        assert_eq!(mb.recv_timeout(2, Duration::from_secs(1)), Some(20));
+        reg.register(k2, 0, &mut mb);
+        assert!(reg.deliver(k2, 20));
+        assert_eq!(mb.recv_timeout(k2, Duration::from_secs(1)), Some(20));
         assert!(reg.stale_dropped() >= 1, "the leftover was counted");
-        reg.deregister(2);
+        reg.deregister(k2);
     }
 
     #[test]
@@ -1040,21 +860,22 @@ mod tests {
         // with the old key lands *after* the new registration's sweep.
         let reg = registry(small());
         let mut mb = reg.acquire().unwrap();
-        reg.register(1, 0, &mut mb);
-        reg.deregister(1);
-        reg.register(2, 0, &mut mb);
+        let (k1, k2) = (key(&reg, 1, &mb), key(&reg, 2, &mb));
+        reg.register(k1, 0, &mut mb);
+        reg.deregister(k1);
+        reg.register(k2, 0, &mut mb);
         // Push through the slot's sender exactly as a racing deliver
-        // whose lookup resolved before the deregister would.
+        // whose binding check passed before the deregister would.
         let slot = reg.shared.slot(mb.slot());
-        slot.tx.try_send((1, 999)).unwrap();
-        assert!(reg.deliver(2, 20));
+        slot.tx.try_send((k1, 999)).unwrap();
+        assert!(reg.deliver(k2, 20));
         assert_eq!(
-            mb.recv_timeout(2, Duration::from_secs(1)),
+            mb.recv_timeout(k2, Duration::from_secs(1)),
             Some(20),
             "the stale event must be filtered, not returned"
         );
         assert!(reg.stale_dropped() >= 1);
-        reg.deregister(2);
+        reg.deregister(k2);
     }
 
     #[test]
@@ -1067,17 +888,18 @@ mod tests {
             ..small()
         });
         let mut mb = reg.acquire().unwrap();
-        reg.register(1, 0, &mut mb);
-        assert!(reg.deliver(1, 999));
-        reg.deregister(1);
-        reg.register(2, 0, &mut mb);
-        assert!(reg.deliver(2, 20));
+        let (k1, k2) = (key(&reg, 1, &mb), key(&reg, 2, &mb));
+        reg.register(k1, 0, &mut mb);
+        assert!(reg.deliver(k1, 999));
+        reg.deregister(k1);
+        reg.register(k2, 0, &mut mb);
+        assert!(reg.deliver(k2, 20));
         assert_eq!(
-            mb.recv_timeout(2, Duration::from_secs(1)),
+            mb.recv_timeout(k2, Duration::from_secs(1)),
             Some(999),
             "without the tag, the stale reply reaches the new incarnation"
         );
-        reg.deregister(2);
+        reg.deregister(k2);
     }
 
     #[test]
@@ -1097,152 +919,30 @@ mod tests {
     }
 
     #[test]
-    fn colliding_live_keys_take_the_overflow_path_at_the_ceiling() {
-        let reg = registry(small()); // index capacity 64 == ceiling
-        let mut a = reg.acquire().unwrap();
-        let mut b = reg.acquire().unwrap();
-        // 5 and 69 share bucket 5 of a 64-bucket index.
-        assert!(!reg.register(5, 0, &mut a));
-        assert!(
-            reg.register(69, 0, &mut b),
-            "the collision at the ceiling is reported"
-        );
-        assert_eq!(reg.overflow_entries(), 1);
-        assert!(reg.deliver(5, 50));
-        assert!(reg.deliver(69, 690));
-        assert_eq!(a.recv_timeout(5, Duration::from_secs(1)), Some(50));
-        assert_eq!(b.recv_timeout(69, Duration::from_secs(1)), Some(690));
-        reg.deregister(5);
-        assert!(
-            reg.deliver(69, 691),
-            "overflow entry survives the other's deregister"
-        );
-        assert_eq!(b.recv_timeout(69, Duration::from_secs(1)), Some(691));
-        reg.deregister(69);
-        assert_eq!(reg.overflow_entries(), 0);
-        assert_eq!(reg.len(), 0);
-    }
-
-    #[test]
-    fn colliding_live_keys_grow_the_index_instead_of_overflowing() {
-        let reg = registry(MailboxOptions {
-            index_max_capacity: 1024,
-            ..small()
-        });
-        let mut a = reg.acquire().unwrap();
-        let mut b = reg.acquire().unwrap();
-        // 5 and 69 collide in a 64-bucket table but not a 128-bucket one.
-        assert!(!reg.register(5, 0, &mut a));
-        assert!(!reg.register(69, 0, &mut b));
-        assert_eq!(reg.overflow_entries(), 0, "growth absorbed the collision");
-        assert!(reg.index_resizes() >= 1);
-        assert!(reg.index_capacity() >= 128);
-        // Key 5 lives in the superseded generation, 69 in the new one;
-        // both stay deliverable through the chain.
-        assert!(reg.deliver(5, 50));
-        assert!(reg.deliver(69, 690));
-        assert_eq!(a.recv_timeout(5, Duration::from_secs(1)), Some(50));
-        assert_eq!(b.recv_timeout(69, Duration::from_secs(1)), Some(690));
-        assert_eq!(reg.resolve_meta(5), Some(0));
-        reg.deregister(5);
-        reg.deregister(69);
-        assert_eq!(reg.len(), 0);
-    }
-
-    #[test]
-    fn load_factor_growth_keeps_a_dense_key_range_lock_free() {
-        let reg = registry(MailboxOptions {
-            index_capacity: 64,
-            index_max_capacity: 1 << 12,
-            mailbox_capacity: 4,
-            max_clients: 256,
-            ..MailboxOptions::default()
-        });
-        let mut boxes = Vec::new();
-        for key in 1..=256u64 {
-            let mut mb = reg.acquire().unwrap();
-            assert!(
-                !reg.register(key, key, &mut mb),
-                "no overflow while growing"
-            );
-            boxes.push((key, mb));
-        }
-        assert_eq!(reg.len(), 256);
-        assert_eq!(reg.overflow_entries(), 0);
-        assert!(reg.index_resizes() >= 2, "64 buckets cannot hold 256 keys");
-        assert!(reg.index_capacity() >= 512, "3/4 load factor at 256 live");
-        // Every key — whichever generation holds it — delivers and
-        // resolves.
-        for (key, mb) in boxes.iter_mut() {
-            assert_eq!(reg.resolve_meta(*key), Some(*key));
-            assert!(reg.deliver(*key, *key * 10));
-            assert_eq!(
-                mb.recv_timeout(*key, Duration::from_secs(1)),
-                Some(*key * 10)
-            );
-        }
-        for (key, _) in &boxes {
-            reg.deregister(*key);
-        }
-        assert_eq!(reg.len(), 0);
-        let resizes = reg.index_resizes();
-        drop(boxes);
-        // New registrations land in the newest generation; no further
-        // growth is needed at this population.
-        let mut mb = reg.acquire().unwrap();
-        assert!(!reg.register(1000, 0, &mut mb));
-        assert_eq!(reg.index_resizes(), resizes);
-        reg.deregister(1000);
-    }
-
-    #[test]
-    fn overflow_entries_migrate_back_when_their_bucket_frees() {
-        let reg = registry(small()); // 64 buckets, growth disabled
-        let mut a = reg.acquire().unwrap();
-        let mut b = reg.acquire().unwrap();
-        reg.register(5, 0, &mut a);
-        assert!(reg.register(69, 7, &mut b));
-        assert_eq!(reg.overflow_entries(), 1);
-        // Deregistering the bucket holder re-homes the overflow entry
-        // onto the lock-free table.
-        reg.deregister(5);
-        assert_eq!(
-            reg.overflow_entries(),
-            0,
-            "the freed bucket reclaimed the overflow entry"
-        );
-        assert_eq!(reg.len(), 1);
-        assert!(reg.deliver(69, 690), "migrated entry still routes");
-        assert_eq!(b.recv_timeout(69, Duration::from_secs(1)), Some(690));
-        assert_eq!(reg.resolve_meta(69), Some(7));
-        reg.deregister(69);
-        assert_eq!(reg.len(), 0);
-        assert_eq!(reg.overflow_entries(), 0);
-    }
-
-    #[test]
     fn try_deliver_drops_on_full_instead_of_waiting() {
         let reg = registry(small()); // capacity 8
         let mut mb = reg.acquire().unwrap();
-        reg.register(1, 0, &mut mb);
+        let k = key(&reg, 1, &mb);
+        reg.register(k, 0, &mut mb);
         for i in 0..8 {
-            assert!(reg.try_deliver(1, i));
+            assert!(reg.try_deliver(k, i));
         }
-        assert!(!reg.try_deliver(1, 99), "full mailbox: dropped, no wait");
+        assert!(!reg.try_deliver(k, 99), "full mailbox: dropped, no wait");
         assert_eq!(reg.full_dropped(), 1, "and counted");
-        assert_eq!(mb.recv_timeout(1, Duration::from_secs(1)), Some(0));
-        assert!(reg.try_deliver(1, 8), "freed slot accepts again");
-        reg.deregister(1);
-        assert!(!reg.try_deliver(1, 9), "stale delivery is a no-op");
+        assert_eq!(mb.recv_timeout(k, Duration::from_secs(1)), Some(0));
+        assert!(reg.try_deliver(k, 8), "freed slot accepts again");
+        reg.deregister(k);
+        assert!(!reg.try_deliver(k, 9), "stale delivery is a no-op");
     }
 
     #[test]
     fn full_mailbox_with_dead_binding_drops_instead_of_spinning() {
         let reg = registry(small()); // capacity 8
         let mut mb = reg.acquire().unwrap();
-        reg.register(1, 0, &mut mb);
+        let k = key(&reg, 1, &mb);
+        reg.register(k, 0, &mut mb);
         for i in 0..8 {
-            assert!(reg.deliver(1, i));
+            assert!(reg.deliver(k, i));
         }
         // Ring full. Kill the binding from another thread after a beat —
         // the delivery must return false rather than spin forever.
@@ -1250,10 +950,10 @@ mod tests {
             let reg = reg.clone();
             move || {
                 std::thread::sleep(Duration::from_millis(20));
-                reg.deregister(1);
+                reg.deregister(k);
             }
         });
-        assert!(!reg.deliver(1, 99));
+        assert!(!reg.deliver(k, 99));
         t.join().unwrap();
         assert_eq!(reg.full_dropped(), 0, "a dead binding is not a full drop");
     }
@@ -1266,31 +966,33 @@ mod tests {
             ..small()
         });
         let mut mb = reg.acquire().unwrap();
-        reg.register(1, 0, &mut mb);
+        let k = key(&reg, 1, &mb);
+        reg.register(k, 0, &mut mb);
         for i in 0..8 {
-            assert!(reg.deliver(1, i));
+            assert!(reg.deliver(k, i));
         }
         // The binding stays live and the consumer never drains: the
         // delivery must come back within the bound, counted.
         let begun = Instant::now();
-        assert!(!reg.deliver(1, 99));
+        assert!(!reg.deliver(k, 99));
         assert!(
             begun.elapsed() < Duration::from_secs(2),
             "the wait is bounded"
         );
         assert_eq!(reg.full_dropped(), 1);
-        assert_eq!(mb.recv_timeout(1, Duration::from_secs(1)), Some(0));
-        reg.deregister(1);
+        assert_eq!(mb.recv_timeout(k, Duration::from_secs(1)), Some(0));
+        reg.deregister(k);
     }
 
     #[test]
     fn dropping_a_registered_mailbox_deregisters_it() {
         let reg = registry(small());
         let mut mb = reg.acquire().unwrap();
-        reg.register(3, 9, &mut mb);
+        let k = key(&reg, 3, &mb);
+        reg.register(k, 9, &mut mb);
         drop(mb);
         assert_eq!(reg.len(), 0, "drop tears the registration down");
-        assert!(!reg.deliver(3, 1));
+        assert!(!reg.deliver(k, 1));
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!    stream of coalesced reply batches is never lost: if the producer
 //!    saw it accepted, the consumer observes it before the registration
 //!    is torn down.
+//!
+//! Every key is minted from its client's own mailbox
+//! (`MailboxRegistry::key(seq, mailbox.slot())`), as the runtime mints
+//! transaction ids, so the suite races the key-addressed slab itself.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,11 +44,6 @@ type Ev = u64;
 
 fn churn_options(tag_check: bool) -> MailboxOptions {
     MailboxOptions {
-        // Small index pinned at its ceiling: live-key collisions (the
-        // overflow path) occur under churn, so the slow home is raced
-        // too. The resizable-index churn gets its own test below.
-        index_capacity: 64,
-        index_max_capacity: 64,
         mailbox_capacity: 32,
         max_clients: CLIENTS,
         tag_check,
@@ -61,7 +60,7 @@ fn run_churn(registry: &MailboxRegistry<Ev>, run_for: Duration, seed: u64) -> (u
     // read these racily — that staleness is the attack.
     let published: Arc<Vec<AtomicU64>> =
         Arc::new((0..CLIENTS).map(|_| AtomicU64::new(0)).collect());
-    let next_key = Arc::new(AtomicU64::new(1));
+    let next_seq = Arc::new(AtomicU64::new(1));
     let stop = Arc::new(AtomicBool::new(false));
     let leaks = Arc::new(AtomicU64::new(0));
 
@@ -88,7 +87,7 @@ fn run_churn(registry: &MailboxRegistry<Ev>, run_for: Duration, seed: u64) -> (u
         }
         for c in 0..CLIENTS {
             let published = Arc::clone(&published);
-            let next_key = Arc::clone(&next_key);
+            let next_seq = Arc::clone(&next_seq);
             let stop = Arc::clone(&stop);
             let leaks = Arc::clone(&leaks);
             let registry = registry.clone();
@@ -99,7 +98,8 @@ fn run_churn(registry: &MailboxRegistry<Ev>, run_for: Duration, seed: u64) -> (u
                 // test.
                 let mut mailbox = registry.acquire().expect("mailbox slab exhausted");
                 while !stop.load(Ordering::Relaxed) {
-                    let key = next_key.fetch_add(1, Ordering::Relaxed);
+                    let seq = next_seq.fetch_add(1, Ordering::Relaxed);
+                    let key = registry.key(seq, mailbox.slot()).expect("seq fits");
                     registry.register(key, 0, &mut mailbox);
                     published[c].store(key, Ordering::Relaxed);
                     // Seed one event for this incarnation regardless of
@@ -191,7 +191,6 @@ fn victim_marker_racing_reply_batches_is_never_lost() {
     const MARKER: u64 = u64::MAX;
     const ROUNDS: u64 = 400;
     let registry = MailboxRegistry::<(u64, bool)>::with_options(MailboxOptions {
-        index_capacity: 64,
         mailbox_capacity: 32,
         max_clients: 2,
         tag_check: true,
@@ -220,7 +219,7 @@ fn victim_marker_racing_reply_batches_is_never_lost() {
         let mut mailbox = registry.acquire().expect("mailbox slab exhausted");
         let mut rng = SimRng::new(0xDEAD10C);
         for round in 1..=ROUNDS {
-            let key = round;
+            let key = registry.key(round, mailbox.slot()).expect("seq fits");
             registry.register(key, 0, &mut mailbox);
             current.store(key, Ordering::Relaxed);
             // The "detector" races from this thread at a seeded delay:
@@ -262,45 +261,40 @@ fn victim_marker_racing_reply_batches_is_never_lost() {
 }
 
 /// Concurrent register/deregister/deliver churn keeps the registry's
-/// bookkeeping consistent: after the dust settles nothing is live, the
-/// overflow map is empty, and a fresh registration still round-trips.
+/// bookkeeping consistent: after the dust settles nothing is live, and a
+/// fresh registration — with the largest `seq` a key can carry — still
+/// round-trips.
 #[test]
 fn churn_leaves_consistent_bookkeeping() {
     let registry = MailboxRegistry::<Ev>::with_options(churn_options(true));
     let _ = run_churn(&registry, Duration::from_millis(500), 0xB00C);
     assert_eq!(registry.len(), 0, "every incarnation was deregistered");
-    assert_eq!(
-        registry.overflow_entries(),
-        0,
-        "collision entries were cleaned up"
-    );
     let mut mailbox = registry.acquire().expect("mailbox slab exhausted");
-    registry.register(u64::MAX - 1, 7, &mut mailbox);
-    assert!(registry.deliver(u64::MAX - 1, 42));
-    assert_eq!(
-        mailbox.recv_timeout(u64::MAX - 1, Duration::from_secs(1)),
-        Some(42)
-    );
-    assert_eq!(registry.resolve_meta(u64::MAX - 1), Some(7));
-    registry.deregister(u64::MAX - 1);
+    let key = registry
+        .key(registry.max_seq(), mailbox.slot())
+        .expect("the top seq fits");
+    registry.register(key, 7, &mut mailbox);
+    assert!(registry.deliver(key, 42));
+    assert_eq!(mailbox.recv_timeout(key, Duration::from_secs(1)), Some(42));
+    assert_eq!(registry.resolve_meta(key), Some(7));
+    registry.deregister(key);
 }
 
-/// Shared harness for the resizable-index tests: ramp `ramp_n` keys to
+/// Shared harness for the scale tests: ramp `ramp_n` keys to
 /// concurrently live (each holding its own mailbox) while churner
-/// threads cycle short-lived incarnations through the same index, then
+/// threads cycle short-lived incarnations through the same slab, then
 /// deliver exactly one payload to every held key and require it back.
-/// Returns `(index_capacity, index_resizes, overflow_entries)` sampled
-/// at peak liveness.
-fn ramp_under_churn(ramp_n: usize, opts: MailboxOptions) -> (usize, u64, usize) {
+/// Returns the live registration count sampled at peak liveness.
+fn ramp_under_churn(ramp_n: usize, opts: MailboxOptions) -> usize {
     const CHURNERS: u64 = 3;
     let registry = MailboxRegistry::<Ev>::with_options(opts);
     let stop = Arc::new(AtomicBool::new(false));
     let leaks = Arc::new(AtomicU64::new(0));
-    let mut at_peak = (0, 0, 0);
+    let mut at_peak = 0;
 
     std::thread::scope(|scope| {
-        // Churners register/deliver/deregister transient keys (disjoint
-        // from the ramp's key range) so index growth races live
+        // Churners register/deliver/deregister transient keys (their
+        // `seq`s disjoint from the ramp's) so the ramp races live
         // registration traffic, not a quiesced registry.
         for t in 0..CHURNERS {
             let stop = Arc::clone(&stop);
@@ -310,8 +304,9 @@ fn ramp_under_churn(ramp_n: usize, opts: MailboxOptions) -> (usize, u64, usize) 
                 let mut mailbox = registry.acquire().expect("mailbox slab exhausted");
                 let mut n = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let key = (1 << 32) + t + n * CHURNERS;
+                    let seq = (1 << 32) + t + n * CHURNERS;
                     n += 1;
+                    let key = registry.key(seq, mailbox.slot()).expect("seq fits");
                     registry.register(key, 0, &mut mailbox);
                     registry.try_deliver(key, key);
                     if let Some(payload) = mailbox.recv_timeout(key, Duration::from_millis(1)) {
@@ -326,8 +321,10 @@ fn ramp_under_churn(ramp_n: usize, opts: MailboxOptions) -> (usize, u64, usize) 
 
         let mut held: Vec<(u64, Mailbox<Ev>)> = Vec::with_capacity(ramp_n);
         for i in 0..ramp_n {
-            let key = (i + 1) as u64;
             let mut mailbox = registry.acquire().expect("mailbox slab exhausted");
+            let key = registry
+                .key(i as u64 + 1, mailbox.slot())
+                .expect("seq fits");
             registry.register(key, 0, &mut mailbox);
             held.push((key, mailbox));
         }
@@ -345,11 +342,7 @@ fn ramp_under_churn(ramp_n: usize, opts: MailboxOptions) -> (usize, u64, usize) 
                 "held key {key} lost (or mis-received) its reply"
             );
         }
-        at_peak = (
-            registry.index_capacity(),
-            registry.index_resizes(),
-            registry.overflow_entries(),
-        );
+        at_peak = registry.len();
         stop.store(true, Ordering::Relaxed);
         for (key, _) in &held {
             registry.deregister(*key);
@@ -359,69 +352,42 @@ fn ramp_under_churn(ramp_n: usize, opts: MailboxOptions) -> (usize, u64, usize) 
     assert_eq!(
         leaks.load(Ordering::Relaxed),
         0,
-        "a churner observed a stale reply while the index was resizing"
+        "a churner observed a stale reply during the ramp"
     );
     assert_eq!(registry.len(), 0, "every registration was torn down");
-    assert_eq!(
-        registry.overflow_entries(),
-        0,
-        "overflow drained after teardown"
-    );
     at_peak
 }
 
-/// Tentpole race certification: growing the index from a deliberately
-/// tiny starting table while churners race register/deliver/deregister
-/// traffic through it must lose nothing — and must actually have grown,
-/// or the test proved nothing about resizing.
+/// 4096 keys ramped to concurrently live while churners race
+/// register/deliver/deregister traffic through the same slab: every held
+/// key gets its own payload and no churner sees another's.
 #[test]
 fn index_growth_under_churn_never_loses_a_delivery() {
-    let (capacity, resizes, _) = ramp_under_churn(
+    let live = ramp_under_churn(
         4096,
         MailboxOptions {
-            index_capacity: 64,
             mailbox_capacity: 8,
             max_clients: 4096 + 64,
             tag_check: true,
             ..MailboxOptions::default()
         },
     );
-    assert!(
-        resizes >= 6,
-        "ramping 4096 live keys from 64 buckets grew only {resizes} times"
-    );
-    assert!(
-        capacity >= 4096,
-        "index stayed at {capacity} buckets under a 4096-key live set"
-    );
+    assert!(live >= 4096, "only {live} registrations live at the peak");
 }
 
-/// The acceptance gate for the old 4096-bucket ceiling: 32768 keys —
-/// 8x the fixed index PR 4 shipped — concurrently live under churn,
-/// with zero registrations shunted to the mutexed overflow map and
+/// The scale gate: 32768 keys — 8x the fixed index the reply plane first
+/// shipped with — concurrently live under churn, each addressable, with
 /// zero stale-reply leaks.
 #[test]
 fn scale_32768_live_keys_stays_off_the_overflow_path() {
-    let (capacity, resizes, overflow) = ramp_under_churn(
+    let live = ramp_under_churn(
         32_768,
         MailboxOptions {
-            index_capacity: 1024,
             mailbox_capacity: 8,
             max_clients: 32_768 + 64,
             tag_check: true,
             ..MailboxOptions::default()
         },
     );
-    assert_eq!(
-        overflow, 0,
-        "live registrations leaked onto the overflow map below the growth ceiling"
-    );
-    assert!(
-        resizes > 0,
-        "the index never resized on the way to 32768 live keys"
-    );
-    assert!(
-        capacity >= 32_768,
-        "index stopped at {capacity} buckets under a 32768-key live set"
-    );
+    assert!(live >= 32_768, "only {live} registrations live at the peak");
 }
