@@ -149,9 +149,11 @@ pub struct RuntimeConfig {
     /// Seed for the method-mix sampler.
     pub seed: u64,
     /// Amortization of the [`CcPolicy::DynamicStl`] selector: `STL'(λ, U)`
-    /// is memoized per quantized loss and frozen hold time, and the model
-    /// is re-fitted on epoch boundaries (every `epoch_commits` commits or
-    /// on observed drift, fed by the per-shard conflict counters).
+    /// is memoized per quantized loss and frozen hold time, in an array per
+    /// hold time sized at fit time (its bucket width `quant_rel` is 0,
+    /// memoizing nothing, or at least 0.01), and the model is re-fitted on
+    /// epoch boundaries (every `epoch_commits` commits or on observed
+    /// drift, fed by the per-shard conflict counters).
     pub selection_cache: CacheSettings,
     /// Route invariant-confluent transactions (commutative adds, blind
     /// puts, read-only shapes — see [`selection::classify`]) around the

@@ -203,6 +203,14 @@ pub(crate) enum ShardCmd {
 /// a spin count, so the bound means the same on any CPU.
 const ONE_SHOT_CORE_WAIT: Duration = Duration::from_micros(8);
 
+#[cfg(test)]
+thread_local! {
+    /// The one-shot wait bound of submits made on this thread. Tests that
+    /// force a waiter/holder interleaving raise it, so their outcome does
+    /// not depend on the holder staying on a CPU through 8 µs.
+    static CORE_WAIT: std::cell::Cell<Duration> = const { std::cell::Cell::new(ONE_SHOT_CORE_WAIT) };
+}
+
 /// Records the core's log buffer holds, allocated once at spawn (twice:
 /// the shard thread keeps a spare to swap in). A caller nudges the keeper
 /// at half full and stops running inline when its command might not fit.
@@ -651,7 +659,10 @@ impl ShardSender {
         self.stats.per_shard[self.idx]
             .core_waits
             .fetch_add(1, Ordering::Relaxed);
+        #[cfg(not(test))]
         let deadline = Instant::now() + ONE_SHOT_CORE_WAIT;
+        #[cfg(test)]
+        let deadline = Instant::now() + CORE_WAIT.get();
         loop {
             std::hint::spin_loop();
             match self.core.try_lock() {
@@ -854,6 +865,28 @@ mod tests {
             Arc::new(CommitClock::new()),
         );
         (handle, registry, stats)
+    }
+
+    /// [`spawn_one`], but what is sent to the shard lands on a ring no
+    /// thread drains, returned with a sender into the shard thread's real
+    /// inbox: until the test forwards commands, the shard thread stays
+    /// parked and never contends for the core.
+    fn spawn_unfed() -> (ShardHandle, ShardInbox, RingSender<ShardCmd>) {
+        let mut qm = QueueManager::new(SiteId(0));
+        qm.add_item(item(), 42, EnforcementMode::SemiLock);
+        let (tx, sent) = transport::ring::channel(16);
+        let (inbox_tx, inbox) = transport::ring::channel(16);
+        let handle = spawn(
+            qm,
+            0,
+            inbox,
+            tx,
+            Arc::new(Registry::new(64)),
+            Arc::new(RuntimeStats::with_shards(1)),
+            Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1)),
+            Arc::new(CommitClock::new()),
+        );
+        (handle, sent, inbox_tx)
     }
 
     fn expect_replies(mb: &mut ClientMailbox, txn: u64) {
@@ -1143,26 +1176,23 @@ mod tests {
         holder
     }
 
-    /// Submit `cmd()` against a core held as [`hold_until_a_waiter`] holds
-    /// it, until one attempt is not preempted past the wait bound: a
-    /// holder descheduled mid-hold makes that attempt enqueue instead,
-    /// which is correct and counted, just not the case under test.
+    /// Submit `cmd` against a core held as [`hold_until_a_waiter`] holds
+    /// it. The wait bound is raised to 5 s on this thread for the submit:
+    /// the holder lets go microseconds after the wait starts, but one
+    /// descheduled in between — a thread it wakes is often placed on its
+    /// CPU — outlasts 8 µs on a loaded box, and the waiter would give up.
     fn submit_against_a_briefly_held_core(
         tx: &ShardSender,
-        cmd: fn(u64) -> ShardCmd,
+        cmd: ShardCmd,
         then: fn(&ShardSender),
-        done: impl Fn(&ShardCounterSnapshot) -> bool,
     ) -> ShardCounterSnapshot {
-        for attempt in 1..=50 {
-            let holder = hold_until_a_waiter(tx, then);
-            tx.submit(cmd(attempt)).unwrap();
-            holder.join().unwrap();
-            let shard = tx.stats.snapshot().per_shard[tx.idx];
-            if done(&shard) {
-                return shard;
-            }
-        }
-        panic!("fifty attempts, every holder preempted past the wait bound");
+        let holder = hold_until_a_waiter(tx, then);
+        CORE_WAIT.set(Duration::from_secs(5));
+        let submitted = tx.submit(cmd);
+        CORE_WAIT.set(ONE_SHOT_CORE_WAIT);
+        holder.join().unwrap();
+        submitted.unwrap();
+        tx.stats.snapshot().per_shard[tx.idx]
     }
 
     /// The tentpole: another thread holds the core for a couple of
@@ -1173,11 +1203,9 @@ mod tests {
     fn a_one_shot_waits_out_a_briefly_held_core_and_a_batch_does_not() {
         let (handle, _registry, stats) = spawn_one();
         let tx = handle.tx.clone();
-        let shard0 =
-            submit_against_a_briefly_held_core(&tx, snapshot_read, |_| {}, |s| s.inline_waited > 0);
-        // Every attempt waited, so an inline run is a waited one.
+        let shard0 = submit_against_a_briefly_held_core(&tx, snapshot_read(1), |_| {});
         assert_eq!((shard0.inline, shard0.inline_waited), (1, 1), "{shard0:?}");
-        let busy_before = shard0.enqueued_busy;
+        assert_eq!(shard0.enqueued_busy, 0, "{shard0:?}");
         // The batch: held on another thread, released only once `submit`
         // has returned — it must not have waited for the core.
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
@@ -1197,7 +1225,7 @@ mod tests {
         release_tx.send(()).unwrap();
         holder.join().unwrap();
         let shard0 = stats.snapshot().per_shard[0];
-        assert_eq!(shard0.enqueued_busy, busy_before + 1, "{shard0:?}");
+        assert_eq!(shard0.enqueued_busy, 1, "{shard0:?}");
         assert_eq!(shard0.inline_waited, 1, "{shard0:?}");
         assert_eq!(
             stats.per_shard[0].core_waits.load(Ordering::Relaxed),
@@ -1209,37 +1237,33 @@ mod tests {
     }
 
     /// The ring-idle rule still holds after a wait: a holder that enqueues
-    /// a write as it lets go leaves a waiter that wins the core with a
+    /// a write as it lets go leaves the waiter winning the core with a
     /// backlog — and it enqueues behind that write instead of running
-    /// ahead of it. (When the shard thread wins the core first it drains
-    /// the write and the waiter runs inline after it; either way the log
-    /// says write first.)
+    /// ahead of it. A live shard thread would race the waiter for the core
+    /// (and, winning, drain the write so the waiter runs inline after it),
+    /// so here its inbox is a second ring, fed what the first one holds,
+    /// in order, only once the submit is done.
     #[test]
     fn a_waiter_that_wins_the_core_behind_a_backlog_enqueues() {
         for kind in [snapshot_read, bypass_add] {
-            let (handle, _registry, _stats) = spawn_one();
+            let (handle, mut sent, inbox) = spawn_unfed();
             let tx = handle.tx.clone();
-            // Each attempt logs the holder's write (id 1000 + attempt)
-            // and then the waiter's command (id attempt).
-            let shard0 = submit_against_a_briefly_held_core(
-                &tx,
-                kind,
-                |tx| {
-                    let attempt = tx.stats.per_shard[tx.idx]
-                        .core_waits
-                        .load(Ordering::Relaxed);
-                    assert!(tx.send(write_txn(1000 + attempt)).is_ok());
-                },
-                |s| s.enqueued_backlog > 0,
+            let shard0 = submit_against_a_briefly_held_core(&tx, kind(1), |tx| {
+                assert!(tx.send(write_txn(1000)).is_ok());
+            });
+            assert_eq!(
+                (shard0.enqueued_backlog, shard0.inline),
+                (1, 0),
+                "{shard0:?}"
             );
-            assert!(shard0.enqueued_backlog > 0, "{shard0:?}");
-            // The attempt that met the backlog is the last one logged:
-            // its holder's write, then its own command.
-            let order = log_order(&shutdown(handle));
-            let [.., write, waiter] = order[..] else {
-                panic!("nothing logged: {order:?}");
-            };
-            assert_eq!(write, 1000 + waiter, "write first: {order:?}");
+            assert!(tx.send(ShardCmd::Shutdown).is_ok());
+            let mut cmds = Vec::new();
+            sent.drain_into(&mut cmds);
+            for cmd in cmds {
+                assert!(inbox.send(cmd).is_ok());
+            }
+            let order = log_order(&handle.join.join().unwrap().1);
+            assert_eq!(order, [1000, 1], "write first");
         }
     }
 

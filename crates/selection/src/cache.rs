@@ -6,15 +6,15 @@
 //! concurrency control pay for itself by splitting the selector into three
 //! very different cadences:
 //!
-//! * **Memoized decide** (every selection): load the current [`Epoch`],
-//!   collapse the transaction to its [`ShapeSummary`] and run the closed
-//!   form of [`evaluate_decision_with`] — powers, conditional loss, argmin
-//!   — over the epoch's [`StlTable`] instead of over the dynamic program.
-//!   An epoch is immutable apart from its table, and the table is filled
-//!   through `&self`: a miss runs its dynamic program with nothing held
-//!   and publishes the value with one compare-and-swap. Two threads that
-//!   miss the same key both compute it — the program is a pure function
-//!   of the key, so they store the same bits in the same slot.
+//! * **Memoized decide** (every selection): clone the current [`Epoch`]'s
+//!   `Arc`, collapse the transaction to its [`ShapeSummary`] and run the
+//!   closed form of [`evaluate_decision_with`] — powers, conditional loss,
+//!   argmin — over the epoch's [`StlTable`] instead of over the dynamic
+//!   program. An epoch is immutable apart from its table, and the table is
+//!   filled through `&self`: a miss runs its dynamic program with nothing
+//!   held and stores the value with one swap into the slot its loss bucket
+//!   indexes. Two threads that miss the same slot both compute it — the
+//!   program is a pure function of the slot, so they store the same bits.
 //! * **Request** (when a selection notices a re-fit is due: `epoch_commits`
 //!   commits since the fit, a conflict-ratio shift, or every
 //!   `drift_check_every`-th selection for the scalar drift probe): one
@@ -27,7 +27,8 @@
 //!   [`MethodParamSet`] and the per-item rate table out of the live
 //!   metrics into an [`EpochSnapshot`], recompute against it every table
 //!   entry the previous epoch was asked for, and only then swap the
-//!   published `Arc`. The first selections of the new epoch therefore hit.
+//!   published `Arc` under a write lock held for the swap alone. The first
+//!   selections of the new epoch therefore hit.
 //!
 //! The single-threaded drive ([`CachedStlSelector::select`], what the
 //! simulator-style callers and the benches use) is the same epoch, the
@@ -40,7 +41,10 @@
 //! STL′ is a function of the one loss λ. A table keyed `(U, bucket(λ))` is
 //! therefore shared by every shape — any `m`, `n`, op profile or split of
 //! λ into read and write loss — where a decision memo needs one entry per
-//! combination of them. It is also what makes pre-warming possible: a
+//! combination of them. STL′ is `λ_A·U` for every loss at or above the
+//! model's `λ_A`, so the table is dense and sized at fit time: a row per
+//! hold time, a slot per loss bucket up to `λ_A`'s and one more that every
+//! saturated loss shares. It is also what makes pre-warming possible: a
 //! re-fit measures six new hold times, so no old `(U, bucket)` key recurs,
 //! but "the `u_denied` of T/O at bucket 212" names the same question in
 //! both epochs.
@@ -50,22 +54,21 @@
 //! whether a selection's miss, a concurrent duplicate or the pre-warm
 //! stored it — so a pre-warmed epoch and a cold one fitted from the same
 //! metrics return bit-identical [`SelectionDecision`]s, and with
-//! quantization disabled both return what a fresh [`StlSelector`] returns
-//! against those metrics; the test-suite checks each byte for byte. What
-//! concurrency adds is only *which* epoch a selection reads: the one
-//! published when it loaded, whole — never a mixture of two. Routing
-//! ([`crate::route`]) never touches the table: it is pure in the op
-//! profile and the access-set sizes.
+//! quantization disabled (nothing memoized) both return what a fresh
+//! [`StlSelector`] returns against those metrics; the test-suite checks
+//! each byte for byte. What concurrency adds is only *which* epoch a
+//! selection reads: the one published when it cloned it, whole — never a
+//! mixture of two. Routing ([`crate::route`]) never touches the table: it
+//! is pure in the op profile and the access-set sizes.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use dbmodel::{Catalog, LogicalItemId, PhysicalItemId, SiteId, Transaction};
 use metrics::{MetricsSample, SimMetrics};
 
 use crate::estimators::{ProtocolParams, ShapeSummary};
-use crate::publish::Published;
 use crate::selector::{
     evaluate_decision_with, exploratory_decision, is_exploration_round, MethodParamSet,
     SelectionDecision, StlSelector,
@@ -93,12 +96,12 @@ pub struct CacheSettings {
     /// a relative factor of `1 + quant_rel` (e.g. 0.05 ⇒ ~5%), while
     /// losses below ~1 — where every protocol's estimated cost is
     /// negligible anyway — fall into absolute buckets about `quant_rel`
-    /// wide. 0 keys the table on exact bit patterns instead (no
-    /// collapsing at all).
+    /// wide. A row holds one value per bucket up to the model's `λ_A`, so
+    /// widths below 0.01 are rejected: at 0.01 a row has at most ~6k slots
+    /// for any measurable `λ_A`. 0 memoizes nothing — every read runs the
+    /// dynamic program at the loss itself, in lockstep with a fresh
+    /// [`StlSelector`].
     pub quant_rel: f64,
-    /// STL′ values an epoch's table memoizes; past that, values are
-    /// computed on every use until the next re-fit starts a new table.
-    pub max_entries: usize,
     /// Commits per method required before estimates are trusted
     /// (mirrors [`StlSelector::warmup_commits`]).
     pub warmup_commits: u64,
@@ -119,24 +122,27 @@ impl Default for CacheSettings {
             drift_threshold: 0.5,
             drift_check_every: 64,
             quant_rel: 0.05,
-            max_entries: 8192,
             warmup_commits: 30,
             explore_every: 20,
         }
     }
 }
 
+/// The narrowest non-zero bucket width [`CacheSettings::validate`]
+/// accepts; it bounds the length of a table row.
+const MIN_QUANT_REL: f64 = 0.01;
+
 impl CacheSettings {
     /// Check the settings for internal consistency.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.quant_rel.is_finite() || self.quant_rel < 0.0 {
-            return Err("quant_rel must be a finite value >= 0".into());
+        let q = self.quant_rel;
+        if !q.is_finite() || q < 0.0 || (q > 0.0 && q < MIN_QUANT_REL) {
+            return Err(format!(
+                "quant_rel must be 0 or a finite value >= {MIN_QUANT_REL}"
+            ));
         }
         if !self.drift_threshold.is_finite() || self.drift_threshold < 0.0 {
             return Err("drift_threshold must be a finite value >= 0".into());
-        }
-        if self.max_entries == 0 {
-            return Err("max_entries must be at least 1".into());
         }
         Ok(())
     }
@@ -207,233 +213,96 @@ struct TableCounters {
     misses: AtomicU64,
     evals: AtomicU64,
     prewarmed: AtomicU64,
-    overflows: AtomicU64,
 }
 
-/// Distinct hold times a table keeps a row for; an epoch freezes six.
-const TABLE_ROWS: usize = 8;
-/// Slots in a row's first segment; every further segment doubles.
-const FIRST_SEGMENT: usize = 64;
-/// Slots probed linearly per segment before moving on to the next one.
-const PROBE_WINDOW: usize = 16;
 /// A pre-warm carries a key over while selections asked for it within this
 /// many epochs. An epoch of the default length samples a workload's rarer
 /// buckets only every few epochs, so carrying just the last epoch's reads
 /// misses twice as often; carrying everything forever would let the buckets
-/// a drifting workload has left pile up until every re-fit recomputes
-/// `max_entries` of them.
+/// a drifting workload has left pile up until every re-fit recomputes the
+/// whole table.
 const CARRY_IDLE_EPOCHS: u8 = 4;
-/// An unclaimed row or slot. Never a valid key: a hold time with these
-/// bits is a NaN, a bucket index this large is the bucket of an infinite
-/// loss, and an exact-mode loss is never negative. Such keys are computed
-/// without being memoized.
-const NO_KEY: u64 = u64::MAX;
-/// A claimed slot whose value has not been stored yet (a NaN bit pattern
-/// no arithmetic produces; a value with these bits is not memoized).
+/// An empty slot (a NaN bit pattern no arithmetic produces; a value with
+/// these bits is computed without being memoized).
 const NO_VALUE: u64 = u64::MAX;
 
+/// One memoized `STL'`. Both fields are `Relaxed`: the value's bits are
+/// the whole payload, and `idle` is a hint.
 #[derive(Debug)]
 struct Slot {
-    key: AtomicU64,
     value: AtomicU64,
-    /// Epochs since a selection last read or stored this key: 0 once one
+    /// Epochs since a selection last read or stored this slot: 0 once one
     /// does, the previous epoch's count plus one when a pre-warm carries
-    /// the key over. A hint (see [`CARRY_IDLE_EPOCHS`]), so `Relaxed`.
+    /// the slot over (see [`CARRY_IDLE_EPOCHS`]).
     idle: AtomicU8,
 }
 
-/// One open-addressed array of a row's chain.
-#[derive(Debug)]
-struct Segment {
-    slots: Box<[Slot]>,
-    /// `64 - log2(slots.len())`: Fibonacci hashing keeps the top bits.
-    shift: u32,
-    next: OnceLock<Box<Segment>>,
-}
-
-impl Segment {
-    fn new(len: usize) -> Box<Segment> {
-        debug_assert!(len.is_power_of_two() && len >= 2);
-        Box::new(Segment {
-            slots: (0..len)
-                .map(|_| Slot {
-                    key: AtomicU64::new(NO_KEY),
-                    value: AtomicU64::new(NO_VALUE),
-                    idle: AtomicU8::new(0),
-                })
-                .collect(),
-            shift: 64 - len.trailing_zeros(),
-            next: OnceLock::new(),
-        })
-    }
-
-    /// The slots a key may occupy in this segment, in probe order.
-    fn window(&self, key: u64) -> impl Iterator<Item = &Slot> {
-        let start = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
-        let mask = self.slots.len() - 1;
-        (0..PROBE_WINDOW.min(self.slots.len())).map(move |i| &self.slots[(start + i) & mask])
-    }
-}
-
-/// The entries of one hold time `U`: loss key → `STL'` bits, in a chain of
-/// doubling segments. Keys are claimed with a compare-and-swap and never
-/// removed, so a probe that reaches an unclaimed slot has seen every slot
-/// an earlier insert of its key could have taken.
+/// The `STL'` values of one hold time `U`, indexed by loss bucket.
 #[derive(Debug)]
 struct Row {
-    u_bits: AtomicU64,
-    head: OnceLock<Box<Segment>>,
+    u_bits: u64,
+    slots: Box<[Slot]>,
 }
 
-impl Row {
-    /// The value under `key`; a selection's read (`idle` 0) also marks the
-    /// entry as wanted this epoch.
-    fn get(&self, key: u64, idle: u8) -> Option<f64> {
-        let mut segment = self.head.get();
-        while let Some(seg) = segment {
-            for slot in seg.window(key) {
-                // Acquire pairs with the claiming compare-and-swap below;
-                // the value's Acquire with its Release store.
-                match slot.key.load(Ordering::Acquire) {
-                    k if k == key => {
-                        // Test first: the line stays shared on repeat hits.
-                        if idle == 0 && slot.idle.load(Ordering::Relaxed) != 0 {
-                            slot.idle.store(0, Ordering::Relaxed);
-                        }
-                        let bits = slot.value.load(Ordering::Acquire);
-                        return (bits != NO_VALUE).then(|| f64::from_bits(bits));
-                    }
-                    NO_KEY => return None,
-                    _ => {}
-                }
-            }
-            segment = seg.next.get();
-        }
-        None
-    }
-
-    /// Store `bits` under `key`, claiming a slot if the key has none and
-    /// `table` (whose row this is) has room. A slot claimed here starts at
-    /// `idle`. Returns false when the table had no room.
-    fn put(&self, table: &StlTable, key: u64, bits: u64, idle: u8) -> bool {
-        let full = || table.len.load(Ordering::Relaxed) >= table.max_entries;
-        let mut seg = self.head.get_or_init(|| Segment::new(table.first_segment));
-        loop {
-            for slot in seg.window(key) {
-                let mut k = slot.key.load(Ordering::Acquire);
-                if k == NO_KEY {
-                    if full() {
-                        return false;
-                    }
-                    k = match slot.key.compare_exchange(
-                        NO_KEY,
-                        key,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => {
-                            table.len.fetch_add(1, Ordering::Relaxed);
-                            slot.idle.store(idle, Ordering::Relaxed);
-                            key
-                        }
-                        Err(claimed_by) => claimed_by,
-                    };
-                }
-                if k == key {
-                    // Whoever claimed the slot, every writer of this key
-                    // stores the same bits.
-                    slot.value.store(bits, Ordering::Release);
-                    return true;
-                }
-            }
-            seg = match seg.next.get() {
-                Some(next) => next,
-                None if full() => return false,
-                None => seg.next.get_or_init(|| Segment::new(seg.slots.len() * 2)),
-            };
-        }
-    }
-
-    /// The keys selections asked for recently enough to carry over, each
-    /// with the idle count its successor starts at.
-    fn carried_keys(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
-        std::iter::successors(self.head.get(), |seg| seg.next.get())
-            .flat_map(|seg| seg.slots.iter())
-            .map(|slot| {
-                let idle = slot.idle.load(Ordering::Relaxed) + 1;
-                (slot.key.load(Ordering::Acquire), idle)
-            })
-            .filter(|&(key, idle)| key != NO_KEY && idle <= CARRY_IDLE_EPOCHS)
-    }
-}
-
-/// The memo of `STL'(λ_loss, U)` values: maps `(U, bucket(λ_loss))` — the
-/// exact bit patterns of both when quantization is off — to the dynamic
-/// program's value at the bucket's canonical representative. The
-/// [`StlModel`] is *not* part of the key: a table belongs to one model
-/// (an [`Epoch`] pairs them; a re-fit starts a new table).
+/// The memo of `STL'(λ_loss, U)` under one [`StlModel`] at the hold times
+/// of one epoch: a row per distinct hold time, each a slot per loss bucket
+/// holding the dynamic program's value at the bucket's canonical
+/// representative. STL′ is `λ_A·U` for every loss at or above `λ_A`, so a
+/// row ends at slot `bucket(λ_A) + 1`, which every saturated loss shares.
+/// A hold time that is not one of the table's is computed on every read
+/// and not memoized, and so is every loss when quantization is off.
 ///
-/// Reads and fills both go through `&self` and take no lock: a row per
-/// hold time, each an insert-only open-addressed chain of atomics. The
-/// table never holds more than `max_entries` values (give or take one per
-/// racing thread); past that a value is computed on every use and counted
-/// in [`StlTable::overflows`].
+/// Reads and fills both go through `&self` and take no lock: a read is
+/// one load, a fill one swap.
 #[derive(Debug)]
 pub struct StlTable {
+    model: StlModel,
     quant_rel: f64,
-    max_entries: usize,
-    first_segment: usize,
-    rows: [Row; TABLE_ROWS],
+    rows: Box<[Row]>,
     len: AtomicUsize,
     counters: Arc<TableCounters>,
 }
 
 impl StlTable {
-    /// A table with the given relative loss quantization (0 = exact keys).
-    pub fn new(quant_rel: f64, max_entries: usize) -> StlTable {
-        StlTable::with_counters(quant_rel, max_entries, FIRST_SEGMENT, Arc::default())
-    }
-
-    /// A table keyed on exact bit patterns: memoization without any
-    /// collapsing of nearby losses.
-    pub fn exact() -> StlTable {
-        StlTable::new(0.0, CacheSettings::default().max_entries)
+    /// The empty table of `model` at `hold_times` (equal ones share a row)
+    /// with the given relative loss quantization (see
+    /// [`CacheSettings::quant_rel`]; 0 memoizes nothing).
+    pub fn new(model: StlModel, hold_times: &[f64], quant_rel: f64) -> StlTable {
+        StlTable::with_counters(model, hold_times, quant_rel, Arc::default())
     }
 
     fn with_counters(
+        model: StlModel,
+        hold_times: &[f64],
         quant_rel: f64,
-        max_entries: usize,
-        first_segment: usize,
         counters: Arc<TableCounters>,
     ) -> StlTable {
+        // A slot per bucket up to λ_A's, and one for every loss beyond.
+        let width = if quant_rel > 0.0 && model.lambda_a.is_finite() {
+            bucket(model.lambda_a, quant_rel) as usize + 2
+        } else {
+            0
+        };
+        let mut rows: Vec<Row> = Vec::with_capacity(hold_times.len());
+        for u in hold_times {
+            if rows.iter().all(|row| row.u_bits != u.to_bits()) {
+                let slots = (0..width).map(|_| Slot {
+                    value: AtomicU64::new(NO_VALUE),
+                    idle: AtomicU8::new(0),
+                });
+                rows.push(Row {
+                    u_bits: u.to_bits(),
+                    slots: slots.collect(),
+                });
+            }
+        }
         StlTable {
+            model,
             quant_rel,
-            max_entries: max_entries.max(1),
-            first_segment,
-            rows: std::array::from_fn(|_| Row {
-                u_bits: AtomicU64::new(NO_KEY),
-                head: OnceLock::new(),
-            }),
+            rows: rows.into_boxed_slice(),
             len: AtomicUsize::new(0),
             counters,
         }
-    }
-
-    /// An empty table with this one's settings and counters, its rows
-    /// sized so that as many keys as this one's fullest row holds fit the
-    /// first segment: the next epoch's table.
-    fn successor(&self) -> StlTable {
-        let fullest = self.rows.iter().map(|row| row.carried_keys().count()).max();
-        let first_segment = (fullest.unwrap_or(0) * 2)
-            .next_power_of_two()
-            .min(self.max_entries.next_power_of_two())
-            .max(FIRST_SEGMENT);
-        StlTable::with_counters(
-            self.quant_rel,
-            self.max_entries,
-            first_segment,
-            Arc::clone(&self.counters),
-        )
     }
 
     /// The loss the table evaluates in place of `lambda_loss`: its bucket's
@@ -447,96 +316,67 @@ impl StlTable {
         }
     }
 
-    fn loss_key(&self, lambda_loss: f64) -> u64 {
-        if self.quant_rel > 0.0 {
-            bucket(lambda_loss, self.quant_rel)
-        } else {
-            lambda_loss.max(0.0).to_bits()
-        }
-    }
-
-    /// A loss whose key is `key` (the inverse of [`StlTable::loss_key`] up
-    /// to [`StlTable::quantized`]).
-    fn loss_of_key(&self, key: u64) -> f64 {
-        if self.quant_rel > 0.0 {
-            representative(key, self.quant_rel)
-        } else {
-            f64::from_bits(key)
-        }
-    }
-
-    /// The row of hold time `u_bits`, claiming a free one for a hold time
-    /// not seen before; `None` when all rows belong to other hold times.
-    fn row(&self, u_bits: u64) -> Option<&Row> {
-        self.rows.iter().find(|row| {
-            let mut owner = row.u_bits.load(Ordering::Acquire);
-            if owner == NO_KEY {
-                owner = match row.u_bits.compare_exchange(
-                    NO_KEY,
-                    u_bits,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => u_bits,
-                    Err(claimed_by) => claimed_by,
-                };
-            }
-            owner == u_bits
-        })
+    /// The slot memoizing `lambda_loss` at hold time `u`, if any does.
+    fn slot(&self, lambda_loss: f64, u: f64) -> Option<&Slot> {
+        let row = self.rows.iter().find(|row| row.u_bits == u.to_bits())?;
+        let saturated = row.slots.len().checked_sub(1)?;
+        let key = bucket(lambda_loss, self.quant_rel).min(saturated as u64);
+        row.slots.get(key as usize)
     }
 
     /// `STL'` at the table's stand-in for `lambda_loss`, and whether this
     /// call ran the dynamic program for it. `idle` is 0 for a selection's
-    /// read; a pre-warm passes the count the entry starts at.
-    fn read(&self, model: &StlModel, lambda_loss: f64, u: f64, idle: u8) -> (f64, bool) {
-        let (key, u_bits) = (self.loss_key(lambda_loss), u.to_bits());
-        let row = (key != NO_KEY && u_bits != NO_KEY)
-            .then(|| self.row(u_bits))
-            .flatten();
-        if let Some(value) = row.and_then(|row| row.get(key, idle)) {
-            return (value, false);
+    /// read; a pre-warm passes the count the slot starts at.
+    fn read(&self, lambda_loss: f64, u: f64, idle: u8) -> (f64, bool) {
+        let slot = self.slot(lambda_loss, u);
+        if let Some(slot) = slot {
+            let bits = slot.value.load(Ordering::Relaxed);
+            if bits != NO_VALUE {
+                // Test first: the line stays shared on repeat hits.
+                if idle == 0 && slot.idle.load(Ordering::Relaxed) != 0 {
+                    slot.idle.store(0, Ordering::Relaxed);
+                }
+                return (f64::from_bits(bits), false);
+            }
         }
         // Nothing is held here: other selections read and fill meanwhile.
         self.counters.evals.fetch_add(1, Ordering::Relaxed);
-        let value = model.stl_prime(self.quantized(lambda_loss), u);
-        let kept = row.is_some_and(|row| {
-            value.to_bits() != NO_VALUE && row.put(self, key, value.to_bits(), idle)
-        });
-        if !kept {
-            self.counters.overflows.fetch_add(1, Ordering::Relaxed);
+        let value = self.model.stl_prime(self.quantized(lambda_loss), u);
+        if let Some(slot) = slot.filter(|_| value.to_bits() != NO_VALUE) {
+            slot.idle.store(idle, Ordering::Relaxed);
+            // Every filler of a slot stores the same bits; the one that
+            // found it empty counts it.
+            if slot.value.swap(value.to_bits(), Ordering::Relaxed) == NO_VALUE {
+                self.len.fetch_add(1, Ordering::Relaxed);
+            }
         }
         (value, true)
     }
 
-    /// `model.stl_prime(self.quantized(lambda_loss), u)`, computed once per
-    /// `(u, bucket)` (bar racing duplicates) while the table has room.
-    pub fn stl_prime(&self, model: &StlModel, lambda_loss: f64, u: f64) -> f64 {
-        self.read(model, lambda_loss, u, 0).0
+    /// `STL'(self.quantized(lambda_loss), u)` under the table's model,
+    /// computed once per `(u, bucket)` (bar racing duplicates) when `u` is
+    /// one of the table's hold times.
+    pub fn stl_prime(&self, lambda_loss: f64, u: f64) -> f64 {
+        self.read(lambda_loss, u, 0).0
     }
 
-    /// [`crate::evaluate_decision`] with every `STL'` read through the
-    /// table. Counts a hit when all of them were memoized, a miss when at
-    /// least one ran the dynamic program.
-    pub fn decide(
-        &self,
-        model: &StlModel,
-        params: &MethodParamSet,
-        summary: &ShapeSummary,
-    ) -> SelectionDecision {
-        self.decide_flagged(model, params, summary).0
+    /// [`crate::evaluate_decision`] under the table's model with every
+    /// `STL'` read through the table. Counts a hit when all of them were
+    /// memoized, a miss when at least one ran the dynamic program.
+    pub fn decide(&self, params: &MethodParamSet, summary: &ShapeSummary) -> SelectionDecision {
+        self.decide_flagged(params, summary).0
     }
 
     /// [`StlTable::decide`], also saying whether the decision was a hit.
     fn decide_flagged(
         &self,
-        model: &StlModel,
         params: &MethodParamSet,
         summary: &ShapeSummary,
     ) -> (SelectionDecision, bool) {
         let mut hit = true;
         let decision = evaluate_decision_with(
             &mut |loss, u| {
-                let (value, computed) = self.read(model, loss, u, 0);
+                let (value, computed) = self.read(loss, u, 0);
                 hit &= !computed;
                 value
             },
@@ -552,17 +392,19 @@ impl StlTable {
         (decision, hit)
     }
 
-    /// Every `(U bits, loss key, idle count)` worth carrying into the
-    /// next epoch's table.
-    fn carried_keys(&self) -> Vec<(u64, u64, u8)> {
-        self.rows
-            .iter()
-            .flat_map(|row| {
-                let u_bits = row.u_bits.load(Ordering::Acquire);
-                row.carried_keys()
-                    .map(move |(key, idle)| (u_bits, key, idle))
-            })
-            .collect()
+    /// Every `(U bits, bucket, idle count)` worth carrying into the next
+    /// epoch's table.
+    fn carried_keys(&self) -> impl Iterator<Item = (u64, u64, u8)> + '_ {
+        self.rows.iter().flat_map(|row| {
+            row.slots
+                .iter()
+                .zip(0u64..)
+                .filter_map(move |(slot, bucket)| {
+                    let idle = slot.idle.load(Ordering::Relaxed) + 1;
+                    let filled = slot.value.load(Ordering::Relaxed) != NO_VALUE;
+                    (filled && idle <= CARRY_IDLE_EPOCHS).then_some((row.u_bits, bucket, idle))
+                })
+        })
     }
 
     /// Number of memoized values.
@@ -588,12 +430,6 @@ impl StlTable {
     /// Dynamic programs run since creation.
     pub fn evals(&self) -> u64 {
         self.counters.evals.load(Ordering::Relaxed)
-    }
-
-    /// Values computed but not memoized: the table was at `max_entries`,
-    /// or out of rows for a ninth hold time.
-    pub fn overflows(&self) -> u64 {
-        self.counters.overflows.load(Ordering::Relaxed)
     }
 }
 
@@ -786,11 +622,17 @@ pub struct Epoch {
 }
 
 impl Epoch {
+    /// The epoch of `snapshot`, with an empty table at its hold times.
+    fn new(snapshot: EpochSnapshot, quant_rel: f64, counters: Arc<TableCounters>) -> Epoch {
+        let hold_times = snapshot.params.hold_times();
+        let table = StlTable::with_counters(snapshot.model, &hold_times, quant_rel, counters);
+        Epoch { snapshot, table }
+    }
+
     /// The cost-based decision for `summary`, and whether the table served
     /// it without running a dynamic program.
     fn decide(&self, summary: &ShapeSummary) -> (SelectionDecision, bool) {
-        self.table
-            .decide_flagged(&self.snapshot.model, &self.snapshot.params, summary)
+        self.table.decide_flagged(&self.snapshot.params, summary)
     }
 
     /// Recompute, under this epoch's model and hold times, every entry of
@@ -803,25 +645,16 @@ impl Epoch {
     /// never a value. `keep_going` is polled between dynamic programs;
     /// returns false when it stopped the pre-warm.
     fn prewarm_from(&self, prev: &Epoch, keep_going: impl Fn() -> bool) -> bool {
-        if self.table.quant_rel <= 0.0 {
-            // Exact keys name losses, not buckets, and a re-fit moves
-            // every loss: nothing the old table holds will be asked again.
-            return true;
-        }
         let old = prev.snapshot.params.hold_times();
         let new = self.snapshot.params.hold_times();
-        for (u_bits, key, idle) in prev.table.carried_keys() {
-            let loss = prev.table.loss_of_key(key);
+        for (u_bits, bucket, idle) in prev.table.carried_keys() {
+            let loss = representative(bucket, prev.table.quant_rel);
             // Two slots that shared a hold time shared its row.
             for slot in (0..old.len()).filter(|&slot| old[slot].to_bits() == u_bits) {
                 if !keep_going() {
                     return false;
                 }
-                if self
-                    .table
-                    .read(&self.snapshot.model, loss, new[slot], idle)
-                    .1
-                {
+                if self.table.read(loss, new[slot], idle).1 {
                     let prewarmed = &self.table.counters.prewarmed;
                     prewarmed.fetch_add(1, Ordering::Relaxed);
                 }
@@ -845,8 +678,6 @@ pub struct CacheStats {
     pub prewarmed: u64,
     /// Epoch re-fits performed.
     pub refits: u64,
-    /// STL′ values computed but not memoized (table at `max_entries`).
-    pub overflows: u64,
     /// STL′ values currently memoized.
     pub entries: u64,
     /// Current epoch number (0 before the first fit).
@@ -899,8 +730,9 @@ pub enum RefitOutcome {
 /// of three to six times per transaction.
 ///
 /// It is the small mutable *driver* around the published [`Epoch`]: a
-/// selection counter, a warm-up latch, a re-fit request flag — atomics
-/// all. Two drives share it. [`CachedStlSelector::select`] and
+/// selection counter, a warm-up latch and a re-fit request flag, all
+/// atomics, beside the lock the epoch sits behind. Two drives share it.
+/// [`CachedStlSelector::select`] and
 /// [`CachedStlSelector::select_with_signal`] take `&mut self` and re-fit
 /// inline. [`CachedStlSelector::select_published`] takes `&self`, from any
 /// number of threads, and only ever *requests* a re-fit;
@@ -917,7 +749,12 @@ pub struct CachedStlSelector {
     /// the fast path skip the metrics read entirely. (The published drive
     /// is warm exactly when an epoch is published.)
     warmed: bool,
-    current: Published<Epoch>,
+    /// The published epoch. A selection holds the read lock only to clone
+    /// the `Arc`, a re-fit the write lock only to swap it.
+    current: RwLock<Option<Arc<Epoch>>>,
+    /// Serializes re-fits; held across a fit and its pre-warm, never by a
+    /// selection.
+    refitting: Mutex<()>,
     /// A re-fit was asked for and not yet looked at.
     requested: AtomicBool,
     /// No further epoch will be published.
@@ -944,7 +781,8 @@ impl CachedStlSelector {
             counter: AtomicU64::new(0),
             refits: AtomicU64::new(0),
             warmed: false,
-            current: Published::new(None),
+            current: RwLock::new(None),
+            refitting: Mutex::new(()),
             requested: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             counters: Arc::default(),
@@ -988,7 +826,7 @@ impl CachedStlSelector {
         if is_exploration_round(counter, self.settings.explore_every) {
             return exploratory_decision(counter);
         }
-        let current = self.current.load();
+        let current = self.epoch();
         let stale = current.as_ref().is_none_or(|epoch| {
             self.refit_due(&epoch.snapshot, signal, commits)
                 || (self.probe_round(counter) && self.drifted(&epoch.snapshot, &metrics.sample()))
@@ -1007,14 +845,15 @@ impl CachedStlSelector {
 
     /// Choose the concurrency-control method for a transaction reading
     /// `reads` and writing `writes` (as [`EpochSnapshot::summary_of`] takes
-    /// them) against the *published* epoch: load it, summarise, look up,
-    /// argmin — atomics only, nothing merged, nothing fitted, whatever
-    /// other threads are doing. `commits` and `signal` are the embedder's
-    /// live counters. Until the first epoch is published every round is an
-    /// exploration round; once `3 × warmup_commits` commits are in, and
-    /// whenever a re-fit looks due, the selection raises the request flag
-    /// for [`CachedStlSelector::serve_request`] and carries on with the
-    /// epoch it has.
+    /// them) against the *published* epoch: clone it (the read lock is
+    /// held for the clone alone), summarise, look up, argmin — nothing
+    /// merged, nothing fitted, never waiting out a re-fit. `commits` and
+    /// `signal` are the embedder's live counters. Until the first epoch is
+    /// published every round is an exploration round; once
+    /// `3 × warmup_commits` commits are in, and whenever a re-fit looks
+    /// due, the selection raises the request flag for
+    /// [`CachedStlSelector::serve_request`] and carries on with the epoch
+    /// it has.
     pub fn select_published(
         &self,
         reads: &[LogicalItemId],
@@ -1031,7 +870,7 @@ impl CachedStlSelector {
             hit: false,
             raised,
         };
-        let Some(epoch) = self.current.load() else {
+        let Some(epoch) = self.epoch() else {
             let may_be_warm = commits >= self.settings.warmup_commits.saturating_mul(3);
             return exploratory(may_be_warm && self.request_refit());
         };
@@ -1106,7 +945,7 @@ impl CachedStlSelector {
         if !self.requested.swap(false, Ordering::Relaxed) {
             return None;
         }
-        let current = self.current.load();
+        let current = self.epoch();
         let due = current.as_ref().is_none_or(|epoch| {
             self.refit_due(&epoch.snapshot, signal, commits)
                 || self.drifted(&epoch.snapshot, &probe())
@@ -1131,39 +970,39 @@ impl CachedStlSelector {
     /// was closed first.
     pub fn refit_now(&self, metrics: &SimMetrics, signal: WorkloadSignal) -> Option<Arc<Epoch>> {
         let open = || !self.closed.load(Ordering::Relaxed);
-        let mut published = false;
-        let current = self.current.update(|prev| {
-            if !open() {
-                return None;
-            }
-            let (number, prev_signal, table) = match prev {
-                Some(prev) => (
-                    prev.snapshot.epoch + 1,
-                    Some(prev.snapshot.signal_at_fit),
-                    prev.table.successor(),
-                ),
-                None => (
-                    1,
-                    None,
-                    StlTable::with_counters(
-                        self.settings.quant_rel,
-                        self.settings.max_entries,
-                        FIRST_SEGMENT,
-                        Arc::clone(&self.counters),
-                    ),
-                ),
-            };
-            let epoch = Epoch {
-                snapshot: EpochSnapshot::fit(metrics, number, signal, prev_signal),
-                table,
-            };
-            published = prev.is_none_or(|prev| epoch.prewarm_from(prev, open));
-            published.then(|| Arc::new(epoch))
-        });
-        if published {
-            self.refits.fetch_add(1, Ordering::Relaxed);
+        // The guarded state is `()`: a re-fit that panicked left nothing
+        // half-done, so the poison carries no meaning.
+        let _refitting = self
+            .refitting
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !open() {
+            return None;
         }
-        current.filter(|_| published)
+        let prev = self.epoch();
+        let snapshot = EpochSnapshot::fit(
+            metrics,
+            prev.as_ref().map_or(1, |prev| prev.snapshot.epoch + 1),
+            signal,
+            prev.as_ref().map(|prev| prev.snapshot.signal_at_fit),
+        );
+        let epoch = Epoch::new(
+            snapshot,
+            self.settings.quant_rel,
+            Arc::clone(&self.counters),
+        );
+        if !prev
+            .as_ref()
+            .is_none_or(|prev| epoch.prewarm_from(prev, open))
+        {
+            return None;
+        }
+        let epoch = Arc::new(epoch);
+        // `prev` outlives the swap, so the replaced epoch is never freed
+        // under the write lock.
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&epoch));
+        self.refits.fetch_add(1, Ordering::Relaxed);
+        Some(epoch)
     }
 
     /// Stop publishing: a re-fit in flight gives up at its next dynamic
@@ -1180,12 +1019,17 @@ impl CachedStlSelector {
 
     /// The current epoch, if one has been published.
     pub fn epoch(&self) -> Option<Arc<Epoch>> {
-        self.current.load()
+        // The value is only ever replaced whole: a poisoned lock still
+        // holds a published epoch.
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// A copy of the cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        let epoch = self.current.load();
+        let epoch = self.epoch();
         let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         CacheStats {
             hits: count(&self.counters.hits),
@@ -1193,7 +1037,6 @@ impl CachedStlSelector {
             evals: count(&self.counters.evals),
             prewarmed: count(&self.counters.prewarmed),
             refits: count(&self.refits),
-            overflows: count(&self.counters.overflows),
             entries: epoch.as_ref().map_or(0, |e| e.table.len() as u64),
             epoch: epoch.map_or(0, |e| e.snapshot.epoch),
         }
@@ -1296,7 +1139,6 @@ mod tests {
             assert_eq!(bits(&a), bits(&b), "selection {i} diverged");
         }
         let stats = cached.cache_stats();
-        assert!(stats.hits > 0, "repeated shapes must hit: {stats:?}");
         assert_eq!(stats.refits, 1, "no drift, no extra commits: one epoch");
     }
 
@@ -1384,15 +1226,15 @@ mod tests {
     #[test]
     fn quantized_cache_hit_and_miss_paths_agree() {
         let (model, params) = six_call_inputs();
-        let table = StlTable::new(0.05, 1024);
+        let table = StlTable::new(model, &params.hold_times(), 0.05);
         let summary = ShapeSummary {
             m: 2,
             n: 1,
             read_loss: 13.37,
             write_loss: 4.2,
         };
-        let miss = table.decide(&model, &params, &summary);
-        let hit = table.decide(&model, &params, &summary);
+        let miss = table.decide(&params, &summary);
+        let hit = table.decide(&params, &summary);
         assert_eq!(bits(&miss), bits(&hit));
         // The decision is exactly the closed form over fresh STL′ values of
         // the bucket representatives.
@@ -1412,19 +1254,21 @@ mod tests {
         let model = StlSelector::model_from_metrics(&metrics);
         // No denials on record: a decision reads STL′ at λ_t only.
         let params = MethodParamSet::measure(&metrics);
-        let table = StlTable::new(0.05, 1024);
+        let table = StlTable::new(model, &params.hold_times(), 0.05);
+        // Total losses below λ_A (≈ 36 here), where every bucket has a
+        // slot of its own.
         let base = ShapeSummary {
             m: 2,
             n: 1,
-            read_loss: 100.0,
-            write_loss: 50.0,
+            read_loss: 10.0,
+            write_loss: 5.0,
         };
         let nearby = ShapeSummary {
-            read_loss: 101.0,
+            read_loss: 10.1,
             ..base
         };
         let far = ShapeSummary {
-            read_loss: 160.0,
+            read_loss: 16.0,
             ..base
         };
         // Same total loss, different counts and read/write split: a
@@ -1432,16 +1276,22 @@ mod tests {
         let other_shape = ShapeSummary {
             m: 3,
             n: 2,
-            read_loss: 30.0,
-            write_loss: 120.0,
+            read_loss: 3.0,
+            write_loss: 12.0,
         };
-        table.decide(&model, &params, &base);
+        table.decide(&params, &base);
         let seeded = table.evals();
-        table.decide(&model, &params, &nearby);
-        table.decide(&model, &params, &other_shape);
+        table.decide(&params, &nearby);
+        table.decide(&params, &other_shape);
         assert_eq!(table.evals(), seeded, "nearby losses share a bucket");
-        table.decide(&model, &params, &far);
+        table.decide(&params, &far);
         assert!(table.evals() > seeded, "a far loss is its own bucket");
+        // STL′ is λ_A·U from λ_A up: every such loss shares one slot.
+        let saturated = |read_loss| ShapeSummary { read_loss, ..base };
+        table.decide(&params, &saturated(100.0));
+        let seeded = table.evals();
+        table.decide(&params, &saturated(1e9));
+        assert_eq!(table.evals(), seeded, "saturated losses share a slot");
         // The representative sits inside its own bucket.
         let rep = table.quantized(base.lambda_t());
         assert_eq!(table.quantized(rep).to_bits(), rep.to_bits());
@@ -1477,24 +1327,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_keys_separate_any_loss_difference() {
-        let model = StlSelector::model_from_metrics(&warmed_metrics());
-        let table = StlTable::exact();
-        let (a, b) = (10.0, 10.0 + 1e-12);
-        assert_eq!(table.quantized(a).to_bits(), a.to_bits());
-        assert_eq!(
-            table.stl_prime(&model, a, 0.03).to_bits(),
-            model.stl_prime(a, 0.03).to_bits()
-        );
-        table.stl_prime(&model, b, 0.03);
-        assert_eq!((table.evals(), table.len()), (2, 2));
-        // Same loss, another hold time: another entry.
-        table.stl_prime(&model, a, 0.04);
-        table.stl_prime(&model, a, 0.03);
-        assert_eq!((table.evals(), table.len()), (3, 3));
-    }
-
-    #[test]
     fn epoch_boundary_refits_after_enough_commits() {
         let mut metrics = warmed_metrics();
         let cat = catalog();
@@ -1508,6 +1340,7 @@ mod tests {
         let t = txn(1, &[1], &[2]);
         cached.select(&t, &cat, &metrics);
         assert_eq!(cached.cache_stats().epoch, 1);
+        let first = Arc::downgrade(&cached.epoch().expect("fitted"));
         // Fewer than epoch_commits new commits: same epoch.
         for _ in 0..9 {
             metrics.record_commit(CcMethod::TwoPhaseLocking, Duration::from_millis(10));
@@ -1520,6 +1353,7 @@ mod tests {
         let stats = cached.cache_stats();
         assert_eq!(stats.epoch, 2);
         assert_eq!(stats.refits, 2);
+        assert!(first.upgrade().is_none(), "the replaced epoch was freed");
     }
 
     #[test]
@@ -1627,65 +1461,87 @@ mod tests {
         }
     }
 
+    /// Width 0 evaluates every loss exactly as given: two losses however
+    /// close each run the dynamic program, and nothing is memoized.
     #[test]
-    fn full_grid_is_flushed_not_grown() {
+    fn exact_keys_separate_any_loss_difference() {
         let model = StlSelector::model_from_metrics(&warmed_metrics());
-        let table = StlTable::new(0.0, 4);
-        for i in 0..10 {
-            table.stl_prime(&model, i as f64, 0.03);
+        let table = StlTable::new(model, &[0.03], 0.0);
+        let (a, b) = (10.0, 10.0 + 1e-12);
+        assert_eq!(table.quantized(a).to_bits(), a.to_bits());
+        assert_eq!(table.quantized(b).to_bits(), b.to_bits());
+        for loss in [a, b, a] {
+            assert_eq!(
+                table.stl_prime(loss, 0.03).to_bits(),
+                model.stl_prime(loss, 0.03).to_bits()
+            );
         }
-        assert!(table.len() <= 4);
-        assert!(table.overflows() > 0);
+        assert_eq!((table.evals(), table.len()), (3, 0));
     }
 
+    /// A row is sized when its epoch is fitted: a slot per loss bucket up
+    /// to λ_A's and one that every saturated loss shares. Filled end to
+    /// end it keeps every value, and equal hold times share one row.
     #[test]
-    fn table_grows_past_its_first_segment_and_never_loses_a_key() {
+    fn a_row_holds_every_bucket_up_to_saturation_and_never_loses_one() {
         let model = StlSelector::model_from_metrics(&warmed_metrics());
-        let table = StlTable::exact();
-        let losses: Vec<f64> = (0..1_000).map(|i| 1.0 + i as f64 * 0.37).collect();
+        let q = 0.05;
+        let table = StlTable::new(model, &[0.03, 0.04, 0.03], q);
+        let width = bucket(model.lambda_a, q) as usize + 2;
+        assert_eq!(table.rows.len(), 2);
+        assert!(table.rows.iter().all(|row| row.slots.len() == width));
+        // Every bucket's representative up to λ_A's, then a saturated loss.
+        let losses: Vec<f64> = (0..width as u64 - 1)
+            .map(|b| representative(b, q))
+            .chain([2.0 * model.lambda_a + 1.0])
+            .collect();
         let first: Vec<u64> = losses
             .iter()
-            .map(|&loss| table.stl_prime(&model, loss, 0.03).to_bits())
+            .map(|&loss| table.stl_prime(loss, 0.03).to_bits())
             .collect();
-        assert_eq!((table.evals(), table.len()), (1_000, 1_000));
+        assert_eq!((table.evals(), table.len()), (width as u64, width));
         for (&loss, &bits) in losses.iter().zip(&first) {
-            assert_eq!(table.stl_prime(&model, loss, 0.03).to_bits(), bits);
+            assert_eq!(bits, model.stl_prime(table.quantized(loss), 0.03).to_bits());
+            assert_eq!(table.stl_prime(loss, 0.03).to_bits(), bits);
         }
-        assert_eq!(table.evals(), 1_000, "the second pass only reads");
-        assert_eq!(table.overflows(), 0);
+        assert_eq!(first[width - 1], (model.lambda_a * 0.03).to_bits());
+        assert_eq!(
+            table.stl_prime(f64::INFINITY, 0.03).to_bits(),
+            first[width - 1]
+        );
+        assert_eq!(table.evals(), width as u64, "the second pass only reads");
     }
 
     #[test]
     fn a_ninth_hold_time_is_computed_but_not_memoized() {
         let model = StlSelector::model_from_metrics(&warmed_metrics());
-        let table = StlTable::exact();
+        let hold_times: Vec<f64> = (1..=9).map(|i| 0.01 * i as f64).collect();
+        let table = StlTable::new(model, &hold_times[..8], 0.05);
         for round in 0..2 {
-            for i in 0..=TABLE_ROWS {
-                let u = 0.01 * (i + 1) as f64;
+            for (i, &u) in hold_times.iter().enumerate() {
                 assert_eq!(
-                    table.stl_prime(&model, 10.0, u).to_bits(),
-                    model.stl_prime(10.0, u).to_bits(),
+                    table.stl_prime(10.0, u).to_bits(),
+                    model.stl_prime(table.quantized(10.0), u).to_bits(),
                     "round {round}, hold time {i}"
                 );
             }
         }
-        assert_eq!(table.len(), TABLE_ROWS);
-        assert_eq!(table.overflows(), 2, "the ninth, once per round");
-        assert_eq!(table.evals() as usize, TABLE_ROWS + 2);
+        assert_eq!(table.len(), 8);
+        assert_eq!(table.evals(), 8 + 2, "the ninth, once per round");
     }
 
     #[test]
     fn concurrent_fills_of_one_key_store_one_value() {
         const THREADS: usize = 4;
         let model = StlSelector::model_from_metrics(&warmed_metrics());
-        let table = StlTable::new(0.05, 1024);
+        let table = StlTable::new(model, &[0.03], 0.05);
         let start = std::sync::Barrier::new(THREADS);
         let seen: Vec<u64> = std::thread::scope(|scope| {
             let fills: Vec<_> = (0..THREADS)
                 .map(|_| {
                     scope.spawn(|| {
                         start.wait();
-                        table.stl_prime(&model, 42.0, 0.03).to_bits()
+                        table.stl_prime(42.0, 0.03).to_bits()
                     })
                 })
                 .collect();
@@ -1694,7 +1550,11 @@ mod tests {
         assert!(seen.iter().all(|&bits| bits == seen[0]));
         assert_eq!(table.len(), 1, "one slot, whoever claimed it");
         assert!((1..=THREADS as u64).contains(&table.evals()));
-        assert_eq!(table.stl_prime(&model, 42.0, 0.03).to_bits(), seen[0]);
+        assert_eq!(
+            seen[0],
+            model.stl_prime(table.quantized(42.0), 0.03).to_bits()
+        );
+        assert_eq!(table.stl_prime(42.0, 0.03).to_bits(), seen[0]);
     }
 
     /// A stream of selections against one epoch, a re-fit from the same
@@ -1755,6 +1615,106 @@ mod tests {
         }
     }
 
+    /// Two protocols that shared a hold time shared its row; when the
+    /// re-fit measures them apart, the pre-warm fills the row's buckets
+    /// in at both new hold times.
+    #[test]
+    fn prewarm_fans_a_shared_row_out_to_every_slot_it_stood_for() {
+        let metrics = warmed_metrics();
+        let fitted = |epoch, hold_times: [f64; 6]| {
+            let mut snapshot = EpochSnapshot::fit(&metrics, epoch, WorkloadSignal::default(), None);
+            let params = &mut snapshot.params;
+            [params.p2pl.u_ok, params.p2pl.u_denied] = [hold_times[0], hold_times[1]];
+            [params.to.u_ok, params.to.u_denied] = [hold_times[2], hold_times[3]];
+            [params.pa.u_ok, params.pa.u_denied] = [hold_times[4], hold_times[5]];
+            Epoch::new(snapshot, 0.05, Arc::default())
+        };
+        let prev = fitted(1, [0.03, 0.06, 0.03, 0.07, 0.08, 0.09]);
+        prev.table.stl_prime(10.0, 0.03);
+        assert_eq!(prev.table.len(), 1);
+        let next = fitted(2, [0.03, 0.06, 0.05, 0.07, 0.08, 0.09]);
+        assert!(next.prewarm_from(&prev, || true));
+        assert_eq!(next.table.counters.prewarmed.load(Ordering::Relaxed), 2);
+        assert_eq!(next.table.len(), 2);
+        for u in [0.03, 0.05] {
+            assert_eq!(
+                next.table.stl_prime(10.0, u).to_bits(),
+                next.snapshot
+                    .model
+                    .stl_prime(next.table.quantized(10.0), u)
+                    .to_bits()
+            );
+        }
+        assert_eq!(next.table.evals(), 2, "both were pre-warmed");
+    }
+
+    /// A selection's clone of the published epoch stays whole across a
+    /// re-fit — its table still answers from what it memoized — and the
+    /// epoch is freed with the last clone.
+    #[test]
+    fn a_reader_keeps_its_epoch_across_a_refit_and_frees_it_after() {
+        let metrics = warmed_metrics();
+        let cached = CachedStlSelector::new();
+        let refit = || cached.refit_now(&metrics, WorkloadSignal::default());
+        let held = refit().expect("open");
+        let u = held.snapshot.params.hold_times()[0];
+        let value = held.table.stl_prime(10.0, u);
+        let next = refit().expect("open");
+        assert_eq!((held.snapshot.epoch, next.snapshot.epoch), (1, 2));
+        assert_eq!(cached.cache_stats().epoch, 2);
+        let evals = held.table.evals();
+        assert_eq!(held.table.stl_prime(10.0, u).to_bits(), value.to_bits());
+        assert_eq!(held.table.evals(), evals, "a hit in the old table");
+        let freed = Arc::downgrade(&held);
+        drop(held);
+        assert!(freed.upgrade().is_none(), "the last clone freed it");
+    }
+
+    /// Re-fits are serialized: one started while another holds the re-fit
+    /// lock publishes nothing until that one lets go.
+    #[test]
+    fn a_refit_waits_for_the_one_in_flight() {
+        let metrics = warmed_metrics();
+        let cached = CachedStlSelector::new();
+        cached.refit_now(&metrics, WorkloadSignal::default());
+        let in_flight = cached.refitting.lock().unwrap();
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| cached.refit_now(&metrics, WorkloadSignal::default()));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!waiting.is_finished());
+            assert_eq!(cached.cache_stats().epoch, 1);
+            drop(in_flight);
+            let published = waiting.join().unwrap().expect("open");
+            assert_eq!(published.snapshot.epoch, 2);
+        });
+        assert_eq!(cached.cache_stats().refits, 2);
+    }
+
+    /// A panic holding both of the selector's locks poisons them and loses
+    /// nothing: the published epoch is still read, and the next re-fit
+    /// still publishes.
+    #[test]
+    fn a_panic_holding_the_epoch_locks_loses_nothing() {
+        let metrics = warmed_metrics();
+        let cached = CachedStlSelector::new();
+        cached.refit_now(&metrics, WorkloadSignal::default());
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _refitting = cached.refitting.lock().unwrap();
+                    let _current = cached.current.write().unwrap();
+                    panic!("a panic with both locks held");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cached.refitting.is_poisoned() && cached.current.is_poisoned());
+        assert_eq!(cached.cache_stats().epoch, 1);
+        let next = cached.refit_now(&metrics, WorkloadSignal::default());
+        assert_eq!(next.expect("open").snapshot.epoch, 2);
+        assert_eq!(cached.epoch().map(|e| e.snapshot.epoch), Some(2));
+    }
+
     #[test]
     fn a_closed_selector_keeps_its_epoch_and_abandons_refits() {
         let metrics = warmed_metrics();
@@ -1806,11 +1766,18 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Narrower buckets than 0.01 would let a row outgrow ~6k slots.
         assert!(CacheSettings {
-            max_entries: 0,
+            quant_rel: 0.005,
             ..CacheSettings::default()
         }
         .validate()
         .is_err());
+        assert!(CacheSettings {
+            quant_rel: 0.0,
+            ..CacheSettings::default()
+        }
+        .validate()
+        .is_ok());
     }
 }

@@ -21,14 +21,15 @@
 //! * [`cache`] — [`cache::CachedStlSelector`], the amortized variant: the
 //!   model and parameters are frozen into an [`cache::EpochSnapshot`]
 //!   refreshed every N commits (or on workload drift), and `STL'(λ, U)` is
-//!   memoized per quantized loss and hold time in a [`cache::StlTable`]
-//!   every shape shares — provably identical to fresh STL′ evaluation
-//!   within an epoch.
+//!   memoized in a [`cache::StlTable`] every shape shares: an array per
+//!   frozen hold time, indexed by loss bucket up to the saturating `λ_A` —
+//!   provably identical to fresh STL′ evaluation within an epoch. The
+//!   current epoch sits behind a `std` `RwLock` held only to clone or swap
+//!   its `Arc`.
 
 pub mod cache;
 pub mod confluence;
 pub mod estimators;
-pub mod publish;
 pub mod selector;
 pub mod stl;
 
@@ -43,7 +44,6 @@ pub use estimators::{
     stl_2pl, stl_2pl_summary, stl_pa, stl_pa_summary, stl_to, stl_to_summary, ProtocolParams,
     ShapeSummary, StlFn, TxnShape,
 };
-pub use publish::Published;
 pub use selector::{
     evaluate_decision, evaluate_decision_with, exploratory_decision, is_exploration_round,
     MethodParamSet, SelectionDecision, StlSelector,

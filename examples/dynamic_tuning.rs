@@ -5,9 +5,10 @@
 //! parameters change". This example runs the STL-dynamic policy over three
 //! load regimes (light, moderate, heavy) and prints the per-regime protocol
 //! mix the selector converged to, alongside the STL estimates for a sample
-//! transaction in each regime — evaluated both fresh and through the
-//! epoch-cached selector, whose decision must match byte for byte while
-//! costing a few table lookups instead of up to six dynamic programs.
+//! transaction in each regime — evaluated fresh, through the epoch-cached
+//! selector with quantization off (which must match byte for byte), and
+//! through the default cached selector, whose repeat costs a few table
+//! lookups instead of up to six dynamic programs.
 //!
 //! Run with: `cargo run --release -p examples --bin dynamic_tuning`
 
@@ -49,21 +50,29 @@ fn main() {
         let decision = selector.select(&sample, simulation.catalog(), simulation.metrics());
         let fresh_cost = fresh_began.elapsed();
 
-        // The cached selector agrees bit for bit (exact keys, same epoch
-        // snapshot) and answers repeat losses from the epoch's STL′ table.
-        let mut cached = CachedStlSelector::with_settings(CacheSettings {
-            quant_rel: 0.0,
+        // At width 0 the cached selector walks in lockstep with the fresh
+        // one, bit for bit (same epoch snapshot, nothing memoized).
+        let settings = CacheSettings {
             warmup_commits: 0,
             explore_every: 0,
             ..CacheSettings::default()
+        };
+        let mut lockstep = CachedStlSelector::with_settings(CacheSettings {
+            quant_rel: 0.0,
+            ..settings
         });
-        let first = cached.select(&sample, simulation.catalog(), simulation.metrics());
-        assert_eq!(first.method, decision.method);
-        assert_eq!(first.stl_2pl.to_bits(), decision.stl_2pl.to_bits());
+        let exact = lockstep.select(&sample, simulation.catalog(), simulation.metrics());
+        assert_eq!(exact.method, decision.method);
+        assert_eq!(exact.stl_2pl.to_bits(), decision.stl_2pl.to_bits());
+        // At the default width it answers a repeat loss from the epoch's
+        // STL′ table, exactly as its first (missing) selection did.
+        let mut cached = CachedStlSelector::with_settings(settings);
+        let miss = cached.select(&sample, simulation.catalog(), simulation.metrics());
         let hit_began = Instant::now();
         let hit = cached.select(&sample, simulation.catalog(), simulation.metrics());
         let hit_cost = hit_began.elapsed();
-        assert_eq!(hit.method, decision.method);
+        assert_eq!(hit.method, miss.method);
+        assert_eq!(hit.stl_2pl.to_bits(), miss.stl_2pl.to_bits());
         assert_eq!(cached.cache_stats().hits, 1);
 
         let report = simulation.into_report();
@@ -101,7 +110,7 @@ fn main() {
             report.total_restarts()
         );
         println!(
-            "  selection cost: fresh {:.1} µs vs cached hit {:.2} µs (identical decision)",
+            "  selection cost: fresh {:.1} µs vs cached hit {:.2} µs",
             fresh_cost.as_secs_f64() * 1e6,
             hit_cost.as_secs_f64() * 1e6
         );

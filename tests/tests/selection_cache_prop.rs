@@ -102,22 +102,19 @@ proptest! {
     })]
 
     /// The headline equivalence: for random transaction shapes and random
-    /// protocol parameters, the cached selector's decision — miss path and
-    /// hit path alike — is byte-identical to a fresh `StlSelector`-style
-    /// evaluation at the same epoch snapshot (same model, same parameters).
+    /// protocol parameters, the cached selector's decision at width 0 is
+    /// byte-identical to a fresh `StlSelector`-style evaluation at the same
+    /// epoch snapshot (same model, same parameters). The hit path is
+    /// `quantized_cache_is_internally_consistent`'s.
     #[test]
     fn cached_decision_is_byte_identical_to_fresh_evaluation(
         case in (arb_model(), arb_summary(), arb_param_set())
     ) {
         let (model, summary, params) = case;
         let fresh = evaluate_decision(&model, &summary, &params);
-        let cache = StlTable::exact();
-        let miss = cache.decide(&model, &params, &summary);
-        let hit = cache.decide(&model, &params, &summary);
-        prop_assert_eq!(bits(&fresh), bits(&miss), "miss path diverged");
-        prop_assert_eq!(bits(&fresh), bits(&hit), "hit path diverged");
-        prop_assert_eq!(cache.hits(), 1);
-        prop_assert_eq!(cache.misses(), 1);
+        let table = StlTable::new(model, &params.hold_times(), 0.0);
+        prop_assert_eq!(bits(&fresh), bits(&table.decide(&params, &summary)));
+        prop_assert!(table.is_empty(), "width 0 memoizes nothing");
     }
 }
 
@@ -130,13 +127,26 @@ proptest! {
     /// With quantization enabled, every value the table hands out is the
     /// fresh dynamic program at the bucket's canonical representative, the
     /// representative never escapes its bucket, the decision is the closed
-    /// form over exactly those values, and hit and miss paths agree.
+    /// form over exactly those values, and hit and miss paths agree — for
+    /// `λ_A` of 0 or anywhere from 10⁻³ to 10¹², for losses at and beyond
+    /// `λ_A`, infinite and NaN losses, and at a hold time that is not the
+    /// table's, which is computed on every read and never memoized.
     #[test]
     fn quantized_cache_is_internally_consistent(
-        case in (arb_model(), arb_summary(), arb_param_set(), 0.01f64..0.4)
+        case in (arb_model(), -4.0f64..12.0, arb_summary(), arb_param_set(), 0.01f64..0.4)
     ) {
-        let (model, summary, params, quant) = case;
-        let table = StlTable::new(quant, 8192);
+        let (model, log_lambda_a, summary, params, quant) = case;
+        // The other rates keep their shares of λ_A.
+        let lambda_a = if log_lambda_a < -3.0 { 0.0 } else { 10f64.powf(log_lambda_a) };
+        let scale = lambda_a / model.lambda_a;
+        let model = StlModel {
+            lambda_a,
+            lambda_r: model.lambda_r * scale,
+            lambda_w: model.lambda_w * scale,
+            ..model
+        };
+        let hold_times = params.hold_times();
+        let table = StlTable::new(model, &hold_times, quant);
         let mut reads = Vec::new();
         let over_reps = evaluate_decision_with(
             &mut |loss, u| {
@@ -146,30 +156,39 @@ proptest! {
             &summary,
             &params,
         );
-        let miss = table.decide(&model, &params, &summary);
-        let hit = table.decide(&model, &params, &summary);
+        let miss = table.decide(&params, &summary);
+        let hit = table.decide(&params, &summary);
         prop_assert_eq!(bits(&over_reps), bits(&miss));
         prop_assert_eq!(bits(&miss), bits(&hit));
         prop_assert_eq!((table.hits(), table.misses()), (1, 1));
-        let evals = table.evals();
-        for (loss, u) in reads {
+        let edges = [lambda_a, lambda_a * (1.0 + quant), 2.0 * lambda_a + 1.0];
+        for loss in edges.into_iter().chain([f64::INFINITY, f64::NAN]) {
+            reads.extend(hold_times.iter().map(|&u| (loss, u)));
+        }
+        let fresh = |loss: f64, u| model.stl_prime(table.quantized(loss), u).to_bits();
+        for &(loss, u) in &reads {
             let rep = table.quantized(loss);
             prop_assert_eq!(
                 table.quantized(rep).to_bits(),
                 rep.to_bits(),
                 "representative escaped its bucket"
             );
-            prop_assert_eq!(
-                table.stl_prime(&model, loss, u).to_bits(),
-                model.stl_prime(rep, u).to_bits()
-            );
+            prop_assert_eq!(table.stl_prime(loss, u).to_bits(), fresh(loss, u));
             // Any other loss of the bucket reads the same entry.
-            prop_assert_eq!(
-                table.stl_prime(&model, rep, u).to_bits(),
-                model.stl_prime(rep, u).to_bits()
-            );
+            prop_assert_eq!(table.stl_prime(rep, u).to_bits(), fresh(loss, u));
+        }
+        let (evals, len) = (table.evals(), table.len());
+        for &(loss, u) in &reads {
+            prop_assert_eq!(table.stl_prime(loss, u).to_bits(), fresh(loss, u));
         }
         prop_assert_eq!(table.evals(), evals, "every entry was already memoized");
+        // `arb_params` keeps hold times below 0.3.
+        let foreign = 0.5;
+        for &(loss, _) in &reads {
+            prop_assert_eq!(table.stl_prime(loss, foreign).to_bits(), fresh(loss, foreign));
+        }
+        prop_assert_eq!(table.evals(), evals + reads.len() as u64, "foreign: computed every time");
+        prop_assert_eq!(table.len(), len, "foreign: never memoized");
     }
 
     /// Quantization may change a decision only where it cannot matter: if
@@ -182,7 +201,7 @@ proptest! {
     ) {
         let (model, summary, params, quant) = case;
         let fresh = evaluate_decision(&model, &summary, &params);
-        let quantized = StlTable::new(quant, 8192).decide(&model, &params, &summary);
+        let quantized = StlTable::new(model, &params.hold_times(), quant).decide(&params, &summary);
         if quantized.method != fresh.method {
             let cost = |d: &SelectionDecision, m: CcMethod| match m {
                 CcMethod::TwoPhaseLocking => d.stl_2pl,
@@ -253,8 +272,8 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// End to end: against frozen live-style metrics, the exact-keyed
-    /// cached selector and a fresh `StlSelector` walk in lockstep through
+    /// End to end: against frozen live-style metrics, the width-0 cached
+    /// selector and a fresh `StlSelector` walk in lockstep through
     /// a stream of random transactions — warm-up rounds, exploration
     /// rounds and cost-based decisions all byte-identical.
     #[test]
@@ -417,12 +436,11 @@ fn one_epoch_of_the_skewed_stream_is_served_from_the_table() {
     // the closed form over the snapshot with a recording evaluator.
     let epoch = cached.epoch().expect("fitted");
     let snapshot = &epoch.snapshot;
-    let quantizer = StlTable::new(cached.settings.quant_rel, 1);
     let mut buckets = std::collections::BTreeSet::new();
     for txn in &stream {
         evaluate_decision_with(
             &mut |loss, _| {
-                buckets.insert(quantizer.quantized(loss).to_bits());
+                buckets.insert(epoch.table.quantized(loss).to_bits());
                 0.0
             },
             &snapshot.summary_for(txn, &catalog),
