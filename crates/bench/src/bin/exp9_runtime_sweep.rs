@@ -18,11 +18,14 @@
 //! the coordination-free routes — 4-item snapshot reads and single-item
 //! bypass adds through `Database::execute` — beside transfers.
 //!
-//! The `inl%` / `wait%` / `busy%` / `bklg%` columns say how each cell's
-//! shard submits were handed over: run inline by the caller, of those the
-//! one-shot commands that waited a moment for a held core first, and
-//! enqueued because the core stayed held or the inbox had a backlog (the
-//! rare log-full fallback is the rest of the 100 %).
+//! The `inl%` / `wait%` / `wexp%` / `busy%` / `bklg%` columns say how each
+//! cell's shard submits were handed over: run inline by the caller, of
+//! those the ones that waited a moment for a held core first, the waits
+//! that ran out (counted in `busy%` too), and enqueued because the core
+//! stayed held or the inbox had a backlog (the rare log-full fallback is
+//! the rest of the 100 %). `wait%` covers the one-shot commands and,
+//! since the send batcher lets a call's last batch wait when every
+//! earlier one ran inline, coordinated `HandleBatch`es too.
 //!
 //! Run with: `cargo run --release -p bench --bin exp9_runtime_sweep`
 //!
@@ -183,6 +186,7 @@ fn run_cell(clients: u64, shards: u32, cell: Cell) -> CellOutcome {
         },
         share(stats.shard_inline),
         share(stats.shard_inline_waited),
+        share(stats.shard_wait_expired),
         share(stats.shard_enqueued_busy),
         share(stats.shard_enqueued_backlog),
         if serializable {
@@ -211,7 +215,7 @@ fn main() {
         "    ({} transfers per client over {ITEMS} items, read-modify-write)\n",
         txns_per_client()
     );
-    let widths = [7, 6, 9, 10, 10, 9, 9, 8, 5, 5, 5, 5, 5, 6];
+    let widths = [7, 6, 9, 10, 10, 9, 9, 8, 5, 5, 5, 5, 5, 5, 6];
     table::header(
         &[
             "clients",
@@ -225,6 +229,7 @@ fn main() {
             "hit%",
             "inl%",
             "wait%",
+            "wexp%",
             "busy%",
             "bklg%",
             "ser.",

@@ -22,8 +22,8 @@ use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use dbmodel::{
-    AccessMode, Catalog, CcMethod, LogSet, LogicalItemId, SiteId, Timestamp, Transaction, TsTuple,
-    TxnId, Value,
+    AccessMode, Catalog, CcMethod, LogSet, LogicalItemId, PhysicalItemId, SiteId, Timestamp,
+    Transaction, TsTuple, TxnId, Value,
 };
 use metrics::TxnOutcome;
 use pam::{ReplyMsg, RequestMsg};
@@ -520,7 +520,7 @@ impl Database {
                 .reads(spec.reads.iter().copied())
                 .writes(spec.write_items())
                 .build();
-            let accesses: Vec<(dbmodel::PhysicalItemId, AccessMode)> = inner
+            let accesses: Vec<(PhysicalItemId, AccessMode)> = inner
                 .catalog
                 .translate_txn(&txn)
                 .map_err(TxnError::UnknownItem)?
@@ -795,8 +795,7 @@ impl Database {
         // accounting; later replies for the same item (backoff re-grants,
         // normal-grant upgrades) would otherwise skew the denial
         // probabilities the STL selector consumes.
-        let mut outcome_seen: std::collections::HashSet<dbmodel::PhysicalItemId> =
-            std::collections::HashSet::new();
+        let mut outcome_seen = FirstReplies::new(ri);
         // The bounded wait: replies may keep trickling in (partial
         // grants) without execution ever starting — a dropped Access or a
         // crashed shard strands the incarnation — so the deadline is
@@ -848,7 +847,7 @@ impl Database {
             match event {
                 ClientEvent::Replies(replies) => {
                     for reply in replies.iter() {
-                        let first_for_item = outcome_seen.insert(reply.item());
+                        let first_for_item = outcome_seen.insert(ri, reply.item());
                         self.observe_reply(ri, method, reply, first_for_item);
                         absorb(ri.on_reply(reply));
                     }
@@ -911,6 +910,14 @@ impl Database {
     /// transaction costs each shard one core tenure per phase instead of
     /// one per message — on this thread when the shard is idle
     /// ([`ShardSender::submit`]), else one enqueue and at most one wakeup.
+    ///
+    /// The batches go out in order, each trying the core once, except the
+    /// last: if every earlier batch of this call ran inline, it waits a
+    /// few microseconds for a held core, since it is then the caller's only
+    /// outstanding command and the wait can save it the two thread hops
+    /// of the ring. Had an earlier batch been enqueued, the caller parks
+    /// for that shard's replies anyway; and a batch waiting with others
+    /// still behind it would delay them (see `shard.rs`).
     pub(crate) fn route_all(&self, origin: SiteId, sends: Vec<RequestMsg>) -> Result<(), TxnError> {
         if sends.is_empty() {
             return Ok(());
@@ -929,10 +936,14 @@ impl Database {
                 .get(&msg.item().site)
                 .expect("catalog routed a message to an unknown site")
         };
-        let send_batch = |idx: usize, msgs| {
-            self.inner.shard_txs[idx]
-                .submit(ShardCmd::HandleBatch { origin, msgs })
-                .map_err(|_| TxnError::ShuttingDown)
+        // Did every batch so far run inline? Then the last may wait.
+        let mut all_inline = true;
+        let mut send_batch = |idx: usize, msgs, last: bool| {
+            let inline = self.inner.shard_txs[idx]
+                .submit(ShardCmd::HandleBatch { origin, msgs }, last && all_inline)
+                .map_err(|_| TxnError::ShuttingDown)?;
+            all_inline &= inline;
+            Ok::<_, TxnError>(())
         };
         // Group by destination without allocating: messages are `Copy`
         // plain data and transactions send at most a handful, so a
@@ -960,7 +971,8 @@ impl Database {
                         taken |= 1 << j;
                     }
                 }
-                send_batch(idx, msgs)?;
+                let last = taken.count_ones() as usize == n;
+                send_batch(idx, msgs, last)?;
             }
         } else {
             let mut run_start = 0;
@@ -970,7 +982,8 @@ impl Database {
                 while run_end < n && shard_of(&sends[run_end]) == idx {
                     run_end += 1;
                 }
-                send_batch(idx, sends[run_start..run_end].iter().copied().collect())?;
+                let msgs = sends[run_start..run_end].iter().copied().collect();
+                send_batch(idx, msgs, run_end == n)?;
                 run_start = run_end;
             }
         }
@@ -1044,6 +1057,40 @@ fn method_code(method: CcMethod) -> u32 {
         CcMethod::TwoPhaseLocking => 0,
         CcMethod::TimestampOrdering => 1,
         CcMethod::PrecedenceAgreement => 2,
+    }
+}
+
+/// The items of one incarnation that have had a reply: a bit per entry
+/// of the issuer's access list (no allocation), or a set for an
+/// incarnation of more than 64 items.
+enum FirstReplies {
+    Bits(u64),
+    Set(std::collections::HashSet<PhysicalItemId>),
+}
+
+impl FirstReplies {
+    fn new(ri: &RequestIssuer) -> Self {
+        if ri.accessed_items().count() <= 64 {
+            FirstReplies::Bits(0)
+        } else {
+            FirstReplies::Set(std::collections::HashSet::new())
+        }
+    }
+
+    /// Mark `item` replied; true if it had not been (or, never expected,
+    /// is not in the access list).
+    fn insert(&mut self, ri: &RequestIssuer, item: PhysicalItemId) -> bool {
+        match self {
+            FirstReplies::Bits(bits) => {
+                let Some(pos) = ri.accessed_items().position(|(i, _)| i == item) else {
+                    return true;
+                };
+                let first = *bits & (1 << pos) == 0;
+                *bits |= 1 << pos;
+                first
+            }
+            FirstReplies::Set(seen) => seen.insert(item),
+        }
     }
 }
 

@@ -1402,8 +1402,8 @@ fn caller_runs_stress_keeps_every_history_serializable() {
 /// Chaos regression (PR 10): a snapshot read against a crashed shard
 /// surfaces a bounded `ShardUnavailable` — never a hang, never a
 /// silent fall-through to a torn answer. Its command waits out the
-/// one-shot core wait, finds the core still held by the outage and is
-/// enqueued, busy.
+/// core wait, finds the core still held by the outage and is enqueued,
+/// busy, its wait counted as expired.
 #[test]
 fn snapshot_read_on_a_dead_shard_is_bounded() {
     one_shot_on_a_dead_shard_is_bounded(TxnSpec::new().read(li(0)));
@@ -1440,15 +1440,19 @@ fn one_shot_on_a_dead_shard_is_bounded(spec: TxnSpec) {
     assert_eq!(err, TxnError::ShardUnavailable);
     assert!(
         begun.elapsed() < Duration::from_millis(350),
-        "the one-shot wait must give up before the outage ends, took {:?}",
+        "the core wait must give up before the outage ends, took {:?}",
         begun.elapsed()
     );
     let stats = db.stats();
     assert_eq!(stats.shard_unavailable, 1);
     assert_eq!(stats.committed, 0);
     assert_eq!(
-        (stats.shard_enqueued_busy, stats.shard_inline_waited),
-        (1, 0),
+        (
+            stats.shard_enqueued_busy,
+            stats.shard_inline_waited,
+            stats.shard_wait_expired
+        ),
+        (1, 0, 1),
         "{stats:?}"
     );
     db.shutdown();
@@ -1555,4 +1559,157 @@ fn disabling_snapshot_validation_admits_a_non_serializable_history() {
         report.serializable().is_err(),
         "the unvalidated snapshot plane must admit a torn read"
     );
+}
+
+/// The shard index that owns `item`'s (single) copy.
+fn shard_of(db: &Database, item: LogicalItemId) -> usize {
+    let site = db.catalog().physical_copies(item).unwrap()[0].site;
+    db.inner.site_index[&site]
+}
+
+/// Hold shard `idx`'s core on another thread — taken before this returns
+/// — until a submit to it has started the core wait or been enqueued busy,
+/// then ~2 µs more, and let go. The holder reacts to the submit, so which
+/// of the two the submit did is forced, not timed.
+fn hold_core_until_a_submit(db: &Database, idx: usize) -> std::thread::JoinHandle<()> {
+    let db = db.clone();
+    let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+    let holder = std::thread::spawn(move || {
+        let counters = &db.inner.stats.per_shard[idx];
+        let seen = || {
+            counters.core_waits.load(Ordering::Relaxed)
+                + counters.enqueued_busy.load(Ordering::Relaxed)
+        };
+        let before = seen();
+        let held = db.inner.shard_txs[idx].hold_core();
+        locked_tx.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while seen() == before {
+            assert!(Instant::now() < deadline, "nobody submitted");
+            std::hint::spin_loop();
+        }
+        let release = Instant::now() + Duration::from_micros(2);
+        while Instant::now() < release {
+            std::hint::spin_loop();
+        }
+        drop(held);
+    });
+    locked_rx.recv().unwrap();
+    holder
+}
+
+/// Begin a 2PL transfer between `from` and `to` on this thread, with the
+/// cores of `held` shards held as [`hold_core_until_a_submit`] holds
+/// them, and return the per-shard counters of its access phase; then
+/// commit it. The core-wait bound is raised to 5 s on this thread for the
+/// access phase, so a waiter outlasts a holder descheduled mid-hold.
+fn transfer_against_held_cores(
+    db: &Database,
+    from: LogicalItemId,
+    to: LogicalItemId,
+    held: &[usize],
+) -> Vec<crate::stats::ShardCounterSnapshot> {
+    let holders: Vec<_> = held
+        .iter()
+        .map(|&idx| hold_core_until_a_submit(db, idx))
+        .collect();
+    let spec = TxnSpec::new()
+        .write(from)
+        .write(to)
+        .method(CcMethod::TwoPhaseLocking);
+    shard::CORE_WAIT_BOUND.set(Duration::from_secs(5));
+    let begun = db.begin(&spec);
+    shard::CORE_WAIT_BOUND.set(shard::CORE_WAIT);
+    for holder in holders {
+        holder.join().unwrap();
+    }
+    let mut txn = begun.unwrap();
+    let accessed = db.stats().per_shard;
+    let (a, b) = (txn.read(from).unwrap(), txn.read(to).unwrap());
+    txn.write(from, a - 1).unwrap();
+    txn.write(to, b + 1).unwrap();
+    txn.commit().unwrap();
+    accessed
+}
+
+/// A config whose detector never scans during the test: its edge reports
+/// would take the cores the tests hold.
+fn quiet_config(shards: u32) -> RuntimeConfig {
+    RuntimeConfig {
+        deadlock_scan_interval: Duration::from_secs(10),
+        ..config(shards, 4)
+    }
+}
+
+/// The core wait, single shard: the transfer's one access batch is the
+/// caller's only outstanding command, so it waits out a briefly held core
+/// and runs inline — no busy enqueue, no ring hop.
+#[test]
+fn a_sole_batch_waits_out_a_briefly_held_core() {
+    let db = Database::open(quiet_config(1)).unwrap();
+    let accessed = transfer_against_held_cores(&db, li(0), li(1), &[0]);
+    assert_eq!(
+        (accessed[0].inline_waited, accessed[0].enqueued_busy),
+        (1, 0),
+        "{accessed:?}"
+    );
+    let stats = db.stats();
+    assert!(stats.shard_inline_waited >= 1, "{stats:?}");
+    assert_eq!(
+        (stats.shard_enqueued_busy, stats.shard_wait_expired),
+        (0, 0),
+        "{stats:?}"
+    );
+    assert_eq!(stats.committed, 1);
+    assert!(db.shutdown().unwrap().serializable().is_ok());
+}
+
+/// The core wait, two shards, first one held: its batch tries once and is
+/// enqueued, and the last batch — no longer the caller's only outstanding
+/// command — tries once too, although its core is held as well.
+#[test]
+fn a_last_batch_behind_an_enqueued_one_does_not_wait() {
+    let db = Database::open(quiet_config(2)).unwrap();
+    let (first, last) = (shard_of(&db, li(0)), shard_of(&db, li(1)));
+    assert_ne!(first, last, "the transfer spans both shards");
+    let accessed = transfer_against_held_cores(&db, li(0), li(1), &[first, last]);
+    for idx in [first, last] {
+        let shard = &accessed[idx];
+        assert_eq!((shard.enqueued_busy, shard.inline), (1, 0), "{accessed:?}");
+        assert_eq!(
+            db.inner.stats.per_shard[idx]
+                .core_waits
+                .load(Ordering::Relaxed),
+            0
+        );
+    }
+    assert_eq!(db.stats().shard_inline_waited, 0);
+    assert!(db.shutdown().unwrap().serializable().is_ok());
+}
+
+/// The core wait, two shards, last one held: the first batch runs inline,
+/// so the last is the caller's only outstanding command and waits.
+#[test]
+fn a_last_batch_behind_inline_ones_waits() {
+    let db = Database::open(quiet_config(2)).unwrap();
+    let (first, last) = (shard_of(&db, li(0)), shard_of(&db, li(1)));
+    assert_ne!(first, last, "the transfer spans both shards");
+    let accessed = transfer_against_held_cores(&db, li(0), li(1), &[last]);
+    assert_eq!(
+        (accessed[first].inline, accessed[first].inline_waited),
+        (1, 0),
+        "{accessed:?}"
+    );
+    assert_eq!(
+        (accessed[last].inline, accessed[last].inline_waited),
+        (1, 1),
+        "{accessed:?}"
+    );
+    let stats = db.stats();
+    assert_eq!(
+        (stats.shard_enqueued_busy, stats.shard_wait_expired),
+        (0, 0),
+        "{stats:?}"
+    );
+    assert!(db.shutdown().unwrap().serializable().is_ok());
 }

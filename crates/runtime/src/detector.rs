@@ -29,7 +29,8 @@
 //!   therefore zero on a healthy runtime.
 //!
 //! The edge reports go through [`ShardSender::submit`]: an idle shard's
-//! edges are read on this thread and no shard thread is woken for them.
+//! edges are read on this thread and no shard thread is woken for them. A
+//! held core is not waited for: the report goes to the ring.
 //!
 //! Because the scan is a racy snapshot assembled from per-shard reports, a
 //! reported "cycle" may have already dissolved by the time the victim reacts;
@@ -144,7 +145,7 @@ pub(crate) fn scan_once(
     let mut skipped = false;
     for shard in shards {
         let (tx, rx) = transport::oneshot::channel();
-        if shard.submit(ShardCmd::WaitEdges(tx)).is_err() {
+        if shard.submit(ShardCmd::WaitEdges(tx), false).is_err() {
             continue; // shard already shut down
         }
         match rx.recv_timeout(EDGE_REPORT_TIMEOUT) {

@@ -301,8 +301,9 @@ impl Database {
 
     /// The scatter/gather both one-shot routes share: submit each shard
     /// its slice of the work as one command — `cmd` builds it around the
-    /// reply sender; a shard whose core is free (or frees within the
-    /// one-shot wait) runs it on this thread and the answer is already
+    /// reply sender; a shard whose core is free (or frees within the core
+    /// wait, which every one-shot asks for: each shard's answer comes out
+    /// of one tenure) runs it on this thread and the answer is already
     /// there — then gather every answer under `diagnostic_timeout`.
     /// `Ok(Some(reads))` when every shard served, `Ok(None)` when any
     /// refused.
@@ -315,7 +316,7 @@ impl Database {
         let mut pending = SmallBatch::new();
         for (idx, work) in per_shard.0 {
             let (tx, rx) = transport::oneshot::channel();
-            if inner.shard_txs[idx].submit(cmd(work, tx)).is_err() {
+            if inner.shard_txs[idx].submit(cmd(work, tx), true).is_err() {
                 return Err(TxnError::ShuttingDown);
             }
             pending.push(rx);

@@ -16,25 +16,30 @@
 //!   already filled). Nobody parks and nobody is woken: the uncontended
 //!   command pays no thread hop at all.
 //!
-//!   **The one-shot wait.** A `SnapshotRead` or `ApplyConfluent` that
-//!   finds the core held retries `try_lock` for up to
-//!   [`ONE_SHOT_CORE_WAIT`] before it takes the ring. Only these two:
-//!   each produces its whole answer inside one core tenure and never waits
-//!   on another transaction, so the holder it waits for is another
-//!   caller's ~1 µs inline run (or a shard-thread tenure), never something
-//!   that waits on it. A coordinated `HandleBatch` that waited instead
-//!   would turn overlapping transactions into core-lock conflicts: measured,
-//!   spinning it doubles `wide_hot`'s median commit. The bound is the price
-//!   of what the wait replaces — a ring fallback costs two thread hops, the
-//!   shard thread's wake-up and then the caller's on the reply, ≈ 6.5 µs
-//!   each — so a wait can at worst cost what the fallback would have, and
-//!   a `Crash` outage (which sleeps holding the core) still sends a
-//!   one-shot to the ring within the bound: nothing on a client path ever
-//!   blocks in `lock()`. FIFO is unaffected: the wait only decides *when*
-//!   the caller gets the core, and every admission rule below — `closed`,
-//!   the ring-idle test, log room — is still made under the lock once it
-//!   has it, so a waiter that wins the core behind a backlog enqueues
-//!   behind that backlog.
+//!   **The core wait.** A submit whose caller asks for it retries a held
+//!   core's `try_lock` for up to [`CORE_WAIT`] before it takes the ring.
+//!   The one-shot routes (`SnapshotRead`, `ApplyConfluent`) always ask:
+//!   each shard's answer is produced inside one core tenure, and the
+//!   caller's next step is to collect it. The send batcher
+//!   (`Database::route_all`) asks for the *last* of a call's per-shard
+//!   `HandleBatch`es, and only if every earlier one ran inline: had one
+//!   gone to the ring the caller parks for that shard's replies anyway,
+//!   and a batch that waited with others behind it would delay them —
+//!   measured, spinning every `HandleBatch` turns overlapping
+//!   transactions into core-lock convoys and doubles `wide_hot`'s median
+//!   commit. The detector's `WaitEdges` never asks. The holder a waiter
+//!   meets is almost always another caller's ~1 µs inline run (or a
+//!   shard-thread tenure). The bound is the price of what the wait
+//!   replaces — a ring fallback costs two thread hops, the shard thread's
+//!   wake-up and then the caller's on the reply, ≈ 6.5 µs each — so a
+//!   wait can at worst cost what the fallback would have, and a `Crash`
+//!   outage (which sleeps holding the core) still sends a waiter to the
+//!   ring within the bound: nothing on a client path ever blocks in
+//!   `lock()`. FIFO is unaffected: the wait only decides *when* the
+//!   caller gets the core, and every admission rule below — `closed`, the
+//!   ring-idle test, log room — is still made under the lock once it has
+//!   it, so a waiter that wins the core behind a backlog enqueues behind
+//!   that backlog.
 //! * **The inbox.** Anything else goes through the bounded lock-free MPSC
 //!   ring (`transport::ring`, backpressure towards the clients): `submit`
 //!   when the core is busy, the ring has a backlog or the log buffer is
@@ -195,20 +200,21 @@ pub(crate) enum ShardCmd {
     Shutdown,
 }
 
-/// How long a one-shot command waits for a held core before it takes the
-/// ring. Sized to what the ring costs it — two thread hops, waking the
-/// shard thread and then being woken by the reply, ≈ 6.5 µs each on a
-/// 2-core x86-64 VM — against the ~1 µs another caller's inline run holds
-/// the core: a wait that outlasts the hop pair can only lose. A time, not
-/// a spin count, so the bound means the same on any CPU.
-const ONE_SHOT_CORE_WAIT: Duration = Duration::from_micros(8);
+/// How long a submit that asks to wait keeps retrying a held core before
+/// it takes the ring. Sized to what the ring costs it — two thread hops,
+/// waking the shard thread and then being woken by the reply, ≈ 6.5 µs
+/// each on a 2-core x86-64 VM — against the ~1 µs another caller's inline
+/// run holds the core: a wait that outlasts the hop pair can only lose. A
+/// time, not a spin count, so the bound means the same on any CPU.
+pub(crate) const CORE_WAIT: Duration = Duration::from_micros(8);
 
 #[cfg(test)]
 thread_local! {
-    /// The one-shot wait bound of submits made on this thread. Tests that
+    /// The core-wait bound of submits made on this thread. Tests that
     /// force a waiter/holder interleaving raise it, so their outcome does
     /// not depend on the holder staying on a CPU through 8 µs.
-    static CORE_WAIT: std::cell::Cell<Duration> = const { std::cell::Cell::new(ONE_SHOT_CORE_WAIT) };
+    pub(crate) static CORE_WAIT_BOUND: std::cell::Cell<Duration> =
+        const { std::cell::Cell::new(CORE_WAIT) };
 }
 
 /// Records the core's log buffer holds, allocated once at spawn (twice:
@@ -242,16 +248,6 @@ impl ShardCmd {
                 | ShardCmd::ApplyConfluent { .. }
                 | ShardCmd::SnapshotRead { .. }
                 | ShardCmd::WaitEdges(_)
-        )
-    }
-
-    /// The one-shot commands: the whole answer is produced inside one core
-    /// tenure and never waits on another transaction, so `submit` lets
-    /// them wait a moment for a held core (see the module docs).
-    fn is_one_shot(&self) -> bool {
-        matches!(
-            self,
-            ShardCmd::ApplyConfluent { .. } | ShardCmd::SnapshotRead { .. }
         )
     }
 
@@ -586,17 +582,18 @@ impl ShardSender {
     /// Hand over a protocol command the cheapest way that keeps per-shard
     /// FIFO: run it on this thread if the core is free, the inbox idle
     /// and the log buffer roomy (see the module docs), else enqueue it.
-    /// A one-shot command (`SnapshotRead`, `ApplyConfluent`) that finds the
-    /// core held retries it for up to [`ONE_SHOT_CORE_WAIT`] first; every
-    /// other command tries once. Nothing here ever blocks in `lock()`.
-    /// Every decision is counted per shard.
-    pub(crate) fn submit(&self, cmd: ShardCmd) -> Result<(), ShardGone> {
+    /// With `wait`, a core found held is retried for up to [`CORE_WAIT`]
+    /// first; without, it is tried once. The caller decides (the module
+    /// docs say who asks and why). Nothing here ever blocks in `lock()`. Every decision is
+    /// counted per shard. `Ok(true)` when the command ran inline, its
+    /// answer already delivered; `Ok(false)` when it was enqueued.
+    pub(crate) fn submit(&self, cmd: ShardCmd, wait: bool) -> Result<bool, ShardGone> {
         if !cmd.runs_inline() {
-            return self.send(cmd);
+            return self.send(cmd).map(|()| false);
         }
         let counters = &self.stats.per_shard[self.idx];
-        let fallback = match self.try_core(&cmd) {
-            Some((mut core, waited)) => {
+        let fallback = match self.try_core(wait) {
+            Ok((mut core, waited)) => {
                 if core.closed {
                     return Err(ShardGone);
                 }
@@ -633,42 +630,47 @@ impl ShardSender {
                         // panic; a full ring wakes it by itself.
                         let _ = self.ring.try_send(ShardCmd::FoldLog);
                     }
-                    return if died { Err(ShardGone) } else { Ok(()) };
+                    return if died { Err(ShardGone) } else { Ok(true) };
                 }
             }
-            // Held (past the wait, for a one-shot) — or poisoned: the shard
+            // Held (past the wait, if it waited) — or poisoned: the shard
             // thread died mid-command, its inbox goes with it and the send
             // below fails.
-            None => &counters.enqueued_busy,
+            Err(waited) => {
+                if waited {
+                    counters.wait_expired.fetch_add(1, Ordering::Relaxed);
+                }
+                &counters.enqueued_busy
+            }
         };
         fallback.fetch_add(1, Ordering::Relaxed);
-        self.send(cmd)
+        self.send(cmd).map(|()| false)
     }
 
-    /// Try-lock the core, and say whether that took a wait: a one-shot
-    /// command retries a held core under `spin_loop` until
-    /// [`ONE_SHOT_CORE_WAIT`] has passed; anything else tries once. `None`
-    /// when the core stayed held or is poisoned.
-    fn try_core(&self, cmd: &ShardCmd) -> Option<(MutexGuard<'_, ShardCore>, bool)> {
+    /// Try-lock the core, and say whether that took a wait: with `wait`,
+    /// a held core is retried under `spin_loop` until [`CORE_WAIT`] has
+    /// passed; without, it is tried once. `Err` when the core stayed held
+    /// or is poisoned, carrying the same flag.
+    fn try_core(&self, wait: bool) -> Result<(MutexGuard<'_, ShardCore>, bool), bool> {
         match self.core.try_lock() {
-            Ok(core) => return Some((core, false)),
-            Err(TryLockError::WouldBlock) if cmd.is_one_shot() => {}
-            Err(_) => return None,
+            Ok(core) => return Ok((core, false)),
+            Err(TryLockError::WouldBlock) if wait => {}
+            Err(_) => return Err(false),
         }
         #[cfg(test)]
         self.stats.per_shard[self.idx]
             .core_waits
             .fetch_add(1, Ordering::Relaxed);
         #[cfg(not(test))]
-        let deadline = Instant::now() + ONE_SHOT_CORE_WAIT;
+        let deadline = Instant::now() + CORE_WAIT;
         #[cfg(test)]
-        let deadline = Instant::now() + CORE_WAIT.get();
+        let deadline = Instant::now() + CORE_WAIT_BOUND.get();
         loop {
             std::hint::spin_loop();
             match self.core.try_lock() {
-                Ok(core) => return Some((core, true)),
+                Ok(core) => return Ok((core, true)),
                 Err(TryLockError::WouldBlock) if Instant::now() < deadline => {}
-                Err(_) => return None,
+                Err(_) => return Err(true),
             }
         }
     }
@@ -1060,9 +1062,19 @@ mod tests {
         }
     }
 
-    /// Every kind of submitted command the FIFO tests push last: a whole
-    /// coordinated write and the two one-shot commands.
-    const EVERY_KIND: [fn(u64) -> ShardCmd; 3] = [write_txn, snapshot_read, bypass_add];
+    /// A command builder and the wait its caller asks `submit` for.
+    type Kind = (fn(u64) -> ShardCmd, bool);
+
+    /// Every kind of submit the FIFO tests push last: a whole coordinated
+    /// write, tried once and waiting (the last batch of a `route_all` call
+    /// whose earlier batches ran inline), and the two one-shot commands,
+    /// which always wait.
+    const EVERY_KIND: [Kind; 4] = [
+        (write_txn, false),
+        (write_txn, true),
+        (snapshot_read, true),
+        (bypass_add, true),
+    ];
 
     fn shutdown(handle: ShardHandle) -> LogSet {
         let _ = handle.tx.send(ShardCmd::Shutdown);
@@ -1071,8 +1083,8 @@ mod tests {
 
     /// FIFO, ring pre-filled: the inbox already holds forty transactions
     /// when the shard starts, and a `submit` racing the shard thread's
-    /// first tenure — busy core, backlog, or idle by then; for a one-shot
-    /// command also a wait that ends in any of those — still lands behind
+    /// first tenure — busy core, backlog, or idle by then; for a waiting
+    /// submit also a wait that ends in any of those — still lands behind
     /// every one of them.
     #[test]
     fn submit_never_overtakes_a_prefilled_inbox() {
@@ -1081,7 +1093,7 @@ mod tests {
         }
     }
 
-    fn submit_after_a_prefilled_inbox(last: fn(u64) -> ShardCmd) {
+    fn submit_after_a_prefilled_inbox((last, wait): Kind) {
         const QUEUED: u64 = 40;
         let mut qm = QueueManager::new(SiteId(0));
         qm.add_item(item(), 42, EnforcementMode::SemiLock);
@@ -1100,7 +1112,7 @@ mod tests {
             Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1)),
             Arc::new(CommitClock::new()),
         );
-        handle.tx.submit(last(QUEUED + 1)).unwrap();
+        handle.tx.submit(last(QUEUED + 1), wait).unwrap();
         let logs = shutdown(handle);
         assert_eq!(log_order(&logs), (1..=QUEUED + 1).collect::<Vec<_>>());
         let shard0 = &stats.snapshot().per_shard[0];
@@ -1110,10 +1122,11 @@ mod tests {
             "the one submit is counted exactly once: {shard0:?}"
         );
         assert!(shard0.inline_waited <= shard0.inline, "{shard0:?}");
+        assert!(shard0.wait_expired <= shard0.enqueued_busy, "{shard0:?}");
     }
 
     /// FIFO, core held: while the test holds the core a `submit` cannot
-    /// run inline — a one-shot command waits out its bound and gives up —
+    /// run inline — a waiting one waits out its bound and gives up —
     /// so it queues behind the command `send` put there; once the core is
     /// free and the inbox drained, the next one runs inline and lands
     /// last.
@@ -1124,12 +1137,12 @@ mod tests {
         }
     }
 
-    fn submit_behind_a_held_core(kind: fn(u64) -> ShardCmd) {
+    fn submit_behind_a_held_core((kind, wait): Kind) {
         let (handle, _registry, stats) = spawn_one();
         let tx = handle.tx.clone();
         let held = tx.core.lock().unwrap();
         assert!(tx.send(write_txn(1)).is_ok());
-        tx.submit(kind(2)).unwrap();
+        tx.submit(kind(2), wait).unwrap();
         assert!(!tx.ring.is_idle(), "nothing is taken without the core");
         drop(held);
         // Wait for the shard thread's tenure (it was already woken) so the
@@ -1138,15 +1151,16 @@ mod tests {
             std::thread::yield_now();
         }
         drop(tx.core.lock().unwrap());
-        tx.submit(kind(3)).unwrap();
+        tx.submit(kind(3), wait).unwrap();
         let shard0 = stats.snapshot().per_shard[0];
         assert_eq!((shard0.enqueued_busy, shard0.inline), (1, 1), "{shard0:?}");
         assert_eq!(shard0.inline_waited, 0, "{shard0:?}");
+        assert_eq!(shard0.wait_expired, u64::from(wait), "{shard0:?}");
         assert_eq!(log_order(&shutdown(handle)), [1, 2, 3]);
     }
 
     /// Hold `tx`'s core on another thread — taken before this returns —
-    /// until a one-shot `submit` has started waiting for it, then `then`
+    /// until a `submit` has started waiting for it, then `then`
     /// while still holding it, then ~2 µs more, and let go. The wait is
     /// what the holder reacts to, so the interleaving is forced, not timed.
     fn hold_until_a_waiter(
@@ -1176,8 +1190,9 @@ mod tests {
         holder
     }
 
-    /// Submit `cmd` against a core held as [`hold_until_a_waiter`] holds
-    /// it. The wait bound is raised to 5 s on this thread for the submit:
+    /// Submit `cmd`, asking for the wait, against a core held as
+    /// [`hold_until_a_waiter`] holds it. The wait bound is raised to 5 s on
+    /// this thread for the submit:
     /// the holder lets go microseconds after the wait starts, but one
     /// descheduled in between — a thread it wakes is often placed on its
     /// CPU — outlasts 8 µs on a loaded box, and the waiter would give up.
@@ -1187,27 +1202,32 @@ mod tests {
         then: fn(&ShardSender),
     ) -> ShardCounterSnapshot {
         let holder = hold_until_a_waiter(tx, then);
-        CORE_WAIT.set(Duration::from_secs(5));
-        let submitted = tx.submit(cmd);
-        CORE_WAIT.set(ONE_SHOT_CORE_WAIT);
+        CORE_WAIT_BOUND.set(Duration::from_secs(5));
+        let submitted = tx.submit(cmd, true);
+        CORE_WAIT_BOUND.set(CORE_WAIT);
         holder.join().unwrap();
         submitted.unwrap();
         tx.stats.snapshot().per_shard[tx.idx]
     }
 
-    /// The tentpole: another thread holds the core for a couple of
-    /// microseconds. A snapshot read waits for it and runs inline —
-    /// counted as inline and as waited — where a `HandleBatch` in the same
-    /// spot tries once and enqueues, busy.
+    /// The caller's flag decides: another thread holds the core for a
+    /// couple of microseconds. A `HandleBatch` submitted with the wait
+    /// waits for it and runs inline — counted as inline and as waited —
+    /// where the same batch submitted without it tries once and enqueues,
+    /// busy.
     #[test]
-    fn a_one_shot_waits_out_a_briefly_held_core_and_a_batch_does_not() {
+    fn a_submit_waits_out_a_briefly_held_core_only_when_asked() {
         let (handle, _registry, stats) = spawn_one();
         let tx = handle.tx.clone();
-        let shard0 = submit_against_a_briefly_held_core(&tx, snapshot_read(1), |_| {});
+        let shard0 = submit_against_a_briefly_held_core(&tx, write_txn(1), |_| {});
         assert_eq!((shard0.inline, shard0.inline_waited), (1, 1), "{shard0:?}");
-        assert_eq!(shard0.enqueued_busy, 0, "{shard0:?}");
-        // The batch: held on another thread, released only once `submit`
-        // has returned — it must not have waited for the core.
+        assert_eq!(
+            (shard0.enqueued_busy, shard0.wait_expired),
+            (0, 0),
+            "{shard0:?}"
+        );
+        // Without the wait: held on another thread, released only once
+        // `submit` has returned — it must not have waited for the core.
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let (locked_tx, locked_rx) = std::sync::mpsc::channel();
         let holder = {
@@ -1221,16 +1241,20 @@ mod tests {
         };
         locked_rx.recv().unwrap();
         let waits = stats.per_shard[0].core_waits.load(Ordering::Relaxed);
-        tx.submit(write_txn(100)).unwrap();
+        assert_eq!(tx.submit(write_txn(100), false).ok(), Some(false));
         release_tx.send(()).unwrap();
         holder.join().unwrap();
         let shard0 = stats.snapshot().per_shard[0];
         assert_eq!(shard0.enqueued_busy, 1, "{shard0:?}");
-        assert_eq!(shard0.inline_waited, 1, "{shard0:?}");
+        assert_eq!(
+            (shard0.inline_waited, shard0.wait_expired),
+            (1, 0),
+            "{shard0:?}"
+        );
         assert_eq!(
             stats.per_shard[0].core_waits.load(Ordering::Relaxed),
             waits,
-            "a batch never starts the wait"
+            "a submit without the wait never starts it"
         );
         let order = log_order(&shutdown(handle));
         assert_eq!(order.last(), Some(&100), "{order:?}");
@@ -1245,7 +1269,7 @@ mod tests {
     /// in order, only once the submit is done.
     #[test]
     fn a_waiter_that_wins_the_core_behind_a_backlog_enqueues() {
-        for kind in [snapshot_read, bypass_add] {
+        for kind in [snapshot_read, bypass_add, write_txn] {
             let (handle, mut sent, inbox) = spawn_unfed();
             let tx = handle.tx.clone();
             let shard0 = submit_against_a_briefly_held_core(&tx, kind(1), |tx| {
@@ -1268,8 +1292,9 @@ mod tests {
     }
 
     /// A `Crash` sleeps holding the core: a `submit` during the outage
-    /// returns at once — a one-shot command after its bounded wait —
-    /// enqueued, not run, and is applied only when the outage is over.
+    /// returns at once — a waiting one after its bounded wait, counted as
+    /// expired — enqueued, not run, and is applied only when the outage
+    /// is over.
     #[test]
     fn submit_during_a_crash_outage_enqueues_and_the_outage_lasts() {
         for kind in EVERY_KIND {
@@ -1277,7 +1302,7 @@ mod tests {
         }
     }
 
-    fn submit_during_a_crash_outage(kind: fn(u64) -> ShardCmd) {
+    fn submit_during_a_crash_outage((kind, wait): Kind) {
         const OUTAGE: Duration = Duration::from_millis(150);
         let (handle, _registry, stats) = spawn_one();
         let tx = &handle.tx;
@@ -1289,19 +1314,16 @@ mod tests {
             std::thread::yield_now();
         }
         let submitted = std::time::Instant::now();
-        let one_shot = kind(1).is_one_shot();
-        tx.submit(kind(1)).unwrap();
+        assert_eq!(tx.submit(kind(1), wait).ok(), Some(false));
         let took = submitted.elapsed();
         assert!(
             crashed.elapsed() < OUTAGE,
             "submit must not wait out the outage"
         );
-        assert!(
-            !one_shot || took >= ONE_SHOT_CORE_WAIT,
-            "it waited: {took:?}"
-        );
+        assert!(!wait || took >= CORE_WAIT, "it waited: {took:?}");
         let shard0 = stats.snapshot().per_shard[0];
         assert_eq!((shard0.enqueued_busy, shard0.inline), (1, 0), "{shard0:?}");
+        assert_eq!(shard0.wait_expired, u64::from(wait), "{shard0:?}");
         assert_eq!(shard0.implemented, 0, "nothing runs during the outage");
         let (log_tx, log_rx) = transport::oneshot::channel();
         assert!(tx.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
@@ -1322,7 +1344,7 @@ mod tests {
         }
         let logs = shutdown(handle);
         assert_eq!(log_order(&logs), [1, 2, 3, 4, 5]);
-        assert!(tx.submit(write_txn(6)).is_err(), "closed core");
+        assert!(tx.submit(write_txn(6), false).is_err(), "closed core");
         assert!(tx.send(write_txn(7)).is_err(), "dropped inbox");
         let shard0 = stats.snapshot().per_shard[0];
         assert_eq!(shard0.implemented, 5, "the late commands never ran");
@@ -1337,7 +1359,7 @@ mod tests {
         const COMMITS: u64 = 10;
         let (handle, _registry, stats) = spawn_one();
         for t in 1..=COMMITS {
-            handle.tx.submit(write_txn(t)).unwrap();
+            handle.tx.submit(write_txn(t), false).unwrap();
         }
         let shard0 = stats.snapshot().per_shard[0];
         // The shard thread parks until something is sent, so nothing
@@ -1373,7 +1395,7 @@ mod tests {
             );
         };
         fill(LOG_BUF_RECORDS / 2 - 1);
-        tx.submit(write_txn(1)).unwrap();
+        tx.submit(write_txn(1), false).unwrap();
         let shard0 = stats.snapshot().per_shard[0];
         assert_eq!(
             (shard0.inline, shard0.log_fold_nudges),
@@ -1386,7 +1408,7 @@ mod tests {
             std::thread::yield_now();
         }
         fill(LOG_BUF_RECORDS);
-        tx.submit(write_txn(2)).unwrap();
+        tx.submit(write_txn(2), false).unwrap();
         let shard0 = stats.snapshot().per_shard[0];
         assert_eq!(shard0.enqueued_log_full, 1, "{shard0:?}");
         let logs = shutdown(handle);
@@ -1407,14 +1429,14 @@ mod tests {
         // trips the queue's "already queued" debug assertion.
         tx.core.lock().unwrap().qm.set_dedup_access(false);
         let twice = access(1, AccessMode::Write, 1);
-        if tx.submit(batch([twice, twice])).is_ok() {
+        if tx.submit(batch([twice, twice]), false).is_ok() {
             // Release builds compile the assertion out (the duplicate
             // double-queues instead): nothing to contain.
             shutdown(handle);
             return;
         }
         assert!(handle.join.join().is_err(), "the shard thread re-raises");
-        assert!(tx.submit(write_txn(2)).is_err());
+        assert!(tx.submit(write_txn(2), false).is_err());
         assert!(tx.send(write_txn(3)).is_err());
     }
 }

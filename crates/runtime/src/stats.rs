@@ -121,11 +121,14 @@ pub(crate) struct ShardCounters {
     /// Submitted commands the calling thread ran itself (core free, inbox
     /// idle, log buffer roomy).
     pub(crate) inline: AtomicU64,
-    /// Of `inline`, the one-shot commands that found the core held and
-    /// got it within the bounded wait.
+    /// Of `inline`, the submits that found the core held and got it
+    /// within the bounded wait.
     pub(crate) inline_waited: AtomicU64,
     /// Submitted commands enqueued because another thread held the core.
     pub(crate) enqueued_busy: AtomicU64,
+    /// Of `enqueued_busy`, the submits that waited for the core and ran
+    /// out of the bound.
+    pub(crate) wait_expired: AtomicU64,
     /// … because the inbox held commands not yet taken (running ahead of
     /// them would break per-shard FIFO).
     pub(crate) enqueued_backlog: AtomicU64,
@@ -133,7 +136,7 @@ pub(crate) struct ShardCounters {
     pub(crate) enqueued_log_full: AtomicU64,
     /// `FoldLog` nudges sent to the shard thread at a half-full buffer.
     pub(crate) log_fold_nudges: AtomicU64,
-    /// One-shot submits that found the core held and started the bounded
+    /// Submits that found the core held and started the bounded
     /// wait (whatever came of it): the hook a test forces its interleaving
     /// with.
     #[cfg(test)]
@@ -150,6 +153,7 @@ impl ShardCounters {
             inline: self.inline.load(Ordering::Relaxed),
             inline_waited: self.inline_waited.load(Ordering::Relaxed),
             enqueued_busy: self.enqueued_busy.load(Ordering::Relaxed),
+            wait_expired: self.wait_expired.load(Ordering::Relaxed),
             enqueued_backlog: self.enqueued_backlog.load(Ordering::Relaxed),
             enqueued_log_full: self.enqueued_log_full.load(Ordering::Relaxed),
             log_fold_nudges: self.log_fold_nudges.load(Ordering::Relaxed),
@@ -170,10 +174,13 @@ pub struct ShardCounterSnapshot {
     pub aborts: u64,
     /// Submitted commands run on the calling thread (no wake-up).
     pub inline: u64,
-    /// Of `inline`, one-shot commands that waited for a held core first.
+    /// Of `inline`, submits that waited for a held core first.
     pub inline_waited: u64,
     /// Submitted commands enqueued because the core was held.
     pub enqueued_busy: u64,
+    /// Of `enqueued_busy`, submits that waited for the core and ran out
+    /// of the bound.
+    pub wait_expired: u64,
     /// Submitted commands enqueued behind an inbox backlog.
     pub enqueued_backlog: u64,
     /// Submitted commands enqueued because the log buffer was full.
@@ -342,20 +349,27 @@ pub struct StatsSnapshot {
     /// Protocol commands (`HandleBatch`, bypass applies, snapshot reads)
     /// a client ran on its own thread — and edge reports the deadlock
     /// detector ran on its — because it found the owning shard's core free
-    /// (a one-shot command: free within its bounded wait) and its inbox
-    /// idle: no wake-up paid. This and the three
+    /// (free within the bounded wait, for a submit that asked for it) and
+    /// its inbox idle: no wake-up paid. This and the three
     /// `shard_enqueued_*` counters partition the submitted commands; each
     /// is the sum of its per-shard namesake.
     pub shard_inline: u64,
-    /// Of `shard_inline`, the one-shot commands (snapshot reads, bypass
-    /// applies) that found the core held by another thread and ran inline
-    /// after a bounded wait of a few microseconds instead of taking the
-    /// ring. `shard_inline_waited ⊆ shard_inline`: it is not a fifth
-    /// outcome of a submit.
+    /// Of `shard_inline`, the submits that found the core held by
+    /// another thread and ran inline after a bounded wait of a few
+    /// microseconds instead of taking the ring: one-shot commands (snapshot
+    /// reads, bypass applies), and a coordinated `HandleBatch` that was the
+    /// last of its call with every earlier one run inline.
+    /// `shard_inline_waited ⊆ shard_inline`: it is not a fifth outcome of
+    /// a submit.
     pub shard_inline_waited: u64,
     /// Submitted commands enqueued because another thread held the core
-    /// (for a one-shot command: still held after the bounded wait).
+    /// (for a submit that waited: still held after the bounded wait).
     pub shard_enqueued_busy: u64,
+    /// Of `shard_enqueued_busy`, the submits that waited for the core and
+    /// ran out of the bound: what the wait cost without saving the hop.
+    /// `shard_inline_waited + shard_wait_expired` counts every submit that
+    /// waited.
+    pub shard_wait_expired: u64,
     /// Submitted commands enqueued because the inbox held commands not
     /// yet taken (per-shard FIFO).
     pub shard_enqueued_backlog: u64,
@@ -419,6 +433,7 @@ impl RuntimeStats {
             shard_inline: sum(|s| s.inline),
             shard_inline_waited: sum(|s| s.inline_waited),
             shard_enqueued_busy: sum(|s| s.enqueued_busy),
+            shard_wait_expired: sum(|s| s.wait_expired),
             shard_enqueued_backlog: sum(|s| s.enqueued_backlog),
             shard_enqueued_log_full: sum(|s| s.enqueued_log_full),
             log_fold_nudges: sum(|s| s.log_fold_nudges),
