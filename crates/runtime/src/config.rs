@@ -92,9 +92,11 @@ pub struct RuntimeConfig {
     pub policy: CcPolicy,
     /// PA's backoff interval `INT` (in timestamp units).
     pub pa_backoff_interval: u64,
-    /// Bound of each shard's command inbox — a bounded MPSC ring
-    /// (`transport::ring`), rounded up to the next power of two; clients
-    /// block (backpressure) when a shard falls behind.
+    /// Bound of each shard's command inbox — a `VecDeque` behind one
+    /// mutex (`transport::ring`) — rounded up to the next power of two.
+    /// Only commands that find the shard's core busy, or a backlog ahead
+    /// of them, queue there; clients block (backpressure) while it is
+    /// full.
     pub shard_inbox_capacity: usize,
     /// Bound of each reusable reply mailbox (rounded up to the next power
     /// of two). Must exceed the replies one incarnation can have

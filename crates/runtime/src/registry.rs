@@ -8,14 +8,14 @@
 //! exactly the "stale reply for an aborted incarnation" rule the
 //! simulator implements.
 //!
-//! The reply plane is lock-free. Every client holds a reusable
-//! [`transport::mailbox::Mailbox`] acquired once per transaction from the
-//! shared slab and re-registered across restart incarnations. The id of
-//! each incarnation *is* its reply address: [`Registry::txn_id`] mints
-//! `seq << slot_bits | slot` from the begin-order counter and the
-//! mailbox's slab slot, so delivery reads the slot out of the id and
-//! checks the slot is still bound to it — no index, no registry mutex, no
-//! channel allocation, no reply-path lock at all. Because `seq` sits in the
+//! Every client holds a reusable [`transport::mailbox::Mailbox`] acquired
+//! once per transaction from the shared slab and re-registered across
+//! restart incarnations. The id of each incarnation *is* its reply
+//! address: [`Registry::txn_id`] mints `seq << slot_bits | slot` from the
+//! begin-order counter and the mailbox's slab slot, so delivery reads the
+//! slot out of the id and checks the slot is still bound to it — no
+//! index, no registry mutex, no channel allocation; the only lock on the
+//! reply path is the addressed mailbox ring's own. Because `seq` sits in the
 //! high bits, ids keep begin order ("youngest" is still "largest id"), and
 //! whatever the runtime derives from an id's value (origin site, restart
 //! jitter, the metadata tag below) it derives from [`Registry::seq`]. The

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use dbmodel::{CcMethod, LogicalItemId, PhysicalItemId, SiteId, TxnId, Value};
+use dbmodel::{CcMethod, LogicalItemId, PhysicalItemId, SiteId, Timestamp, TxnId, Value};
 use selection::Route;
 use trace::Phase;
 use transport::batch::SmallBatch;
@@ -26,6 +26,15 @@ use crate::spec::{TxnError, TxnReceipt, TxnSpec};
 /// observed at one watermark cut. `None` means some shard refused and the
 /// caller should take the next route.
 pub(crate) type SnapshotAnswer = Option<(TxnId, BTreeMap<LogicalItemId, Value>)>;
+
+#[cfg(test)]
+thread_local! {
+    /// Runs once between a snapshot read's watermark load and its
+    /// scatter on this thread: a test commits there what a reader
+    /// descheduled at that point would miss.
+    pub(crate) static AFTER_WATERMARK_LOAD: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+}
 
 /// What a shard answers a one-shot command with: the values it served, or
 /// `None` for a refusal.
@@ -245,6 +254,13 @@ impl Database {
     /// version it observed, and the caller only has to account the
     /// commit.
     ///
+    /// A shard prunes against the watermark of its own tenure, so a
+    /// reader delayed between its load and its command can find the
+    /// version its older stamp needs already gone. When a refusal finds
+    /// the watermark moved past the one loaded, the read is retried once
+    /// at the fresh watermark under a fresh id; only a refusal that
+    /// stands is counted and sent down the fallback.
+    ///
     /// Consistency rests on the commit clock's draw/retire protocol: a
     /// write's stamp is retired only after its installs are enqueued at
     /// every owning shard, so by the time a watermark load observes the
@@ -253,14 +269,39 @@ impl Database {
     /// history at a transaction-consistent prefix across all shards.
     pub(crate) fn snapshot_read_values(&self, spec: &TxnSpec) -> Result<SnapshotAnswer, TxnError> {
         let inner = &self.inner;
+        // The watermark load that defines the snapshot: every shard serves
+        // at this timestamp (or, on the retry, at the fresh one).
+        let ts = inner.clock.watermark();
+        #[cfg(test)]
+        if let Some(hook) = AFTER_WATERMARK_LOAD.take() {
+            hook();
+        }
+        let mut answer = self.snapshot_read_at(spec, ts)?;
+        if answer.is_none() {
+            let fresh = inner.clock.watermark();
+            if fresh > ts {
+                answer = self.snapshot_read_at(spec, fresh)?;
+            }
+        }
+        let counter = match answer {
+            Some(_) => &inner.stats.snapshot_reads,
+            None => &inner.stats.snapshot_refused,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(answer)
+    }
+
+    /// One attempt of [`Database::snapshot_read_values`]: every shard
+    /// serves at `ts` under one fresh id. A shard already serving the
+    /// watermark of a refused attempt logged its reads — harmless (they
+    /// observed committed state); the abandoned id simply never commits.
+    fn snapshot_read_at(&self, spec: &TxnSpec, ts: Timestamp) -> Result<SnapshotAnswer, TxnError> {
+        let inner = &self.inner;
         let plane = &inner.trace;
         let lane = plane.client_lane();
         let t_begin = plane.now();
         let txn_id = inner.mint_txn_id(0);
         let origin = inner.origin_of(spec, txn_id);
-        // The single watermark load that defines the snapshot: every
-        // shard serves at this timestamp.
-        let ts = inner.clock.watermark();
         let mut per_shard = PerShard::new();
         for &item in &spec.reads {
             let copy = inner
@@ -277,13 +318,8 @@ impl Database {
             reply,
         })?;
         let Some(reads) = answer else {
-            // A shard already serving the watermark logged its reads —
-            // harmless (they observed committed state); the abandoned id
-            // simply never commits. The fallback runs under a fresh id.
-            inner.stats.snapshot_refused.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
         };
-        inner.stats.snapshot_reads.fetch_add(1, Ordering::Relaxed);
         let t_served = plane.now();
         plane.record_at(lane, t_begin, txn_id.0, Phase::Begin, 0);
         plane.record_at(lane, t_served, txn_id.0, Phase::SnapshotRead, n_items);

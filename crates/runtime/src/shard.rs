@@ -40,8 +40,8 @@
 //!   ring-idle test, log room — is still made under the lock once it has
 //!   it, so a waiter that wins the core behind a backlog enqueues behind
 //!   that backlog.
-//! * **The inbox.** Anything else goes through the bounded lock-free MPSC
-//!   ring (`transport::ring`, backpressure towards the clients): `submit`
+//! * **The inbox.** Anything else goes through the bounded MPSC ring
+//!   (`transport::ring`, backpressure towards the clients): `submit`
 //!   when the core is busy, the ring has a backlog or the log buffer is
 //!   full; every [`ShardSender::send`] — `Crash`, `Shutdown`, the
 //!   sweep's and the diagnostics' commands. The shard thread parks on
@@ -56,9 +56,13 @@
 //! ring is touched *only under the core lock* — lock, then drain, never
 //! pop-then-lock — so every command taken off the ring is applied before
 //! the lock is next free. And a caller runs inline only if, under the
-//! lock, the ring is idle (`tail == head`): its own earlier commands, and
-//! any install another client enqueued before retiring the commit stamp
-//! this caller's watermark covers, are then already applied.
+//! lock, the ring is idle: its copy of the queue length reads zero
+//! ([`RingSender::is_idle`], no second lock). Only a take lowers that
+//! copy, and takes happen under the core lock, so while the caller holds
+//! it the copy can only grow; a send stores it under the ring's lock
+//! before returning. So its own earlier commands, and any install
+//! another client enqueued before retiring the commit stamp this caller's
+//! watermark covers, are then already applied.
 //!
 //! **The shard thread is the log keeper.** Every implemented operation is
 //! appended — in processing order, by whoever runs the command — to a

@@ -213,9 +213,9 @@ pub(crate) struct RuntimeStats {
     /// Read-only transactions served from the version chains at the
     /// global read watermark (no coordination at all).
     pub(crate) snapshot_reads: AtomicU64,
-    /// Snapshot attempts refused by a shard (a requested item had no
-    /// version at the watermark — pruned or crash-wiped) and re-run on
-    /// the coordinated path.
+    /// Snapshot reads refused by a shard (a requested item had no
+    /// version at the watermark — pruned or crash-wiped), after the one
+    /// retry a moved watermark earns, and re-run on the coordinated path.
     pub(crate) snapshot_refused: AtomicU64,
     /// Dynamic-policy selections performed.
     pub(crate) selections: AtomicU64,
@@ -290,8 +290,9 @@ pub struct StatsSnapshot {
     /// Read-only transactions served from the per-item version chains at
     /// the global read watermark — the snapshot plane's fourth method.
     pub snapshot_reads: u64,
-    /// Snapshot attempts a shard refused (no version at the watermark);
-    /// each re-ran on the coordinated path.
+    /// Snapshot reads a shard refused (no version at the watermark, even
+    /// after the one retry at a moved watermark); each re-ran on the
+    /// coordinated path.
     pub snapshot_refused: u64,
     /// Dynamic-policy selections performed.
     pub selections: u64,

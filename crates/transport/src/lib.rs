@@ -1,29 +1,33 @@
 //! # transport — the runtime's message plane
 //!
-//! The primitives every byte crosses between runtime threads:
+//! The primitives every message crosses between runtime threads, built
+//! on `std::sync` alone (no `unsafe`):
 //!
-//! * [`ring`] — a bounded lock-free MPSC ring (atomic head/tail over a
-//!   power-of-two slot array, cache-line padded) with park/unpark
-//!   backpressure on both sides. Producers never take a lock on the fast
-//!   path; the single consumer drains the whole ring per wakeup, so one
-//!   context switch amortises over every command enqueued since the last
-//!   one.
+//! * [`ring`] — a bounded MPSC ring: a `VecDeque` behind one `Mutex`,
+//!   with park/unpark backpressure on both sides. Since shards run an
+//!   idle core's command on the caller's thread, only commands that find
+//!   the core busy reach a shard's inbox, and the consumer drains the
+//!   whole ring per wake-up. An empty ring's consumer parks and is
+//!   unparked by the next producer (a `Condvar` there measured slower);
+//!   producers blocked on a full ring wait on a `Condvar` that is only
+//!   notified while one is counted as waiting.
 //! * [`oneshot`] — a single-use reply channel for control-plane
 //!   request/response conversations (wait-for edges, log snapshots,
 //!   waiting-transaction reports), replacing the ad-hoc
 //!   `std::sync::mpsc::channel()` pair allocated per call.
 //! * [`mailbox`] — the reply direction: a slab of reusable bounded
-//!   mailboxes (one per client, recycled across registrations instead of
-//!   allocated per conversation) behind a lock-free generation-tagged
-//!   key index, so routing an event to its waiting consumer takes no
-//!   lock and no allocation, and stale events addressed to a retired key
-//!   are provably dropped.
+//!   mailboxes (one per client, recycled through a `Mutex<Vec>` freelist
+//!   instead of allocated per conversation), addressed by keys that carry
+//!   their slot, so routing an event to its waiting consumer is an array
+//!   index and a compare, and stale events addressed to a retired key are
+//!   provably dropped.
 //! * [`stamp`] — the process-wide monotonic nanosecond clock every plane
 //!   timestamps against (ring dwell meters, the trace crate's
 //!   flight-recorder events), so durations measured on different threads
 //!   subtract meaningfully.
 //! * [`CachePadded`] — align a value to its own cache line so hot atomics
-//!   (ring head/tail, per-stripe metric shards) do not false-share.
+//!   (per-stripe metric shards, the trace ring's head) do not
+//!   false-share.
 //!
 //! The crate is deliberately free of runtime-specific types: it moves `T`s
 //! between threads and knows nothing about transactions.

@@ -9,13 +9,12 @@
 //!
 //! Three pieces:
 //!
-//! * **Mailboxes** — each [`Mailbox`] wraps one bounded MPSC ring
-//!   (the same Vyukov sequence-stamped slots and park/unpark handshake
-//!   as [`crate::ring`]) owned by one consumer thread at a time.
-//!   Mailboxes live in a slab and are *reused*: acquiring one pops a
-//!   free slot off a lock-free freelist (or lazily grows the slab by a
-//!   chunk), dropping it pushes the slot back. No channel is ever
-//!   allocated per registration.
+//! * **Mailboxes** — each [`Mailbox`] wraps one bounded [`crate::ring`]
+//!   (its consumer parks and is unparked by the delivering thread) owned
+//!   by one consumer thread at a time. Mailboxes live in a slab and are
+//!   *reused*: acquiring one pops a free slot off the freelist (a
+//!   `Mutex<Vec<u32>>`) or lazily grows the slab by a chunk, dropping it
+//!   pushes the slot back. No channel is ever allocated per registration.
 //! * **Addressing** — a `u64` key *carries* its mailbox's slot:
 //!   [`MailboxRegistry::key`] mints `seq << slot_bits | slot`, where
 //!   `slot_bits` is the width [`MailboxOptions::max_clients`] needs (16
@@ -43,14 +42,14 @@
 //!   incarnation's traffic plus in-flight races.
 //!
 //! Producers never wait unboundedly: a full mailbox whose binding is
-//! live is spun on briefly, then parked in short naps until
-//! [`MailboxOptions::deliver_timeout`] expires, at which point the
-//! event is dropped and counted ([`MailboxRegistry::full_dropped`]) —
-//! a stalled consumer can delay a shard thread, never wedge it. The
-//! same bound applies to [`MailboxRegistry::acquire`]: once
-//! `max_clients` mailboxes are simultaneously held, waiting past
-//! [`MailboxOptions::acquire_timeout`] returns [`SlabExhausted`]
-//! instead of blocking forever.
+//! live is waited on for space in short slices, the binding re-checked
+//! between them, until [`MailboxOptions::deliver_timeout`] expires, at
+//! which point the event is dropped and counted
+//! ([`MailboxRegistry::full_dropped`]) — a stalled consumer can delay a
+//! shard thread, never wedge it. The same bound applies to
+//! [`MailboxRegistry::acquire`]: once `max_clients` mailboxes are
+//! simultaneously held, waiting past [`MailboxOptions::acquire_timeout`]
+//! returns [`SlabExhausted`] instead of blocking forever.
 //!
 //! [`MailboxOptions::tag_check`] exists solely so the race-test suite
 //! can *disable* the tag machinery (no consumer filtering, no sweep on
@@ -76,11 +75,9 @@ const CHUNK: usize = 64;
 /// Hard cap on slab slots: a key keeps at least 40 bits of `seq`.
 const MAX_SLOTS: usize = 1 << 24;
 
-/// Freelist "no head" sentinel.
-const NO_SLOT: u64 = u32::MAX as u64;
-
-/// Nap length once a full-mailbox delivery has exhausted its spin
-/// budget and moved to timed waiting.
+/// Longest a delivery waits for space in a full mailbox before it
+/// re-checks the binding: a registration torn down mid-wait drops the
+/// event within one slice.
 const FULL_NAP: Duration = Duration::from_micros(50);
 
 /// Tuning knobs for a [`MailboxRegistry`].
@@ -101,15 +98,10 @@ pub struct MailboxOptions {
     /// be released once all `max_clients` are held before returning
     /// [`SlabExhausted`].
     pub acquire_timeout: Duration,
-    /// Spin iterations a delivery burns on a full mailbox with a live
-    /// binding before falling back to timed naps (the consumer drains
-    /// whole rings per wakeup, so in practice the spin alone absorbs
-    /// one scheduling quantum).
-    pub deliver_spin: u32,
     /// Total time a delivery may wait on a full, live mailbox before
     /// dropping the event and counting it
     /// ([`MailboxRegistry::full_dropped`]). Zero means "drop as soon as
-    /// the spin budget is exhausted".
+    /// the first try finds the mailbox full".
     pub deliver_timeout: Duration,
     /// The stale-event guard (see the module docs). `false` is a
     /// test-only mutation switch that disables consumer-side tag
@@ -124,7 +116,6 @@ impl Default for MailboxOptions {
             mailbox_capacity: 256,
             max_clients: 65536,
             acquire_timeout: Duration::from_secs(5),
-            deliver_spin: 64,
             deliver_timeout: Duration::from_secs(1),
             tag_check: true,
         }
@@ -163,14 +154,12 @@ struct Slot<E> {
     rx: Mutex<Option<RingReceiver<(u64, E)>>>,
     /// The key currently bound to this slot (0 = unbound) — what a key
     /// resolving to this slot is compared with. Producers re-check it
-    /// before waiting on a full ring so deliveries to a dead
-    /// registration are dropped, never waited on.
+    /// before each wait slice on a full ring, so a delivery to a dead
+    /// registration is dropped within one slice.
     bound: AtomicU64,
     /// Caller-defined registration metadata (the runtime stores the
     /// concurrency-control method for the deadlock detector).
     meta: AtomicU64,
-    /// Freelist link (slot index, [`NO_SLOT`] terminated).
-    next_free: AtomicU64,
 }
 
 struct Shared<E> {
@@ -183,9 +172,9 @@ struct Shared<E> {
     max_slots: usize,
     /// Width of a key's slot field.
     slot_bits: u32,
-    /// Treiber stack of free slot indices: `(version₃₂ | index₃₂)`, the
-    /// version incremented on every successful swing to defeat ABA.
-    free_head: AtomicU64,
+    /// Released slot indices, reused last-in first-out before the slab
+    /// grows.
+    free: Mutex<Vec<u32>>,
     /// Live registrations.
     live: AtomicUsize,
     /// Live registrations whose key does not carry their slot — while
@@ -201,7 +190,6 @@ struct Shared<E> {
     full_dropped: AtomicU64,
     mailbox_capacity: usize,
     acquire_timeout: Duration,
-    deliver_spin: u32,
     deliver_timeout: Duration,
     tag_check: bool,
 }
@@ -269,39 +257,11 @@ impl<E> Shared<E> {
     }
 
     fn freelist_push(&self, idx: u32) {
-        loop {
-            let head = self.free_head.load(Ordering::SeqCst);
-            self.slot(idx)
-                .next_free
-                .store(head & 0xFFFF_FFFF, Ordering::SeqCst);
-            let next = ((head >> 32).wrapping_add(1)) << 32 | idx as u64;
-            if self
-                .free_head
-                .compare_exchange(head, next, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return;
-            }
-        }
+        self.free.lock().expect("freelist poisoned").push(idx);
     }
 
     fn freelist_pop(&self) -> Option<u32> {
-        loop {
-            let head = self.free_head.load(Ordering::SeqCst);
-            let idx = head & 0xFFFF_FFFF;
-            if idx == NO_SLOT {
-                return None;
-            }
-            let next = self.slot(idx as u32).next_free.load(Ordering::SeqCst);
-            let new = ((head >> 32).wrapping_add(1)) << 32 | next;
-            if self
-                .free_head
-                .compare_exchange(head, new, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return Some(idx as u32);
-            }
-        }
+        self.free.lock().expect("freelist poisoned").pop()
     }
 }
 
@@ -334,14 +294,13 @@ impl<E: Send> MailboxRegistry<E> {
             allocated: AtomicUsize::new(0),
             max_slots,
             slot_bits: max_slots.next_power_of_two().trailing_zeros(),
-            free_head: AtomicU64::new(NO_SLOT),
+            free: Mutex::new(Vec::new()),
             live: AtomicUsize::new(0),
             unaddressed: AtomicUsize::new(0),
             stale_dropped: AtomicU64::new(0),
             full_dropped: AtomicU64::new(0),
             mailbox_capacity: opts.mailbox_capacity.max(4),
             acquire_timeout: opts.acquire_timeout,
-            deliver_spin: opts.deliver_spin,
             deliver_timeout: opts.deliver_timeout,
             tag_check: opts.tag_check,
         });
@@ -395,7 +354,6 @@ impl<E: Send> MailboxRegistry<E> {
                                 rx: Mutex::new(Some(rx)),
                                 bound: AtomicU64::new(0),
                                 meta: AtomicU64::new(0),
-                                next_free: AtomicU64::new(NO_SLOT),
                             }
                         })
                         .collect()
@@ -477,41 +435,37 @@ impl<E: Send> MailboxRegistry<E> {
     /// Route an event to the mailbox `key` is bound to. Returns `false`
     /// — dropping the event — when the key is not live, which is exactly
     /// the simulator's stale-reply rule. A full mailbox with a live
-    /// binding is spun on briefly, then napped on until
-    /// `deliver_timeout`, after which the event is dropped and counted
+    /// binding is waited on for space until `deliver_timeout`, after
+    /// which the event is dropped and counted
     /// ([`MailboxRegistry::full_dropped`]); a full mailbox whose binding
-    /// died mid-wait drops the event immediately.
+    /// dies mid-wait drops the event within one 50 µs wait slice.
     pub fn deliver(&self, key: u64, event: E) -> bool {
         let shared = &self.shared;
         let Some(slot) = shared.resolve(key) else {
             return false;
         };
-        let mut tagged = (key, event);
-        let mut spins = 0u32;
-        let mut deadline: Option<Instant> = None;
+        let mut tagged = match slot.tx.try_send((key, event)) {
+            Ok(()) => return true,
+            Err(TrySendError::Full(tagged)) => tagged,
+            // Unreachable while the slab is alive (it owns a sender), but
+            // a dropped registry mid-delivery is not an error.
+            Err(TrySendError::Disconnected(_)) => return false,
+        };
+        // The clock starts only once the mailbox was found full: the
+        // common delivery reads none.
+        let deadline = Instant::now() + shared.deliver_timeout;
         loop {
-            match slot.tx.try_send(tagged) {
+            if slot.bound.load(Ordering::SeqCst) != key {
+                return false;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                shared.full_dropped.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
+            match slot.tx.send_timeout(tagged, left.min(FULL_NAP)) {
                 Ok(()) => return true,
-                Err(TrySendError::Full(v)) => {
-                    if slot.bound.load(Ordering::SeqCst) != key {
-                        return false;
-                    }
-                    tagged = v;
-                    spins += 1;
-                    if spins <= shared.deliver_spin {
-                        thread::yield_now();
-                    } else {
-                        let deadline = *deadline
-                            .get_or_insert_with(|| Instant::now() + shared.deliver_timeout);
-                        if Instant::now() >= deadline {
-                            shared.full_dropped.fetch_add(1, Ordering::Relaxed);
-                            return false;
-                        }
-                        thread::sleep(FULL_NAP);
-                    }
-                }
-                // Unreachable while the slab is alive (it owns a sender),
-                // but a dropped registry mid-delivery is not an error.
+                Err(TrySendError::Full(v)) => tagged = v,
                 Err(TrySendError::Disconnected(_)) => return false,
             }
         }
@@ -937,7 +891,10 @@ mod tests {
 
     #[test]
     fn full_mailbox_with_dead_binding_drops_instead_of_spinning() {
-        let reg = registry(small()); // capacity 8
+        let reg = registry(MailboxOptions {
+            deliver_timeout: Duration::from_secs(30),
+            ..small() // capacity 8
+        });
         let mut mb = reg.acquire().unwrap();
         let k = key(&reg, 1, &mb);
         reg.register(k, 0, &mut mb);
@@ -945,23 +902,31 @@ mod tests {
             assert!(reg.deliver(k, i));
         }
         // Ring full. Kill the binding from another thread after a beat —
-        // the delivery must return false rather than spin forever.
+        // the delivery must give up within one wait slice of it, not sit
+        // out its 30 s bound.
         let t = std::thread::spawn({
             let reg = reg.clone();
             move || {
                 std::thread::sleep(Duration::from_millis(20));
                 reg.deregister(k);
+                Instant::now()
             }
         });
         assert!(!reg.deliver(k, 99));
-        t.join().unwrap();
+        let returned = Instant::now();
+        let deregistered = t.join().unwrap();
+        // One FULL_NAP slice plus room for a loaded scheduler.
+        let late = returned.saturating_duration_since(deregistered);
+        assert!(
+            late < FULL_NAP + Duration::from_millis(200),
+            "returned {late:?} after the deregister"
+        );
         assert_eq!(reg.full_dropped(), 0, "a dead binding is not a full drop");
     }
 
     #[test]
     fn full_live_mailbox_drops_after_the_bounded_wait() {
         let reg = registry(MailboxOptions {
-            deliver_spin: 4,
             deliver_timeout: Duration::from_millis(25),
             ..small()
         });

@@ -6,7 +6,7 @@
 //!
 //! 1. **Ring semantics under real contention** — seeded multi-producer
 //!    stress against a deliberately tiny ring, exercising full-ring
-//!    backpressure (producer park/unpark), empty-ring consumer parking,
+//!    backpressure (producers waiting for space), empty-ring consumer parking,
 //!    and FIFO-per-producer ordering.
 //! 2. **Sequential equivalence, deterministic** — a single-client
 //!    workload through the live runtime produces exactly the reads,
@@ -31,13 +31,13 @@ fn li(i: u64) -> LogicalItemId {
 
 /// Seeded multi-producer stress on a tiny ring: every message arrives,
 /// per-producer order is preserved, and the full-ring slow path (producer
-/// parking) is genuinely exercised.
+/// waiting) is genuinely exercised.
 #[test]
 fn ring_multi_producer_fifo_under_backpressure() {
     const PRODUCERS: u64 = 4;
     const PER_PRODUCER: u64 = 5_000;
     // Capacity 8: with four producers bursting, the ring is full most of
-    // the time, so blocking sends park and rely on consumer wakeups.
+    // the time, so blocking sends wait and rely on consumer wakeups.
     let (tx, mut rx) = ring::channel::<(u64, u64)>(8);
     let full_hits = Arc::new(AtomicU64::new(0));
 
@@ -80,7 +80,7 @@ fn ring_multi_producer_fifo_under_backpressure() {
         rx.drain_into(&mut buf);
         received.append(&mut buf);
         // A deliberately sluggish consumer keeps the ring full so the
-        // producer park/unpark path fires continuously.
+        // producers' wait for space fires continuously.
         if rng.next_f64() < 0.05 {
             std::thread::sleep(Duration::from_micros(200));
         }
