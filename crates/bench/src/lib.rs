@@ -8,6 +8,8 @@
 //! presets, protocol sweeps, fixed-width table printing and the seeded
 //! selector-test inputs.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod table;
 pub mod workload;

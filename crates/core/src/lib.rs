@@ -26,6 +26,8 @@
 //! Deadlock handling for the 2PL transactions in the mix (the only ones that
 //! can deadlock — Theorem 3) lives in [`deadlock`].
 
+#![forbid(unsafe_code)]
+
 pub mod deadlock;
 pub mod item;
 pub mod qm;

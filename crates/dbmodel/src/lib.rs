@@ -18,6 +18,8 @@
 //! protocol; it is the substrate that 2PL, T/O, PA and the unified scheme all
 //! share.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod ids;
 pub mod log;

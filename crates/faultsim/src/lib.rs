@@ -45,6 +45,8 @@
 //! reproducible, and multi-threaded sweeps reproduce the same fault
 //! pressure and the same windows even when individual victims differ.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;

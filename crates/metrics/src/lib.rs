@@ -7,6 +7,8 @@
 //! broken down by concurrency-control method, and exposes the aggregates the
 //! STL parameter estimator consumes.
 
+#![forbid(unsafe_code)]
+
 pub mod collector;
 
 pub use collector::{MethodSample, MethodStats, MetricsSample, SimMetrics, TxnOutcome};

@@ -18,6 +18,8 @@
 //! later-sent message an earlier delivery time than an earlier-sent one on
 //! the same directed link.
 
+#![forbid(unsafe_code)]
+
 pub mod latency;
 pub mod model;
 

@@ -27,6 +27,8 @@
 //! `unified-cc` crate; the standalone reference protocols live in
 //! `protocols`.
 
+#![forbid(unsafe_code)]
+
 pub mod msg;
 pub mod precedence;
 pub mod queue;

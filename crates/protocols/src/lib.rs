@@ -20,6 +20,8 @@
 //! are directly embeddable lock managers for applications that want exactly
 //! one protocol (see the `examples` package).
 
+#![forbid(unsafe_code)]
+
 pub mod basic_to;
 pub mod lock2pl;
 pub mod pa;

@@ -3,7 +3,6 @@
 use std::time::Duration;
 
 use dbmodel::{CcMethod, ReplicationPolicy, Value};
-use selection::CacheSettings;
 use unified_cc::EnforcementMode;
 
 /// How the runtime assigns a concurrency-control method to a transaction
@@ -34,8 +33,6 @@ pub enum ConfigError {
     NoItems,
     /// Mix probabilities must be in `[0, 1]` and sum to at most 1.
     BadMix,
-    /// The selection-cache settings are internally inconsistent.
-    BadSelectionCache(String),
     /// The tracing-plane settings are internally inconsistent.
     BadTrace(String),
     /// The reply-plane sizing is internally inconsistent.
@@ -55,9 +52,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NoItems => write!(f, "num_items must be at least 1"),
             ConfigError::BadMix => {
                 write!(f, "mix probabilities must be in [0,1] and sum to at most 1")
-            }
-            ConfigError::BadSelectionCache(why) => {
-                write!(f, "bad selection-cache settings: {why}")
             }
             ConfigError::BadTrace(why) => write!(f, "bad trace settings: {why}"),
             ConfigError::BadReplyPlane(why) => write!(f, "bad reply-plane settings: {why}"),
@@ -150,13 +144,6 @@ pub struct RuntimeConfig {
     pub restart_backoff: Duration,
     /// Seed for the method-mix sampler.
     pub seed: u64,
-    /// Amortization of the [`CcPolicy::DynamicStl`] selector: `STL'(λ, U)`
-    /// is memoized per quantized loss and frozen hold time, in an array per
-    /// hold time sized at fit time (its bucket width `quant_rel` is 0,
-    /// memoizing nothing, or at least 0.01), and the model is re-fitted on
-    /// epoch boundaries (every `epoch_commits` commits or on observed
-    /// drift, fed by the per-shard conflict counters).
-    pub selection_cache: CacheSettings,
     /// Route invariant-confluent transactions (commutative adds, blind
     /// puts, read-only shapes — see [`selection::classify`]) around the
     /// queue managers through the shard's direct-apply bypass. Off forces
@@ -233,7 +220,6 @@ impl Default for RuntimeConfig {
             diagnostic_timeout: Duration::from_secs(1),
             restart_backoff: Duration::from_micros(200),
             seed: 0,
-            selection_cache: CacheSettings::default(),
             confluence_fastpath: true,
             confluence_check: true,
             snapshot_reads: true,
@@ -263,9 +249,6 @@ impl RuntimeConfig {
                 return Err(ConfigError::BadMix);
             }
         }
-        self.selection_cache
-            .validate()
-            .map_err(ConfigError::BadSelectionCache)?;
         self.trace.validate().map_err(ConfigError::BadTrace)?;
         if self.reply_max_clients == 0 {
             return Err(ConfigError::BadReplyPlane(
@@ -337,21 +320,6 @@ mod tests {
             p_to: 0.3,
         };
         assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
-    fn bad_selection_cache_is_rejected() {
-        let c = RuntimeConfig {
-            selection_cache: CacheSettings {
-                quant_rel: -1.0,
-                ..CacheSettings::default()
-            },
-            ..RuntimeConfig::default()
-        };
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::BadSelectionCache(_))
-        ));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use dbmodel::{
 };
 use metrics::TxnOutcome;
 use pam::{ReplyMsg, RequestMsg};
-use selection::{CachedStlSelector, Route};
+use selection::{CacheSettings, CachedStlSelector, Route};
 use simkit::rng::{splitmix64_nth, unit_f64};
 use simkit::time::SimTime;
 use trace::{Phase, SpanTimings, TraceLevel, TracePlane, SELECTION_CACHE_HIT};
@@ -176,6 +176,16 @@ impl Database {
         config: RuntimeConfig,
         catalog: Catalog,
     ) -> Result<Database, ConfigError> {
+        Self::open_with_selector(config, catalog, CacheSettings::default())
+    }
+
+    /// [`Database::open_with_catalog`] with the [`CcPolicy::DynamicStl`]
+    /// selector tuned by `cache` (tests reach non-default settings here).
+    fn open_with_selector(
+        config: RuntimeConfig,
+        catalog: Catalog,
+        cache: CacheSettings,
+    ) -> Result<Database, ConfigError> {
         config.validate()?;
         let registry = Arc::new(Registry::with_options(MailboxOptions {
             mailbox_capacity: config.reply_mailbox_capacity,
@@ -250,7 +260,7 @@ impl Database {
                 None
             };
 
-        let selector = Arc::new(CachedStlSelector::with_settings(config.selection_cache));
+        let selector = Arc::new(CachedStlSelector::with_settings(cache));
         let metrics = Arc::new(MetricsShards::new());
         let started = Instant::now();
         // Static and mixed policies never select: no thread for them.

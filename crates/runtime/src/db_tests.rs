@@ -233,16 +233,25 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-fn dynamic_config() -> RuntimeConfig {
-    RuntimeConfig {
-        policy: CcPolicy::DynamicStl,
-        selection_cache: selection::CacheSettings {
-            warmup_commits: 3,
-            explore_every: 0,
-            ..selection::CacheSettings::default()
-        },
-        ..config(1, 8)
+/// The selector settings of the `DynamicStl` tests: three warm-up
+/// commits per method, no exploration.
+fn dynamic_cache() -> selection::CacheSettings {
+    selection::CacheSettings {
+        warmup_commits: 3,
+        explore_every: 0,
+        ..selection::CacheSettings::default()
     }
+}
+
+/// A single-shard `DynamicStl` database whose selector runs on
+/// [`dynamic_cache`].
+fn open_dynamic() -> Database {
+    let config = RuntimeConfig {
+        policy: CcPolicy::DynamicStl,
+        ..config(1, 8)
+    };
+    let catalog = Catalog::generate(config.num_shards, config.num_items, config.replication);
+    Database::open_with_selector(config, catalog, dynamic_cache()).unwrap()
 }
 
 /// A single-shard `DynamicStl` database with its first epoch published
@@ -250,7 +259,7 @@ fn dynamic_config() -> RuntimeConfig {
 /// their methods, so no selection ever raised a request and the thread
 /// has been parked since it was spawned; the fit is forced from here.
 fn dynamic_db_with_an_epoch() -> Database {
-    let db = Database::open(dynamic_config()).unwrap();
+    let db = open_dynamic();
     for i in 0..12 {
         let spec = TxnSpec::new()
             .read(li(i % 8))
@@ -269,7 +278,7 @@ fn dynamic_db_with_an_epoch() -> Database {
 /// publishes, and from then on selections are cost-based.
 #[test]
 fn the_refitter_publishes_the_first_epoch_once_every_method_is_warm() {
-    let db = Database::open(dynamic_config()).unwrap();
+    let db = open_dynamic();
     let spec = TxnSpec::new().read(li(0)).write(li(1));
     let deadline = Instant::now() + Duration::from_secs(5);
     while db.stats().cache.epoch == 0 {
@@ -292,7 +301,7 @@ fn the_refitter_publishes_the_first_epoch_once_every_method_is_warm() {
 /// commits on the counter it compares), whatever the drift probe thinks.
 fn request_a_due_refit(db: &Database) {
     let inner = &db.inner;
-    let epoch_commits = inner.config.selection_cache.epoch_commits;
+    let epoch_commits = dynamic_cache().epoch_commits;
     inner
         .stats
         .committed
@@ -1436,6 +1445,7 @@ fn snapshot_read_refused_behind_a_moved_watermark_is_retried_at_the_fresh_one() 
     let report = db.shutdown().unwrap();
     assert_eq!(report.stats.snapshot_reads, 1);
     assert_eq!(report.stats.snapshot_refused, 0);
+    assert_eq!(report.stats.snapshot_retries, 1, "the retry is counted");
     assert!(report.serializable().is_ok());
 }
 

@@ -52,6 +52,8 @@
 //! assert!(report.serializable().is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod db;
 pub mod report;

@@ -13,15 +13,18 @@
 //! restart incarnations. The id of each incarnation *is* its reply
 //! address: [`Registry::txn_id`] mints `seq << slot_bits | slot` from the
 //! begin-order counter and the mailbox's slab slot, so delivery reads the
-//! slot out of the id and checks the slot is still bound to it — no
-//! index, no registry mutex, no channel allocation; the only lock on the
-//! reply path is the addressed mailbox ring's own. Because `seq` sits in the
-//! high bits, ids keep begin order ("youngest" is still "largest id"), and
-//! whatever the runtime derives from an id's value (origin site, restart
-//! jitter, the metadata tag below) it derives from [`Registry::seq`]. The
-//! incarnation tag is the transaction id itself (never reused), carried
-//! inside every event and checked by the consumer, so a delivery racing a
-//! restart can never leak a stale grant into the next incarnation.
+//! slot out of the id and checks, under that slot's binding lock, that
+//! the slot is still bound to it — no index, no registry mutex, no
+//! channel allocation; the only locks on the reply path are the addressed
+//! slot's binding and its ring. Because `seq` sits in the high bits, ids
+//! keep begin order ("youngest" is still "largest id"), and whatever the
+//! runtime derives from an id's value (origin site, restart jitter) it
+//! derives from [`Registry::seq`]. Ids are never reused, and a delivery
+//! pushes under the binding lock a deregister takes, so a delivery racing
+//! a restart can never leak a stale grant into the next incarnation.
+//! Shards deliver and mark waits under their core lock, so locks are
+//! taken core → binding → ring; nothing done under a binding lock takes
+//! a core lock.
 //!
 //! [`Registry::deliver_all_with`] groups **all** of a transaction's
 //! replies in one flush into a single [`ClientEvent`] — not merely
@@ -34,20 +37,29 @@
 //! ## Waited-on marks and the scan request
 //!
 //! A registration also carries two flags, next to the method, in the
-//! mailbox slab's per-slot metadata word — set by compare-and-swap, keyed by
-//! the id's `seq` packed into the same word, so they are born clear
-//! with every incarnation and can never land on a later one:
+//! mailbox slab's per-slot metadata word (`method | waited_on |
+//! signalled`). The word is read and changed only under the slot's
+//! binding lock, while the slot is bound to the incarnation's own id, and
+//! every registration writes it afresh — so the flags are born clear with
+//! every incarnation and can never land on a later one:
 //!
 //! * **waited-on** — some shard announced a wait-for edge *into* this
 //!   incarnation ([`Registry::note_wait`]). A shard that announces an edge
 //!   marks the holder and then looks at the *waiter's* mark: an edge that
 //!   closes a cycle is always queued by a transaction that already has
-//!   someone behind it, so a marked waiter is the cue to scan now. Mark and
-//!   look are both `SeqCst`, each shard does them in that order, and a mark
-//!   is never cleared while its incarnation lives — so of the edges of one
-//!   cycle, announced on whatever threads in whatever interleaving, the one
-//!   whose mark comes last in the total order looks after its
-//!   predecessor's mark is up and raises the request.
+//!   someone behind it, so a marked waiter is the cue to scan now. The
+//!   mark is a critical section on the holder's slot lock, the look one on
+//!   the waiter's, each shard does them in that order, and a mark is never
+//!   cleared while its incarnation lives. In a cycle the waiter of each
+//!   edge is the holder of the one before it, so each look and that
+//!   predecessor's mark lock the same slot, and the critical sections on
+//!   one mutex are totally ordered. If every look came before its
+//!   predecessor's mark, then mark → look (program order) → predecessor's
+//!   mark → its look → … would run all the way round the cycle back to
+//!   the first mark, which cannot precede itself. So of the edges of one
+//!   cycle, announced on whatever threads in whatever interleaving, at
+//!   least one looks after its predecessor's mark is up and raises the
+//!   request.
 //! * **signalled** — the detector already told this incarnation it is a
 //!   victim ([`Registry::signal_deadlock`] refuses a second time), so
 //!   back-to-back scans of a cycle whose victim has not reacted yet count,
@@ -86,9 +98,9 @@ pub(crate) enum ClientEvent {
 
 /// The per-client reply endpoint: a reusable slab mailbox, acquired once
 /// per transaction and reused across its restart incarnations
-/// ([`Registry::register`] re-arms it for each). Its `recv_timeout(txn,
-/// ..)` discards events tagged for earlier incarnations of the slot — the
-/// consumer half of the stale-reply rule.
+/// ([`Registry::register`] re-arms it for each, sweeping what an earlier
+/// incarnation left queued). An event reaches it only while its id is
+/// registered, so it holds the current incarnation's events alone.
 pub(crate) type ClientMailbox = Mailbox<ClientEvent>;
 
 /// Shared router of live incarnations (see the module docs).
@@ -108,26 +120,19 @@ pub(crate) struct Registry {
     pub(crate) mute_announcements: AtomicBool,
 }
 
-/// Registration metadata: `seq << META_FLAG_BITS | flags | method`.
+/// Registration metadata: `method | waited_on | signalled`.
 const META_METHOD: u64 = 0b11;
 const META_WAITED_ON: u64 = 1 << 2;
 const META_SIGNALLED: u64 = 1 << 3;
-const META_FLAG_BITS: u32 = 4;
 
-/// The metadata a fresh incarnation registers with: its `seq` and method,
-/// no flag — so the deadlock detector's `method_of` resolves without any
-/// map.
-fn fresh_meta(seq: u64, method: CcMethod) -> u64 {
-    let code = match method {
+/// The metadata a fresh incarnation registers with: its method, no flag
+/// — so the deadlock detector's `method_of` resolves without any map.
+fn fresh_meta(method: CcMethod) -> u64 {
+    match method {
         CcMethod::TwoPhaseLocking => 1,
         CcMethod::TimestampOrdering => 2,
         CcMethod::PrecedenceAgreement => 3,
-    };
-    seq << META_FLAG_BITS | code
-}
-
-fn meta_is_of(meta: u64, seq: u64) -> bool {
-    meta >> META_FLAG_BITS == seq
+    }
 }
 
 fn meta_method(meta: u64) -> Option<CcMethod> {
@@ -182,13 +187,11 @@ impl Registry {
     /// When `seq` no longer fits the id beside the slot field (2^48
     /// incarnations at the default `reply_max_clients`): ids never wrap.
     pub(crate) fn txn_id(&self, seq: u64, slot: u32) -> TxnId {
-        // The metadata word keeps `seq` beside its flag bits, too.
-        let max = self.slab.max_seq().min(u64::MAX >> META_FLAG_BITS);
-        assert!(
-            seq <= max,
-            "transaction id space exhausted: seq {seq} exceeds {max}"
-        );
-        TxnId(self.slab.key(seq, slot).expect("seq is within max_seq"))
+        let key = self.slab.key(seq, slot).unwrap_or_else(|| {
+            let max = self.slab.max_seq();
+            panic!("transaction id space exhausted: seq {seq} exceeds {max}")
+        });
+        TxnId(key)
     }
 
     /// The begin-order sequence number `txn` was minted from.
@@ -207,8 +210,7 @@ impl Registry {
             self.txn_id(self.seq(txn), mailbox.slot()),
             "id not addressed to its mailbox"
         );
-        let meta = fresh_meta(self.seq(txn), method);
-        self.slab.register(txn.0, meta, mailbox)
+        self.slab.register(txn.0, fresh_meta(method), mailbox)
     }
 
     /// Remove an incarnation (commit, abort or restart).
@@ -233,7 +235,8 @@ impl Registry {
     /// transaction earned in the flush is grouped into one
     /// [`ClientEvent::Replies`] (one wakeup per transaction per flush,
     /// even when different transactions' replies interleave), with the
-    /// transaction's replies kept in processing order. No lock is taken.
+    /// transaction's replies kept in processing order. The only locks
+    /// taken are each addressed mailbox slot's binding and its ring.
     ///
     /// `scratch` is the caller-retained buffer for the per-transaction
     /// groups, so a hot flush path pays no heap allocation for the
@@ -281,27 +284,15 @@ impl Registry {
 
     /// The method a live incarnation runs under.
     pub(crate) fn method_of(&self, txn: TxnId) -> Option<CcMethod> {
-        self.live_meta(txn).and_then(meta_method)
-    }
-
-    /// The metadata of `txn` if that very incarnation is live.
-    fn live_meta(&self, txn: TxnId) -> Option<u64> {
-        let seq = self.seq(txn);
-        self.slab
-            .resolve_meta(txn.0)
-            .filter(|&meta| meta_is_of(meta, seq))
+        self.slab.resolve_meta(txn.0).and_then(meta_method)
     }
 
     /// Raise `flag` on live incarnation `txn`: `Some(true)` if this call
     /// raised it, `Some(false)` if it was up already, `None` if `txn` is
     /// not live.
     fn raise(&self, txn: TxnId, flag: u64) -> Option<bool> {
-        let seq = self.seq(txn);
         self.slab
-            .update_meta(txn.0, |meta| {
-                (meta_is_of(meta, seq) && meta & flag == 0).then_some(meta | flag)
-            })
-            .filter(|&found| meta_is_of(found, seq))
+            .update_meta(txn.0, |meta| (meta & flag == 0).then_some(meta | flag))
             .map(|found| found & flag == 0)
     }
 
@@ -318,7 +309,8 @@ impl Registry {
         }
         self.raise(holder, META_WAITED_ON);
         let closes = self
-            .live_meta(waiter)
+            .slab
+            .resolve_meta(waiter.0)
             .is_some_and(|meta| meta & META_WAITED_ON != 0);
         if closes {
             self.scan_requested.store(true, Ordering::SeqCst);
@@ -373,8 +365,8 @@ impl Registry {
     }
 
     /// Stale reply events suppressed so far: deliveries dropped because
-    /// no live incarnation matched, plus events discarded consumer-side
-    /// by the incarnation tag.
+    /// no live incarnation matched, plus events an earlier incarnation
+    /// left queued and a register-time sweep discarded.
     pub(crate) fn stale_reply_events(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed) + self.slab.stale_dropped()
     }

@@ -258,8 +258,9 @@ impl Database {
     /// reader delayed between its load and its command can find the
     /// version its older stamp needs already gone. When a refusal finds
     /// the watermark moved past the one loaded, the read is retried once
-    /// at the fresh watermark under a fresh id; only a refusal that
-    /// stands is counted and sent down the fallback.
+    /// at the fresh watermark under a fresh id (counted in
+    /// [`crate::StatsSnapshot::snapshot_retries`]); only a refusal that
+    /// stands is counted as refused and sent down the fallback.
     ///
     /// Consistency rests on the commit clock's draw/retire protocol: a
     /// write's stamp is retired only after its installs are enqueued at
@@ -280,6 +281,7 @@ impl Database {
         if answer.is_none() {
             let fresh = inner.clock.watermark();
             if fresh > ts {
+                inner.stats.snapshot_retries.fetch_add(1, Ordering::Relaxed);
                 answer = self.snapshot_read_at(spec, fresh)?;
             }
         }

@@ -217,6 +217,9 @@ pub(crate) struct RuntimeStats {
     /// version at the watermark — pruned or crash-wiped), after the one
     /// retry a moved watermark earns, and re-run on the coordinated path.
     pub(crate) snapshot_refused: AtomicU64,
+    /// Snapshot reads refused at the watermark they loaded and retried
+    /// once at the fresh one it had moved to.
+    pub(crate) snapshot_retries: AtomicU64,
     /// Dynamic-policy selections performed.
     pub(crate) selections: AtomicU64,
     /// Wall-clock nanoseconds client threads spent selecting (dynamic
@@ -294,6 +297,10 @@ pub struct StatsSnapshot {
     /// after the one retry at a moved watermark); each re-ran on the
     /// coordinated path.
     pub snapshot_refused: u64,
+    /// Snapshot reads refused at the watermark they loaded and retried
+    /// once at the fresh one it had moved to (served or refused, each is
+    /// also in `snapshot_reads` or `snapshot_refused`).
+    pub snapshot_retries: u64,
     /// Dynamic-policy selections performed.
     pub selections: u64,
     /// Wall-clock nanoseconds client threads spent inside the selector
@@ -312,8 +319,9 @@ pub struct StatsSnapshot {
     /// the refitter thread (selection then keeps the last good epoch).
     pub selection_refits_abandoned: u64,
     /// Stale reply events suppressed by the reply plane: deliveries
-    /// dropped because no live incarnation matched, plus events
-    /// discarded by the consumer's incarnation tag. Filled in by
+    /// dropped because no live incarnation matched, plus events an
+    /// earlier incarnation left queued and a register-time sweep
+    /// discarded. Filled in by
     /// [`crate::Database::stats`] from the registry, not by
     /// `RuntimeStats` itself.
     pub stale_reply_events: u64,
@@ -417,6 +425,7 @@ impl RuntimeStats {
             fastpath_refused: self.fastpath_refused.load(Ordering::Relaxed),
             snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
             snapshot_refused: self.snapshot_refused.load(Ordering::Relaxed),
+            snapshot_retries: self.snapshot_retries.load(Ordering::Relaxed),
             selections: self.selections.load(Ordering::Relaxed),
             selection_nanos: self.selection_nanos.load(Ordering::Relaxed),
             selection_refit_nanos: self.selection_refit_nanos.load(Ordering::Relaxed),

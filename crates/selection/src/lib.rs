@@ -27,6 +27,8 @@
 //!   current epoch sits behind a `std` `RwLock` held only to clone or swap
 //!   its `Arc`.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod confluence;
 pub mod estimators;

@@ -22,6 +22,8 @@
 //! simulator test that *constructs* a cycle on purpose does not trip a
 //! live runtime's postmortem.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 

@@ -18,6 +18,8 @@
 //!   oracle;
 //! * [`report`] — the per-run summary consumed by the experiment binaries.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod driver;
 pub mod report;

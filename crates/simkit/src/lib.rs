@@ -26,6 +26,8 @@
 //! assert_eq!(payload, "first");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod event;
 pub mod rng;

@@ -25,6 +25,8 @@
 //! * [`json::Json`] is the dependency-free JSON emit/parse layer the
 //!   dumps and the repo benchmark's `results.json` share.
 
+#![forbid(unsafe_code)]
+
 pub mod collect;
 pub mod event;
 pub mod json;

@@ -19,8 +19,9 @@
 //!   mailboxes (one per client, recycled through a `Mutex<Vec>` freelist
 //!   instead of allocated per conversation), addressed by keys that carry
 //!   their slot, so routing an event to its waiting consumer is an array
-//!   index and a compare, and stale events addressed to a retired key are
-//!   provably dropped.
+//!   index and a compare under that slot's binding lock. A delivery
+//!   pushes under the same lock a deregister takes, so an event addressed
+//!   to a retired key never enters a mailbox.
 //! * [`stamp`] — the process-wide monotonic nanosecond clock every plane
 //!   timestamps against (ring dwell meters, the trace crate's
 //!   flight-recorder events), so durations measured on different threads
@@ -31,6 +32,8 @@
 //!
 //! The crate is deliberately free of runtime-specific types: it moves `T`s
 //! between threads and knows nothing about transactions.
+
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod mailbox;

@@ -1,4 +1,4 @@
-//! Reusable reply mailboxes and the generation-tagged slab registry.
+//! Reusable reply mailboxes and the slab registry that binds keys to them.
 //!
 //! The reply half of the message plane. Where [`crate::ring`] carries
 //! commands *towards* a single consumer (a shard), this module carries
@@ -21,46 +21,49 @@
 //!   at the default 65,536) and `seq` is the caller's never-reused
 //!   sequence number (the runtime's begin counter). Resolving a key is a
 //!   bounds check of its slot field, a load of that slot's initialised
-//!   chunk and a compare with the key the slot is bound to; register is
-//!   two stores, deregister one CAS. There is no index and no lock on
-//!   any of them. A key that does not carry its mailbox's slot (a caller
-//!   that brings its own numbering) still registers: it is found by
-//!   scanning the slab's allocated slots, a scan skipped with one atomic
-//!   load while no such registration is live.
-//! * **The generation tag** — slots are reused by later transactions,
-//!   and a delivery can race the slot's rebinding: the producer checks
-//!   that the slot is bound to its key, the old registration is torn
-//!   down, a new one binds the same slot, and only then does the
-//!   producer's push land. To keep the simulator's "a stale reply for an
-//!   aborted incarnation is dropped" rule under that race, every event
-//!   travels through the mailbox *tagged with the key it was addressed
-//!   to*, and the consumer discards any event whose tag is not the key
-//!   it is currently waiting on. Keys must never be reused (their `seq`
-//!   is a monotone counter), which makes the key its own perfect
-//!   incarnation tag. Registering a new key also sweeps the mailbox of
-//!   leftovers from the previous incarnation, bounding occupancy to one
-//!   incarnation's traffic plus in-flight races.
+//!   chunk and a compare with the key the slot is bound to. There is no
+//!   index and no registry-wide lock. A key that does not carry its
+//!   mailbox's slot (a caller that brings its own numbering) still
+//!   registers: it is found by scanning the slab's allocated slots, a
+//!   scan skipped with one atomic load while no such registration is
+//!   live.
+//! * **The binding lock** — each slot keeps the key it is bound to and
+//!   the caller's metadata for it behind one `Mutex`. Every delivery
+//!   checks the key and pushes onto the ring inside one critical section
+//!   of that lock, and [`MailboxRegistry::deregister`] clears the key
+//!   under it, so once a deregister returns no event addressed to the
+//!   old key can enter the ring. [`MailboxRegistry::register`] sweeps the
+//!   ring of whatever the previous incarnation left there and binds the
+//!   new key in one critical section. A later incarnation sharing the
+//!   slot therefore never receives an earlier one's event — the
+//!   simulator's "a stale reply for an aborted incarnation is dropped"
+//!   rule, enforced by the producer — and events travel untagged. Keys
+//!   must never be reused (their `seq` is a monotone counter), so a key
+//!   names one incarnation. Locks are taken binding before ring, and a
+//!   consumer a delivery must wake is unparked once the binding lock is
+//!   released.
 //!
 //! Producers never wait unboundedly: a full mailbox whose binding is
-//! live is waited on for space in short slices, the binding re-checked
-//! between them, until [`MailboxOptions::deliver_timeout`] expires, at
-//! which point the event is dropped and counted
-//! ([`MailboxRegistry::full_dropped`]) — a stalled consumer can delay a
-//! shard thread, never wedge it. The same bound applies to
+//! live is waited on for space in short slices with the binding lock
+//! released, the key re-checked before each push, until
+//! [`MailboxOptions::deliver_timeout`] expires, at which point the event
+//! is dropped and counted ([`MailboxRegistry::full_dropped`]) — a stalled
+//! consumer can delay a shard thread, never wedge it, and a deregister
+//! never queues behind a waiting delivery. The same bound applies to
 //! [`MailboxRegistry::acquire`]: once `max_clients` mailboxes are
 //! simultaneously held, waiting past [`MailboxOptions::acquire_timeout`]
 //! returns [`SlabExhausted`] instead of blocking forever.
 //!
-//! [`MailboxOptions::tag_check`] exists solely so the race-test suite
-//! can *disable* the tag machinery (no consumer filtering, no sweep on
-//! register) and demonstrate that the races it guards against are real:
-//! with the tag off, a delayed delivery for an earlier key observably
-//! surfaces in a later incarnation sharing the slot.
+//! [`MailboxOptions::sweep_on_register`] exists solely so the race-test
+//! suite can *disable* the register-time sweep and demonstrate that the
+//! leak it guards against is real: with the sweep off, an event an
+//! earlier key left queued surfaces in a later incarnation sharing the
+//! slot.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -103,11 +106,11 @@ pub struct MailboxOptions {
     /// ([`MailboxRegistry::full_dropped`]). Zero means "drop as soon as
     /// the first try finds the mailbox full".
     pub deliver_timeout: Duration,
-    /// The stale-event guard (see the module docs). `false` is a
-    /// test-only mutation switch that disables consumer-side tag
-    /// filtering *and* the sweep-on-register, modelling a registry
-    /// without incarnation tags.
-    pub tag_check: bool,
+    /// The register-time sweep of the stale-event guard (see the module
+    /// docs). `false` is a test-only mutation switch that skips it, so an
+    /// event an earlier key left queued reaches the next incarnation on
+    /// the slot.
+    pub sweep_on_register: bool,
 }
 
 impl Default for MailboxOptions {
@@ -117,7 +120,7 @@ impl Default for MailboxOptions {
             max_clients: 65536,
             acquire_timeout: Duration::from_secs(5),
             deliver_timeout: Duration::from_secs(1),
-            tag_check: true,
+            sweep_on_register: true,
         }
     }
 }
@@ -146,20 +149,32 @@ impl fmt::Display for SlabExhausted {
 
 impl std::error::Error for SlabExhausted {}
 
+/// What a slot is bound to.
+struct Binding {
+    /// The live key (0 = unbound).
+    key: u64,
+    /// Caller-defined registration metadata (the runtime stores the
+    /// concurrency-control method and the deadlock detector's flags).
+    meta: u64,
+}
+
 /// One slab slot: a ring whose sender side is shared by every producer
 /// and whose receiver side is held by the current [`Mailbox`] owner (and
-/// parked here between owners).
+/// parked here between owners), and the binding every push happens
+/// under.
 struct Slot<E> {
-    tx: RingSender<(u64, E)>,
-    rx: Mutex<Option<RingReceiver<(u64, E)>>>,
-    /// The key currently bound to this slot (0 = unbound) — what a key
-    /// resolving to this slot is compared with. Producers re-check it
-    /// before each wait slice on a full ring, so a delivery to a dead
-    /// registration is dropped within one slice.
-    bound: AtomicU64,
-    /// Caller-defined registration metadata (the runtime stores the
-    /// concurrency-control method for the deadlock detector).
-    meta: AtomicU64,
+    tx: RingSender<E>,
+    rx: Mutex<Option<RingReceiver<E>>>,
+    binding: Mutex<Binding>,
+}
+
+impl<E> Slot<E> {
+    fn lock(&self) -> MutexGuard<'_, Binding> {
+        // Every critical section leaves the binding consistent (a panicking
+        // `update_meta` closure leaves the word unchanged), so a poisoned
+        // lock holds valid data.
+        self.binding.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 struct Shared<E> {
@@ -167,7 +182,10 @@ struct Shared<E> {
     /// chunks without any lock).
     chunks: Box<[SlotChunk<E>]>,
     /// Slots handed out so far (high-water mark; freed slots recycle
-    /// through the freelist, not this counter).
+    /// through the freelist, not this counter). Each claim is one
+    /// read-modify-write and each chunk is published by its `OnceLock`, so
+    /// `Relaxed` suffices; a scan for a key reads at least the claim of
+    /// the slot the key was registered on, as for `unaddressed`.
     allocated: AtomicUsize,
     max_slots: usize,
     /// Width of a key's slot field.
@@ -175,15 +193,18 @@ struct Shared<E> {
     /// Released slot indices, reused last-in first-out before the slab
     /// grows.
     free: Mutex<Vec<u32>>,
-    /// Live registrations.
+    /// Live registrations (a statistic: `Relaxed`).
     live: AtomicUsize,
     /// Live registrations whose key does not carry their slot — while
     /// nonzero, a key its slot field does not resolve is looked for
-    /// across the slab.
+    /// across the slab. Changed under the binding lock of the slot it
+    /// counts, so a registration's increment precedes its decrement. A
+    /// producer learns a key only after its `register` returned, so even
+    /// a `Relaxed` load sees that increment or a later value, and the
+    /// count stays nonzero until that key is deregistered.
     unaddressed: AtomicUsize,
-    /// Stale events discarded by consumers (tag mismatches plus
-    /// sweep-on-register leftovers) — the observable count of the
-    /// drop-stale-replies rule firing.
+    /// Events an earlier incarnation left queued, discarded when the
+    /// mailbox is swept (at register and on drop).
     stale_dropped: AtomicU64,
     /// Deliveries dropped because a live mailbox stayed full past
     /// `deliver_timeout`.
@@ -191,7 +212,7 @@ struct Shared<E> {
     mailbox_capacity: usize,
     acquire_timeout: Duration,
     deliver_timeout: Duration,
-    tag_check: bool,
+    sweep_on_register: bool,
 }
 
 impl<E> Shared<E> {
@@ -213,46 +234,72 @@ impl<E> Shared<E> {
         (key & ((1 << self.slot_bits) - 1)) as usize
     }
 
-    /// The slot `key` is bound to, if it is live.
-    fn resolve(&self, key: u64) -> Option<&Slot<E>> {
-        self.resolve_addressed(key)
-            .or_else(|| self.resolve_unaddressed(key))
-    }
-
-    /// The slot `key`'s low bits name, if `key` is bound there.
-    fn resolve_addressed(&self, key: u64) -> Option<&Slot<E>> {
-        self.slot_at(self.addressed(key))
-            .filter(|slot| key != 0 && slot.bound.load(Ordering::SeqCst) == key)
-    }
-
-    /// Whichever allocated slot `key` is bound to — looked for only while
-    /// an unaddressed registration is live.
-    fn resolve_unaddressed(&self, key: u64) -> Option<&Slot<E>> {
-        if key == 0 || self.unaddressed.load(Ordering::SeqCst) == 0 {
+    /// The slot `key` is bound to and its index, with the binding locked:
+    /// the slot `key`'s low bits name, else — while an unaddressed
+    /// registration is live — whichever allocated slot holds it. Holds at
+    /// most one binding lock at a time.
+    fn lock_bound(&self, key: u64) -> Option<(usize, &Slot<E>, MutexGuard<'_, Binding>)> {
+        if key == 0 {
             return None;
         }
-        let held = self.allocated.load(Ordering::SeqCst).min(self.max_slots);
-        (0..held)
-            .filter_map(|idx| self.slot_at(idx))
-            .find(|slot| slot.bound.load(Ordering::SeqCst) == key)
+        let bound_at = |idx: usize| {
+            let slot = self.slot_at(idx)?;
+            let binding = slot.lock();
+            (binding.key == key).then_some((idx, slot, binding))
+        };
+        bound_at(self.addressed(key)).or_else(|| {
+            if self.unaddressed.load(Ordering::Relaxed) == 0 {
+                return None;
+            }
+            let held = self.allocated.load(Ordering::Relaxed).min(self.max_slots);
+            (0..held).find_map(bound_at)
+        })
     }
 
-    fn deregister(&self, key: u64) {
-        let addressed = self.resolve_addressed(key);
-        let Some(slot) = addressed.or_else(|| self.resolve_unaddressed(key)) else {
+    /// Clear the binding of slot `idx`, if it holds a key.
+    fn unbind(&self, idx: usize, mut binding: MutexGuard<'_, Binding>) {
+        if binding.key == 0 {
             return;
-        };
-        // Losing the CAS means a racing deregister of the same key
-        // already unbound it — only the winner decrements the counts.
-        if slot
-            .bound
-            .compare_exchange(key, 0, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            if addressed.is_none() {
-                self.unaddressed.fetch_sub(1, Ordering::SeqCst);
+        }
+        if self.addressed(binding.key) != idx {
+            self.unaddressed.fetch_sub(1, Ordering::Relaxed);
+        }
+        binding.key = 0;
+        self.live.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The one copy of delivery: push `event` under live `key`'s binding
+    /// lock, waiting for space with the lock released until `timeout`
+    /// (see [`MailboxRegistry::deliver`]).
+    fn deliver(&self, key: u64, mut event: E, timeout: Duration) -> bool {
+        let mut deadline = None;
+        loop {
+            let Some((_, slot, binding)) = self.lock_bound(key) else {
+                return false;
+            };
+            let pushed = slot.tx.try_send_deferred(event);
+            drop(binding);
+            match pushed {
+                Ok(consumer) => {
+                    if let Some(consumer) = consumer {
+                        consumer.unpark();
+                    }
+                    return true;
+                }
+                // Unreachable while the slab is alive (it owns every
+                // receiver), but a dropped registry is not an error.
+                Err(TrySendError::Disconnected(_)) => return false,
+                Err(TrySendError::Full(back)) => event = back,
             }
-            self.live.fetch_sub(1, Ordering::SeqCst);
+            // The clock starts only once the mailbox was found full: the
+            // common delivery reads none.
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                self.full_dropped.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
+            slot.tx.wait_for_space(Some(left.min(FULL_NAP)));
         }
     }
 
@@ -302,7 +349,7 @@ impl<E: Send> MailboxRegistry<E> {
             mailbox_capacity: opts.mailbox_capacity.max(4),
             acquire_timeout: opts.acquire_timeout,
             deliver_timeout: opts.deliver_timeout,
-            tag_check: opts.tag_check,
+            sweep_on_register: opts.sweep_on_register,
         });
         MailboxRegistry { shared }
     }
@@ -343,7 +390,7 @@ impl<E: Send> MailboxRegistry<E> {
             if let Some(idx) = shared.freelist_pop() {
                 break idx;
             }
-            let n = shared.allocated.fetch_add(1, Ordering::SeqCst);
+            let n = shared.allocated.fetch_add(1, Ordering::Relaxed);
             if n < shared.max_slots {
                 shared.chunks[n / CHUNK].get_or_init(|| {
                     (0..CHUNK)
@@ -352,8 +399,7 @@ impl<E: Send> MailboxRegistry<E> {
                             Slot {
                                 tx,
                                 rx: Mutex::new(Some(rx)),
-                                bound: AtomicU64::new(0),
-                                meta: AtomicU64::new(0),
+                                binding: Mutex::new(Binding { key: 0, meta: 0 }),
                             }
                         })
                         .collect()
@@ -362,7 +408,7 @@ impl<E: Send> MailboxRegistry<E> {
             }
             // Slab exhausted: hand the claim back and wait (bounded) for
             // a release.
-            shared.allocated.fetch_sub(1, Ordering::SeqCst);
+            shared.allocated.fetch_sub(1, Ordering::Relaxed);
             let deadline = *deadline.get_or_insert_with(|| Instant::now() + shared.acquire_timeout);
             if Instant::now() >= deadline {
                 return Err(SlabExhausted {
@@ -389,18 +435,18 @@ impl<E: Send> MailboxRegistry<E> {
             slot,
             rx: Some(rx),
             pending: VecDeque::new(),
-            scratch: Vec::new(),
         })
     }
 
     /// Bind `key` (nonzero, never reused; minted by
     /// [`MailboxRegistry::key`] for `mailbox.slot()` unless the caller
     /// accepts the unaddressed scan) to `mailbox`, whose previous key
-    /// must be deregistered, with caller metadata. Sweeps the mailbox of
-    /// the previous incarnation's leftovers first (unless the tag
-    /// machinery is mutation-disabled). Must complete before any event
-    /// addressed to `key` can be produced — the runtime registers before
-    /// the incarnation's first request message leaves the client thread.
+    /// must be deregistered, with caller metadata. Under the slot's
+    /// binding lock, sweeps the mailbox of the previous incarnation's
+    /// leftovers (unless the sweep is mutation-disabled), then binds. Must
+    /// complete before any event addressed to `key` can be produced — the
+    /// runtime registers before the incarnation's first request message
+    /// leaves the client thread.
     pub fn register(&self, key: u64, meta: u64, mailbox: &mut Mailbox<E>) {
         debug_assert!(key != 0, "key 0 is the unbound sentinel");
         debug_assert!(
@@ -408,28 +454,24 @@ impl<E: Send> MailboxRegistry<E> {
             "mailbox belongs to a different registry"
         );
         let shared = &self.shared;
-        if shared.tag_check {
+        let mut binding = shared.slot(mailbox.slot).lock();
+        debug_assert_eq!(binding.key, 0, "mailbox re-registered while bound");
+        if shared.sweep_on_register {
             mailbox.clear();
         }
-        let slot = shared.slot(mailbox.slot);
-        debug_assert_eq!(
-            slot.bound.load(Ordering::SeqCst),
-            0,
-            "mailbox re-registered while bound"
-        );
         if shared.addressed(key) != mailbox.slot as usize {
-            shared.unaddressed.fetch_add(1, Ordering::SeqCst);
+            shared.unaddressed.fetch_add(1, Ordering::Relaxed);
         }
-        slot.meta.store(meta, Ordering::SeqCst);
-        slot.bound.store(key, Ordering::SeqCst);
-        shared.live.fetch_add(1, Ordering::SeqCst);
+        *binding = Binding { key, meta };
+        shared.live.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Tear down `key`'s registration. Deliveries for it become no-ops;
-    /// anything already in (or racing into) the mailbox is discarded by
-    /// the consumer's tag filter.
+    /// Tear down `key`'s registration. Once this returns, deliveries for
+    /// it are no-ops and none is still on its way into the mailbox.
     pub fn deregister(&self, key: u64) {
-        self.shared.deregister(key);
+        if let Some((idx, _, binding)) = self.shared.lock_bound(key) {
+            self.shared.unbind(idx, binding);
+        }
     }
 
     /// Route an event to the mailbox `key` is bound to. Returns `false`
@@ -440,35 +482,7 @@ impl<E: Send> MailboxRegistry<E> {
     /// ([`MailboxRegistry::full_dropped`]); a full mailbox whose binding
     /// dies mid-wait drops the event within one 50 µs wait slice.
     pub fn deliver(&self, key: u64, event: E) -> bool {
-        let shared = &self.shared;
-        let Some(slot) = shared.resolve(key) else {
-            return false;
-        };
-        let mut tagged = match slot.tx.try_send((key, event)) {
-            Ok(()) => return true,
-            Err(TrySendError::Full(tagged)) => tagged,
-            // Unreachable while the slab is alive (it owns a sender), but
-            // a dropped registry mid-delivery is not an error.
-            Err(TrySendError::Disconnected(_)) => return false,
-        };
-        // The clock starts only once the mailbox was found full: the
-        // common delivery reads none.
-        let deadline = Instant::now() + shared.deliver_timeout;
-        loop {
-            if slot.bound.load(Ordering::SeqCst) != key {
-                return false;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                shared.full_dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            match slot.tx.send_timeout(tagged, left.min(FULL_NAP)) {
-                Ok(()) => return true,
-                Err(TrySendError::Full(v)) => tagged = v,
-                Err(TrySendError::Disconnected(_)) => return false,
-            }
-        }
+        self.shared.deliver(key, event, self.shared.deliver_timeout)
     }
 
     /// Like [`MailboxRegistry::deliver`] but never waits on a full
@@ -479,65 +493,32 @@ impl<E: Send> MailboxRegistry<E> {
     /// a ring only oneself can drain would deadlock — and useful for
     /// best-effort signals.
     pub fn try_deliver(&self, key: u64, event: E) -> bool {
-        let shared = &self.shared;
-        let Some(slot) = shared.resolve(key) else {
-            return false;
-        };
-        match slot.tx.try_send((key, event)) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) => {
-                if slot.bound.load(Ordering::SeqCst) == key {
-                    shared.full_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                false
-            }
-            Err(TrySendError::Disconnected(_)) => false,
-        }
+        self.shared.deliver(key, event, Duration::ZERO)
     }
 
     /// The metadata `key` was registered with, if it is live.
     pub fn resolve_meta(&self, key: u64) -> Option<u64> {
-        let slot = self.shared.resolve(key)?;
-        let meta = slot.meta.load(Ordering::SeqCst);
-        // Re-check the binding so a slot rebound between the resolve and
-        // the meta load cannot attribute the new key's metadata to the old.
-        (slot.bound.load(Ordering::SeqCst) == key).then_some(meta)
+        self.update_meta(key, |_| None)
     }
 
-    /// Replace the metadata of live `key` by `update(meta)` in one atomic
-    /// step (`update` returning `None` leaves it alone) and return the
-    /// metadata found — `None` when `key` is not live. Every access is
-    /// `SeqCst`, so an update and a later [`MailboxRegistry::resolve_meta`]
-    /// on one thread are never reordered against the same pair on another.
-    ///
-    /// The slot may be rebound between the resolve and the swap; the swap
-    /// then fails only if the two registrations' metadata differ, so a
-    /// caller that must never touch a later registration keeps something
-    /// unique to the registration (the runtime: the key's `seq`) in the
-    /// metadata and has `update` check it.
-    pub fn update_meta(&self, key: u64, mut update: impl FnMut(u64) -> Option<u64>) -> Option<u64> {
-        let slot = self.shared.resolve(key)?;
-        let mut meta = slot.meta.load(Ordering::SeqCst);
-        loop {
-            if slot.bound.load(Ordering::SeqCst) != key {
-                return None;
-            }
-            let Some(next) = update(meta) else {
-                return Some(meta);
-            };
-            match slot
-                .meta
-                .compare_exchange(meta, next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return Some(meta),
-                Err(found) => meta = found,
-            }
+    /// Replace the metadata of live `key` by `update(meta)` (`update`
+    /// returning `None` leaves it alone) and return the metadata found —
+    /// `None` when `key` is not live. `update` runs under the slot's
+    /// binding lock, so it sees and changes the metadata of `key`'s own
+    /// registration only, and the critical sections of every call on one
+    /// key are totally ordered.
+    pub fn update_meta(&self, key: u64, update: impl FnOnce(u64) -> Option<u64>) -> Option<u64> {
+        let (_, _, mut binding) = self.shared.lock_bound(key)?;
+        let found = binding.meta;
+        if let Some(next) = update(found) {
+            binding.meta = next;
         }
+        Some(found)
     }
 
     /// Live registrations.
     pub fn len(&self) -> usize {
-        self.shared.live.load(Ordering::SeqCst)
+        self.shared.live.load(Ordering::Relaxed)
     }
 
     /// True when no key is registered.
@@ -545,8 +526,8 @@ impl<E: Send> MailboxRegistry<E> {
         self.len() == 0
     }
 
-    /// Stale events consumers have discarded so far (tag mismatches and
-    /// register-time sweeps).
+    /// Stale events swept out of mailboxes so far (at register and when
+    /// a mailbox is dropped).
     pub fn stale_dropped(&self) -> u64 {
         self.shared.stale_dropped.load(Ordering::Relaxed)
     }
@@ -565,10 +546,9 @@ pub struct Mailbox<E> {
     shared: Arc<Shared<E>>,
     slot: u32,
     /// Taken out of the slot while owned; parked back on drop.
-    rx: Option<RingReceiver<(u64, E)>>,
+    rx: Option<RingReceiver<E>>,
     /// Events drained from the ring but not yet handed to the consumer.
-    pending: VecDeque<(u64, E)>,
-    scratch: Vec<(u64, E)>,
+    pending: VecDeque<E>,
 }
 
 impl<E> Mailbox<E> {
@@ -579,51 +559,31 @@ impl<E> Mailbox<E> {
         self.slot
     }
 
-    /// Receive the next event addressed to `key`, parking up to
-    /// `timeout`. Events tagged with any other key are stale leftovers
-    /// or in-flight races from earlier incarnations of this slot; they
-    /// are discarded and counted. Returns `None` on timeout.
-    pub fn recv_timeout(&mut self, key: u64, timeout: Duration) -> Option<E> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            while let Some((tag, event)) = self.pending.pop_front() {
-                if tag == key || !self.shared.tag_check {
-                    return Some(event);
-                }
-                self.shared.stale_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
+    /// Receive the next event, parking up to `timeout`; `None` on
+    /// timeout. `key` names the incarnation the caller waits for and is
+    /// not consulted: no event for another key enters the ring once that
+    /// key is deregistered, and register sweeps what it left queued.
+    pub fn recv_timeout(&mut self, _key: u64, timeout: Duration) -> Option<E> {
+        if self.pending.is_empty() {
             let rx = self.rx.as_mut().expect("owned mailbox holds its receiver");
-            self.scratch.clear();
-            let drained = rx.drain_for(&mut self.scratch, left).unwrap_or(0);
-            self.pending.extend(self.scratch.drain(..));
-            if drained == 0 {
-                return None;
-            }
+            // The slab owns a sender, so the ring never disconnects.
+            let _ = rx.drain_for(&mut self.pending, timeout);
         }
+        self.pending.pop_front()
     }
 
     /// Discard everything queued (ring and local buffer), counting the
     /// discards as stale drops.
     pub fn clear(&mut self) {
-        let mut swept = self.pending.len() as u64;
-        self.pending.clear();
         let rx = self.rx.as_mut().expect("owned mailbox holds its receiver");
-        self.scratch.clear();
-        while rx.drain_into(&mut self.scratch) > 0 {
-            swept += self.scratch.len() as u64;
-            self.scratch.clear();
-        }
+        rx.drain_into(&mut self.pending);
+        let swept = self.pending.len() as u64;
+        self.pending.clear();
         if swept > 0 {
             self.shared
                 .stale_dropped
                 .fetch_add(swept, Ordering::Relaxed);
         }
-    }
-
-    /// Events currently buffered consumer-side (diagnostics for tests).
-    pub fn buffered(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -632,12 +592,10 @@ impl<E> Drop for Mailbox<E> {
         // Defensive teardown: a mailbox dropped while its key is still
         // registered (a panicking client) unbinds it so the slot's next
         // owner cannot inherit the registration.
-        let key = self.shared.slot(self.slot).bound.load(Ordering::SeqCst);
-        if key != 0 {
-            self.shared.deregister(key);
-        }
+        let shared = &self.shared;
+        shared.unbind(self.slot as usize, shared.slot(self.slot).lock());
         // Sweep leftovers so their payloads do not outlive this owner —
-        // counted like every other consumer-side stale discard.
+        // counted like every other stale discard.
         self.clear();
         let slot = self.shared.slot(self.slot);
         *slot.rx.lock().expect("slot receiver poisoned") = self.rx.take();
@@ -784,7 +742,7 @@ mod tests {
         reg.deregister(1);
         reg.deregister(2);
         assert_eq!(reg.len(), 0);
-        assert_eq!(reg.shared.unaddressed.load(Ordering::SeqCst), 0);
+        assert_eq!(reg.shared.unaddressed.load(Ordering::Relaxed), 0);
         assert!(!reg.deliver(1, 101), "stale delivery is a no-op");
     }
 
@@ -808,37 +766,54 @@ mod tests {
         reg.deregister(k2);
     }
 
+    /// The race the binding lock closes: a delivery for an old key that
+    /// is waiting for space while the slot is rebound re-checks the key
+    /// before it pushes, so its event never reaches the new incarnation,
+    /// and the old key's leftovers are swept and counted.
     #[test]
-    fn tag_filter_drops_in_flight_stale_events() {
-        // Simulate the delivery/rebind race directly: an event tagged
-        // with the old key lands *after* the new registration's sweep.
-        let reg = registry(small());
+    fn a_delivery_in_flight_across_a_rebind_never_reaches_the_new_key() {
+        let reg = registry(MailboxOptions {
+            deliver_timeout: Duration::from_secs(30),
+            ..small() // capacity 8
+        });
         let mut mb = reg.acquire().unwrap();
         let (k1, k2) = (key(&reg, 1, &mb), key(&reg, 2, &mb));
         reg.register(k1, 0, &mut mb);
+        for i in 0..8 {
+            assert!(reg.deliver(k1, i));
+        }
+        // Full: this delivery waits for space with the binding released.
+        let late = std::thread::spawn({
+            let reg = reg.clone();
+            move || reg.deliver(k1, 999)
+        });
+        let ring = &reg.shared.slot(mb.slot()).tx;
+        while ring.waiting_producers() == 0 {
+            std::thread::yield_now();
+        }
         reg.deregister(k1);
+        // The sweep frees the ring and wakes the waiting delivery.
         reg.register(k2, 0, &mut mb);
-        // Push through the slot's sender exactly as a racing deliver
-        // whose binding check passed before the deregister would.
-        let slot = reg.shared.slot(mb.slot());
-        slot.tx.try_send((k1, 999)).unwrap();
+        assert!(!late.join().unwrap(), "the old key's delivery is refused");
         assert!(reg.deliver(k2, 20));
+        assert_eq!(mb.recv_timeout(k2, Duration::from_secs(1)), Some(20));
         assert_eq!(
-            mb.recv_timeout(k2, Duration::from_secs(1)),
-            Some(20),
-            "the stale event must be filtered, not returned"
+            mb.recv_timeout(k2, Duration::from_millis(20)),
+            None,
+            "the stale event never entered the ring"
         );
-        assert!(reg.stale_dropped() >= 1);
+        assert_eq!(reg.stale_dropped(), 8, "the sweep counted the leftovers");
+        assert_eq!(reg.full_dropped(), 0, "a dead binding is not a full drop");
         reg.deregister(k2);
     }
 
     #[test]
     fn disabling_the_tag_leaks_the_stale_event() {
-        // The mutation check: the identical sequence with the tag
-        // machinery disabled hands the earlier incarnation's event to
-        // the later one.
+        // The mutation check: the identical sequence with the
+        // register-time sweep disabled hands the earlier incarnation's
+        // event to the later one.
         let reg = registry(MailboxOptions {
-            tag_check: false,
+            sweep_on_register: false,
             ..small()
         });
         let mut mb = reg.acquire().unwrap();
@@ -851,7 +826,7 @@ mod tests {
         assert_eq!(
             mb.recv_timeout(k2, Duration::from_secs(1)),
             Some(999),
-            "without the tag, the stale reply reaches the new incarnation"
+            "without the sweep, the stale reply reaches the new incarnation"
         );
         reg.deregister(k2);
     }

@@ -23,11 +23,17 @@
 //!   before it can return; a parked consumer takes it only to look). Parking and
 //!   taking are separate steps: [`RingReceiver::wait_ready`] parks until
 //!   a value is queued *without consuming it*, so a consumer that may
-//!   only take values under another lock can sleep outside it.
+//!   only take values under another lock can sleep outside it. The
+//!   producer's half splits the same way: [`RingSender::try_send_deferred`]
+//!   hands the parked consumer back instead of unparking it, so a
+//!   producer that pushes under a lock of its own wakes the consumer
+//!   only once that lock is released.
 //! * A **full** ring blocks producers on one `Condvar` (`space`), counted
 //!   in the state while they wait. A take notifies it only while that
 //!   count is non-zero: std's futex `notify_*` makes a syscall every
-//!   time, and nearly every take has nobody to wake.
+//!   time, and nearly every take has nobody to wake. Waiting and pushing
+//!   are separate steps too ([`RingSender::wait_for_space`]), for a
+//!   producer that must re-check a condition of its own between them.
 //!
 //! A copy of the queue's length lives in an atomic, stored under the lock
 //! on every change, so [`RingSender::is_idle`] and an empty
@@ -53,7 +59,7 @@ use crate::stamp::now_nanos;
 pub struct SendError<T>(pub T);
 
 /// The error returned by [`RingSender::try_send`] and
-/// [`RingSender::send_timeout`].
+/// [`RingSender::try_send_deferred`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum TrySendError<T> {
     /// The ring is full; the value is handed back.
@@ -107,18 +113,6 @@ impl<T> Shared<T> {
         // section leaves the state consistent, so a poisoned lock (a
         // panic elsewhere on the holder's thread) holds valid data.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Push onto a ring with room, then wake the consumer if it waits.
-    fn push(&self, mut state: MutexGuard<'_, State<T>>, value: T) {
-        let stamp = state.stamping.then(now_nanos).unwrap_or(0);
-        state.queue.push_back((value, stamp));
-        self.len.store(state.queue.len(), Ordering::Release);
-        let consumer = state.consumer.take();
-        drop(state);
-        if let Some(consumer) = consumer {
-            consumer.unpark();
-        }
     }
 
     /// Take up to `max` values into `put`, then wake producers that wait
@@ -225,43 +219,58 @@ impl<T> Drop for RingSender<T> {
 impl<T> RingSender<T> {
     /// Enqueue without blocking.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        self.send_within(value, Some(Duration::ZERO))
+        if let Some(consumer) = self.try_send_deferred(value)? {
+            consumer.unpark();
+        }
+        Ok(())
+    }
+
+    /// [`RingSender::try_send`] that leaves the wake-up to the caller: a
+    /// consumer parked on the empty ring comes back, to be unparked once
+    /// the caller has released whatever lock it pushed under.
+    #[must_use = "a returned consumer is parked until it is unparked"]
+    pub fn try_send_deferred(&self, value: T) -> Result<Option<Thread>, TrySendError<T>> {
+        let mut state = self.shared.lock();
+        if !state.rx_alive {
+            return Err(TrySendError::Disconnected(value));
+        }
+        if state.queue.len() >= self.shared.capacity {
+            return Err(TrySendError::Full(value));
+        }
+        let stamp = state.stamping.then(now_nanos).unwrap_or(0);
+        state.queue.push_back((value, stamp));
+        self.shared.len.store(state.queue.len(), Ordering::Release);
+        Ok(state.consumer.take())
     }
 
     /// Enqueue, waiting while the ring is full. Fails only when the
     /// receiver is gone.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        self.send_within(value, None).map_err(|err| match err {
-            TrySendError::Disconnected(value) | TrySendError::Full(value) => SendError(value),
-        })
+    pub fn send(&self, mut value: T) -> Result<(), SendError<T>> {
+        loop {
+            match self.try_send(value) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Disconnected(value)) => return Err(SendError(value)),
+                Err(TrySendError::Full(back)) => value = back,
+            }
+            self.wait_for_space(None);
+        }
     }
 
-    /// Enqueue, waiting up to `timeout` while the ring is full; `Full`
-    /// once it passes.
-    pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), TrySendError<T>> {
-        self.send_within(value, Some(timeout))
-    }
-
-    /// The one copy of the producer's wait (`timeout: None` waits as long
-    /// as the receiver lives). The clock is first read once the ring is
-    /// found full.
-    fn send_within(&self, value: T, timeout: Option<Duration>) -> Result<(), TrySendError<T>> {
+    /// Wait while the ring is full and its receiver lives, at most
+    /// `timeout` (`None`: for as long as that lasts). Pushes nothing, so a
+    /// producer that must re-check a condition of its own before each
+    /// push waits here with its own locks released. The clock is first
+    /// read once the ring is found full.
+    pub fn wait_for_space(&self, timeout: Option<Duration>) {
         let shared = &*self.shared;
         let mut state = shared.lock();
         let mut deadline = None;
-        loop {
-            if !state.rx_alive {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if state.queue.len() < shared.capacity {
-                shared.push(state, value);
-                return Ok(());
-            }
+        while state.rx_alive && state.queue.len() >= shared.capacity {
             let left = match timeout {
                 None => None,
                 Some(timeout) => match time_left(&mut deadline, timeout) {
                     Some(left) => Some(left),
-                    None => return Err(TrySendError::Full(value)),
+                    None => return,
                 },
             };
             state.waiting_producers += 1;
@@ -277,6 +286,13 @@ impl<T> RingSender<T> {
             };
             state.waiting_producers -= 1;
         }
+    }
+
+    /// Producers waiting for space right now (tests force interleavings
+    /// with it).
+    #[cfg(test)]
+    pub(crate) fn waiting_producers(&self) -> usize {
+        self.shared.lock().waiting_producers
     }
 
     /// True when every value sent so far has been taken. Reads the length
@@ -321,12 +337,12 @@ impl<T> RingReceiver<T> {
     /// Sweep everything currently queued into `out` without blocking;
     /// returns how many values were moved. Wakes producers waiting on a
     /// full ring when slots were freed.
-    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
+    pub fn drain_into(&mut self, out: &mut impl Extend<T>) -> usize {
         if self.shared.len.load(Ordering::Acquire) == 0 {
             return 0;
         }
         self.shared
-            .take(self.shared.lock(), usize::MAX, |v| out.push(v))
+            .take(self.shared.lock(), usize::MAX, |v| out.extend(Some(v)))
     }
 
     /// Park until a value is queued, *without taking it*: the next
@@ -340,9 +356,13 @@ impl<T> RingReceiver<T> {
     /// Drain what is queued, parking up to `timeout` while the ring is
     /// empty; `Ok(0)` once it passes. The ring is always checked at least
     /// once, so a zero timeout is a non-blocking poll.
-    pub fn drain_for(&mut self, out: &mut Vec<T>, timeout: Duration) -> Result<usize, RecvError> {
+    pub fn drain_for(
+        &mut self,
+        out: &mut impl Extend<T>,
+        timeout: Duration,
+    ) -> Result<usize, RecvError> {
         Ok(match self.lock_ready(Some(timeout))? {
-            Some(state) => self.shared.take(state, usize::MAX, |v| out.push(v)),
+            Some(state) => self.shared.take(state, usize::MAX, |v| out.extend(Some(v))),
             None => 0,
         })
     }
@@ -528,32 +548,27 @@ mod tests {
     }
 
     #[test]
-    fn send_timeout_returns_full_at_the_deadline() {
+    fn wait_for_space_returns_at_the_deadline() {
         let (tx, _rx) = channel::<u32>(2);
         tx.send(0).unwrap();
         tx.send(1).unwrap();
         let begun = Instant::now();
-        assert_eq!(
-            tx.send_timeout(2, Duration::from_millis(20)),
-            Err(TrySendError::Full(2))
-        );
+        tx.wait_for_space(Some(Duration::from_millis(20)));
         assert!(begun.elapsed() >= Duration::from_millis(20));
-        assert_eq!(
-            tx.send_timeout(3, Duration::ZERO),
-            Err(TrySendError::Full(3)),
-            "a zero timeout is a try_send"
-        );
+        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)), "still full");
+        tx.wait_for_space(Some(Duration::ZERO));
+        assert_eq!(tx.waiting_producers(), 0);
     }
 
     #[test]
-    fn send_timeout_succeeds_once_a_drain_frees_space() {
+    fn wait_for_space_returns_once_a_drain_frees_space() {
         let (tx, mut rx) = channel::<u32>(2);
         tx.send(0).unwrap();
         tx.send(1).unwrap();
-        let shared = Arc::clone(&tx.shared);
+        let watcher = tx.clone();
         let consumer = std::thread::spawn(move || {
             // Drain only once the producer is waiting for space.
-            while shared.lock().waiting_producers == 0 {
+            while watcher.waiting_producers() == 0 {
                 std::thread::yield_now();
             }
             let mut out = Vec::new();
@@ -561,14 +576,40 @@ mod tests {
             (out, rx)
         });
         let begun = Instant::now();
-        assert_eq!(tx.send_timeout(2, Duration::from_secs(10)), Ok(()));
+        tx.wait_for_space(Some(Duration::from_secs(10)));
         assert!(
             begun.elapsed() < Duration::from_secs(5),
             "woken by the drain, not the deadline"
         );
+        assert_eq!(tx.try_send(2), Ok(()));
         let (out, mut rx) = consumer.join().unwrap();
         assert_eq!(out, vec![0, 1]);
         assert_eq!(rx.try_recv(), Some(2));
+        drop(rx);
+        tx.wait_for_space(None);
+        assert_eq!(tx.try_send(3), Err(TrySendError::Disconnected(3)));
+    }
+
+    /// A deferred send queues the value and hands the parked consumer to
+    /// the caller, who alone wakes it.
+    #[test]
+    fn a_deferred_send_hands_back_the_parked_consumer() {
+        within_watchdog(|| {
+            let (tx, mut rx) = channel::<u32>(4);
+            let shared = Arc::clone(&tx.shared);
+            let consumer = std::thread::spawn(move || (rx.recv(), rx));
+            while shared.lock().consumer.is_none() {
+                std::thread::yield_now();
+            }
+            let parked = tx.try_send_deferred(5).unwrap();
+            assert_eq!(
+                parked.as_ref().map(Thread::id),
+                Some(consumer.thread().id())
+            );
+            assert!(tx.try_send_deferred(6).unwrap().is_none(), "taken once");
+            parked.unwrap().unpark();
+            assert_eq!(consumer.join().unwrap().0, Ok(5));
+        });
     }
 
     #[test]

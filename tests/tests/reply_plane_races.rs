@@ -3,24 +3,30 @@
 //! The slab registry's one dangerous claim is that a reply addressed to
 //! an earlier incarnation can never surface in a later incarnation that
 //! reuses the same mailbox slot — the runtime's "stale reply for an
-//! aborted incarnation is dropped" rule, now enforced by an incarnation
-//! tag instead of by allocating a fresh channel per incarnation. This
-//! suite attacks that claim three ways:
+//! aborted incarnation is dropped" rule, enforced by each slot's binding
+//! lock (a delivery checks the key and pushes under it, a deregister
+//! clears the key under it, a register sweeps the ring and binds under
+//! it) instead of by allocating a fresh channel per incarnation. This
+//! suite attacks that claim four ways:
 //!
 //! 1. **Seeded churn across 8 threads** — clients cycle incarnations on
 //!    reused mailboxes while producers deliver against deliberately
 //!    stale key snapshots; every received event must carry the
 //!    consumer's *current* key, and the stale-drop counter must prove
 //!    the races actually fired.
-//! 2. **Mutation check** — the identical machinery with the generation
-//!    tag disabled (`MailboxOptions::tag_check = false`) must
-//!    demonstrably leak: a stale reply observably reaches a later
-//!    incarnation. If this test ever stops failing-the-guarantee with
-//!    the tag off, the suite has lost its teeth.
+//! 2. **Mutation check** — the identical machinery with the
+//!    register-time sweep disabled
+//!    (`MailboxOptions::sweep_on_register = false`) must demonstrably
+//!    leak: a stale reply observably reaches a later incarnation. If
+//!    this test ever stops failing-the-guarantee with the sweep off, the
+//!    suite has lost its teeth.
 //! 3. **Victim-signal race** — a `DeadlockVictim`-style marker racing a
 //!    stream of coalesced reply batches is never lost: if the producer
 //!    saw it accepted, the consumer observes it before the registration
 //!    is torn down.
+//! 4. **Metadata churn** — updates through `update_meta` aimed at keys
+//!    that die mid-flight never land on the next incarnation of the
+//!    slot (the runtime keeps its deadlock flags there).
 //!
 //! Every key is minted from its client's own mailbox
 //! (`MailboxRegistry::key(seq, mailbox.slot())`), as the runtime mints
@@ -42,11 +48,11 @@ const PRODUCERS: usize = 4;
 /// mutation-disabled.
 type Ev = u64;
 
-fn churn_options(tag_check: bool) -> MailboxOptions {
+fn churn_options(sweep_on_register: bool) -> MailboxOptions {
     MailboxOptions {
         mailbox_capacity: 32,
         max_clients: CLIENTS,
-        tag_check,
+        sweep_on_register,
         ..MailboxOptions::default()
     }
 }
@@ -133,9 +139,9 @@ fn run_churn(registry: &MailboxRegistry<Ev>, run_for: Duration, seed: u64) -> (u
     (leaks.load(Ordering::Relaxed), registry.stale_dropped())
 }
 
-/// Satellite 1, main half: with the generation tag enabled, the churn
+/// Satellite 1, main half: with the stale-event guard whole, the churn
 /// may drop arbitrarily many stale events but must never leak one into
-/// a later incarnation — and the drop counter must prove the stale
+/// a later incarnation — and the sweep counter must prove the stale
 /// races genuinely happened (otherwise the zero-leak assertion is
 /// vacuous).
 #[test]
@@ -147,7 +153,7 @@ fn churn_with_tag_never_leaks_across_incarnations() {
         let (leaks, stale) = run_churn(&registry, Duration::from_millis(300), 0xA5EED);
         assert_eq!(
             leaks, 0,
-            "a stale reply reached a later incarnation despite the tag"
+            "a stale reply reached a later incarnation despite the guard"
         );
         total_stale = stale;
         if total_stale > 0 {
@@ -160,10 +166,10 @@ fn churn_with_tag_never_leaks_across_incarnations() {
     );
 }
 
-/// Satellite 1, mutation half: disabling the generation tag must make
-/// the identical churn demonstrably fail the stale-grant rule. The
+/// Satellite 1, mutation half: disabling the register-time sweep must
+/// make the identical churn demonstrably fail the stale-grant rule. The
 /// deterministic transport-level unit test pins the exact leak
-/// sequence; this one shows the tag is what stops it *under real
+/// sequence; this one shows the sweep is what stops it *under real
 /// races*.
 #[test]
 fn churn_without_tag_demonstrably_leaks() {
@@ -176,7 +182,7 @@ fn churn_without_tag_demonstrably_leaks() {
     }
     assert!(
         leaked > 0,
-        "with the tag disabled the churn must leak stale replies; \
+        "with the sweep disabled the churn must leak stale replies; \
          if it no longer does, the race suite has lost its teeth"
     );
 }
@@ -193,7 +199,7 @@ fn victim_marker_racing_reply_batches_is_never_lost() {
     let registry = MailboxRegistry::<(u64, bool)>::with_options(MailboxOptions {
         mailbox_capacity: 32,
         max_clients: 2,
-        tag_check: true,
+        sweep_on_register: true,
         ..MailboxOptions::default()
     });
     let current = Arc::new(AtomicU64::new(0));
@@ -278,6 +284,73 @@ fn churn_leaves_consistent_bookkeeping() {
     assert_eq!(mailbox.recv_timeout(key, Duration::from_secs(1)), Some(42));
     assert_eq!(registry.resolve_meta(key), Some(7));
     registry.deregister(key);
+}
+
+/// Satellite 4: producers stamp each published key's own value into its
+/// metadata through `update_meta` while clients cycle incarnations on
+/// reused mailboxes. An update aimed at a key that dies before it lands
+/// must be refused, never applied to the next incarnation on the slot:
+/// every incarnation reads only the 0 it registered with or its own key.
+/// The refusal counter proves the race fired.
+#[test]
+fn churn_never_lets_a_dead_keys_metadata_update_reach_the_next_incarnation() {
+    let registry = MailboxRegistry::<Ev>::with_options(churn_options(true));
+    let published: Vec<AtomicU64> = (0..CLIENTS).map(|_| AtomicU64::new(0)).collect();
+    let next_seq = AtomicU64::new(1);
+    let (refused, leaks) = (AtomicU64::new(0), AtomicU64::new(0));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while refused.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for p in 0..PRODUCERS {
+                let (registry, published, refused, stop) = (&registry, &published, &refused, &stop);
+                scope.spawn(move || {
+                    let mut rng = SimRng::new(0xF1A6 + p as u64);
+                    while !stop.load(Ordering::Relaxed) {
+                        let c = (rng.next_f64() * CLIENTS as f64) as usize % CLIENTS;
+                        let key = published[c].load(Ordering::Relaxed);
+                        if key != 0 && registry.update_meta(key, |_| Some(key)).is_none() {
+                            refused.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+            for c in 0..CLIENTS {
+                let (registry, published, next_seq, leaks, stop) =
+                    (&registry, &published, &next_seq, &leaks, &stop);
+                scope.spawn(move || {
+                    let mut mailbox = registry.acquire().expect("mailbox slab exhausted");
+                    while !stop.load(Ordering::Relaxed) {
+                        let seq = next_seq.fetch_add(1, Ordering::Relaxed);
+                        let key = registry.key(seq, mailbox.slot()).expect("seq fits");
+                        registry.register(key, 0, &mut mailbox);
+                        published[c].store(key, Ordering::Relaxed);
+                        for _ in 0..3 {
+                            let meta = registry.resolve_meta(key).expect("own key is live");
+                            if meta != 0 && meta != key {
+                                leaks.fetch_add(1, Ordering::Relaxed);
+                            }
+                            std::thread::yield_now();
+                        }
+                        registry.deregister(key);
+                    }
+                    published[c].store(0, Ordering::Relaxed);
+                });
+            }
+            std::thread::sleep(Duration::from_millis(300));
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(
+            leaks.load(Ordering::Relaxed),
+            0,
+            "a dead key's metadata update reached a later incarnation"
+        );
+    }
+    assert!(
+        refused.load(Ordering::Relaxed) > 0,
+        "no update ever raced a deregister — the race test is vacuous"
+    );
+    assert_eq!(registry.len(), 0, "every incarnation was deregistered");
 }
 
 /// Shared harness for the scale tests: ramp `ramp_n` keys to
@@ -368,7 +441,7 @@ fn index_growth_under_churn_never_loses_a_delivery() {
         MailboxOptions {
             mailbox_capacity: 8,
             max_clients: 4096 + 64,
-            tag_check: true,
+            sweep_on_register: true,
             ..MailboxOptions::default()
         },
     );
@@ -385,7 +458,7 @@ fn scale_32768_live_keys_stays_off_the_overflow_path() {
         MailboxOptions {
             mailbox_capacity: 8,
             max_clients: 32_768 + 64,
-            tag_check: true,
+            sweep_on_register: true,
             ..MailboxOptions::default()
         },
     );
