@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use crate::ids::{LogicalItemId, PhysicalItemId, SiteId, TxnId};
-use crate::op::{AccessMode, LogicalOp, PhysicalOp};
+use crate::op::{AccessMode, PhysicalOp};
 
 /// How copies are assigned to sites when a catalog is generated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,24 +159,29 @@ impl Catalog {
         Ok(PhysicalItemId::new(item, site))
     }
 
-    /// Translate one logical operation into physical operations
-    /// (read-one / write-all).
-    pub fn translate_op(
+    /// Append `txn`'s physical accesses to `out` under the read-one /
+    /// write-all rule: its reads first, one copy each (see
+    /// [`Catalog::read_copy`]), then its writes, every copy in holder
+    /// order. The one place the rule is applied to a whole transaction;
+    /// the caller owns (and may reuse) the buffer. On an unknown item the
+    /// accesses of the items before it are already appended.
+    pub fn append_accesses(
         &self,
-        op: &LogicalOp,
-        origin: SiteId,
-    ) -> Result<Vec<PhysicalOp>, CatalogError> {
-        match op.mode {
-            AccessMode::Read => Ok(vec![PhysicalOp::read(
-                op.txn,
-                self.read_copy(op.item, origin)?,
-            )]),
-            AccessMode::Write => Ok(self
-                .physical_copies(op.item)?
-                .into_iter()
-                .map(|p| PhysicalOp::write(op.txn, p))
-                .collect()),
+        txn: &crate::txn::Transaction,
+        out: &mut Vec<(PhysicalItemId, AccessMode)>,
+    ) -> Result<(), CatalogError> {
+        for &item in txn.read_set() {
+            out.push((self.read_copy(item, txn.origin)?, AccessMode::Read));
         }
+        for &item in txn.write_set() {
+            let holders = self.holders(item)?;
+            out.extend(
+                holders
+                    .iter()
+                    .map(|&site| (PhysicalItemId::new(item, site), AccessMode::Write)),
+            );
+        }
+        Ok(())
     }
 
     /// Translate a whole transaction's logical operations (reads then writes)
@@ -185,11 +190,16 @@ impl Catalog {
         &self,
         txn: &crate::txn::Transaction,
     ) -> Result<Vec<PhysicalOp>, CatalogError> {
-        let mut out = Vec::new();
-        for op in txn.logical_ops() {
-            out.extend(self.translate_op(&op, txn.origin)?);
-        }
-        Ok(out)
+        let mut accesses = Vec::with_capacity(txn.size());
+        self.append_accesses(txn, &mut accesses)?;
+        Ok(accesses
+            .into_iter()
+            .map(|(item, mode)| PhysicalOp {
+                txn: txn.id,
+                item,
+                mode,
+            })
+            .collect())
     }
 
     /// Helper used by workload generation and the STL estimator: which site a

@@ -93,6 +93,35 @@ impl Transaction {
         }
     }
 
+    /// A transaction over access sets already in the builder's canonical
+    /// form: each ascending and free of duplicates, and no read that is
+    /// also written. Copies the two slices and nothing else — the path
+    /// for callers that canonicalize without a set (the live runtime's
+    /// `begin`). Debug builds check the form.
+    pub fn from_sets(
+        id: TxnId,
+        origin: SiteId,
+        method: CcMethod,
+        reads: &[LogicalItemId],
+        writes: &[LogicalItemId],
+    ) -> Transaction {
+        debug_assert!(
+            reads.windows(2).all(|w| w[0] < w[1]) && writes.windows(2).all(|w| w[0] < w[1]),
+            "access sets must be ascending and free of duplicates"
+        );
+        debug_assert!(
+            reads.iter().all(|item| writes.binary_search(item).is_err()),
+            "a written item must not also be in the read set"
+        );
+        Transaction {
+            id,
+            origin,
+            method,
+            read_set: reads.to_vec(),
+            write_set: writes.to_vec(),
+        }
+    }
+
     /// The logical items this transaction reads.
     pub fn read_set(&self) -> &[LogicalItemId] {
         &self.read_set
@@ -290,6 +319,36 @@ mod tests {
         assert_eq!(t2.method, CcMethod::PrecedenceAgreement);
         assert_eq!(t2.read_set(), t.read_set());
         assert_eq!(t2.id, t.id);
+    }
+
+    #[test]
+    fn from_sets_matches_the_builder() {
+        let built = Transaction::builder(TxnId(3), SiteId(1))
+            .method(CcMethod::PrecedenceAgreement)
+            .reads([li(4), li(1), li(7)])
+            .writes([li(7), li(2)])
+            .build();
+        let direct = Transaction::from_sets(
+            TxnId(3),
+            SiteId(1),
+            CcMethod::PrecedenceAgreement,
+            &[li(1), li(4)],
+            &[li(2), li(7)],
+        );
+        assert_eq!(direct, built);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must not also be in the read set")]
+    fn from_sets_rejects_a_read_that_is_written() {
+        Transaction::from_sets(
+            TxnId(1),
+            SiteId(0),
+            CcMethod::TwoPhaseLocking,
+            &[li(2)],
+            &[li(2)],
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! one-shot routes (`execute`) in `route`, and the execution-phase handle
 //! with its commit/abort driver in `txn`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
@@ -32,6 +32,7 @@ use simkit::rng::{splitmix64_nth, unit_f64};
 use simkit::time::SimTime;
 use trace::{Phase, SpanTimings, TraceLevel, TracePlane, SELECTION_CACHE_HIT};
 use transport::mailbox::MailboxOptions;
+use transport::stamp::now_nanos;
 use unified_cc::{QueueManager, RequestIssuer, RiAction, RiOutput};
 
 use crate::config::{CcPolicy, ConfigError, RuntimeConfig};
@@ -53,7 +54,10 @@ pub(crate) struct Inner {
     pub(crate) catalog: Catalog,
     pub(crate) registry: Arc<Registry>,
     pub(crate) shard_txs: Vec<ShardSender>,
-    pub(crate) site_index: HashMap<SiteId, usize>,
+    /// The shard index of each site, at `SiteId.0` (`None` where the
+    /// catalog has no such site): one bounds-checked load per routed
+    /// message. See [`Inner::shard_of`].
+    site_index: Box<[Option<usize>]>,
     pub(crate) stats: Arc<RuntimeStats>,
     /// Thread-striped metric shards: the commit path records into its own
     /// stripe; stripes are merged only at epoch-refit boundaries (by the
@@ -111,6 +115,15 @@ impl Inner {
     pub(crate) fn mint_txn_id(&self, slot: u32) -> TxnId {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         self.registry.txn_id(seq, slot)
+    }
+
+    /// The index (into `shard_txs`) of the shard that owns `site`.
+    pub(crate) fn shard_of(&self, site: SiteId) -> usize {
+        self.site_index
+            .get(site.0 as usize)
+            .copied()
+            .flatten()
+            .expect("catalog routed a message to an unknown site")
     }
 
     /// The site `txn` originates from: the spec's, or round-robin over
@@ -199,8 +212,9 @@ impl Database {
 
         let mut shard_handles = Vec::new();
         let mut shard_txs = Vec::new();
-        let mut site_index = HashMap::new();
-        for (idx, &site) in catalog.sites().iter().enumerate() {
+        let sites = catalog.sites();
+        let mut site_index = vec![None; sites.iter().map(|s| s.0 as usize + 1).max().unwrap_or(0)];
+        for (idx, &site) in sites.iter().enumerate() {
             let mut qm = QueueManager::from_catalog(
                 site,
                 &catalog,
@@ -232,7 +246,7 @@ impl Database {
                 Arc::clone(&clock),
             );
             shard_txs.push(handle.tx.clone());
-            site_index.insert(site, idx);
+            site_index[site.0 as usize] = Some(idx);
             shard_handles.push(handle);
         }
 
@@ -282,7 +296,7 @@ impl Database {
                 catalog,
                 registry,
                 shard_txs,
-                site_index,
+                site_index: site_index.into_boxed_slice(),
                 stats,
                 metrics,
                 selector,
@@ -465,9 +479,9 @@ impl Database {
         if self.routes(spec).next() == Some(Route::Snapshot) {
             if let Some((txn_id, reads)) = self.snapshot_read_values(spec)? {
                 let origin = inner.origin_of(spec, txn_id);
-                let txn = Transaction::builder(txn_id, origin)
-                    .reads(spec.reads.iter().copied())
-                    .build();
+                let txn = spec.with_access_sets(|reads, writes| {
+                    Transaction::from_sets(txn_id, origin, CcMethod::TwoPhaseLocking, reads, writes)
+                });
                 // A snapshot transaction never talks to a queue manager:
                 // its issuer exists only to carry the id/shape (empty
                 // access list, never started, never registered).
@@ -518,25 +532,29 @@ impl Database {
                 Some(pinned) => (pinned, false),
                 None => self.pick_method(spec),
             };
-            let t_sel = plane.now();
+            // Only the dynamic selector does work between `Begin` and
+            // `SelectionDone`: every other choice is stamped with `Begin`'s
+            // read.
+            let t_sel =
+                if spec.method.is_none() && matches!(inner.config.policy, CcPolicy::DynamicStl) {
+                    plane.now()
+                } else {
+                    t_begin
+                };
             let txn_id = inner.mint_txn_id(mailbox.slot());
             plane.record_at(lane, t_begin, txn_id.0, Phase::Begin, attempt);
             let sel_arg = method_code(method) | if cache_hit { SELECTION_CACHE_HIT } else { 0 };
             plane.record_at(lane, t_sel, txn_id.0, Phase::SelectionDone, sel_arg);
             let ts = Timestamp(inner.ts_counter.fetch_add(1, Ordering::Relaxed) + 1);
             let origin = inner.origin_of(spec, txn_id);
-            let txn = Transaction::builder(txn_id, origin)
-                .method(method)
-                .reads(spec.reads.iter().copied())
-                .writes(spec.write_items())
-                .build();
-            let accesses: Vec<(PhysicalItemId, AccessMode)> = inner
+            let txn = spec.with_access_sets(|reads, writes| {
+                Transaction::from_sets(txn_id, origin, method, reads, writes)
+            });
+            let mut accesses = Vec::with_capacity(txn.size());
+            inner
                 .catalog
-                .translate_txn(&txn)
-                .map_err(TxnError::UnknownItem)?
-                .into_iter()
-                .map(|op| (op.item, op.mode))
-                .collect();
+                .append_accesses(&txn, &mut accesses)
+                .map_err(TxnError::UnknownItem)?;
 
             inner.registry.register(txn_id, method, &mut mailbox);
             let mut ri = RequestIssuer::new(
@@ -544,7 +562,9 @@ impl Database {
                 TsTuple::new(ts, inner.config.pa_backoff_interval),
                 accesses,
             );
-            let begun = Instant::now();
+            // The plane's own clock, read even with the plane off: commit
+            // latency is `Committed`'s stamp minus this one.
+            let begun = now_nanos();
             let out = ri.start();
             let started_exec = out.actions.contains(&RiAction::StartExecution);
             let n_sends = out.sends.len() as u32;
@@ -576,7 +596,7 @@ impl Database {
                 ));
             }
 
-            match self.wait_for_execution(&mut ri, &mut mailbox, origin, method, lane)? {
+            match self.wait_for_execution(&mut ri, &mut mailbox, origin, method, lane, begun)? {
                 WaitOutcome::Executing => {
                     let t_exec = plane.now();
                     plane.record_at(lane, t_exec, txn_id.0, Phase::ExecutionStart, 0);
@@ -592,7 +612,8 @@ impl Database {
                 }
                 WaitOutcome::Restart { rejected } => {
                     inner.registry.deregister(txn_id);
-                    let t_restart = plane.now();
+                    // Read even with the plane off: it ends the lock hold.
+                    let t_restart = now_nanos();
                     let outcome = if rejected {
                         inner
                             .stats
@@ -611,11 +632,7 @@ impl Database {
                     plane.record_restart(method, t_restart.saturating_sub(t_begin));
                     inner.metrics.with_local(|m| {
                         m.record_restart(method, outcome);
-                        m.record_lock_hold(
-                            method,
-                            simkit::time::Duration::from_secs_f64(begun.elapsed().as_secs_f64()),
-                            true,
-                        );
+                        m.record_lock_hold(method, nanos_between(begun, t_restart), true);
                     });
                     attempt += 1;
                     if attempt > inner.config.max_restarts {
@@ -790,7 +807,8 @@ impl Database {
     }
 
     /// Block on the reply mailbox until the incarnation starts executing or
-    /// must restart.
+    /// must restart. `begun` is the incarnation's begin stamp
+    /// ([`now_nanos`]), from which `request_timeout` runs.
     fn wait_for_execution(
         &self,
         ri: &mut RequestIssuer,
@@ -798,6 +816,7 @@ impl Database {
         origin: SiteId,
         method: CcMethod,
         lane: usize,
+        begun: u64,
     ) -> Result<WaitOutcome, TxnError> {
         let txn = ri.txn_id().0;
         // One request outcome is recorded per item per incarnation (the
@@ -809,64 +828,63 @@ impl Database {
         // The bounded wait: replies may keep trickling in (partial
         // grants) without execution ever starting — a dropped Access or a
         // crashed shard strands the incarnation — so the deadline is
-        // checked on every pass, not only on empty polls.
-        let deadline = Instant::now() + self.inner.config.request_timeout;
+        // checked after every pass that leaves the wait open, not only
+        // after empty polls. A pass that ends it reads no clock.
+        let deadline = begun.saturating_add(nanos(self.inner.config.request_timeout));
         let poll = SHUTDOWN_POLL.min(self.inner.config.request_timeout);
         loop {
-            if Instant::now() >= deadline {
+            if let Some(event) = events.recv_timeout(txn, poll) {
+                // One event may carry several replies (a shard's batched
+                // grants); their follow-up sends are routed in one batched
+                // call after the whole event is absorbed.
+                let mut outcome = None;
+                let mut sends: Vec<RequestMsg> = Vec::new();
+                let mut absorb = |out: RiOutput| {
+                    for action in &out.actions {
+                        match action {
+                            RiAction::StartExecution => outcome = Some(WaitOutcome::Executing),
+                            RiAction::Restart { rejected } => {
+                                outcome = Some(WaitOutcome::Restart {
+                                    rejected: *rejected,
+                                })
+                            }
+                            RiAction::BackoffRound => {
+                                self.inner
+                                    .stats
+                                    .backoff_rounds
+                                    .fetch_add(1, Ordering::Relaxed);
+                                self.inner
+                                    .metrics
+                                    .with_local(|m| m.record_backoff_round(method));
+                                self.inner.trace.record(lane, txn, Phase::BackoffRound, 0);
+                            }
+                            RiAction::Committed | RiAction::FullyReleased => {
+                                unreachable!("cannot commit before executing")
+                            }
+                        }
+                    }
+                    sends.extend(out.sends);
+                };
+                match event {
+                    ClientEvent::Replies(replies) => {
+                        for reply in replies.iter() {
+                            let first_for_item = outcome_seen.insert(ri, reply.item());
+                            self.observe_reply(ri, method, reply, first_for_item);
+                            absorb(ri.on_reply(reply));
+                        }
+                    }
+                    ClientEvent::DeadlockVictim => absorb(ri.abort_for_deadlock()),
+                }
+                self.route_all(origin, sends)?;
+                if let Some(outcome) = outcome {
+                    return Ok(outcome);
+                }
+            } else if self.inner.stopped.load(Ordering::Relaxed) {
+                self.inner.registry.deregister(ri.txn_id());
+                return Err(TxnError::ShuttingDown);
+            }
+            if now_nanos() >= deadline {
                 return Ok(WaitOutcome::TimedOut);
-            }
-            let Some(event) = events.recv_timeout(txn, poll) else {
-                if self.inner.stopped.load(Ordering::Relaxed) {
-                    self.inner.registry.deregister(ri.txn_id());
-                    return Err(TxnError::ShuttingDown);
-                }
-                continue;
-            };
-            // One event may carry several replies (a shard's batched
-            // grants); their follow-up sends are routed in one batched
-            // call after the whole event is absorbed.
-            let mut outcome = None;
-            let mut sends: Vec<RequestMsg> = Vec::new();
-            let mut absorb = |out: RiOutput| {
-                for action in &out.actions {
-                    match action {
-                        RiAction::StartExecution => outcome = Some(WaitOutcome::Executing),
-                        RiAction::Restart { rejected } => {
-                            outcome = Some(WaitOutcome::Restart {
-                                rejected: *rejected,
-                            })
-                        }
-                        RiAction::BackoffRound => {
-                            self.inner
-                                .stats
-                                .backoff_rounds
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.inner
-                                .metrics
-                                .with_local(|m| m.record_backoff_round(method));
-                            self.inner.trace.record(lane, txn, Phase::BackoffRound, 0);
-                        }
-                        RiAction::Committed | RiAction::FullyReleased => {
-                            unreachable!("cannot commit before executing")
-                        }
-                    }
-                }
-                sends.extend(out.sends);
-            };
-            match event {
-                ClientEvent::Replies(replies) => {
-                    for reply in replies.iter() {
-                        let first_for_item = outcome_seen.insert(ri, reply.item());
-                        self.observe_reply(ri, method, reply, first_for_item);
-                        absorb(ri.on_reply(reply));
-                    }
-                }
-                ClientEvent::DeadlockVictim => absorb(ri.abort_for_deadlock()),
-            }
-            self.route_all(origin, sends)?;
-            if let Some(outcome) = outcome {
-                return Ok(outcome);
             }
         }
     }
@@ -939,13 +957,7 @@ impl Database {
         if sends.is_empty() {
             return Ok(());
         }
-        let shard_of = |msg: &RequestMsg| -> usize {
-            *self
-                .inner
-                .site_index
-                .get(&msg.item().site)
-                .expect("catalog routed a message to an unknown site")
-        };
+        let shard_of = |msg: &RequestMsg| self.inner.shard_of(msg.item().site);
         // Did every batch so far run inline? Then the last may wait.
         let mut all_inline = true;
         let mut send_batch = |idx: usize, msgs, last: bool| {
@@ -1017,11 +1029,7 @@ impl Database {
         let mut surviving = Vec::with_capacity(sends.len());
         let mut delivered = Vec::new();
         for msg in sends {
-            let link = *self
-                .inner
-                .site_index
-                .get(&msg.item().site)
-                .expect("catalog routed a message to an unknown site");
+            let link = self.inner.shard_of(msg.item().site);
             delivered.clear();
             let crash = plane.on_send(link, msg, &mut delivered);
             if let Some(signal) = crash {
@@ -1058,6 +1066,17 @@ impl Database {
             (seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) % scaled.as_micros().max(1) as u64;
         std::thread::sleep(scaled + Duration::from_micros(jitter_us));
     }
+}
+
+/// `d` in whole nanoseconds, as the deadlines on [`now_nanos`] count.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The time from stamp `from` to stamp `to` (both [`now_nanos`]), as the
+/// metrics record it.
+pub(crate) fn nanos_between(from: u64, to: u64) -> simkit::time::Duration {
+    simkit::time::Duration::from_secs_f64(to.saturating_sub(from) as f64 / 1e9)
 }
 
 /// The CC method code carried in a `SelectionDone` event's arg (low

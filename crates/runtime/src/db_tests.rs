@@ -1065,7 +1065,7 @@ fn push_detection_rescans_after_a_skipped_edge_report() {
         true,
         Duration::from_secs(1),
         |site| {
-            let shard = db.inner.shard_txs[db.inner.site_index[&site]].clone();
+            let shard = db.inner.shard_txs[db.inner.shard_of(site)].clone();
             let stats = Arc::clone(&db.inner.stats);
             let (locked_tx, locked_rx) = std::sync::mpsc::channel();
             holder = Some(std::thread::spawn(move || {
@@ -1215,7 +1215,7 @@ fn disabling_the_confluence_check_admits_a_non_serializable_history() {
     let f = TxnId(1_000_000);
     let send = |ops: Vec<ConfluentOp>| {
         let site = ops[0].item().site;
-        let idx = db.inner.site_index[&site];
+        let idx = db.inner.shard_of(site);
         let (tx, rx) = transport::oneshot::channel();
         db.inner.shard_txs[idx]
             .send(ShardCmd::ApplyConfluent {
@@ -1614,7 +1614,7 @@ fn disabling_snapshot_validation_admits_a_non_serializable_history() {
 /// The shard index that owns `item`'s (single) copy.
 fn shard_of(db: &Database, item: LogicalItemId) -> usize {
     let site = db.catalog().physical_copies(item).unwrap()[0].site;
-    db.inner.site_index[&site]
+    db.inner.shard_of(site)
 }
 
 /// Hold shard `idx`'s core on another thread — taken before this returns
@@ -1762,4 +1762,77 @@ fn a_last_batch_behind_inline_ones_waits() {
         "{stats:?}"
     );
     assert!(db.shutdown().unwrap().serializable().is_ok());
+}
+
+/// The events one transfer's incarnation left in the flight recorder, in
+/// timestamp order.
+fn events_of(db: &Database, txn: TxnId) -> Vec<trace::TraceEvent> {
+    trace::TraceLog::from_events(db.trace_snapshot())
+        .events_of(txn.0)
+        .expect("the incarnation was recorded")
+        .to_vec()
+}
+
+/// Fewer clock reads, the same record: a single-shard 2PL transfer on
+/// idle shards runs both of its tenures inline and leaves exactly its
+/// nine events. Events that share a boundary share its stamp —
+/// `SelectionDone` carries `Begin`'s when no selector runs, `Granted`
+/// its tenure's `ShardRecv` — and each is still counted.
+#[test]
+fn an_inline_commit_records_every_event() {
+    let db = Database::open(quiet_config(2)).unwrap();
+    assert_eq!(shard_of(&db, li(0)), shard_of(&db, li(2)));
+    let before = db.stats().trace_events;
+    let spec = TxnSpec::new().write(li(0)).write(li(2));
+    let receipt = db
+        .run_transaction(&spec, |reads| {
+            vec![(li(0), reads[&li(0)] - 1), (li(2), reads[&li(2)] + 1)]
+        })
+        .unwrap();
+    assert_eq!(receipt.method, CcMethod::TwoPhaseLocking);
+    let events = events_of(&db, receipt.id);
+    let phases: Vec<Phase> = events.iter().map(|e| e.phase).collect();
+    assert_eq!(
+        phases,
+        [
+            Phase::Begin,
+            Phase::SelectionDone,
+            Phase::ShardRecv,
+            Phase::Granted,
+            Phase::TransportEnqueued,
+            Phase::ExecutionStart,
+            Phase::CommitStart,
+            Phase::ShardRecv,
+            Phase::Committed,
+        ]
+    );
+    let ts = |i: usize| events[i].ts_nanos;
+    assert_eq!(
+        ts(1),
+        ts(0),
+        "no selector ran: SelectionDone is Begin's read"
+    );
+    assert_eq!(ts(3), ts(2), "Granted carries its tenure's entry stamp");
+    assert_eq!(db.stats().trace_events - before, 9);
+    assert_eq!(db.stats().shard_inline, 2, "both tenures ran inline");
+    assert!(db.shutdown().unwrap().serializable().is_ok());
+}
+
+/// The one policy that selects reads the clock again after it.
+#[test]
+fn a_dynamic_selection_is_stamped_after_begin() {
+    let db = open_dynamic();
+    let spec = TxnSpec::new().write(li(0)).write(li(1));
+    let receipt = db.run_transaction(&spec, |_| vec![]).unwrap();
+    let events = events_of(&db, receipt.id);
+    let stamp = |phase: Phase| {
+        events
+            .iter()
+            .find(|e| e.phase == phase)
+            .map(|e| e.ts_nanos)
+            .unwrap()
+    };
+    assert!(stamp(Phase::SelectionDone) >= stamp(Phase::Begin));
+    assert_eq!(db.stats().selections, 1);
+    db.shutdown().unwrap();
 }

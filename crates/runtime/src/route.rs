@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use dbmodel::{CcMethod, LogicalItemId, PhysicalItemId, SiteId, Timestamp, TxnId, Value};
+use dbmodel::{CcMethod, LogicalItemId, PhysicalItemId, Timestamp, TxnId, Value};
 use selection::Route;
 use trace::Phase;
 use transport::batch::SmallBatch;
@@ -183,7 +183,7 @@ impl Database {
                 .catalog
                 .read_copy(item, origin)
                 .map_err(TxnError::UnknownItem)?;
-            per_shard.push(self.shard_of(copy.site), ConfluentOp::Read(copy));
+            per_shard.push(inner.shard_of(copy.site), ConfluentOp::Read(copy));
         }
         for &(item, delta) in &spec.adds {
             let copies = inner
@@ -194,7 +194,7 @@ impl Database {
                 return Ok(None);
             }
             per_shard.push(
-                self.shard_of(copies[0].site),
+                inner.shard_of(copies[0].site),
                 ConfluentOp::Add(copies[0], delta),
             );
         }
@@ -207,7 +207,7 @@ impl Database {
                 return Ok(None);
             }
             per_shard.push(
-                self.shard_of(copies[0].site),
+                inner.shard_of(copies[0].site),
                 ConfluentOp::Put(copies[0], value),
             );
         }
@@ -310,7 +310,7 @@ impl Database {
                 .catalog
                 .read_copy(item, origin)
                 .map_err(TxnError::UnknownItem)?;
-            per_shard.push(self.shard_of(copy.site), copy);
+            per_shard.push(inner.shard_of(copy.site), copy);
         }
         let n_items = per_shard.ops() as u32;
         let answer = self.scatter_gather(per_shard, |items, reply| ShardCmd::SnapshotRead {
@@ -326,15 +326,6 @@ impl Database {
         plane.record_at(lane, t_begin, txn_id.0, Phase::Begin, 0);
         plane.record_at(lane, t_served, txn_id.0, Phase::SnapshotRead, n_items);
         Ok(Some((txn_id, reads)))
-    }
-
-    /// The shard that owns `site`.
-    fn shard_of(&self, site: SiteId) -> usize {
-        *self
-            .inner
-            .site_index
-            .get(&site)
-            .expect("catalog routed an op to an unknown site")
     }
 
     /// The scatter/gather both one-shot routes share: submit each shard

@@ -319,6 +319,9 @@ pub(crate) struct ShardCore {
     /// one clock read, so the traced path stays allocation-free and
     /// branch-cheap.
     plane: Arc<TracePlane>,
+    /// The tenure's one clock read, taken by [`ShardCore::enter`] (0 with
+    /// the plane off): every event the tenure records carries it.
+    tenure_ts: u64,
     /// The global commit clock: fast-path writes draw/retire their stamp
     /// here (shard-side — the apply is the whole commit), and each
     /// tenure republishes the read watermark into the queue manager so
@@ -397,11 +400,19 @@ impl ShardCore {
         if dups > 0 {
             self.stats.dup_suppressed.fetch_add(dups, Ordering::Relaxed);
         }
-        // One aggregated trace event per engine call keeps the traced
-        // shard overhead to a single clock read and ring write per fold.
+        // One aggregated trace event per engine call, at the tenure's
+        // entry stamp: a fold costs one ring write and no clock read. A
+        // shard-thread tenure over a drained batch thus stamps every
+        // `Granted` with the time it entered the core, not the time its
+        // command ran.
         if granted > 0 {
-            self.plane
-                .record(self.idx, last_granted, Phase::Granted, granted);
+            self.plane.record_at(
+                self.idx,
+                self.tenure_ts,
+                last_granted,
+                Phase::Granted,
+                granted,
+            );
         }
     }
 
@@ -520,14 +531,15 @@ impl ShardCore {
         }
     }
 
-    /// Open a tenure over `cmds`: one `ShardRecv` on the shard's lane —
-    /// the trace plane sees when the core was entered and how many
-    /// protocol commands the entry amortised, at the cost of one clock
-    /// read — and a fresh read watermark for version-chain pruning
+    /// Open a tenure over `cmds`: the tenure's one clock read, one
+    /// `ShardRecv` on the shard's lane at it — the trace plane sees when
+    /// the core was entered and how many protocol commands the entry
+    /// amortised — and a fresh read watermark for version-chain pruning
     /// (pruning against a stale, lower watermark only retains more
     /// versions, never fewer, so tenure granularity is always safe).
     fn enter(&mut self, cmds: &[ShardCmd]) {
-        trace_batch(&self.plane, self.idx, cmds);
+        self.tenure_ts = self.plane.now();
+        trace_batch(&self.plane, self.idx, self.tenure_ts, cmds);
         self.qm.set_watermark(self.clock.watermark());
     }
 
@@ -737,6 +749,7 @@ pub(crate) fn spawn(
         registry: Arc::clone(&registry),
         stats: Arc::clone(&stats),
         plane,
+        tenure_ts: 0,
         clock,
         idx,
     }));
@@ -760,8 +773,8 @@ pub(crate) fn spawn(
     }
 }
 
-/// Record one `ShardRecv` per tenure (see [`ShardCore::enter`]).
-fn trace_batch(plane: &TracePlane, lane: usize, buf: &[ShardCmd]) {
+/// Record one `ShardRecv` per tenure, at `ts` (see [`ShardCore::enter`]).
+fn trace_batch(plane: &TracePlane, lane: usize, ts: u64, buf: &[ShardCmd]) {
     if plane.level() == TraceLevel::Off {
         return;
     }
@@ -774,7 +787,7 @@ fn trace_batch(plane: &TracePlane, lane: usize, buf: &[ShardCmd]) {
         protocol_cmds += 1;
     }
     if protocol_cmds > 0 {
-        plane.record(lane, txn, Phase::ShardRecv, protocol_cmds);
+        plane.record_at(lane, ts, txn, Phase::ShardRecv, protocol_cmds);
     }
 }
 

@@ -82,21 +82,6 @@ impl TxnSpec {
         self
     }
 
-    /// Every logical item this spec writes — declared writes, adds and
-    /// puts — deduplicated, as the coordinated path's write set.
-    pub(crate) fn write_items(&self) -> Vec<LogicalItemId> {
-        let mut items: Vec<LogicalItemId> = self
-            .writes
-            .iter()
-            .copied()
-            .chain(self.adds.iter().map(|&(item, _)| item))
-            .chain(self.puts.iter().map(|&(item, _)| item))
-            .collect();
-        items.sort_unstable();
-        items.dedup();
-        items
-    }
-
     /// The spec's access sets as a [`dbmodel::Transaction`] would hold
     /// them — each ascending and free of duplicates, no read that is also
     /// written — handed to `f` as `(reads, writes)` without building one.
@@ -285,7 +270,9 @@ mod tests {
         for spec in specs {
             let txn = Transaction::builder(TxnId(1), SiteId(0))
                 .reads(spec.reads.iter().copied())
-                .writes(spec.write_items())
+                .writes(spec.writes.iter().copied())
+                .writes(spec.adds.iter().map(|&(item, _)| item))
+                .writes(spec.puts.iter().map(|&(item, _)| item))
                 .build();
             spec.with_access_sets(|reads, writes| {
                 assert_eq!(reads, txn.read_set(), "{spec:?}");

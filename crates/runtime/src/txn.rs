@@ -4,14 +4,14 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use dbmodel::{AccessMode, CcMethod, LogicalItemId, TxnId, Value};
 use pam::RequestMsg;
 use trace::{Phase, SpanTimings};
+use transport::stamp::now_nanos;
 use unified_cc::{RequestIssuer, RiAction, RiOutput};
 
-use crate::db::{Database, SHUTDOWN_POLL};
+use crate::db::{nanos, nanos_between, Database, SHUTDOWN_POLL};
 use crate::registry::{ClientEvent, ClientMailbox};
 use crate::spec::{TxnError, TxnReceipt};
 
@@ -25,8 +25,9 @@ pub struct ActiveTxn {
     /// snapshot transaction, which never receives a reply.
     events: Option<ClientMailbox>,
     reads: BTreeMap<LogicalItemId, Value>,
-    staged: BTreeMap<LogicalItemId, Value>,
-    begun: Instant,
+    /// The incarnation's begin stamp ([`now_nanos`]); 0 for a snapshot
+    /// transaction, which records no latency.
+    begun: u64,
     restarts: u32,
     finished: bool,
     /// True when the reads were served from the MVCC snapshot plane at
@@ -45,22 +46,22 @@ impl ActiveTxn {
         db: Database,
         ri: RequestIssuer,
         events: ClientMailbox,
-        begun: Instant,
+        begun: u64,
         restarts: u32,
         lane: usize,
         timings: SpanTimings,
     ) -> Self {
-        let reads = ri
-            .read_results()
-            .iter()
-            .map(|(item, &value)| (item.logical, value))
-            .collect();
+        // Inserted one by one: collecting would sort through a scratch
+        // vector first, and the issuer's results are already in order.
+        let mut reads = BTreeMap::new();
+        for (item, &value) in ri.read_results() {
+            reads.insert(item.logical, value);
+        }
         ActiveTxn {
             db,
             ri,
             events: Some(events),
             reads,
-            staged: BTreeMap::new(),
             begun,
             restarts,
             finished: false,
@@ -81,8 +82,7 @@ impl ActiveTxn {
             ri,
             events: None,
             reads,
-            staged: BTreeMap::new(),
-            begun: Instant::now(),
+            begun: 0,
             restarts: 0,
             finished: false,
             snapshot: true,
@@ -123,12 +123,13 @@ impl ActiveTxn {
         &self.reads
     }
 
-    /// Stage the value this transaction writes to `item` at commit.
+    /// Stage the value this transaction writes to `item` at commit (the
+    /// issuer holds it; a later write of the same item replaces it).
     pub fn write(&mut self, item: LogicalItemId, value: Value) -> Result<(), TxnError> {
         if self.ri.txn().mode_for(item) != Some(AccessMode::Write) {
             return Err(TxnError::NotInWriteSet(item));
         }
-        self.staged.insert(item, value);
+        self.ri.set_write_value(item, value);
         Ok(())
     }
 
@@ -162,7 +163,9 @@ impl ActiveTxn {
         let origin = self.ri.txn().origin;
         let method = self.ri.txn().method;
         let plane = Arc::clone(&self.db.inner.trace);
-        let t_commit_start = plane.now();
+        // Read even with the plane off: the commit wait's deadline runs
+        // from it.
+        let t_commit_start = now_nanos();
         plane.record_at(
             self.lane,
             t_commit_start,
@@ -170,9 +173,6 @@ impl ActiveTxn {
             Phase::CommitStart,
             0,
         );
-        for (&item, &value) in &self.staged {
-            self.ri.set_write_value(item, value);
-        }
         // A writing commit draws its global stamp before any release or
         // demote is built: every install this transaction performs
         // carries `cts`, and the stamp stays in flight — holding the read
@@ -194,11 +194,37 @@ impl ActiveTxn {
         // forever. At this point every write is already implemented (the
         // releases/demotes travel the reliable channel), so expiry is
         // "decided but unacknowledged" — surfaced as `ShardUnavailable`,
-        // never a partial commit.
-        let deadline = Instant::now() + self.db.inner.config.commit_timeout;
+        // never a partial commit. Like the execution wait, the deadline is
+        // checked after every pass that leaves the wait open.
+        let deadline = t_commit_start.saturating_add(nanos(self.db.inner.config.commit_timeout));
         let poll = SHUTDOWN_POLL.min(self.db.inner.config.commit_timeout);
         while !released {
-            if Instant::now() >= deadline {
+            let events = self
+                .events
+                .as_mut()
+                .expect("coordinated transaction has a reply mailbox");
+            match events.recv_timeout(self.ri.txn_id().0, poll) {
+                Some(ClientEvent::Replies(replies)) => {
+                    let mut sends: Vec<RequestMsg> = Vec::new();
+                    for reply in replies.iter() {
+                        let out: RiOutput = self.ri.on_reply(reply);
+                        released = released || out.actions.contains(&RiAction::FullyReleased);
+                        sends.extend(out.sends);
+                    }
+                    self.db.route_all(origin, sends)?;
+                    if released {
+                        break;
+                    }
+                }
+                // Executing or releasing transactions cannot be victims.
+                Some(ClientEvent::DeadlockVictim) => {}
+                None => {
+                    if self.db.inner.stopped.load(Ordering::Relaxed) {
+                        break;
+                    }
+                }
+            }
+            if now_nanos() >= deadline {
                 self.finished = true;
                 self.db.inner.registry.deregister(self.ri.txn_id());
                 self.db
@@ -217,28 +243,6 @@ impl ActiveTxn {
                 // install (see [`crate::clock::CommitClock`]).
                 return Err(TxnError::ShardUnavailable);
             }
-            let events = self
-                .events
-                .as_mut()
-                .expect("coordinated transaction has a reply mailbox");
-            let Some(event) = events.recv_timeout(self.ri.txn_id().0, poll) else {
-                if self.db.inner.stopped.load(Ordering::Relaxed) {
-                    break;
-                }
-                continue;
-            };
-            let replies = match event {
-                ClientEvent::Replies(replies) => replies,
-                // Executing or releasing transactions cannot be victims.
-                ClientEvent::DeadlockVictim => continue,
-            };
-            let mut sends: Vec<RequestMsg> = Vec::new();
-            for reply in replies.iter() {
-                let out: RiOutput = self.ri.on_reply(reply);
-                released = released || out.actions.contains(&RiAction::FullyReleased);
-                sends.extend(out.sends);
-            }
-            self.db.route_all(origin, sends)?;
         }
         // Every release/demote is now enqueued at its owning shard (the
         // loop above routed the last of them), so retiring the stamp is
@@ -255,17 +259,18 @@ impl ActiveTxn {
             .stats
             .committed
             .fetch_add(1, Ordering::Relaxed);
+        // One read ends both the recorded latency and the span.
+        let t_committed = now_nanos();
         {
             // Recorded into the calling thread's own metric stripe — the
             // commit path takes no lock shared with admission or the
             // epoch re-fit.
-            let latency = simkit::time::Duration::from_secs_f64(self.begun.elapsed().as_secs_f64());
+            let latency = nanos_between(self.begun, t_committed);
             self.db.inner.metrics.with_local(|m| {
                 m.record_commit(method, latency);
                 m.record_lock_hold(method, latency, false);
             });
         }
-        let t_committed = plane.now();
         plane.record_at(
             self.lane,
             t_committed,

@@ -2,7 +2,7 @@
 //! transfer, asserted directly: after warm-up, a served 4-item snapshot
 //! read spanning two shards costs at most five heap allocations, a
 //! single-item bypass add at most two, and a `run_transaction` transfer
-//! at most 23 (`TRANSFER_ALLOCS`), on one shard or across two.
+//! at most 12 (`TRANSFER_ALLOCS`), on one shard or across two.
 //!
 //! The five of the read are one oneshot reply slot and one answer vector
 //! per shard, and the receipt's read map; the add's are its reply slot
@@ -152,7 +152,7 @@ fn one_shot_routes_stay_inside_their_allocation_budget() {
 
 /// Heap allocations a coordinated `run_transaction` transfer may make on
 /// the calling thread, closure included.
-const TRANSFER_ALLOCS: f64 = 23.0;
+const TRANSFER_ALLOCS: f64 = 12.0;
 
 #[test]
 fn a_coordinated_transfer_stays_inside_its_allocation_budget() {
