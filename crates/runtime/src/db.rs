@@ -3,17 +3,19 @@
 //! A `Database` owns one shard per site (see `shard`) plus the background
 //! deadlock detector. Any number of client threads may concurrently open
 //! transactions; each client thread *is* the request issuer of its own
-//! transaction — it drives the sans-IO [`RequestIssuer`] state machine,
-//! blocking on its reply mailbox for queue-manager replies, exactly the
-//! way the simulator drives it from the event loop — and, when the owning
-//! shard is idle, the queue manager's side of the conversation too. Restarts (T/O rejections,
-//! deadlock victims) are retried transparently under a fresh transaction id
-//! and a larger timestamp, up to [`RuntimeConfig::max_restarts`] attempts.
+//! transaction — it drives the sans-IO [`RequestIssuer`] state machine
+//! through one mailbox loop (`txn`'s `Incarnation::wait`) for both of its
+//! waits, the grants in `begin` and the release in `commit`, and, when the
+//! owning shard is idle, runs the queue manager's side of the conversation
+//! too. Restarts (T/O rejections, deadlock victims, expired request waits)
+//! are retried transparently under a fresh transaction id and a larger
+//! timestamp, up to [`RuntimeConfig::max_restarts`] attempts.
 //!
-//! This module holds `open`, `begin`, the diagnostics and `shutdown`; the
-//! caller-facing types live in `spec`, the routing decision and the two
-//! one-shot routes (`execute`) in `route`, and the execution-phase handle
-//! with its commit/abort driver in `txn`.
+//! This module holds `open`, `begin` with its restart loop, the send
+//! batcher (`route_all`), the diagnostics and `shutdown`; the caller-facing
+//! types live in `spec`, the routing decision and the two one-shot routes
+//! (`execute`) in `route`, and the execution-phase handle with the mailbox
+//! loop and the commit/abort driver in `txn`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,28 +24,28 @@ use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use dbmodel::{
-    AccessMode, Catalog, CcMethod, LogSet, LogicalItemId, PhysicalItemId, SiteId, Timestamp,
-    Transaction, TsTuple, TxnId, Value,
+    Catalog, CcMethod, LogSet, LogicalItemId, SiteId, Timestamp, Transaction, TsTuple, TxnId, Value,
 };
 use metrics::TxnOutcome;
-use pam::{ReplyMsg, RequestMsg};
+use pam::RequestMsg;
 use selection::{CacheSettings, CachedStlSelector, Route};
 use simkit::rng::{splitmix64_nth, unit_f64};
 use simkit::time::SimTime;
 use trace::{Phase, SpanTimings, TraceLevel, TracePlane, SELECTION_CACHE_HIT};
 use transport::mailbox::MailboxOptions;
 use transport::stamp::now_nanos;
-use unified_cc::{QueueManager, RequestIssuer, RiAction, RiOutput};
+use unified_cc::{QueueManager, RequestIssuer, RiAction};
 
 use crate::config::{CcPolicy, ConfigError, RuntimeConfig};
 use crate::detector;
 use crate::refitter;
-use crate::registry::{ClientEvent, ClientMailbox, Registry};
+use crate::registry::Registry;
 use crate::report::RuntimeReport;
 use crate::shard::{self, ShardCmd, ShardHandle, ShardSender};
 pub use crate::spec::{TxnError, TxnReceipt, TxnSpec};
 use crate::stats::{MetricsShards, RuntimeStats, StatsSnapshot};
 pub use crate::txn::ActiveTxn;
+use crate::txn::{Ended, Incarnation, Until};
 
 /// How often a blocked client re-checks whether the database is shutting
 /// down underneath it.
@@ -80,7 +82,9 @@ pub(crate) struct Inner {
     /// Begin-order sequence of the last minted incarnation id (see
     /// [`Inner::mint_txn_id`]).
     next_seq: AtomicU64,
-    ts_counter: AtomicU64,
+    /// The global timestamp clock: each incarnation draws the next
+    /// tick, and a PA backoff proposal lifts it (see `txn`).
+    pub(crate) ts_counter: AtomicU64,
     started: Instant,
     pub(crate) stopped: Arc<AtomicBool>,
     /// The armed fault-injection plane wrapping the client→shard
@@ -475,27 +479,9 @@ impl Database {
     /// (the bypass commits inside one shard command, so it has no
     /// execution phase to hand back).
     pub fn begin(&self, spec: &TxnSpec) -> Result<ActiveTxn, TxnError> {
-        let inner = &self.inner;
         if self.routes(spec).next() == Some(Route::Snapshot) {
             if let Some((txn_id, reads)) = self.snapshot_read_values(spec)? {
-                let origin = inner.origin_of(spec, txn_id);
-                let txn = spec.with_access_sets(|reads, writes| {
-                    Transaction::from_sets(txn_id, origin, CcMethod::TwoPhaseLocking, reads, writes)
-                });
-                // A snapshot transaction never talks to a queue manager:
-                // its issuer exists only to carry the id/shape (empty
-                // access list, never started, never registered).
-                let ri = RequestIssuer::new(
-                    txn,
-                    TsTuple::new(Timestamp::ZERO, inner.config.pa_backoff_interval),
-                    Vec::new(),
-                );
-                return Ok(ActiveTxn::new_snapshot(
-                    self.clone(),
-                    ri,
-                    reads,
-                    inner.trace.client_lane(),
-                ));
+                return Ok(ActiveTxn::snapshot(self.clone(), txn_id, reads));
             }
         }
         self.begin_coordinated(spec)
@@ -557,61 +543,57 @@ impl Database {
                 .map_err(TxnError::UnknownItem)?;
 
             inner.registry.register(txn_id, method, &mut mailbox);
-            let mut ri = RequestIssuer::new(
-                txn,
-                TsTuple::new(ts, inner.config.pa_backoff_interval),
-                accesses,
-            );
-            // The plane's own clock, read even with the plane off: commit
-            // latency is `Committed`'s stamp minus this one.
-            let begun = now_nanos();
-            let out = ri.start();
+            let mut inc = Incarnation {
+                ri: RequestIssuer::new(
+                    txn,
+                    TsTuple::new(ts, inner.config.pa_backoff_interval),
+                    accesses,
+                ),
+                events: mailbox,
+                origin,
+                lane,
+                // The plane's own clock, read even with the plane off:
+                // `request_timeout` and the commit latency run from it.
+                begun: now_nanos(),
+                restarts: attempt,
+                timings: SpanTimings {
+                    begin: t_begin,
+                    selection_done: t_sel,
+                    ..SpanTimings::default()
+                },
+            };
+            let out = inc.ri.start();
             let started_exec = out.actions.contains(&RiAction::StartExecution);
             let n_sends = out.sends.len() as u32;
-            if let Err(e) = self.route_all(origin, out.sends) {
-                inner.registry.deregister(txn_id);
-                return Err(e);
-            }
-            let t_enq = plane.now();
-            plane.record_at(lane, t_enq, txn_id.0, Phase::TransportEnqueued, n_sends);
-            let timings = |exec_start: u64| SpanTimings {
-                begin: t_begin,
-                selection_done: t_sel,
-                enqueued: t_enq,
-                exec_start,
-                ..SpanTimings::default()
-            };
-            if started_exec {
-                // Degenerate empty transaction: straight to execution.
-                let t_exec = plane.now();
-                plane.record_at(lane, t_exec, txn_id.0, Phase::ExecutionStart, 0);
-                return Ok(ActiveTxn::new(
-                    self.clone(),
-                    ri,
-                    mailbox,
-                    begun,
-                    attempt,
-                    lane,
-                    timings(t_exec),
-                ));
-            }
-
-            match self.wait_for_execution(&mut ri, &mut mailbox, origin, method, lane, begun)? {
-                WaitOutcome::Executing => {
+            let ended = self.route_all(origin, out.sends).and_then(|()| {
+                let t_enq = plane.now();
+                plane.record_at(lane, t_enq, txn_id.0, Phase::TransportEnqueued, n_sends);
+                inc.timings.enqueued = t_enq;
+                if started_exec {
+                    // Degenerate empty transaction: straight to execution.
+                    Ok(Ended::Reached)
+                } else {
+                    inc.wait(self, Until::Executing, inc.begun)
+                }
+            });
+            // Each arm that retries names the error and the counter an
+            // exhausted restart budget ends in.
+            let (error, exhausted) = match ended {
+                Ok(Ended::Reached) => {
                     let t_exec = plane.now();
                     plane.record_at(lane, t_exec, txn_id.0, Phase::ExecutionStart, 0);
-                    return Ok(ActiveTxn::new(
-                        self.clone(),
-                        ri,
-                        mailbox,
-                        begun,
-                        attempt,
-                        lane,
-                        timings(t_exec),
-                    ));
+                    inc.timings.exec_start = t_exec;
+                    return Ok(ActiveTxn::new(self.clone(), inc));
                 }
-                WaitOutcome::Restart { rejected } => {
+                Ok(Ended::Stopped) => {
                     inner.registry.deregister(txn_id);
+                    return Err(TxnError::ShuttingDown);
+                }
+                Err(e) => {
+                    inner.registry.deregister(txn_id);
+                    return Err(e);
+                }
+                Ok(Ended::Restart { rejected }) => {
                     // Read even with the plane off: it ends the lock hold.
                     let t_restart = now_nanos();
                     let outcome = if rejected {
@@ -632,41 +614,31 @@ impl Database {
                     plane.record_restart(method, t_restart.saturating_sub(t_begin));
                     inner.metrics.with_local(|m| {
                         m.record_restart(method, outcome);
-                        m.record_lock_hold(method, nanos_between(begun, t_restart), true);
+                        m.record_lock_hold(method, nanos_between(inc.begun, t_restart), true);
                     });
-                    attempt += 1;
-                    if attempt > inner.config.max_restarts {
-                        inner.stats.failed.fetch_add(1, Ordering::Relaxed);
-                        return Err(TxnError::TooManyRestarts { attempts: attempt });
-                    }
-                    self.restart_pause(txn_id, attempt);
+                    let error = TxnError::TooManyRestarts {
+                        attempts: attempt + 1,
+                    };
+                    (error, &inner.stats.failed)
                 }
-                WaitOutcome::TimedOut => {
-                    // Abort the incarnation's residual queue state (best
-                    // effort — the Aborts cross the fault plane too; the
-                    // detector's stranded-transaction sweep covers
-                    // whatever they don't reach) and retry under a fresh
-                    // id. Exhausting the budget is a clean
-                    // `ShardUnavailable`: nothing of this transaction was
-                    // ever implemented.
-                    let aborts: Vec<RequestMsg> = ri
-                        .accessed_items()
-                        .map(|(item, _)| RequestMsg::Abort { txn: txn_id, item })
-                        .collect();
-                    let _ = self.route_all(origin, aborts);
-                    inner.registry.deregister(txn_id);
+                Ok(Ended::TimedOut) => {
+                    // Abort the incarnation's residual queue state and
+                    // retry under a fresh id. Exhausting the budget is a
+                    // clean `ShardUnavailable`: nothing of this
+                    // transaction was ever implemented.
+                    inc.abort(self);
                     inner.stats.timeout_restarts.fetch_add(1, Ordering::Relaxed);
-                    attempt += 1;
-                    if attempt > inner.config.max_restarts {
-                        inner
-                            .stats
-                            .shard_unavailable
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err(TxnError::ShardUnavailable);
-                    }
-                    self.restart_pause(txn_id, attempt);
+                    (TxnError::ShardUnavailable, &inner.stats.shard_unavailable)
                 }
+            };
+            inner.registry.deregister(txn_id);
+            mailbox = inc.events;
+            attempt += 1;
+            if attempt > inner.config.max_restarts {
+                exhausted.fetch_add(1, Ordering::Relaxed);
+                return Err(error);
             }
+            self.restart_pause(txn_id, attempt);
         }
     }
 
@@ -804,129 +776,6 @@ impl Database {
         };
         self.inner.selection_counts[method_code(choice) as usize].fetch_add(1, Ordering::Relaxed);
         (choice, cache_hit)
-    }
-
-    /// Block on the reply mailbox until the incarnation starts executing or
-    /// must restart. `begun` is the incarnation's begin stamp
-    /// ([`now_nanos`]), from which `request_timeout` runs.
-    fn wait_for_execution(
-        &self,
-        ri: &mut RequestIssuer,
-        events: &mut ClientMailbox,
-        origin: SiteId,
-        method: CcMethod,
-        lane: usize,
-        begun: u64,
-    ) -> Result<WaitOutcome, TxnError> {
-        let txn = ri.txn_id().0;
-        // One request outcome is recorded per item per incarnation (the
-        // reply to the initial `Access`), matching the simulator's
-        // accounting; later replies for the same item (backoff re-grants,
-        // normal-grant upgrades) would otherwise skew the denial
-        // probabilities the STL selector consumes.
-        let mut outcome_seen = FirstReplies::new(ri);
-        // The bounded wait: replies may keep trickling in (partial
-        // grants) without execution ever starting — a dropped Access or a
-        // crashed shard strands the incarnation — so the deadline is
-        // checked after every pass that leaves the wait open, not only
-        // after empty polls. A pass that ends it reads no clock.
-        let deadline = begun.saturating_add(nanos(self.inner.config.request_timeout));
-        let poll = SHUTDOWN_POLL.min(self.inner.config.request_timeout);
-        loop {
-            if let Some(event) = events.recv_timeout(txn, poll) {
-                // One event may carry several replies (a shard's batched
-                // grants); their follow-up sends are routed in one batched
-                // call after the whole event is absorbed.
-                let mut outcome = None;
-                let mut sends: Vec<RequestMsg> = Vec::new();
-                let mut absorb = |out: RiOutput| {
-                    for action in &out.actions {
-                        match action {
-                            RiAction::StartExecution => outcome = Some(WaitOutcome::Executing),
-                            RiAction::Restart { rejected } => {
-                                outcome = Some(WaitOutcome::Restart {
-                                    rejected: *rejected,
-                                })
-                            }
-                            RiAction::BackoffRound => {
-                                self.inner
-                                    .stats
-                                    .backoff_rounds
-                                    .fetch_add(1, Ordering::Relaxed);
-                                self.inner
-                                    .metrics
-                                    .with_local(|m| m.record_backoff_round(method));
-                                self.inner.trace.record(lane, txn, Phase::BackoffRound, 0);
-                            }
-                            RiAction::Committed | RiAction::FullyReleased => {
-                                unreachable!("cannot commit before executing")
-                            }
-                        }
-                    }
-                    sends.extend(out.sends);
-                };
-                match event {
-                    ClientEvent::Replies(replies) => {
-                        for reply in replies.iter() {
-                            let first_for_item = outcome_seen.insert(ri, reply.item());
-                            self.observe_reply(ri, method, reply, first_for_item);
-                            absorb(ri.on_reply(reply));
-                        }
-                    }
-                    ClientEvent::DeadlockVictim => absorb(ri.abort_for_deadlock()),
-                }
-                self.route_all(origin, sends)?;
-                if let Some(outcome) = outcome {
-                    return Ok(outcome);
-                }
-            } else if self.inner.stopped.load(Ordering::Relaxed) {
-                self.inner.registry.deregister(ri.txn_id());
-                return Err(TxnError::ShuttingDown);
-            }
-            if now_nanos() >= deadline {
-                return Ok(WaitOutcome::TimedOut);
-            }
-        }
-    }
-
-    /// Per-reply metric accounting (feeds the STL estimators).
-    /// `first_for_item` is true for the first reply this incarnation
-    /// received for the item — only that one counts as a request outcome.
-    fn observe_reply(
-        &self,
-        ri: &RequestIssuer,
-        method: CcMethod,
-        reply: &ReplyMsg,
-        first_for_item: bool,
-    ) {
-        // A backoff proposal lifts the global timestamp clock (Lamport
-        // style): the proposing queue's thresholds sit at `new_ts`, and
-        // without adoption a T/O transaction retrying against that item
-        // would crawl towards it one tick per incarnation and exhaust its
-        // restart budget.
-        if let ReplyMsg::Backoff { new_ts, .. } = reply {
-            self.inner.ts_counter.fetch_max(new_ts.0, Ordering::Relaxed);
-        }
-        let mode = ri
-            .accessed_items()
-            .find(|(item, _)| *item == reply.item())
-            .map(|(_, mode)| mode)
-            .unwrap_or(AccessMode::Read);
-        self.inner.metrics.with_local(|m| {
-            if let ReplyMsg::Grant { value, .. } = reply {
-                // Counted per issued grant (value-carrying grants
-                // correspond to the queue's `GrantIssued` events;
-                // normal-grant upgrades carry no value and are not new
-                // grants).
-                if value.is_some() {
-                    m.record_grant(reply.item(), mode);
-                }
-            }
-            if first_for_item {
-                let denied = matches!(reply, ReplyMsg::Reject { .. } | ReplyMsg::Backoff { .. });
-                m.record_request_outcome(method, mode, denied);
-            }
-        });
     }
 
     /// Send every message to the shard owning its item.
@@ -1087,51 +936,6 @@ fn method_code(method: CcMethod) -> u32 {
         CcMethod::TimestampOrdering => 1,
         CcMethod::PrecedenceAgreement => 2,
     }
-}
-
-/// The items of one incarnation that have had a reply: a bit per entry
-/// of the issuer's access list (no allocation), or a set for an
-/// incarnation of more than 64 items.
-enum FirstReplies {
-    Bits(u64),
-    Set(std::collections::HashSet<PhysicalItemId>),
-}
-
-impl FirstReplies {
-    fn new(ri: &RequestIssuer) -> Self {
-        if ri.accessed_items().count() <= 64 {
-            FirstReplies::Bits(0)
-        } else {
-            FirstReplies::Set(std::collections::HashSet::new())
-        }
-    }
-
-    /// Mark `item` replied; true if it had not been (or, never expected,
-    /// is not in the access list).
-    fn insert(&mut self, ri: &RequestIssuer, item: PhysicalItemId) -> bool {
-        match self {
-            FirstReplies::Bits(bits) => {
-                let Some(pos) = ri.accessed_items().position(|(i, _)| i == item) else {
-                    return true;
-                };
-                let first = *bits & (1 << pos) == 0;
-                *bits |= 1 << pos;
-                first
-            }
-            FirstReplies::Set(seen) => seen.insert(item),
-        }
-    }
-}
-
-enum WaitOutcome {
-    Executing,
-    Restart {
-        rejected: bool,
-    },
-    /// `request_timeout` expired before every access was granted: a
-    /// shard is down, a message was dropped, or the grant is parked
-    /// behind a partition. The incarnation is aborted and retried.
-    TimedOut,
 }
 
 // The whole point of the runtime: the facade must be shareable across

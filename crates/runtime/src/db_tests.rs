@@ -4,7 +4,8 @@
 //! under test lives in. Mounted as `db::tests`.
 
 use super::*;
-use dbmodel::ReplicationPolicy;
+use crate::registry::ClientEvent;
+use dbmodel::{AccessMode, ReplicationPolicy};
 use unified_cc::ConfluentOp;
 
 fn li(i: u64) -> LogicalItemId {
@@ -867,6 +868,57 @@ fn commit_wait_on_a_parked_upgrade_is_bounded() {
     assert_eq!(check.reads[&li(0)], 9);
     let report = db.shutdown().unwrap();
     assert!(report.serializable().is_ok());
+}
+
+/// `commit` is the decision point: a commit cut short by a shutdown
+/// returns `ShuttingDown` with the handle finished. It sends no `Abort`
+/// for a transaction that has drawn its commit stamp, counts no user
+/// abort, and leaves nothing registered.
+#[test]
+fn a_commit_cut_short_by_shutdown_is_not_a_user_abort() {
+    let db = Database::open(config(2, 4)).unwrap();
+    let mut txn = db.begin(&TxnSpec::new().write(li(0)).write(li(1))).unwrap();
+    txn.write(li(0), -1).unwrap();
+    txn.write(li(1), 1).unwrap();
+    db.shutdown().unwrap();
+    assert_eq!(txn.commit().unwrap_err(), TxnError::ShuttingDown);
+    let stats = db.stats();
+    assert_eq!(stats.user_aborts, 0, "a decided commit is not a user abort");
+    assert_eq!(stats.committed, 0);
+    assert_eq!(db.live_transactions(), 0);
+}
+
+/// The execution wait's stop exit: a client queued behind a 2PL holder
+/// returns `ShuttingDown` within a few polls of `shutdown`, and once both
+/// handles are gone nothing is left registered.
+#[test]
+fn a_begin_blocked_behind_a_holder_returns_shutting_down() {
+    let db = Database::open(config(1, 2)).unwrap();
+    let spec = TxnSpec::new()
+        .write(li(0))
+        .method(CcMethod::TwoPhaseLocking);
+    let holder = db.begin(&spec).unwrap();
+    let blocked = {
+        let (db, spec) = (db.clone(), spec.clone());
+        std::thread::spawn(move || {
+            let result = db.begin(&spec).map(drop);
+            (result, Instant::now())
+        })
+    };
+    wait_until("the second client queues behind the holder", || {
+        !db.waiting_transactions().is_empty()
+    });
+    let stopped_at = Instant::now();
+    db.shutdown().unwrap();
+    let (result, returned_at) = blocked.join().unwrap();
+    assert_eq!(result, Err(TxnError::ShuttingDown));
+    let took = returned_at.saturating_duration_since(stopped_at);
+    assert!(
+        took < SHUTDOWN_POLL * 4,
+        "the blocked begin noticed the stop only after {took:?}"
+    );
+    drop(holder);
+    assert_eq!(db.live_transactions(), 0);
 }
 
 /// Satellite 4 (PR 9): a victim storm — the same logical transaction

@@ -114,20 +114,9 @@ impl Database {
                 // less coordination than the confluent bypass (no at-apply
                 // refusal window to lose: a watermark read conflicts with
                 // nothing).
-                Route::Snapshot => self.snapshot_read_values(spec)?.map(|(txn_id, reads)| {
-                    let inner = &self.inner;
-                    inner.stats.committed.fetch_add(1, Ordering::Relaxed);
-                    let plane = &inner.trace;
-                    plane.record(plane.client_lane(), txn_id.0, Phase::Committed, 0);
-                    TxnReceipt {
-                        id: txn_id,
-                        method: CcMethod::TwoPhaseLocking,
-                        restarts: 0,
-                        reads,
-                        fastpath: false,
-                        snapshot: true,
-                    }
-                }),
+                Route::Snapshot => self
+                    .snapshot_read_values(spec)?
+                    .map(|(txn_id, reads)| self.commit_snapshot(txn_id, reads)),
                 Route::Bypass => self.try_fastpath(spec)?,
                 // The end of every list, and the one route that never
                 // refuses.
@@ -138,6 +127,29 @@ impl Database {
             }
         }
         self.execute_coordinated(spec)
+    }
+
+    /// Commit a served snapshot read: nothing is held anywhere and its
+    /// reads were logged where they were served, so committing is pure
+    /// local accounting. Both ends of the snapshot route come here —
+    /// [`Database::execute`] and a snapshot [`crate::ActiveTxn::commit`].
+    pub(crate) fn commit_snapshot(
+        &self,
+        txn_id: TxnId,
+        reads: BTreeMap<LogicalItemId, Value>,
+    ) -> TxnReceipt {
+        let inner = &self.inner;
+        inner.stats.committed.fetch_add(1, Ordering::Relaxed);
+        let plane = &inner.trace;
+        plane.record(plane.client_lane(), txn_id.0, Phase::Committed, 0);
+        TxnReceipt {
+            id: txn_id,
+            method: CcMethod::TwoPhaseLocking,
+            restarts: 0,
+            reads,
+            fastpath: false,
+            snapshot: true,
+        }
     }
 
     /// The coordinated route of [`Database::execute`]: a normal

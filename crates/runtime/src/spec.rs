@@ -160,37 +160,76 @@ fn sort_dedup(items: &mut [LogicalItemId], keep: impl Fn(&LogicalItemId) -> bool
 }
 
 /// Why a transaction could not run to commit.
+///
+/// Each variant documents its *post-state*: what the caller may assume
+/// about item values, the grants and queue entries the transaction held,
+/// its reply mailbox slot and its commit stamp. Two points split them:
+///
+/// * **Before the decision point** — an error from [`crate::Database::begin`],
+///   `execute` or `run_transaction` before commit — nothing of the
+///   transaction was implemented, no commit stamp was drawn, and the
+///   mailbox slot is back in the pool.
+/// * **Calling [`crate::ActiveTxn::commit`] is the decision point.** An
+///   error from it leaves the handle finished: it is deregistered and its
+///   mailbox slot back in the pool, it sends no `Abort` (some shard may
+///   already have installed its writes), it is not counted in
+///   [`crate::StatsSnapshot::user_aborts`], and a drawn stamp is never
+///   retired — the read watermark stays below it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxnError {
-    /// The spec names a logical item the catalog does not know.
+    /// The spec names a logical item the catalog does not know. Raised
+    /// before any request is sent: nothing was queued, granted or
+    /// implemented.
     UnknownItem(CatalogError),
     /// The transaction was restarted `attempts` times without reaching its
-    /// execution phase.
+    /// execution phase: the last incarnation was a T/O rejection or a
+    /// deadlock victim. Each incarnation's issuer aborted its queue entries
+    /// and grants; nothing was implemented. Counted in
+    /// [`crate::StatsSnapshot::failed`].
     TooManyRestarts {
         /// Number of attempts made.
         attempts: u32,
     },
     /// A write was staged for an item outside the transaction's write set.
+    /// The handle stays open with every grant held: the caller may stage
+    /// other writes, commit or abort. (`run_transaction` drops the handle,
+    /// which aborts it.)
     NotInWriteSet(LogicalItemId),
     /// Every one of the reply plane's `reply_max_clients` mailboxes
     /// stayed held by an open transaction for the whole bounded acquire
     /// wait — the admission limit, reported instead of blocking `begin`
-    /// forever.
+    /// forever. Raised before any request is sent.
     ReplyPlaneExhausted {
         /// The configured `reply_max_clients` limit.
         max_clients: usize,
     },
     /// The database shut down while the transaction was in flight.
+    ///
+    /// From `begin`: nothing was implemented and the incarnation is
+    /// deregistered; its queue entries are left to the stopping shards (no
+    /// `Abort` is sent). From `commit`: the commit is decided but cut
+    /// short. Its writes reached the shards its releases and demotes were
+    /// routed to before the stop and no others; the final report's log
+    /// says which.
+    /// A release wait that sees the stop after every release was routed
+    /// returns the receipt instead: that commit stands. Counted in no
+    /// statistic.
     ShuttingDown,
     /// A shard stopped answering within the configured deadline
     /// ([`crate::RuntimeConfig::request_timeout`] /
     /// [`crate::RuntimeConfig::commit_timeout`] /
     /// [`crate::RuntimeConfig::diagnostic_timeout`]), and the bounded
-    /// retry budget is exhausted. Before the execution phase this is a
-    /// clean failure (nothing was implemented); at commit time the
-    /// transaction's writes were already implemented when its locks
-    /// demoted — the outcome is *decided but unacknowledged*, never a
-    /// partial commit.
+    /// retry budget is exhausted. Counted in
+    /// [`crate::StatsSnapshot::shard_unavailable`].
+    ///
+    /// From `begin`: a clean failure. Each timed-out incarnation sent an
+    /// `Abort` for every item it asked for (best effort; the detector's
+    /// stranded-transaction sweep removes whatever they miss), and nothing
+    /// was implemented. From a one-shot route of `execute`: a snapshot
+    /// read wrote nothing, but a bypass command may still apply when the
+    /// shard recovers. From `commit`: *decided but unacknowledged* — the
+    /// writes were implemented when the locks demoted, never a partial
+    /// commit, and the unretired stamp holds the read watermark below it.
     ShardUnavailable,
 }
 

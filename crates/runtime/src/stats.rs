@@ -276,9 +276,16 @@ pub struct StatsSnapshot {
     /// was queued without being announced (or its announcement was lost)
     /// and the cycle stood until the backstop tick.
     pub deadlock_backstop_victims: u64,
-    /// Transactions aborted by the caller.
+    /// Transaction handles ended by [`crate::ActiveTxn::abort`] or
+    /// dropped before `commit` — snapshot ones included, and the handle a
+    /// `run_transaction` drops on [`crate::TxnError::NotInWriteSet`]. An
+    /// error from `commit` is not counted here, nor is any error from
+    /// `begin`.
     pub user_aborts: u64,
-    /// Transactions that gave up after `max_restarts` attempts.
+    /// `begin`s that returned [`crate::TxnError::TooManyRestarts`]: the
+    /// `max_restarts` budget ran out on a T/O rejection or a deadlock
+    /// victim. A budget that runs out on an expired `request_timeout` is
+    /// in `shard_unavailable`, not here.
     pub failed: u64,
     /// Lock grants issued across all shards.
     pub grants: u64,
@@ -345,8 +352,11 @@ pub struct StatsSnapshot {
     /// Incarnations restarted because `request_timeout` expired before
     /// every access was granted (fault plane / dead shard).
     pub timeout_restarts: u64,
-    /// Transactions that gave up with [`crate::TxnError::ShardUnavailable`]
-    /// after exhausting timeout restarts or a bounded commit wait.
+    /// Every [`crate::TxnError::ShardUnavailable`] returned: a `begin`
+    /// whose restart budget ran out on an expired `request_timeout`, a
+    /// `commit` whose release wait passed `commit_timeout`, and a one-shot
+    /// route (snapshot read or bypass) a shard did not answer within
+    /// `diagnostic_timeout`.
     pub shard_unavailable: u64,
     /// Stranded-transaction queue entries aborted by the detector's
     /// cleanup sweep.

@@ -1,11 +1,13 @@
 //! The allocation budget of the two one-shot routes and of a coordinated
 //! transfer, asserted directly: after warm-up, a served 4-item snapshot
-//! read spanning two shards costs at most five heap allocations, a
-//! single-item bypass add at most two, and a `run_transaction` transfer
-//! at most 12 (`TRANSFER_ALLOCS`), on one shard or across two.
+//! read spanning two shards costs at most five heap allocations — through
+//! `execute` or through `begin` and `commit` — a single-item bypass add at
+//! most two, and a `run_transaction` transfer at most 12
+//! (`TRANSFER_ALLOCS`), on one shard or across two.
 //!
 //! The five of the read are one oneshot reply slot and one answer vector
-//! per shard, and the receipt's read map; the add's are its reply slot
+//! per shard, and the receipt's read map; a snapshot `begin` builds no
+//! transaction and no issuer beside them. The add's are its reply slot
 //! and at most one more. The grouping of the work per shard, the commands
 //! themselves and the shard's served-version scratch allocate nothing.
 //! The transfer's budget counts the closure's own write vector; which item
@@ -146,6 +148,30 @@ fn one_shot_routes_stay_inside_their_allocation_budget() {
     );
     assert!(per_add <= 2.0, "a bypass add allocates {per_add}");
 
+    let report = db.shutdown().unwrap();
+    assert!(report.serializable().is_ok());
+}
+
+#[test]
+fn a_snapshot_begin_and_commit_stays_inside_the_read_budget() {
+    let db = two_shards();
+    let read_items = [0, 1, 2, 3];
+    assert_eq!(sites(&db, &read_items), 2, "the read spans both shards");
+    let read = TxnSpec::new().reads(read_items.map(LogicalItemId));
+    let per_read = allocations_per_txn(
+        &db,
+        |db| {
+            let txn = db.begin(&read).unwrap();
+            assert!(txn.is_snapshot());
+            drop(txn.commit().unwrap());
+        },
+        |db| db.stats().snapshot_reads,
+    );
+    println!("allocations per snapshot begin + commit: {per_read}");
+    assert!(
+        per_read <= 5.0,
+        "a 2-shard snapshot begin + commit allocates {per_read}"
+    );
     let report = db.shutdown().unwrap();
     assert!(report.serializable().is_ok());
 }

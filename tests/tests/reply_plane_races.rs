@@ -48,6 +48,17 @@ const PRODUCERS: usize = 4;
 /// mutation-disabled.
 type Ev = u64;
 
+/// Raises `stop` when dropped. Each scope body holds one, so a failing
+/// assertion in the body still stops the threads it spawned: the scope
+/// joins and the test fails instead of hanging.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 fn churn_options(sweep_on_register: bool) -> MailboxOptions {
     MailboxOptions {
         mailbox_capacity: 32,
@@ -71,6 +82,7 @@ fn run_churn(registry: &MailboxRegistry<Ev>, run_for: Duration, seed: u64) -> (u
     let leaks = Arc::new(AtomicU64::new(0));
 
     std::thread::scope(|scope| {
+        let _stop = StopOnDrop(&stop);
         for p in 0..PRODUCERS {
             let published = Arc::clone(&published);
             let stop = Arc::clone(&stop);
@@ -134,7 +146,6 @@ fn run_churn(registry: &MailboxRegistry<Ev>, run_for: Duration, seed: u64) -> (u
             });
         }
         std::thread::sleep(run_for);
-        stop.store(true, Ordering::Relaxed);
     });
     (leaks.load(Ordering::Relaxed), registry.stale_dropped())
 }
@@ -206,6 +217,7 @@ fn victim_marker_racing_reply_batches_is_never_lost() {
     let stop = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
+        let _stop = StopOnDrop(&stop);
         // The "shard": keeps blasting reply batches at the live key.
         {
             let current = Arc::clone(&current);
@@ -262,7 +274,6 @@ fn victim_marker_racing_reply_batches_is_never_lost() {
             current.store(0, Ordering::Relaxed);
             registry.deregister(key);
         }
-        stop.store(true, Ordering::Relaxed);
     });
 }
 
@@ -302,6 +313,7 @@ fn churn_never_lets_a_dead_keys_metadata_update_reach_the_next_incarnation() {
     while refused.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
+            let _stop = StopOnDrop(&stop);
             for p in 0..PRODUCERS {
                 let (registry, published, refused, stop) = (&registry, &published, &refused, &stop);
                 scope.spawn(move || {
@@ -338,7 +350,6 @@ fn churn_never_lets_a_dead_keys_metadata_update_reach_the_next_incarnation() {
                 });
             }
             std::thread::sleep(Duration::from_millis(300));
-            stop.store(true, Ordering::Relaxed);
         });
         assert_eq!(
             leaks.load(Ordering::Relaxed),
@@ -366,6 +377,7 @@ fn ramp_under_churn(ramp_n: usize, opts: MailboxOptions) -> usize {
     let mut at_peak = 0;
 
     std::thread::scope(|scope| {
+        let stop_churners = StopOnDrop(&stop);
         // Churners register/deliver/deregister transient keys (their
         // `seq`s disjoint from the ramp's) so the ramp races live
         // registration traffic, not a quiesced registry.
@@ -416,7 +428,7 @@ fn ramp_under_churn(ramp_n: usize, opts: MailboxOptions) -> usize {
             );
         }
         at_peak = registry.len();
-        stop.store(true, Ordering::Relaxed);
+        drop(stop_churners);
         for (key, _) in &held {
             registry.deregister(*key);
         }
