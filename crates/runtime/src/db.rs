@@ -41,6 +41,7 @@ use crate::detector;
 use crate::refitter;
 use crate::registry::Registry;
 use crate::report::RuntimeReport;
+use crate::route::PerShard;
 use crate::shard::{self, ShardCmd, ShardHandle, ShardSender};
 pub use crate::spec::{TxnError, TxnReceipt, TxnSpec};
 use crate::stats::{MetricsShards, RuntimeStats, StatsSnapshot};
@@ -454,10 +455,7 @@ impl Database {
     pub fn force_refit(&self) {
         let inner = &self.inner;
         let begun = Instant::now();
-        let merged = inner.metrics.merged(self.now());
-        let _ = inner
-            .selector
-            .refit_now(&merged, inner.stats.workload_signal());
+        let _ = inner.selector.refit_now(&inner.metrics.merged(self.now()));
         inner
             .stats
             .selection_refit_nanos
@@ -749,9 +747,9 @@ impl Database {
             }
             CcPolicy::DynamicStl => {
                 // Atomics only from here to the decision: the published
-                // epoch, the shards' grant / conflict counters, the commit
-                // count. Whatever a re-fit needs beyond that — stripes,
-                // the model, the new table — is the refitter's business.
+                // epoch and the commit count. Whatever a re-fit needs
+                // beyond that — stripes, the model, the new table — is the
+                // refitter's business.
                 let begun = Instant::now();
                 let picked = spec.with_access_sets(|reads, writes| {
                     inner.selector.select_published(
@@ -759,7 +757,6 @@ impl Database {
                         writes,
                         SiteId(0),
                         &inner.catalog,
-                        inner.stats.workload_signal(),
                         inner.stats.committed.load(Ordering::Relaxed),
                     )
                 });
@@ -781,12 +778,13 @@ impl Database {
     /// Send every message to the shard owning its item.
     ///
     /// This is the client-side **send batcher**: the transaction's
-    /// messages are grouped per destination shard (stable — relative
-    /// order per shard is preserved, which is all the protocol requires)
-    /// and each group is submitted as one [`ShardCmd::HandleBatch`], so a
-    /// transaction costs each shard one core tenure per phase instead of
-    /// one per message — on this thread when the shard is idle
-    /// ([`ShardSender::submit`]), else one enqueue and at most one wakeup.
+    /// messages are grouped per destination shard, at any size (stable —
+    /// relative order per shard is preserved, which is all the protocol
+    /// requires) and each group is submitted as one
+    /// [`ShardCmd::HandleBatch`], so a transaction costs each shard one
+    /// core tenure per phase instead of one per message — on this thread
+    /// when the shard is idle ([`ShardSender::submit`]), else one enqueue
+    /// and at most one wakeup.
     ///
     /// The batches go out in order, each trying the core once, except the
     /// last: if every earlier batch of this call ran inline, it waits a
@@ -806,57 +804,18 @@ impl Database {
         if sends.is_empty() {
             return Ok(());
         }
-        let shard_of = |msg: &RequestMsg| self.inner.shard_of(msg.item().site);
+        let mut per_shard = PerShard::new();
+        for msg in sends {
+            per_shard.push(self.inner.shard_of(msg.item().site), msg);
+        }
+        let batches = per_shard.0.len();
         // Did every batch so far run inline? Then the last may wait.
         let mut all_inline = true;
-        let mut send_batch = |idx: usize, msgs, last: bool| {
-            let inline = self.inner.shard_txs[idx]
-                .submit(ShardCmd::HandleBatch { origin, msgs }, last && all_inline)
+        for (n, (idx, msgs)) in per_shard.0.into_iter().enumerate() {
+            let wait = all_inline && n + 1 == batches;
+            all_inline &= self.inner.shard_txs[idx]
+                .submit(ShardCmd::HandleBatch { origin, msgs }, wait)
                 .map_err(|_| TxnError::ShuttingDown)?;
-            all_inline &= inline;
-            Ok::<_, TxnError>(())
-        };
-        // Group by destination without allocating: messages are `Copy`
-        // plain data and transactions send at most a handful, so a
-        // taken-bitmap scan collects each shard's batch in order.
-        // (Transactions beyond 64 messages fall back to consecutive-run
-        // grouping — still correct, just potentially more batches.)
-        let n = sends.len();
-        if n <= 64 {
-            // Resolve each destination once up front; the grouping scans
-            // below then compare plain indices.
-            let mut dest = [0usize; 64];
-            for (d, msg) in dest.iter_mut().zip(&sends) {
-                *d = shard_of(msg);
-            }
-            let mut taken: u64 = 0;
-            for i in 0..n {
-                if taken & (1 << i) != 0 {
-                    continue;
-                }
-                let idx = dest[i];
-                let mut msgs = transport::batch::SmallBatch::new();
-                for (j, msg) in sends.iter().enumerate().skip(i) {
-                    if taken & (1 << j) == 0 && dest[j] == idx {
-                        msgs.push(*msg);
-                        taken |= 1 << j;
-                    }
-                }
-                let last = taken.count_ones() as usize == n;
-                send_batch(idx, msgs, last)?;
-            }
-        } else {
-            let mut run_start = 0;
-            while run_start < n {
-                let idx = shard_of(&sends[run_start]);
-                let mut run_end = run_start + 1;
-                while run_end < n && shard_of(&sends[run_end]) == idx {
-                    run_end += 1;
-                }
-                let msgs = sends[run_start..run_end].iter().copied().collect();
-                send_batch(idx, msgs, run_end == n)?;
-                run_start = run_end;
-            }
         }
         Ok(())
     }

@@ -130,11 +130,14 @@ fn deadlock_between_2pl_writers_is_broken() {
     }
     let report = db.shutdown().unwrap();
     assert_eq!(report.stats.committed, 120);
-    // All 2PL, so every cycle is real and every victim is waiting when its
-    // one signal arrives.
-    assert_eq!(
-        report.stats.deadlock_victims,
-        report.stats.deadlock_restarts
+    // Every restart answers a victim signal, but not every signal forces
+    // a restart: a scan may signal an incarnation whose cycle dissolved
+    // meanwhile (it was granted, or its partner restarted), and an issuer
+    // past its waiting phases ignores the signal (see `detector.rs`).
+    assert!(
+        report.stats.deadlock_restarts <= report.stats.deadlock_victims,
+        "{:?}",
+        report.stats
     );
     assert!(report.serializable().is_ok());
 }
@@ -873,19 +876,35 @@ fn commit_wait_on_a_parked_upgrade_is_bounded() {
 /// `commit` is the decision point: a commit cut short by a shutdown
 /// returns `ShuttingDown` with the handle finished. It sends no `Abort`
 /// for a transaction that has drawn its commit stamp, counts no user
-/// abort, and leaves nothing registered.
+/// abort, and leaves nothing registered. The flight recorder tells the
+/// two apart: `Aborted` carries 1 for the cut-short commit, 0 for a user
+/// abort.
 #[test]
 fn a_commit_cut_short_by_shutdown_is_not_a_user_abort() {
     let db = Database::open(config(2, 4)).unwrap();
+    let aborted = db.begin(&TxnSpec::new().write(li(2))).unwrap();
+    let aborted_id = aborted.id();
+    aborted.abort();
     let mut txn = db.begin(&TxnSpec::new().write(li(0)).write(li(1))).unwrap();
+    let cut_short_id = txn.id();
     txn.write(li(0), -1).unwrap();
     txn.write(li(1), 1).unwrap();
     db.shutdown().unwrap();
     assert_eq!(txn.commit().unwrap_err(), TxnError::ShuttingDown);
     let stats = db.stats();
-    assert_eq!(stats.user_aborts, 0, "a decided commit is not a user abort");
+    assert_eq!(
+        stats.user_aborts, 1,
+        "the user abort alone: a decided commit is not one"
+    );
     assert_eq!(stats.committed, 0);
     assert_eq!(db.live_transactions(), 0);
+    let aborted_args = |id: TxnId| -> Vec<u32> {
+        let events = db.trace_snapshot();
+        let aborted = events.iter().filter(|e| e.phase == Phase::Aborted);
+        aborted.filter(|e| e.txn == id.0).map(|e| e.arg).collect()
+    };
+    assert_eq!(aborted_args(aborted_id), [0], "a user abort");
+    assert_eq!(aborted_args(cut_short_id), [1], "decided, unacknowledged");
 }
 
 /// The execution wait's stop exit: a client queued behind a 2PL holder
@@ -1741,6 +1760,34 @@ fn quiet_config(shards: u32) -> RuntimeConfig {
         deadlock_scan_interval: Duration::from_secs(10),
         ..config(shards, 4)
     }
+}
+
+/// The send batcher groups by shard at any size: a 70-item write whose
+/// items alternate between two shards submits one batch per shard per
+/// phase — two access batches, two release batches — however the
+/// messages interleave.
+#[test]
+fn a_wide_write_sends_one_batch_per_shard_per_phase() {
+    let db = Database::open(RuntimeConfig {
+        num_items: 70,
+        ..quiet_config(2)
+    })
+    .unwrap();
+    assert_ne!(shard_of(&db, li(0)), shard_of(&db, li(1)));
+    let submits = |db: &Database| {
+        let stats = db.stats();
+        stats.shard_inline
+            + stats.shard_enqueued_busy
+            + stats.shard_enqueued_backlog
+            + stats.shard_enqueued_log_full
+    };
+    let before = submits(&db);
+    let spec = (0..70).fold(TxnSpec::new(), |spec, i| spec.write(li(i)));
+    let spec = spec.method(CcMethod::TwoPhaseLocking);
+    db.run_transaction(&spec, |_| (0..70).map(|i| (li(i), 1)).collect())
+        .unwrap();
+    assert_eq!(submits(&db) - before, 4);
+    assert!(db.shutdown().unwrap().serializable().is_ok());
 }
 
 /// The core wait, single shard: the transfer's one access batch is the

@@ -79,8 +79,9 @@ pub(crate) fn spawn(
         .expect("failed to spawn selector refitter")
 }
 
-/// Answer the pending request, if any, against the live counters; the time
-/// spent is the refitter-side half of the selector's cost.
+/// Answer the pending request, if any, against the live commit count and
+/// metric stripes; the time spent is the refitter-side half of the
+/// selector's cost.
 fn serve(
     selector: &CachedStlSelector,
     metrics: &MetricsShards,
@@ -90,7 +91,6 @@ fn serve(
     let begun = Instant::now();
     let now = || SimTime::from_micros(started.elapsed().as_micros() as u64);
     let outcome = selector.serve_request(
-        stats.workload_signal(),
         stats.committed.load(Ordering::Relaxed),
         || metrics.merged(now()),
         || metrics.sample(now()),

@@ -40,21 +40,21 @@ thread_local! {
 /// `None` for a refusal.
 type ShardAnswer = Option<Vec<(PhysicalItemId, Value)>>;
 
-/// A one-shot transaction's work grouped by owning shard: one batch per
-/// shard (a bypass is atomic only inside one shard command), shards in
-/// order of first appearance, each batch in spec order. Up to four shards
-/// of up to four ops each live inline, so the common spec allocates
-/// nothing to be grouped; there is no size limit past which grouping
-/// changes.
-struct PerShard<T>(SmallBatch<(usize, SmallBatch<T>)>);
+/// Work grouped by owning shard: one batch per shard (a bypass is atomic
+/// only inside one shard command, and a coordinated send costs each shard
+/// one tenure), shards in order of first appearance, each batch in the
+/// order pushed. Up to four shards of up to four ops each live inline, so
+/// the common transaction allocates nothing to be grouped; there is no
+/// size limit past which grouping changes.
+pub(crate) struct PerShard<T>(pub(crate) SmallBatch<(usize, SmallBatch<T>)>);
 
 impl<T> PerShard<T> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PerShard(SmallBatch::new())
     }
 
     /// Append `op` to shard `idx`'s batch.
-    fn push(&mut self, idx: usize, op: T) {
+    pub(crate) fn push(&mut self, idx: usize, op: T) {
         if let Some((_, batch)) = self.0.iter_mut().find(|(shard, _)| *shard == idx) {
             return batch.push(op);
         }

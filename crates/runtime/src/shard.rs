@@ -344,7 +344,6 @@ impl ShardCore {
     }
 
     fn count_implemented(&self, ops: u64) {
-        self.stats.implemented_ops.fetch_add(ops, Ordering::Relaxed);
         self.stats.per_shard[self.idx]
             .implemented
             .fetch_add(ops, Ordering::Relaxed);
@@ -362,7 +361,6 @@ impl ShardCore {
         for event in self.sink.events.drain(..) {
             match event {
                 QmEvent::GrantIssued { txn, class, .. } => {
-                    self.stats.grants.fetch_add(1, Ordering::Relaxed);
                     counters.grants.fetch_add(1, Ordering::Relaxed);
                     if class == GrantClass::PreScheduled {
                         counters.prescheduled.fetch_add(1, Ordering::Relaxed);
@@ -962,9 +960,9 @@ mod tests {
         let (site, logs) = handle.join.join().unwrap();
         assert_eq!(site, SiteId(0));
         assert_eq!(logs.total_ops(), 1);
-        assert_eq!(stats.grants.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.implemented_ops.load(Ordering::Relaxed), 1);
-        let shard0 = &stats.snapshot().per_shard[0];
+        let stats = stats.snapshot();
+        assert_eq!((stats.grants, stats.implemented_ops), (1, 1));
+        let shard0 = &stats.per_shard[0];
         assert_eq!(shard0.grants, 1);
         assert_eq!(shard0.implemented, 1);
         assert_eq!(shard0.prescheduled, 0, "uncontended grant is normal");
@@ -993,7 +991,7 @@ mod tests {
         let _ = handle.tx.send(ShardCmd::Shutdown);
         let (_, logs) = handle.join.join().unwrap();
         assert_eq!(logs.total_ops(), 1, "access then release implemented");
-        assert_eq!(stats.implemented_ops.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.snapshot().implemented_ops, 1);
     }
 
     /// A `Shutdown` ordered *ahead of* enqueued `HandleBatch` commands
@@ -1039,7 +1037,7 @@ mod tests {
             TXNS as usize,
             "every enqueued release must be implemented"
         );
-        assert_eq!(stats.implemented_ops.load(Ordering::Relaxed), TXNS);
+        assert_eq!(stats.snapshot().implemented_ops, TXNS);
     }
 
     /// The item's log as the sequence of transactions implemented on it.

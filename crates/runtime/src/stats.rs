@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use metrics::{MetricsSample, SimMetrics};
-use selection::{CacheStats, WorkloadSignal};
+use selection::CacheStats;
 use simkit::time::SimTime;
 use transport::CachePadded;
 
@@ -102,16 +102,14 @@ impl MetricsShards {
 }
 
 /// Counters about one shard, maintained by whoever runs its core or
-/// submits to it: the per-shard half of the feedback loop that drives the
-/// selection cache's epoch logic (grant and conflict rates), the
-/// per-shard balance reported by the experiment binaries, and one counter
-/// per outcome of `ShardSender::submit`.
+/// submits to it: its grants, conflicts, implemented operations and
+/// aborts — the only count of each, summed into [`StatsSnapshot`] — and
+/// one counter per outcome of `ShardSender::submit`.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
     /// Lock grants issued by this shard.
     pub(crate) grants: AtomicU64,
-    /// Grants issued pre-scheduled, i.e. under a standing conflict — the
-    /// shard-local conflict signal.
+    /// Grants issued pre-scheduled, i.e. under a standing conflict.
     pub(crate) prescheduled: AtomicU64,
     /// Operations implemented (committed into this shard's log slice).
     pub(crate) implemented: AtomicU64,
@@ -190,7 +188,8 @@ pub struct ShardCounterSnapshot {
 }
 
 /// Counters updated concurrently by client threads, shard threads and the
-/// deadlock detector.
+/// deadlock detector. What a shard counts lives only in its `per_shard`
+/// entry; `snapshot` sums the totals.
 #[derive(Debug, Default)]
 pub(crate) struct RuntimeStats {
     pub(crate) committed: AtomicU64,
@@ -203,8 +202,6 @@ pub(crate) struct RuntimeStats {
     pub(crate) deadlock_backstop_victims: AtomicU64,
     pub(crate) user_aborts: AtomicU64,
     pub(crate) failed: AtomicU64,
-    pub(crate) grants: AtomicU64,
-    pub(crate) implemented_ops: AtomicU64,
     /// Transactions applied through the coordination-avoidance bypass.
     pub(crate) fastpath_applied: AtomicU64,
     /// Bypass attempts refused by a queue manager (touched slot had
@@ -287,9 +284,11 @@ pub struct StatsSnapshot {
     /// victim. A budget that runs out on an expired `request_timeout` is
     /// in `shard_unavailable`, not here.
     pub failed: u64,
-    /// Lock grants issued across all shards.
+    /// Lock grants issued across all shards (the sum of the per-shard
+    /// `grants`).
     pub grants: u64,
-    /// Operations implemented (entered the execution log) across all shards.
+    /// Operations implemented (entered the execution log) across all
+    /// shards (the sum of the per-shard `implemented`).
     pub implemented_ops: u64,
     /// Transactions committed through the coordination-avoidance bypass
     /// (no grants, no precedence entries, no queue time).
@@ -429,8 +428,8 @@ impl RuntimeStats {
             deadlock_backstop_victims: self.deadlock_backstop_victims.load(Ordering::Relaxed),
             user_aborts: self.user_aborts.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            grants: self.grants.load(Ordering::Relaxed),
-            implemented_ops: self.implemented_ops.load(Ordering::Relaxed),
+            grants: sum(|s| s.grants),
+            implemented_ops: sum(|s| s.implemented),
             fastpath_applied: self.fastpath_applied.load(Ordering::Relaxed),
             fastpath_refused: self.fastpath_refused.load(Ordering::Relaxed),
             snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
@@ -460,25 +459,6 @@ impl RuntimeStats {
             cache: CacheStats::default(),
             per_shard,
         }
-    }
-
-    /// The per-shard feedback loop: grant / conflict counters maintained
-    /// by the shards drive the cached selector's epoch logic (a
-    /// conflict-ratio shift beyond the drift threshold re-fits the model
-    /// early).
-    pub(crate) fn workload_signal(&self) -> WorkloadSignal {
-        WorkloadSignal {
-            grants: self.grants.load(Ordering::Relaxed),
-            conflicts: self.prescheduled_grants(),
-        }
-    }
-
-    /// Total pre-scheduled (conflicted) grants over all shards.
-    pub(crate) fn prescheduled_grants(&self) -> u64 {
-        self.per_shard
-            .iter()
-            .map(|s| s.prescheduled.load(Ordering::Relaxed))
-            .sum()
     }
 }
 

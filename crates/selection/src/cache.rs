@@ -16,10 +16,10 @@
 //!   indexes. Two threads that miss the same slot both compute it — the
 //!   program is a pure function of the slot, so they store the same bits.
 //! * **Request** (when a selection notices a re-fit is due: `epoch_commits`
-//!   commits since the fit, a conflict-ratio shift, or every
-//!   `drift_check_every`-th selection for the scalar drift probe): one
-//!   flag is raised, [`CachedStlSelector::select_published`] returns, and
-//!   selections keep reading the epoch they have.
+//!   commits since the fit, or every `drift_check_every`-th selection for
+//!   the scalar drift probe): one flag is raised,
+//!   [`CachedStlSelector::select_published`] returns, and selections keep
+//!   reading the epoch they have.
 //! * **Re-fit, pre-warm, publish** (whoever answers the request — the
 //!   runtime's refitter thread through
 //!   [`CachedStlSelector::serve_request`]): re-check that the re-fit is
@@ -30,10 +30,10 @@
 //!   published `Arc` under a write lock held for the swap alone. The first
 //!   selections of the new epoch therefore hit.
 //!
-//! The single-threaded drive ([`CachedStlSelector::select`], what the
-//! simulator-style callers and the benches use) is the same epoch, the
-//! same table and the same decide with the re-fit run inline by the
-//! selection that finds it due; it is deterministic.
+//! [`CachedStlSelector::select`] (what the simulator-style callers and the
+//! benches use) is the same selection body run by a caller that holds the
+//! metrics: it answers the request it raises itself, before the decision
+//! the re-fit would change, so it is deterministic.
 //!
 //! The seam sits at `STL'(λ, U)` rather than at the decision because that
 //! is where the key space is small: an epoch freezes at most six hold
@@ -61,6 +61,7 @@
 //! mixture of two. Routing ([`crate::route`]) never touches the table: it
 //! is pure in the op profile and the access-set sizes.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -83,13 +84,13 @@ pub struct CacheSettings {
     /// since the last fit (minimum 1).
     pub epoch_commits: u64,
     /// Relative drift in the fitted model / protocol parameters (absolute
-    /// drift for probabilities and conflict ratios) that forces an early
-    /// re-fit. 0 disables drift-triggered refreshes.
+    /// drift for probabilities) that forces an early re-fit. 0 disables
+    /// drift-triggered refreshes.
     pub drift_threshold: f64,
     /// Selections between drift probes against the live metrics (the probe
     /// folds the system-wide scalars only — no per-item table, no STL′
-    /// evaluation). 0 disables probing; the workload-signal check still
-    /// runs every selection.
+    /// evaluation). 0 disables probing: the epoch boundary is then the
+    /// only trigger.
     pub drift_check_every: u64,
     /// Width of the loss-quantization buckets of the STL′ table, on a
     /// `ln(1+x)` scale: losses above ~1 lock/s share a bucket when within
@@ -116,7 +117,7 @@ impl Default for CacheSettings {
             // Every refit recomputes the entries the last epoch used, one
             // dynamic program (tens of µs) each; at live-runtime commit
             // rates 1024 commits is still a sub-second epoch, and the
-            // drift checks below catch genuine workload shifts between
+            // drift probe below catches genuine workload shifts between
             // scheduled boundaries.
             epoch_commits: 1024,
             drift_threshold: 0.5,
@@ -145,38 +146,6 @@ impl CacheSettings {
             return Err("drift_threshold must be a finite value >= 0".into());
         }
         Ok(())
-    }
-}
-
-/// Live workload feedback the runtime folds into the epoch logic: per-shard
-/// counters aggregated by the embedder. A change in the conflict ratio
-/// (pre-scheduled grants over all grants) beyond the drift threshold
-/// triggers an early re-fit even when the scheduled epoch boundary is far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkloadSignal {
-    /// Lock grants issued (all shards).
-    pub grants: u64,
-    /// Conflicted (pre-scheduled) grants issued (all shards).
-    pub conflicts: u64,
-}
-
-impl WorkloadSignal {
-    /// Fraction of grants that were pre-scheduled (issued under conflict).
-    pub fn conflict_ratio(&self) -> f64 {
-        if self.grants == 0 {
-            0.0
-        } else {
-            self.conflicts as f64 / self.grants as f64
-        }
-    }
-
-    /// The counter deltas accumulated since `earlier` (saturating, so a
-    /// stale baseline never underflows).
-    pub fn since(&self, earlier: WorkloadSignal) -> WorkloadSignal {
-        WorkloadSignal {
-            grants: self.grants.saturating_sub(earlier.grants),
-            conflicts: self.conflicts.saturating_sub(earlier.conflicts),
-        }
     }
 }
 
@@ -443,14 +412,6 @@ pub struct EpochSnapshot {
     pub epoch: u64,
     /// Commits observed when the snapshot was fitted.
     pub fitted_at_commits: u64,
-    /// Conflict ratio this epoch's drift checks compare against: the
-    /// ratio observed over the window preceding the fit (the cumulative
-    /// ratio for the very first fit).
-    pub conflict_ratio: f64,
-    /// The cumulative workload counters at fit time — the baseline the
-    /// drift check subtracts so it always reasons about *recent* grants,
-    /// not lifetime averages (which go inert as the run ages).
-    pub signal_at_fit: WorkloadSignal,
     /// The fitted system-wide STL model.
     pub model: StlModel,
     /// The measured parameters of every protocol.
@@ -462,30 +423,12 @@ pub struct EpochSnapshot {
     granted_items: (usize, usize),
 }
 
-/// Grants that must accumulate since the fit before a conflict-ratio
-/// drift verdict is trusted (a handful of conflicted grants in a row is
-/// noise, not a regime change).
-const DRIFT_MIN_GRANTS: u64 = 64;
-
 impl EpochSnapshot {
-    /// Fit a snapshot from the live metrics. `prev_signal` is the
-    /// cumulative workload signal at the *previous* fit, used to derive
-    /// the recent-window conflict ratio this epoch is compared against.
-    pub fn fit(
-        metrics: &SimMetrics,
-        epoch: u64,
-        signal: WorkloadSignal,
-        prev_signal: Option<WorkloadSignal>,
-    ) -> EpochSnapshot {
-        let window = prev_signal
-            .map(|prev| signal.since(prev))
-            .filter(|w| w.grants > 0)
-            .unwrap_or(signal);
+    /// Fit a snapshot from the live metrics.
+    pub fn fit(metrics: &SimMetrics, epoch: u64) -> EpochSnapshot {
         EpochSnapshot {
             epoch,
             fitted_at_commits: metrics.total_committed.get(),
-            conflict_ratio: window.conflict_ratio(),
-            signal_at_fit: signal,
             model: StlSelector::model_from_metrics(metrics),
             params: MethodParamSet::measure(metrics),
             rates: metrics.item_rates(),
@@ -552,11 +495,11 @@ impl EpochSnapshot {
     /// moved beyond `threshold` from the fitted ones: rates and hold times
     /// relatively, probabilities absolutely. The probe reads system-wide
     /// scalars only; the per-item averages λ̄r, λ̄w divide by the item
-    /// counts frozen at fit time. Note the comparison is against lifetime
-    /// metric aggregates, which respond ever more slowly as a run ages —
-    /// the delta-based [`EpochSnapshot::signal_drifted`] check is the
-    /// responsive trigger in long-lived runs, and windowed metrics are an
-    /// open ROADMAP item.
+    /// counts frozen at fit time. A shift in conflicts shows here through
+    /// the denial probabilities and hold times it moves. Note the
+    /// comparison is against lifetime metric aggregates, which respond ever
+    /// more slowly as a run ages, and a re-fit fits the same lifetime
+    /// totals; windowed metrics are an open ROADMAP item.
     pub fn drifted_from(&self, sample: &MetricsSample, threshold: f64) -> bool {
         if threshold <= 0.0 {
             return false;
@@ -567,19 +510,6 @@ impl EpochSnapshot {
             || params_drift(&self.params.p2pl, &params.p2pl) > threshold
             || params_drift(&self.params.to, &params.to) > threshold
             || params_drift(&self.params.pa, &params.pa) > threshold
-    }
-
-    /// True when the conflict ratio of the grants issued *since this fit*
-    /// has moved beyond `threshold` (absolute) from the ratio the epoch
-    /// was fitted against. Comparing deltas rather than lifetime ratios
-    /// keeps the trigger responsive in long-lived runs.
-    pub fn signal_drifted(&self, signal: WorkloadSignal, threshold: f64) -> bool {
-        if threshold <= 0.0 {
-            return false;
-        }
-        let window = signal.since(self.signal_at_fit);
-        window.grants >= DRIFT_MIN_GRANTS
-            && (window.conflict_ratio() - self.conflict_ratio).abs() > threshold
     }
 }
 
@@ -730,25 +660,19 @@ pub enum RefitOutcome {
 /// of three to six times per transaction.
 ///
 /// It is the small mutable *driver* around the published [`Epoch`]: a
-/// selection counter, a warm-up latch and a re-fit request flag, all
-/// atomics, beside the lock the epoch sits behind. Two drives share it.
-/// [`CachedStlSelector::select`] and
-/// [`CachedStlSelector::select_with_signal`] take `&mut self` and re-fit
-/// inline. [`CachedStlSelector::select_published`] takes `&self`, from any
-/// number of threads, and only ever *requests* a re-fit;
+/// selection counter and a re-fit request flag, both atomics, beside the
+/// lock the epoch sits behind. One selection body serves two entries.
+/// [`CachedStlSelector::select_published`] takes `&self`, from any number
+/// of threads, and only ever *requests* a re-fit;
 /// [`CachedStlSelector::serve_request`] performs it, on whatever thread
-/// the embedder dedicates to that.
+/// the embedder dedicates to that. [`CachedStlSelector::select`] takes
+/// `&mut self` and the metrics, and serves the request it raises itself.
 #[derive(Debug)]
 pub struct CachedStlSelector {
     /// The tuning this selector was built with.
     pub settings: CacheSettings,
     counter: AtomicU64,
     refits: AtomicU64,
-    /// Latched by the inline drive once every method has enough commits.
-    /// Warm-up is monotone in the (monotone) metrics, so latching it lets
-    /// the fast path skip the metrics read entirely. (The published drive
-    /// is warm exactly when an epoch is published.)
-    warmed: bool,
     /// The published epoch. A selection holds the read lock only to clone
     /// the `Arc`, a re-fit the write lock only to swap it.
     current: RwLock<Option<Arc<Epoch>>>,
@@ -780,7 +704,6 @@ impl CachedStlSelector {
             settings,
             counter: AtomicU64::new(0),
             refits: AtomicU64::new(0),
-            warmed: false,
             current: RwLock::new(None),
             refitting: Mutex::new(()),
             requested: AtomicBool::new(false),
@@ -789,66 +712,28 @@ impl CachedStlSelector {
         }
     }
 
-    /// Choose the concurrency-control method for `txn` (no workload
-    /// signal; epoch boundaries are driven by commits and drift probes).
+    /// Choose the concurrency-control method for `txn` against `metrics`:
+    /// [`CachedStlSelector::select_published`], with a re-fit the
+    /// selection finds due served here, from `metrics`, before the
+    /// decision it would change.
     pub fn select(
         &mut self,
         txn: &Transaction,
         catalog: &Catalog,
         metrics: &SimMetrics,
     ) -> SelectionDecision {
-        self.select_with_signal(txn, catalog, metrics, WorkloadSignal::default())
-    }
-
-    /// Choose the concurrency-control method for `txn`, folding the
-    /// embedder's live workload counters into the epoch logic. A re-fit
-    /// that is due runs here, before the decision.
-    pub fn select_with_signal(
-        &mut self,
-        txn: &Transaction,
-        catalog: &Catalog,
-        metrics: &SimMetrics,
-        signal: WorkloadSignal,
-    ) -> SelectionDecision {
-        let counter = self.next_round();
         let commits = metrics.total_committed.get();
-        if !self.warmed {
-            // Exact, metrics-free pre-filter: fewer than `3 × warmup`
-            // total commits means *some* method is still below its
-            // warm-up bar.
-            if commits < self.settings.warmup_commits.saturating_mul(3)
-                || !StlSelector::warmed_up(metrics, self.settings.warmup_commits)
-            {
-                return exploratory_decision(counter);
-            }
-            self.warmed = true;
-        }
-        if is_exploration_round(counter, self.settings.explore_every) {
-            return exploratory_decision(counter);
-        }
-        let current = self.epoch();
-        let stale = current.as_ref().is_none_or(|epoch| {
-            self.refit_due(&epoch.snapshot, signal, commits)
-                || (self.probe_round(counter) && self.drifted(&epoch.snapshot, &metrics.sample()))
-        });
-        let epoch = if stale {
-            self.refit_now(metrics, signal).or(current)
-        } else {
-            current
-        };
-        match epoch {
-            Some(epoch) => epoch.decide(&epoch.snapshot.summary_for(txn, catalog)).0,
-            // Closed before anything was fitted: no estimates to go by.
-            None => exploratory_decision(counter),
-        }
+        let (reads, writes) = (txn.read_set(), txn.write_set());
+        let picked = self.pick(reads, writes, txn.origin, catalog, commits, Some(metrics));
+        picked.decision
     }
 
     /// Choose the concurrency-control method for a transaction reading
     /// `reads` and writing `writes` (as [`EpochSnapshot::summary_of`] takes
     /// them) against the *published* epoch: clone it (the read lock is
     /// held for the clone alone), summarise, look up, argmin — nothing
-    /// merged, nothing fitted, never waiting out a re-fit. `commits` and
-    /// `signal` are the embedder's live counters. Until the first epoch is
+    /// merged, nothing fitted, never waiting out a re-fit. `commits` is
+    /// the embedder's live commit count. Until the first epoch is
     /// published every round is an exploration round; once
     /// `3 × warmup_commits` commits are in, and whenever a re-fit looks
     /// due, the selection raises the request flag for
@@ -860,33 +745,54 @@ impl CachedStlSelector {
         writes: &[LogicalItemId],
         origin: SiteId,
         catalog: &Catalog,
-        signal: WorkloadSignal,
         commits: u64,
     ) -> PublishedSelection {
+        self.pick(reads, writes, origin, catalog, commits, None)
+    }
+
+    /// The selection body of both entries. `inline` holds the metrics of a
+    /// caller that answers its own requests: the request is served before
+    /// the epoch is read for the decision.
+    fn pick(
+        &self,
+        reads: &[LogicalItemId],
+        writes: &[LogicalItemId],
+        origin: SiteId,
+        catalog: &Catalog,
+        commits: u64,
+        inline: Option<&SimMetrics>,
+    ) -> PublishedSelection {
         let counter = self.next_round();
-        let exploratory = |raised| PublishedSelection {
-            decision: exploratory_decision(counter),
-            epoch: 0,
-            hit: false,
-            raised,
+        let exploring = is_exploration_round(counter, self.settings.explore_every);
+        let mut epoch = self.epoch();
+        let due = match &epoch {
+            None => commits >= self.settings.warmup_commits.saturating_mul(3),
+            Some(_) if exploring => false,
+            Some(epoch) => self.refit_due(&epoch.snapshot, commits) || self.probe_round(counter),
         };
-        let Some(epoch) = self.epoch() else {
-            let may_be_warm = commits >= self.settings.warmup_commits.saturating_mul(3);
-            return exploratory(may_be_warm && self.request_refit());
-        };
-        if is_exploration_round(counter, self.settings.explore_every) {
-            return exploratory(false);
+        let raised = due && self.request_refit();
+        if let Some(metrics) = inline.filter(|_| due) {
+            self.serve_request(commits, || metrics, || metrics.sample());
+            epoch = self.epoch();
         }
-        let raised = (self.refit_due(&epoch.snapshot, signal, commits)
-            || self.probe_round(counter))
-            && self.request_refit();
-        let summary = epoch.snapshot.summary_of(reads, writes, origin, catalog);
-        let (decision, hit) = epoch.decide(&summary);
-        PublishedSelection {
-            decision,
-            epoch: epoch.snapshot.epoch,
-            hit,
-            raised,
+        match epoch.filter(|_| !exploring) {
+            Some(epoch) => {
+                let summary = epoch.snapshot.summary_of(reads, writes, origin, catalog);
+                let (decision, hit) = epoch.decide(&summary);
+                PublishedSelection {
+                    decision,
+                    epoch: epoch.snapshot.epoch,
+                    hit,
+                    raised,
+                }
+            }
+            // Warming up, exploring, or closed before anything was fitted.
+            None => PublishedSelection {
+                decision: exploratory_decision(counter),
+                epoch: 0,
+                hit: false,
+                raised,
+            },
         }
     }
 
@@ -894,11 +800,10 @@ impl CachedStlSelector {
         self.counter.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// True when `snapshot` is `epoch_commits` old or the conflict ratio
-    /// has left it behind — the two triggers that read counters only.
-    fn refit_due(&self, snapshot: &EpochSnapshot, signal: WorkloadSignal, commits: u64) -> bool {
+    /// True when `snapshot` is `epoch_commits` old: the trigger that reads
+    /// a counter only.
+    fn refit_due(&self, snapshot: &EpochSnapshot, commits: u64) -> bool {
         commits.saturating_sub(snapshot.fitted_at_commits) >= self.settings.epoch_commits.max(1)
-            || snapshot.signal_drifted(signal, self.settings.drift_threshold)
     }
 
     /// True on the selections that pay for a scalar drift probe.
@@ -926,20 +831,19 @@ impl CachedStlSelector {
     }
 
     /// Answer a raised request (a no-op returning `None` when none is):
-    /// decide, from the embedder's counters *now*, whether a re-fit is
-    /// still due — the scheduled boundary, the conflict-ratio shift, or
-    /// the scalar drift probe against `probe()` — and if so fit a new
-    /// epoch from `merge()`, pre-warm it and publish it. Before the first
-    /// epoch, `merge()` also answers whether every method is warm.
-    /// `merge` folds the embedder's metric stripes into one collection
-    /// ([`SimMetrics::merge_from`]); `probe` folds their system-wide
-    /// scalars only ([`MetricsSample::merge_from`]). Each runs at most
-    /// once, on this thread.
-    pub fn serve_request(
+    /// decide, from the embedder's commit count *now*, whether a re-fit is
+    /// still due — the scheduled boundary, or the scalar drift probe
+    /// against `probe()` — and if so fit a new epoch from `merge()`,
+    /// pre-warm it and publish it. Before the first epoch, `merge()` also
+    /// answers whether every method is warm. `merge` folds the embedder's
+    /// metric stripes into one collection ([`SimMetrics::merge_from`]), or
+    /// lends the one it has; `probe` folds their system-wide scalars only
+    /// ([`MetricsSample::merge_from`]). Each runs at most once, on this
+    /// thread.
+    pub fn serve_request<M: Borrow<SimMetrics>>(
         &self,
-        signal: WorkloadSignal,
         commits: u64,
-        merge: impl FnOnce() -> SimMetrics,
+        merge: impl FnOnce() -> M,
         probe: impl FnOnce() -> MetricsSample,
     ) -> Option<RefitOutcome> {
         if !self.requested.swap(false, Ordering::Relaxed) {
@@ -947,17 +851,17 @@ impl CachedStlSelector {
         }
         let current = self.epoch();
         let due = current.as_ref().is_none_or(|epoch| {
-            self.refit_due(&epoch.snapshot, signal, commits)
-                || self.drifted(&epoch.snapshot, &probe())
+            self.refit_due(&epoch.snapshot, commits) || self.drifted(&epoch.snapshot, &probe())
         });
         if !due {
             return Some(RefitOutcome::NotDue);
         }
         let merged = merge();
-        if current.is_none() && !StlSelector::warmed_up(&merged, self.settings.warmup_commits) {
+        let merged = merged.borrow();
+        if current.is_none() && !StlSelector::warmed_up(merged, self.settings.warmup_commits) {
             return Some(RefitOutcome::NotDue);
         }
-        Some(match self.refit_now(&merged, signal) {
+        Some(match self.refit_now(merged) {
             Some(_) => RefitOutcome::Published,
             None => RefitOutcome::Abandoned,
         })
@@ -968,7 +872,7 @@ impl CachedStlSelector {
     /// Re-fits are serialized; selections keep reading the current epoch
     /// until the swap. Returns the new epoch, or `None` when the selector
     /// was closed first.
-    pub fn refit_now(&self, metrics: &SimMetrics, signal: WorkloadSignal) -> Option<Arc<Epoch>> {
+    pub fn refit_now(&self, metrics: &SimMetrics) -> Option<Arc<Epoch>> {
         let open = || !self.closed.load(Ordering::Relaxed);
         // The guarded state is `()`: a re-fit that panicked left nothing
         // half-done, so the poison carries no meaning.
@@ -980,14 +884,9 @@ impl CachedStlSelector {
             return None;
         }
         let prev = self.epoch();
-        let snapshot = EpochSnapshot::fit(
-            metrics,
-            prev.as_ref().map_or(1, |prev| prev.snapshot.epoch + 1),
-            signal,
-            prev.as_ref().map(|prev| prev.snapshot.signal_at_fit),
-        );
+        let epoch = prev.as_ref().map_or(1, |prev| prev.snapshot.epoch + 1);
         let epoch = Epoch::new(
-            snapshot,
+            EpochSnapshot::fit(metrics, epoch),
             self.settings.quant_rel,
             Arc::clone(&self.counters),
         );
@@ -1153,17 +1052,9 @@ mod tests {
         probes: &std::cell::Cell<u64>,
     ) -> PublishedSelection {
         let commits = metrics.total_committed.get();
-        let picked = selector.select_published(
-            t.read_set(),
-            t.write_set(),
-            t.origin,
-            cat,
-            WorkloadSignal::default(),
-            commits,
-        );
+        let picked = selector.select_published(t.read_set(), t.write_set(), t.origin, cat, commits);
         assert_eq!(picked.raised, selector.refit_requested());
         selector.serve_request(
-            WorkloadSignal::default(),
             commits,
             || {
                 merges.set(merges.get() + 1);
@@ -1194,7 +1085,7 @@ mod tests {
         let probes = std::cell::Cell::new(0u64);
         for i in 0..60 {
             let t = txn(i, &[i % 12, (i + 3) % 12], &[(i + 1) % 12]);
-            let a = borrowed.select_with_signal(&t, &cat, &metrics, WorkloadSignal::default());
+            let a = borrowed.select(&t, &cat, &metrics);
             let b = select_and_serve(&sharded, &t, &cat, &metrics, &merges, &probes);
             if i == 0 {
                 // Nothing is published yet: the round explores and asks
@@ -1356,44 +1247,54 @@ mod tests {
         assert!(first.upgrade().is_none(), "the replaced epoch was freed");
     }
 
+    /// A conflict shift reaches the selector through the metrics it fits
+    /// from: denied requests move a denial probability, and the next
+    /// drift probe re-fits long before the epoch boundary. The new epoch
+    /// is fitted on the shifted metrics, so it does not drift from them.
     #[test]
     fn conflict_ratio_drift_forces_early_refit() {
-        let metrics = warmed_metrics();
+        let mut metrics = warmed_metrics();
         let cat = catalog();
         let mut cached = CachedStlSelector::with_settings(CacheSettings {
             epoch_commits: 1_000_000,
             drift_threshold: 0.2,
-            drift_check_every: 0,
+            drift_check_every: 1,
             warmup_commits: 10,
             explore_every: 0,
             ..CacheSettings::default()
         });
         let t = txn(1, &[1], &[2]);
-        let calm = WorkloadSignal {
-            grants: 10_000,
-            conflicts: 100,
+        let mut requests = |granted: u64, denied: u64| {
+            for i in 0..granted + denied {
+                metrics.record_request_outcome(
+                    CcMethod::TimestampOrdering,
+                    AccessMode::Write,
+                    i < denied,
+                );
+            }
+            metrics.clone()
         };
-        cached.select_with_signal(&t, &cat, &metrics, calm);
-        cached.select_with_signal(&t, &cat, &metrics, calm);
-        assert_eq!(cached.cache_stats().refits, 1);
-        // The grants issued since the fit run at an 80% conflict ratio
-        // against the 1% the epoch was fitted on: early re-fit — even
-        // though the *cumulative* ratio (which lifetime counters would
-        // compare) has barely moved off 1%.
-        let stormy = WorkloadSignal {
-            grants: 10_100,
-            conflicts: 180,
+        let mut select = |metrics: &SimMetrics| {
+            cached.select(&t, &cat, metrics);
+            cached.cache_stats().refits
         };
-        assert!((stormy.conflict_ratio() - calm.conflict_ratio()).abs() < 0.2);
-        cached.select_with_signal(&t, &cat, &metrics, stormy);
-        assert_eq!(cached.cache_stats().refits, 2);
-        // A trickle of new grants is never enough to drift (noise guard).
-        let trickle = WorkloadSignal {
-            grants: stormy.grants + 10,
-            conflicts: stormy.conflicts + 10,
-        };
-        cached.select_with_signal(&t, &cat, &metrics, trickle);
-        assert_eq!(cached.cache_stats().refits, 2);
+        // Calm: 1 % of T/O's write requests rejected.
+        let calm = requests(990, 10);
+        assert_eq!([select(&calm), select(&calm)], [1, 1]);
+        // A trickle of rejections moves the probability by less than the
+        // threshold (0.01 → 0.1).
+        let trickle = requests(0, 100);
+        assert_eq!(select(&trickle), 1);
+        // Storm: 80 % of the new requests are rejected (→ 0.55).
+        let stormy = requests(400, 1_600);
+        let p = stormy
+            .method(CcMethod::TimestampOrdering)
+            .write_denial_prob();
+        assert!((p - 0.55).abs() < 0.01, "{p}");
+        assert_eq!(select(&stormy), 2, "the probe re-fits early");
+        assert_eq!([select(&stormy), select(&stormy)], [2, 2]);
+        let fitted = cached.epoch().expect("fitted").snapshot.params.to;
+        assert_eq!(fitted.p_write_denial.to_bits(), p.to_bits());
     }
 
     #[test]
@@ -1449,7 +1350,7 @@ mod tests {
     fn snapshot_summary_matches_fresh_shape_at_fit_time() {
         let metrics = warmed_metrics();
         let cat = catalog();
-        let snapshot = EpochSnapshot::fit(&metrics, 1, WorkloadSignal::default(), None);
+        let snapshot = EpochSnapshot::fit(&metrics, 1);
         for i in 0..12u64 {
             let t = txn(i, &[i % 12, (i + 5) % 12], &[(i + 1) % 12, (i + 7) % 12]);
             let frozen = snapshot.summary_for(&t, &cat);
@@ -1583,7 +1484,7 @@ mod tests {
         let first = cached.cache_stats();
         assert!(first.misses > 0 && first.prewarmed == 0 && first.epoch == 1);
 
-        cached.refit_now(&metrics, WorkloadSignal::default());
+        cached.refit_now(&metrics);
         let prewarmed = cached.cache_stats();
         assert_eq!(prewarmed.epoch, 2);
         assert_eq!(
@@ -1605,7 +1506,7 @@ mod tests {
         // Nobody asks any more: the keys ride along for a few epochs,
         // then the carried set empties instead of growing for ever.
         for idle in 1..=CARRY_IDLE_EPOCHS + 1 {
-            cached.refit_now(&metrics, WorkloadSignal::default());
+            cached.refit_now(&metrics);
             let expected = if idle <= CARRY_IDLE_EPOCHS {
                 first.entries
             } else {
@@ -1622,7 +1523,7 @@ mod tests {
     fn prewarm_fans_a_shared_row_out_to_every_slot_it_stood_for() {
         let metrics = warmed_metrics();
         let fitted = |epoch, hold_times: [f64; 6]| {
-            let mut snapshot = EpochSnapshot::fit(&metrics, epoch, WorkloadSignal::default(), None);
+            let mut snapshot = EpochSnapshot::fit(&metrics, epoch);
             let params = &mut snapshot.params;
             [params.p2pl.u_ok, params.p2pl.u_denied] = [hold_times[0], hold_times[1]];
             [params.to.u_ok, params.to.u_denied] = [hold_times[2], hold_times[3]];
@@ -1655,7 +1556,7 @@ mod tests {
     fn a_reader_keeps_its_epoch_across_a_refit_and_frees_it_after() {
         let metrics = warmed_metrics();
         let cached = CachedStlSelector::new();
-        let refit = || cached.refit_now(&metrics, WorkloadSignal::default());
+        let refit = || cached.refit_now(&metrics);
         let held = refit().expect("open");
         let u = held.snapshot.params.hold_times()[0];
         let value = held.table.stl_prime(10.0, u);
@@ -1676,10 +1577,10 @@ mod tests {
     fn a_refit_waits_for_the_one_in_flight() {
         let metrics = warmed_metrics();
         let cached = CachedStlSelector::new();
-        cached.refit_now(&metrics, WorkloadSignal::default());
+        cached.refit_now(&metrics);
         let in_flight = cached.refitting.lock().unwrap();
         std::thread::scope(|scope| {
-            let waiting = scope.spawn(|| cached.refit_now(&metrics, WorkloadSignal::default()));
+            let waiting = scope.spawn(|| cached.refit_now(&metrics));
             std::thread::sleep(std::time::Duration::from_millis(20));
             assert!(!waiting.is_finished());
             assert_eq!(cached.cache_stats().epoch, 1);
@@ -1697,7 +1598,7 @@ mod tests {
     fn a_panic_holding_the_epoch_locks_loses_nothing() {
         let metrics = warmed_metrics();
         let cached = CachedStlSelector::new();
-        cached.refit_now(&metrics, WorkloadSignal::default());
+        cached.refit_now(&metrics);
         let panicked = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
@@ -1710,7 +1611,7 @@ mod tests {
         assert!(panicked.is_err());
         assert!(cached.refitting.is_poisoned() && cached.current.is_poisoned());
         assert_eq!(cached.cache_stats().epoch, 1);
-        let next = cached.refit_now(&metrics, WorkloadSignal::default());
+        let next = cached.refit_now(&metrics);
         assert_eq!(next.expect("open").snapshot.epoch, 2);
         assert_eq!(cached.epoch().map(|e| e.snapshot.epoch), Some(2));
     }
@@ -1731,12 +1632,9 @@ mod tests {
         assert_eq!(before.epoch, 1);
 
         cached.close();
-        assert!(cached
-            .refit_now(&metrics, WorkloadSignal::default())
-            .is_none());
+        assert!(cached.refit_now(&metrics).is_none());
         assert!(cached.request_refit());
         let outcome = cached.serve_request(
-            WorkloadSignal::default(),
             // An epoch later: due.
             metrics.total_committed.get() + cached.settings.epoch_commits,
             || metrics.clone(),

@@ -20,7 +20,8 @@
 //!   unreliable.
 //! * [`cache`] — [`cache::CachedStlSelector`], the amortized variant: the
 //!   model and parameters are frozen into an [`cache::EpochSnapshot`]
-//!   refreshed every N commits (or on workload drift), and `STL'(λ, U)` is
+//!   refreshed every N commits (or when a probe of the metrics it was
+//!   fitted from finds them drifted), and `STL'(λ, U)` is
 //!   memoized in a [`cache::StlTable`] every shape shares: an array per
 //!   frozen hold time, indexed by loss bucket up to the saturating `λ_A` —
 //!   provably identical to fresh STL′ evaluation within an epoch. The
@@ -37,7 +38,7 @@ pub mod stl;
 
 pub use cache::{
     CacheSettings, CacheStats, CachedStlSelector, Epoch, EpochSnapshot, PublishedSelection,
-    RefitOutcome, StlTable, WorkloadSignal,
+    RefitOutcome, StlTable,
 };
 pub use confluence::{
     classify, is_read_only, route, Confluence, OpProfile, Route, FAST_PATH_MAX_OPS,

@@ -41,8 +41,9 @@ pub enum Phase {
     RestartRejected = 7,
     /// Client: the incarnation restarts as a deadlock victim.
     RestartDeadlock = 8,
-    /// Client: the transaction aborted for good (`arg` = 1 when the
-    /// user's closure aborted, 0 otherwise).
+    /// Client: the transaction aborted for good (`arg` = 0 for a user
+    /// abort or a handle dropped before `commit`, 1 for a commit that
+    /// failed after its decision point: decided, never acknowledged).
     Aborted = 9,
     /// Shard: a drained command batch was received (`arg` = messages in
     /// the batch, `txn` = the first message's transaction).

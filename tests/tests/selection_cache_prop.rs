@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use selection::{
     classify, evaluate_decision, evaluate_decision_with, is_read_only, route, CacheSettings,
     CachedStlSelector, Confluence, MethodParamSet, OpProfile, ProtocolParams, Route,
-    SelectionDecision, ShapeSummary, StlModel, StlSelector, StlTable, WorkloadSignal,
+    SelectionDecision, ShapeSummary, StlModel, StlSelector, StlTable,
 };
 use simkit::rng::SimRng;
 use simkit::time::{Duration, SimTime};
@@ -294,7 +294,7 @@ proptest! {
                 // the new epoch's table starts from the old one's keys
                 // where that applies and from nothing where it does not,
                 // and neither may show in a decision.
-                cached.refit_now(&metrics, WorkloadSignal::default());
+                cached.refit_now(&metrics);
             }
             let txn = seeded_txn(seed, i, ITEMS, 1);
             let a = cached.select(&txn, &catalog, &metrics);
@@ -331,7 +331,7 @@ proptest! {
             warm.select(&seeded_txn(seed, i, ITEMS, 1), &catalog, &before);
         }
         let asked = warm.cache_stats().entries;
-        warm.refit_now(&metrics, WorkloadSignal::default());
+        warm.refit_now(&metrics);
         let prewarmed = warm.cache_stats();
         prop_assert!(asked > 0 && prewarmed.prewarmed > 0, "{:?}", prewarmed);
         prop_assert_eq!(prewarmed.entries, prewarmed.prewarmed, "a fresh table, pre-warmed");

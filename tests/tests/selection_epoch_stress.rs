@@ -21,7 +21,6 @@ use dbmodel::{Catalog, CcMethod, ReplicationPolicy, Transaction};
 use metrics::SimMetrics;
 use selection::{
     CacheSettings, CachedStlSelector, SelectionDecision, StlModel, StlSelector, StlTable,
-    WorkloadSignal,
 };
 use simkit::rng::SimRng;
 
@@ -84,7 +83,7 @@ fn concurrent_selections_read_one_whole_epoch_each() {
     assert_ne!(reference[0], reference[1], "the regimes must differ");
 
     let selector = CachedStlSelector::with_settings(settings());
-    selector.refit_now(&regimes[0], WorkloadSignal::default());
+    selector.refit_now(&regimes[0]);
     let done = AtomicBool::new(false);
     let cost_based = AtomicU64::new(0);
     let start = Barrier::new(SELECTORS + 1);
@@ -104,7 +103,6 @@ fn concurrent_selections_read_one_whole_epoch_each() {
                         txn.write_set(),
                         txn.origin,
                         catalog,
-                        WorkloadSignal::default(),
                         commits,
                     );
                     let after = selector.cache_stats().epoch;
@@ -129,7 +127,7 @@ fn concurrent_selections_read_one_whole_epoch_each() {
         start.wait();
         for n in 1..=PUBLISHES {
             let published = selector
-                .refit_now(&regimes[(n % 2) as usize], WorkloadSignal::default())
+                .refit_now(&regimes[(n % 2) as usize])
                 .expect("open");
             assert_eq!(published.snapshot.epoch, n + 1);
         }
