@@ -343,6 +343,7 @@ impl Database {
         snapshot.cache = self.inner.selector.cache_stats();
         snapshot.stale_reply_events = self.inner.registry.stale_reply_events();
         snapshot.mailbox_full_drops = self.inner.registry.full_drops();
+        snapshot.reply_spin_hits += self.inner.registry.spin_hits();
         snapshot.trace_events = self.inner.trace.events_recorded();
         snapshot
     }

@@ -364,6 +364,11 @@ impl Registry {
         self.slab.full_dropped()
     }
 
+    /// Mailbox receives the bounded reply spin served without parking.
+    pub(crate) fn spin_hits(&self) -> u64 {
+        self.slab.spin_hits()
+    }
+
     /// Stale reply events suppressed so far: deliveries dropped because
     /// no live incarnation matched, plus events an earlier incarnation
     /// left queued and a register-time sweep discarded.

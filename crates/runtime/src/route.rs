@@ -373,7 +373,14 @@ impl Database {
             // for data a shard could not produce within its deadline, and
             // the chaos harness asserts exactly this bounded failure
             // instead of a torn answer. The whole transaction fails.
-            match rx.recv_timeout(inner.config.diagnostic_timeout) {
+            let (answer, spun) = rx.recv_timeout_spun(inner.config.diagnostic_timeout);
+            if spun {
+                inner
+                    .stats
+                    .oneshot_spin_hits
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            match answer {
                 Ok(Some(values)) => {
                     for (item, value) in values {
                         reads.insert(item.logical, value);

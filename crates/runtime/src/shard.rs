@@ -3,9 +3,9 @@
 //! A shard is the runtime analogue of the simulator's per-site queue
 //! manager. Its state — the site's [`QueueManager`], the reusable
 //! [`QmSink`] (no per-message `QmOutput` allocation anywhere on the
-//! path), the reply-flush scratch and a fixed buffer of execution-log
-//! records — is a [`ShardCore`] behind one mutex, and a command reaches
-//! it one of two ways:
+//! path), the reply-flush scratch, a fixed buffer of execution-log
+//! records and the buffer of a hand-off pass — is a [`ShardCore`] behind
+//! one mutex, and a command reaches it one of three ways:
 //!
 //! * **Caller-runs.** [`ShardSender::submit`] try-locks the core. If it
 //!   is free, the inbox ring is idle and the log buffer has room, the
@@ -17,52 +17,94 @@
 //!   command pays no thread hop at all.
 //!
 //!   **The core wait.** A submit whose caller asks for it retries a held
-//!   core's `try_lock` for up to [`CORE_WAIT`] before it takes the ring.
-//!   The one-shot routes (`SnapshotRead`, `ApplyConfluent`) always ask:
-//!   each shard's answer is produced inside one core tenure, and the
-//!   caller's next step is to collect it. The send batcher
+//!   core's `try_lock` for up to [`CORE_WAIT`] before it hands its
+//!   command over. The one-shot routes (`SnapshotRead`, `ApplyConfluent`)
+//!   always ask: each shard's answer is produced inside one core tenure,
+//!   and the caller's next step is to collect it. The send batcher
 //!   (`Database::route_all`) asks for the *last* of a call's per-shard
 //!   `HandleBatch`es, and only if every earlier one ran inline: had one
-//!   gone to the ring the caller parks for that shard's replies anyway,
+//!   been handed over the caller waits for that shard's replies anyway,
 //!   and a batch that waited with others behind it would delay them —
 //!   measured, spinning every `HandleBatch` turns overlapping
 //!   transactions into core-lock convoys and doubles `wide_hot`'s median
 //!   commit. The detector's `WaitEdges` never asks. The holder a waiter
 //!   meets is almost always another caller's ~1 µs inline run (or a
-//!   shard-thread tenure). The bound is the price of what the wait
-//!   replaces — a ring fallback costs two thread hops, the shard thread's
-//!   wake-up and then the caller's on the reply, ≈ 6.5 µs each — so a
-//!   wait can at worst cost what the fallback would have, and a `Crash`
-//!   outage (which sleeps holding the core) still sends a waiter to the
-//!   ring within the bound: nothing on a client path ever blocks in
+//!   shard-thread tenure), and a wait can at worst cost what it tries to
+//!   save; a `Crash` outage (which sleeps holding the core) still sends a
+//!   waiter on within the bound: nothing on a client path ever blocks in
 //!   `lock()`. FIFO is unaffected: the wait only decides *when* the
 //!   caller gets the core, and every admission rule below — `closed`, the
 //!   ring-idle test, log room — is still made under the lock once it has
 //!   it, so a waiter that wins the core behind a backlog enqueues behind
 //!   that backlog.
-//! * **The inbox.** Anything else goes through the bounded MPSC ring
-//!   (`transport::ring`, backpressure towards the clients): `submit`
-//!   when the core is busy, the ring has a backlog or the log buffer is
-//!   full; every [`ShardSender::send`] — `Crash`, `Shutdown`, the
-//!   sweep's and the diagnostics' commands. The shard thread parks on
-//!   the ring *without consuming* ([`RingReceiver::wait_ready`]), takes
-//!   the core lock, drains everything enqueued since its last tenure,
-//!   applies it and flushes the accumulated replies through the
-//!   [`Registry`] once per drained batch.
+//! * **The hand-off.** A submit that finds the core held (past the wait,
+//!   if it asked for one) or finds a backlog in the inbox pushes its
+//!   command onto the inbox ring *quietly* — the shard thread is not
+//!   woken — and tries the core once more. Every client (or detector)
+//!   tenure ends in a [`CoreGuard`], which after unlocking makes the same
+//!   check: if the inbox holds commands and the core try-locks, the
+//!   thread runs **one pass** — the prefix of the inbox it may run as it
+//!   stands at that moment (protocol commands, while the log buffer has
+//!   room for them, at most [`PASS_CMDS`]), in inbox order, as one tenure
+//!   exactly like the shard thread's — flushes, lets go, and wakes the
+//!   shard thread for anything left: a command it may not run (`Crash`,
+//!   `Shutdown`, `LogSnapshot`, the sweep's and diagnostics' commands,
+//!   one with no log room) or one that arrived during the pass. So a
+//!   command that meets a held core is run by the thread already running
+//!   the shard, a few microseconds later, and nobody pays the two thread
+//!   hops of a wake-up (the shard thread's, then the caller's on the
+//!   reply, ≈ 6.5 µs each on a 2-core VM). The caller polls for its reply
+//!   for up to the same bound before it parks ([`transport::SPIN_WAIT`]).
+//!   Only a releaser runs queued work and only one pass of it; nobody
+//!   waits in order to combine. A releaser that looped until the inbox
+//!   was idle measured 7–20 % slower at the median on `dynamic_skewed`:
+//!   one pass bounds what a client's own commit pays for others' work.
+//! * **The inbox's own consumer.** Everything else goes through the
+//!   bounded MPSC ring (`transport::ring`, backpressure towards the
+//!   clients) to the shard thread: every [`ShardSender::send`] —
+//!   `Crash`, `Shutdown`, the sweep's and the diagnostics' commands — a
+//!   submit whose command has no log room, and
+//!   whatever a pass left. The shard thread parks on the ring *without
+//!   consuming* ([`RingReceiver::wait_ready`]), takes the core lock,
+//!   drains everything enqueued since its last tenure, applies it and
+//!   flushes the accumulated replies through the [`Registry`] once per
+//!   drained batch. It stays the keeper of the log and the only runner
+//!   of the commands a caller may not run.
 //!
 //! **FIFO per shard** is load-bearing (a transaction's `Release` must not
 //! overtake its `Access`; a snapshot read must queue behind the installs
-//! its watermark covers) and two rules keep it. The consuming end of the
-//! ring is touched *only under the core lock* — lock, then drain, never
-//! pop-then-lock — so every command taken off the ring is applied before
-//! the lock is next free. And a caller runs inline only if, under the
+//! its watermark covers) and two rules keep it. The ring has two
+//! consumers — the shard thread's drain and a pass's take — and each
+//! touches it *only under the core lock*: lock, then take, never
+//! take-then-lock, and everything taken is applied before the lock is
+//! next free. Both take from the front, so commands are applied in ring
+//! order whoever takes them. And a caller runs inline only if, under the
 //! lock, the ring is idle: its copy of the queue length reads zero
 //! ([`RingSender::is_idle`], no second lock). Only a take lowers that
 //! copy, and takes happen under the core lock, so while the caller holds
-//! it the copy can only grow; a send stores it under the ring's lock
+//! it the copy can only grow; a push stores it under the ring's lock
 //! before returning. So its own earlier commands, and any install
 //! another client enqueued before retiring the commit stamp this caller's
 //! watermark covers, are then already applied.
+//!
+//! **Nothing handed over is stranded.** A quiet push wakes nobody, so
+//! some thread must see it. The pusher does push → `SeqCst` fence →
+//! `try_lock`; a client tenure ends unlock → `SeqCst` fence → `is_idle`.
+//! This is Dekker's pattern: of the two fences, one precedes the other
+//! in their single total order, and the later side's load sees the
+//! earlier side's store. So either the pusher's `try_lock` sees the core
+//! unlocked — it wins the core and runs the pass itself, or someone else
+//! won it and that holder makes the same check as it lets go — or the
+//! holder's `is_idle` sees the push and runs a pass (or, having run its
+//! pass, wakes the shard thread; or, finding the core taken again, leaves
+//! it to the next holder's check). A shard-thread tenure needs no fence:
+//! after unlocking, the shard thread goes back to `wait_ready`, which
+//! looks at the queue under the ring's lock before it parks, and a push
+//! ordered after that look happens after the unlock too, so the pusher's
+//! `try_lock` finds the core free or held by a client, whose release
+//! checks. A caller that must not block holding the core (its push might
+//! wait for space in a full ring, which only a core holder can free)
+//! lets go first, without the check, and makes it as the pusher instead.
 //!
 //! **The shard thread is the log keeper.** Every implemented operation is
 //! appended — in processing order, by whoever runs the command — to a
@@ -97,11 +139,12 @@
 //! never takes.
 //!
 //! **Faults.** `Crash { outage }` sleeps holding the core, so callers
-//! fall back to the ring and the inbox backs up exactly as the fault
-//! model says. An engine panic during an inline run is caught on the
-//! calling thread, the core is marked closed and the shard thread
-//! re-raises the panic as its own: the shard dies, not the caller, and
-//! both entries fail from then on like a send to a dropped receiver.
+//! hand their commands over and the inbox backs up exactly as the fault
+//! model says (a pass never sleeps: `Crash` is the shard thread's). An
+//! engine panic during an inline run or a pass is caught on the calling
+//! thread, the core is marked closed and the shard thread re-raises the
+//! panic as its own: the shard dies, not the caller, and both entries
+//! fail from then on like a send to a dropped receiver.
 //!
 //! Shutdown drains first: a [`ShardCmd::Shutdown`] marks the loop for
 //! exit, but every command already enqueued — including commands ahead of
@@ -112,11 +155,12 @@
 //! the final log.
 
 use std::any::Any;
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dbmodel::{AccessMode, LogSet, PhysicalItemId, SiteId, Timestamp, TxnId, Value};
 use pam::{GrantClass, ReplyMsg, RequestMsg};
@@ -205,12 +249,11 @@ pub(crate) enum ShardCmd {
 }
 
 /// How long a submit that asks to wait keeps retrying a held core before
-/// it takes the ring. Sized to what the ring costs it — two thread hops,
-/// waking the shard thread and then being woken by the reply, ≈ 6.5 µs
-/// each on a 2-core x86-64 VM — against the ~1 µs another caller's inline
-/// run holds the core: a wait that outlasts the hop pair can only lose. A
-/// time, not a spin count, so the bound means the same on any CPU.
-pub(crate) const CORE_WAIT: Duration = Duration::from_micros(8);
+/// it hands its command to the holder — the same bound as the reply spin
+/// ([`transport::SPIN_WAIT`]), and sized the same way: against the ~1 µs
+/// another caller's inline run holds the core, a wait that outlasts a
+/// thread hop (≈ 6.5 µs on a 2-core x86-64 VM) can only lose.
+pub(crate) const CORE_WAIT: Duration = transport::SPIN_WAIT;
 
 #[cfg(test)]
 thread_local! {
@@ -220,6 +263,10 @@ thread_local! {
     pub(crate) static CORE_WAIT_BOUND: std::cell::Cell<Duration> =
         const { std::cell::Cell::new(CORE_WAIT) };
 }
+
+/// Commands one hand-off pass takes at most: the shard thread's drain
+/// buffer's depth, allocated once, in the core.
+const PASS_CMDS: usize = 64;
 
 /// Records the core's log buffer holds, allocated once at spawn (twice:
 /// the shard thread keeps a spare to swap in). A caller nudges the keeper
@@ -295,6 +342,10 @@ pub(crate) struct ShardCore {
     /// Retained scratch for a snapshot read's served `(item, value,
     /// stamp)` triples: the answer is allocated once, as it is sent.
     snap_served: Vec<(PhysicalItemId, Value, Timestamp)>,
+    /// The commands of a hand-off pass ([`ShardCore::run_pass`]), taken
+    /// off the inbox into a buffer allocated once: a hand-off allocates
+    /// nothing.
+    pass: Vec<ShardCmd>,
     /// Implemented operations not yet folded into the keeper's `LogSet`,
     /// in processing order.
     log_buf: Vec<LogRecord>,
@@ -566,6 +617,120 @@ impl ShardCore {
         self.apply_cmd(cmd);
         self.flush_replies(own);
     }
+
+    /// One hand-off pass: take the prefix of the inbox a caller may run —
+    /// protocol commands, while the log buffer has room for their records,
+    /// at most [`PASS_CMDS`] — as it stands now, and run it as one tenure,
+    /// in inbox order, exactly as the shard thread runs a drained batch.
+    /// `own` is the running thread's transaction (see
+    /// [`ShardCore::flush_replies`]). Returns how many commands ran.
+    fn run_pass(&mut self, ring: &RingSender<ShardCmd>, own: Option<TxnId>) -> u64 {
+        let mut cmds = std::mem::take(&mut self.pass);
+        let mut room = self.log_buf.capacity().saturating_sub(self.log_buf.len());
+        let runnable = |cmd: &ShardCmd| {
+            let demand = cmd.log_demand();
+            let fits = cmd.runs_inline() && demand <= room;
+            if fits {
+                room -= demand;
+            }
+            fits
+        };
+        let taken = ring.take_while(PASS_CMDS, runnable, &mut cmds);
+        if taken > 0 {
+            self.enter(&cmds);
+            for cmd in cmds.drain(..) {
+                self.apply_cmd(cmd);
+            }
+            self.flush_replies(own);
+        }
+        self.pass = cmds;
+        taken as u64
+    }
+}
+
+/// A shard's core held by a thread other than the shard thread — a
+/// caller running its own command, or one running a hand-off pass — and
+/// the one way such a thread lets go of it. Dropping it unlocks, sends
+/// the wake-ups the tenure owes, and then makes the hand-off check (see
+/// the module docs): a tenure that has not run a pass yet runs one if the
+/// inbox holds commands, and one that has wakes the shard thread for
+/// whatever is left.
+pub(crate) struct CoreGuard<'a> {
+    core: Option<MutexGuard<'a, ShardCore>>,
+    shard: &'a ShardSender,
+    /// The holding thread's own transaction, if it is a client's.
+    own: Option<TxnId>,
+    /// This tenure ran its pass.
+    passed: bool,
+}
+
+impl Deref for CoreGuard<'_> {
+    type Target = ShardCore;
+
+    fn deref(&self) -> &ShardCore {
+        self.core.as_ref().expect("held until let go")
+    }
+}
+
+impl DerefMut for CoreGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ShardCore {
+        self.core.as_mut().expect("held until let go")
+    }
+}
+
+impl CoreGuard<'_> {
+    /// Run `work` on the core. The engine's invariants are asserts:
+    /// contain a failing one so it takes the shard down, not the client
+    /// that happened to be running it.
+    fn contain(&mut self, work: impl FnOnce(&mut ShardCore)) {
+        let core: &mut ShardCore = self;
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| work(&mut *core))) {
+            core.closed = true;
+            core.panic = Some(panic);
+        }
+    }
+
+    /// Run this tenure's one hand-off pass, counted per shard.
+    fn pass(&mut self) {
+        self.passed = true;
+        let (ring, own) = (&self.shard.ring, self.own);
+        let mut ran = 0;
+        self.contain(|core| ran = core.run_pass(ring, own));
+        if ran > 0 {
+            self.shard.stats.per_shard[self.shard.idx]
+                .combined
+                .fetch_add(ran, Ordering::Relaxed);
+        }
+    }
+
+    /// Let go without the hand-off check, for a caller that hands a
+    /// command over next: its own push-fence-try makes the check. False
+    /// when the core is closed.
+    fn unlock(mut self) -> bool {
+        let core = self.core.take().expect("held until let go");
+        self.shard.let_go(core)
+    }
+}
+
+impl Drop for CoreGuard<'_> {
+    fn drop(&mut self) {
+        let Some(core) = self.core.take() else {
+            return;
+        };
+        if !self.shard.let_go(core) {
+            return;
+        }
+        if !self.passed {
+            // Its `Err` only says the core turned out closed: there is
+            // nobody to answer to.
+            let _ = self.shard.hand_off(self.own);
+            return;
+        }
+        fence(Ordering::SeqCst);
+        if !self.shard.ring.is_idle() {
+            self.shard.ring.wake_consumer();
+        }
+    }
 }
 
 /// The error of both entries of a [`ShardSender`]: the shard is gone (shut down, or
@@ -595,60 +760,50 @@ impl ShardSender {
 
     /// Hand over a protocol command the cheapest way that keeps per-shard
     /// FIFO: run it on this thread if the core is free, the inbox idle
-    /// and the log buffer roomy (see the module docs), else enqueue it.
-    /// With `wait`, a core found held is retried for up to [`CORE_WAIT`]
-    /// first; without, it is tried once. The caller decides (the module
-    /// docs say who asks and why). Nothing here ever blocks in `lock()`. Every decision is
+    /// and the log buffer roomy (see the module docs); else hand it to
+    /// the inbox for whoever holds the core next. With `wait`, a core
+    /// found held is retried for up to [`CORE_WAIT`] first; without, it
+    /// is tried once. The caller decides (the module docs say who asks and
+    /// why). Nothing here ever blocks in `lock()`. Every decision is
     /// counted per shard. `Ok(true)` when the command ran inline, its
-    /// answer already delivered; `Ok(false)` when it was enqueued.
+    /// answer already delivered; `Ok(false)` when it was enqueued (and
+    /// maybe run since, by this thread's own pass).
     pub(crate) fn submit(&self, cmd: ShardCmd, wait: bool) -> Result<bool, ShardGone> {
         if !cmd.runs_inline() {
             return self.send(cmd).map(|()| false);
         }
         let counters = &self.stats.per_shard[self.idx];
-        let fallback = match self.try_core(wait) {
-            Ok((mut core, waited)) => {
+        let own = cmd.txn();
+        let handed = match self.try_core(wait) {
+            Ok((core, waited)) => {
+                let mut core = self.guard(core, own);
                 if core.closed {
                     return Err(ShardGone);
                 }
-                if !self.ring.is_idle() {
-                    &counters.enqueued_backlog
-                } else if !core.log_room(&cmd) {
-                    &counters.enqueued_log_full
-                } else {
+                let idle = self.ring.is_idle();
+                if idle && core.log_room(&cmd) {
                     counters.inline.fetch_add(1, Ordering::Relaxed);
                     if waited {
                         counters.inline_waited.fetch_add(1, Ordering::Relaxed);
                     }
-                    // The engine's invariants are asserts: contain a
-                    // failing one so it takes the shard down, not the
-                    // client that happened to be running it.
-                    let ran = catch_unwind(AssertUnwindSafe(|| core.run_inline(cmd)));
-                    if let Err(panic) = ran {
-                        core.closed = true;
-                        core.panic = Some(panic);
-                    }
+                    core.contain(|core| core.run_inline(cmd));
                     let died = core.closed;
-                    let nudge = !core.nudged && core.log_buf.len() >= LOG_BUF_RECORDS / 2;
-                    core.nudged |= nudge;
-                    let scan = std::mem::take(&mut core.scan_wanted);
                     drop(core);
-                    if scan {
-                        self.registry.wake_detector();
-                    }
-                    if nudge {
-                        counters.log_fold_nudges.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if nudge || died {
-                        // Wake the shard thread, to fold or to die of the
-                        // panic; a full ring wakes it by itself.
-                        let _ = self.ring.try_send(ShardCmd::FoldLog);
-                    }
                     return if died { Err(ShardGone) } else { Ok(true) };
                 }
+                if !core.unlock() {
+                    return Err(ShardGone);
+                }
+                if idle {
+                    // No log room: the keeper must fold first, so wake it.
+                    counters.enqueued_log_full.fetch_add(1, Ordering::Relaxed);
+                    return self.send(cmd).map(|()| false);
+                }
+                // Behind a backlog: join its tail and hand it all over.
+                &counters.enqueued_backlog
             }
             // Held (past the wait, if it waited) — or poisoned: the shard
-            // thread died mid-command, its inbox goes with it and the send
+            // thread died mid-command, its inbox goes with it and the push
             // below fails.
             Err(waited) => {
                 if waited {
@@ -657,8 +812,72 @@ impl ShardSender {
                 &counters.enqueued_busy
             }
         };
-        fallback.fetch_add(1, Ordering::Relaxed);
-        self.send(cmd).map(|()| false)
+        handed.fetch_add(1, Ordering::Relaxed);
+        self.ring.send_quiet(cmd).map_err(|_| ShardGone)?;
+        self.hand_off(own).map(|()| false)
+    }
+
+    /// The hand-off check, made after a quiet push and by every
+    /// [`CoreGuard`] as it lets go: fence, and if the inbox holds
+    /// commands, try the core once; won, run one pass. A core still held
+    /// is left to its holder, which makes this same check as it lets go —
+    /// the module docs say why nothing is stranded. `Err` when the core
+    /// turns out closed.
+    fn hand_off(&self, own: Option<TxnId>) -> Result<(), ShardGone> {
+        fence(Ordering::SeqCst);
+        if self.ring.is_idle() {
+            return Ok(());
+        }
+        // Held, or poisoned by a shard thread that died holding it.
+        let Ok(core) = self.core.try_lock() else {
+            return Ok(());
+        };
+        let mut core = self.guard(core, own);
+        if core.closed {
+            return Err(ShardGone);
+        }
+        core.pass();
+        if core.closed {
+            Err(ShardGone)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn guard<'a>(&'a self, core: MutexGuard<'a, ShardCore>, own: Option<TxnId>) -> CoreGuard<'a> {
+        CoreGuard {
+            core: Some(core),
+            shard: self,
+            own,
+            passed: false,
+        }
+    }
+
+    /// Unlock `core` at the end of a tenure on a client's (or the
+    /// detector's) thread and send the wake-ups it owes: the detector for
+    /// a scan an announced edge asked for, the shard thread to fold a
+    /// half-full log buffer or to die of a panic the tenure caught. False
+    /// when the core is closed.
+    fn let_go(&self, mut core: MutexGuard<'_, ShardCore>) -> bool {
+        let nudge = !core.nudged && core.log_buf.len() >= LOG_BUF_RECORDS / 2;
+        core.nudged |= nudge;
+        let scan = std::mem::take(&mut core.scan_wanted);
+        let (open, panicked) = (!core.closed, core.panic.is_some());
+        drop(core);
+        if scan {
+            self.registry.wake_detector();
+        }
+        if nudge {
+            self.stats.per_shard[self.idx]
+                .log_fold_nudges
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        if nudge || panicked {
+            // Wake the shard thread, to fold or to die of the panic; a
+            // full ring has it woken by the next push that finds it full.
+            let _ = self.ring.try_send(ShardCmd::FoldLog);
+        }
+        open
     }
 
     /// Try-lock the core, and say whether that took a wait: with `wait`,
@@ -676,17 +895,19 @@ impl ShardSender {
             .core_waits
             .fetch_add(1, Ordering::Relaxed);
         #[cfg(not(test))]
-        let deadline = Instant::now() + CORE_WAIT;
+        let bound = CORE_WAIT;
         #[cfg(test)]
-        let deadline = Instant::now() + CORE_WAIT_BOUND.get();
-        loop {
-            std::hint::spin_loop();
-            match self.core.try_lock() {
-                Ok(core) => return Ok((core, true)),
-                Err(TryLockError::WouldBlock) if Instant::now() < deadline => {}
-                Err(_) => return Err(true),
+        let bound = CORE_WAIT_BOUND.get();
+        let mut won = None;
+        transport::spin_until(bound, || match self.core.try_lock() {
+            Ok(core) => {
+                won = Some(core);
+                true
             }
-        }
+            Err(TryLockError::WouldBlock) => false,
+            Err(TryLockError::Poisoned(_)) => true,
+        });
+        won.map(|core| (core, true)).ok_or(true)
     }
 
     /// The inbox ring's queue-dwell meter (see
@@ -700,9 +921,10 @@ impl ShardSender {
 /// Test access to a shard's core and ring from outside this module.
 #[cfg(test)]
 impl ShardSender {
-    /// Take the core the way the shard thread does, blocking.
-    pub(crate) fn hold_core(&self) -> MutexGuard<'_, ShardCore> {
-        self.core.lock().unwrap()
+    /// Take the core, blocking, the way a client holds it: letting go
+    /// makes the hand-off check.
+    pub(crate) fn hold_core(&self) -> CoreGuard<'_> {
+        self.guard(self.core.lock().unwrap(), None)
     }
 
     /// Has the shard taken everything enqueued so far?
@@ -739,6 +961,7 @@ pub(crate) fn spawn(
         sink: QmSink::with_capacity(64, 64),
         reply_groups: Vec::with_capacity(16),
         snap_served: Vec::with_capacity(16),
+        pass: Vec::with_capacity(PASS_CMDS),
         log_buf: Vec::with_capacity(LOG_BUF_RECORDS),
         nudged: false,
         closed: false,
@@ -793,7 +1016,7 @@ fn trace_batch(plane: &TracePlane, lane: usize, ts: u64, buf: &[ShardCmd]) {
 fn shard_loop(core: &Mutex<ShardCore>, registry: &Registry, mut inbox: ShardInbox) -> LogSet {
     let mut logs = LogSet::new();
     let mut spare: Vec<LogRecord> = Vec::with_capacity(LOG_BUF_RECORDS);
-    let mut buf: Vec<ShardCmd> = Vec::with_capacity(64);
+    let mut buf: Vec<ShardCmd> = Vec::with_capacity(PASS_CMDS);
     let mut exiting = false;
     while !exiting {
         // Parked outside the lock, and nothing is taken until it is held.
@@ -1155,7 +1378,7 @@ mod tests {
     fn submit_behind_a_held_core((kind, wait): Kind) {
         let (handle, _registry, stats) = spawn_one();
         let tx = handle.tx.clone();
-        let held = tx.core.lock().unwrap();
+        let held = tx.hold_core();
         assert!(tx.send(write_txn(1)).is_ok());
         tx.submit(kind(2), wait).unwrap();
         assert!(!tx.ring.is_idle(), "nothing is taken without the core");
@@ -1165,7 +1388,7 @@ mod tests {
         while !tx.ring.is_idle() {
             std::thread::yield_now();
         }
-        drop(tx.core.lock().unwrap());
+        drop(tx.hold_core());
         tx.submit(kind(3), wait).unwrap();
         let shard0 = stats.snapshot().per_shard[0];
         assert_eq!((shard0.enqueued_busy, shard0.inline), (1, 1), "{shard0:?}");
@@ -1178,6 +1401,10 @@ mod tests {
     /// until a `submit` has started waiting for it, then `then`
     /// while still holding it, then ~2 µs more, and let go. The wait is
     /// what the holder reacts to, so the interleaving is forced, not timed.
+    /// It holds the bare mutex, not a [`CoreGuard`]: letting go runs no
+    /// hand-off pass, so what `then` enqueues is still queued when the
+    /// waiter wins the core — a clean forcing of the waiter's side that a
+    /// client (whose release would run that pass) never produces.
     fn hold_until_a_waiter(
         tx: &ShardSender,
         then: impl FnOnce(&ShardSender) + Send + 'static,
@@ -1248,7 +1475,7 @@ mod tests {
         let holder = {
             let tx = tx.clone();
             std::thread::spawn(move || {
-                let held = tx.core.lock().unwrap();
+                let held = tx.hold_core();
                 locked_tx.send(()).unwrap();
                 release_rx.recv().unwrap();
                 drop(held);
@@ -1278,10 +1505,11 @@ mod tests {
     /// The ring-idle rule still holds after a wait: a holder that enqueues
     /// a write as it lets go leaves the waiter winning the core with a
     /// backlog — and it enqueues behind that write instead of running
-    /// ahead of it. A live shard thread would race the waiter for the core
-    /// (and, winning, drain the write so the waiter runs inline after it),
-    /// so here its inbox is a second ring, fed what the first one holds,
-    /// in order, only once the submit is done.
+    /// ahead of it (its own hand-off pass then runs both, in that order).
+    /// A live shard thread would race the waiter for the core (and,
+    /// winning, drain the write so the waiter runs inline after it), so
+    /// here its inbox is a second ring, fed what the first one holds, in
+    /// order, only once the submit is done.
     #[test]
     fn a_waiter_that_wins_the_core_behind_a_backlog_enqueues() {
         for kind in [snapshot_read, bypass_add, write_txn] {
@@ -1291,8 +1519,8 @@ mod tests {
                 assert!(tx.send(write_txn(1000)).is_ok());
             });
             assert_eq!(
-                (shard0.enqueued_backlog, shard0.inline),
-                (1, 0),
+                (shard0.enqueued_backlog, shard0.inline, shard0.combined),
+                (1, 0, 2),
                 "{shard0:?}"
             );
             assert!(tx.send(ShardCmd::Shutdown).is_ok());
@@ -1304,6 +1532,159 @@ mod tests {
             let order = log_order(&handle.join.join().unwrap().1);
             assert_eq!(order, [1000, 1], "write first");
         }
+    }
+
+    /// The hand-off, forced: while the test holds the core (as a client
+    /// does, through a [`CoreGuard`]) a `HandleBatch` submitted with the
+    /// wait waits out its bound and is handed over — queued, not run, and
+    /// nobody woken. Letting go runs it: its grant is in the mailbox when
+    /// the release returns. The shard thread's inbox is a second ring the
+    /// test never feeds, so the shard thread ran no tenure for it.
+    #[test]
+    fn a_command_handed_to_a_held_core_is_run_as_the_holder_lets_go() {
+        let (handle, mut sent, inbox) = spawn_unfed();
+        let tx = handle.tx.clone();
+        let registry = Arc::clone(&tx.registry);
+        let mut mb = registry.client_mailbox().expect("mailbox");
+        let t = registry.txn_id(1, mb.slot());
+        registry.register(t, CcMethod::TwoPhaseLocking, &mut mb);
+        let held = tx.hold_core();
+        let access = batch([access(t.0, AccessMode::Write, 1)]);
+        assert_eq!(tx.submit(access, true).ok(), Some(false), "handed over");
+        assert!(!tx.ring.is_idle(), "queued for the holder");
+        assert!(
+            mb.recv_timeout(t.0, Duration::ZERO).is_none(),
+            "not run yet"
+        );
+        drop(held);
+        assert!(tx.ring.is_idle(), "run as the holder let go");
+        assert!(
+            matches!(
+                mb.recv_timeout(t.0, Duration::ZERO),
+                Some(crate::registry::ClientEvent::Replies(_))
+            ),
+            "the grant was delivered before the release returned"
+        );
+        let shard0 = tx.stats.snapshot().per_shard[0];
+        assert_eq!(
+            (shard0.enqueued_busy, shard0.wait_expired, shard0.combined),
+            (1, 1, 1),
+            "{shard0:?}"
+        );
+        assert_eq!((shard0.inline, shard0.grants), (0, 1), "{shard0:?}");
+        assert_eq!(tx.submit(batch([release(t.0, 7)]), false).ok(), Some(true));
+        assert_eq!(sent.drain_into(&mut Vec::new()), 0, "nothing left over");
+        assert!(inbox.send(ShardCmd::Shutdown).is_ok());
+        assert_eq!(log_order(&handle.join.join().unwrap().1), [t.0]);
+    }
+
+    /// A pass run by a client delivers that client's own replies without
+    /// waiting: its mailbox is full, and only this thread could drain it,
+    /// so the grant is dropped and counted at once instead of after the
+    /// one-second deliver timeout.
+    #[test]
+    fn a_pass_never_waits_on_its_own_full_mailbox() {
+        let (handle, mut sent, inbox) = spawn_unfed();
+        let tx = handle.tx.clone();
+        let registry = Arc::clone(&tx.registry);
+        let mut mb = registry.client_mailbox().expect("mailbox");
+        let t = registry.txn_id(1, mb.slot());
+        registry.register(t, CcMethod::TwoPhaseLocking, &mut mb);
+        // One event per flush: 64 flushes fill the 64-event mailbox.
+        for n in 100..164 {
+            registry.deliver_all([ReplyMsg::Ack {
+                txn: t,
+                item: PhysicalItemId::new(LogicalItemId(n), SiteId(0)),
+            }]);
+        }
+        assert!(tx
+            .ring
+            .send_quiet(batch([access(t.0, AccessMode::Write, 1)]))
+            .is_ok());
+        let begun = std::time::Instant::now();
+        let mut core = tx.guard(tx.core.lock().unwrap(), Some(t));
+        core.pass();
+        drop(core);
+        assert!(begun.elapsed() < Duration::from_millis(500), "it waited");
+        assert_eq!(registry.full_drops(), 1, "the own grant was dropped");
+        assert_eq!(tx.stats.snapshot().per_shard[0].combined, 1);
+        assert_eq!(sent.drain_into(&mut Vec::new()), 0);
+        drop(mb);
+        assert!(inbox.send(ShardCmd::Shutdown).is_ok());
+        handle.join.join().unwrap();
+    }
+
+    /// Nothing handed over is stranded: four submitters race one shard,
+    /// all four submitting at once every round, each waiting for its
+    /// answer before the next, with commands most of which write no log
+    /// record (so no log-fold nudge wakes the shard thread by the way). A
+    /// handed-over command whose holder let go without the hand-off check
+    /// would sit in the inbox with nobody left to submit behind it: its
+    /// submitter's answer would never come, and the others would wait at
+    /// the round's barrier. Each answer must come within a bound and the
+    /// whole race within a watchdog's, on one CPU too.
+    #[test]
+    fn racing_submitters_strand_no_handed_over_command() {
+        const SUBMITTERS: u64 = 4;
+        const ROUNDS: u64 = 2_000;
+        const BOUND: Duration = Duration::from_secs(5);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let race = std::thread::spawn(move || {
+            race_submitters(SUBMITTERS, ROUNDS, BOUND);
+            done_tx.send(()).expect("the watchdog outlives the race");
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+            done_rx.recv_timeout(Duration::from_secs(60))
+        {
+            panic!("not finished after 60 s: a handed-over command was stranded");
+        }
+        // Finished, or panicked (the sender dropped unsent): re-raise.
+        race.join().unwrap_or_else(|panic| resume_unwind(panic));
+    }
+
+    fn race_submitters(submitters: u64, rounds: u64, bound: Duration) {
+        let (handle, _registry, stats) = spawn_one();
+        let round_start = Arc::new(std::sync::Barrier::new(submitters as usize));
+        let racers: Vec<_> = (0..submitters)
+            .map(|s| {
+                let tx = handle.tx.clone();
+                let round_start = Arc::clone(&round_start);
+                std::thread::spawn(move || {
+                    for round in 0..rounds {
+                        round_start.wait();
+                        let wait = (round + s) % 2 == 0;
+                        if round % 8 == 7 {
+                            let (reply, answer) = transport::oneshot::channel();
+                            let add = ShardCmd::ApplyConfluent {
+                                origin: SiteId(0),
+                                txn: TxnId(s * rounds + round + 1),
+                                ops: std::iter::once(ConfluentOp::Add(item(), 1)).collect(),
+                                check: false,
+                                reply,
+                            };
+                            tx.submit(add, wait).unwrap();
+                            let applied = answer.recv_timeout(bound);
+                            assert!(matches!(applied, Ok(Some(_))), "round {round}");
+                        } else {
+                            let (reply, answer) = transport::oneshot::channel();
+                            tx.submit(ShardCmd::WaitEdges(reply), wait).unwrap();
+                            assert!(answer.recv_timeout(bound).is_ok(), "round {round}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for racer in racers {
+            racer.join().unwrap();
+        }
+        let shard0 = stats.snapshot().per_shard[0];
+        let submitted = shard0.inline
+            + shard0.enqueued_busy
+            + shard0.enqueued_backlog
+            + shard0.enqueued_log_full;
+        assert_eq!(submitted, submitters * rounds, "{shard0:?}");
+        let adds = submitters * rounds / 8;
+        assert_eq!(log_order(&shutdown(handle)).len() as u64, adds);
     }
 
     /// A `Crash` sleeps holding the core: a `submit` during the outage
@@ -1381,7 +1762,7 @@ mod tests {
         // contends for the core and nothing has folded.
         assert_eq!(shard0.inline, COMMITS, "{shard0:?}");
         assert_eq!(shard0.log_fold_nudges, 0);
-        assert_eq!(handle.tx.core.lock().unwrap().log_buf.len(), 10);
+        assert_eq!(handle.tx.hold_core().log_buf.len(), 10);
         let (log_tx, log_rx) = transport::oneshot::channel();
         assert!(handle.tx.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
         let expected: Vec<u64> = (1..=COMMITS).collect();
@@ -1396,6 +1777,7 @@ mod tests {
     fn a_filling_log_buffer_nudges_once_and_refuses_when_full() {
         let (handle, _registry, stats) = spawn_one();
         let tx = &handle.tx;
+        // The bare mutex: a guard's release would itself nudge.
         let fill = |records: usize| {
             let mut core = tx.core.lock().unwrap();
             core.log_buf.extend(
@@ -1419,7 +1801,7 @@ mod tests {
         );
         // The nudge wakes the keeper; once it has swapped, the buffer is
         // empty again and the fillers are in its log.
-        while !tx.core.lock().unwrap().log_buf.is_empty() {
+        while !tx.hold_core().log_buf.is_empty() {
             std::thread::yield_now();
         }
         fill(LOG_BUF_RECORDS);
@@ -1442,7 +1824,7 @@ mod tests {
         let tx = handle.tx.clone();
         // The dedup mutation: with suppression off, a duplicated `Access`
         // trips the queue's "already queued" debug assertion.
-        tx.core.lock().unwrap().qm.set_dedup_access(false);
+        tx.hold_core().qm.set_dedup_access(false);
         let twice = access(1, AccessMode::Write, 1);
         if tx.submit(batch([twice, twice]), false).is_ok() {
             // Release builds compile the assertion out (the duplicate

@@ -122,7 +122,8 @@ pub(crate) struct ShardCounters {
     /// Of `inline`, the submits that found the core held and got it
     /// within the bounded wait.
     pub(crate) inline_waited: AtomicU64,
-    /// Submitted commands enqueued because another thread held the core.
+    /// Submitted commands handed to the holder: another thread held the
+    /// core, so they were pushed onto the inbox without waking anyone.
     pub(crate) enqueued_busy: AtomicU64,
     /// Of `enqueued_busy`, the submits that waited for the core and ran
     /// out of the bound.
@@ -134,6 +135,10 @@ pub(crate) struct ShardCounters {
     pub(crate) enqueued_log_full: AtomicU64,
     /// `FoldLog` nudges sent to the shard thread at a half-full buffer.
     pub(crate) log_fold_nudges: AtomicU64,
+    /// Enqueued commands a hand-off pass ran — taken off the inbox by a
+    /// thread letting go of the core (or winning it right after its own
+    /// hand-off) instead of by the shard thread.
+    pub(crate) combined: AtomicU64,
     /// Submits that found the core held and started the bounded
     /// wait (whatever came of it): the hook a test forces its interleaving
     /// with.
@@ -155,6 +160,7 @@ impl ShardCounters {
             enqueued_backlog: self.enqueued_backlog.load(Ordering::Relaxed),
             enqueued_log_full: self.enqueued_log_full.load(Ordering::Relaxed),
             log_fold_nudges: self.log_fold_nudges.load(Ordering::Relaxed),
+            combined: self.combined.load(Ordering::Relaxed),
         }
     }
 }
@@ -174,7 +180,7 @@ pub struct ShardCounterSnapshot {
     pub inline: u64,
     /// Of `inline`, submits that waited for a held core first.
     pub inline_waited: u64,
-    /// Submitted commands enqueued because the core was held.
+    /// Submitted commands handed to the holder of the core.
     pub enqueued_busy: u64,
     /// Of `enqueued_busy`, submits that waited for the core and ran out
     /// of the bound.
@@ -185,6 +191,8 @@ pub struct ShardCounterSnapshot {
     pub enqueued_log_full: u64,
     /// Log-fold nudges sent to the shard thread.
     pub log_fold_nudges: u64,
+    /// Enqueued commands a hand-off pass ran instead of the shard thread.
+    pub combined: u64,
 }
 
 /// Counters updated concurrently by client threads, shard threads and the
@@ -243,6 +251,10 @@ pub(crate) struct RuntimeStats {
     /// Shard crash faults injected (each wipes the shard's ungranted
     /// queue entries after an unresponsive outage).
     pub(crate) shard_crashes: AtomicU64,
+    /// One-shot answers (snapshot reads, bypass applies) the bounded
+    /// reply spin caught without its client parking; the mailbox replies
+    /// it caught are counted by the registry.
+    pub(crate) oneshot_spin_hits: AtomicU64,
     pub(crate) per_shard: Vec<ShardCounters>,
 }
 
@@ -380,8 +392,10 @@ pub struct StatsSnapshot {
     /// `shard_inline_waited ⊆ shard_inline`: it is not a fifth outcome of
     /// a submit.
     pub shard_inline_waited: u64,
-    /// Submitted commands enqueued because another thread held the core
-    /// (for a submit that waited: still held after the bounded wait).
+    /// Submitted commands handed to the holder: another thread held the
+    /// core (for a submit that waited: still held after the bounded
+    /// wait), so the command was pushed onto the inbox without waking the
+    /// shard thread, for whoever lets go of the core next to run.
     pub shard_enqueued_busy: u64,
     /// Of `shard_enqueued_busy`, the submits that waited for the core and
     /// ran out of the bound: what the wait cost without saving the hop.
@@ -396,6 +410,17 @@ pub struct StatsSnapshot {
     pub shard_enqueued_log_full: u64,
     /// Nudges sent to a shard thread to fold a half-full log buffer.
     pub log_fold_nudges: u64,
+    /// Enqueued commands a hand-off pass ran: a thread letting go of a
+    /// shard's core (or winning it right after handing over its own
+    /// command) took them off the inbox and ran them, one pass of what
+    /// was queued, instead of the shard thread. The sum of the per-shard
+    /// `combined`.
+    pub shard_combined: u64,
+    /// Reply waits — a client's mailbox receive, a one-shot route's
+    /// answer — that found nothing yet and were served by the bounded
+    /// spin ([`transport::SPIN_WAIT`]) without parking. Filled in by
+    /// [`crate::Database::stats`].
+    pub reply_spin_hits: u64,
     /// Selection-cache counters (all zero unless the policy is dynamic):
     /// `hits` and `misses` count admission-path decisions, `evals` every
     /// dynamic program run and `prewarmed` the share of them the refitter
@@ -456,6 +481,8 @@ impl RuntimeStats {
             shard_enqueued_backlog: sum(|s| s.enqueued_backlog),
             shard_enqueued_log_full: sum(|s| s.enqueued_log_full),
             log_fold_nudges: sum(|s| s.log_fold_nudges),
+            shard_combined: sum(|s| s.combined),
+            reply_spin_hits: self.oneshot_spin_hits.load(Ordering::Relaxed),
             cache: CacheStats::default(),
             per_shard,
         }

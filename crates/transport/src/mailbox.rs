@@ -15,6 +15,12 @@
 //!   *reused*: acquiring one pops a free slot off the freelist (a
 //!   `Mutex<Vec<u32>>`) or lazily grows the slab by a chunk, dropping it
 //!   pushes the slot back. No channel is ever allocated per registration.
+//!   A receive that finds its mailbox empty polls it for up to
+//!   [`crate::SPIN_WAIT`] before it parks: most replies are produced by a
+//!   thread that is running right then (a client running another's
+//!   command at a shard), and a parked consumer costs its deliverer an
+//!   unpark and itself a wake-up. Each slot counts the receives the poll
+//!   served ([`MailboxRegistry::spin_hits`]).
 //! * **Addressing** — a `u64` key *carries* its mailbox's slot:
 //!   [`MailboxRegistry::key`] mints `seq << slot_bits | slot`, where
 //!   `slot_bits` is the width [`MailboxOptions::max_clients`] needs (16
@@ -68,6 +74,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::ring::{self, RingReceiver, RingSender, TrySendError};
+use crate::{spin_until, SPIN_WAIT};
 
 /// One lazily initialised slab chunk of mailbox slots.
 type SlotChunk<E> = OnceLock<Box<[Slot<E>]>>;
@@ -166,6 +173,9 @@ struct Slot<E> {
     tx: RingSender<E>,
     rx: Mutex<Option<RingReceiver<E>>>,
     binding: Mutex<Binding>,
+    /// Receives on this slot's mailbox that the bounded poll served
+    /// without parking (written by the mailbox's owner only).
+    spin_hits: AtomicU64,
 }
 
 impl<E> Slot<E> {
@@ -400,6 +410,7 @@ impl<E: Send> MailboxRegistry<E> {
                                 tx,
                                 rx: Mutex::new(Some(rx)),
                                 binding: Mutex::new(Binding { key: 0, meta: 0 }),
+                                spin_hits: AtomicU64::new(0),
                             }
                         })
                         .collect()
@@ -538,6 +549,20 @@ impl<E: Send> MailboxRegistry<E> {
     pub fn full_dropped(&self) -> u64 {
         self.shared.full_dropped.load(Ordering::Relaxed)
     }
+
+    /// Receives that found their mailbox empty and got an event within
+    /// the bounded poll, without parking — summed over every slot.
+    pub fn spin_hits(&self) -> u64 {
+        let shared = &self.shared;
+        let held = shared
+            .allocated
+            .load(Ordering::Relaxed)
+            .min(shared.max_slots);
+        (0..held)
+            .filter_map(|idx| shared.slot_at(idx))
+            .map(|slot| slot.spin_hits.load(Ordering::Relaxed))
+            .sum()
+    }
 }
 
 /// One reusable reply mailbox, owned by a single consumer thread at a
@@ -559,15 +584,24 @@ impl<E> Mailbox<E> {
         self.slot
     }
 
-    /// Receive the next event, parking up to `timeout`; `None` on
-    /// timeout. `key` names the incarnation the caller waits for and is
-    /// not consulted: no event for another key enters the ring once that
-    /// key is deregistered, and register sweeps what it left queued.
+    /// Receive the next event, waiting up to `timeout`; `None` on
+    /// timeout. An empty mailbox is polled for up to [`SPIN_WAIT`] (or
+    /// `timeout`, if shorter) before the receiver parks, and a receive the
+    /// poll served is counted ([`MailboxRegistry::spin_hits`]). `key`
+    /// names the incarnation the caller waits for and is not consulted:
+    /// no event for another key enters the ring once that key is
+    /// deregistered, and register sweeps what it left queued.
     pub fn recv_timeout(&mut self, _key: u64, timeout: Duration) -> Option<E> {
-        if self.pending.is_empty() {
-            let rx = self.rx.as_mut().expect("owned mailbox holds its receiver");
-            // The slab owns a sender, so the ring never disconnects.
-            let _ = rx.drain_for(&mut self.pending, timeout);
+        let rx = self.rx.as_mut().expect("owned mailbox holds its receiver");
+        let pending = &mut self.pending;
+        if pending.is_empty() && rx.drain_into(pending) == 0 {
+            if spin_until(SPIN_WAIT.min(timeout), || rx.drain_into(pending) > 0) {
+                let slot = self.shared.slot(self.slot);
+                slot.spin_hits.fetch_add(1, Ordering::Relaxed);
+            } else {
+                // The slab owns a sender, so the ring never disconnects.
+                let _ = rx.drain_for(pending, timeout);
+            }
         }
         self.pending.pop_front()
     }
@@ -921,6 +955,25 @@ mod tests {
         );
         assert_eq!(reg.full_dropped(), 1);
         assert_eq!(mb.recv_timeout(k, Duration::from_secs(1)), Some(0));
+        reg.deregister(k);
+    }
+
+    /// Only a receive that found the mailbox empty and was served by the
+    /// poll counts: an event already queued is no wait, and a receive
+    /// that times out parked after its poll.
+    #[test]
+    fn a_receive_counts_as_a_spin_hit_only_when_the_poll_served_it() {
+        let reg = registry(small());
+        let mut mb = reg.acquire().unwrap();
+        let k = key(&reg, 1, &mb);
+        reg.register(k, 0, &mut mb);
+        assert!(reg.deliver(k, 1));
+        assert_eq!(mb.recv_timeout(k, Duration::from_secs(1)), Some(1));
+        let begun = Instant::now();
+        assert_eq!(mb.recv_timeout(k, Duration::from_millis(20)), None);
+        assert!(begun.elapsed() >= Duration::from_millis(20), "it parked");
+        assert_eq!(mb.recv_timeout(k, Duration::ZERO), None);
+        assert_eq!(reg.spin_hits(), 0);
         reg.deregister(k);
     }
 

@@ -28,6 +28,16 @@
 //!   hands the parked consumer back instead of unparking it, so a
 //!   producer that pushes under a lock of its own wakes the consumer
 //!   only once that lock is released.
+//! * A **hand-off** wakes nobody. [`RingSender::send_quiet`] pushes and
+//!   leaves a parked consumer parked, with its handle in place for the
+//!   next waking send; [`RingSender::take_while`] lets a producer-side
+//!   thread take the runnable prefix of the queue itself, and
+//!   [`RingSender::wake_consumer`] unparks the consumer for whatever that
+//!   thread left. The ring stays memory-safe with two takers (every take
+//!   is one critical section), but orders them against each other only
+//!   through a lock of the caller's: the shard runtime takes under its
+//!   core lock on both sides. A quiet push to a full ring does wake the
+//!   consumer before it waits for space.
 //! * A **full** ring blocks producers on one `Condvar` (`space`), counted
 //!   in the state while they wait. A take notifies it only while that
 //!   count is non-zero: std's futex `notify_*` makes a syscall every
@@ -115,24 +125,28 @@ impl<T> Shared<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Take up to `max` values into `put`, then wake producers that wait
-    /// for the space; returns how many were taken.
+    /// Take values off the front into `put`, in order, while `accept`
+    /// takes them and at most `max`, then wake producers that wait for
+    /// the space; returns how many were taken.
     fn take(
         &self,
         mut state: MutexGuard<'_, State<T>>,
         max: usize,
+        mut accept: impl FnMut(&T) -> bool,
         mut put: impl FnMut(T),
     ) -> usize {
-        let n = state.queue.len().min(max);
         let now = state.stamping.then(now_nanos);
         let mut dwell = (0, 0);
-        for (value, stamp) in state.queue.drain(..n) {
+        let mut n = 0;
+        while n < max && state.queue.front().is_some_and(|(value, _)| accept(value)) {
+            let (value, stamp) = state.queue.pop_front().expect("the front was just seen");
             // A zero stamp was pushed before stamping began: no dwell.
             if let Some(now) = now.filter(|_| stamp != 0) {
                 dwell.0 += 1;
                 dwell.1 += now.saturating_sub(stamp);
             }
             put(value);
+            n += 1;
         }
         state.dwell_count += dwell.0;
         state.dwell_nanos += dwell.1;
@@ -158,7 +172,8 @@ pub struct RingSender<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// The consuming half. Exactly one exists per ring.
+/// The consuming half. Exactly one exists per ring, and it alone parks on
+/// it; a sender may take values too ([`RingSender::take_while`]).
 pub struct RingReceiver<T> {
     shared: Arc<Shared<T>>,
 }
@@ -256,6 +271,67 @@ impl<T> RingSender<T> {
         }
     }
 
+    /// Enqueue *without* waking the consumer: a parked consumer stays
+    /// parked and keeps its place, so a later waking send (or
+    /// [`RingSender::wake_consumer`]) still finds it. For a producer that
+    /// expects another thread to take the value — one that takes under a
+    /// lock of its own, see [`RingSender::take_while`] — and wakes the
+    /// consumer only if nobody does. A full ring is the exception: the
+    /// producer wakes the consumer before it waits for space, so a ring
+    /// nobody else drains cannot wedge it. Fails only when the receiver
+    /// is gone.
+    pub fn send_quiet(&self, value: T) -> Result<(), SendError<T>> {
+        loop {
+            let mut state = self.shared.lock();
+            if !state.rx_alive {
+                return Err(SendError(value));
+            }
+            if state.queue.len() < self.shared.capacity {
+                let stamp = state.stamping.then(now_nanos).unwrap_or(0);
+                state.queue.push_back((value, stamp));
+                self.shared.len.store(state.queue.len(), Ordering::Release);
+                return Ok(());
+            }
+            let consumer = state.consumer.take();
+            drop(state);
+            if let Some(consumer) = consumer {
+                consumer.unpark();
+            }
+            self.wait_for_space(None);
+        }
+    }
+
+    /// Unpark the consumer if it is parked on the ring (a no-op when it
+    /// is not: a consumer that has not parked yet looks at the queue
+    /// under the ring's lock before it does).
+    pub fn wake_consumer(&self) {
+        let consumer = self.shared.lock().consumer.take();
+        if let Some(consumer) = consumer {
+            consumer.unpark();
+        }
+    }
+
+    /// The ring's second consumer: take values off the front into `out`,
+    /// in order, while `accept` takes them and at most `max`; returns how
+    /// many were taken. Takes no lock while the ring is idle.
+    ///
+    /// The ring does not order this against the [`RingReceiver`]: a
+    /// caller keeps per-ring FIFO only if it takes under a lock of its
+    /// own that the receiver's owner also takes every value under, and
+    /// applies what it took before it lets go of that lock.
+    pub fn take_while(
+        &self,
+        max: usize,
+        accept: impl FnMut(&T) -> bool,
+        out: &mut impl Extend<T>,
+    ) -> usize {
+        if self.is_idle() {
+            return 0;
+        }
+        self.shared
+            .take(self.shared.lock(), max, accept, |v| out.extend(Some(v)))
+    }
+
     /// Wait while the ring is full and its receiver lives, at most
     /// `timeout` (`None`: for as long as that lasts). Pushes nothing, so a
     /// producer that must re-check a condition of its own before each
@@ -330,7 +406,8 @@ impl<T> RingReceiver<T> {
             return None;
         }
         let mut value = None;
-        self.shared.take(self.shared.lock(), 1, |v| value = Some(v));
+        self.shared
+            .take(self.shared.lock(), 1, |_| true, |v| value = Some(v));
         value
     }
 
@@ -341,14 +418,18 @@ impl<T> RingReceiver<T> {
         if self.shared.len.load(Ordering::Acquire) == 0 {
             return 0;
         }
-        self.shared
-            .take(self.shared.lock(), usize::MAX, |v| out.extend(Some(v)))
+        self.shared.take(
+            self.shared.lock(),
+            usize::MAX,
+            |_| true,
+            |v| out.extend(Some(v)),
+        )
     }
 
     /// Park until a value is queued, *without taking it*: the next
-    /// [`RingReceiver::try_recv`] / [`RingReceiver::drain_into`] is
-    /// guaranteed to find one. Returns `Err(RecvError)` once every sender
-    /// is gone and the ring is empty.
+    /// [`RingReceiver::try_recv`] / [`RingReceiver::drain_into`] finds
+    /// one unless a [`RingSender::take_while`] took it first. Returns
+    /// `Err(RecvError)` once every sender is gone and the ring is empty.
     pub fn wait_ready(&mut self) -> Result<(), RecvError> {
         self.lock_ready(None).map(drop)
     }
@@ -362,7 +443,9 @@ impl<T> RingReceiver<T> {
         timeout: Duration,
     ) -> Result<usize, RecvError> {
         Ok(match self.lock_ready(Some(timeout))? {
-            Some(state) => self.shared.take(state, usize::MAX, |v| out.extend(Some(v))),
+            Some(state) => self
+                .shared
+                .take(state, usize::MAX, |_| true, |v| out.extend(Some(v))),
             None => 0,
         })
     }
@@ -373,7 +456,7 @@ impl<T> RingReceiver<T> {
             .lock_ready(None)?
             .expect("only a deadline ends the wait empty");
         let mut value = None;
-        self.shared.take(state, 1, |v| value = Some(v));
+        self.shared.take(state, 1, |_| true, |v| value = Some(v));
         Ok(value.expect("a ready ring yields to its only consumer"))
     }
 
@@ -610,6 +693,71 @@ mod tests {
             parked.unwrap().unpark();
             assert_eq!(consumer.join().unwrap().0, Ok(5));
         });
+    }
+
+    /// A quiet send leaves the parked consumer parked and its handle in
+    /// place, so `wake_consumer` — or the next waking send — still finds it.
+    #[test]
+    fn a_quiet_send_leaves_the_consumer_parked_until_woken() {
+        within_watchdog(|| {
+            let (tx, mut rx) = channel::<u32>(4);
+            let shared = Arc::clone(&tx.shared);
+            let consumer = std::thread::spawn(move || (rx.wait_ready(), rx));
+            while shared.lock().consumer.is_none() {
+                std::thread::yield_now();
+            }
+            tx.send_quiet(1).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!consumer.is_finished(), "a quiet send wakes nobody");
+            assert!(shared.lock().consumer.is_some(), "the handle stays");
+            tx.wake_consumer();
+            let (ready, mut rx) = consumer.join().unwrap();
+            assert_eq!(ready, Ok(()));
+            assert_eq!(rx.try_recv(), Some(1));
+            tx.wake_consumer(); // nobody parked: a no-op
+        });
+    }
+
+    /// A quiet send to a full ring wakes the consumer before it waits, so
+    /// a consumer parked behind quiet sends alone still drains the ring.
+    #[test]
+    fn a_quiet_send_to_a_full_ring_wakes_the_consumer() {
+        within_watchdog(|| {
+            let (tx, mut rx) = channel::<u32>(2);
+            let producer = std::thread::spawn(move || {
+                for i in 0..50 {
+                    tx.send_quiet(i).unwrap();
+                }
+            });
+            let mut out = Vec::new();
+            while rx.wait_ready().is_ok() {
+                // Let the ring fill before draining it.
+                std::thread::sleep(Duration::from_micros(200));
+                rx.drain_into(&mut out);
+            }
+            producer.join().unwrap();
+            assert_eq!(out, (0..50).collect::<Vec<_>>());
+        });
+    }
+
+    /// The second consumer takes the accepted prefix, in order and up to
+    /// its bound, and leaves the rest — from the first refused value on —
+    /// for the receiver.
+    #[test]
+    fn take_while_takes_the_accepted_prefix_only() {
+        let (tx, mut rx) = channel::<u32>(8);
+        let mut out = Vec::new();
+        assert_eq!(tx.take_while(8, |_| true, &mut out), 0, "idle ring");
+        for v in [1, 2, 3, 10, 4] {
+            tx.try_send(v).unwrap();
+        }
+        assert_eq!(tx.take_while(2, |&v| v < 10, &mut out), 2, "bounded");
+        assert_eq!(tx.take_while(8, |&v| v < 10, &mut out), 1, "stops at 10");
+        assert_eq!(out, [1, 2, 3]);
+        let mut rest = Vec::new();
+        rx.drain_into(&mut rest);
+        assert_eq!(rest, [10, 4]);
+        assert!(tx.is_idle());
     }
 
     #[test]
