@@ -1,7 +1,7 @@
 //! # faultsim — seeded deterministic fault injection for the message plane
 //!
 //! The runtime's "network" is the transport boundary between client
-//! threads and shard threads: every protocol message a transaction sends
+//! threads and the shards: every protocol message a transaction sends
 //! crosses it exactly once. This crate wraps that boundary with a fault
 //! plane that can **drop**, **duplicate**, **delay/reorder** and
 //! **partition** messages per link (one link per destination shard), and

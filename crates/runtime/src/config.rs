@@ -66,12 +66,13 @@ impl std::error::Error for ConfigError {}
 
 /// Configuration of a [`crate::Database`].
 ///
-/// One shard thread is spawned per site; the catalog distributes the
+/// One shard is built per site, all served by one keeper thread; the
+/// catalog distributes the
 /// logical items over the shards according to `replication`, exactly as the
 /// simulator does over sites.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Number of shard threads (= sites). Each owns the queue manager of the
+    /// Number of shards (= sites). Each owns the queue manager of the
     /// physical items placed at its site.
     pub num_shards: u32,
     /// Number of logical data items.
@@ -107,7 +108,8 @@ pub struct RuntimeConfig {
     /// begin-order sequence.
     pub reply_max_clients: usize,
     /// Period of the deadlock detector's *backstop* scan and of its
-    /// stranded-transaction sweep. It is not the detection latency: a
+    /// stranded-transaction sweep: the keeper's tick, the longest it parks
+    /// while no outage is due to end. It is not the detection latency: a
     /// deadlock is found by the scan its closing wait edge asks for, about
     /// one thread wake-up after the edge is queued. The periodic scan is
     /// there so that liveness never rests on that path — a victim it has

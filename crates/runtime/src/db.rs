@@ -1,8 +1,9 @@
 //! The [`Database`] facade: thread-safe entry point for live transactions.
 //!
-//! A `Database` owns one shard per site (see `shard`) plus the background
-//! deadlock detector. Any number of client threads may concurrently open
-//! transactions; each client thread *is* the request issuer of its own
+//! A `Database` owns one shard per site and the one keeper thread that
+//! serves them and runs the deadlock detector (see `shard`). Any number
+//! of client threads may concurrently open transactions; each client
+//! thread *is* the request issuer of its own
 //! transaction — it drives the sans-IO [`RequestIssuer`] state machine
 //! through one mailbox loop (`txn`'s `Incarnation::wait`) for both of its
 //! waits, the grants in `begin` and the release in `commit`, and, when the
@@ -33,16 +34,17 @@ use simkit::rng::{splitmix64_nth, unit_f64};
 use simkit::time::SimTime;
 use trace::{Phase, SpanTimings, TraceLevel, TracePlane, SELECTION_CACHE_HIT};
 use transport::mailbox::MailboxOptions;
+use transport::oneshot::OneshotSender;
 use transport::stamp::now_nanos;
 use unified_cc::{QueueManager, RequestIssuer, RiAction};
 
 use crate::config::{CcPolicy, ConfigError, RuntimeConfig};
-use crate::detector;
+use crate::detector::Detector;
 use crate::refitter;
 use crate::registry::Registry;
 use crate::report::RuntimeReport;
 use crate::route::PerShard;
-use crate::shard::{self, ShardCmd, ShardHandle, ShardSender};
+use crate::shard::{self, KeeperJoin, ShardCmd, ShardSender};
 pub use crate::spec::{TxnError, TxnReceipt, TxnSpec};
 use crate::stats::{MetricsShards, RuntimeStats, StatsSnapshot};
 pub use crate::txn::ActiveTxn;
@@ -92,25 +94,20 @@ pub(crate) struct Inner {
     /// transport boundary (`None` when the config schedules no faults).
     faults: Option<Arc<faultsim::FaultPlane>>,
     /// The flight-recorder tracing plane (see [`trace`]); shared with the
-    /// shard threads and the deadlock detector.
+    /// shards and the keeper.
     pub(crate) trace: Arc<TracePlane>,
     /// The global commit clock: coordinated commits draw/retire their
     /// stamp here; snapshot reads load its watermark. Shared with the
-    /// shard threads (fast-path stamping and version-chain pruning).
+    /// shards (fast-path stamping and version-chain pruning).
     pub(crate) clock: Arc<crate::clock::CommitClock>,
     /// Keeps the serializability-violation observer alive: a failing
     /// oracle replay anywhere in the process latches this database's
     /// postmortem dump.
     _sercheck_guard: Option<sercheck::ObserverGuard>,
-    // Taken exactly once, by whoever performs the shutdown.
-    teardown: Mutex<Option<Teardown>>,
-}
-
-/// The threads a shutdown stops and joins.
-struct Teardown {
-    shards: Vec<ShardHandle>,
-    detector: JoinHandle<()>,
-    refitter: Option<JoinHandle<()>>,
+    /// The threads a shutdown stops and joins — the keeper, and the
+    /// refitter if the policy has one — taken exactly once, by whoever
+    /// performs the shutdown.
+    teardown: Mutex<Option<(KeeperJoin, Option<JoinHandle<()>>)>>,
 }
 
 impl Inner {
@@ -152,23 +149,17 @@ impl Inner {
             refitter.unpark();
         }
     }
-
-    /// Raise `stopped` and wake the detector so it notices — the same
-    /// flag-then-unpark idiom as the refitter's.
-    fn stop_detector(&self) {
-        self.stopped.store(true, Ordering::Relaxed);
-        self.registry.wake_detector();
-    }
 }
 
 impl Drop for Inner {
     /// A database dropped without [`Database::shutdown`] must still let
-    /// its background threads exit: the refitter and the detector hold no
-    /// handle on this `Inner` (so they cannot delay the drop either), and
-    /// the detector's shard senders are what keeps the shard inboxes open.
+    /// its background threads exit: the refitter and the keeper hold no
+    /// handle on this `Inner` (so they cannot delay the drop either). The
+    /// shard senders dropped with it close every inbox, and the keeper
+    /// drains and closes each shard as it would at a `Shutdown`.
     fn drop(&mut self) {
         self.close_selector();
-        self.stop_detector();
+        self.stopped.store(true, Ordering::Relaxed);
     }
 }
 
@@ -181,7 +172,7 @@ pub struct Database {
 }
 
 impl Database {
-    /// Start the shard threads and the deadlock detector.
+    /// Start the shards and their keeper.
     pub fn open(config: RuntimeConfig) -> Result<Database, ConfigError> {
         config.validate()?;
         let catalog = Catalog::generate(config.num_shards, config.num_items, config.replication);
@@ -215,8 +206,8 @@ impl Database {
         let plane = Arc::new(TracePlane::new(&config.trace, catalog.sites().len()));
         let clock = Arc::new(crate::clock::CommitClock::new());
 
-        let mut shard_handles = Vec::new();
         let mut shard_txs = Vec::new();
+        let mut inboxes = Vec::new();
         let sites = catalog.sites();
         let mut site_index = vec![None; sites.iter().map(|s| s.0 as usize + 1).max().unwrap_or(0)];
         for (idx, &site) in sites.iter().enumerate() {
@@ -240,29 +231,21 @@ impl Database {
                 // for the commands that did not run on their caller.
                 tx.set_stamping(true);
             }
-            let handle = shard::spawn(
+            shard_txs.push(shard::build(
                 qm,
                 idx,
-                rx,
                 tx,
                 Arc::clone(&registry),
                 Arc::clone(&stats),
                 Arc::clone(&plane),
                 Arc::clone(&clock),
-            );
-            shard_txs.push(handle.tx.clone());
+            ));
+            inboxes.push(rx);
             site_index[site.0 as usize] = Some(idx);
-            shard_handles.push(handle);
         }
-
-        let detector_join = detector::spawn(
-            shard_txs.clone(),
-            Arc::clone(&registry),
-            Arc::clone(&stats),
-            Arc::clone(&plane),
-            config.deadlock_scan_interval,
-            Arc::clone(&stopped),
-        );
+        let detector = Detector::new(&registry, &stats, &plane, config.deadlock_scan_interval);
+        let shards = shard_txs.iter().zip(inboxes).collect();
+        let keeper = shard::spawn_keeper(shards, detector, Arc::clone(&stopped));
 
         // A serializability violation observed anywhere in the process
         // (the oracle is global) latches this database's postmortem dump.
@@ -315,11 +298,7 @@ impl Database {
                 trace: plane,
                 clock,
                 _sercheck_guard: sercheck_guard,
-                teardown: Mutex::new(Some(Teardown {
-                    shards: shard_handles,
-                    detector: detector_join,
-                    refitter,
-                })),
+                teardown: Mutex::new(Some((keeper, refitter))),
                 config,
             }),
         })
@@ -330,7 +309,7 @@ impl Database {
         &self.inner.catalog
     }
 
-    /// Number of shard threads.
+    /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.inner.shard_txs.len()
     }
@@ -391,16 +370,7 @@ impl Database {
     /// under the fault plane) is skipped rather than blocking the caller
     /// forever.
     pub fn waiting_transactions(&self) -> Vec<TxnId> {
-        let deadline = self.inner.config.diagnostic_timeout;
-        let mut waiting = Vec::new();
-        for shard in &self.inner.shard_txs {
-            let (tx, rx) = transport::oneshot::channel();
-            if shard.send(ShardCmd::Waiting(tx)).is_ok() {
-                if let Ok(mut txns) = rx.recv_timeout(deadline) {
-                    waiting.append(&mut txns);
-                }
-            }
-        }
+        let mut waiting: Vec<TxnId> = self.ask_shards(ShardCmd::Waiting).flatten().collect();
         waiting.sort_unstable();
         waiting.dedup();
         waiting
@@ -411,17 +381,25 @@ impl Database {
     /// [`Database::waiting_transactions`]: an unresponsive shard's slice
     /// is missing from the snapshot instead of hanging the caller.
     pub fn log_snapshot(&self) -> LogSet {
-        let deadline = self.inner.config.diagnostic_timeout;
         let mut merged = LogSet::new();
-        for shard in &self.inner.shard_txs {
-            let (tx, rx) = transport::oneshot::channel();
-            if shard.send(ShardCmd::LogSnapshot(tx)).is_ok() {
-                if let Ok(slice) = rx.recv_timeout(deadline) {
-                    merged.absorb(slice);
-                }
-            }
+        for slice in self.ask_shards(ShardCmd::LogSnapshot) {
+            merged.absorb(slice);
         }
         merged
+    }
+
+    /// Ask each shard in turn for the answer `ask` carries back, skipping
+    /// a shard that is gone or stays silent past `diagnostic_timeout`.
+    fn ask_shards<T: 'static>(
+        &self,
+        ask: fn(OneshotSender<T>) -> ShardCmd,
+    ) -> impl Iterator<Item = T> + '_ {
+        let deadline = self.inner.config.diagnostic_timeout;
+        self.inner.shard_txs.iter().filter_map(move |shard| {
+            let (tx, rx) = transport::oneshot::channel();
+            shard.send(ask(tx)).ok()?;
+            rx.recv_timeout(deadline).ok()
+        })
     }
 
     /// Deactivate the fault plane and flush every message it still holds
@@ -660,17 +638,14 @@ impl Database {
     /// Stop accepting work, drain the shards and collapse the runtime into
     /// its final report. Returns `None` on every call but the first.
     pub fn shutdown(&self) -> Option<RuntimeReport> {
-        let Teardown {
-            shards,
-            detector,
-            refitter,
-        } = self
+        let (keeper, refitter) = self
             .inner
             .teardown
             .lock()
             .expect("teardown poisoned")
             .take()?;
-        self.inner.stop_detector();
+        // No further detection turns; the keeper wakes for the shutdowns.
+        self.inner.stopped.store(true, Ordering::Relaxed);
         // The refitter goes first: joined here, it cannot be mid-merge
         // when the final metrics are taken below, and nothing it
         // allocated outlives this database. It catches its own panics, so
@@ -682,19 +657,14 @@ impl Database {
         // Flush anything still parked in the fault plane so the final
         // drain sees every surviving message.
         self.quiesce_faults();
-        // The detector is gone before the shards drain, so it cannot block
-        // on a draining shard.
-        let _ = detector.join();
-        let mut logs = LogSet::new();
-        for handle in &shards {
-            let _ = handle.tx.send(ShardCmd::Shutdown);
+        for shard in &self.inner.shard_txs {
+            let _ = shard.send(ShardCmd::Shutdown);
         }
-        for handle in shards {
-            // Shards own disjoint items: each slice moves into the
-            // report as it is, no entry copied.
-            if let Ok((_site, slice)) = handle.join.join() {
-                logs.absorb(slice);
-            }
+        // Shards own disjoint items: each slice moves into the report as
+        // it is, no entry copied. A dead shard's slice is missing.
+        let mut logs = LogSet::new();
+        for slice in keeper.join().unwrap_or_default().into_iter().flatten() {
+            logs.absorb(slice);
         }
         let metrics = self.inner.metrics.merged(self.now());
         let trace_report =

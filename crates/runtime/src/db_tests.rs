@@ -400,9 +400,10 @@ fn a_database_dropped_without_shutdown_lets_the_refitter_exit() {
     });
 }
 
-/// The detector holds the shard senders that keep the inboxes open, and
-/// parks for a whole scan interval: a database dropped without `shutdown`
-/// must wake it to see `stopped`, or detector and shard threads live on.
+/// The keeper parks for a whole scan interval and exits only once every
+/// shard is closed: a database dropped without `shutdown` drops the shard
+/// senders, whose inboxes' disconnect must wake it to close them, or the
+/// keeper lives on.
 #[test]
 fn a_database_dropped_without_shutdown_lets_the_detector_and_shards_exit() {
     let db = Database::open(push_only_config()).unwrap();
@@ -436,6 +437,50 @@ fn a_refitter_panic_is_counted_and_the_last_epoch_stays_published() {
     let stats = db.stats();
     assert_eq!((stats.cache.epoch, stats.cache.refits), (1, 1));
     // No `shutdown`: its final merge would meet the poisoned stripe too.
+}
+
+/// The names of the database's own background threads (its join handles,
+/// not the process's threads: tests run in parallel).
+fn background_threads(db: &Database) -> Vec<String> {
+    let teardown = db.inner.teardown.lock().unwrap();
+    let teardown = teardown.as_ref().expect("not shut down");
+    let name = |thread: &std::thread::Thread| thread.name().unwrap_or_default().to_string();
+    let (keeper, refitter) = teardown;
+    let mut names = vec![name(keeper.thread())];
+    names.extend(refitter.iter().map(|join| name(join.thread())));
+    names
+}
+
+/// However many shards, one keeper: a 64-shard database runs one
+/// background thread under a static policy and two — the keeper and the
+/// refitter — under `DynamicStl`; its shutdown returns every shard's
+/// slice.
+#[test]
+fn a_64_shard_database_runs_one_keeper() {
+    let db = Database::open(config(64, 64)).unwrap();
+    assert_eq!(background_threads(&db), ["cc-keeper"]);
+    let mut copies = Vec::new();
+    for i in 0..64 {
+        db.run_transaction(&TxnSpec::new().write(li(i)), |_| vec![(li(i), 1)])
+            .unwrap();
+        copies.push(db.catalog().physical_copies(li(i)).unwrap()[0]);
+    }
+    let sites: std::collections::BTreeSet<SiteId> = copies.iter().map(|c| c.site).collect();
+    assert_eq!(sites.len(), 64, "one written item on every shard");
+    let logs = db.shutdown().unwrap().logs;
+    for copy in copies {
+        assert!(logs.log(copy).is_some(), "{copy:?}'s shard has its slice");
+    }
+    let dynamic = Database::open(RuntimeConfig {
+        policy: CcPolicy::DynamicStl,
+        ..config(64, 64)
+    })
+    .unwrap();
+    assert_eq!(
+        background_threads(&dynamic),
+        ["cc-keeper", "cc-selector-refitter"]
+    );
+    dynamic.shutdown().unwrap();
 }
 
 #[test]
@@ -907,6 +952,99 @@ fn a_commit_cut_short_by_shutdown_is_not_a_user_abort() {
     assert_eq!(aborted_args(cut_short_id), [1], "decided, unacknowledged");
 }
 
+/// A 2-shard commit torn by a shutdown between its per-shard release
+/// batches. The first batch runs inline and installs its write, then its
+/// reply flush blocks — the grant it frees is for a waiter whose mailbox
+/// is full — holding the first core up to the one-second deliver timeout.
+/// Meanwhile a shutdown closes the second shard, so the second batch finds
+/// it gone. The commit returns `ShuttingDown` and records `Aborted` with
+/// arg 1; its stamp stays unretired, stalling the watermark; the first
+/// shard's install is in the final log and the second's is not.
+#[test]
+fn a_commit_torn_by_shutdown_between_its_release_batches() {
+    let db = Database::open(RuntimeConfig {
+        reply_mailbox_capacity: 4,
+        ..config(2, 4)
+    })
+    .unwrap();
+    let inner = &db.inner;
+    let items = [li(0), li(1)];
+    let shards = items.map(|item| shard_of(&db, item));
+    assert_ne!(shards[0], shards[1], "the commit must cross shards");
+    let two_pl = CcMethod::TwoPhaseLocking;
+    let mut txn = db
+        .begin(&TxnSpec::new().writes(items).method(two_pl))
+        .unwrap();
+    // The waiter: queued behind the transaction on both items, its mailbox
+    // stuffed full.
+    let mut mailbox = inner.registry.client_mailbox().unwrap();
+    let waiter = inner.registry.txn_id(1_000_001, mailbox.slot());
+    inner.registry.register(waiter, two_pl, &mut mailbox);
+    for item in items {
+        let copy = db.catalog().physical_copies(item).unwrap()[0];
+        let access = RequestMsg::Access {
+            txn: waiter,
+            item: copy,
+            mode: AccessMode::Write,
+            method: two_pl,
+            ts: TsTuple::new(Timestamp(1_000_001), 10),
+        };
+        db.route_all(copy.site, vec![access]).unwrap();
+    }
+    wait_until("the waiter is queued on both shards", || {
+        db.waiting_transactions() == [waiter]
+    });
+    for n in 0..4 {
+        let copy = dbmodel::PhysicalItemId::new(li(100 + n), SiteId(0));
+        let ack = pam::ReplyMsg::Ack {
+            txn: waiter,
+            item: copy,
+        };
+        inner.registry.deliver_all([ack]);
+    }
+    let txn_id = txn.id();
+    txn.write(li(0), 7).unwrap();
+    txn.write(li(1), 7).unwrap();
+    let watermark = inner.clock.watermark();
+    // Shut down once either shard has installed: that is the first batch.
+    let shutdown = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            let installed = |idx: usize| db.stats().per_shard[idx].implemented > 0;
+            while !installed(shards[0]) && !installed(shards[1]) {
+                std::thread::yield_now();
+            }
+            let first = if installed(shards[0]) { 0 } else { 1 };
+            (first, db.shutdown().unwrap())
+        })
+    };
+    assert_eq!(txn.commit().unwrap_err(), TxnError::ShuttingDown);
+    let (first, report) = shutdown.join().unwrap();
+    let installed = items.map(|item| {
+        let copy = db.catalog().physical_copies(item).unwrap()[0];
+        report
+            .logs
+            .log(copy)
+            .is_some_and(|log| log.entries().iter().any(|e| e.txn == txn_id))
+    });
+    assert!(installed[first], "the first batch's install is logged");
+    assert!(!installed[1 - first], "the second batch never ran");
+    let aborted: Vec<u32> = db
+        .trace_snapshot()
+        .iter()
+        .filter(|e| e.phase == Phase::Aborted && e.txn == txn_id.0)
+        .map(|e| e.arg)
+        .collect();
+    assert_eq!(aborted, [1], "decided, unacknowledged");
+    assert_eq!(report.stats.committed, 0);
+    // The stamp was drawn and never retired: the watermark stays put even
+    // past a later stamp's retirement.
+    let later = inner.clock.draw();
+    inner.clock.retire(later);
+    assert_eq!(inner.clock.watermark(), watermark);
+    inner.registry.deregister(waiter);
+}
+
 /// The execution wait's stop exit: a client queued behind a 2PL holder
 /// returns `ShuttingDown` within a few polls of `shutdown`, and once both
 /// handles are gone nothing is left registered.
@@ -1038,10 +1176,31 @@ fn hand_driven_cycle_with(
     deadline: Duration,
     before_closing: impl FnOnce(SiteId),
 ) -> Option<u64> {
+    let [a, b] = [li(0), li(1)].map(|item| shard_of(db, item));
+    assert_ne!(a, b, "the cycle must cross shards");
+    hand_driven_cycle_on(
+        db,
+        [li(0), li(1)],
+        other,
+        close_on_a,
+        deadline,
+        before_closing,
+    )
+}
+
+/// [`hand_driven_cycle_with`] over the items `a` and `b`, wherever they
+/// live.
+fn hand_driven_cycle_on(
+    db: &Database,
+    [a, b]: [LogicalItemId; 2],
+    other: CcMethod,
+    close_on_a: bool,
+    deadline: Duration,
+    before_closing: impl FnOnce(SiteId),
+) -> Option<u64> {
     let inner = &db.inner;
-    let phys = |i| db.catalog().physical_copies(li(i)).unwrap()[0];
-    let (a, b) = (phys(0), phys(1));
-    assert_ne!(a.site, b.site, "the cycle must cross shards");
+    let phys = |item| db.catalog().physical_copies(item).unwrap()[0];
+    let (a, b) = (phys(a), phys(b));
     let mut mb1 = inner.registry.client_mailbox().unwrap();
     let mut mb2 = inner.registry.client_mailbox().unwrap();
     let t1 = inner.registry.txn_id(1_000_001, mb1.slot());
@@ -1161,6 +1320,57 @@ fn push_detection_rescans_after_a_skipped_edge_report() {
         (1, 0)
     );
     assert!(stats.deadlock_push_scans >= 2, "{stats:?}");
+    assert!(stats.deadlock_report_skips >= 1, "{stats:?}");
+}
+
+/// One thread serves every shard, so a crashed one must not stall the
+/// others: with shard 0 down for 400 ms, a 2PL cycle wholly on shard 1 is
+/// broken within [`PUSH_DEADLINE`] of its closing edge — the scan skips
+/// the down shard at once and counts the skip — while the outage lasts.
+#[test]
+fn a_crash_stalls_no_other_shards_deadlock_detection() {
+    const OUTAGE: Duration = Duration::from_millis(400);
+    let db = Database::open(RuntimeConfig {
+        num_items: 16,
+        // The cycle's first wait is found by polling the diagnostics,
+        // which give up on the down shard after this long.
+        diagnostic_timeout: Duration::from_millis(2),
+        ..push_only_config()
+    })
+    .unwrap();
+    let on_shard_1: Vec<LogicalItemId> = (0..16)
+        .map(li)
+        .filter(|&item| shard_of(&db, item) == 1)
+        .take(2)
+        .collect();
+    let crashed = Instant::now();
+    let crash = ShardCmd::Crash { outage: OUTAGE };
+    db.inner.shard_txs[0].send(crash).map_err(|_| ()).unwrap();
+    // Taken off the ring means taken in the keeper tenure that marks the
+    // core down.
+    while !db.inner.shard_txs[0].ring_is_idle() {
+        std::thread::yield_now();
+    }
+    let victim = hand_driven_cycle_on(
+        &db,
+        [on_shard_1[0], on_shard_1[1]],
+        CcMethod::TwoPhaseLocking,
+        true,
+        PUSH_DEADLINE,
+        |_| {},
+    );
+    assert!(
+        crashed.elapsed() < OUTAGE,
+        "the outage must outlast the test"
+    );
+    assert_eq!(victim, Some(1_000_002));
+    let stats = db.shutdown().unwrap().stats;
+    assert_eq!(
+        (stats.deadlock_victims, stats.deadlock_backstop_victims),
+        (1, 0)
+    );
+    assert!(stats.deadlock_report_skips >= 1, "{stats:?}");
+    assert_eq!(stats.shard_crashes, 1, "the outage ended before shutdown");
 }
 
 /// With a T/O member in the cycle the pushed scan still victimises the
@@ -1426,7 +1636,7 @@ fn mixed_snapshot_and_writer_traffic_stays_serializable() {
 
 /// Caller-runs stress: two writers and two snapshot readers hammer eight
 /// items, so every shard core changes hands constantly between callers
-/// running inline and the shard thread draining what they had to
+/// running inline and the keeper draining what they had to
 /// enqueue. Each history must still be one the oracle accepts — FIFO per
 /// shard, the watermark cut and the log order all ride on the core lock —
 /// and every submitted command must be counted exactly once. Several
@@ -1551,8 +1761,8 @@ fn one_shot_on_a_dead_shard_is_bounded(spec: TxnSpec) {
         })
         .map_err(|_| ())
         .unwrap();
-    // The shard thread takes the core for the outage; until then the
-    // one-shot would find the ring busy, not the core.
+    // The keeper takes the crash off the ring and marks the core down;
+    // until then the one-shot would find the ring busy, not the core.
     while !db.inner.shard_txs[0].ring_is_idle() {
         std::thread::yield_now();
     }

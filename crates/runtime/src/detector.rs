@@ -1,26 +1,28 @@
-//! The background deadlock detector.
+//! Deadlock detection, a turn of the keeper's (`shard.rs`).
 //!
-//! One scan function, two triggers. A scan asks each shard for its current
-//! wait-for edges, merges them into one [`WaitForGraph`], and — per the
-//! paper's Corollary 2, which guarantees every deadlock cycle contains a
-//! 2PL transaction — signals the youngest 2PL member of each cycle as a
-//! victim through the registry. The victim's own client thread performs the
-//! abort (it owns the request issuer), so the detector never touches
-//! protocol state directly.
+//! One scan function, two triggers. A scan reads each shard's current
+//! wait-for edges directly under that shard's core lock, merges them into
+//! one [`WaitForGraph`], and — per the paper's Corollary 2, which
+//! guarantees every deadlock cycle contains a 2PL transaction — signals the
+//! youngest 2PL member of each cycle as a victim through the registry. The
+//! victim's own client thread performs the abort (it owns the request
+//! issuer), so the detector never changes protocol state to break a cycle.
 //!
 //! * **Pushed.** A shard that queues a wait-for edge whose waiter is itself
-//!   waited on raises the registry's scan request and unparks this thread
+//!   waited on raises the registry's scan request and wakes the keeper
 //!   (the announce rule, `shard.rs`; the marks and why the closing edge of
-//!   a cycle always asks, `registry.rs`). The scan runs at once, so a
-//!   deadlock stands for about one thread wake-up, not for half a scan
-//!   interval. Requests coalesce: one scan runs at a time, and a request
-//!   raised while it runs re-arms the next.
-//!   A pushed scan that had to skip a shard's report (it missed
-//!   `EDGE_REPORT_TIMEOUT`: a shard mid-outage, or its core held that
-//!   long) may have missed the very cycle it was asked for, so it asks for
-//!   one more scan at once; a second skip in a row leaves the rest to the
-//!   periodic tick, so a crashed shard's inbox does not fill up with edge
-//!   requests.
+//!   a cycle always asks, `registry.rs`). The keeper's next turn runs the
+//!   scan, so a deadlock stands for about one thread wake-up, not for half
+//!   a scan interval. Requests coalesce: one scan runs at a time, and a
+//!   request raised while it runs re-arms the next.
+//!   A scan never blocks on a core: a down one (a `Crash` outage) is
+//!   skipped at once, and a held one is retried for at most
+//!   [`EDGE_REPORT_TIMEOUT`] and then skipped; either skip is counted in
+//!   [`crate::StatsSnapshot::deadlock_report_skips`]. A pushed scan that
+//!   skipped a shard may have missed the very cycle it was asked for, so
+//!   the next turn scans once more; a second skip in a row leaves the rest
+//!   to the periodic tick, so a shard that stays down does not keep the
+//!   keeper rescanning.
 //! * **Periodic.** Every `deadlock_scan_interval` regardless, so that
 //!   liveness never rests on the announcements: an edge queued without one
 //!   would leave its cycle standing until the next tick, exactly as every
@@ -28,35 +30,33 @@
 //!   [`crate::StatsSnapshot::deadlock_backstop_victims`], which is
 //!   therefore zero on a healthy runtime.
 //!
-//! The edge reports go through [`ShardSender::submit`]: an idle shard's
-//! edges are read on this thread and no shard thread is woken for them. A
-//! held core is not waited for: the report goes to the ring.
-//!
-//! Because the scan is a racy snapshot assembled from per-shard reports, a
+//! Because the scan is a racy snapshot assembled from per-shard reads, a
 //! reported "cycle" may have already dissolved by the time the victim reacts;
 //! that is harmless — `RequestIssuer::abort_for_deadlock` refuses to abort an
 //! incarnation that is no longer waiting. A victim that has not reacted yet
 //! is seen again by the next scan and not signalled again: the registry
 //! signals an incarnation once.
-
-//! The detector thread also runs the **stranded-transaction sweep**, on the
-//! periodic tick only: under
+//!
+//! The periodic tick also runs the **stranded-transaction sweep**: under
 //! fault injection (dropped aborts, late-delivered accesses, crash
 //! amnesia) a shard can hold queue entries or locks for a transaction no
 //! client will ever finish. Each sweep collects every transaction present
 //! at any shard and checks it against the registry; a transaction present
 //! at a shard but registered nowhere is a *suspect*. A suspect seen on
-//! two consecutive sweeps is cleaned up with [`ShardCmd::Cleanup`] (an
-//! engine-level abort of its residual state). The two-sweep grace guards
-//! the deregister-vs-in-flight-release race: a committing client
-//! deregisters before its releases are processed, but releases travel the
-//! reliable channel and land within microseconds, far inside one scan
-//! interval.
+//! two consecutive sweeps is cleaned up in the same core tenure that found
+//! it ([`ShardCore::cleanup`], an engine-level abort of its residual
+//! state). The two-sweep grace guards the deregister-vs-in-flight-release
+//! race: a committing client deregisters before its releases are
+//! processed, but releases travel the reliable channel and land within
+//! microseconds, far inside one scan interval.
+//!
+//! These functions hold cores the way the keeper does, which makes the
+//! hand-off check only before it parks: off the keeper (in tests) they
+//! run while no command is in flight.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 use dbmodel::{CcMethod, TxnId};
@@ -64,178 +64,179 @@ use trace::{Phase, TracePlane};
 use unified_cc::WaitForGraph;
 
 use crate::registry::Registry;
-use crate::shard::{ShardCmd, ShardSender};
+use crate::shard::ShardCore;
 use crate::stats::RuntimeStats;
 
-/// How long the detector waits for one shard's edge report before skipping
-/// it for this scan.
+/// How long a scan retries one shard's held core before it skips the
+/// shard for this scan.
 const EDGE_REPORT_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Spawn the detector thread. It parks until the next periodic tick or
-/// until [`Registry::wake_detector`] unparks it — for a requested scan, or
-/// to see `stopped` and return.
-pub(crate) fn spawn(
-    shards: Vec<ShardSender>,
-    registry: Arc<Registry>,
+/// The detector's state between the keeper's turns.
+pub(crate) struct Detector {
+    pub(crate) registry: Arc<Registry>,
     stats: Arc<RuntimeStats>,
     plane: Arc<TracePlane>,
     interval: Duration,
-    stopped: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("cc-deadlock-detector".into())
-        .spawn(move || {
-            registry.attach_detector(std::thread::current());
-            // Merged-edge scratch reused across scans (the shards build
-            // their reports with `wait_edges_into`, so a scan's only
-            // steady-state allocations are the per-shard report vectors
-            // that cross the oneshot boundary).
-            let mut edges: Vec<(TxnId, TxnId)> = Vec::new();
-            // Suspects carried across sweeps (the two-sweep grace).
-            let mut suspects: HashSet<TxnId> = HashSet::new();
-            let mut next_tick = Instant::now() + interval;
-            // The last scan was a pushed one that skipped a report and
-            // asked again (see `scan_once`).
-            let mut retrying = false;
-            // Flags first, park second: `unpark` leaves a token, so a
-            // request or a stop that lands in between is not slept through.
-            while !stopped.load(Ordering::Relaxed) {
-                let pushed = registry.take_scan_request();
-                let now = Instant::now();
-                let tick = now >= next_tick;
-                if !pushed && !tick {
-                    std::thread::park_timeout(next_tick - now);
-                    continue;
-                }
-                if pushed {
-                    stats.deadlock_push_scans.fetch_add(1, Ordering::Relaxed);
-                }
-                let skipped = scan_once(&shards, &registry, &stats, &plane, &mut edges, pushed);
-                // A pushed scan that missed a report may have missed the
-                // cycle it was asked for, and nothing else would ask before
-                // the tick: ask once more now. A second miss in a row
-                // leaves it to the tick, so a crashed shard's inbox does
-                // not fill with edge requests.
-                retrying = skipped && pushed && !retrying;
-                if retrying {
-                    registry.request_scan();
-                }
-                if tick {
-                    sweep_stranded(&shards, &registry, &mut suspects);
-                    next_tick = Instant::now() + interval;
-                }
-            }
-        })
-        .expect("failed to spawn deadlock detector")
+    /// When the periodic scan is next due.
+    pub(crate) next_tick: Instant,
+    /// The last scan was a pushed one that skipped a shard: the next turn
+    /// scans again (see [`Detector::turn`]).
+    retrying: bool,
+    /// Merged-edge scratch reused across scans: a scan allocates nothing
+    /// in the steady state.
+    edges: Vec<(TxnId, TxnId)>,
+    /// Suspects carried across sweeps (the two-sweep grace).
+    suspects: HashSet<TxnId>,
 }
 
-/// One scan: gather edges into the reusable `edges` scratch, find cycles,
-/// signal victims. `pushed` says a shard asked for this scan. The scratch
-/// is left cleared with its capacity intact. Returns whether a live
-/// shard's report missed [`EDGE_REPORT_TIMEOUT`] and was skipped.
-pub(crate) fn scan_once(
-    shards: &[ShardSender],
-    registry: &Registry,
-    stats: &RuntimeStats,
-    plane: &TracePlane,
-    edges: &mut Vec<(TxnId, TxnId)>,
-    pushed: bool,
-) -> bool {
-    debug_assert!(edges.is_empty());
-    let mut skipped = false;
-    for shard in shards {
-        let (tx, rx) = transport::oneshot::channel();
-        if shard.submit(ShardCmd::WaitEdges(tx), false).is_err() {
-            continue; // shard already shut down
-        }
-        match rx.recv_timeout(EDGE_REPORT_TIMEOUT) {
-            Ok(shard_edges) => edges.extend(shard_edges),
-            // Slow (mid-outage, or its core held past the timeout): this
-            // scan goes on without it.
-            Err(transport::oneshot::RecvError::Timeout) => skipped = true,
-            Err(transport::oneshot::RecvError::Disconnected) => {}
+impl Detector {
+    pub(crate) fn new(
+        registry: &Arc<Registry>,
+        stats: &Arc<RuntimeStats>,
+        plane: &Arc<TracePlane>,
+        interval: Duration,
+    ) -> Self {
+        Detector {
+            registry: Arc::clone(registry),
+            stats: Arc::clone(stats),
+            plane: Arc::clone(plane),
+            interval,
+            next_tick: Instant::now() + interval,
+            retrying: false,
+            edges: Vec::new(),
+            suspects: HashSet::new(),
         }
     }
-    if edges.is_empty() {
-        return skipped;
+
+    /// The keeper's turn: a scan if one was asked for or the tick is due,
+    /// and the sweep on the tick. Whether anything ran.
+    pub(crate) fn turn(&mut self, cores: &[Arc<Mutex<ShardCore>>]) -> bool {
+        // A retry is a scan the detector asked itself for.
+        let pushed = self.registry.take_scan_request() || self.retrying;
+        let tick = Instant::now() >= self.next_tick;
+        if !pushed && !tick {
+            return false;
+        }
+        let push_scans = &self.stats.deadlock_push_scans;
+        push_scans.fetch_add(u64::from(pushed), Ordering::Relaxed);
+        let skipped = self.scan_once(cores, pushed);
+        // A pushed scan that skipped a shard may have missed the cycle it
+        // was asked for, and nothing else would ask before the tick: ask
+        // once more, for the next turn. A second skip in a row leaves it
+        // to the tick.
+        self.retrying = skipped && pushed && !self.retrying;
+        if tick {
+            self.sweep_stranded(cores);
+            self.next_tick = Instant::now() + self.interval;
+        }
+        true
     }
-    // A request that came in while the reports were gathered was raised
-    // under its shard's lock, before the edge it speaks for could be read:
-    // whatever this scan finds, an announcement led to it.
-    let pushed = pushed || registry.scan_requested();
-    // Every cycle in the snapshot gets its victim now: a cycle left for
-    // "the next scan" gains no new edge, so nobody would ask for that scan.
-    let victims = WaitForGraph::from_edges(edges.drain(..)).choose_victims_exhaustively(|txn| {
-        registry.method_of(txn) == Some(CcMethod::TwoPhaseLocking)
-    });
-    for victim in victims {
-        // Refused for a victim an earlier scan signalled and that has not
-        // reacted yet, so `deadlock_victims` counts victims, not scans.
-        if registry.signal_deadlock(victim) {
-            stats.deadlock_victims.fetch_add(1, Ordering::Relaxed);
-            if !pushed {
-                stats
-                    .deadlock_backstop_victims
-                    .fetch_add(1, Ordering::Relaxed);
+
+    /// One scan: gather edges into the reusable scratch, find cycles,
+    /// signal victims. `pushed` says a shard asked for this scan. Returns
+    /// whether a shard was skipped (and counted).
+    pub(crate) fn scan_once(&mut self, cores: &[Arc<Mutex<ShardCore>>], pushed: bool) -> bool {
+        let (registry, stats, plane) = (&*self.registry, &*self.stats, &*self.plane);
+        let edges = &mut self.edges;
+        debug_assert!(edges.is_empty());
+        let mut skipped = false;
+        for core in cores {
+            match report(core) {
+                Some(core) => core.qm.wait_edges_into(edges),
+                None => {
+                    skipped = true;
+                    stats.deadlock_report_skips.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            plane.record(
-                plane.client_lane(),
-                victim.0,
-                Phase::Victim,
-                u32::from(!pushed),
-            );
-            // The first victim latches the flight-recorder postmortem (a
-            // no-op unless a dump directory is configured).
-            let _ = plane.trigger_postmortem("deadlock-victim");
         }
+        if edges.is_empty() {
+            return skipped;
+        }
+        // A request that came in while the edges were gathered was raised
+        // under its shard's lock, before the edge it speaks for could be read:
+        // whatever this scan finds, an announcement led to it.
+        let pushed = pushed || registry.scan_requested();
+        // Every cycle in the snapshot gets its victim now: a cycle left for
+        // "the next scan" gains no new edge, so nobody would ask for that scan.
+        let victims =
+            WaitForGraph::from_edges(edges.drain(..)).choose_victims_exhaustively(|txn| {
+                registry.method_of(txn) == Some(CcMethod::TwoPhaseLocking)
+            });
+        for victim in victims {
+            // Refused for a victim an earlier scan signalled and that has not
+            // reacted yet, so `deadlock_victims` counts victims, not scans.
+            if registry.signal_deadlock(victim) {
+                stats.deadlock_victims.fetch_add(1, Ordering::Relaxed);
+                if !pushed {
+                    stats
+                        .deadlock_backstop_victims
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                plane.record(
+                    plane.client_lane(),
+                    victim.0,
+                    Phase::Victim,
+                    u32::from(!pushed),
+                );
+                // The first victim latches the flight-recorder postmortem (a
+                // no-op unless a dump directory is configured).
+                let _ = plane.trigger_postmortem("deadlock-victim");
+            }
+        }
+        skipped
     }
-    skipped
+
+    /// One stranded-transaction sweep (see the module docs): collect
+    /// every transaction present at each shard, suspect those registered
+    /// nowhere, and clean up suspects already seen on the previous sweep.
+    pub(crate) fn sweep_stranded(&mut self, cores: &[Arc<Mutex<ShardCore>>]) {
+        let mut next_suspects: HashSet<TxnId> = HashSet::new();
+        for core in cores {
+            // Down or held past the timeout: the next sweep.
+            let Some(mut core) = report(core) else {
+                continue;
+            };
+            let mut present = Vec::new();
+            core.qm.present_txns_into(&mut present);
+            let mut confirmed = Vec::new();
+            for &txn in &present {
+                if self.registry.method_of(txn).is_some() {
+                    continue; // live somewhere — not stranded
+                }
+                if self.suspects.contains(&txn) {
+                    confirmed.push(txn);
+                } else {
+                    next_suspects.insert(txn);
+                }
+            }
+            core.cleanup(&confirmed);
+        }
+        self.suspects = next_suspects;
+    }
 }
 
-/// One stranded-transaction sweep (see the module docs): collect every
-/// transaction present at each shard, suspect those registered nowhere,
-/// and clean up suspects already seen on the previous sweep. `suspects`
-/// is the grace set carried between sweeps.
-pub(crate) fn sweep_stranded(
-    shards: &[ShardSender],
-    registry: &Registry,
-    suspects: &mut HashSet<TxnId>,
-) {
-    let mut next_suspects: HashSet<TxnId> = HashSet::new();
-    for shard in shards {
-        let (tx, rx) = transport::oneshot::channel();
-        if shard.send(ShardCmd::PresentTxns(tx)).is_err() {
-            continue;
-        }
-        let present = match rx.recv_timeout(EDGE_REPORT_TIMEOUT) {
-            Ok(present) => present,
-            Err(_) => continue, // mid-outage or shut down: next sweep
-        };
-        let mut confirmed = Vec::new();
-        for txn in present {
-            if registry.method_of(txn).is_some() {
-                continue; // live somewhere — not stranded
-            }
-            if suspects.contains(&txn) {
-                confirmed.push(txn);
-            } else {
-                next_suspects.insert(txn);
-            }
-        }
-        if !confirmed.is_empty() {
-            let _ = shard.send(ShardCmd::Cleanup(confirmed));
+/// Take `core` for a read, retrying a held one for at most
+/// [`EDGE_REPORT_TIMEOUT`]; `None` — skip it — when it stays held or is
+/// down.
+fn report(core: &Mutex<ShardCore>) -> Option<MutexGuard<'_, ShardCore>> {
+    let deadline = Instant::now() + EDGE_REPORT_TIMEOUT;
+    loop {
+        match core.try_lock() {
+            Ok(core) => return (!core.is_down()).then_some(core),
+            Err(TryLockError::WouldBlock) if Instant::now() < deadline => std::thread::yield_now(),
+            Err(_) => return None,
         }
     }
-    *suspects = next_suspects;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::{ClientEvent, ClientMailbox};
-    use crate::shard::{ShardCmd, ShardHandle};
+    use crate::shard::{KeeperJoin, ShardCmd, ShardSender};
     use dbmodel::{AccessMode, LogicalItemId, PhysicalItemId, SiteId, Timestamp, TsTuple, TxnId};
     use pam::RequestMsg;
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration;
     use unified_cc::{EnforcementMode, QueueManager};
 
@@ -243,30 +244,66 @@ mod tests {
         PhysicalItemId::new(LogicalItemId(i), SiteId(site))
     }
 
-    fn spawn_shard(
-        site: u32,
-        idx: usize,
-        it: PhysicalItemId,
+    /// One shard per item, shard `i` at the site of `items[i]`, under a
+    /// keeper that takes no detection turn: the tests scan by hand.
+    fn spawn_shards(
+        items: &[PhysicalItemId],
         registry: &Arc<Registry>,
         stats: &Arc<RuntimeStats>,
-    ) -> ShardHandle {
-        let mut qm = QueueManager::new(SiteId(site));
-        qm.add_item(it, 0, EnforcementMode::SemiLock);
-        let (tx, rx) = transport::ring::channel(16);
-        crate::shard::spawn(
-            qm,
-            idx,
-            rx,
-            tx,
-            Arc::clone(registry),
-            Arc::clone(stats),
-            Arc::new(TracePlane::new(&trace::TraceConfig::default(), 2)),
-            Arc::new(crate::clock::CommitClock::new()),
-        )
+    ) -> (Vec<ShardSender>, KeeperJoin) {
+        let plane = Arc::new(TracePlane::new(&trace::TraceConfig::default(), 2));
+        let (shards, inboxes): (Vec<_>, Vec<_>) = items
+            .iter()
+            .enumerate()
+            .map(|(idx, &it)| {
+                let mut qm = QueueManager::new(it.site);
+                qm.add_item(it, 0, EnforcementMode::SemiLock);
+                let (tx, rx) = transport::ring::channel(16);
+                let shard = crate::shard::build(
+                    qm,
+                    idx,
+                    tx,
+                    Arc::clone(registry),
+                    Arc::clone(stats),
+                    Arc::clone(&plane),
+                    Arc::new(crate::clock::CommitClock::new()),
+                );
+                (shard, rx)
+            })
+            .unzip();
+        let detector = Detector::new(registry, stats, &plane, Duration::from_secs(10));
+        let keeper = crate::shard::spawn_keeper(
+            shards.iter().zip(inboxes).collect(),
+            detector,
+            Arc::new(AtomicBool::new(true)),
+        );
+        (shards, keeper)
+    }
+
+    /// The cores a scan reads.
+    fn cores(shards: &[ShardSender]) -> Vec<Arc<Mutex<ShardCore>>> {
+        shards.iter().map(ShardSender::core).collect()
+    }
+
+    fn shut_down(shards: Vec<ShardSender>, keeper: KeeperJoin) {
+        for shard in &shards {
+            let _ = shard.send(ShardCmd::Shutdown);
+        }
+        drop(shards);
+        assert!(keeper.join().unwrap().iter().all(Result::is_ok));
     }
 
     fn test_plane() -> TracePlane {
         TracePlane::new(&trace::TraceConfig::default(), 2)
+    }
+
+    /// A detector scanning by hand, its tick far away.
+    fn detector(
+        registry: &Arc<Registry>,
+        stats: &Arc<RuntimeStats>,
+        plane: &Arc<TracePlane>,
+    ) -> Detector {
+        Detector::new(registry, stats, plane, Duration::from_secs(10))
     }
 
     /// A fresh mailbox with the `seq`-th incarnation registered on it.
@@ -341,24 +378,24 @@ mod tests {
         let stats = Arc::new(RuntimeStats::with_shards(2));
         let a = item(0, 0);
         let b = item(1, 1);
-        let shard0 = spawn_shard(0, 0, a, &registry, &stats);
-        let shard1 = spawn_shard(1, 1, b, &registry, &stats);
-        let shards = vec![shard0.tx.clone(), shard1.tx.clone()];
+        let (shards, keeper) = spawn_shards(&[a, b], &registry, &stats);
+        let (shard0, shard1) = (&shards[0], &shards[1]);
+        let cores = cores(&shards);
 
         let (mut mb1, t1) = client(&registry, 1, CcMethod::TwoPhaseLocking);
         let (mut mb2, t2) = client(&registry, 2, CcMethod::TwoPhaseLocking);
 
         // T1 locks a, T2 locks b.
-        access(&shard0.tx, t1, a, CcMethod::TwoPhaseLocking, 1);
-        access(&shard1.tx, t2, b, CcMethod::TwoPhaseLocking, 2);
+        access(shard0, t1, a, CcMethod::TwoPhaseLocking, 1);
+        access(shard1, t2, b, CcMethod::TwoPhaseLocking, 2);
         expect_grant(&mut mb1, t1);
         expect_grant(&mut mb2, t2);
         // Cross requests: T1 waits for b (held by T2), T2 waits for a
         // (held by T1) — a genuine deadlock.
-        access(&shard1.tx, t1, b, CcMethod::TwoPhaseLocking, 1);
-        access(&shard0.tx, t2, a, CcMethod::TwoPhaseLocking, 2);
-        wait_until_waiting(&shard1.tx, t1);
-        wait_until_waiting(&shard0.tx, t2);
+        access(shard1, t1, b, CcMethod::TwoPhaseLocking, 1);
+        access(shard0, t2, a, CcMethod::TwoPhaseLocking, 2);
+        wait_until_waiting(shard1, t1);
+        wait_until_waiting(shard0, t2);
 
         // The shards announced both edges; the second found its waiter
         // already waited on and asked for a scan.
@@ -367,13 +404,13 @@ mod tests {
 
         // A periodic scan — which still counts as pushed if a request is
         // pending by the time it has read the edges.
-        let tracer = test_plane();
-        let mut edges = Vec::new();
-        scan_once(&shards, &registry, &stats, &tracer, &mut edges, false);
+        let tracer = Arc::new(test_plane());
+        let mut detector = detector(&registry, &stats, &tracer);
+        detector.scan_once(&cores, false);
         // The victim has not reacted, the cycle still stands: a second and
         // a third scan see it and must not signal it again.
-        scan_once(&shards, &registry, &stats, &tracer, &mut edges, true);
-        scan_once(&shards, &registry, &stats, &tracer, &mut edges, false);
+        detector.scan_once(&cores, true);
+        detector.scan_once(&cores, false);
         assert_eq!(
             tracer.phase_counts()[Phase::Victim as usize],
             1,
@@ -400,12 +437,9 @@ mod tests {
             u64::from(muted),
             "a backstop victim is one no announcement led to"
         );
+        assert_eq!(stats.deadlock_report_skips.load(Ordering::Relaxed), 0);
 
-        drop(shards);
-        let _ = shard0.tx.send(ShardCmd::Shutdown);
-        let _ = shard1.tx.send(ShardCmd::Shutdown);
-        let _ = shard0.join.join();
-        let _ = shard1.join.join();
+        shut_down(shards, keeper);
     }
 
     /// Two cycles in one component — T1 ⇄ T2 over `a`/`b`, T2 ⇄ T3 over
@@ -417,12 +451,7 @@ mod tests {
         let registry = Arc::new(Registry::new(64));
         let stats = Arc::new(RuntimeStats::with_shards(3));
         let items = [item(0, 0), item(1, 1), item(2, 2)];
-        let handles: Vec<ShardHandle> = items
-            .iter()
-            .enumerate()
-            .map(|(idx, &it)| spawn_shard(idx as u32, idx, it, &registry, &stats))
-            .collect();
-        let shards: Vec<ShardSender> = handles.iter().map(|h| h.tx.clone()).collect();
+        let (shards, keeper) = spawn_shards(&items, &registry, &stats);
         let two_pl = CcMethod::TwoPhaseLocking;
         let mut clients: Vec<(ClientMailbox, TxnId)> =
             (1..=3).map(|seq| client(&registry, seq, two_pl)).collect();
@@ -438,14 +467,7 @@ mod tests {
             wait_until_waiting(&shards[at], txn);
         }
 
-        scan_once(
-            &shards,
-            &registry,
-            &stats,
-            &test_plane(),
-            &mut Vec::new(),
-            true,
-        );
+        detector(&registry, &stats, &Arc::new(test_plane())).scan_once(&cores(&shards), true);
         assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 2);
         for (i, (mb, txn)) in clients.iter_mut().enumerate() {
             let signalled = matches!(
@@ -455,11 +477,7 @@ mod tests {
             assert_eq!(signalled, i != 0, "T{}: the oldest alone survives", i + 1);
         }
 
-        drop(shards);
-        for handle in handles {
-            let _ = handle.tx.send(ShardCmd::Shutdown);
-            let _ = handle.join.join();
-        }
+        shut_down(shards, keeper);
     }
 
     /// With a T/O transaction in the cycle, the victim is still the 2PL
@@ -470,33 +488,25 @@ mod tests {
         let stats = Arc::new(RuntimeStats::with_shards(2));
         let a = item(0, 0);
         let b = item(1, 1);
-        let shard0 = spawn_shard(0, 0, a, &registry, &stats);
-        let shard1 = spawn_shard(1, 1, b, &registry, &stats);
-        let shards = vec![shard0.tx.clone(), shard1.tx.clone()];
+        let (shards, keeper) = spawn_shards(&[a, b], &registry, &stats);
+        let (shard0, shard1) = (&shards[0], &shards[1]);
 
         let (mut mb1, t1) = client(&registry, 1, CcMethod::TwoPhaseLocking);
         let (mut mb3, t3) = client(&registry, 3, CcMethod::TimestampOrdering);
 
         // 2PL T1 locks a; T/O T3 locks b (fresh thresholds accept ts 3).
-        access(&shard0.tx, t1, a, CcMethod::TwoPhaseLocking, 1);
-        access(&shard1.tx, t3, b, CcMethod::TimestampOrdering, 3);
+        access(shard0, t1, a, CcMethod::TwoPhaseLocking, 1);
+        access(shard1, t3, b, CcMethod::TimestampOrdering, 3);
         expect_grant(&mut mb1, t1);
         expect_grant(&mut mb3, t3);
-        access(&shard1.tx, t1, b, CcMethod::TwoPhaseLocking, 1);
-        access(&shard0.tx, t3, a, CcMethod::TimestampOrdering, 3);
-        wait_until_waiting(&shard1.tx, t1);
-        wait_until_waiting(&shard0.tx, t3);
+        access(shard1, t1, b, CcMethod::TwoPhaseLocking, 1);
+        access(shard0, t3, a, CcMethod::TimestampOrdering, 3);
+        wait_until_waiting(shard1, t1);
+        wait_until_waiting(shard0, t3);
 
         let pushed = registry.take_scan_request();
         assert!(pushed, "the closing edge asks for a scan");
-        scan_once(
-            &shards,
-            &registry,
-            &stats,
-            &test_plane(),
-            &mut Vec::new(),
-            pushed,
-        );
+        detector(&registry, &stats, &Arc::new(test_plane())).scan_once(&cores(&shards), pushed);
 
         match mb1.recv_timeout(t1.0, Duration::from_secs(2)) {
             Some(ClientEvent::DeadlockVictim) => {}
@@ -509,11 +519,7 @@ mod tests {
         assert_eq!(stats.deadlock_victims.load(Ordering::Relaxed), 1);
         assert_eq!(stats.deadlock_backstop_victims.load(Ordering::Relaxed), 0);
 
-        drop(shards);
-        let _ = shard0.tx.send(ShardCmd::Shutdown);
-        let _ = shard1.tx.send(ShardCmd::Shutdown);
-        let _ = shard0.join.join();
-        let _ = shard1.join.join();
+        shut_down(shards, keeper);
     }
 
     /// The stranded-transaction sweep: a lock held by a transaction that
@@ -525,35 +531,38 @@ mod tests {
         let registry = Arc::new(Registry::new(64));
         let stats = Arc::new(RuntimeStats::with_shards(1));
         let a = item(0, 0);
-        let shard = spawn_shard(0, 0, a, &registry, &stats);
-        let shards = vec![shard.tx.clone()];
+        let (shards, keeper) = spawn_shards(&[a], &registry, &stats);
+        let shard = &shards[0];
 
         // T9 takes the write lock but is never registered — the ghost a
         // dropped Abort or a crashed client leaves behind. T1 is a live,
         // registered transaction stuck behind it.
         let (mut mb1, t1) = client(&registry, 1, CcMethod::TwoPhaseLocking);
-        access(&shard.tx, TxnId(9), a, CcMethod::TwoPhaseLocking, 9);
-        access(&shard.tx, t1, a, CcMethod::TwoPhaseLocking, 1);
-        wait_until_waiting(&shard.tx, t1);
+        access(shard, TxnId(9), a, CcMethod::TwoPhaseLocking, 9);
+        access(shard, t1, a, CcMethod::TwoPhaseLocking, 1);
+        wait_until_waiting(shard, t1);
 
-        let mut suspects = HashSet::new();
-        sweep_stranded(&shards, &registry, &mut suspects);
+        let cores = cores(&shards);
+        let mut detector = detector(&registry, &stats, &Arc::new(test_plane()));
+        detector.sweep_stranded(&cores);
         assert!(
-            suspects.contains(&TxnId(9)),
+            detector.suspects.contains(&TxnId(9)),
             "first sweep only suspects the ghost"
         );
         assert!(
             mb1.recv_timeout(t1.0, Duration::from_millis(20)).is_none(),
             "grace: nothing cleaned on the first sweep"
         );
-        sweep_stranded(&shards, &registry, &mut suspects);
+        detector.sweep_stranded(&cores);
         // The cleanup aborts T9's residual state and the freed lock
         // grants T1.
         expect_grant(&mut mb1, t1);
-        assert!(!suspects.contains(&TxnId(9)), "cleaned, no longer suspect");
+        assert!(
+            !detector.suspects.contains(&TxnId(9)),
+            "cleaned, no longer suspect"
+        );
+        assert_eq!(stats.cleanup_aborts.load(Ordering::Relaxed), 1);
 
-        drop(shards);
-        let _ = shard.tx.send(ShardCmd::Shutdown);
-        let _ = shard.join.join();
+        shut_down(shards, keeper);
     }
 }

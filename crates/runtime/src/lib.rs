@@ -11,10 +11,11 @@
 //!   behind a lock, run by whoever holds it. A client that finds a shard
 //!   idle runs its own protocol command there, on its own thread, and
 //!   pays no wake-up; otherwise the command crosses a bounded inbox
-//!   (backpressure) to the shard's thread. Either way replies are routed
-//!   back through the transaction registry, and every implemented
-//!   operation reaches the shard's slice of the execution log, which the
-//!   shard thread keeps.
+//!   (backpressure) to the thread that holds the core next, or to the
+//!   database's one keeper thread. Either way replies are routed back
+//!   through the transaction registry, and every implemented operation
+//!   reaches the shard's slice of the execution log, which the keeper
+//!   keeps.
 //! * **[`Database`]** — the thread-safe facade. Client threads open
 //!   transactions with predeclared read/write sets ([`TxnSpec`]); each
 //!   transaction runs under its own concurrency-control method — pinned per
@@ -23,10 +24,11 @@
 //!   issuer: it blocks on grants, negotiates PA backoffs, retries T/O
 //!   rejections and deadlock aborts under fresh timestamps, then executes
 //!   and commits.
-//! * **Deadlock detector** (internal) — a background thread that
-//!   periodically merges the per-shard wait-for edges into a
-//!   [`unified_cc::WaitForGraph`] and signals the youngest 2PL member of
-//!   each cycle (Corollary 2 guarantees one exists) as a victim.
+//! * **Deadlock detector** (internal) — a turn of the keeper's, run when a
+//!   closing wait edge asks for it and periodically: it merges the
+//!   per-shard wait-for edges into a [`unified_cc::WaitForGraph`] and
+//!   signals the youngest 2PL member of each cycle (Corollary 2
+//!   guarantees one exists) as a victim.
 //! * **Execution-log tap** — [`Database::log_snapshot`] mid-run and
 //!   [`RuntimeReport::logs`] at shutdown expose the merged per-item
 //!   implementation logs, so every run can be replayed through the

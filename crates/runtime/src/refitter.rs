@@ -6,8 +6,9 @@
 //! part — merge the metric stripes, fit the model, pre-warm the new
 //! epoch's STL′ table from the old one's keys, publish — while admissions
 //! carry on against the old epoch (see [`selection::cache`]). It is not the
-//! deadlock detector's thread: a re-fit takes around ten milliseconds and
-//! must not stretch the detector's scan period.
+//! keeper, which serves the shards and runs the deadlock detector: a re-fit
+//! takes around ten milliseconds and must stretch neither the detector's
+//! scan period nor the keeper's service of the shards' inboxes.
 //!
 //! The thread owns exactly the `Arc`s it works on — the selector, the
 //! metric stripes, the counters — and never a [`crate::Database`], so it

@@ -65,13 +65,12 @@
 //!   back-to-back scans of a cycle whose victim has not reacted yet count,
 //!   and deliver, one signal.
 //!
-//! The scan request itself is a flag plus the detector's `Thread` handle:
-//! raised under the announcing shard's core lock (a scan that can see the
-//! edge can see the request), the unpark sent once the lock is dropped.
+//! The scan request itself is a flag, raised under the announcing shard's
+//! core lock (a scan that can see the edge can see the request). The keeper,
+//! which runs the detector (`shard.rs`), is woken through that shard's inbox
+//! once the lock is dropped, and looks at the flag before it parks.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::thread::Thread;
 
 use dbmodel::{CcMethod, TxnId};
 use pam::ReplyMsg;
@@ -112,8 +111,6 @@ pub(crate) struct Registry {
     /// A shard announced an edge whose waiter is itself waited on: the
     /// detector should scan now, not at its next tick.
     scan_requested: AtomicBool,
-    /// The detector thread, to unpark for a requested scan.
-    detector: OnceLock<Thread>,
     /// Test switch: shards' announcements fall on deaf ears, leaving the
     /// periodic scan as the only way a deadlock is found.
     #[cfg(test)]
@@ -165,7 +162,6 @@ impl Registry {
             slab: MailboxRegistry::with_options(opts),
             dropped: AtomicU64::new(0),
             scan_requested: AtomicBool::new(false),
-            detector: OnceLock::new(),
             #[cfg(test)]
             mute_announcements: AtomicBool::new(false),
         }
@@ -300,7 +296,7 @@ impl Registry {
     /// waited-on, then look at `waiter`'s mark. A marked waiter means the
     /// edge may have closed a cycle — the scan request is raised (here,
     /// under the caller's core lock) and `true` tells the caller to
-    /// [`Registry::wake_detector`] once it has dropped the lock. See the
+    /// wake the keeper once it has dropped the lock. See the
     /// module docs for why the closing edge of a cycle always gets `true`.
     pub(crate) fn note_wait(&self, waiter: TxnId, holder: TxnId) -> bool {
         #[cfg(test)]
@@ -318,30 +314,10 @@ impl Registry {
         closes
     }
 
-    /// The detector thread introduces itself (once, as it starts).
-    pub(crate) fn attach_detector(&self, detector: Thread) {
-        let _ = self.detector.set(detector);
-    }
-
-    /// Unpark the detector to look at the scan request and its stop flag.
-    /// A wake-up that precedes [`Registry::attach_detector`] is not lost:
-    /// the detector looks at both before it first parks.
-    pub(crate) fn wake_detector(&self) {
-        if let Some(detector) = self.detector.get() {
-            detector.unpark();
-        }
-    }
-
     /// Take the pending scan request, if any (the detector, before a scan:
     /// requests raised while it runs re-arm the next one).
     pub(crate) fn take_scan_request(&self) -> bool {
         self.scan_requested.swap(false, Ordering::SeqCst)
-    }
-
-    /// Raise the scan request from the detector itself: a pushed scan that
-    /// had to skip a shard's report asks for one more (see `detector.rs`).
-    pub(crate) fn request_scan(&self) {
-        self.scan_requested.store(true, Ordering::SeqCst);
     }
 
     /// Is a scan request pending?

@@ -1,4 +1,5 @@
-//! Shards: one per site, each a [`ShardCore`] run by whoever holds its lock.
+//! Shards: one per site, each a [`ShardCore`] run by whoever holds its lock,
+//! and the keeper: one thread per database that serves every shard.
 //!
 //! A shard is the runtime analogue of the simulator's per-site queue
 //! manager. Its state — the site's [`QueueManager`], the reusable
@@ -10,11 +11,11 @@
 //! * **Caller-runs.** [`ShardSender::submit`] try-locks the core. If it
 //!   is free, the inbox ring is idle and the log buffer has room, the
 //!   *calling* thread runs its own `HandleBatch` / `ApplyConfluent` /
-//!   `SnapshotRead` (or the detector its `WaitEdges`) right there — through the same
-//!   [`ShardCore::apply_cmd`] and the same reply flush the shard thread
-//!   uses — and finds its grants already in its mailbox (or its oneshot
-//!   already filled). Nobody parks and nobody is woken: the uncontended
-//!   command pays no thread hop at all.
+//!   `SnapshotRead` right there — through the same
+//!   [`ShardCore::apply_cmd`] and the same reply flush the keeper uses —
+//!   and finds its grants already in its mailbox (or its oneshot already
+//!   filled). Nobody parks and nobody is woken: the uncontended command
+//!   pays no thread hop at all.
 //!
 //!   **The core wait.** A submit whose caller asks for it retries a held
 //!   core's `try_lock` for up to [`CORE_WAIT`] before it hands its
@@ -27,65 +28,67 @@
 //!   and a batch that waited with others behind it would delay them —
 //!   measured, spinning every `HandleBatch` turns overlapping
 //!   transactions into core-lock convoys and doubles `wide_hot`'s median
-//!   commit. The detector's `WaitEdges` never asks. The holder a waiter
-//!   meets is almost always another caller's ~1 µs inline run (or a
-//!   shard-thread tenure), and a wait can at worst cost what it tries to
-//!   save; a `Crash` outage (which sleeps holding the core) still sends a
-//!   waiter on within the bound: nothing on a client path ever blocks in
-//!   `lock()`. FIFO is unaffected: the wait only decides *when* the
-//!   caller gets the core, and every admission rule below — `closed`, the
-//!   ring-idle test, log room — is still made under the lock once it has
-//!   it, so a waiter that wins the core behind a backlog enqueues behind
-//!   that backlog.
+//!   commit. The holder a waiter meets is almost always another caller's
+//!   ~1 µs inline run (or a keeper tenure), and a wait can at worst cost
+//!   what it tries to save; a core that is down (a `Crash` outage, see
+//!   "Faults") counts as held, so a waiter moves on within the bound:
+//!   nothing on a client path ever blocks in `lock()`. FIFO is
+//!   unaffected: the wait only decides *when* the caller gets the core,
+//!   and every admission rule below — `closed`, the ring-idle test, log
+//!   room — is still made under the lock once it has it, so a waiter that
+//!   wins the core behind a backlog enqueues behind that backlog.
 //! * **The hand-off.** A submit that finds the core held (past the wait,
 //!   if it asked for one) or finds a backlog in the inbox pushes its
-//!   command onto the inbox ring *quietly* — the shard thread is not
-//!   woken — and tries the core once more. Every client (or detector)
-//!   tenure ends in a [`CoreGuard`], which after unlocking makes the same
-//!   check: if the inbox holds commands and the core try-locks, the
-//!   thread runs **one pass** — the prefix of the inbox it may run as it
-//!   stands at that moment (protocol commands, while the log buffer has
-//!   room for them, at most [`PASS_CMDS`]), in inbox order, as one tenure
-//!   exactly like the shard thread's — flushes, lets go, and wakes the
-//!   shard thread for anything left: a command it may not run (`Crash`,
-//!   `Shutdown`, `LogSnapshot`, the sweep's and diagnostics' commands,
-//!   one with no log room) or one that arrived during the pass. So a
-//!   command that meets a held core is run by the thread already running
-//!   the shard, a few microseconds later, and nobody pays the two thread
-//!   hops of a wake-up (the shard thread's, then the caller's on the
-//!   reply, ≈ 6.5 µs each on a 2-core VM). The caller polls for its reply
-//!   for up to the same bound before it parks ([`transport::SPIN_WAIT`]).
-//!   Only a releaser runs queued work and only one pass of it; nobody
-//!   waits in order to combine. A releaser that looped until the inbox
-//!   was idle measured 7–20 % slower at the median on `dynamic_skewed`:
-//!   one pass bounds what a client's own commit pays for others' work.
-//! * **The inbox's own consumer.** Everything else goes through the
-//!   bounded MPSC ring (`transport::ring`, backpressure towards the
-//!   clients) to the shard thread: every [`ShardSender::send`] —
-//!   `Crash`, `Shutdown`, the sweep's and the diagnostics' commands — a
-//!   submit whose command has no log room, and
-//!   whatever a pass left. The shard thread parks on the ring *without
-//!   consuming* ([`RingReceiver::wait_ready`]), takes the core lock,
-//!   drains everything enqueued since its last tenure, applies it and
-//!   flushes the accumulated replies through the [`Registry`] once per
-//!   drained batch. It stays the keeper of the log and the only runner
-//!   of the commands a caller may not run.
+//!   command onto the inbox ring *quietly* — the keeper is not woken —
+//!   and tries the core once more. Every client tenure ends in a
+//!   [`CoreGuard`], which after unlocking makes the same check: if the
+//!   inbox holds commands and the core try-locks, the thread runs **one
+//!   pass** — the prefix of the inbox it may run as it stands at that
+//!   moment (protocol commands, while the log buffer has room for them,
+//!   at most [`PASS_CMDS`]), in inbox order, as one tenure exactly like
+//!   the keeper's — flushes, lets go, and wakes the keeper for anything
+//!   left: a command it may not run (`Crash`, `Shutdown`, `LogSnapshot`,
+//!   the diagnostics' commands, one with no log room) or one that arrived
+//!   during the pass. So a command that meets a held core is run by the
+//!   thread already running the shard, a few microseconds later, and
+//!   nobody pays the two thread hops of a wake-up (the keeper's, then the
+//!   caller's on the reply, ≈ 6.5 µs each on a 2-core VM). The caller
+//!   polls for its reply for up to the same bound before it parks
+//!   ([`transport::SPIN_WAIT`]). Only a releaser runs queued work and
+//!   only one pass of it; nobody waits in order to combine. A releaser
+//!   that looped until the inbox was idle measured 7–20 % slower at the
+//!   median on `dynamic_skewed`: one pass bounds what a client's own
+//!   commit pays for others' work.
+//! * **The keeper.** Everything else goes through the bounded MPSC ring
+//!   (`transport::ring`, backpressure towards the clients) to the
+//!   database's one `cc-keeper` thread, which owns every shard's inbox
+//!   receiver and log: every [`ShardSender::send`] — `Crash`,
+//!   `Shutdown`, the diagnostics' commands — a submit whose command has
+//!   no log room, and whatever a pass left. For each shard in turn the
+//!   keeper try-locks the core, drains everything enqueued since its last
+//!   tenure, applies it and flushes the accumulated replies through the
+//!   [`Registry`] once per drained batch. It never blocks on a core: a
+//!   core held by a client is left to that client, whose release makes
+//!   the hand-off check. Between its rounds over the shards it takes its
+//!   turn at deadlock detection (`detector.rs`), reading each core's wait
+//!   edges under that core's lock.
 //!
 //! **FIFO per shard** is load-bearing (a transaction's `Release` must not
 //! overtake its `Access`; a snapshot read must queue behind the installs
 //! its watermark covers) and two rules keep it. The ring has two
-//! consumers — the shard thread's drain and a pass's take — and each
-//! touches it *only under the core lock*: lock, then take, never
-//! take-then-lock, and everything taken is applied before the lock is
-//! next free. Both take from the front, so commands are applied in ring
-//! order whoever takes them. And a caller runs inline only if, under the
-//! lock, the ring is idle: its copy of the queue length reads zero
-//! ([`RingSender::is_idle`], no second lock). Only a take lowers that
-//! copy, and takes happen under the core lock, so while the caller holds
-//! it the copy can only grow; a push stores it under the ring's lock
-//! before returning. So its own earlier commands, and any install
-//! another client enqueued before retiring the commit stamp this caller's
-//! watermark covers, are then already applied.
+//! consumers — the keeper's drain and a pass's take — and each touches it
+//! *only under the core lock*: lock, then take, never take-then-lock, and
+//! everything taken is applied before the lock is next free (or, behind a
+//! `Crash`, kept by the keeper and applied first once the outage ends,
+//! while the down core admits nobody). Both take from the front, so
+//! commands are applied in ring order whoever takes them. And a caller
+//! runs inline only if, under the lock, the ring is idle: its copy of the
+//! queue length reads zero ([`RingSender::is_idle`], no second lock).
+//! Only a take lowers that copy, and takes happen under the core lock, so
+//! while the caller holds it the copy can only grow; a push stores it
+//! under the ring's lock before returning. So its own earlier commands,
+//! and any install another client enqueued before retiring the commit
+//! stamp this caller's watermark covers, are then already applied.
 //!
 //! **Nothing handed over is stranded.** A quiet push wakes nobody, so
 //! some thread must see it. The pusher does push → `SeqCst` fence →
@@ -96,22 +99,26 @@
 //! unlocked — it wins the core and runs the pass itself, or someone else
 //! won it and that holder makes the same check as it lets go — or the
 //! holder's `is_idle` sees the push and runs a pass (or, having run its
-//! pass, wakes the shard thread; or, finding the core taken again, leaves
-//! it to the next holder's check). A shard-thread tenure needs no fence:
-//! after unlocking, the shard thread goes back to `wait_ready`, which
-//! looks at the queue under the ring's lock before it parks, and a push
-//! ordered after that look happens after the unlock too, so the pusher's
-//! `try_lock` finds the core free or held by a client, whose release
-//! checks. A caller that must not block holding the core (its push might
-//! wait for space in a full ring, which only a core holder can free)
-//! lets go first, without the check, and makes it as the pusher instead.
+//! pass, wakes the keeper; or, finding the core taken again, leaves it to
+//! the next holder's check). The keeper is a holder like any other, and
+//! makes the same check before it parks: it registers as the consumer of
+//! every ring (each under that ring's lock, [`RingReceiver::register`]),
+//! fences, and then retries the core of each non-idle ring, serving the
+//! ones it wins — register → `SeqCst` fence → `is_idle` → `try_lock`. Its
+//! fence orders every tenure it ran before it against every pusher's, so
+//! a push the retry misses met a core the keeper no longer held; and
+//! because it registered first, the wake-up of a releaser that leaves
+//! commands behind reaches it wherever it is in its round. A caller that
+//! must not block holding the core (its push might wait for space in a
+//! full ring, which only a core holder can free) lets go first, without
+//! the check, and makes it as the pusher instead.
 //!
-//! **The shard thread is the log keeper.** Every implemented operation is
-//! appended — in processing order, by whoever runs the command — to a
-//! fixed-capacity record buffer inside the core. The shard thread, on any
-//! wake-up, swaps that buffer with its spare under the lock and folds the
-//! records into its thread-owned [`LogSet`] outside it; a caller that
-//! fills the buffer half way sends one [`ShardCmd::FoldLog`] nudge
+//! **The keeper keeps the log.** Every implemented operation is appended
+//! — in processing order, by whoever runs the command — to a
+//! fixed-capacity record buffer inside the core. The keeper, in every
+//! tenure, swaps that buffer with the shard's spare under the lock and
+//! folds the records into the shard's [`LogSet`] outside it; a caller
+//! that fills the buffer half way sends one [`ShardCmd::FoldLog`] nudge
 //! through the ring, and inline admission requires room. The one
 //! allocation that grows per commit therefore stays in one thread's
 //! malloc arena (spread over every client's arena it ratchets RSS up by
@@ -129,38 +136,50 @@
 //! closes a cycle is always queued by a transaction that already has
 //! someone behind it. If so the registry's scan request is raised there and
 //! then, under the core lock, so that a scan able to read the edge can also
-//! see the request; the thread that holds the core unparks the detector
-//! once it has let go of it (the detector's first act is to ask this shard
-//! for its edges). The marks, and why the last-announced edge of a cycle
+//! see the request. A client that holds the core wakes the keeper through
+//! the shard's inbox ([`RingSender::wake_consumer`]) once it has let go of
+//! it (the scan's first act is to read this shard's edges); the keeper
+//! looks at the request after its fence, before it parks, so a wake-up
+//! that finds it unregistered is not lost. A keeper tenure needs no
+//! wake-up: its next detection turn reads the request. The marks, and why the last-announced edge of a cycle
 //! always finds its waiter marked whatever the interleaving across shards,
 //! are in `registry.rs`; what the detector does with the request is in
 //! `detector.rs`. A transaction whose accesses are all granted on arrival
 //! produces no such event: the new path costs it the one `match` arm it
 //! never takes.
 //!
-//! **Faults.** `Crash { outage }` sleeps holding the core, so callers
-//! hand their commands over and the inbox backs up exactly as the fault
-//! model says (a pass never sleeps: `Crash` is the shard thread's). An
-//! engine panic during an inline run or a pass is caught on the calling
-//! thread, the core is marked closed and the shard thread re-raises the
-//! panic as its own: the shard dies, not the caller, and both entries
-//! fail from then on like a send to a dropped receiver.
+//! **Faults.** One thread serves every shard, so nothing may sleep while
+//! it holds a core. `Crash { outage }` marks the core *down* until a
+//! deadline instead: every client path treats a down core exactly like a
+//! held one, so callers hand their commands over and the inbox backs up
+//! exactly as the fault model says, and the keeper skips the shard —
+//! serving the others, and skipped by the deadlock scan — and parks no
+//! later than the deadline. Only the keeper clears the mark, after
+//! [`QueueManager::crash_recover`]. An engine panic is caught on whichever
+//! thread runs the command — a client's inline run or pass, or a keeper
+//! tenure — and the core is marked closed; the keeper then drops that
+//! shard's inbox and reports the panic as that shard's result: the shard
+//! dies, not the caller and not the other shards, and both entries fail
+//! from then on like a send to a dropped receiver.
 //!
-//! Shutdown drains first: a [`ShardCmd::Shutdown`] marks the loop for
+//! Shutdown drains first: a [`ShardCmd::Shutdown`] marks the shard for
 //! exit, but every command already enqueued — including commands ahead of
 //! or behind it in the same drained batch — is still processed, and the
-//! core is closed in the same lock tenure, before the thread returns its
-//! log slice. Without this, a release enqueued by a committing client
-//! just before shutdown could be dropped and its write silently lost from
-//! the final log.
+//! core is closed in the same lock tenure, before the keeper drops its
+//! inbox. Without this, a release enqueued by a committing client just
+//! before shutdown could be dropped and its write silently lost from the
+//! final log. The keeper returns once every shard is closed; a shard whose
+//! senders are all gone (a database dropped without `shutdown`) is
+//! drained and closed the same way.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use dbmodel::{AccessMode, LogSet, PhysicalItemId, SiteId, Timestamp, TxnId, Value};
 use pam::{GrantClass, ReplyMsg, RequestMsg};
@@ -171,6 +190,7 @@ use transport::ring::{RingReceiver, RingSender};
 use unified_cc::{ConfluentOp, QmEvent, QmSink, QueueManager};
 
 use crate::clock::CommitClock;
+use crate::detector::Detector;
 use crate::registry::Registry;
 use crate::stats::RuntimeStats;
 
@@ -215,36 +235,28 @@ pub(crate) enum ShardCmd {
         items: SmallBatch<PhysicalItemId>,
         reply: OneshotSender<Option<Vec<(PhysicalItemId, Value)>>>,
     },
-    /// Injected node fault: go unresponsive for `outage` (the inbox backs
-    /// up, exerting real backpressure on clients), then come back having
-    /// lost all *ungranted* queue entries — the partial-amnesia crash
-    /// model. Granted entries, held locks, item values and timestamps
-    /// survive (they model state re-read from the durable log tap on
-    /// restart); waiters that had not been granted are simply gone and
-    /// their clients recover through the timeout/restart machinery.
-    Crash { outage: std::time::Duration },
-    /// Report every transaction with any queue or lock presence on this
-    /// shard (detector's stranded-transaction sweep).
-    PresentTxns(OneshotSender<Vec<TxnId>>),
-    /// Abort the listed transactions' residual state on this shard (the
-    /// detector's cleanup of transactions no longer registered anywhere).
-    Cleanup(Vec<TxnId>),
-    /// Report the shard's current wait-for edges (deadlock detector). Runs
-    /// inline like a protocol command: a scan of idle shards reads their
-    /// edges on the detector's thread and wakes nobody.
-    WaitEdges(OneshotSender<Vec<(TxnId, TxnId)>>),
+    /// Injected node fault: go unresponsive for `outage` — the core is
+    /// down, so the inbox backs up, exerting real backpressure on clients
+    /// — then come back having lost all *ungranted* queue entries: the
+    /// partial-amnesia crash model. Granted entries, held locks, item
+    /// values and timestamps survive (they model state re-read from the
+    /// durable log tap on restart); waiters that had not been granted are
+    /// simply gone and their clients recover through the timeout/restart
+    /// machinery.
+    Crash { outage: Duration },
     /// Report the transactions currently queued and not granted
     /// (diagnostics).
     Waiting(OneshotSender<Vec<TxnId>>),
     /// Report a copy of the shard's execution-log slice (live log tap),
     /// every record still in the core's buffer folded in first.
     LogSnapshot(OneshotSender<LogSet>),
-    /// Wake the shard thread so it folds the core's log buffer into its
+    /// Wake the keeper so it folds the core's log buffer into the shard's
     /// log — sent by a caller whose inline run filled the buffer half
-    /// way. Carries nothing: every wake-up folds.
+    /// way, or that caught an engine panic. Carries nothing: every tenure
+    /// folds.
     FoldLog,
-    /// Drain everything already enqueued, then exit, returning the final
-    /// log slice through the join handle.
+    /// Drain everything already enqueued, then close the shard; the
+    /// keeper returns its final log slice.
     Shutdown,
 }
 
@@ -264,13 +276,13 @@ thread_local! {
         const { std::cell::Cell::new(CORE_WAIT) };
 }
 
-/// Commands one hand-off pass takes at most: the shard thread's drain
-/// buffer's depth, allocated once, in the core.
+/// Commands one hand-off pass takes at most, in a buffer allocated once,
+/// in the core.
 const PASS_CMDS: usize = 64;
 
-/// Records the core's log buffer holds, allocated once at spawn (twice:
-/// the shard thread keeps a spare to swap in). A caller nudges the keeper
-/// at half full and stops running inline when its command might not fit.
+/// Records the core's log buffer holds, allocated once at build (twice:
+/// the keeper keeps a spare to swap in). A caller nudges the keeper at
+/// half full and stops running inline when its command might not fit.
 const LOG_BUF_RECORDS: usize = 2048;
 
 /// One implemented operation on its way to the keeper's [`LogSet`].
@@ -290,15 +302,14 @@ fn fold_log(logs: &mut LogSet, records: &mut Vec<LogRecord>) {
 
 impl ShardCmd {
     /// The commands a caller may run on its own thread — the protocol
-    /// commands and the detector's edge report; the rest belong to the
-    /// shard thread (they sleep, exit, or read its log).
+    /// commands; the rest belong to the keeper (they end an outage, exit,
+    /// or read its log).
     fn runs_inline(&self) -> bool {
         matches!(
             self,
             ShardCmd::HandleBatch { .. }
                 | ShardCmd::ApplyConfluent { .. }
                 | ShardCmd::SnapshotRead { .. }
-                | ShardCmd::WaitEdges(_)
         )
     }
 
@@ -320,17 +331,17 @@ impl ShardCmd {
             ShardCmd::HandleBatch { msgs, .. } => msgs.len(),
             ShardCmd::ApplyConfluent { ops, .. } => ops.len(),
             ShardCmd::SnapshotRead { items, .. } => items.len(),
-            // Crash recovery and cleanup only ever drop queue entries.
+            // A crash only ever drops queue entries.
             _ => 0,
         }
     }
 }
 
 /// A shard's whole mutable state, owned by whoever holds its lock: the
-/// shard thread while it drains the ring, or a client running its own
-/// command inline (see the module docs).
+/// keeper in one of its tenures, or a client running its own command
+/// inline (see the module docs).
 pub(crate) struct ShardCore {
-    qm: QueueManager,
+    pub(crate) qm: QueueManager,
     /// The reusable engine sink: replies accumulate here across a whole
     /// lock tenure and are flushed straight to the registry (no
     /// intermediate per-message `QmOutput`); events are folded into the
@@ -351,16 +362,19 @@ pub(crate) struct ShardCore {
     log_buf: Vec<LogRecord>,
     /// A `FoldLog` nudge is on its way; cleared when the keeper swaps.
     nudged: bool,
-    /// Set once, under the lock: by the shard thread in its last tenure,
-    /// or by a caller whose inline run panicked. `submit` fails from then
-    /// on.
+    /// Set once, under the lock: by the keeper in the shard's last
+    /// tenure, or by a thread whose run of a command panicked. `submit`
+    /// fails from then on.
     closed: bool,
-    /// The payload of an engine panic caught on a caller's thread, for
-    /// the shard thread to die of.
+    /// The payload of an engine panic caught while running a command, for
+    /// the keeper to report as the shard's end.
     panic: Option<Box<dyn Any + Send>>,
+    /// The end of a `Crash` outage: while set, the core is down and every
+    /// client path treats it as held. Only the keeper clears it.
+    down_until: Option<Instant>,
     /// This tenure announced an edge that may have closed a wait cycle:
-    /// whoever holds the core unparks the detector once it lets go (see
-    /// `submit` and `shard_loop`).
+    /// a client that holds the core wakes the keeper once it lets go (see
+    /// `let_go`); the keeper takes its detection turn anyway.
     scan_wanted: bool,
     registry: Arc<Registry>,
     stats: Arc<RuntimeStats>,
@@ -381,6 +395,17 @@ pub(crate) struct ShardCore {
     idx: usize,
 }
 
+/// Run `work` on the core. The engine's invariants are asserts: contain a
+/// failing one so that it takes the shard down, not the thread that
+/// happened to run it — a client, or the keeper, which serves every
+/// other shard too.
+fn run_contained(core: &mut ShardCore, work: impl FnOnce(&mut ShardCore)) {
+    if let Err(panic) = catch_unwind(AssertUnwindSafe(|| work(&mut *core))) {
+        core.closed = true;
+        core.panic = Some(panic);
+    }
+}
+
 impl ShardCore {
     fn count_msg(&self, msg: &RequestMsg) {
         if matches!(msg, RequestMsg::Abort { .. }) {
@@ -398,6 +423,29 @@ impl ShardCore {
         self.stats.per_shard[self.idx]
             .implemented
             .fetch_add(ops, Ordering::Relaxed);
+    }
+
+    /// Is a `Crash` outage in progress?
+    pub(crate) fn is_down(&self) -> bool {
+        self.down_until.is_some()
+    }
+
+    /// Abort `txns`' residual state on this shard (the sweep's cleanup of
+    /// transactions registered nowhere) as one tenure: the grants it
+    /// frees are flushed before the core is let go.
+    pub(crate) fn cleanup(&mut self, txns: &[TxnId]) {
+        self.enter(&[]);
+        run_contained(self, |core| {
+            let cleaned = txns
+                .iter()
+                .map(|&txn| core.qm.cleanup_txn(txn, &mut core.sink));
+            let cleaned: u64 = cleaned.sum();
+            core.fold_events();
+            core.stats
+                .cleanup_aborts
+                .fetch_add(cleaned, Ordering::Relaxed);
+        });
+        self.flush_replies(None);
     }
 
     /// Drain the events the last engine call pushed into the sink. Runs
@@ -451,7 +499,7 @@ impl ShardCore {
         }
         // One aggregated trace event per engine call, at the tenure's
         // entry stamp: a fold costs one ring write and no clock read. A
-        // shard-thread tenure over a drained batch thus stamps every
+        // keeper tenure over a drained batch thus stamps every
         // `Granted` with the time it entered the core, not the time its
         // command ran.
         if granted > 0 {
@@ -536,46 +584,17 @@ impl ShardCore {
                     reply.send(None)
                 }
             }
-            ShardCmd::Crash { outage } => {
-                // Unresponsive for the outage — asleep *holding the
-                // core*, so callers fall back to the inbox and it backs
-                // up — then partial amnesia: the ungranted tail of every
-                // queue is wiped. Lock removal may re-grant survivors;
-                // those grants flow out like any other replies/events.
-                std::thread::sleep(outage);
-                self.qm.crash_recover(&mut self.sink);
-                self.fold_events();
-                self.stats.shard_crashes.fetch_add(1, Ordering::Relaxed);
-            }
-            ShardCmd::PresentTxns(reply_to) => {
-                let mut present = Vec::new();
-                self.qm.present_txns_into(&mut present);
-                reply_to.send(present)
-            }
-            ShardCmd::Cleanup(txns) => {
-                let mut cleaned = 0u64;
-                for txn in txns {
-                    cleaned += self.qm.cleanup_txn(txn, &mut self.sink);
-                }
-                self.fold_events();
-                if cleaned > 0 {
-                    self.stats
-                        .cleanup_aborts
-                        .fetch_add(cleaned, Ordering::Relaxed);
-                }
-            }
-            ShardCmd::WaitEdges(reply_to) => {
-                let mut edges = Vec::new();
-                self.qm.wait_edges_into(&mut edges);
-                reply_to.send(edges)
-            }
+            // Unresponsive for the outage: the core is down, so callers
+            // hand their commands to the inbox and it backs up; the keeper
+            // runs nothing more here until it recovers the shard.
+            ShardCmd::Crash { outage } => self.down_until = Some(Instant::now() + outage),
             ShardCmd::Waiting(reply_to) => {
                 let mut waiting = Vec::new();
                 self.qm.waiting_txns_into(&mut waiting);
                 reply_to.send(waiting)
             }
             ShardCmd::LogSnapshot(_) | ShardCmd::FoldLog | ShardCmd::Shutdown => {
-                unreachable!("the shard thread keeps the log and consumes these itself")
+                unreachable!("the keeper keeps the log and consumes these itself")
             }
         }
     }
@@ -609,8 +628,8 @@ impl ShardCore {
         }
     }
 
-    /// One caller-runs tenure: exactly what the shard thread does for a
-    /// drained batch of one.
+    /// One caller-runs tenure: exactly what the keeper does for a drained
+    /// batch of one.
     fn run_inline(&mut self, cmd: ShardCmd) {
         let own = cmd.txn();
         self.enter(std::slice::from_ref(&cmd));
@@ -621,7 +640,7 @@ impl ShardCore {
     /// One hand-off pass: take the prefix of the inbox a caller may run —
     /// protocol commands, while the log buffer has room for their records,
     /// at most [`PASS_CMDS`] — as it stands now, and run it as one tenure,
-    /// in inbox order, exactly as the shard thread runs a drained batch.
+    /// in inbox order, exactly as the keeper runs a drained batch.
     /// `own` is the running thread's transaction (see
     /// [`ShardCore::flush_replies`]). Returns how many commands ran.
     fn run_pass(&mut self, ring: &RingSender<ShardCmd>, own: Option<TxnId>) -> u64 {
@@ -648,13 +667,12 @@ impl ShardCore {
     }
 }
 
-/// A shard's core held by a thread other than the shard thread — a
-/// caller running its own command, or one running a hand-off pass — and
-/// the one way such a thread lets go of it. Dropping it unlocks, sends
-/// the wake-ups the tenure owes, and then makes the hand-off check (see
-/// the module docs): a tenure that has not run a pass yet runs one if the
-/// inbox holds commands, and one that has wakes the shard thread for
-/// whatever is left.
+/// A shard's core held by a client — one running its own command, or a
+/// hand-off pass — and the one way such a thread lets go of it. Dropping
+/// it unlocks, sends the wake-ups the tenure owes, and then makes the
+/// hand-off check (see the module docs): a tenure that has not run a pass
+/// yet runs one if the inbox holds commands, and one that has wakes the
+/// keeper for whatever is left.
 pub(crate) struct CoreGuard<'a> {
     core: Option<MutexGuard<'a, ShardCore>>,
     shard: &'a ShardSender,
@@ -679,23 +697,12 @@ impl DerefMut for CoreGuard<'_> {
 }
 
 impl CoreGuard<'_> {
-    /// Run `work` on the core. The engine's invariants are asserts:
-    /// contain a failing one so it takes the shard down, not the client
-    /// that happened to be running it.
-    fn contain(&mut self, work: impl FnOnce(&mut ShardCore)) {
-        let core: &mut ShardCore = self;
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| work(&mut *core))) {
-            core.closed = true;
-            core.panic = Some(panic);
-        }
-    }
-
     /// Run this tenure's one hand-off pass, counted per shard.
     fn pass(&mut self) {
         self.passed = true;
-        let (ring, own) = (&self.shard.ring, self.own);
+        let (shard, own) = (self.shard, self.own);
         let mut ran = 0;
-        self.contain(|core| ran = core.run_pass(ring, own));
+        run_contained(self, |core| ran = core.run_pass(&shard.ring, own));
         if ran > 0 {
             self.shard.stats.per_shard[self.shard.idx]
                 .combined
@@ -743,7 +750,6 @@ pub(crate) struct ShardGone;
 pub(crate) struct ShardSender {
     ring: RingSender<ShardCmd>,
     core: Arc<Mutex<ShardCore>>,
-    registry: Arc<Registry>,
     stats: Arc<RuntimeStats>,
     idx: usize,
 }
@@ -752,8 +758,8 @@ pub(crate) struct ShardSender {
 pub(crate) type ShardInbox = RingReceiver<ShardCmd>;
 
 impl ShardSender {
-    /// Enqueue at the shard's inbox for the shard thread; blocks while
-    /// the inbox is full and fails once the shard is gone.
+    /// Enqueue at the shard's inbox for the keeper; blocks while the
+    /// inbox is full and fails once the shard is gone.
     pub(crate) fn send(&self, cmd: ShardCmd) -> Result<(), ShardGone> {
         self.ring.send(cmd).map_err(|_| ShardGone)
     }
@@ -786,7 +792,7 @@ impl ShardSender {
                     if waited {
                         counters.inline_waited.fetch_add(1, Ordering::Relaxed);
                     }
-                    core.contain(|core| core.run_inline(cmd));
+                    run_contained(&mut core, |core| core.run_inline(cmd));
                     let died = core.closed;
                     drop(core);
                     return if died { Err(ShardGone) } else { Ok(true) };
@@ -802,9 +808,8 @@ impl ShardSender {
                 // Behind a backlog: join its tail and hand it all over.
                 &counters.enqueued_backlog
             }
-            // Held (past the wait, if it waited) — or poisoned: the shard
-            // thread died mid-command, its inbox goes with it and the push
-            // below fails.
+            // Held or down (past the wait, if it waited). A dead shard's
+            // inbox is gone, and the push below fails.
             Err(waited) => {
                 if waited {
                     counters.wait_expired.fetch_add(1, Ordering::Relaxed);
@@ -820,16 +825,15 @@ impl ShardSender {
     /// The hand-off check, made after a quiet push and by every
     /// [`CoreGuard`] as it lets go: fence, and if the inbox holds
     /// commands, try the core once; won, run one pass. A core still held
-    /// is left to its holder, which makes this same check as it lets go —
-    /// the module docs say why nothing is stranded. `Err` when the core
-    /// turns out closed.
+    /// is left to its holder, which makes this same check as it lets go,
+    /// and a down one to the keeper — the module docs say why nothing is
+    /// stranded. `Err` when the core turns out closed.
     fn hand_off(&self, own: Option<TxnId>) -> Result<(), ShardGone> {
         fence(Ordering::SeqCst);
         if self.ring.is_idle() {
             return Ok(());
         }
-        // Held, or poisoned by a shard thread that died holding it.
-        let Ok(core) = self.core.try_lock() else {
+        let Some(core) = self.try_up() else {
             return Ok(());
         };
         let mut core = self.guard(core, own);
@@ -853,11 +857,10 @@ impl ShardSender {
         }
     }
 
-    /// Unlock `core` at the end of a tenure on a client's (or the
-    /// detector's) thread and send the wake-ups it owes: the detector for
-    /// a scan an announced edge asked for, the shard thread to fold a
-    /// half-full log buffer or to die of a panic the tenure caught. False
-    /// when the core is closed.
+    /// Unlock `core` at the end of a client tenure and send the wake-ups
+    /// it owes the keeper: for a scan an announced edge asked for, to fold
+    /// a half-full log buffer, or to end the shard of a panic the tenure
+    /// caught. False when the core is closed.
     fn let_go(&self, mut core: MutexGuard<'_, ShardCore>) -> bool {
         let nudge = !core.nudged && core.log_buf.len() >= LOG_BUF_RECORDS / 2;
         core.nudged |= nudge;
@@ -865,7 +868,7 @@ impl ShardSender {
         let (open, panicked) = (!core.closed, core.panic.is_some());
         drop(core);
         if scan {
-            self.registry.wake_detector();
+            self.ring.wake_consumer();
         }
         if nudge {
             self.stats.per_shard[self.idx]
@@ -873,22 +876,29 @@ impl ShardSender {
                 .fetch_add(1, Ordering::Relaxed);
         }
         if nudge || panicked {
-            // Wake the shard thread, to fold or to die of the panic; a
-            // full ring has it woken by the next push that finds it full.
+            // A full ring has the keeper woken by the next push that
+            // finds it full.
             let _ = self.ring.try_send(ShardCmd::FoldLog);
         }
         open
     }
 
+    /// The core as a client may take it: `None` when it is held, down or
+    /// poisoned.
+    fn try_up(&self) -> Option<MutexGuard<'_, ShardCore>> {
+        self.core.try_lock().ok().filter(|core| !core.is_down())
+    }
+
     /// Try-lock the core, and say whether that took a wait: with `wait`,
-    /// a held core is retried under `spin_loop` until [`CORE_WAIT`] has
-    /// passed; without, it is tried once. `Err` when the core stayed held
-    /// or is poisoned, carrying the same flag.
+    /// a core held or down is retried under `spin_loop` until
+    /// [`CORE_WAIT`] has passed; without, it is tried once. `Err` when
+    /// the core stayed unavailable, carrying the same flag.
     fn try_core(&self, wait: bool) -> Result<(MutexGuard<'_, ShardCore>, bool), bool> {
-        match self.core.try_lock() {
-            Ok(core) => return Ok((core, false)),
-            Err(TryLockError::WouldBlock) if wait => {}
-            Err(_) => return Err(false),
+        if let Some(core) = self.try_up() {
+            return Ok((core, false));
+        }
+        if !wait {
+            return Err(false);
         }
         #[cfg(test)]
         self.stats.per_shard[self.idx]
@@ -899,13 +909,9 @@ impl ShardSender {
         #[cfg(test)]
         let bound = CORE_WAIT_BOUND.get();
         let mut won = None;
-        transport::spin_until(bound, || match self.core.try_lock() {
-            Ok(core) => {
-                won = Some(core);
-                true
-            }
-            Err(TryLockError::WouldBlock) => false,
-            Err(TryLockError::Poisoned(_)) => true,
+        transport::spin_until(bound, || {
+            won = self.try_up();
+            won.is_some()
         });
         won.map(|core| (core, true)).ok_or(true)
     }
@@ -918,46 +924,22 @@ impl ShardSender {
     }
 }
 
-/// Test access to a shard's core and ring from outside this module.
-#[cfg(test)]
-impl ShardSender {
-    /// Take the core, blocking, the way a client holds it: letting go
-    /// makes the hand-off check.
-    pub(crate) fn hold_core(&self) -> CoreGuard<'_> {
-        self.guard(self.core.lock().unwrap(), None)
-    }
-
-    /// Has the shard taken everything enqueued so far?
-    pub(crate) fn ring_is_idle(&self) -> bool {
-        self.ring.is_idle()
-    }
-}
-
-/// A running shard.
-pub(crate) struct ShardHandle {
-    pub(crate) tx: ShardSender,
-    pub(crate) join: JoinHandle<(SiteId, LogSet)>,
-}
-
-/// Build the core for `site` around its queue manager and spawn the shard
-/// thread on `inbox`, the consuming end of the ring `tx` feeds. `idx` is
-/// the shard's slot in the runtime's per-shard counter table.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn(
+/// Build the core for `qm`'s site and the handle that feeds it through
+/// `tx`; the keeper gets the consuming end of that ring. `idx` is the
+/// shard's slot in the runtime's per-shard counter table.
+pub(crate) fn build(
     qm: QueueManager,
     idx: usize,
-    inbox: ShardInbox,
     tx: RingSender<ShardCmd>,
     registry: Arc<Registry>,
     stats: Arc<RuntimeStats>,
     plane: Arc<TracePlane>,
     clock: Arc<CommitClock>,
-) -> ShardHandle {
-    let site = qm.site();
+) -> ShardSender {
     let core = Arc::new(Mutex::new(ShardCore {
         qm,
-        // Pre-size to the drain buffer's depth so the first batches skip
-        // the sink's warm-up growth.
+        // Pre-size to a pass's depth so the first batches skip the
+        // sink's warm-up growth.
         sink: QmSink::with_capacity(64, 64),
         reply_groups: Vec::with_capacity(16),
         snap_served: Vec::with_capacity(16),
@@ -966,31 +948,20 @@ pub(crate) fn spawn(
         nudged: false,
         closed: false,
         panic: None,
+        down_until: None,
         scan_wanted: false,
-        registry: Arc::clone(&registry),
+        registry,
         stats: Arc::clone(&stats),
         plane,
         tenure_ts: 0,
         clock,
         idx,
     }));
-    let join = std::thread::Builder::new()
-        .name(format!("cc-shard-{}", site.0))
-        .spawn({
-            let core = Arc::clone(&core);
-            let registry = Arc::clone(&registry);
-            move || (site, shard_loop(&core, &registry, inbox))
-        })
-        .expect("failed to spawn shard thread");
-    ShardHandle {
-        tx: ShardSender {
-            ring: tx,
-            core,
-            registry,
-            stats,
-            idx,
-        },
-        join,
+    ShardSender {
+        ring: tx,
+        core,
+        stats,
+        idx,
     }
 }
 
@@ -1012,64 +983,189 @@ fn trace_batch(plane: &TracePlane, lane: usize, ts: u64, buf: &[ShardCmd]) {
     }
 }
 
-/// The shard thread: consumer of the inbox and keeper of the log.
-fn shard_loop(core: &Mutex<ShardCore>, registry: &Registry, mut inbox: ShardInbox) -> LogSet {
-    let mut logs = LogSet::new();
-    let mut spare: Vec<LogRecord> = Vec::with_capacity(LOG_BUF_RECORDS);
-    let mut buf: Vec<ShardCmd> = Vec::with_capacity(PASS_CMDS);
-    let mut exiting = false;
-    while !exiting {
-        // Parked outside the lock, and nothing is taken until it is held.
-        // A closed inbox (all senders dropped) covers a `Database`
-        // dropped without an explicit shutdown.
-        exiting = inbox.wait_ready().is_err();
-        let mut core = core.lock().expect("only this thread panics in the core");
-        if core.closed {
-            // An inline run hit an engine panic: it is this shard's.
-            let panic = core.panic.take().expect("a caller closes with its panic");
-            drop(core);
-            resume_unwind(panic);
+/// The keeper's join handle: every shard's final log slice, in shard
+/// order, or the engine panic the shard died of.
+pub(crate) type KeeperJoin = JoinHandle<Vec<thread::Result<LogSet>>>;
+
+/// Start the keeper over `shards` — each shard's handle and the consuming
+/// end of its inbox. It serves them until every one is closed, and gives
+/// `detector` a turn every round until `stopped` is raised.
+pub(crate) fn spawn_keeper(
+    shards: Vec<(&ShardSender, ShardInbox)>,
+    detector: Detector,
+    stopped: Arc<AtomicBool>,
+) -> KeeperJoin {
+    let kept = shards
+        .into_iter()
+        .map(|(shard, inbox)| Kept {
+            core: Arc::clone(&shard.core),
+            inbox: Some(inbox),
+            logs: LogSet::new(),
+            spare: Vec::with_capacity(LOG_BUF_RECORDS),
+            pending: VecDeque::new(),
+            down_until: None,
+            exiting: false,
+        })
+        .collect();
+    thread::Builder::new()
+        .name("cc-keeper".into())
+        .spawn(move || keep(kept, detector, &stopped))
+        .expect("failed to spawn the keeper")
+}
+
+/// What the keeper holds of one shard.
+struct Kept {
+    core: Arc<Mutex<ShardCore>>,
+    /// The consuming end of the inbox; dropped once the shard is closed,
+    /// which fails every further send.
+    inbox: Option<ShardInbox>,
+    /// The shard's slice of the execution log.
+    logs: LogSet,
+    /// The log buffer swapped into the core at every tenure.
+    spare: Vec<LogRecord>,
+    /// Commands taken off the inbox and not yet applied: the rest of a
+    /// drained batch behind a `Crash` waits here for the outage to end.
+    pending: VecDeque<ShardCmd>,
+    /// The end of the shard's outage: the core's mark, as the keeper set
+    /// it.
+    down_until: Option<Instant>,
+    /// A `Shutdown` was taken, or every sender is gone: drain and close.
+    exiting: bool,
+}
+
+/// The keeper's loop (see the module docs): rounds of tenures and
+/// detection turns while there is work, then the park protocol.
+fn keep(
+    mut kept: Vec<Kept>,
+    mut detector: Detector,
+    stopped: &AtomicBool,
+) -> Vec<thread::Result<LogSet>> {
+    let cores: Vec<_> = kept.iter().map(|shard| Arc::clone(&shard.core)).collect();
+    while kept.iter().any(|shard| shard.inbox.is_some()) {
+        let detecting = !stopped.load(Ordering::Relaxed);
+        if serve_all(&mut kept) | (detecting && detector.turn(&cores)) {
+            continue;
         }
-        // One sweep per tenure — or, once `Shutdown` was seen, as many as
-        // it takes to empty the ring (commands racing with the shutdown
-        // included), so no committed write is dropped from the log.
-        while inbox.drain_into(&mut buf) > 0 {
-            core.enter(&buf);
-            for cmd in buf.drain(..) {
-                match cmd {
-                    ShardCmd::LogSnapshot(reply_to) => {
-                        fold_log(&mut logs, &mut core.log_buf);
-                        reply_to.send(logs.clone())
-                    }
-                    // The wake-up was the point: the swap below folds.
-                    ShardCmd::FoldLog => {}
-                    ShardCmd::Shutdown => exiting = true,
-                    cmd => {
-                        if !core.log_room(&cmd) {
-                            fold_log(&mut logs, &mut core.log_buf);
+        // Park: register on every ring, fence, and retry the core of every
+        // non-idle one — and look at the scan request, which a releaser
+        // announces through its shard's ring. A ring whose senders are all
+        // gone closes its shard.
+        for shard in &mut kept {
+            if let Some(inbox) = &shard.inbox {
+                shard.exiting |= inbox.register().is_err();
+            }
+        }
+        fence(Ordering::SeqCst);
+        if serve_all(&mut kept) || detecting && detector.registry.scan_requested() {
+            continue;
+        }
+        let tick = detecting.then_some(detector.next_tick);
+        let outages = kept.iter().filter_map(|shard| shard.down_until);
+        match outages.chain(tick).min() {
+            Some(at) => thread::park_timeout(at.saturating_duration_since(Instant::now())),
+            None => thread::park(),
+        }
+    }
+    kept.into_iter()
+        .map(|shard| {
+            let panic = shard.core.lock().map(|mut core| core.panic.take());
+            panic.ok().flatten().map_or(Ok(shard.logs), Err)
+        })
+        .collect()
+}
+
+/// One round over the shards: a tenure for each that has work and whose
+/// core is free. Whether any ran.
+fn serve_all(kept: &mut [Kept]) -> bool {
+    let now = Instant::now();
+    kept.iter_mut()
+        .fold(false, |served, shard| shard.serve(now) | served)
+}
+
+impl Kept {
+    /// One keeper tenure over this shard, if it has work. One sweep of the
+    /// inbox — or, once `Shutdown` was taken, as many as it takes to empty
+    /// it (commands racing with the shutdown included), so no committed
+    /// write is dropped from the log — applied in order; a `Crash` ends
+    /// the sweep, and what follows it waits in `pending` to run first once
+    /// the outage is over. Then the log buffer is swapped under the lock
+    /// and folded outside it. False when there was nothing to do, the
+    /// shard is down, or its core is held — by a client, whose release
+    /// makes the hand-off check.
+    fn serve(&mut self, now: Instant) -> bool {
+        let Some(inbox) = &mut self.inbox else {
+            return false;
+        };
+        if self.down_until.is_some_and(|end| now < end) {
+            return false;
+        }
+        let mut recover = self.down_until.is_some();
+        if !recover && !self.exiting && self.pending.is_empty() && inbox.is_idle() {
+            return false;
+        }
+        let Ok(mut core) = self.core.try_lock() else {
+            return false;
+        };
+        let (pending, logs, exiting) = (&mut self.pending, &mut self.logs, &mut self.exiting);
+        if core.panic.is_none() {
+            run_contained(&mut core, |core| loop {
+                inbox.drain_into(pending);
+                core.enter(pending.make_contiguous());
+                if std::mem::take(&mut recover) {
+                    // The outage is over: partial amnesia — the ungranted
+                    // tail of every queue is wiped. Lock removal may
+                    // re-grant survivors; those grants flow out like any
+                    // other replies/events.
+                    core.down_until = None;
+                    core.qm.crash_recover(&mut core.sink);
+                    core.fold_events();
+                    core.stats.shard_crashes.fetch_add(1, Ordering::Relaxed);
+                }
+                while !core.is_down() {
+                    let Some(cmd) = pending.pop_front() else {
+                        break;
+                    };
+                    match cmd {
+                        ShardCmd::LogSnapshot(reply_to) => {
+                            fold_log(logs, &mut core.log_buf);
+                            reply_to.send(logs.clone())
                         }
-                        core.apply_cmd(cmd)
+                        // The wake-up was the point: every tenure folds.
+                        ShardCmd::FoldLog => {}
+                        ShardCmd::Shutdown => *exiting = true,
+                        cmd => {
+                            if !core.log_room(&cmd) {
+                                fold_log(logs, &mut core.log_buf);
+                            }
+                            core.apply_cmd(cmd)
+                        }
                     }
                 }
-            }
-            core.flush_replies(None);
-            if !exiting {
-                break;
-            }
+                core.flush_replies(None);
+                if !*exiting || core.is_down() || inbox.is_idle() {
+                    break;
+                }
+            });
         }
         // Closing in the tenure of the last sweep: nothing runs inline
         // after it, so the records swapped out below are the last.
-        core.closed = exiting;
-        std::mem::swap(&mut core.log_buf, &mut spare);
+        let closing = self.exiting && !core.is_down() || core.panic.is_some();
+        core.closed |= closing;
+        std::mem::swap(&mut core.log_buf, &mut self.spare);
         core.nudged = false;
-        let scan = std::mem::take(&mut core.scan_wanted);
+        // This round's detection turn reads the request itself.
+        core.scan_wanted = false;
+        self.down_until = core.down_until;
         drop(core);
-        if scan {
-            registry.wake_detector();
+        fold_log(&mut self.logs, &mut self.spare);
+        if closing {
+            // A dead shard's commands go with its inbox, their answers
+            // with them.
+            self.inbox = None;
+            self.pending.clear();
         }
-        fold_log(&mut logs, &mut spare);
+        true
     }
-    logs
 }
 
 #[cfg(test)]
@@ -1080,53 +1176,132 @@ mod tests {
     use dbmodel::{
         AccessMode, CcMethod, LogicalItemId, PhysicalItemId, Timestamp, TsTuple, TxnId, Value,
     };
+    use std::panic::resume_unwind;
     use std::time::Duration;
     use unified_cc::EnforcementMode;
 
+    /// Test access to a shard's core and ring from outside this module.
+    impl ShardSender {
+        /// Take the core, blocking, the way a client holds it: letting go
+        /// makes the hand-off check.
+        pub(crate) fn hold_core(&self) -> CoreGuard<'_> {
+            self.guard(self.core.lock().unwrap(), None)
+        }
+
+        /// Has the shard taken everything enqueued so far?
+        pub(crate) fn ring_is_idle(&self) -> bool {
+            self.ring.is_idle()
+        }
+
+        /// The shard's core, as the detector reads it.
+        pub(crate) fn core(&self) -> Arc<Mutex<ShardCore>> {
+            Arc::clone(&self.core)
+        }
+    }
+
+    /// The item of shard 0, the only shard of most tests.
     fn item() -> PhysicalItemId {
-        PhysicalItemId::new(LogicalItemId(1), SiteId(0))
+        item_at(0)
     }
 
-    fn spawn_one() -> (ShardHandle, Arc<Registry>, Arc<RuntimeStats>) {
-        let mut qm = QueueManager::new(SiteId(0));
-        qm.add_item(item(), 42, EnforcementMode::SemiLock);
-        let registry = Arc::new(Registry::new(64));
-        let stats = Arc::new(RuntimeStats::with_shards(1));
+    /// The one item of the shard at `site`.
+    fn item_at(site: u32) -> PhysicalItemId {
+        PhysicalItemId::new(LogicalItemId(1), SiteId(site))
+    }
+
+    /// A queue manager for `site` holding its one item.
+    fn qm_at(site: u32) -> QueueManager {
+        let mut qm = QueueManager::new(SiteId(site));
+        qm.add_item(item_at(site), 42, EnforcementMode::SemiLock);
+        qm
+    }
+
+    /// Shards under one running keeper, `txs[i]` the handle of shard `i`.
+    struct Running {
+        txs: Vec<ShardSender>,
+        keeper: KeeperJoin,
+    }
+
+    impl Running {
+        /// Shard 0's handle.
+        fn tx(&self) -> &ShardSender {
+            &self.txs[0]
+        }
+    }
+
+    /// Start a keeper over `shards`: each a queue manager, the sender its
+    /// handle feeds, and the inbox the keeper consumes — the same ring's
+    /// receiving end, or another ring's the test feeds by hand. The
+    /// periodic detector tick is ten seconds away, so nothing but a send,
+    /// a wake-up owed by a release, or its own registration moves it.
+    fn start(
+        shards: Vec<(QueueManager, RingSender<ShardCmd>, ShardInbox)>,
+        registry: &Arc<Registry>,
+        stats: &Arc<RuntimeStats>,
+    ) -> Running {
         let plane = Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1));
-        let (tx, rx) = transport::ring::channel(16);
-        let handle = spawn(
-            qm,
-            0,
-            rx,
-            tx,
-            Arc::clone(&registry),
-            Arc::clone(&stats),
-            plane,
-            Arc::new(CommitClock::new()),
+        let clock = Arc::new(CommitClock::new());
+        let (txs, inboxes): (Vec<_>, Vec<_>) = shards
+            .into_iter()
+            .enumerate()
+            .map(|(idx, (qm, tx, inbox))| {
+                let registry = Arc::clone(registry);
+                let shard = build(
+                    qm,
+                    idx,
+                    tx,
+                    registry,
+                    Arc::clone(stats),
+                    Arc::clone(&plane),
+                    Arc::clone(&clock),
+                );
+                (shard, inbox)
+            })
+            .unzip();
+        let detector = Detector::new(registry, stats, &plane, Duration::from_secs(10));
+        let keeper = spawn_keeper(
+            txs.iter().zip(inboxes).collect(),
+            detector,
+            Arc::new(AtomicBool::new(false)),
         );
-        (handle, registry, stats)
+        Running { txs, keeper }
     }
 
-    /// [`spawn_one`], but what is sent to the shard lands on a ring no
-    /// thread drains, returned with a sender into the shard thread's real
-    /// inbox: until the test forwards commands, the shard thread stays
-    /// parked and never contends for the core.
-    fn spawn_unfed() -> (ShardHandle, ShardInbox, RingSender<ShardCmd>) {
-        let mut qm = QueueManager::new(SiteId(0));
-        qm.add_item(item(), 42, EnforcementMode::SemiLock);
+    /// `n` shards, shard `i` at site `i`, each fed through its own inbox.
+    fn spawn_shards(n: u32) -> (Running, Arc<Registry>, Arc<RuntimeStats>) {
+        let registry = Arc::new(Registry::new(64));
+        let stats = Arc::new(RuntimeStats::with_shards(n as usize));
+        let shards = (0..n)
+            .map(|site| {
+                let (tx, rx) = transport::ring::channel(16);
+                (qm_at(site), tx, rx)
+            })
+            .collect();
+        (start(shards, &registry, &stats), registry, stats)
+    }
+
+    fn spawn_one() -> (Running, Arc<Registry>, Arc<RuntimeStats>) {
+        spawn_shards(1)
+    }
+
+    /// [`spawn_one`], but what is sent to the shard lands on a ring nobody
+    /// drains, returned with a sender into the keeper's real inbox: until
+    /// the test forwards commands, the keeper stays parked and never
+    /// contends for the core.
+    fn spawn_unfed() -> (Running, ShardInbox, RingSender<ShardCmd>) {
         let (tx, sent) = transport::ring::channel(16);
         let (inbox_tx, inbox) = transport::ring::channel(16);
-        let handle = spawn(
-            qm,
-            0,
-            inbox,
-            tx,
-            Arc::new(Registry::new(64)),
-            Arc::new(RuntimeStats::with_shards(1)),
-            Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1)),
-            Arc::new(CommitClock::new()),
-        );
-        (handle, sent, inbox_tx)
+        let registry = Arc::new(Registry::new(64));
+        let stats = Arc::new(RuntimeStats::with_shards(1));
+        let running = start(vec![(qm_at(0), tx, inbox)], &registry, &stats);
+        (running, sent, inbox_tx)
+    }
+
+    /// Join the keeper once every shard is closed: shard 0's final slice.
+    fn join(running: Running) -> LogSet {
+        drop(running.txs);
+        let mut slices = running.keeper.join().expect("the keeper contains panics");
+        slices.swap_remove(0).expect("shard 0 lived")
     }
 
     fn expect_replies(mb: &mut ClientMailbox, txn: u64) {
@@ -1164,24 +1339,23 @@ mod tests {
 
     #[test]
     fn shard_grants_logs_and_shuts_down() {
-        let (handle, registry, stats) = spawn_one();
+        let (running, registry, stats) = spawn_one();
+        let handle = running.tx();
         let mut mb = registry.client_mailbox().expect("mailbox");
         let t = registry.txn_id(1, mb.slot()).0;
         registry.register(TxnId(t), CcMethod::TwoPhaseLocking, &mut mb);
         assert!(handle
-            .tx
             .send(batch([access(t, AccessMode::Write, 1)]))
             .is_ok());
         // The grant is routed through the registry.
         expect_replies(&mut mb, t);
-        assert!(handle.tx.send(batch([release(t, 7)])).is_ok());
+        assert!(handle.send(batch([release(t, 7)])).is_ok());
         let (log_tx, log_rx) = transport::oneshot::channel();
-        assert!(handle.tx.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
+        assert!(handle.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
         let logs = log_rx.recv().unwrap();
         assert_eq!(logs.total_ops(), 1);
-        let _ = handle.tx.send(ShardCmd::Shutdown);
-        let (site, logs) = handle.join.join().unwrap();
-        assert_eq!(site, SiteId(0));
+        let logs = shutdown(running);
+        assert_eq!(logs.log(item()).map(|log| log.entries().len()), Some(1));
         assert_eq!(logs.total_ops(), 1);
         let stats = stats.snapshot();
         assert_eq!((stats.grants, stats.implemented_ops), (1, 1));
@@ -1192,43 +1366,55 @@ mod tests {
         assert_eq!(shard0.aborts, 0);
     }
 
+    /// A database dropped without `shutdown` drops every shard's senders:
+    /// the keeper drains and closes each shard and exits within a bound.
     #[test]
     fn shard_exits_when_all_senders_drop() {
-        let (handle, _registry, _stats) = spawn_one();
-        drop(handle.tx);
-        let (_, logs) = handle.join.join().unwrap();
-        assert_eq!(logs.total_ops(), 0);
+        let (running, _registry, _stats) = spawn_shards(2);
+        let Running { txs, keeper } = running;
+        assert!(txs[1].send(write_on(item_at(1), 1)).is_ok());
+        drop(txs);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !keeper.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "the keeper lives on");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let slices: Vec<LogSet> = keeper
+            .join()
+            .unwrap()
+            .into_iter()
+            .map(|slice| slice.unwrap())
+            .collect();
+        assert_eq!(slices[0].total_ops(), 0);
+        assert_eq!(log_order_of(&slices[1], item_at(1)), [1], "drained first");
     }
 
     #[test]
     fn handle_batch_applies_messages_in_order() {
-        let (handle, registry, stats) = spawn_one();
+        let (running, registry, stats) = spawn_one();
         let mut mb = registry.client_mailbox().expect("mailbox");
         let t = registry.txn_id(1, mb.slot()).0;
         registry.register(TxnId(t), CcMethod::TwoPhaseLocking, &mut mb);
-        assert!(handle
-            .tx
+        assert!(running
+            .tx()
             .send(batch([access(t, AccessMode::Write, 1), release(t, 9)]))
             .is_ok());
         expect_replies(&mut mb, t);
-        let _ = handle.tx.send(ShardCmd::Shutdown);
-        let (_, logs) = handle.join.join().unwrap();
+        let logs = shutdown(running);
         assert_eq!(logs.total_ops(), 1, "access then release implemented");
         assert_eq!(stats.snapshot().implemented_ops, 1);
     }
 
     /// A `Shutdown` ordered *ahead of* enqueued `HandleBatch` commands
     /// from other senders must not abandon them — the shard drains the
-    /// inbox before exiting. The inbox is pre-filled before the shard
-    /// thread even starts, so the first wakeup drains one buffer shaped
+    /// inbox before closing. The inbox is pre-filled before the keeper
+    /// even starts, so its first tenure drains one buffer shaped
     /// `[25 txns, Shutdown, 25 txns]`; a naive `break` on seeing
     /// `Shutdown` would drop every release behind it and lose committed
     /// writes from the final log.
     #[test]
     fn shutdown_drains_commands_enqueued_around_it() {
         const TXNS: u64 = 50;
-        let mut qm = QueueManager::new(SiteId(0));
-        qm.add_item(item(), 42, EnforcementMode::SemiLock);
         let registry = Arc::new(Registry::new(64));
         let stats = Arc::new(RuntimeStats::with_shards(1));
         let (tx, inbox) = transport::ring::channel(128);
@@ -1244,17 +1430,11 @@ mod tests {
                 assert!(tx.try_send(ShardCmd::Shutdown).is_ok());
             }
         }
-        let handle = spawn(
-            qm,
-            0,
-            inbox,
-            tx.clone(),
-            Arc::clone(&registry),
-            Arc::clone(&stats),
-            Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1)),
-            Arc::new(CommitClock::new()),
-        );
-        let (_, logs) = handle.join.join().unwrap();
+        let logs = join(start(
+            vec![(qm_at(0), tx.clone(), inbox)],
+            &registry,
+            &stats,
+        ));
         assert_eq!(
             logs.total_ops(),
             TXNS as usize,
@@ -1265,14 +1445,36 @@ mod tests {
 
     /// The item's log as the sequence of transactions implemented on it.
     fn log_order(logs: &LogSet) -> Vec<u64> {
-        logs.log(item())
+        log_order_of(logs, item())
+    }
+
+    fn log_order_of(logs: &LogSet, it: PhysicalItemId) -> Vec<u64> {
+        logs.log(it)
             .map(|log| log.entries().iter().map(|e| e.txn.0).collect())
             .unwrap_or_default()
     }
 
     /// One whole write transaction as a single command.
     fn write_txn(t: u64) -> ShardCmd {
-        batch([access(t, AccessMode::Write, t), release(t, t as Value)])
+        write_on(item(), t)
+    }
+
+    /// [`write_txn`] on `it`.
+    fn write_on(it: PhysicalItemId, t: u64) -> ShardCmd {
+        let access = RequestMsg::Access {
+            txn: TxnId(t),
+            item: it,
+            mode: AccessMode::Write,
+            method: CcMethod::TwoPhaseLocking,
+            ts: TsTuple::new(Timestamp(t), 10),
+        };
+        let release = RequestMsg::Release {
+            txn: TxnId(t),
+            item: it,
+            write_value: Some(t as Value),
+            commit_ts: Timestamp::ZERO,
+        };
+        batch([access, release])
     }
 
     /// A snapshot read of the item for `t` at stamp zero (the initial
@@ -1314,13 +1516,16 @@ mod tests {
         (bypass_add, true),
     ];
 
-    fn shutdown(handle: ShardHandle) -> LogSet {
-        let _ = handle.tx.send(ShardCmd::Shutdown);
-        handle.join.join().unwrap().1
+    /// Shut every shard down: shard 0's final slice.
+    fn shutdown(running: Running) -> LogSet {
+        for tx in &running.txs {
+            let _ = tx.send(ShardCmd::Shutdown);
+        }
+        join(running)
     }
 
     /// FIFO, ring pre-filled: the inbox already holds forty transactions
-    /// when the shard starts, and a `submit` racing the shard thread's
+    /// when the keeper starts, and a `submit` racing the keeper's
     /// first tenure — busy core, backlog, or idle by then; for a waiting
     /// submit also a wait that ends in any of those — still lands behind
     /// every one of them.
@@ -1333,25 +1538,15 @@ mod tests {
 
     fn submit_after_a_prefilled_inbox((last, wait): Kind) {
         const QUEUED: u64 = 40;
-        let mut qm = QueueManager::new(SiteId(0));
-        qm.add_item(item(), 42, EnforcementMode::SemiLock);
         let stats = Arc::new(RuntimeStats::with_shards(1));
         let (tx, inbox) = transport::ring::channel(64);
         for t in 1..=QUEUED {
             assert!(tx.try_send(write_txn(t)).is_ok());
         }
-        let handle = spawn(
-            qm,
-            0,
-            inbox,
-            tx,
-            Arc::new(Registry::new(64)),
-            Arc::clone(&stats),
-            Arc::new(TracePlane::new(&trace::TraceConfig::default(), 1)),
-            Arc::new(CommitClock::new()),
-        );
-        handle.tx.submit(last(QUEUED + 1), wait).unwrap();
-        let logs = shutdown(handle);
+        let registry = Arc::new(Registry::new(64));
+        let running = start(vec![(qm_at(0), tx, inbox)], &registry, &stats);
+        running.tx().submit(last(QUEUED + 1), wait).unwrap();
+        let logs = shutdown(running);
         assert_eq!(log_order(&logs), (1..=QUEUED + 1).collect::<Vec<_>>());
         let shard0 = &stats.snapshot().per_shard[0];
         assert_eq!(
@@ -1377,13 +1572,13 @@ mod tests {
 
     fn submit_behind_a_held_core((kind, wait): Kind) {
         let (handle, _registry, stats) = spawn_one();
-        let tx = handle.tx.clone();
+        let tx = handle.tx().clone();
         let held = tx.hold_core();
         assert!(tx.send(write_txn(1)).is_ok());
         tx.submit(kind(2), wait).unwrap();
         assert!(!tx.ring.is_idle(), "nothing is taken without the core");
         drop(held);
-        // Wait for the shard thread's tenure (it was already woken) so the
+        // Wait for the keeper's tenure (it was already woken) so the
         // third transaction finds the idle shard it needs to run inline.
         while !tx.ring.is_idle() {
             std::thread::yield_now();
@@ -1460,7 +1655,7 @@ mod tests {
     #[test]
     fn a_submit_waits_out_a_briefly_held_core_only_when_asked() {
         let (handle, _registry, stats) = spawn_one();
-        let tx = handle.tx.clone();
+        let tx = handle.tx().clone();
         let shard0 = submit_against_a_briefly_held_core(&tx, write_txn(1), |_| {});
         assert_eq!((shard0.inline, shard0.inline_waited), (1, 1), "{shard0:?}");
         assert_eq!(
@@ -1506,15 +1701,15 @@ mod tests {
     /// a write as it lets go leaves the waiter winning the core with a
     /// backlog — and it enqueues behind that write instead of running
     /// ahead of it (its own hand-off pass then runs both, in that order).
-    /// A live shard thread would race the waiter for the core (and,
-    /// winning, drain the write so the waiter runs inline after it), so
-    /// here its inbox is a second ring, fed what the first one holds, in
-    /// order, only once the submit is done.
+    /// A live keeper would race the waiter for the core (and, winning,
+    /// drain the write so the waiter runs inline after it), so here its
+    /// inbox is a second ring, fed what the first one holds, in order,
+    /// only once the submit is done.
     #[test]
     fn a_waiter_that_wins_the_core_behind_a_backlog_enqueues() {
         for kind in [snapshot_read, bypass_add, write_txn] {
             let (handle, mut sent, inbox) = spawn_unfed();
-            let tx = handle.tx.clone();
+            let tx = handle.tx().clone();
             let shard0 = submit_against_a_briefly_held_core(&tx, kind(1), |tx| {
                 assert!(tx.send(write_txn(1000)).is_ok());
             });
@@ -1529,7 +1724,7 @@ mod tests {
             for cmd in cmds {
                 assert!(inbox.send(cmd).is_ok());
             }
-            let order = log_order(&handle.join.join().unwrap().1);
+            let order = log_order(&join(handle));
             assert_eq!(order, [1000, 1], "write first");
         }
     }
@@ -1538,13 +1733,13 @@ mod tests {
     /// does, through a [`CoreGuard`]) a `HandleBatch` submitted with the
     /// wait waits out its bound and is handed over — queued, not run, and
     /// nobody woken. Letting go runs it: its grant is in the mailbox when
-    /// the release returns. The shard thread's inbox is a second ring the
-    /// test never feeds, so the shard thread ran no tenure for it.
+    /// the release returns. The keeper's inbox is a second ring the test
+    /// never feeds, so the keeper ran no tenure for it.
     #[test]
     fn a_command_handed_to_a_held_core_is_run_as_the_holder_lets_go() {
         let (handle, mut sent, inbox) = spawn_unfed();
-        let tx = handle.tx.clone();
-        let registry = Arc::clone(&tx.registry);
+        let tx = handle.tx().clone();
+        let registry = Arc::clone(&tx.hold_core().registry);
         let mut mb = registry.client_mailbox().expect("mailbox");
         let t = registry.txn_id(1, mb.slot());
         registry.register(t, CcMethod::TwoPhaseLocking, &mut mb);
@@ -1575,7 +1770,7 @@ mod tests {
         assert_eq!(tx.submit(batch([release(t.0, 7)]), false).ok(), Some(true));
         assert_eq!(sent.drain_into(&mut Vec::new()), 0, "nothing left over");
         assert!(inbox.send(ShardCmd::Shutdown).is_ok());
-        assert_eq!(log_order(&handle.join.join().unwrap().1), [t.0]);
+        assert_eq!(log_order(&join(handle)), [t.0]);
     }
 
     /// A pass run by a client delivers that client's own replies without
@@ -1585,8 +1780,8 @@ mod tests {
     #[test]
     fn a_pass_never_waits_on_its_own_full_mailbox() {
         let (handle, mut sent, inbox) = spawn_unfed();
-        let tx = handle.tx.clone();
-        let registry = Arc::clone(&tx.registry);
+        let tx = handle.tx().clone();
+        let registry = Arc::clone(&tx.hold_core().registry);
         let mut mb = registry.client_mailbox().expect("mailbox");
         let t = registry.txn_id(1, mb.slot());
         registry.register(t, CcMethod::TwoPhaseLocking, &mut mb);
@@ -1611,13 +1806,13 @@ mod tests {
         assert_eq!(sent.drain_into(&mut Vec::new()), 0);
         drop(mb);
         assert!(inbox.send(ShardCmd::Shutdown).is_ok());
-        handle.join.join().unwrap();
+        join(handle);
     }
 
     /// Nothing handed over is stranded: four submitters race one shard,
     /// all four submitting at once every round, each waiting for its
     /// answer before the next, with commands most of which write no log
-    /// record (so no log-fold nudge wakes the shard thread by the way). A
+    /// record (so no log-fold nudge wakes the keeper by the way). A
     /// handed-over command whose holder let go without the hand-off check
     /// would sit in the inbox with nobody left to submit behind it: its
     /// submitter's answer would never come, and the others would wait at
@@ -1625,12 +1820,26 @@ mod tests {
     /// whole race within a watchdog's, on one CPU too.
     #[test]
     fn racing_submitters_strand_no_handed_over_command() {
+        race_within_a_watchdog(1, false, 2_000);
+    }
+
+    /// The same race over two shards under one keeper, two submitters
+    /// each, with one round in eight a diagnostics command only the keeper
+    /// runs. The keeper parks with the periodic tick ten seconds away, so
+    /// only its registration on both rings wakes it — for a send, and for
+    /// what a releaser leaves behind — and only its fence-and-retry before
+    /// parking catches a command that arrived while it looked elsewhere.
+    #[test]
+    fn racing_submitters_on_two_shards_strand_nothing_under_one_keeper() {
+        race_within_a_watchdog(2, true, 100_000);
+    }
+
+    fn race_within_a_watchdog(shards: u32, diagnostics: bool, rounds: u64) {
         const SUBMITTERS: u64 = 4;
-        const ROUNDS: u64 = 2_000;
         const BOUND: Duration = Duration::from_secs(5);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let race = std::thread::spawn(move || {
-            race_submitters(SUBMITTERS, ROUNDS, BOUND);
+            race_submitters(shards, diagnostics, SUBMITTERS, rounds, BOUND);
             done_tx.send(()).expect("the watchdog outlives the race");
         });
         if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
@@ -1642,23 +1851,41 @@ mod tests {
         race.join().unwrap_or_else(|panic| resume_unwind(panic));
     }
 
-    fn race_submitters(submitters: u64, rounds: u64, bound: Duration) {
-        let (handle, _registry, stats) = spawn_one();
+    /// Submitter `s` races on shard `s % shards`. Seven rounds in eight it
+    /// submits a snapshot read of an item its shard does not hold: refused,
+    /// it answers and writes no log record. The eighth is a bypass add.
+    /// With `diagnostics`, one of the seven sends the keeper a `Waiting`.
+    fn race_submitters(
+        shards: u32,
+        diagnostics: bool,
+        submitters: u64,
+        rounds: u64,
+        bound: Duration,
+    ) {
+        let (running, _registry, stats) = spawn_shards(shards);
         let round_start = Arc::new(std::sync::Barrier::new(submitters as usize));
         let racers: Vec<_> = (0..submitters)
             .map(|s| {
-                let tx = handle.tx.clone();
+                let site = (s % u64::from(shards)) as u32;
+                let tx = running.txs[site as usize].clone();
                 let round_start = Arc::clone(&round_start);
                 std::thread::spawn(move || {
                     for round in 0..rounds {
                         round_start.wait();
                         let wait = (round + s) % 2 == 0;
-                        if round % 8 == 7 {
+                        let txn = TxnId(s * rounds + round + 1);
+                        if diagnostics && round % 2 == 0 {
+                            // A keeper-only command: its send wakes the
+                            // keeper through its registration alone.
+                            let (reply, answer) = transport::oneshot::channel();
+                            assert!(tx.send(ShardCmd::Waiting(reply)).is_ok());
+                            assert!(answer.recv_timeout(bound).is_ok(), "round {round}");
+                        } else if round % 8 == 7 {
                             let (reply, answer) = transport::oneshot::channel();
                             let add = ShardCmd::ApplyConfluent {
-                                origin: SiteId(0),
-                                txn: TxnId(s * rounds + round + 1),
-                                ops: std::iter::once(ConfluentOp::Add(item(), 1)).collect(),
+                                origin: SiteId(site),
+                                txn,
+                                ops: std::iter::once(ConfluentOp::Add(item_at(site), 1)).collect(),
                                 check: false,
                                 reply,
                             };
@@ -1667,8 +1894,16 @@ mod tests {
                             assert!(matches!(applied, Ok(Some(_))), "round {round}");
                         } else {
                             let (reply, answer) = transport::oneshot::channel();
-                            tx.submit(ShardCmd::WaitEdges(reply), wait).unwrap();
-                            assert!(answer.recv_timeout(bound).is_ok(), "round {round}");
+                            let elsewhere = PhysicalItemId::new(LogicalItemId(1), SiteId(99));
+                            let read = ShardCmd::SnapshotRead {
+                                txn,
+                                ts: Timestamp::ZERO,
+                                items: std::iter::once(elsewhere).collect(),
+                                reply,
+                            };
+                            tx.submit(read, wait).unwrap();
+                            let refused = answer.recv_timeout(bound);
+                            assert!(matches!(refused, Ok(None)), "round {round}");
                         }
                     }
                 })
@@ -1677,20 +1912,34 @@ mod tests {
         for racer in racers {
             racer.join().unwrap();
         }
-        let shard0 = stats.snapshot().per_shard[0];
-        let submitted = shard0.inline
-            + shard0.enqueued_busy
-            + shard0.enqueued_backlog
-            + shard0.enqueued_log_full;
-        assert_eq!(submitted, submitters * rounds, "{shard0:?}");
+        let per_shard = stats.snapshot().per_shard;
+        let submitted: u64 = per_shard
+            .iter()
+            .map(|shard| {
+                shard.inline
+                    + shard.enqueued_busy
+                    + shard.enqueued_backlog
+                    + shard.enqueued_log_full
+            })
+            .sum();
+        let sent = if diagnostics { rounds / 2 } else { 0 };
+        assert_eq!(submitted, submitters * (rounds - sent), "{per_shard:?}");
         let adds = submitters * rounds / 8;
-        assert_eq!(log_order(&shutdown(handle)).len() as u64, adds);
+        for tx in &running.txs {
+            let _ = tx.send(ShardCmd::Shutdown);
+        }
+        let slices = running.keeper.join().unwrap();
+        let logged: usize = slices
+            .iter()
+            .zip(0..)
+            .map(|(slice, site)| log_order_of(slice.as_ref().unwrap(), item_at(site)).len())
+            .sum();
+        assert_eq!(logged as u64, adds);
     }
 
-    /// A `Crash` sleeps holding the core: a `submit` during the outage
-    /// returns at once — a waiting one after its bounded wait, counted as
-    /// expired — enqueued, not run, and is applied only when the outage
-    /// is over.
+    /// A `Crash` marks the core down: a `submit` during the outage returns
+    /// at once — a waiting one after its bounded wait, counted as expired
+    /// — enqueued, not run, and is applied only when the outage is over.
     #[test]
     fn submit_during_a_crash_outage_enqueues_and_the_outage_lasts() {
         for kind in EVERY_KIND {
@@ -1701,11 +1950,11 @@ mod tests {
     fn submit_during_a_crash_outage((kind, wait): Kind) {
         const OUTAGE: Duration = Duration::from_millis(150);
         let (handle, _registry, stats) = spawn_one();
-        let tx = &handle.tx;
+        let tx = handle.tx();
         let crashed = std::time::Instant::now();
         assert!(tx.send(ShardCmd::Crash { outage: OUTAGE }).is_ok());
         // Taken off the ring means taken under the lock, in the tenure
-        // that sleeps.
+        // that marks the core down.
         while !tx.ring.is_idle() {
             std::thread::yield_now();
         }
@@ -1734,7 +1983,7 @@ mod tests {
     #[test]
     fn submit_after_shutdown_fails_and_reaches_no_log() {
         let (handle, _registry, stats) = spawn_one();
-        let tx = handle.tx.clone();
+        let tx = handle.tx().clone();
         for t in 1..=5 {
             assert!(tx.send(write_txn(t)).is_ok());
         }
@@ -1755,16 +2004,16 @@ mod tests {
         const COMMITS: u64 = 10;
         let (handle, _registry, stats) = spawn_one();
         for t in 1..=COMMITS {
-            handle.tx.submit(write_txn(t), false).unwrap();
+            handle.tx().submit(write_txn(t), false).unwrap();
         }
         let shard0 = stats.snapshot().per_shard[0];
-        // The shard thread parks until something is sent, so nothing
-        // contends for the core and nothing has folded.
+        // The keeper parks until something is sent, so nothing contends
+        // for the core and nothing has folded.
         assert_eq!(shard0.inline, COMMITS, "{shard0:?}");
         assert_eq!(shard0.log_fold_nudges, 0);
-        assert_eq!(handle.tx.hold_core().log_buf.len(), 10);
+        assert_eq!(handle.tx().hold_core().log_buf.len(), 10);
         let (log_tx, log_rx) = transport::oneshot::channel();
-        assert!(handle.tx.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
+        assert!(handle.tx().send(ShardCmd::LogSnapshot(log_tx)).is_ok());
         let expected: Vec<u64> = (1..=COMMITS).collect();
         assert_eq!(log_order(&log_rx.recv().unwrap()), expected);
         assert_eq!(log_order(&shutdown(handle)), expected);
@@ -1776,7 +2025,7 @@ mod tests {
     #[test]
     fn a_filling_log_buffer_nudges_once_and_refuses_when_full() {
         let (handle, _registry, stats) = spawn_one();
-        let tx = &handle.tx;
+        let tx = handle.tx();
         // The bare mutex: a guard's release would itself nudge.
         let fill = |records: usize| {
             let mut core = tx.core.lock().unwrap();
@@ -1815,13 +2064,15 @@ mod tests {
         assert_eq!(order.len(), LOG_BUF_RECORDS / 2 - 1 + LOG_BUF_RECORDS + 2);
     }
 
-    /// An engine panic during an inline run takes the *shard* down: the
-    /// caller gets a typed error back, the shard thread dies of the panic
-    /// and both entries fail from then on.
+    /// An engine panic during an inline run takes the *shard* down, and
+    /// that shard alone: the caller gets a typed error back, the keeper
+    /// reports the panic as the shard's result, both entries fail from
+    /// then on, and the keeper's other shard keeps committing — inline and
+    /// through the keeper — with its slice in the report.
     #[test]
     fn an_inline_engine_panic_kills_the_shard_not_the_caller() {
-        let (handle, _registry, _stats) = spawn_one();
-        let tx = handle.tx.clone();
+        let (handle, _registry, _stats) = spawn_shards(2);
+        let (tx, other) = (handle.txs[0].clone(), handle.txs[1].clone());
         // The dedup mutation: with suppression off, a duplicated `Access`
         // trips the queue's "already queued" debug assertion.
         tx.hold_core().qm.set_dedup_access(false);
@@ -1832,8 +2083,26 @@ mod tests {
             shutdown(handle);
             return;
         }
-        assert!(handle.join.join().is_err(), "the shard thread re-raises");
+        // The caller's release woke the keeper, which drops the dead
+        // shard's inbox.
+        while tx.send(ShardCmd::FoldLog).is_ok() {
+            std::thread::yield_now();
+        }
         assert!(tx.submit(write_txn(2), false).is_err());
         assert!(tx.send(write_txn(3)).is_err());
+        assert_eq!(
+            other.submit(write_on(item_at(1), 4), false).ok(),
+            Some(true)
+        );
+        assert!(other.send(write_on(item_at(1), 5)).is_ok());
+        let (log_tx, log_rx) = transport::oneshot::channel();
+        assert!(other.send(ShardCmd::LogSnapshot(log_tx)).is_ok());
+        assert_eq!(log_order_of(&log_rx.recv().unwrap(), item_at(1)), [4, 5]);
+        let _ = other.send(ShardCmd::Shutdown);
+        drop((tx, other));
+        let mut slices = handle.keeper.join().expect("the keeper lives on");
+        let survivor = slices.pop().unwrap().expect("shard 1 lived");
+        assert!(slices.pop().unwrap().is_err(), "shard 0 died of the panic");
+        assert_eq!(log_order_of(&survivor, item_at(1)), [4, 5]);
     }
 }

@@ -133,11 +133,11 @@ pub(crate) struct ShardCounters {
     pub(crate) enqueued_backlog: AtomicU64,
     /// … because the core's log buffer had no room for their records.
     pub(crate) enqueued_log_full: AtomicU64,
-    /// `FoldLog` nudges sent to the shard thread at a half-full buffer.
+    /// `FoldLog` nudges sent to the keeper at a half-full buffer.
     pub(crate) log_fold_nudges: AtomicU64,
     /// Enqueued commands a hand-off pass ran — taken off the inbox by a
     /// thread letting go of the core (or winning it right after its own
-    /// hand-off) instead of by the shard thread.
+    /// hand-off) instead of by the keeper.
     pub(crate) combined: AtomicU64,
     /// Submits that found the core held and started the bounded
     /// wait (whatever came of it): the hook a test forces its interleaving
@@ -189,14 +189,14 @@ pub struct ShardCounterSnapshot {
     pub enqueued_backlog: u64,
     /// Submitted commands enqueued because the log buffer was full.
     pub enqueued_log_full: u64,
-    /// Log-fold nudges sent to the shard thread.
+    /// Log-fold nudges sent to the keeper.
     pub log_fold_nudges: u64,
-    /// Enqueued commands a hand-off pass ran instead of the shard thread.
+    /// Enqueued commands a hand-off pass ran instead of the keeper.
     pub combined: u64,
 }
 
-/// Counters updated concurrently by client threads, shard threads and the
-/// deadlock detector. What a shard counts lives only in its `per_shard`
+/// Counters updated concurrently by client threads and the keeper (which
+/// runs the deadlock detector). What a shard counts lives only in its `per_shard`
 /// entry; `snapshot` sums the totals.
 #[derive(Debug, Default)]
 pub(crate) struct RuntimeStats {
@@ -208,6 +208,7 @@ pub(crate) struct RuntimeStats {
     pub(crate) deadlock_probes: AtomicU64,
     pub(crate) deadlock_push_scans: AtomicU64,
     pub(crate) deadlock_backstop_victims: AtomicU64,
+    pub(crate) deadlock_report_skips: AtomicU64,
     pub(crate) user_aborts: AtomicU64,
     pub(crate) failed: AtomicU64,
     /// Transactions applied through the coordination-avoidance bypass.
@@ -285,6 +286,10 @@ pub struct StatsSnapshot {
     /// was queued without being announced (or its announcement was lost)
     /// and the cycle stood until the backstop tick.
     pub deadlock_backstop_victims: u64,
+    /// Shards a deadlock scan went on without: their core was down (a
+    /// crash outage) or held past the scan's bound. A scan that skips a
+    /// shard can miss a cycle through it; a pushed one asks once more.
+    pub deadlock_report_skips: u64,
     /// Transaction handles ended by [`crate::ActiveTxn::abort`] or
     /// dropped before `commit` — snapshot ones included, and the handle a
     /// `run_transaction` drops on [`crate::TxnError::NotInWriteSet`]. An
@@ -395,7 +400,7 @@ pub struct StatsSnapshot {
     /// Submitted commands handed to the holder: another thread held the
     /// core (for a submit that waited: still held after the bounded
     /// wait), so the command was pushed onto the inbox without waking the
-    /// shard thread, for whoever lets go of the core next to run.
+    /// keeper, for whoever lets go of the core next to run.
     pub shard_enqueued_busy: u64,
     /// Of `shard_enqueued_busy`, the submits that waited for the core and
     /// ran out of the bound: what the wait cost without saving the hop.
@@ -408,12 +413,12 @@ pub struct StatsSnapshot {
     /// Submitted commands enqueued because the core's log buffer had no
     /// room for their records.
     pub shard_enqueued_log_full: u64,
-    /// Nudges sent to a shard thread to fold a half-full log buffer.
+    /// Nudges sent to the keeper to fold a half-full log buffer.
     pub log_fold_nudges: u64,
     /// Enqueued commands a hand-off pass ran: a thread letting go of a
     /// shard's core (or winning it right after handing over its own
     /// command) took them off the inbox and ran them, one pass of what
-    /// was queued, instead of the shard thread. The sum of the per-shard
+    /// was queued, instead of the keeper. The sum of the per-shard
     /// `combined`.
     pub shard_combined: u64,
     /// Reply waits — a client's mailbox receive, a one-shot route's
@@ -431,7 +436,7 @@ pub struct StatsSnapshot {
 }
 
 impl RuntimeStats {
-    /// Counters for a runtime with `shards` shard threads.
+    /// Counters for a runtime with `shards` shards.
     pub(crate) fn with_shards(shards: usize) -> Self {
         RuntimeStats {
             per_shard: (0..shards).map(|_| ShardCounters::default()).collect(),
@@ -451,6 +456,7 @@ impl RuntimeStats {
             deadlock_probes: self.deadlock_probes.load(Ordering::Relaxed),
             deadlock_push_scans: self.deadlock_push_scans.load(Ordering::Relaxed),
             deadlock_backstop_victims: self.deadlock_backstop_victims.load(Ordering::Relaxed),
+            deadlock_report_skips: self.deadlock_report_skips.load(Ordering::Relaxed),
             user_aborts: self.user_aborts.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             grants: sum(|s| s.grants),

@@ -87,7 +87,7 @@ pub enum Confluence {
 }
 
 /// Largest read+write footprint eligible for the fast path. A bypass
-/// apply holds the shard thread for the whole transaction; bounding the
+/// apply holds the shard's core for the whole transaction; bounding the
 /// footprint bounds the latency it can impose on queued coordinated work.
 pub const FAST_PATH_MAX_OPS: usize = 16;
 

@@ -4,7 +4,7 @@
 //! average transaction system time `S`, decomposed into waiting,
 //! blocking, restart and messaging components. This crate gives the live
 //! runtime that decomposition without giving up the PR 3–5 hot-path
-//! discipline: every shard thread and every client thread writes
+//! discipline: every client thread and the runtime's keeper write
 //! fixed-size [`TraceEvent`] records (txn incarnation, phase tag,
 //! shared-clock timestamp) into a per-lane bounded [`FlightRing`] — no
 //! locks, no allocation, no branches beyond the [`TraceLevel`] checks —

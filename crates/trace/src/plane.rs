@@ -2,7 +2,7 @@
 //! phase counters, striped Section-5 accumulators, and the latched
 //! postmortem dump.
 //!
-//! Lane layout: one lane per shard thread (lane index = shard index),
+//! Lane layout: one lane per shard (lane index = shard index),
 //! then [`CLIENT_LANES`] lanes shared by client threads round-robin
 //! (thread-affine, assigned on a thread's first record — the same scheme
 //! as the runtime's metrics stripes). A `record_at` is one relaxed

@@ -54,7 +54,7 @@
 //! released, the key re-checked before each push, until
 //! [`MailboxOptions::deliver_timeout`] expires, at which point the event
 //! is dropped and counted ([`MailboxRegistry::full_dropped`]) — a stalled
-//! consumer can delay a shard thread, never wedge it, and a deregister
+//! consumer can delay a delivering thread, never wedge it, and a deregister
 //! never queues behind a waiting delivery. The same bound applies to
 //! [`MailboxRegistry::acquire`]: once `max_clients` mailboxes are
 //! simultaneously held, waiting past [`MailboxOptions::acquire_timeout`]

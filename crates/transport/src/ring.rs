@@ -9,25 +9,25 @@
 //! waiting for space and the dwell meter, so every rule below is a
 //! statement about one critical section.
 //!
-//! * An **empty** ring parks the consumer. Under the lock it finds the
-//!   queue empty and stores its own handle; it releases the lock and
-//!   calls `thread::park`. A producer that pushes takes the handle under
-//!   the lock and unparks the consumer after releasing it. Either the
-//!   push came first and the consumer saw the value, or the producer saw
-//!   the handle; an unpark that lands before the park leaves a token, so
-//!   the park returns at once. No wake-up is lost, so no park needs a
-//!   safety-net timeout. The consumer does *not* wait on a `Condvar`:
-//!   measured on the benchmark's `wide_hot` workload, that hand-off cost
-//!   12 % more median commit latency and 16.5 % more CPU per commit than
-//!   this one (a woken `Condvar::wait` must re-take the ring's mutex
-//!   before it can return; a parked consumer takes it only to look). Parking and
-//!   taking are separate steps: [`RingReceiver::wait_ready`] parks until
-//!   a value is queued *without consuming it*, so a consumer that may
-//!   only take values under another lock can sleep outside it. The
-//!   producer's half splits the same way: [`RingSender::try_send_deferred`]
-//!   hands the parked consumer back instead of unparking it, so a
-//!   producer that pushes under a lock of its own wakes the consumer
-//!   only once that lock is released.
+//! * An **empty** ring parks the consumer. Parking and taking are
+//!   separate steps: [`RingReceiver::register`] stores the consumer's own
+//!   [`Thread`] handle under the lock, and the consumer then looks at the
+//!   ring (or rings: one consumer may register on many) and parks if it
+//!   found nothing. A producer that pushes takes the handle under the
+//!   lock and unparks the consumer after releasing it. Either the push
+//!   came first and the consumer's look sees the value, or the producer
+//!   saw the handle; an unpark that lands before the park leaves a token,
+//!   so the park returns at once. No wake-up is lost, so no park needs a
+//!   safety-net timeout, and a consumer that may only take values under
+//!   another lock of its own parks outside it. The consumer does *not*
+//!   wait on a `Condvar`: measured on the benchmark's `wide_hot`
+//!   workload, that hand-off cost 12 % more median commit latency and
+//!   16.5 % more CPU per commit than this one (a woken `Condvar::wait`
+//!   must re-take the ring's mutex before it can return; a parked
+//!   consumer takes it only to look). The producer's half splits the same
+//!   way: [`RingSender::try_send_deferred`] hands the parked consumer back
+//!   instead of unparking it, so a producer that pushes under a lock of
+//!   its own wakes the consumer only once that lock is released.
 //! * A **hand-off** wakes nobody. [`RingSender::send_quiet`] pushes and
 //!   leaves a parked consumer parked, with its handle in place for the
 //!   next waking send; [`RingSender::take_while`] lets a producer-side
@@ -46,12 +46,11 @@
 //!   producer that must re-check a condition of its own between them.
 //!
 //! A copy of the queue's length lives in an atomic, stored under the lock
-//! on every change, so [`RingSender::is_idle`] and an empty
-//! [`RingReceiver::try_recv`] / [`RingReceiver::drain_into`] poll take no
-//! lock.
+//! on every change, so [`RingSender::is_idle`], [`RingReceiver::is_idle`]
+//! and an empty [`RingReceiver::drain_into`] poll take no lock.
 //!
 //! Disconnect semantics mirror `std::sync::mpsc`: when every
-//! [`RingSender`] is dropped, [`RingReceiver::wait_ready`] returns
+//! [`RingSender`] is dropped, [`RingReceiver::register`] returns
 //! `Err(RecvError)` once the ring is empty; when the receiver is dropped,
 //! sends fail with [`SendError`] returning the rejected value.
 
@@ -245,6 +244,12 @@ impl<T> RingSender<T> {
     /// the caller has released whatever lock it pushed under.
     #[must_use = "a returned consumer is parked until it is unparked"]
     pub fn try_send_deferred(&self, value: T) -> Result<Option<Thread>, TrySendError<T>> {
+        self.push(value, true)
+    }
+
+    /// The one push: under the lock, and with `wake` taking the parked
+    /// consumer for the caller to unpark.
+    fn push(&self, value: T, wake: bool) -> Result<Option<Thread>, TrySendError<T>> {
         let mut state = self.shared.lock();
         if !state.rx_alive {
             return Err(TrySendError::Disconnected(value));
@@ -255,7 +260,7 @@ impl<T> RingSender<T> {
         let stamp = state.stamping.then(now_nanos).unwrap_or(0);
         state.queue.push_back((value, stamp));
         self.shared.len.store(state.queue.len(), Ordering::Release);
-        Ok(state.consumer.take())
+        Ok(if wake { state.consumer.take() } else { None })
     }
 
     /// Enqueue, waiting while the ring is full. Fails only when the
@@ -280,23 +285,14 @@ impl<T> RingSender<T> {
     /// producer wakes the consumer before it waits for space, so a ring
     /// nobody else drains cannot wedge it. Fails only when the receiver
     /// is gone.
-    pub fn send_quiet(&self, value: T) -> Result<(), SendError<T>> {
+    pub fn send_quiet(&self, mut value: T) -> Result<(), SendError<T>> {
         loop {
-            let mut state = self.shared.lock();
-            if !state.rx_alive {
-                return Err(SendError(value));
+            match self.push(value, false) {
+                Ok(_) => return Ok(()),
+                Err(TrySendError::Disconnected(value)) => return Err(SendError(value)),
+                Err(TrySendError::Full(back)) => value = back,
             }
-            if state.queue.len() < self.shared.capacity {
-                let stamp = state.stamping.then(now_nanos).unwrap_or(0);
-                state.queue.push_back((value, stamp));
-                self.shared.len.store(state.queue.len(), Ordering::Release);
-                return Ok(());
-            }
-            let consumer = state.consumer.take();
-            drop(state);
-            if let Some(consumer) = consumer {
-                consumer.unpark();
-            }
+            self.wake_consumer();
             self.wait_for_space(None);
         }
     }
@@ -400,17 +396,6 @@ impl<T> RingSender<T> {
 }
 
 impl<T> RingReceiver<T> {
-    /// Dequeue one value without blocking.
-    pub fn try_recv(&mut self) -> Option<T> {
-        if self.shared.len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut value = None;
-        self.shared
-            .take(self.shared.lock(), 1, |_| true, |v| value = Some(v));
-        value
-    }
-
     /// Sweep everything currently queued into `out` without blocking;
     /// returns how many values were moved. Wakes producers waiting on a
     /// full ring when slots were freed.
@@ -426,12 +411,30 @@ impl<T> RingReceiver<T> {
         )
     }
 
-    /// Park until a value is queued, *without taking it*: the next
-    /// [`RingReceiver::try_recv`] / [`RingReceiver::drain_into`] finds
-    /// one unless a [`RingSender::take_while`] took it first. Returns
-    /// `Err(RecvError)` once every sender is gone and the ring is empty.
-    pub fn wait_ready(&mut self) -> Result<(), RecvError> {
-        self.lock_ready(None).map(drop)
+    /// Register the calling thread as the consumer to unpark, for the
+    /// next waking push and for [`RingSender::wake_consumer`], and look:
+    /// `Ok(true)` if a value is queued. Takes nothing and never blocks. A
+    /// consumer parks only after a look that found its rings idle — this
+    /// one, or a later [`RingReceiver::is_idle`] — so a push the look
+    /// misses finds the handle. The registration stays until a producer
+    /// takes it, also when the look finds a value: a consumer that leaves
+    /// a value to another taker (see [`RingSender::take_while`]) is still
+    /// woken for what that taker leaves, and one that does not park after
+    /// all is merely unparked once too often. `Err(RecvError)` once every
+    /// sender is gone and the ring is empty.
+    pub fn register(&self) -> Result<bool, RecvError> {
+        let mut state = self.shared.lock();
+        if state.queue.is_empty() && state.senders == 0 {
+            return Err(RecvError);
+        }
+        state.consumer = Some(thread::current());
+        Ok(!state.queue.is_empty())
+    }
+
+    /// True when nothing is queued. Reads the length copy, so it takes no
+    /// lock.
+    pub fn is_idle(&self) -> bool {
+        self.shared.len.load(Ordering::Acquire) == 0
     }
 
     /// Drain what is queued, parking up to `timeout` while the ring is
@@ -540,6 +543,23 @@ mod tests {
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
     }
 
+    /// The front value, if any: a one-value take.
+    fn take_one<T>(rx: &mut RingReceiver<T>) -> Option<T> {
+        let mut one = None;
+        rx.shared
+            .take(rx.shared.lock(), 1, |_| true, |v| one = Some(v));
+        one
+    }
+
+    /// Park until a value is queued, taking nothing: the consumer's side
+    /// of the park protocol for one ring. `Err` on disconnect.
+    fn park_until_ready<T>(rx: &RingReceiver<T>) -> Result<(), RecvError> {
+        while !rx.register()? {
+            thread::park();
+        }
+        Ok(())
+    }
+
     #[test]
     fn fifo_within_a_single_producer() {
         let (tx, mut rx) = channel::<u64>(8);
@@ -558,7 +578,7 @@ mod tests {
             tx.try_send(i).unwrap();
         }
         assert_eq!(tx.try_send(99), Err(TrySendError::Full(99)));
-        assert_eq!(rx.try_recv(), Some(0));
+        assert_eq!(take_one(&mut rx), Some(0));
         tx.try_send(4).unwrap();
         let mut out = Vec::new();
         rx.drain_into(&mut out);
@@ -587,10 +607,10 @@ mod tests {
         tx2.try_send(2).unwrap();
         drop(tx2);
         let mut out = Vec::new();
-        assert_eq!(rx.wait_ready(), Ok(()), "queued values outlive senders");
+        assert_eq!(rx.register(), Ok(true), "queued values outlive senders");
         assert_eq!(rx.drain_into(&mut out), 2);
         assert_eq!(out, vec![1, 2]);
-        assert_eq!(rx.wait_ready(), Err(RecvError));
+        assert_eq!(rx.register(), Err(RecvError));
     }
 
     #[test]
@@ -621,8 +641,7 @@ mod tests {
             });
             let mut out = Vec::new();
             while out.len() < 50 {
-                rx.wait_ready()
-                    .expect("the producer is alive until 50 arrived");
+                park_until_ready(&rx).expect("the producer is alive until 50 arrived");
                 rx.drain_into(&mut out);
             }
             producer.join().unwrap();
@@ -667,7 +686,7 @@ mod tests {
         assert_eq!(tx.try_send(2), Ok(()));
         let (out, mut rx) = consumer.join().unwrap();
         assert_eq!(out, vec![0, 1]);
-        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(take_one(&mut rx), Some(2));
         drop(rx);
         tx.wait_for_space(None);
         assert_eq!(tx.try_send(3), Err(TrySendError::Disconnected(3)));
@@ -700,9 +719,9 @@ mod tests {
     #[test]
     fn a_quiet_send_leaves_the_consumer_parked_until_woken() {
         within_watchdog(|| {
-            let (tx, mut rx) = channel::<u32>(4);
+            let (tx, rx) = channel::<u32>(4);
             let shared = Arc::clone(&tx.shared);
-            let consumer = std::thread::spawn(move || (rx.wait_ready(), rx));
+            let consumer = std::thread::spawn(move || (park_until_ready(&rx), rx));
             while shared.lock().consumer.is_none() {
                 std::thread::yield_now();
             }
@@ -713,7 +732,7 @@ mod tests {
             tx.wake_consumer();
             let (ready, mut rx) = consumer.join().unwrap();
             assert_eq!(ready, Ok(()));
-            assert_eq!(rx.try_recv(), Some(1));
+            assert_eq!(take_one(&mut rx), Some(1));
             tx.wake_consumer(); // nobody parked: a no-op
         });
     }
@@ -730,7 +749,7 @@ mod tests {
                 }
             });
             let mut out = Vec::new();
-            while rx.wait_ready().is_ok() {
+            while park_until_ready(&rx).is_ok() {
                 // Let the ring fill before draining it.
                 std::thread::sleep(Duration::from_micros(200));
                 rx.drain_into(&mut out);
@@ -774,21 +793,23 @@ mod tests {
     #[test]
     fn wait_ready_parks_without_consuming() {
         let (tx, mut rx) = channel::<u32>(8);
+        assert_eq!(rx.register(), Ok(false), "nothing queued yet");
         let producer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             tx.send(7).unwrap();
             tx
         });
-        assert_eq!(rx.wait_ready(), Ok(()));
+        assert_eq!(park_until_ready(&rx), Ok(()));
         // Ready is a promise about the next take, and is idempotent.
-        assert_eq!(rx.wait_ready(), Ok(()));
-        assert_eq!(rx.try_recv(), Some(7));
+        assert_eq!(rx.register(), Ok(true));
+        assert!(!rx.is_idle());
+        assert_eq!(take_one(&mut rx), Some(7));
         let tx = producer.join().unwrap();
-        assert!(tx.is_idle());
+        assert!(tx.is_idle() && rx.is_idle());
     }
 
-    /// Two producers against a consumer that alternates `wait_ready` and
-    /// `drain_into` on a small ring: every value arrives, in order per
+    /// Two producers against a consumer that alternates register-look-park
+    /// and `drain_into` on a small ring: every value arrives, in order per
     /// producer, and the run ends in a disconnect. A lost wake-up parks
     /// for good and trips the watchdog.
     #[test]
@@ -813,7 +834,7 @@ mod tests {
             drop(tx);
             let mut next = [0u64; 2];
             let mut buf = Vec::new();
-            while rx.wait_ready().is_ok() {
+            while park_until_ready(&rx).is_ok() {
                 assert!(rx.drain_into(&mut buf) > 0, "ready means a value is there");
                 for (p, seq) in buf.drain(..) {
                     assert_eq!(seq, next[p as usize], "producer {p} out of order");
@@ -827,6 +848,45 @@ mod tests {
         });
     }
 
+    /// One consumer registered on several rings — the shard runtime's
+    /// keeper — is unparked by a push to any one of them: it registers on
+    /// every ring, looks at each, and parks only if all were idle.
+    #[test]
+    fn a_push_to_any_registered_ring_unparks_their_one_consumer() {
+        const RINGS: usize = 4;
+        const ROUNDS: usize = 2_000;
+        within_watchdog(|| {
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..RINGS).map(|_| channel::<usize>(4)).unzip();
+            let consumer = std::thread::spawn(move || {
+                let mut rxs = rxs;
+                let mut got = Vec::new();
+                while got.len() < ROUNDS {
+                    let mut ready = false;
+                    for rx in &rxs {
+                        ready |= rx.register().expect("the producer outlives the rounds");
+                    }
+                    if !ready {
+                        thread::park();
+                    }
+                    for rx in &mut rxs {
+                        rx.drain_into(&mut got);
+                    }
+                }
+                got
+            });
+            for round in 0..ROUNDS {
+                let tx = &txs[round * 7 % RINGS];
+                // Wait until the consumer took the last value, so that
+                // most pushes meet it parked or about to park.
+                while !txs.iter().all(RingSender::is_idle) {
+                    thread::yield_now();
+                }
+                tx.send(round).unwrap();
+            }
+            assert_eq!(consumer.join().unwrap(), (0..ROUNDS).collect::<Vec<_>>());
+        });
+    }
+
     #[test]
     fn is_idle_tracks_claimed_until_taken() {
         let (tx, mut rx) = channel::<u32>(4);
@@ -835,9 +895,9 @@ mod tests {
             tx.try_send(lap).unwrap();
             assert!(!tx.is_idle(), "sent, not taken");
             tx.try_send(lap).unwrap();
-            assert_eq!(rx.try_recv(), Some(lap));
+            assert_eq!(take_one(&mut rx), Some(lap));
             assert!(!tx.is_idle(), "one of two still queued");
-            assert_eq!(rx.try_recv(), Some(lap));
+            assert_eq!(take_one(&mut rx), Some(lap));
             assert!(tx.is_idle());
         }
         // A full ring rejects without queueing.
@@ -903,13 +963,13 @@ mod tests {
     fn dwell_meter_counts_only_while_stamping() {
         let (tx, mut rx) = channel::<u32>(8);
         tx.try_send(1).unwrap();
-        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(take_one(&mut rx), Some(1));
         assert_eq!(tx.queue_dwell(), (0, 0), "meter off by default");
 
         tx.set_stamping(true);
         tx.try_send(2).unwrap();
         std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(take_one(&mut rx), Some(2));
         let (count, nanos) = tx.queue_dwell();
         assert_eq!(count, 1);
         assert!(
@@ -919,7 +979,7 @@ mod tests {
 
         tx.set_stamping(false);
         tx.try_send(3).unwrap();
-        assert_eq!(rx.try_recv(), Some(3));
+        assert_eq!(take_one(&mut rx), Some(3));
         assert_eq!(tx.queue_dwell().0, 1, "meter frozen once disabled");
     }
 

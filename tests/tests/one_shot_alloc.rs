@@ -17,7 +17,7 @@
 //! `alloc_zeroed` and `realloc` calls *of the calling thread* (a
 //! `const`-initialised thread-local, so counting allocates nothing): with
 //! one client and idle shards every command runs inline on that thread,
-//! while the shard threads' own log folding stays out of the count. The
+//! while the keeper's log folding stays out of the count. The
 //! measurement takes the minimum over several windows, so a stray
 //! allocation (a log-fold nudge's ring slot, a version ring growing) cannot
 //! flake the test; a route that allocates more per transaction still fails

@@ -75,8 +75,14 @@ fn ring_multi_producer_fifo_under_backpressure() {
     let mut received: Vec<(u64, u64)> = Vec::new();
     let mut buf = Vec::new();
     let mut rng = SimRng::new(0xC0FFEE);
-    // Ends on the disconnect: all producers done, ring drained.
-    while rx.wait_ready().is_ok() {
+    // Register, look, park while idle — the shard keeper's park protocol
+    // on one ring. Ends on the disconnect: all producers done, ring
+    // drained.
+    while let Ok(ready) = rx.register() {
+        if !ready {
+            std::thread::park();
+            continue;
+        }
         rx.drain_into(&mut buf);
         received.append(&mut buf);
         // A deliberately sluggish consumer keeps the ring full so the
@@ -119,7 +125,11 @@ fn ring_consumer_parks_and_wakes_on_trickle() {
     });
     let mut got = Vec::new();
     let mut buf = Vec::new();
-    while rx.wait_ready().is_ok() {
+    while let Ok(ready) = rx.register() {
+        if !ready {
+            std::thread::park();
+            continue;
+        }
         rx.drain_into(&mut buf);
         got.append(&mut buf);
     }
